@@ -6,14 +6,16 @@ signal format (``lacunary``, ``project``, ``sqfn``, ``orlicz``, ``czd``,
 ``sharpness``).  Experiment parameters resolve as defaults, then a
 ``--config`` file of flat ``key = value`` lines, then explicit flags.
 
-Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails or an
-input is rejected, 2 for usage errors (argparse).
+Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails, an
+input is rejected or a ``czd`` certificate constant is not finite, 2 for
+usage errors (argparse) and for unreadable or malformed input files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -206,6 +208,11 @@ def _cmd_czd(args: argparse.Namespace) -> int:
     if args.output:
         dec.save(args.output)
     _emit(dec.to_json_dict(), args.out)
+    bad = sorted(key for key, val in dec.constants.items()
+                 if isinstance(val, float) and not math.isfinite(val))
+    if bad:
+        sys.stderr.write(f"czd: certificate not finite: {', '.join(bad)}\n")
+        return 1
     return 0
 
 

@@ -18,12 +18,17 @@ Discretization notes that drive the implementation:
   below the sampling Nyquist is an integer multiple of ``1/|J|``, hence an
   exact bin of the length-``n_J`` DFT of the samples on ``J``.  Removing
   those coefficients is an exact orthogonal projection (bin masking); the
-  position of ``J`` only contributes a unitary phase that cancels.  Tests
-  verify the vanishing independently by direct quadrature at each frequency.
+  position of ``J`` only contributes a unitary phase that cancels.  The
+  certificate re-checks the vanishing by direct quadrature over the samples,
+  independent of the removal FFT: with ``f = q/|J|`` the phase of sample
+  ``k`` is the root of unity ``exp(-2 pi i (q k mod n_J) / n_J)``, indexed
+  by exact integers, so all frequencies of an atom come out of one matrix
+  product (:func:`lattice_coefficients`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +52,7 @@ __all__ = [
     "stopping_intervals",
     "lacunary_frequencies",
     "windowed_coefficient",
+    "lattice_coefficients",
     "remove_lacunary",
     "cz_decompose",
     "support_margin",
@@ -230,8 +236,15 @@ def lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
 
     Every returned value is an integer multiple of ``1/length``; the full
     sets are infinite upward, so the Nyquist cut is what makes them finite.
+    Results are memoized: a decomposition asks for the same few
+    ``(length, nyquist, sigma)`` triples once per atom.
     """
     sigma = _check_parameters(sigma, 1.0)
+    return _lacunary_frequencies(float(length), float(nyquist), sigma)
+
+
+@functools.lru_cache(maxsize=1024)
+def _lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
     len_d = _dyadic_from_float(length, "length")
     nu = _dyadic_from_float(nyquist, "nyquist")
     one_over = DyadicScalar.pow2(-len_d.log2())
@@ -245,23 +258,60 @@ def lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
 
 def windowed_coefficient(piece: Signal, freq: float) -> complex:
     """Quadrature of the Fourier integral of the piece over its own window,
-    by direct summation (works for frequencies off any lattice)."""
+    by direct summation (works for frequencies off any lattice).
+
+    The reference for :func:`lattice_coefficients`."""
     phases = np.exp(-2j * np.pi * freq * piece.x)
     return complex(piece.dx * np.sum(piece.samples * phases))
 
 
-def remove_lacunary(piece: Signal, sigma) -> tuple:
+def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
+    """:func:`windowed_coefficient` at every ``freqs`` value, all of which
+    must lie on the local lattice ``q/|J|``, as one direct sum over samples.
+
+    With ``x_k = x_lo + k |J|/n`` the phase ``exp(-2 pi i f x_k)`` is
+    ``exp(-2 pi i f x_lo)`` times the root of unity of exact integer index
+    ``q k mod n``.  Splitting ``k = a + m b`` with ``m ~ sqrt(n)`` turns the
+    sum into an ``(n/m x m)^T @ (n/m x n_freq)`` product followed by an
+    ``m x n_freq`` elementwise sum, so memory stays ``O(n + sqrt(n) n_freq)``.
+    No FFT is involved.
+    """
+    scaled = np.asarray(freqs, dtype=float) * piece.period
+    qs = np.rint(scaled)
+    if not np.array_equal(qs, scaled):
+        raise ValueError("frequencies must lie on the local lattice q/|J|")
+    n = piece.n
+    half = piece.log2_n // 2
+    m = 1 << half
+    rows = n >> half
+    step = -2j * np.pi / n
+    # exp(-2 pi i idx / n) for 0 <= idx < n is coarse[idx >> half] times
+    # fine[idx mod m]; the index of sample a + m b is (q a + q m b) mod n
+    coarse = np.exp(step * np.arange(0, n, m))
+    fine = np.exp(step * np.arange(m))
+    q_mod = qs.astype(np.int64) % n
+    outer = coarse[np.arange(rows)[:, None] * q_mod % rows]
+    idx = np.arange(m)[:, None] * q_mod % n
+    inner = coarse[idx >> half] * fine[idx & (m - 1)]
+    sums = np.sum((piece.samples.reshape(rows, m).T @ outer) * inner, axis=0)
+    shift = np.exp(-2j * np.pi * (piece.offset / piece.period) * qs)
+    return piece.dx * shift * sums
+
+
+def remove_lacunary(piece: Signal, sigma, freqs: Optional[tuple] = None) -> tuple:
     """Split a windowed piece into (cancellative, lacunary) parts.
 
     The lacunary part carries the windowed Fourier coefficients at the
     lacunary frequencies of all orders up to sigma at scale ``1/|J|``; the
     cancellative remainder has those coefficients equal to zero.  Both parts
-    keep the window geometry of the input.
+    keep the window geometry of the input.  ``freqs`` passes in those
+    frequencies when the caller already holds them.
     """
     sigma = _check_parameters(sigma, 1.0)
-    len_d = _dyadic_from_float(piece.period, "window length")
-    nu_d = DyadicScalar.pow2(piece.log2_n - 1 - len_d.log2())
-    freqs = lacunary_frequencies(piece.period, float(nu_d), sigma)
+    if freqs is None:
+        len_d = _dyadic_from_float(piece.period, "window length")
+        nu_d = DyadicScalar.pow2(piece.log2_n - 1 - len_d.log2())
+        freqs = lacunary_frequencies(piece.period, float(nu_d), sigma)
 
     # each frequency is q/|J| with |q| < n/2: an exact local DFT bin
     qs = np.array([round(f * piece.period) for f in freqs], dtype=int)
@@ -313,9 +363,10 @@ def _atom_diagnostics(
     rms = float(np.sqrt(np.mean(np.abs(piece.samples) ** 2)))
     residual = 0.0
     if rms > 0:
-        # re-evaluate the removed coefficients on the cancellative part
-        coeffs = [abs(windowed_coefficient(canc, f)) for f in freqs]
-        residual = max(coeffs) / (piece.period * rms)
+        # re-evaluate the removed coefficients on the cancellative part as
+        # one direct integer-phase product, independent of the removal FFT
+        coeffs = lattice_coefficients(canc, freqs)
+        residual = float(np.max(np.abs(coeffs))) / (piece.period * rms)
     out = interval.to_dict()
     out.update(
         {
@@ -354,9 +405,9 @@ def cz_decompose(
 
     def build_atom(args):
         interval, piece = args
-        canc, lac = remove_lacunary(piece, sigma)
         nu = piece.n / (2.0 * piece.period)
         freqs = lacunary_frequencies(piece.period, nu, sigma)
+        canc, lac = remove_lacunary(piece, sigma, freqs)
         diag = _atom_diagnostics(interval, piece, canc, lac, freqs, s, alpha)
         return CzAtom(interval, canc, lac, diag)
 

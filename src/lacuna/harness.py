@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .czd import cz_decompose, lacunary_frequencies, remove_lacunary, windowed_coefficient
+from .czd import cz_decompose, lacunary_frequencies, lattice_coefficients, remove_lacunary
 from .dyadic import DyadicScalar
 from .lacunary import LacInterval, lac_tau, lambda_tau
 from .martingale import (
@@ -54,6 +54,7 @@ from .multipliers import (
 )
 from .orlicz import YoungFunction, luxemburg_avg, luxemburg_avg_rows
 from .spectral import (
+    MAX_LOG2_N,
     AliasFlags,
     Signal,
     band_indices,
@@ -120,8 +121,8 @@ class ExperimentConfig:
     threads: int = 0
 
     def __post_init__(self) -> None:
-        if not 4 <= self.log2_n <= 22:
-            raise ValueError("log2_n must lie in [4, 22]")
+        if not 4 <= self.log2_n <= MAX_LOG2_N:
+            raise ValueError(f"log2_n must lie in [4, {MAX_LOG2_N}]")
         per = DyadicScalar.from_float(self.period)
         if not (per.is_power_of_two() and self.period >= 2.0):
             raise ValueError("period must be a power of two, at least 2")
@@ -756,11 +757,11 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
 
     # small scales on the coefficient-cancelled window restriction
     piece = Signal(sig.samples[jmask], 1.0, -0.5)
-    canc, _lac = remove_lacunary(piece, cfg.tau - 1)
+    lam_list = lacunary_frequencies(1.0, piece.n / 2.0, cfg.tau - 1)
+    canc, _lac = remove_lacunary(piece, cfg.tau - 1, lam_list)
     scale = float(np.max(np.abs(canc.samples)))
     if scale > 0.0:
-        lam_list = lacunary_frequencies(1.0, piece.n / 2.0, cfg.tau - 1)
-        residual = max(abs(windowed_coefficient(canc, lam)) for lam in lam_list)
+        residual = float(np.max(np.abs(lattice_coefficients(canc, lam_list))))
         if residual > 1e-8 * scale:
             rows.append({"label": label, "branch": "cancellative", "gamma": cfg.gamma,
                          "aborted": True, "note": "coefficient removal residual"})

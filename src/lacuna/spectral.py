@@ -35,6 +35,8 @@ from .dyadic import DyadicScalar
 from .lacunary import LacInterval, lambda_tau, normalize_to_origin
 
 MAGIC = b"LAC1"
+# largest grid exponent a signal file may declare (the experiments' own limit)
+MAX_LOG2_N = 22
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,12 @@ class Signal:
         arr = np.asarray(self.samples)
         if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
             raise ValueError("sample count must be a positive power of two")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise ValueError("period must be positive and finite")
         arr = arr.astype(np.complex128, copy=True)
+        # the float view tests real and imaginary parts in one pass
+        if not np.isfinite(arr.view(np.float64)).all():
+            raise ValueError("samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -438,14 +443,30 @@ def write_signal(path, sig: Signal) -> None:
 
 
 def read_signal(path) -> Signal:
+    """Inverse of :func:`write_signal`.
+
+    Rejects with ``ValueError`` a header with ``J > MAX_LOG2_N`` or a period
+    that is not finite and positive, a payload that is not exactly
+    ``16 * 2**J`` bytes, and non-finite samples.
+    """
     with open(path, "rb") as fh:
         header = fh.read(16)
+        if len(header) < 16:
+            raise ValueError("truncated header")
         if header[:4] != MAGIC:
             raise ValueError("bad magic")
         (j,) = struct.unpack("<I", header[4:8])
         (period,) = struct.unpack("<d", header[8:16])
-        n = 1 << j
-        inter = np.frombuffer(fh.read(16 * n), dtype="<f8")
+        if j > MAX_LOG2_N:
+            raise ValueError(f"header J = {j} exceeds the limit {MAX_LOG2_N}")
+        if not (period > 0 and math.isfinite(period)):
+            raise ValueError(f"header period {period!r} is not finite and positive")
+        size = 16 << j
+        payload = fh.read(size + 1)
+    if len(payload) != size:
+        found = "more" if len(payload) > size else str(len(payload))
+        raise ValueError(f"J = {j} needs {size} payload bytes, found {found}")
+    inter = np.frombuffer(payload, dtype="<f8")
     samples = inter[0::2] + 1j * inter[1::2]
     return Signal(samples, period, offset=-period / 2)
 

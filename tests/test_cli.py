@@ -2,6 +2,7 @@
 ``main(argv)``, exit codes, file round trips, and config layering."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +131,49 @@ class TestCzd:
                      "--sigma", "0", "--alpha", "1e-6"])
         assert code == 1
         assert "czd:" in capsys.readouterr().err
+
+    def test_non_finite_sample_is_rejected(self, tmp_path, capsys):
+        vals = np.exp(-np.linspace(-4.0, 4.0, 64) ** 2)
+        path = tmp_path / "nan.bin"
+        write_signal(path, Signal(vals, 16.0, -8.0))
+        data = bytearray(path.read_bytes())
+        data[16 + 16 * 30 : 16 + 16 * 30 + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        code = main(["czd", "--input", str(path), "--sigma", "1", "--alpha", "0.5"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_certificate_fails(self, tmp_path, capsys):
+        # finite samples whose squares sum past the float range
+        vals = np.zeros(64)
+        vals[8:24] = 1.2e154
+        path = tmp_path / "huge.bin"
+        write_signal(path, Signal(vals, 8.0, -4.0))
+        with np.errstate(over="ignore"):
+            code = main(["czd", "--input", str(path), "--sigma", "0", "--alpha", "3e153"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "not finite: lacunary_l2_sq" in captured.err
+        assert json.loads(captured.out)["constants"]["lacunary_l2_sq"] == float("inf")
+
+    @pytest.mark.parametrize("cut", ["half", "trailing", "header", "big_j", "inf_period"])
+    def test_malformed_input_is_a_usage_error(self, stored_signal, tmp_path, capsys, cut):
+        data = stored_signal.read_bytes()
+        if cut == "half":
+            data = data[: 16 + (len(data) - 16) // 2]
+        elif cut == "trailing":
+            data = data + b"\x00" * 8
+        elif cut == "header":
+            data = data[:10]
+        elif cut == "big_j":
+            data = data[:4] + struct.pack("<I", 40) + data[8:]
+        else:
+            data = data[:8] + struct.pack("<d", float("inf")) + data[16:]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        code = main(["czd", "--input", str(path), "--sigma", "1", "--alpha", "0.5"])
+        assert code == 2
+        assert "lacuna:" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

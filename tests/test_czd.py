@@ -3,7 +3,8 @@
 Oracles: stopping intervals recomputed by enumerating every aligned dyadic
 block and filtering to maximal ones; vanishing coefficients re-checked by
 direct quadrature at each frequency (the implementation works through local
-FFT bins, so the quadrature is an independent path).
+FFT bins, so the quadrature is an independent path); the batched
+integer-phase quadrature checked against the per-frequency one.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from lacuna import czd
 from lacuna.orlicz import YoungFunction, luxemburg_avg
-from lacuna.spectral import Signal, read_signal
+from lacuna.spectral import Signal, plateau_bump, read_signal
 
 
 def grid_signal(func, n=256, period=2.0, offset=0.0):
@@ -152,6 +153,21 @@ class TestLacunaryFrequencies:
         with pytest.raises(ValueError):
             czd.lacunary_frequencies(3.0, 8.0, 1)
 
+    def test_memoized_one_enumeration_per_order(self, monkeypatch):
+        calls = []
+        real = czd.lac_tau
+
+        def counting(tau, min_scale, max_abs):
+            calls.append(tau)
+            return real(tau, min_scale, max_abs)
+
+        monkeypatch.setattr(czd, "lac_tau", counting)
+        czd._lacunary_frequencies.cache_clear()
+        first = czd.lacunary_frequencies(0.5, 64.0, 2)
+        assert czd.lacunary_frequencies(0.5, 64, 2) is first
+        assert calls == [1, 2]
+        czd._lacunary_frequencies.cache_clear()
+
 
 class TestWindowedCoefficient:
     def test_pure_local_tone(self):
@@ -165,6 +181,36 @@ class TestWindowedCoefficient:
     def test_mean_at_zero(self):
         piece = grid_signal(lambda x: np.full_like(x, 1.5), n=16, period=4.0)
         assert czd.windowed_coefficient(piece, 0.0) == pytest.approx(6.0)
+
+
+class TestLatticeCoefficients:
+    """The batched integer-phase quadrature against the per-frequency one."""
+
+    @pytest.mark.parametrize("log2_n", range(16))
+    def test_matches_windowed_coefficient(self, log2_n):
+        rng = np.random.default_rng(100 + log2_n)
+        n = 1 << log2_n
+        period = 2.0 ** (log2_n - 10)
+        for offset in (-period / 2, 3.375 * period + 0.125):
+            vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            piece = Signal(vals, period=period, offset=offset)
+            tol = 1e-11 * period * np.sqrt(np.mean(np.abs(vals) ** 2))
+            for sigma in range(4):
+                freqs = czd.lacunary_frequencies(period, n / (2 * period), sigma)
+                got = czd.lattice_coefficients(piece, freqs)
+                assert got.shape == (len(freqs),)
+                # the reference costs n exponentials per frequency: check the
+                # extremes and a random sample of the rest
+                pick = {0, len(freqs) - 1}
+                pick.update(rng.choice(len(freqs), size=min(len(freqs), 24)).tolist())
+                for i in sorted(pick):
+                    ref = czd.windowed_coefficient(piece, freqs[i])
+                    assert abs(got[i] - ref) <= tol
+
+    def test_off_lattice_frequency_rejected(self):
+        piece = Signal(np.ones(16), period=2.0, offset=-1.0)
+        with pytest.raises(ValueError):
+            czd.lattice_coefficients(piece, [0.25])
 
 
 class TestRemoveLacunary:
@@ -269,6 +315,40 @@ class TestDecomposition:
             assert c["sandwich_ok"]
             assert c["good_sup_constant"] <= 1.0 + 1e-9
             assert c["good_l1_ratio"] <= 1.0 + 1e-12
+
+    def test_spiky_member_residuals_at_rounding_level(self, monkeypatch):
+        # a gate 06 style member: wide plateaus plus narrow tall spikes at 2^16
+        rng = np.random.default_rng(3107)
+        n, period = 1 << 16, 16.0
+        x = -period / 2 + period / n * np.arange(n)
+        vals = np.zeros(n)
+        for lo_w, hi_w, lo_a, hi_a, count in ((-2.0, 0.5, 0.3, 1.5, 2),
+                                              (-4.0, -2.0, 3.0, 8.0, 3)):
+            for _ in range(count):
+                c = rng.uniform(-0.35, 0.35) * period
+                w = 2.0 ** rng.uniform(lo_w, hi_w)
+                a = rng.choice([-1.0, 1.0]) * rng.uniform(lo_a, hi_a)
+                vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
+        sig = Signal(vals, period, -period / 2)
+
+        def no_reference(*args):
+            raise AssertionError("the decomposition ran the per-frequency loop")
+
+        calls = []
+        real = czd.lacunary_frequencies
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(czd, "windowed_coefficient", no_reference)
+        monkeypatch.setattr(czd, "lacunary_frequencies", counting)
+        alpha = 1.5 * luxemburg_avg(np.abs(sig.samples), 1.0)
+        dec = czd.cz_decompose(sig, 2, alpha)
+        assert len(dec.atoms) > 1
+        assert len(calls) == len(dec.atoms)
+        for atom in dec.atoms:
+            assert atom.diagnostics["residual_coefficient"] <= 1e-12
 
     def test_good_part_bounded_by_leaf_threshold(self):
         sig = random_signal(512, seed=40)

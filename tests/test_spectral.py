@@ -6,6 +6,7 @@ fast path must agree with it to near machine precision.
 """
 
 import math
+import struct
 from fractions import Fraction as F
 
 import numpy as np
@@ -44,6 +45,23 @@ def random_signal(rng, j=6, period=4.0, centered=True):
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     offset = -period / 2 if centered else 0.0
     return sp.Signal(samples, period, offset)
+
+
+class TestSignalValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        vals = np.ones(8, dtype=complex)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sp.Signal(vals, period=2.0)
+        vals[3] = complex(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            sp.Signal(vals, period=2.0)
+
+    @pytest.mark.parametrize("period", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_period_rejected(self, period):
+        with pytest.raises(ValueError, match="period"):
+            sp.Signal(np.ones(8), period=period)
 
 
 # -- transform conventions -----------------------------------------------
@@ -403,6 +421,61 @@ class TestWeakNormAndIO:
         path = tmp_path / "junk.lac"
         path.write_bytes(b"NOPE" + b"\x00" * 28)
         with pytest.raises(ValueError):
+            sp.read_signal(path)
+
+    @staticmethod
+    def header(j, period):
+        return sp.MAGIC + struct.pack("<I", j) + struct.pack("<d", period)
+
+    def stored(self, tmp_path, j=5):
+        path = tmp_path / "sig.lac"
+        sp.write_signal(path, random_signal(np.random.default_rng(52), j=j))
+        return path, path.read_bytes()
+
+    def test_read_rejects_truncated_payload(self, tmp_path):
+        path, data = self.stored(tmp_path)
+        # half the payload would read as a valid signal of half the size
+        path.write_bytes(data[: 16 + (len(data) - 16) // 2])
+        with pytest.raises(ValueError, match="payload"):
+            sp.read_signal(path)
+        path.write_bytes(data[:-1])
+        with pytest.raises(ValueError, match="payload"):
+            sp.read_signal(path)
+
+    def test_read_rejects_trailing_bytes(self, tmp_path):
+        path, data = self.stored(tmp_path)
+        path.write_bytes(data + b"\x00" * 16)
+        with pytest.raises(ValueError, match="payload"):
+            sp.read_signal(path)
+
+    def test_read_rejects_truncated_header(self, tmp_path):
+        path, data = self.stored(tmp_path)
+        path.write_bytes(data[:12])
+        with pytest.raises(ValueError, match="header"):
+            sp.read_signal(path)
+
+    def test_read_bounds_j(self, tmp_path):
+        path = tmp_path / "big.lac"
+        path.write_bytes(self.header(sp.MAX_LOG2_N + 1, 2.0) + b"\x00" * 64)
+        with pytest.raises(ValueError, match="exceeds"):
+            sp.read_signal(path)
+        path.write_bytes(self.header(2**32 - 1, 2.0))
+        with pytest.raises(ValueError, match="exceeds"):
+            sp.read_signal(path)
+
+    @pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, 0.0, -2.0])
+    def test_read_rejects_bad_period(self, tmp_path, period):
+        path = tmp_path / "per.lac"
+        path.write_bytes(self.header(2, period) + b"\x00" * 64)
+        with pytest.raises(ValueError, match="period"):
+            sp.read_signal(path)
+
+    def test_read_rejects_non_finite_sample(self, tmp_path):
+        path, data = self.stored(tmp_path)
+        data = bytearray(data)
+        data[16 + 8 * 5 : 16 + 8 * 6] = struct.pack("<d", math.nan)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="finite"):
             sp.read_signal(path)
 
     def test_csv_export(self, tmp_path):
