@@ -348,6 +348,15 @@ def support_margin(sig: Signal, threshold: float = 1e-12) -> float:
     return sig.period / diam
 
 
+def _rms(values: np.ndarray) -> float:
+    """Root mean square, scaled by the peak so that no square overflows."""
+    mags = np.abs(values)
+    peak = float(mags.max(initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.sqrt(np.mean((mags / peak) ** 2)))
+
+
 def _atom_diagnostics(
     interval: StoppingInterval,
     piece: Signal,
@@ -359,14 +368,18 @@ def _atom_diagnostics(
 ) -> dict:
     level_avg = luxemburg_avg(np.abs(piece.samples), s)
     atom_avg = luxemburg_avg(np.abs(canc.samples), s)
-    lac_l2 = float(np.sqrt(np.mean(np.abs(lac.samples) ** 2)))
-    rms = float(np.sqrt(np.mean(np.abs(piece.samples) ** 2)))
+    lac_l2 = _rms(lac.samples)
+    rms = _rms(piece.samples)
     residual = 0.0
     if rms > 0:
         # re-evaluate the removed coefficients on the cancellative part as
         # one direct integer-phase product, independent of the removal FFT
         coeffs = lattice_coefficients(canc, freqs)
-        residual = float(np.max(np.abs(coeffs))) / (piece.period * rms)
+        scale = piece.period * rms
+        # an overflowed normaliser must not pass for a vanishing residual
+        residual = math.inf
+        if math.isfinite(scale):
+            residual = float(np.max(np.abs(coeffs))) / scale
     out = interval.to_dict()
     out.update(
         {
@@ -460,7 +473,7 @@ def _global_constants(sig, good, atoms, lac_part, sigma, alpha) -> dict:
         "lacunary_l2_sq": lac_sq,
         "atom_weighted_sq": atom_weighted,
         "lacunary_vs_atoms": lac_sq / atom_weighted if atom_weighted > 0 else None,
-        "lacunary_vs_mass": lac_sq / (alpha**2 * mass) if mass > 0 else None,
+        "lacunary_vs_mass": lac_sq / (alpha * alpha * mass) if mass > 0 else None,
         "max_atom_constant": max(
             (a.diagnostics["atom_constant"] for a in atoms), default=0.0
         ),

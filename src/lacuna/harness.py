@@ -47,7 +47,6 @@ from .martingale import (
 from .multipliers import (
     StepMultiplier,
     StepPiece,
-    apply_multiplier,
     build_sharpness_family,
     max_feasible_parameter,
     prototype_multiplier,
@@ -56,15 +55,12 @@ from .orlicz import YoungFunction, luxemburg_avg, luxemburg_avg_rows
 from .spectral import (
     MAX_LOG2_N,
     AliasFlags,
+    BandBank,
     Signal,
-    band_indices,
-    freq_indices,
-    freqs,
-    lp_square_function,
+    eta_window,
     plateau_bump,
-    project_smooth,
+    sharp_window,
     spectrum,
-    synthesize,
     weak_l1_norm,
 )
 
@@ -398,6 +394,33 @@ def _halved_step(family: Sequence[LacInterval], rng: np.random.Generator) -> Ste
     return StepMultiplier(tuple(pieces), overlap_bound=2)
 
 
+def _banked(kind: str, label: str, exponent: float,
+            make: Callable[[Signal], BandBank], use: Callable) -> OperatorSpec:
+    """An operator through the banks ``make`` builds, once per ``(n, period)``;
+    ``use(bank, sig, flags)`` gives the output magnitudes."""
+    banks: dict = {}
+
+    def apply(sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
+        key = (sig.n, sig.period)
+        if key not in banks:
+            banks[key] = make(sig)
+        return use(banks[key], sig, flags)
+
+    return OperatorSpec(kind, label, exponent, apply)
+
+
+def _family_bank(family: Sequence[LacInterval], window: Callable, label: str) -> Callable:
+    return lambda sig: BandBank.build(sig, [window(block) for block in family], label)
+
+
+def _combined(bank: BandBank, sig: Signal, flags: Optional[AliasFlags]) -> np.ndarray:
+    return np.abs(bank.combine(sig, flags=flags))
+
+
+def _square(bank: BandBank, sig: Signal, flags: Optional[AliasFlags]) -> np.ndarray:
+    return bank.square(sig, flags=flags)
+
+
 def build_operator(kind: str, cfg: ExperimentConfig,
                    rng: Optional[np.random.Generator] = None) -> OperatorSpec:
     rng = rng or np.random.default_rng(cfg.seed + 1)
@@ -409,69 +432,31 @@ def build_operator(kind: str, cfg: ExperimentConfig,
 
     if kind == "prototype":
         m = prototype_multiplier(cfg.tau, min_scale, sharp_cap, rng=rng)
-
-        def apply_proto(sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-            return np.abs(apply_multiplier(sig, m, flags).samples)
-
-        return OperatorSpec("prototype", f"prototype-tau{cfg.tau}", cfg.tau / 2, apply_proto)
+        return _banked("prototype", f"prototype-tau{cfg.tau}", cfg.tau / 2, m.bank, _combined)
 
     if kind == "step":
-        family = lambda_tau(cfg.tau, min_scale, sharp_cap)
-        m = _halved_step(family, rng)
-
-        def apply_step(sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-            return np.abs(apply_multiplier(sig, m, flags).samples)
-
-        return OperatorSpec("step", f"step-N2-tau{cfg.tau}", cfg.tau / 2, apply_step)
+        m = _halved_step(lambda_tau(cfg.tau, min_scale, sharp_cap), rng)
+        return _banked("step", f"step-N2-tau{cfg.tau}", cfg.tau / 2, m.bank, _combined)
 
     if kind == "lp":
-
-        def apply_lp(sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-            out = lp_square_function(sig, cfg.tau, min_scale, "sharp", sharp_cap, flags=flags)
-            return np.abs(out.samples)
-
-        return OperatorSpec("lp", f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2, apply_lp)
+        family = lambda_tau(cfg.tau, min_scale, sharp_cap)
+        return _banked("lp", f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2,
+                       _family_bank(family, sharp_window, "lp"), _square)
 
     if kind == "smooth-sqfn":
-
-        def apply_smooth(sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-            out = lp_square_function(sig, cfg.tau, smooth_floor, "smooth", smooth_cap,
-                                     flags=flags)
-            return np.abs(out.samples)
-
-        return OperatorSpec("smooth-sqfn", f"smooth-sqfn-tau{cfg.tau}",
-                            (cfg.tau - 1) / 2, apply_smooth)
+        family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
+        return _banked("smooth-sqfn", f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2,
+                       _family_bank(family, eta_window, "smooth-sqfn"), _square)
 
     if kind == "hormander":
         family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
         eps = rng.choice([-1.0, 1.0], size=len(family))
-        cache: dict = {}
 
-        def symbol(sig: Signal) -> np.ndarray:
-            key = (sig.n, sig.period)
-            if key not in cache:
-                sym = np.zeros(sig.n)
-                half = sig.n // 2
-                for e, block in zip(eps, family):
-                    c = float(block.center)
-                    ell = float(block.length)
-                    lo = math.ceil((c - 0.625 * ell) * sig.period)
-                    hi = math.floor((c + 0.625 * ell) * sig.period)
-                    js = np.arange(lo, hi + 1, dtype=np.int64)
-                    js = js[(js >= -half) & (js < half)]
-                    if js.size == 0:
-                        continue
-                    pos = np.mod(js, sig.n)
-                    sym[pos] += e * plateau_bump((js / sig.period - c) / ell, 0.5, 0.625)
-                cache[key] = sym
-            return cache[key]
+        def signed(bank: BandBank, sig: Signal, flags: Optional[AliasFlags]) -> np.ndarray:
+            return np.abs(bank.combine(sig, eps, flags))
 
-        def apply_horm(sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-            out = synthesize(spectrum(sig) * symbol(sig), sig.period, sig.offset)
-            return np.abs(out.samples)
-
-        return OperatorSpec("hormander", f"bump-symbol-tau{cfg.tau}",
-                            (cfg.tau - 1) / 2, apply_horm)
+        return _banked("hormander", f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2,
+                       _family_bank(family, eta_window, "hormander"), signed)
 
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -698,23 +683,6 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
 # -- localized block estimates on a unit window ------------------------------
 
 
-def _sharp_band_energies(sig: Signal, family: Sequence[LacInterval]) -> np.ndarray:
-    """Exact L2 masses of the sharp band pieces via one transform:
-    ||piece||^2 = (1/T) sum_{band} |fhat|^2."""
-    sp = spectrum(sig)
-    xi = freqs(sig)
-    order = np.argsort(xi, kind="stable")
-    xs = xi[order]
-    power = np.abs(sp[order]) ** 2
-    prefix = np.concatenate([[0.0], np.cumsum(power)])
-    out = np.empty(len(family))
-    for i, block in enumerate(family):
-        i0 = np.searchsorted(xs, float(block.left), side="left")
-        i1 = np.searchsorted(xs, float(block.right), side="left")
-        out[i] = (prefix[i1] - prefix[i0]) / sig.period
-    return out
-
-
 def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
                  tail_gammas: Sequence[float]) -> list:
     """One sample's branch measurements on the window J = [-1/2, 1/2)."""
@@ -729,9 +697,8 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     # blocks at unit scale and above: smooth pieces, localized averages
     fam_wide = lambda_tau(cfg.tau, DyadicScalar.from_int(1), smooth_cap)
     flags = AliasFlags()
-    pieces = np.empty((len(fam_wide), sig.n))
-    for i, block in enumerate(fam_wide):
-        pieces[i] = np.abs(project_smooth(sig, block, flags=flags).samples)
+    wide = BandBank.build(sig, [eta_window(block) for block in fam_wide], "project_smooth")
+    pieces = wide.magnitudes(sig, flags=flags)
     if flags.aliased:
         rows.append({"label": label, "branch": "local", "gamma": cfg.gamma,
                      "aborted": True, "note": "; ".join(flags.events[:3])})
@@ -771,8 +738,9 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     canc_ext = Signal(full, sig.period, sig.offset)
     fam_small = [block for block in lambda_tau(cfg.tau, min_scale, smooth_cap)
                  if float(block.length) < 1.0]
-    energies = _sharp_band_energies(canc_ext, fam_small)
-    lhs_small = float(np.sum(energies))
+    small = BandBank.build(canc_ext, [sharp_window(block) for block in fam_small],
+                           "cancellative")
+    lhs_small = float(np.sum(small.energies(canc_ext)))
     rhs_small = luxemburg_avg(np.abs(canc.samples), (cfg.tau - 1) / 2) ** 2
     rows.append({"label": label, "branch": "cancellative", "gamma": cfg.gamma,
                  "aborted": rhs_small <= 0.0,
@@ -781,23 +749,9 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
 
     # all scales at once on the cancelled signal: sharp pieces, localized
     fam_all = lambda_tau(cfg.tau, min_scale, smooth_cap)
-    coeffs = spectrum(canc_ext)
-    coeffs = coeffs * np.exp(2j * np.pi * sig.offset * freqs(canc_ext))
-    comb = []
-    masked = np.empty_like(coeffs)
-    for block in fam_all:
-        idx = band_indices(canc_ext, block.left, block.right, None, "combined")
-        if idx.size == 0:
-            continue
-        masked[:] = 0
-        masked[idx] = coeffs[idx]
-        vals = np.fft.ifft(masked) * (sig.n / sig.period)
-        comb.append(np.abs(vals[gmask]))
-    if comb:
-        comb_avgs = luxemburg_avg_rows(np.array(comb), cfg.sigma / 2)
-        lhs_comb = float(np.sqrt(np.sum(comb_avgs ** 2)))
-    else:
-        lhs_comb = 0.0
+    every = BandBank.build(canc_ext, [sharp_window(block) for block in fam_all], "combined")
+    comb_avgs = luxemburg_avg_rows(every.magnitudes(canc_ext, gmask), cfg.sigma / 2)
+    lhs_comb = float(np.sqrt(np.sum(comb_avgs ** 2)))
     rhs_comb = luxemburg_avg(np.abs(canc.samples), (cfg.sigma + cfg.tau) / 2)
     rows.append({"label": label, "branch": "combined", "gamma": cfg.gamma,
                  "aborted": rhs_comb <= 0.0,

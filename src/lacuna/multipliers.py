@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -44,11 +43,12 @@ from .lacunary import (
 )
 from .spectral import (
     AliasFlags,
+    BandBank,
     Signal,
-    band_indices,
     central_diff,
     eta,
     freq_indices,
+    freqs,
     plateau_bump,
     spectrum,
     synthesize,
@@ -128,18 +128,22 @@ class SampledMultiplier:
         im = np.interp(xi, order, vals.imag)
         return re + 1j * im
 
-    def symbol_for(self, sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-        """Symbol values on the signal's frequency lattice, FFT layout."""
+    def bank(self, sig: Signal) -> BandBank:
+        """A one-row bank carrying the symbol on the signal's whole lattice:
+        the stored values themselves when they sit on that lattice."""
+        events = []
         if (
             self.lattice_values is not None
             and self.lattice_values.size == sig.n
             and self.period == sig.period
         ):
-            return np.asarray(self.lattice_values)
-        if flags is not None and self.band_limit is not None:
-            if sig.nyquist > self.band_limit:
-                flags.mark("symbol_for: signal band exceeds stored symbol lattice")
-        return self.evaluate(freq_indices(sig.n) / sig.period)
+            symbol = np.asarray(self.lattice_values)
+        else:
+            if self.band_limit is not None and sig.nyquist > self.band_limit:
+                events.append("sampled symbol: signal band exceeds stored symbol lattice")
+            symbol = self.evaluate(freq_indices(sig.n) / sig.period)
+        idx = np.flatnonzero(symbol)
+        return BandBank(sig.n, sig.period, [(idx, symbol[idx])], events)
 
 
 # -- components and class norms ----------------------------------------------
@@ -364,12 +368,10 @@ class StepMultiplier:
             best = max(best, depth)
         return best
 
-    def symbol_for(self, sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-        symbol = np.zeros(sig.n, dtype=complex)
-        for p in self.pieces:
-            idx = band_indices(sig, p.lo, p.hi, flags, "step_multiplier")
-            symbol[idx] += p.coeff
-        return symbol
+    def bank(self, sig: Signal) -> BandBank:
+        """One row per piece: its window, weighted by its coefficient."""
+        windows = [(p.lo, p.hi, p.coeff) for p in self.pieces]
+        return BandBank.build(sig, windows, "step_multiplier")
 
     def to_json_dict(self) -> dict:
         return {
@@ -440,17 +442,7 @@ def apply_multiplier(
     flags: Optional[AliasFlags] = None,
 ) -> Signal:
     """Pointwise multiply the spectrum by the symbol and invert."""
-    symbol = m.symbol_for(sig, flags)
-    return synthesize(spectrum(sig) * symbol, sig.period, sig.offset)
-
-
-def _offset_adjusted_spectrum(sig: Signal) -> np.ndarray:
-    """Spectrum with the window-offset phase folded back in, so a bare
-    ``ifft * (n/T)`` lands on the true sample positions."""
-    coeffs = spectrum(sig)
-    if sig.offset != 0.0:
-        coeffs = coeffs * np.exp(2j * np.pi * sig.offset * freq_indices(sig.n) / sig.period)
-    return coeffs
+    return sig.with_samples(m.bank(sig).combine(sig, flags=flags))
 
 
 # -- the sharpness family ------------------------------------------------------
@@ -497,79 +489,38 @@ class SharpnessFamily:
     pairs: tuple[tuple[int, int], ...]
     f_n: Signal
     g_n: Signal
-    _packed: dict = field(default_factory=dict, repr=False)
+    _banks: dict = field(default_factory=dict, repr=False)
 
-    def _component_band(self, sig: Signal, k: int, l: int):
-        """(lattice positions, symbol values) for the (k, l) component."""
-        key = (sig.n, sig.period, k, l)
-        packed = self._packed.get(key)
-        if packed is None:
-            # the (k, l) symbol lives in 2^k + 2^{l-1} * [1, 3/2]
-            lo = DyadicScalar.pow2(k) + DyadicScalar.pow2(l - 1)
-            hi = lo + DyadicScalar.pow2(l - 1)
-            idx = band_indices(sig, lo, hi, None, "sharpness")
-            xi = freq_indices(sig.n)[idx] / sig.period
-            vals = component_symbol_func(k, l)(xi)
-            keep = vals != 0.0
-            packed = (idx[keep], vals[keep])
-            self._packed[key] = packed
-        return packed
+    def bank(self, sig: Signal) -> BandBank:
+        """The component rows at the signal's ``(n, period)``, built once."""
+        key = (sig.n, sig.period)
+        if key not in self._banks:
+            windows = []
+            for k, l in self.pairs:
+                # the (k, l) symbol lives in 2^k + 2^{l-1} * [1, 3/2]
+                lo = DyadicScalar.pow2(k) + DyadicScalar.pow2(l - 1)
+                hi = lo + DyadicScalar.pow2(l - 1)
+                windows.append((lo, hi, component_symbol_func(k, l)))
+            self._banks[key] = BandBank.build(sig, windows, "sharpness")
+        return self._banks[key]
 
     def apply_component(self, sig: Signal, k: int, l: int) -> Signal:
-        idx, vals = self._component_band(sig, k, l)
-        coeffs = spectrum(sig)
-        masked = np.zeros_like(coeffs)
-        masked[idx] = coeffs[idx] * vals
-        return synthesize(masked, sig.period, sig.offset)
+        """One component through the true-phase transforms, on the whole
+        lattice: the reference the bank operations are tested against."""
+        symbol = component_symbol_func(k, l)(freqs(sig))
+        return synthesize(spectrum(sig) * symbol, sig.period, sig.offset)
 
     def square_aggregate(self, sig: Signal, threads: int = 1) -> Signal:
         """Pointwise l2 norm over the family, deterministic accumulation."""
-        coeffs = _offset_adjusted_spectrum(sig)
-
-        def piece(pair):
-            k, l = pair
-            idx, vals = self._component_band(sig, k, l)
-            masked = np.zeros_like(coeffs)
-            masked[idx] = coeffs[idx] * vals
-            out = np.fft.ifft(masked) * (sig.n / sig.period)
-            return out.real**2 + out.imag**2
-
-        acc = np.zeros(sig.n)
-        if threads <= 1:
-            for pair in self.pairs:
-                acc += piece(pair)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for chunk_start in range(0, len(self.pairs), threads):
-                    chunk = self.pairs[chunk_start : chunk_start + threads]
-                    for result in pool.map(piece, chunk):
-                        acc += result
-        return sig.with_samples(np.sqrt(acc).astype(complex))
+        return sig.with_samples(self.bank(sig).square(sig, threads))
 
     def random_sign_apply(self, sig: Signal, signs: Sequence[float]) -> Signal:
         """Single application of sum_i eps_i T_i (one inverse transform)."""
-        if len(signs) != len(self.pairs):
-            raise ValueError("need one sign per component")
-        coeffs = spectrum(sig)
-        combined = np.zeros(sig.n, dtype=complex)
-        for eps, pair in zip(signs, self.pairs):
-            idx, vals = self._component_band(sig, *pair)
-            combined[idx] += eps * vals
-        return synthesize(coeffs * combined, sig.period, sig.offset)
+        return sig.with_samples(self.bank(sig).combine(sig, signs))
 
     def square_aggregate_at(self, sig: Signal, xs: np.ndarray) -> np.ndarray:
         """Off-grid pointwise l2 aggregate by direct band quadrature."""
-        coeffs = spectrum(sig)
-        xs = np.asarray(xs, dtype=float)
-        acc = np.zeros(xs.shape)
-        js = freq_indices(sig.n)
-        for k, l in self.pairs:
-            idx, vals = self._component_band(sig, k, l)
-            xi = js[idx] / sig.period
-            phases = np.exp(2j * np.pi * np.outer(xs, xi))
-            comp = phases @ (coeffs[idx] * vals) / sig.period
-            acc += np.abs(comp) ** 2
-        return np.sqrt(acc)
+        return self.bank(sig).square_at(sig, xs)
 
 
 def build_sharpness_family(

@@ -66,6 +66,8 @@ def luxemburg_avg(values, sigma: float) -> float:
     if v.size == 0:
         raise ValueError("empty sample set")
     mean = float(v.mean())
+    if not math.isfinite(mean):
+        raise ValueError("values and their mean must be finite")
     if mean == 0.0:
         return 0.0
     if sigma == 0:
@@ -101,6 +103,8 @@ def luxemburg_avg_rows(matrix, sigma: float, iters: int = 120) -> np.ndarray:
     if v.ndim != 2:
         raise ValueError("2d array expected")
     mean = v.mean(axis=1)
+    if not np.isfinite(mean).all():
+        raise ValueError("values and their mean must be finite")
     if sigma == 0:
         return mean
     B = YoungFunction(sigma)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -161,41 +162,6 @@ def eta(x):
     return plateau_bump(x, 0.5, 0.625)
 
 
-def omega_bump(x):
-    """Polynomial-tail bump (1 + x^2)^(-5): decay order 10."""
-    x = np.asarray(x, dtype=float)
-    return (1.0 + x * x) ** -5.0
-
-
-def phi_moderate(x):
-    """Slow-decay profile (1 + x^2)^(-3/4): integrable but not square-summed fast."""
-    x = np.asarray(x, dtype=float)
-    return (1.0 + x * x) ** -0.75
-
-
-_PROFILE_FUNCS = {
-    "eta_cutoff": eta,
-    "omega_tail": omega_bump,
-    "phi_moderate": phi_moderate,
-}
-
-
-@dataclass(frozen=True)
-class BumpProfile:
-    kind: str = "eta_cutoff"
-    smoothness_order: int = 4
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PROFILE_FUNCS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-
-    def __call__(self, u):
-        return _PROFILE_FUNCS[self.kind](u)
-
-
-ETA_PROFILE = BumpProfile("eta_cutoff")
-
-
 def central_diff(values: np.ndarray, h: float, order: int) -> np.ndarray:
     """Iterated centered differences; shrinks by one point per side per order."""
     v = np.asarray(values)
@@ -268,6 +234,154 @@ def band_indices(
     return np.arange(lo_clip, hi_clip + 1, dtype=np.int64) % sig.n
 
 
+# -- band banks ------------------------------------------------------------
+
+
+def sharp_window(interval: LacInterval) -> tuple:
+    """Bank window of the indicator of ``[left, right)``."""
+    return interval.left, interval.right, 1.0
+
+
+def eta_window(interval: LacInterval) -> tuple:
+    """Bank window of the adapted bump ``eta((xi - c_L)/|L|)``; the padded
+    window covers its support (5/4)L."""
+    length = float(interval.length)
+    center = float(interval.center)
+    pad = DyadicScalar.from_float(0.75) * interval.length
+    return (
+        interval.left - pad,
+        interval.right + pad,
+        lambda xi: eta((xi - center) / length),
+    )
+
+
+class BandBank:
+    """Sparse lattice rows ``(positions, weights)`` over one family of bands
+    at one ``(n, period)``: the band operators ``T_i`` with symbols ``m_i``.
+
+    Every operation works on the bare ``fft`` of the samples.  The offset
+    phases that :func:`spectrum` multiplies in and :func:`synthesize` takes
+    out cancel in every band piece, so the pieces come out at the signal's
+    own sample positions without computing them.  The alias events raised
+    while the rows were built are replayed into the caller's flags on every
+    use, so a cached bank reports them as often as a fresh one.
+    """
+
+    def __init__(self, n: int, period: float, rows: list, events=()) -> None:
+        self.n = n
+        self.period = period
+        self.rows = rows
+        self.events = tuple(events)
+
+    @classmethod
+    def build(cls, sig: Signal, windows, label: str = "band") -> "BandBank":
+        """Rows from ``(lo, hi, weight)`` windows: the exact lattice band
+        ``[lo, hi)`` (see :func:`band_indices`) and its nonzero weights,
+        where ``weight`` is a constant or a function of the frequencies."""
+        recorder = AliasFlags()
+        xi = freqs(sig)
+        rows = []
+        for lo, hi, weight in windows:
+            idx = band_indices(sig, lo, hi, recorder, label)
+            if callable(weight):
+                vals = weight(xi[idx])
+            else:
+                vals = np.full(idx.size, weight)
+            keep = vals != 0.0
+            rows.append((idx[keep], vals[keep]))
+        return cls(sig.n, sig.period, rows, recorder.events)
+
+    def _replay(self, flags: Optional[AliasFlags]) -> None:
+        if flags is not None:
+            for event in self.events:
+                flags.mark(event)
+
+    def symbol(self, weights=None, flags: Optional[AliasFlags] = None) -> np.ndarray:
+        """The FFT-layout symbol ``sum_i w_i m_i`` (every ``w_i = 1`` by default)."""
+        self._replay(flags)
+        if weights is None:
+            weights = np.ones(len(self.rows))
+        if len(weights) != len(self.rows):
+            raise ValueError("need one weight per band")
+        sym = np.zeros(self.n, dtype=np.complex128)
+        for w, (idx, vals) in zip(weights, self.rows):
+            sym[idx] += w * vals
+        return sym
+
+    def combine(
+        self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
+    ) -> np.ndarray:
+        """Samples of ``sum_i w_i T_i f``: one transform pair in all."""
+        return np.fft.ifft(np.fft.fft(sig.samples) * self.symbol(weights, flags))
+
+    @staticmethod
+    def _piece(coeffs: np.ndarray, row: tuple) -> np.ndarray:
+        idx, vals = row
+        masked = np.zeros_like(coeffs)
+        masked[idx] = coeffs[idx] * vals
+        return np.fft.ifft(masked)
+
+    def magnitudes(
+        self, sig: Signal, columns=slice(None), flags: Optional[AliasFlags] = None
+    ) -> np.ndarray:
+        """``|T_i f|`` at the selected samples, one row per band (zero for a
+        band without lattice points)."""
+        self._replay(flags)
+        coeffs = np.fft.fft(sig.samples)
+        out = np.zeros((len(self.rows), sig.samples[columns].size))
+        for out_row, row in zip(out, self.rows):
+            if row[0].size:
+                out_row[:] = np.abs(self._piece(coeffs, row)[columns])
+        return out
+
+    def square(
+        self, sig: Signal, threads: int = 1, flags: Optional[AliasFlags] = None
+    ) -> np.ndarray:
+        """Pointwise l2 norm ``(sum_i |T_i f|^2)^(1/2)``, one inverse transform
+        per band.  Threads transform a chunk of bands at a time and the sums
+        are added in band order, so any thread count gives the same bits."""
+        self._replay(flags)
+        coeffs = np.fft.fft(sig.samples)
+
+        def power(row):
+            piece = self._piece(coeffs, row)
+            return piece.real**2 + piece.imag**2
+
+        # a band without lattice points adds exactly zero
+        rows = [row for row in self.rows if row[0].size]
+        acc = np.zeros(self.n)
+        if threads <= 1:
+            for row in rows:
+                acc += power(row)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for start in range(0, len(rows), threads):
+                    for result in pool.map(power, rows[start : start + threads]):
+                        acc += result
+        return np.sqrt(acc)
+
+    def energies(self, sig: Signal) -> np.ndarray:
+        """``||T_i f||_2^2`` per band by Parseval, with no inverse transform."""
+        coeffs = np.fft.fft(sig.samples)
+        scale = self.period / self.n**2
+        return np.array(
+            [scale * np.sum(np.abs(coeffs[idx] * vals) ** 2) for idx, vals in self.rows]
+        )
+
+    def square_at(self, sig: Signal, xs) -> np.ndarray:
+        """The pointwise l2 norm at arbitrary positions ``xs``, by direct
+        quadrature of each band (no interpolation between samples)."""
+        coeffs = np.fft.fft(sig.samples)
+        js = freq_indices(self.n)
+        # relative to the window start the band pieces carry no offset phase
+        t = np.asarray(xs, dtype=float) - sig.offset
+        acc = np.zeros(t.shape)
+        for idx, vals in self.rows:
+            phases = np.exp(2j * np.pi * np.outer(t, js[idx] / self.period))
+            acc += np.abs(phases @ (coeffs[idx] * vals) / self.n) ** 2
+        return np.sqrt(acc)
+
+
 # -- projections ----------------------------------------------------------
 
 
@@ -275,42 +389,24 @@ def project_sharp(
     sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
     """Zero all coefficients outside ``[left, right)`` (exact membership)."""
-    idx = band_indices(sig, interval.left, interval.right, flags, "project_sharp")
-    coeffs = spectrum(sig)
-    kept = np.zeros_like(coeffs)
-    kept[idx] = coeffs[idx]
-    return synthesize(kept, sig.period, sig.offset)
+    bank = BandBank.build(sig, [sharp_window(interval)], "project_sharp")
+    return sig.with_samples(bank.combine(sig, flags=flags))
 
 
 def symbol_on_lattice(
-    sig: Signal,
-    interval: LacInterval,
-    profile: BumpProfile = ETA_PROFILE,
-    flags: Optional[AliasFlags] = None,
+    sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> np.ndarray:
-    """Sampled ``profile((xi - c_L)/|L|)``, full FFT-layout array."""
-    length = float(interval.length)
-    center = float(interval.center)
-    pad = DyadicScalar.from_float(0.75) * interval.length
-    idx = band_indices(
-        sig, interval.left - pad, interval.right + pad, flags, "project_smooth"
-    )
-    sym = np.zeros(sig.n)
-    if idx.size:
-        xi = freq_indices(sig.n)[idx] / sig.period
-        sym[idx] = profile((xi - center) / length)
-    return sym
+    """Sampled ``eta((xi - c_L)/|L|)``, full FFT-layout array."""
+    bank = BandBank.build(sig, [eta_window(interval)], "project_smooth")
+    return bank.symbol(flags=flags).real
 
 
 def project_smooth(
-    sig: Signal,
-    interval: LacInterval,
-    profile: BumpProfile = ETA_PROFILE,
-    flags: Optional[AliasFlags] = None,
+    sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
-    """Multiply the spectrum by the adapted bump ``profile((xi - c_L)/|L|)``."""
-    sym = symbol_on_lattice(sig, interval, profile, flags)
-    return synthesize(spectrum(sig) * sym, sig.period, sig.offset)
+    """Multiply the spectrum by the adapted bump ``eta((xi - c_L)/|L|)``."""
+    bank = BandBank.build(sig, [eta_window(interval)], "project_smooth")
+    return sig.with_samples(bank.combine(sig, flags=flags))
 
 
 def modulate(sig: Signal, lam: float) -> Signal:
@@ -319,17 +415,14 @@ def modulate(sig: Signal, lam: float) -> Signal:
 
 
 def modulate_project(
-    sig: Signal,
-    interval: LacInterval,
-    profile: BumpProfile = ETA_PROFILE,
-    flags: Optional[AliasFlags] = None,
+    sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
     """Smooth projection through the anchor: modulate down by lambda(L),
     project onto the translated block L - lambda(L), modulate back."""
     lam = float(interval.anchor)
     star = normalize_to_origin(interval)
     shifted = modulate(sig, -lam)
-    projected = project_smooth(shifted, star, profile, flags)
+    projected = project_smooth(shifted, star, flags)
     return modulate(projected, lam)
 
 
@@ -365,34 +458,16 @@ def lp_square_function(
     min_scale: DyadicScalar,
     mode: str = "sharp",
     max_abs: Optional[DyadicScalar] = None,
-    profile: BumpProfile = ETA_PROFILE,
     flags: Optional[AliasFlags] = None,
 ) -> Signal:
     """Pointwise l2 aggregate of the band projections over the order-``order``
     family: sharp mode uses indicator windows, smooth mode the eta symbols."""
     if mode not in ("sharp", "smooth"):
         raise ValueError("mode must be 'sharp' or 'smooth'")
+    window = sharp_window if mode == "sharp" else eta_window
     family = family_for_signal(sig, order, min_scale, max_abs)
-    # fold the window-offset phase into the coefficients once, so each band
-    # piece comes out sampled at the true positions x_k = offset + k dx
-    coeffs = spectrum(sig)
-    if sig.offset != 0.0:
-        coeffs = coeffs * np.exp(2j * np.pi * sig.offset * freqs(sig))
-    acc = np.zeros(sig.n)
-    masked = np.empty_like(coeffs)
-    for interval in family:
-        masked[:] = 0
-        if mode == "sharp":
-            idx = band_indices(
-                sig, interval.left, interval.right, flags, "square_function"
-            )
-            masked[idx] = coeffs[idx]
-        else:
-            sym = symbol_on_lattice(sig, interval, profile, flags)
-            np.multiply(coeffs, sym, out=masked)
-        piece = np.fft.ifft(masked) * (sig.n / sig.period)
-        acc += piece.real**2 + piece.imag**2
-    return sig.with_samples(np.sqrt(acc).astype(np.complex128))
+    bank = BandBank.build(sig, [window(L) for L in family], "square_function")
+    return sig.with_samples(bank.square(sig, flags=flags))
 
 
 # -- weak L1 ------------------------------------------------------------------

@@ -156,6 +156,18 @@ class TestCzd:
         assert "not finite: lacunary_l2_sq" in captured.err
         assert json.loads(captured.out)["constants"]["lacunary_l2_sq"] == float("inf")
 
+    def test_alpha_whose_square_overflows_fails_cleanly(self, tmp_path, capsys):
+        vals = np.zeros(64)
+        vals[10:14] = 1e200
+        path = tmp_path / "huge.bin"
+        write_signal(path, Signal(vals, 1.0, -0.5))
+        with np.errstate(over="ignore"):
+            code = main(["czd", "--input", str(path), "--sigma", "0", "--alpha", "5e199"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "czd: certificate not finite: lacunary_l2_sq, lacunary_vs_mass" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("cut", ["half", "trailing", "header", "big_j", "inf_period"])
     def test_malformed_input_is_a_usage_error(self, stored_signal, tmp_path, capsys, cut):
         data = stored_signal.read_bytes()

@@ -302,6 +302,18 @@ class TestDecomposition:
         assert np.array_equal(dec.good.samples, sig.samples)
         assert np.max(np.abs(dec.lacunary_part.samples)) == 0.0
 
+    def test_residual_certificate_survives_huge_samples(self):
+        # squaring these samples overflows; the atom diagnostics must not
+        vals = np.zeros(256)
+        vals[8:24] = 1.2e154
+        sig = Signal(vals, 1.0, -0.5)
+        with np.errstate(over="ignore"):
+            dec = czd.cz_decompose(sig, 1, 3e153)
+        assert dec.atoms
+        for atom in dec.atoms:
+            assert np.isfinite(atom.diagnostics["lacunary_l2"])
+            assert atom.diagnostics["residual_coefficient"] <= 1e-12
+
     @pytest.mark.parametrize("sigma", [0, 1, 2])
     def test_random_ensemble_invariants(self, sigma):
         for seed in range(4):

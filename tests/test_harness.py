@@ -238,6 +238,10 @@ class TestOperators:
         flags = AliasFlags()
         op.apply(small, flags)
         assert flags.aliased
+        # the second apply reuses the cached bank, which replays its events
+        again = AliasFlags()
+        op.apply(small, again)
+        assert again.events == flags.events
 
 
 def _cosine_signal(cfg, scale=1.0):

@@ -268,3 +268,14 @@ def test_rows_solver_agrees_with_scalar():
     got = luxemburg_avg_rows(rows, 1.0)
     want = np.array([luxemburg_avg(r, 1.0) for r in rows])
     assert np.allclose(got, want, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_non_finite_values_are_rejected(bad, sigma):
+    with pytest.raises(ValueError, match="finite"):
+        luxemburg_avg([1.0, bad], sigma)
+    rows = np.ones((3, 4))
+    rows[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        luxemburg_avg_rows(rows, sigma)

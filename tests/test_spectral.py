@@ -157,14 +157,6 @@ class TestBumps:
         assert 0.0 < b[3] < 1.0
         assert b[4] == 0.0 and b[5] == 0.0
 
-    def test_decay_profiles(self):
-        x = np.array([0.0, 1.0, 3.0])
-        assert np.allclose(sp.omega_bump(x), (1 + x**2) ** -5.0)
-        assert np.allclose(sp.phi_moderate(x), (1 + x**2) ** -0.75)
-        assert sp.BumpProfile("omega_tail")(1.0) == 2.0**-5
-        with pytest.raises(ValueError):
-            sp.BumpProfile("square_wave")
-
     def test_admissibility_eta_passes_jump_fails(self):
         L = dyadic_interval(1, 2, anchor=0)
         grid = float(L.center) + float(L.length) * np.linspace(-0.625, 0.625, 1025)
@@ -374,6 +366,81 @@ class TestSquareFunction:
         s = sp.lp_square_function(sig, 2, D.pow2(-2), mode="smooth")
         assert np.all(np.isfinite(s.samples.real))
         assert np.all(s.samples.real >= 0.0)
+
+
+# -- the band bank -----------------------------------------------------------
+
+
+def _reference_spectra(sig, kind, family):
+    """Each band's weighted true-phase spectrum, built band by band from the
+    lattice frequencies, independent of band_indices."""
+    coeffs = sp.spectrum(sig)
+    xi = sp.freqs(sig)
+    rows = []
+    for L in family:
+        if kind == "sharp":
+            weight = (xi >= float(L.left)) & (xi < float(L.right))
+        else:
+            weight = sp.eta((xi - float(L.center)) / float(L.length))
+        rows.append(coeffs * weight)
+    return np.array(rows)
+
+
+class TestBandBank:
+    # scales down to 1/32 on the 1/8 lattice: some band edges fall on lattice
+    # points, some between them, and some bands hold no lattice point at all
+    FAMILY = lambda_tau(2, D.pow2(-5), D.from_int(8))
+    PERIOD = 8.0
+
+    @pytest.mark.parametrize("kind", ["sharp", "eta"])
+    @pytest.mark.parametrize("offset", [0.0, -4.0])
+    def test_matches_band_by_band_reference(self, kind, offset):
+        rng = np.random.default_rng(51)
+        n = 1 << 10
+        sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                        self.PERIOD, offset)
+        window = sp.sharp_window if kind == "sharp" else sp.eta_window
+        bank = sp.BandBank.build(sig, [window(L) for L in self.FAMILY])
+        spectra = _reference_spectra(sig, kind, self.FAMILY)
+        pieces = np.array([sp.synthesize(row, sig.period, sig.offset).samples
+                           for row in spectra])
+        top = np.max(np.abs(pieces))
+
+        def close(got, want, scale):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+        weights = rng.standard_normal(len(self.FAMILY)) + 1j * rng.standard_normal(
+            len(self.FAMILY))
+        combined = weights @ pieces
+        close(bank.combine(sig, weights), combined, np.max(np.abs(combined)))
+        close(bank.combine(sig), pieces.sum(axis=0), top)
+        close(bank.magnitudes(sig), np.abs(pieces), top)
+        cols = np.abs(sig.x) < 1.0
+        close(bank.magnitudes(sig, cols), np.abs(pieces[:, cols]), top)
+        square = np.sqrt(np.sum(np.abs(pieces) ** 2, axis=0))
+        close(bank.square(sig), square, np.max(square))
+        energies = sig.dx * np.sum(np.abs(pieces) ** 2, axis=1)
+        close(bank.energies(sig), energies, np.max(energies))
+        # off-grid: the band pieces as trigonometric sums at arbitrary points
+        xs = np.concatenate([sig.x[[3, 400, 1000]], [-3.7, -0.01, 0.123, 2.9]])
+        phases = np.exp(2j * np.pi * np.outer(xs, sp.freqs(sig)))
+        at = np.sqrt(np.sum(np.abs(phases @ spectra.T / sig.period) ** 2, axis=1))
+        close(bank.square_at(sig, xs), at, np.max(at))
+        close(at[:3], square[[3, 400, 1000]], np.max(at))
+
+    def test_rows_hold_exact_bands_with_nonzero_weights(self):
+        on_lattice = [(L.left.as_fraction() * 8).denominator == 1
+                      and (L.right.as_fraction() * 8).denominator == 1
+                      for L in self.FAMILY]
+        assert any(on_lattice) and not all(on_lattice)
+        sig = sp.Signal(np.zeros(1 << 10), self.PERIOD)
+        sharp = sp.BandBank.build(sig, [sp.sharp_window(L) for L in self.FAMILY])
+        for (idx, vals), L in zip(sharp.rows, self.FAMILY):
+            assert np.array_equal(idx, sp.band_indices(sig, L.left, L.right))
+            assert np.all(vals == 1.0)
+        assert any(idx.size == 0 for idx, _ in sharp.rows)
+        eta = sp.BandBank.build(sig, [sp.eta_window(L) for L in self.FAMILY])
+        assert all(np.all(vals != 0.0) for _, vals in eta.rows)
 
 
 # -- weak L1 and dumps -------------------------------------------------------
