@@ -26,6 +26,7 @@ from .dyadic import DyadicScalar
 from .harness import (
     ENDPOINT_OPERATORS,
     HORMANDER_OPERATORS,
+    MAX_SIGMA,
     cww_experiment,
     decompose_experiment,
     make_config,
@@ -180,6 +181,8 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
 
 
 def _cmd_orlicz(args: argparse.Namespace) -> int:
+    if not 0 <= args.sigma <= MAX_SIGMA:
+        raise ValueError(f"sigma must lie in [0, {MAX_SIGMA}]")
     sig = read_signal(args.input)
     vals = np.abs(sig.samples)
     payload = {

@@ -168,6 +168,8 @@ def leaf_threshold(s: float) -> float:
 
 def young_mass(sig: Signal, sigma: int, alpha: float) -> float:
     """Grid quadrature of ``B_{sigma/2}(|f|/alpha)`` over the window."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     B = YoungFunction(sigma / 2)
     return float(sig.dx * np.sum(B(np.abs(sig.samples) / alpha)))
 

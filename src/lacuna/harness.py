@@ -66,6 +66,7 @@ from .spectral import (
 
 __all__ = [
     "ExperimentConfig",
+    "MAX_SIGMA",
     "parse_config",
     "parse_config_text",
     "make_config",
@@ -91,6 +92,9 @@ __all__ = [
 
 
 # -- configuration ----------------------------------------------------------
+
+
+MAX_SIGMA = 8  # largest Orlicz exponent parameter an experiment or CLI takes
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,8 @@ class ExperimentConfig:
             raise ValueError("period must be a power of two, at least 2")
         if not 1 <= self.tau <= 6:
             raise ValueError("tau must lie in [1, 6]")
-        if not 0 <= self.sigma <= 8:
-            raise ValueError("sigma must lie in [0, 8]")
+        if not 0 <= self.sigma <= MAX_SIGMA:
+            raise ValueError(f"sigma must lie in [0, {MAX_SIGMA}]")
         if self.n_levels < 2:
             raise ValueError("need at least two threshold levels")
         if self.ensemble < 1:
@@ -683,9 +687,18 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
 # -- localized block estimates on a unit window ------------------------------
 
 
+def _gen_zb_bank(banks: dict, sig: Signal, label: str, windows: Callable[[], list]) -> BandBank:
+    """The ``label`` bank at ``sig``'s ``(n, period)``, built on first use."""
+    key = (sig.n, sig.period, label)
+    if key not in banks:
+        banks[key] = BandBank.build(sig, windows(), label)
+    return banks[key]
+
+
 def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
-                 tail_gammas: Sequence[float]) -> list:
-    """One sample's branch measurements on the window J = [-1/2, 1/2)."""
+                 tail_gammas: Sequence[float], banks: dict) -> list:
+    """One sample's branch measurements on the window J = [-1/2, 1/2);
+    ``banks`` caches the three band banks per ``(n, period)``."""
     sharp_cap, smooth_cap, min_scale, _ = _caps(cfg)
     x = sig.x
     # half-open windows, aligned with the sample grid
@@ -695,9 +708,9 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     rows = []
 
     # blocks at unit scale and above: smooth pieces, localized averages
-    fam_wide = lambda_tau(cfg.tau, DyadicScalar.from_int(1), smooth_cap)
     flags = AliasFlags()
-    wide = BandBank.build(sig, [eta_window(block) for block in fam_wide], "project_smooth")
+    wide = _gen_zb_bank(banks, sig, "project_smooth", lambda: [
+        eta_window(block) for block in lambda_tau(cfg.tau, DyadicScalar.from_int(1), smooth_cap)])
     pieces = wide.magnitudes(sig, flags=flags)
     if flags.aliased:
         rows.append({"label": label, "branch": "local", "gamma": cfg.gamma,
@@ -736,10 +749,9 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     full = np.zeros(sig.n, dtype=complex)
     full[jmask] = canc.samples
     canc_ext = Signal(full, sig.period, sig.offset)
-    fam_small = [block for block in lambda_tau(cfg.tau, min_scale, smooth_cap)
-                 if float(block.length) < 1.0]
-    small = BandBank.build(canc_ext, [sharp_window(block) for block in fam_small],
-                           "cancellative")
+    small = _gen_zb_bank(banks, canc_ext, "cancellative", lambda: [
+        sharp_window(block) for block in lambda_tau(cfg.tau, min_scale, smooth_cap)
+        if float(block.length) < 1.0])
     lhs_small = float(np.sum(small.energies(canc_ext)))
     rhs_small = luxemburg_avg(np.abs(canc.samples), (cfg.tau - 1) / 2) ** 2
     rows.append({"label": label, "branch": "cancellative", "gamma": cfg.gamma,
@@ -748,8 +760,8 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
                  "ratio": lhs_small / rhs_small if rhs_small > 0 else math.inf})
 
     # all scales at once on the cancelled signal: sharp pieces, localized
-    fam_all = lambda_tau(cfg.tau, min_scale, smooth_cap)
-    every = BandBank.build(canc_ext, [sharp_window(block) for block in fam_all], "combined")
+    every = _gen_zb_bank(banks, canc_ext, "combined", lambda: [
+        sharp_window(block) for block in lambda_tau(cfg.tau, min_scale, smooth_cap)])
     comb_avgs = luxemburg_avg_rows(every.magnitudes(canc_ext, gmask), cfg.sigma / 2)
     lhs_comb = float(np.sqrt(np.sum(comb_avgs ** 2)))
     rhs_comb = luxemburg_avg(np.abs(canc.samples), (cfg.sigma + cfg.tau) / 2)
@@ -777,10 +789,11 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     anchor = ("block-average aggregate, off-window tails, and sub-unit energies "
               "on the unit window, against Luxemburg averages of the input")
     rows: list = []
+    banks: dict = {}
     for spec in specs:
-        coarse = _gen_zb_rows(cfg, spec.build(cfg.log2_n), spec.label, tail_gammas)
+        coarse = _gen_zb_rows(cfg, spec.build(cfg.log2_n), spec.label, tail_gammas, banks)
         if cfg.refine:
-            fine = _gen_zb_rows(cfg, spec.build(cfg.log2_n + 2), spec.label, tail_gammas)
+            fine = _gen_zb_rows(cfg, spec.build(cfg.log2_n + 2), spec.label, tail_gammas, banks)
             fine_by_key = {(r["branch"], r["gamma"]): r for r in fine}
             for row in coarse:
                 mate = fine_by_key.get((row["branch"], row["gamma"]))

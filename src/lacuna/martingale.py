@@ -213,10 +213,21 @@ class DecompositionResult:
 
 
 def project_to_constraint(psi: np.ndarray) -> np.ndarray:
-    """Zero out the level-k difference of row k (the feasible subspace)."""
+    """Zero out the level-k difference of row k (the feasible subspace).
+
+    Row 0 loses its mean.  For k >= 1, each level-(k-1) cell of row k splits
+    into halves with means ``m_a, m_b``; ``D_k`` is ``+-(m_a - m_b)/2`` on
+    them, so one block-mean pass per row gives everything to subtract.
+    """
     out = psi.copy()
-    for k in range(psi.shape[0]):
-        out[k] -= _dk(out[k], k)
+    out[0] -= out[0].mean()
+    n = psi.shape[-1]
+    for k in range(1, psi.shape[0]):
+        halves = out[k].reshape(1 << (k - 1), 2, n >> k)
+        means = halves.mean(axis=-1)
+        half_gap = 0.5 * (means[:, 0] - means[:, 1])
+        halves[:, 0] -= half_gap[:, None]
+        halves[:, 1] += half_gap[:, None]
     return out
 
 
@@ -258,12 +269,13 @@ def decompose_quotient_norm(
 
     eps = config.epsilon_scale * l2
 
-    def smoothed(psi: np.ndarray) -> float:
-        return luxemburg_avg(_aggregate(diffs, psi, eps), sigma / 2)
-
-    def gradient(psi: np.ndarray) -> np.ndarray:
+    def smoothed(psi: np.ndarray, start: Optional[float] = None) -> tuple:
+        """The aggregate G at psi and its Luxemburg norm."""
         g = _aggregate(diffs, psi, eps)
-        lam = luxemburg_avg(g, sigma / 2)
+        return g, luxemburg_avg(g, sigma / 2, start=start)
+
+    def gradient(psi: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+        """Projected gradient at psi, given ``smoothed(psi)``."""
         u = g / lam
         bp = young.deriv(u)
         denom = float(np.sum(bp * u))
@@ -272,14 +284,14 @@ def decompose_quotient_norm(
         return project_to_constraint(grad)
 
     psi = np.zeros_like(diffs)
-    current = smoothed(psi)
+    agg, current = smoothed(psi)
     trace = [current]
     step = config.init_step
     converged = False
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        grad = gradient(psi)
+        grad = gradient(psi, agg, current)
         gnorm2 = float(np.sum(grad**2))
         if gnorm2 == 0.0:
             converged = True
@@ -287,7 +299,7 @@ def decompose_quotient_norm(
         accepted = False
         while step > 1e-18:
             cand = psi - step * grad
-            value = smoothed(cand)
+            cand_agg, value = smoothed(cand, start=current)
             if value <= current - config.armijo * step * gnorm2:
                 accepted = True
                 break
@@ -295,7 +307,7 @@ def decompose_quotient_norm(
         if not accepted:
             converged = True  # no descent direction at fp resolution
             break
-        psi, current = cand, value
+        psi, agg, current = cand, cand_agg, value
         trace.append(current)
         step *= config.grow
         if len(trace) > config.patience:

@@ -113,6 +113,24 @@ class TestOrlicz:
                                       "--sigma", "1"])
         assert code == 0 and got["exp_norm_dual"] > 0
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e308", "-1", "8.5"])
+    def test_sigma_outside_its_range_is_a_usage_error(self, tmp_path, capsys, sigma):
+        path = tmp_path / "c.bin"
+        write_signal(path, Signal(np.full(64, 1.5), 16.0, -8.0))
+        code = main(["orlicz", "--input", str(path), f"--sigma={sigma}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "lacuna: sigma must lie in [0, 8]" in captured.err
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan"])
+    def test_bad_alpha_is_a_usage_error(self, tmp_path, capsys, alpha):
+        path = tmp_path / "c.bin"
+        write_signal(path, Signal(np.full(64, 1.5), 16.0, -8.0))
+        code = main(["orlicz", "--input", str(path), "--sigma", "1", f"--alpha={alpha}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "lacuna: alpha must be finite and positive" in captured.err
+
 
 class TestCzd:
     def test_decomposition_json_and_files(self, stored_signal, tmp_path, capsys):

@@ -15,7 +15,7 @@ from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lac_tau, lambda_tau
 from lacuna.multipliers import apply_multiplier
 from lacuna.orlicz import YoungFunction, luxemburg_avg
-from lacuna.spectral import AliasFlags, Signal, spectrum
+from lacuna.spectral import AliasFlags, BandBank, Signal, spectrum
 
 
 def tiny_config(**overrides):
@@ -384,6 +384,27 @@ class TestZygmundBonami:
 
 
 class TestGenZygmundBonami:
+    def test_banks_are_built_once_per_grid(self, monkeypatch):
+        # three banks (wide, sub-unit, all) at two grids, however many samples
+        cfg = tiny_config(log2_n=10, ensemble=4)
+        built = []
+        real = BandBank.build.__func__
+
+        def counting(cls, sig, windows, label="band"):
+            built.append((sig.n, label))
+            return real(cls, sig, windows, label)
+
+        monkeypatch.setattr(BandBank, "build", classmethod(counting))
+        cached = hn.report_to_json(hn.verify_gen_zygmund_bonami(cfg))
+        assert len(built) == 6 and len(set(built)) == 6
+        # against a fresh bank at every use
+        monkeypatch.setattr(hn, "_gen_zb_bank", lambda banks, sig, label, windows:
+                            BandBank.build(sig, windows(), label))
+        built.clear()
+        fresh = hn.report_to_json(hn.verify_gen_zygmund_bonami(cfg))
+        assert len(built) == 3 * 2 * cfg.ensemble
+        assert cached == fresh
+
     def test_report_structure(self):
         cfg = tiny_config(log2_n=10, ensemble=2)
         rep = hn.verify_gen_zygmund_bonami(cfg)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lacuna import martingale as mg
 from lacuna.orlicz import luxemburg_avg
+from lacuna.spectral import plateau_bump
 
 
 def brute_expectation(values, k):
@@ -245,8 +246,49 @@ class TestConstraintProjection:
         rhs = mg.project_to_constraint(a) + 2.0 * mg.project_to_constraint(b)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
+    @pytest.mark.parametrize("j", range(13))
+    def test_one_pass_projection_matches_difference_loop(self, j):
+        # the reference subtracts D_k of row k level by level
+        rng = np.random.default_rng(100 + j)
+        psi = rng.standard_normal((j + 1, 1 << j)) * 10.0 ** rng.uniform(-3, 3)
+        want = psi.copy()
+        for k in range(j + 1):
+            want[k] -= mg._dk(want[k], k)
+        got = mg.project_to_constraint(psi)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(psi))
+
+
+def gate08_values(log2_n: int = 10) -> np.ndarray:
+    """The first gate 08 input: three plateau bumps drawn from seed 2026."""
+    rng = np.random.default_rng(2026)
+    n = 1 << log2_n
+    x = (np.arange(n) + 0.5) / n
+    vals = np.zeros(n)
+    for _ in range(3):
+        c, w = rng.uniform(0.15, 0.85), 2.0 ** rng.uniform(-4.0, -1.0)
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
+    return vals
+
 
 class TestDecompositionSolver:
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_no_luxemburg_solve_is_repeated(self, monkeypatch, sigma):
+        # the accepted line-search solve is handed on to the gradient, so
+        # no two consecutive solves see the same aggregate
+        seen = []
+
+        def recording(values, s, **kwargs):
+            seen.append(np.array(values, dtype=float))
+            return luxemburg_avg(values, s, **kwargs)
+
+        monkeypatch.setattr(mg, "luxemburg_avg", recording)
+        out = mg.decompose_quotient_norm(mg.DyadicFunction(gate08_values()), sigma)
+        assert out.iterations > 10
+        assert len(seen) > out.iterations
+        for a, b in zip(seen, seen[1:]):
+            assert a.shape != b.shape or not np.array_equal(a, b)
+
     def test_single_haar_keeps_zero_perturbation(self):
         f = haar_at(4, level=2)
         out = mg.decompose_quotient_norm(f, sigma=1.0)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna.czd import young_mass
 from lacuna.orlicz import (
+    CONSTRAINT_TOL,
     YoungFunction,
     dyadic_orlicz_maximal,
     exp_norm,
@@ -17,6 +19,7 @@ from lacuna.orlicz import (
     luxemburg_avg,
     luxemburg_avg_rows,
 )
+from lacuna.spectral import Signal
 
 E = math.e
 
@@ -41,6 +44,50 @@ def scalar_young_root(c: float, sigma: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisection_luxemburg(values, sigma: float) -> float:
+    """The bracketed bisection ``luxemburg_avg`` used before its Newton
+    solve: the same bracket and stopping test, midpoint steps only."""
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    mean = float(v.mean())
+    if mean == 0.0:
+        return 0.0
+    B = YoungFunction(sigma)
+
+    def g(lam: float) -> float:
+        return float(np.mean(B(v / lam)))
+
+    lo = mean
+    hi = mean * max(2.0, math.log(E + float(np.max(v)) / mean) ** sigma)
+    while g(hi) > 1.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = g(mid)
+        if abs(val - 1.0) <= CONSTRAINT_TOL:
+            return mid
+        if val > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def newton_inputs(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "spike":
+        v = np.zeros(n)
+        v[n // 2] = 1e12
+        return v
+    if kind == "pareto":
+        return rng.pareto(1.1, n)
+    if kind == "constant":
+        return np.full(n, 3.0)
+    return rng.random(n) * 1e-300  # "tiny"
 
 
 def brute_maximal(values: np.ndarray, sigma: float) -> np.ndarray:
@@ -279,3 +326,63 @@ def test_non_finite_values_are_rejected(bad, sigma):
     rows[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         luxemburg_avg_rows(rows, sigma)
+
+
+# -- the Newton solve against the bisection it replaced ----------------------
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("kind", ["normal", "spike", "pareto", "constant", "tiny"])
+def test_newton_matches_bisection_reference(sigma, kind):
+    rng = np.random.default_rng(int(sigma * 100))
+    B = YoungFunction(sigma)
+    for n in (1, 2, 3, 64, 1024, 1 << 16):
+        v = newton_inputs(kind, n, rng)
+        got = luxemburg_avg(v, sigma)
+        want = bisection_luxemburg(v, sigma)
+        assert abs(got - want) <= 1e-9 * want, (n, got, want)
+        assert abs(float(np.mean(B(np.abs(v) / got))) - 1.0) <= CONSTRAINT_TOL
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_warm_start_inside_the_bracket_is_used(sigma, monkeypatch):
+    v = np.random.default_rng(3).pareto(1.5, 4096)
+    lam = luxemburg_avg(v, sigma)
+    calls = []
+    real = YoungFunction.__call__
+    monkeypatch.setattr(YoungFunction, "__call__",
+                        lambda self, t: calls.append(1) or real(self, t))
+    # started at its own root: the bracket check, then one evaluation
+    assert luxemburg_avg(v, sigma, start=lam) == lam
+    assert len(calls) == 2
+    near = luxemburg_avg(v, sigma, start=lam * (1 + 1e-3))
+    assert abs(near - lam) <= 1e-9 * lam
+
+
+def test_start_outside_the_bracket_takes_the_fallback():
+    v = np.random.default_rng(4).exponential(size=2048)
+    lo = float(v.mean())
+    hi = lo * max(2.0, math.log(E + float(v.max()) / lo))  # g(hi) <= 1 here
+    cold = luxemburg_avg(v, 1.0)
+    assert lo < cold < hi
+    for start in (-1.0, 0.0, 1e-300, lo, hi, 2.0 * hi, 1e300, math.inf, math.nan):
+        assert luxemburg_avg(v, 1.0, start=start) == cold, start
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])
+def test_bad_sigma_is_rejected(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        YoungFunction(sigma)
+    for values in ([1.0, 2.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="sigma"):
+            luxemburg_avg(values, sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        luxemburg_avg_rows(np.ones((2, 4)), sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        young_mass(Signal(np.ones(16), 2.0, -1.0), sigma, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_young_mass_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        young_mass(Signal(np.ones(16), 2.0, -1.0), 1, alpha)
