@@ -8,7 +8,9 @@ signal format (``lacunary``, ``project``, ``sqfn``, ``orlicz``, ``czd``,
 
 Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails, an
 input is rejected or a ``czd`` certificate constant is not finite, 2 for
-usage errors (argparse) and for unreadable or malformed input files.
+usage errors (argparse, a sigma outside [0, MAX_SIGMA], a ``lacunary``
+enumeration over ``MAX_LACUNARY_TERMS``) and for unreadable or malformed
+input files.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .harness import (
     verify_hormander,
     verify_zygmund_bonami,
 )
-from .lacunary import LacInterval, interval_to_line, lac_tau, lambda_tau
+from .lacunary import LacInterval, interval_to_line, lac_tau, lac_tau_terms, lambda_tau
 from .orlicz import exp_norm, llogl_avg_equiv, luxemburg_avg
 from .spectral import (
     AliasFlags,
@@ -52,6 +54,11 @@ from .spectral import (
 )
 
 __all__ = ["main"]
+
+# largest signed-sum enumeration ``lacuna lacunary`` starts, about 7 s at the
+# 7 us a term measured on a 2-vCPU x86 host (tau 5 on the window 64 at scale
+# 2^-6 is 274,176 terms and took 1.8 s)
+MAX_LACUNARY_TERMS = 1_000_000
 
 
 def _emit(payload, out: Optional[str]) -> None:
@@ -124,6 +131,10 @@ def _cmd_lacunary(args: argparse.Namespace) -> int:
         payload["count"] = len(fam)
         payload["intervals"] = [interval_to_line(piece) for piece in fam]
     else:
+        terms = lac_tau_terms(args.tau, min_scale, max_abs)
+        if terms > MAX_LACUNARY_TERMS:
+            raise ValueError(f"tau {args.tau} would enumerate {terms} signed sums, "
+                             f"above the budget of {MAX_LACUNARY_TERMS}")
         pts = lac_tau(args.tau, min_scale, max_abs)
         payload["count"] = len(pts.points)
         payload["points"] = [float(p) for p in pts.points]
@@ -180,9 +191,13 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
     return 0 if not flags.aliased else 1
 
 
-def _cmd_orlicz(args: argparse.Namespace) -> int:
-    if not 0 <= args.sigma <= MAX_SIGMA:
+def _require_sigma(sigma: float) -> None:
+    if not 0 <= sigma <= MAX_SIGMA:
         raise ValueError(f"sigma must lie in [0, {MAX_SIGMA}]")
+
+
+def _cmd_orlicz(args: argparse.Namespace) -> int:
+    _require_sigma(args.sigma)
     sig = read_signal(args.input)
     vals = np.abs(sig.samples)
     payload = {
@@ -201,6 +216,7 @@ def _cmd_orlicz(args: argparse.Namespace) -> int:
 
 
 def _cmd_czd(args: argparse.Namespace) -> int:
+    _require_sigma(args.sigma)
     sig = read_signal(args.input)
     try:
         dec = cz_decompose(sig, args.sigma, args.alpha,

@@ -22,10 +22,11 @@ the one exposed here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .dyadic import ONE, ZERO, DyadicScalar
+from .dyadic import ZERO, DyadicScalar
 
 # Order-0 sentinel: the two open half-lines.  Order-1 intervals have
 # parent=None and anchor 0; callers that need "the parent of an order-1
@@ -59,12 +60,6 @@ class LacInterval:
     def center(self) -> DyadicScalar:
         # lengths are powers of two so the midpoint is dyadic
         return self.left + self.length.scale_pow2(-1)
-
-    def scale_log2(self) -> int:
-        return self.length.log2()
-
-    def contains(self, x: DyadicScalar) -> bool:
-        return self.left <= x and x < self.right
 
     def covers(self, lo: DyadicScalar, hi: DyadicScalar) -> bool:
         return self.left <= lo and hi <= self.right
@@ -197,6 +192,26 @@ def _floor_log2(x: DyadicScalar) -> int:
     return x.exponent + abs(x.mantissa).bit_length() - 1
 
 
+def _exponent_range(
+    tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar
+) -> range:
+    """Exponents the terms of a windowed ``tau``-term signed sum can take."""
+    _require_pow2(min_scale, "min_scale")
+    if max_abs <= ZERO:
+        raise ValueError("max_abs must be positive")
+    # |x| > 2^(n_1 - tau + 1) for any tau-term sum led by 2^(n_1), so larger
+    # leading exponents cannot re-enter the window
+    return range(min_scale.log2(), _floor_log2(max_abs) + tau + 1)
+
+
+def lac_tau_terms(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> int:
+    """Number of signed sums :func:`lac_tau` enumerates before windowing and
+    dedupe: ``C(#exponents, tau) * 2^tau`` (1 for ``tau <= 0``)."""
+    if tau <= 0:
+        return 1
+    return math.comb(len(_exponent_range(tau, min_scale, max_abs)), tau) << tau
+
+
 def lac_tau(
     tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar
 ) -> LacPointSet:
@@ -210,19 +225,12 @@ def lac_tau(
         raise ValueError("tau must be >= 0")
     if tau == 0:
         return LacPointSet(0, min_scale, max_abs, (ZERO,))
-    _require_pow2(min_scale, "min_scale")
-    if max_abs <= ZERO:
-        raise ValueError("max_abs must be positive")
-
-    emin = min_scale.log2()
-    # |x| > 2^(n_1 - tau + 1) for any tau-term sum led by 2^(n_1), so larger
-    # leading exponents cannot re-enter the window
-    emax = _floor_log2(max_abs) + tau
-    if emax < emin + tau - 1:
+    exponents = _exponent_range(tau, min_scale, max_abs)
+    if len(exponents) < tau:
         return LacPointSet(tau, min_scale, max_abs, tuple())
 
+    emin = exponents.start
     values: set[DyadicScalar] = set()
-    exponents = range(emin, emax + 1)
     for combo in itertools.combinations(exponents, tau):
         weights = [1 << (e - emin) for e in combo]
         for signs in itertools.product((1, -1), repeat=tau):
@@ -266,23 +274,9 @@ def endpoints_of(intervals: Iterable[LacInterval]) -> tuple[DyadicScalar, ...]:
     return tuple(sorted(seen, key=lambda v: v.as_fraction()))
 
 
-def containing_interval(
-    family: Iterable[LacInterval], lo: DyadicScalar, hi: DyadicScalar
-) -> Optional[LacInterval]:
-    """The unique family interval covering ``[lo, hi)``, or None."""
-    hit = None
-    for interval in family:
-        if interval.covers(lo, hi):
-            if hit is not None:
-                raise ValueError("cover is not unique")
-            hit = interval
-    return hit
-
-
-# -- serialization -----------------------------------------------------------
-# line format: order left_mantissa left_exp right_mantissa right_exp
-#              anchor_mantissa anchor_exp
-# (parent lineage beyond the anchor is not serialized)
+# -- line format (printed by ``lacuna lacunary --intervals``) ----------------
+# order left_mantissa left_exp right_mantissa right_exp anchor_mantissa
+# anchor_exp (parent lineage beyond the anchor is not printed)
 
 
 def interval_to_line(interval: LacInterval) -> str:
@@ -296,34 +290,3 @@ def interval_to_line(interval: LacInterval) -> str:
         interval.anchor.exponent,
     ]
     return " ".join(str(p) for p in parts)
-
-
-def interval_from_line(line: str) -> LacInterval:
-    fields = line.split()
-    if len(fields) != 7:
-        raise ValueError(f"expected 7 fields, got {len(fields)}: {line!r}")
-    order = int(fields[0])
-    nums = [int(f) for f in fields[1:]]
-    return LacInterval(
-        DyadicScalar(nums[0], nums[1]),
-        DyadicScalar(nums[2], nums[3]),
-        order,
-        DyadicScalar(nums[4], nums[5]),
-        None,
-    )
-
-
-def write_intervals(path, intervals: Iterable[LacInterval]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for interval in intervals:
-            fh.write(interval_to_line(interval) + "\n")
-
-
-def read_intervals(path) -> list[LacInterval]:
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(interval_from_line(line))
-    return out

@@ -95,27 +95,6 @@ def difference(f: DyadicFunction, k: int) -> DyadicFunction:
     return f.with_samples(_dk(f.samples, k))
 
 
-@dataclass(frozen=True)
-class MartingaleDecomposition:
-    """All difference levels of a function: levels[k] = D_k f, k = 0..J."""
-
-    levels: np.ndarray  # shape (J+1, n)
-    e0: np.ndarray
-
-    @property
-    def max_level(self) -> int:
-        return self.levels.shape[0] - 1
-
-    def reconstruct(self) -> np.ndarray:
-        return self.levels.sum(axis=0)
-
-
-def decompose(f: DyadicFunction) -> MartingaleDecomposition:
-    j = f.max_level
-    levels = np.stack([_dk(f.samples, k) for k in range(j + 1)])
-    return MartingaleDecomposition(levels=levels, e0=_ek(f.samples, 0))
-
-
 def martingale_square_function(f: DyadicFunction) -> DyadicFunction:
     """(sum_{k>=1} |D_k f|^2)^{1/2} pointwise; level 0 is excluded."""
     j = f.max_level

@@ -86,7 +86,12 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
         return mean
 
     lo = mean  # B(t) >= t so the constraint is >= 1 here
-    hi = mean * max(2.0, math.log(_E + float(v.max()) / mean) ** sigma)
+    try:
+        hi = mean * max(2.0, math.log(_E + float(v.max()) / mean) ** sigma)
+    except OverflowError:
+        hi = math.inf
+    if not math.isfinite(hi):
+        raise ValueError(f"the starting bracket overflows at sigma = {sigma}")
     grow = 0
     while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
         hi *= 2.0
@@ -199,24 +204,3 @@ def exp_norm(values, sigma: float, p_cap: int = 512) -> float:
         if decreases >= 2 and p >= 32:
             break
     return best
-
-
-def dyadic_orlicz_maximal(values, sigma: float) -> np.ndarray:
-    """Pointwise sup of Luxemburg averages over dyadic ancestor blocks.
-
-    ``values`` must have power-of-two length; the block tree is the full
-    dyadic tree on the index range, leaves included.
-    """
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    n = v.size
-    if n == 0 or n & (n - 1):
-        raise ValueError("length must be a positive power of two")
-    out = np.full(n, -np.inf)
-    levels = n.bit_length()  # blocks of size n, n/2, ..., 1
-    size = n
-    for _ in range(levels):
-        rows = v.reshape(n // size, size)
-        avg = luxemburg_avg_rows(rows, sigma)
-        out = np.maximum(out, np.repeat(avg, size))
-        size //= 2
-    return out

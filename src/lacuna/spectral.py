@@ -162,42 +162,6 @@ def eta(x):
     return plateau_bump(x, 0.5, 0.625)
 
 
-def central_diff(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Iterated centered differences; shrinks by one point per side per order."""
-    v = np.asarray(values)
-    v = v.astype(np.result_type(v.dtype, np.float64))
-    for _ in range(order):
-        v = (v[2:] - v[:-2]) / (2.0 * h)
-    return v
-
-
-def bump_admissible(
-    values: np.ndarray,
-    grid: np.ndarray,
-    interval: LacInterval,
-    order: int = 4,
-    bound: float = 1e10,
-) -> tuple[bool, float]:
-    """Check the adapted-bump class: support in (5/4)L and scaled derivative
-    bounds ``|L|^a sup |d^a phi| <= bound`` for a <= order (finite differences).
-
-    Returns (admissible, worst scaled derivative sup).
-    """
-    length = float(interval.length)
-    center = float(interval.center)
-    lo = center - 0.625 * length
-    hi = center + 0.625 * length
-    outside = (grid < lo - 1e-12) | (grid > hi + 1e-12)
-    if np.any(np.abs(values[outside]) > 1e-12):
-        return False, math.inf
-    h = float(grid[1] - grid[0])
-    worst = float(np.max(np.abs(values)))
-    for a in range(1, order + 1):
-        d = central_diff(values, h, a)
-        worst = max(worst, length**a * float(np.max(np.abs(d))))
-    return worst <= bound, worst
-
-
 # -- exact lattice windows ------------------------------------------------
 
 
@@ -393,14 +357,6 @@ def project_sharp(
     return sig.with_samples(bank.combine(sig, flags=flags))
 
 
-def symbol_on_lattice(
-    sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
-) -> np.ndarray:
-    """Sampled ``eta((xi - c_L)/|L|)``, full FFT-layout array."""
-    bank = BandBank.build(sig, [eta_window(interval)], "project_smooth")
-    return bank.symbol(flags=flags).real
-
-
 def project_smooth(
     sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
@@ -490,12 +446,6 @@ def weak_l1_norm(values, dx: float) -> float:
     return float(np.max(uniq[nz] * tail[nz]))
 
 
-def distribution_measure(values, level: float, dx: float) -> float:
-    """``|{|f| > level}|`` on the sample grid."""
-    mags = np.abs(np.asarray(values, dtype=complex)).ravel()
-    return float(np.count_nonzero(mags > level)) * dx
-
-
 # -- binary dump ----------------------------------------------------------
 
 
@@ -544,15 +494,3 @@ def read_signal(path) -> Signal:
     inter = np.frombuffer(payload, dtype="<f8")
     samples = inter[0::2] + 1j * inter[1::2]
     return Signal(samples, period, offset=-period / 2)
-
-
-# -- csv export ----------------------------------------------------------
-
-
-def profile_to_csv(path, sig: Signal, column: str = "value") -> None:
-    xs = sig.x
-    vals = sig.samples
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"x,{column}_re,{column}_im\n")
-        for x, v in zip(xs, vals):
-            fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")

@@ -2,12 +2,16 @@
 ``main(argv)``, exit codes, file round trips, and config layering."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
+from lacuna import cli
 from lacuna.cli import main
+from lacuna.dyadic import DyadicScalar
+from lacuna.lacunary import lambda_tau
 from lacuna.spectral import Signal, read_signal, write_signal
 
 
@@ -36,14 +40,20 @@ class TestLacunary:
         assert got["count"] == 8
 
     def test_intervals(self, capsys):
-        code, got = run_json(capsys, ["lacunary", "--tau", "1", "--intervals",
-                                      "--min-scale-log2", "0", "--max-abs", "4"])
-        assert code == 0
-        assert got["count"] == 4
-        # the 7-field exact-arithmetic line format: order, then three
-        # mantissa/exponent pairs
-        assert all(len(line.split()) == 7 and line.split()[0] == "1"
-                   for line in got["intervals"])
+        # the exact line format: order, then the mantissa/exponent pairs of
+        # left, right and anchor, one line per lambda_tau interval in order
+        for tau in (1, 2, 3):
+            code, got = run_json(capsys, ["lacunary", "--tau", str(tau), "--intervals",
+                                          "--min-scale-log2", "-3", "--max-abs", "8"])
+            fam = lambda_tau(tau, DyadicScalar.pow2(-3), DyadicScalar.from_int(8))
+            want = [
+                f"{L.order} {L.left.mantissa} {L.left.exponent} "
+                f"{L.right.mantissa} {L.right.exponent} "
+                f"{L.anchor.mantissa} {L.anchor.exponent}"
+                for L in fam
+            ]
+            assert code == 0 and got["count"] == len(fam) > 0
+            assert got["intervals"] == want
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "pts.json"
@@ -51,6 +61,20 @@ class TestLacunary:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["tau"] == 2
+
+    def test_enumeration_over_budget_is_a_usage_error(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the enumeration was started")
+
+        monkeypatch.setattr(cli, "lac_tau", refuse)
+        # exponents -20..28 (the window 2^20 plus tau): C(49, 8) * 2^8 sums
+        terms = math.comb(49, 8) << 8
+        code = main(["lacunary", "--tau", "8", "--min-scale-log2", "-20",
+                     "--max-abs", str(2.0**20)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"would enumerate {terms} signed sums" in captured.err
+        assert str(cli.MAX_LACUNARY_TERMS) in captured.err
 
 
 class TestProject:
@@ -143,6 +167,14 @@ class TestCzd:
         assert got["constants"]["sandwich_ok"] is True
         assert (tmp_path / "dec.json").exists()
         assert (tmp_path / "dec_good.bin").exists()
+
+    @pytest.mark.parametrize("sigma", ["-1", "9", "100000"])
+    def test_sigma_outside_its_range_is_a_usage_error(self, stored_signal, capsys, sigma):
+        code = main(["czd", "--input", str(stored_signal), f"--sigma={sigma}",
+                     "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "lacuna: sigma must lie in [0, 8]\n"
 
     def test_alpha_below_root_average_fails_cleanly(self, stored_signal, capsys):
         code = main(["czd", "--input", str(stored_signal),

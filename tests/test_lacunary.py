@@ -20,12 +20,9 @@ from hypothesis import strategies as st
 from lacuna.dyadic import ONE, ZERO, DyadicScalar
 from lacuna.lacunary import (
     LacInterval,
-    containing_interval,
     dilate_interval,
     dilate_set,
     endpoints_of,
-    interval_from_line,
-    interval_to_line,
     lac_tau,
     lambda_tau,
     normalize_to_origin,
@@ -363,23 +360,6 @@ def test_lac_tau_dedup_collisions():
     pts = lac_tau(2, ONE, D(F(32))).points
     twelves = [p for p in pts if p.as_fraction() == F(12)]
     assert len(twelves) == 1
-
-
-# -- helpers and serialization ---------------------------------------------
-
-
-def test_containing_interval():
-    fam = lambda_tau(2, D(F(1)), D(F(16)))
-    hit = containing_interval(fam, D(F(10)), D(F(11)))
-    assert (hit.left.as_fraction(), hit.right.as_fraction()) == (F(10), F(12))
-    assert containing_interval(fam, D(F(7)), D(F(9))) is None
-
-
-@pytest.mark.parametrize("tau", [1, 2, 3])
-def test_interval_line_roundtrip(tau):
-    for piece in lambda_tau(tau, D(F(1, 8)), D(F(8))):
-        back = interval_from_line(interval_to_line(piece))
-        assert back.key() == piece.key()
 
 
 @given(

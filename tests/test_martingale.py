@@ -135,14 +135,6 @@ class TestDifference:
             prev = mg.expectation(d, k - 1).samples
             assert np.max(np.abs(prev)) < 1e-13
 
-    def test_decompose_bundle(self):
-        f = random_function(6, seed=11)
-        dec = mg.decompose(f)
-        assert dec.max_level == 6
-        assert np.max(np.abs(dec.reconstruct() - f.samples)) < 1e-13
-        assert np.array_equal(dec.e0, mg.expectation(f, 0).samples)
-
-
 class TestSquareFunction:
     def test_single_haar_gives_one(self):
         f = mg.DyadicFunction(np.repeat([1.0, -1.0], 8))

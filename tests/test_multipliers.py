@@ -1,48 +1,15 @@
-"""Tests for multiplier classes, diagnostics, and operator application.
+"""Tests for step multipliers, their application, and the sharpness family."""
 
-The variation-norm oracle enumerates every increasing subsequence of the
-samples (feasible up to ~16 points), so the dynamic program is checked
-against the literal supremum definition.
-"""
-
-import itertools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.lacunary import LacInterval, lambda_tau
+from lacuna.lacunary import lambda_tau
 from lacuna import multipliers as mult
 from lacuna import spectral as sp
-
-
-def brute_variation(values, r):
-    """Literal sup over all increasing subsequences (2^n of them)."""
-    vals = list(values)
-    n = len(vals)
-    best = 0.0
-    for size in range(2, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            jumps = [abs(vals[b] - vals[a]) for a, b in zip(combo, combo[1:])]
-            if math.isinf(r):
-                cand = max(jumps)
-            else:
-                cand = sum(j**r for j in jumps) ** (1.0 / r)
-            best = max(best, cand)
-    return best
-
-
-def dyadic_interval(left, right, anchor=0, order=1):
-    return LacInterval(
-        left=D.from_fraction(F(left)),
-        right=D.from_fraction(F(right)),
-        order=order,
-        anchor=D.from_fraction(F(anchor)),
-    )
 
 
 def block_at(family, left):
@@ -50,248 +17,6 @@ def block_at(family, left):
     matches = [L for L in family if float(L.left) == left]
     assert len(matches) == 1
     return matches[0]
-
-
-def sawtooth(n_jumps):
-    """Path taking alternating steps of +-1/n: 0, 1/n, 0, 1/n, ..."""
-    vals = [0.0]
-    for j in range(n_jumps):
-        vals.append(vals[-1] + ((-1) ** j) / n_jumps)
-    return np.array(vals)
-
-
-# -- variation norms ---------------------------------------------------------
-
-
-class TestVariationNorm:
-    def test_monotone_v1_is_total_rise(self):
-        f = np.array([0.0, 0.1, 0.4, 0.9, 1.0])
-        assert mult.variation_norm(f, 1) == pytest.approx(1.0, abs=1e-15)
-
-    def test_monotone_higher_r_is_single_jump(self):
-        # coarsest partition dominates for r > 1 on monotone data
-        f = np.linspace(0.0, 1.0, 9)
-        assert mult.variation_norm(f, 2) == pytest.approx(1.0, abs=1e-12)
-        assert mult.variation_norm(f, np.inf) == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_sawtooth_v2_matches_brute_force(self, n):
-        f = sawtooth(n)
-        dp = mult.variation_norm(f, 2)
-        brute = brute_variation(f, 2)
-        assert dp == pytest.approx(brute, rel=1e-12)
-        assert dp == pytest.approx(n**-0.5, rel=1e-12)
-
-    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, np.inf])
-    def test_random_complex_matches_brute_force(self, r):
-        rng = np.random.default_rng(7)
-        f = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        assert mult.variation_norm(f, r) == pytest.approx(
-            brute_variation(f, r), rel=1e-12
-        )
-
-    @given(st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=30, deadline=None)
-    def test_nonincreasing_in_r(self, seed):
-        rng = np.random.default_rng(seed)
-        f = rng.standard_normal(12)
-        norms = [mult.variation_norm(f, r) for r in (1, 1.5, 2, 4, np.inf)]
-        for a, b in zip(norms, norms[1:]):
-            assert a >= b - 1e-12
-
-    def test_range_for_infinite_r(self):
-        f = np.array([3.0, -1.0, 2.0, 0.5])
-        assert mult.variation_norm(f, np.inf) == pytest.approx(4.0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            mult.variation_norm([1.0, 2.0], 0.5)
-        with pytest.raises(ValueError):
-            mult.variation_norm([1.0], 2)
-
-
-# -- components ----------------------------------------------------------------
-
-
-class TestComponents:
-    def test_constant_symbol_gives_eta(self):
-        m = mult.SampledMultiplier(func=lambda xi: np.ones_like(xi))
-        comp = mult.component_extract(m, dyadic_interval(2, 4))
-        assert np.max(np.abs(comp.values - sp.eta(comp.grid))) == 0.0
-        assert np.max(np.abs(comp.raw - 1.0)) == 0.0
-
-    def test_block_indicator_pullback(self):
-        L = dyadic_interval(2, 4)
-        m = mult.SampledMultiplier(
-            func=lambda xi: ((xi >= 2.0) & (xi < 4.0)).astype(float)
-        )
-        comp = mult.component_extract(m, L)
-        expected = sp.eta(comp.grid) * ((comp.grid >= -0.5) & (comp.grid < 0.5))
-        assert np.max(np.abs(comp.values - expected)) == 0.0
-
-    def test_lattice_backed_interpolation(self):
-        period, n = 8.0, 1024
-        xi = sp.freq_indices(n) / period
-        smooth = np.cos(xi / 3.0) + 0.0j
-        m = mult.SampledMultiplier(lattice_values=smooth, period=period)
-        comp = mult.component_extract(m, dyadic_interval(2, 4))
-        exact = np.cos((3.0 + comp.grid * 2.0) / 3.0)
-        assert np.max(np.abs(comp.raw - exact)) < 1e-3
-
-    def test_window_escape_raises(self):
-        m = mult.SampledMultiplier(lattice_values=np.ones(64), period=8.0)
-        # band limit is 4; the window of [2,4) reaches 3 + 2*0.625 = 4.25
-        with pytest.raises(ValueError):
-            mult.component_extract(m, dyadic_interval(2, 4))
-
-    def test_plateau_samples_exclude_window_ramp(self):
-        m = mult.SampledMultiplier(func=lambda xi: np.sign(np.sin(xi)))
-        vals = mult.component_plateau(m, dyadic_interval(1, 2), n_grid=64)
-        assert vals.shape == (64,)
-        assert np.all(np.abs(vals) <= 1.0)
-
-
-class TestClassNorms:
-    def test_constant_symbol_marcinkiewicz(self):
-        m = mult.SampledMultiplier(func=lambda xi: np.ones_like(xi))
-        norm = mult.marcinkiewicz_norm(m, 1, D.pow2(-2), D.from_int(16))
-        # sup of eta is 1; sampled V_1 of eta is 2 (up the ramp and down)
-        assert norm == pytest.approx(3.0, abs=1e-12)
-
-    def test_classical_log_oscillation_finite(self):
-        m = mult.SampledMultiplier(
-            func=lambda xi: np.sin(np.log2(np.abs(xi))), claimed_class="Marcinkiewicz(1)"
-        )
-        norm = mult.marcinkiewicz_norm(m, 1, D.pow2(-4), D.from_int(64))
-        assert 0.0 < norm < 20.0
-
-    def test_prototype_components_bounded_variation(self):
-        min_scale, max_abs = D.pow2(-3), D.from_int(8)
-        proto = mult.prototype_multiplier(
-            2, min_scale, max_abs, rng=np.random.default_rng(5)
-        )
-
-        # evaluate the prototype exactly: half-open membership per piece
-        def proto_func(xi):
-            xi = np.asarray(xi, dtype=float)
-            out = np.zeros(xi.shape, dtype=complex)
-            for piece in proto.pieces:
-                lo, hi = float(piece.lo), float(piece.hi)
-                out[(xi >= lo) & (xi < hi)] += piece.coeff
-            return out
-
-        m = mult.SampledMultiplier(func=proto_func)
-        worst = 0.0
-        for L in lambda_tau(2, min_scale, max_abs):
-            comp = mult.component_extract(m, L)
-            worst = max(worst, mult.variation_norm(comp.values, 1))
-        assert worst <= 8.0
-
-    def test_marcinkiewicz_refinement_stability(self):
-        min_scale, max_abs = D.pow2(-2), D.from_int(8)
-        proto = mult.prototype_multiplier(
-            2, min_scale, max_abs, rng=np.random.default_rng(9)
-        )
-
-        def proto_func(xi):
-            xi = np.asarray(xi, dtype=float)
-            out = np.zeros(xi.shape, dtype=complex)
-            for piece in proto.pieces:
-                out[(xi >= float(piece.lo)) & (xi < float(piece.hi))] += piece.coeff
-            return out
-
-        m = mult.SampledMultiplier(func=proto_func)
-        coarse = mult.marcinkiewicz_norm(m, 2, min_scale, max_abs, n_grid=512)
-        fine = mult.marcinkiewicz_norm(m, 2, min_scale, max_abs, n_grid=2048)
-        assert abs(fine - coarse) <= 0.05 * coarse
-
-    def test_hormander_constant_symbol(self):
-        m = mult.SampledMultiplier(func=lambda xi: np.ones_like(xi))
-        a = mult.hormander_norm(m, 1, D.pow2(-2), D.from_int(8))
-        b = mult.hormander_norm(m, 2, D.pow2(-2), D.from_int(8))
-        assert a == pytest.approx(b, rel=1e-9)  # eta derivatives only
-        assert a > 1.0
-
-    def test_hormander_mihlin_symbol_finite(self):
-        m = mult.SampledMultiplier(
-            func=lambda xi: np.exp(1j * np.log(np.abs(xi))),
-            claimed_class="Hormander(1)",
-        )
-        norm = mult.hormander_norm(m, 1, D.pow2(-4), D.from_int(64))
-        assert np.isfinite(norm)
-        # the window bump's own 4th finite difference (~6e6) dominates here
-        assert norm < 1e8
-
-    def test_hormander_detects_interior_jump(self):
-        # a jump strictly inside an order-1 block is not smoothable
-        m = mult.SampledMultiplier(func=lambda xi: (xi >= 3.0).astype(float))
-        coarse = mult.hormander_norm(m, 1, D.from_int(2), D.from_int(4), n_grid=512)
-        fine = mult.hormander_norm(m, 1, D.from_int(2), D.from_int(4), n_grid=2048)
-        assert fine > 2.0 * coarse
-
-    def test_empty_family_rejected(self):
-        m = mult.SampledMultiplier(func=lambda xi: np.ones_like(xi))
-        with pytest.raises(ValueError):
-            mult.marcinkiewicz_norm(m, 1, D.from_int(8), D.from_int(4))
-
-
-# -- step structure -----------------------------------------------------------
-
-
-class TestStepStructure:
-    def test_single_unit_step_is_atom(self):
-        vals = np.zeros(512)
-        vals[100:300] = 1.0
-        out = mult.r2_atom_check(vals)
-        assert out["is_atom"]
-        assert out["defect"] == 0.0
-        assert out["coeff_sq_sum"] == pytest.approx(1.0)
-
-    def test_boundary_budget_accepted(self):
-        vals = np.zeros(512)
-        for i in range(4):
-            vals[i * 100 : i * 100 + 50] = 0.5  # 4 * 0.25 = 1 exactly
-        out = mult.r2_atom_check(vals)
-        assert out["is_atom"]
-        assert out["coeff_sq_sum"] == pytest.approx(1.0)
-        assert out["piece_count"] == 4
-
-    def test_overbudget_rejected(self):
-        k = 8
-        vals = np.zeros(512)
-        for i in range(k):
-            vals[i * 60 : i * 60 + 30] = k ** (-1.0 / 3.0)
-        out = mult.r2_atom_check(vals)
-        assert not out["is_atom"]
-        assert out["coeff_sq_sum"] == pytest.approx(k ** (1.0 / 3.0))
-        assert out["defect"] == pytest.approx(k ** (1.0 / 3.0) - 1.0)
-
-    def test_non_constant_component_rejected(self):
-        vals = np.linspace(0.0, 1.0, 512)
-        out = mult.r2_atom_check(vals)
-        assert not out["is_atom"]
-        assert not out["piecewise_constant"]
-        assert out["defect"] > 0.0
-
-    def test_greedy_decomposition_exact_and_bounded(self):
-        rng = np.random.default_rng(17)
-        f = np.cumsum(rng.standard_normal(256)) / 16.0 + 0.5j
-        out = mult.greedy_step_decomposition(f)
-        assert out["defect"] < 1e-12
-        v1 = mult.variation_norm(f, 1)
-        assert out["total_mass"] == pytest.approx(abs(f[0]) + v1, rel=1e-12)
-        assert out["jump_sq_sum"] <= v1**2 + 1e-12
-
-    def test_bounded_variation_implies_step_form(self):
-        # the class inclusion, operationally: V_1 <= B gives a zero-defect
-        # greedy step decomposition with square mass <= B^2
-        m = mult.SampledMultiplier(func=lambda xi: np.sin(np.log2(np.abs(xi))))
-        for L in lambda_tau(1, D.pow2(-2), D.from_int(16)):
-            comp = mult.component_extract(m, L)
-            b = mult.variation_norm(comp.values, 1)
-            out = mult.greedy_step_decomposition(comp.values)
-            assert out["defect"] < 1e-12
-            assert out["jump_sq_sum"] <= b**2 + 1e-12
 
 
 # -- step multipliers --------------------------------------------------------
@@ -348,14 +73,6 @@ class TestStepMultiplier:
         fam2 = lambda_tau(2, D.pow2(-4), D.from_int(8))
         assert not sm.validate(fam2)["ok"]
 
-    def test_json_round_trip(self, tmp_path):
-        sm = two_block_step(coeffs=(0.25 + 0.25j, -0.5), overlap_bound=2)
-        path = tmp_path / "step.json"
-        sm.save(path)
-        back = mult.StepMultiplier.load(path)
-        assert back.overlap_bound == sm.overlap_bound
-        assert back.pieces == sm.pieces
-
     def test_prototype_is_valid_step_form(self):
         proto = mult.prototype_multiplier(2, D.pow2(-3), D.from_int(8))
         report = proto.validate(lambda_tau(2, D.pow2(-3), D.from_int(8)))
@@ -376,13 +93,6 @@ class TestApplication:
             period,
             -period / 2,
         )
-
-    def test_identity_symbol(self):
-        sig = self.make_signal()
-        m = mult.SampledMultiplier(func=lambda xi: np.ones_like(xi))
-        out = mult.apply_multiplier(sig, m)
-        scale = np.max(np.abs(sig.samples))
-        assert np.max(np.abs(out.samples - sig.samples)) < 1e-12 * scale
 
     def test_block_indicator_equals_sharp_projection(self):
         sig = self.make_signal()

@@ -157,24 +157,6 @@ class TestBumps:
         assert 0.0 < b[3] < 1.0
         assert b[4] == 0.0 and b[5] == 0.0
 
-    def test_admissibility_eta_passes_jump_fails(self):
-        L = dyadic_interval(1, 2, anchor=0)
-        grid = float(L.center) + float(L.length) * np.linspace(-0.625, 0.625, 1025)
-        sym = sp.eta((grid - float(L.center)) / float(L.length))
-        ok, worst = sp.bump_admissible(sym, grid, L, order=4)
-        assert ok and worst < 1e10
-        jump = (np.abs(grid - float(L.center)) <= 0.5 * float(L.length)).astype(float)
-        ok_jump, worst_jump = sp.bump_admissible(jump, grid, L, order=4)
-        assert not ok_jump and worst_jump > 1e10
-
-    def test_admissibility_rejects_offside_support(self):
-        L = dyadic_interval(1, 2, anchor=0)
-        grid = np.linspace(0.0, 4.0, 513)
-        sym = np.ones_like(grid)
-        ok, worst = sp.bump_admissible(sym, grid, L)
-        assert not ok and worst == math.inf
-
-
 # -- lattice windows and sharp projections --------------------------------
 
 
@@ -257,7 +239,8 @@ class TestSmoothProjection:
     def test_symbol_values_on_lattice(self):
         sig = sp.Signal(np.zeros(128), period=16.0, offset=-8.0)
         L = dyadic_interval(2, 4)
-        sym = sp.symbol_on_lattice(sig, L)
+        bank = sp.BandBank.build(sig, [sp.eta_window(L)], "project_smooth")
+        sym = bank.symbol().real
         xi = sp.freq_indices(sig.n) / sig.period
         expected = sp.eta((xi - 3.0) / 2.0)
         assert np.max(np.abs(sym - expected)) < 1e-14
@@ -463,11 +446,6 @@ class TestWeakNormAndIO:
     def test_zero_function(self):
         assert sp.weak_l1_norm(np.zeros(8), dx=1.0) == 0.0
 
-    def test_distribution_measure(self):
-        vals = np.array([0.0, 1.0, 2.0, 3.0])
-        assert sp.distribution_measure(vals, 1.5, dx=0.5) == 1.0
-        assert sp.distribution_measure(vals, 3.0, dx=0.5) == 0.0
-
     def test_dump_round_trip(self, tmp_path):
         rng = np.random.default_rng(51)
         sig = random_signal(rng, j=7, period=2.0, centered=True)
@@ -544,12 +522,3 @@ class TestWeakNormAndIO:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="finite"):
             sp.read_signal(path)
-
-    def test_csv_export(self, tmp_path):
-        sig = sp.Signal(np.arange(4, dtype=float), period=2.0, offset=-1.0)
-        path = tmp_path / "sig.csv"
-        sp.profile_to_csv(path, sig)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,value_re,value_im"
-        assert len(lines) == 5
-        assert float(lines[1].split(",")[0]) == -1.0
