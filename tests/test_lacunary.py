@@ -23,6 +23,7 @@ from lacuna.lacunary import (
     dilate_interval,
     dilate_set,
     endpoints_of,
+    interval_to_line,
     lac_tau,
     lambda_tau,
     normalize_to_origin,
@@ -360,6 +361,32 @@ def test_lac_tau_dedup_collisions():
     pts = lac_tau(2, ONE, D(F(32))).points
     twelves = [p for p in pts if p.as_fraction() == F(12)]
     assert len(twelves) == 1
+
+
+def test_containing_interval():
+    # lambda_2 on [1, 16]: [10, 11) lies in exactly one block, [10, 12);
+    # [7, 9) straddles the dyadic point 8 and lies in none
+    fam = lambda_tau(2, D(F(1)), D(F(16)))
+    hits = [L for L in fam if L.covers(D(F(10)), D(F(11)))]
+    assert [(L.left.as_fraction(), L.right.as_fraction()) for L in hits] == [
+        (F(10), F(12))
+    ]
+    assert not any(L.covers(D(F(7)), D(F(9))) for L in fam)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+def test_interval_line_roundtrip(tau):
+    # the printed line determines the interval's key: order, left, right
+    # and anchor, each as an exact mantissa/exponent pair
+    for piece in lambda_tau(tau, D(F(1, 8)), D(F(8))):
+        fields = [int(tok) for tok in interval_to_line(piece).split()]
+        assert len(fields) == 7
+        order, lm, le, rm, re_, am, ae = fields
+        back = LacInterval(
+            DyadicScalar(lm, le), DyadicScalar(rm, re_), order,
+            DyadicScalar(am, ae), None,
+        )
+        assert back.key() == piece.key()
 
 
 @given(

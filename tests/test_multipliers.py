@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.lacunary import lambda_tau
+from lacuna.lacunary import LacInterval, lambda_tau
 from lacuna import multipliers as mult
 from lacuna import spectral as sp
 
@@ -93,6 +93,16 @@ class TestApplication:
             period,
             -period / 2,
         )
+
+    def test_identity_symbol(self):
+        # one unit piece over the whole sampled band [-n/(2P), n/(2P))
+        sig = self.make_signal()
+        half = D.from_fraction(F(sig.n, 2) / F(sig.period))
+        band = LacInterval(-half, half, 1, D.from_int(0), None)
+        m = mult.StepMultiplier((mult.StepPiece(band.left, band.right, 1.0, band),), 1)
+        out = mult.apply_multiplier(sig, m)
+        scale = np.max(np.abs(sig.samples))
+        assert np.max(np.abs(out.samples - sig.samples)) < 1e-12 * scale
 
     def test_block_indicator_equals_sharp_projection(self):
         sig = self.make_signal()
