@@ -51,7 +51,7 @@ from .multipliers import (
     max_feasible_parameter,
     prototype_multiplier,
 )
-from .orlicz import YoungFunction, luxemburg_avg, luxemburg_avg_rows
+from .orlicz import YoungFunction, luxemburg_avg
 from .spectral import (
     MAX_LOG2_N,
     AliasFlags,
@@ -136,8 +136,8 @@ class ExperimentConfig:
             raise ValueError("ensemble must be positive")
         if self.min_scale_log2 > 0:
             raise ValueError("min_scale_log2 must be nonpositive")
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be at least 1")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ValueError("gamma must be finite and at least 1")
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
         if self.khintchine < 0:
@@ -716,7 +716,7 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
         rows.append({"label": label, "branch": "local", "gamma": cfg.gamma,
                      "aborted": True, "note": "; ".join(flags.events[:3])})
         return rows
-    local_avgs = luxemburg_avg_rows(pieces[:, gmask], cfg.sigma / 2)
+    local_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2) for row in pieces[:, gmask]])
     lhs_local = float(np.sqrt(np.sum(local_avgs ** 2)))
     rhs_local = luxemburg_avg(np.abs(sig.samples[jmask]), (cfg.sigma + cfg.tau) / 2)
     rows.append({"label": label, "branch": "local", "gamma": cfg.gamma,
@@ -762,7 +762,8 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     # all scales at once on the cancelled signal: sharp pieces, localized
     every = _gen_zb_bank(banks, canc_ext, "combined", lambda: [
         sharp_window(block) for block in lambda_tau(cfg.tau, min_scale, smooth_cap)])
-    comb_avgs = luxemburg_avg_rows(every.magnitudes(canc_ext, gmask), cfg.sigma / 2)
+    comb_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2)
+                          for row in every.magnitudes(canc_ext, gmask)])
     lhs_comb = float(np.sqrt(np.sum(comb_avgs ** 2)))
     rhs_comb = luxemburg_avg(np.abs(canc.samples), (cfg.sigma + cfg.tau) / 2)
     rows.append({"label": label, "branch": "combined", "gamma": cfg.gamma,

@@ -13,7 +13,6 @@ Conventions (sigma >= 0 throughout):
   The bracket starts at ``[mean |f|, hi]`` (``hi`` grown by doubling) and
   shrinks with every evaluation; a Newton step that leaves it is replaced by
   the bracket midpoint.  ``sigma = 0`` returns the mean exactly.
-  ``luxemburg_avg_rows`` solves many rows at once by vectorized bisection.
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
   (mean |f|^p)^{1/p}`` over integer p, the exp(L^{1/sigma}) norm up to
   absolute constants.  ``sigma = 0`` is rejected; that endpoint is the
@@ -30,6 +29,7 @@ import numpy as np
 
 _E = math.e
 CONSTRAINT_TOL = 1e-10
+EXP_NORM_MAX_P = 512
 
 
 @dataclass(frozen=True)
@@ -114,48 +114,6 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     return 0.5 * (lo + hi)
 
 
-def luxemburg_avg_rows(matrix, sigma: float, iters: int = 120) -> np.ndarray:
-    """Row-wise Luxemburg averages of a 2d array (vectorized bisection)."""
-    B = YoungFunction(sigma)
-    v = np.abs(np.asarray(matrix, dtype=float))
-    if v.ndim != 2:
-        raise ValueError("2d array expected")
-    mean = v.mean(axis=1)
-    if not np.isfinite(mean).all():
-        raise ValueError("values and their mean must be finite")
-    if sigma == 0:
-        return mean
-    vmax = v.max(axis=1)
-    live = mean > 0
-    lo = mean.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = mean * np.maximum(2.0, np.log(_E + vmax / np.where(live, mean, 1.0)) ** sigma)
-    hi = np.where(live, hi, 1.0)
-    lo = np.where(live, lo, 1.0)
-
-    def g(lam: np.ndarray) -> np.ndarray:
-        return B(v / lam[:, None]).mean(axis=1)
-
-    for _ in range(60):
-        bad = live & (g(hi) > 1.0)
-        if not bad.any():
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        done = np.abs(val - 1.0) <= CONSTRAINT_TOL
-        if bool(np.all(done | ~live)):
-            lo = np.where(done, mid, lo)
-            hi = np.where(done, mid, hi)
-            break
-        above = val > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(live, out, 0.0)
-
-
 def llogl_avg_equiv(values, sigma: float) -> float:
     """Explicit equivalent ``mean |f| (log(e + |f|/mean|f|))^sigma``."""
     v = np.abs(np.asarray(values, dtype=float)).ravel()
@@ -174,11 +132,12 @@ def _log_p_mean(logv: np.ndarray, n: int, p: int) -> float:
     return p * m + math.log(s) - math.log(n)
 
 
-def exp_norm(values, sigma: float, p_cap: int = 512) -> float:
+def exp_norm(values, sigma: float) -> float:
     """``sup_{p >= 2} p^{-sigma} (mean |f|^p)^{1/p}`` over integer p.
 
-    Adaptive scan: stops once two successive p values decrease the running
-    value and p >= 32 (the map is unimodal-ish and decays for bounded f).
+    Adaptive scan up to ``EXP_NORM_MAX_P``: stops once two successive p
+    values decrease the running value and p >= 32 (the map is unimodal-ish
+    and decays for bounded f).
     """
     if sigma == 0:
         raise ValueError("sigma = 0 is the L^inf endpoint; use max(|f|)")
@@ -193,7 +152,7 @@ def exp_norm(values, sigma: float, p_cap: int = 512) -> float:
     best = 0.0
     decreases = 0
     prev = -math.inf
-    for p in range(2, p_cap + 1):
+    for p in range(2, EXP_NORM_MAX_P + 1):
         cur = math.exp(_log_p_mean(logv, n, p) / p) * p**-sigma
         best = max(best, cur)
         if cur < prev:

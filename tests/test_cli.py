@@ -299,6 +299,14 @@ class TestExperimentCommands:
         code = main(["cww", "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_gamma_is_a_usage_error(self, bad, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"gamma = {bad}\nlog2_n = 9\nensemble = 2\n")
+        code = main(["verify", "gen-zygmund-bonami", "--config", str(cfg)])
+        assert code == 2
+        assert "gamma must be finite" in capsys.readouterr().err
+
     def test_bad_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

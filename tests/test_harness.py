@@ -16,6 +16,7 @@ from lacuna.lacunary import lac_tau, lambda_tau
 from lacuna.multipliers import apply_multiplier
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import AliasFlags, BandBank, Signal, spectrum
+from test_orlicz import bisection_luxemburg
 
 
 def tiny_config(**overrides):
@@ -70,6 +71,8 @@ class TestConfig:
             {"n_min": 1},
             {"n_min": 9, "n_max": 8},
             {"gamma": 0.5},
+            {"gamma": math.nan},
+            {"gamma": math.inf},
             {"min_scale_log2": 1},
             {"khintchine": -1},
         ],
@@ -433,6 +436,36 @@ class TestGenZygmundBonami:
     def test_sigma_one_runs(self):
         rep = hn.verify_gen_zygmund_bonami(tiny_config(log2_n=10, ensemble=2, sigma=1, tau=1))
         assert rep.ok
+
+    def test_newton_rows_match_the_bisection_reference(self, monkeypatch):
+        # every Luxemburg average of the report, the per-band rows included,
+        # against the bracketed bisection the Newton solve replaced
+        cfg = tiny_config(log2_n=10, ensemble=2, tau=2, sigma=2)
+        newton = json.loads(hn.report_to_json(hn.verify_gen_zygmund_bonami(cfg)))
+        monkeypatch.setattr(hn, "luxemburg_avg", bisection_luxemburg)
+        bisected = json.loads(hn.report_to_json(hn.verify_gen_zygmund_bonami(cfg)))
+
+        def leaves(node, path=()):
+            if isinstance(node, dict):
+                for key, val in node.items():
+                    yield from leaves(val, path + (key,))
+            elif isinstance(node, list):
+                for i, val in enumerate(node):
+                    yield from leaves(val, path + (i,))
+            else:
+                yield path, node
+
+        got, want = dict(leaves(newton)), dict(leaves(bisected))
+        assert got.keys() == want.keys()
+        floats = 0
+        for path, a in got.items():
+            b = want[path]
+            if isinstance(a, float) and isinstance(b, float):
+                assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), path
+                floats += 1
+            else:
+                assert a == b, path
+        assert floats > 0
 
 
 class TestSharpness:
