@@ -14,13 +14,11 @@ ap = argparse.ArgumentParser(description=__doc__)
 ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("results"))
 ap.add_argument("--log2-n", type=int, default=18)
 ap.add_argument("--khintchine", type=int, default=64)
-ap.add_argument("--threads", type=int, default=0)
 args = ap.parse_args()
 outdir = args.outdir
 outdir.mkdir(parents=True, exist_ok=True)
 cfg = make_config({"log2_n": args.log2_n, "n_min": 2, "n_max": 13,
-                   "khintchine": args.khintchine, "n_levels": 40,
-                   "threads": args.threads, "seed": 7})
+                   "khintchine": args.khintchine, "n_levels": 40, "seed": 7})
 
 t0 = time.time()
 rep = sharpness_growth(cfg)

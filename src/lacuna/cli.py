@@ -9,8 +9,8 @@ signal format (``lacunary``, ``project``, ``sqfn``, ``orlicz``, ``czd``,
 Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails, an
 input is rejected or a ``czd`` certificate constant is not finite, 2 for
 usage errors (argparse, a sigma outside [0, MAX_SIGMA], a ``lacunary``
-enumeration over ``MAX_LACUNARY_TERMS``) and for unreadable or malformed
-input files.
+enumeration over ``MAX_LACUNARY_TERMS``, an interval system over
+``MAX_LACUNARY_INTERVALS``) and for unreadable or malformed input files.
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ from .harness import (
     verify_hormander,
     verify_zygmund_bonami,
 )
-from .lacunary import LacInterval, interval_to_line, lac_tau, lac_tau_terms, lambda_tau
+from .lacunary import (LacInterval, interval_to_line, lac_tau, lac_tau_terms, lambda_tau,
+                       lambda_tau_count)
 from .orlicz import exp_norm, llogl_avg_equiv, luxemburg_avg
 from .spectral import (
     AliasFlags,
+    default_band,
     lp_square_function,
     project_sharp,
     project_smooth,
@@ -59,6 +61,9 @@ __all__ = ["main"]
 # 7 us a term measured on a 2-vCPU x86 host (tau 5 on the window 64 at scale
 # 2^-6 is 274,176 terms and took 1.8 s)
 MAX_LACUNARY_TERMS = 1_000_000
+# largest interval system ``lacunary --intervals`` and ``sqfn`` build, about 6 s
+# at 21 us an interval (tau 5, window 64, scale 2^-16: 274,176 in 5.7 s)
+MAX_LACUNARY_INTERVALS = 300_000
 
 
 def _emit(payload, out: Optional[str]) -> None:
@@ -85,7 +90,7 @@ _CONFIG_FLAGS = (
     ("--n-min", "n_min", int, "smallest family parameter"),
     ("--n-max", "n_max", int, "largest family parameter"),
     ("--khintchine", "khintchine", int, "random-sign draws (0 disables)"),
-    ("--threads", "threads", int, "worker threads (0 = LACUNA_THREADS)"),
+    ("--threads", "threads", int, "accepted and ignored: experiments run serially"),
 )
 
 
@@ -118,6 +123,13 @@ def _finish_experiment(report, args: argparse.Namespace) -> int:
 # -- file utilities ---------------------------------------------------------
 
 
+def _require_interval_budget(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> None:
+    count = lambda_tau_count(tau, min_scale, max_abs)
+    if count > MAX_LACUNARY_INTERVALS:
+        raise ValueError(f"tau {tau} would build {count} intervals, "
+                         f"above the budget of {MAX_LACUNARY_INTERVALS}")
+
+
 def _cmd_lacunary(args: argparse.Namespace) -> int:
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
     max_abs = DyadicScalar.from_float(args.max_abs)
@@ -127,6 +139,7 @@ def _cmd_lacunary(args: argparse.Namespace) -> int:
         "max_abs": args.max_abs,
     }
     if args.intervals:
+        _require_interval_budget(args.tau, min_scale, max_abs)
         fam = lambda_tau(args.tau, min_scale, max_abs)
         payload["count"] = len(fam)
         payload["intervals"] = [interval_to_line(piece) for piece in fam]
@@ -171,9 +184,10 @@ def _cmd_project(args: argparse.Namespace) -> int:
 def _cmd_sqfn(args: argparse.Namespace) -> int:
     sig = read_signal(args.input)
     flags = AliasFlags()
-    max_abs = DyadicScalar.from_float(args.max_abs) if args.max_abs else None
-    out = lp_square_function(sig, args.tau, DyadicScalar.pow2(args.min_scale_log2),
-                             args.mode, max_abs, flags=flags)
+    min_scale = DyadicScalar.pow2(args.min_scale_log2)
+    max_abs = DyadicScalar.from_float(args.max_abs) if args.max_abs else default_band(sig)
+    _require_interval_budget(args.tau, min_scale, max_abs)
+    out = lp_square_function(sig, args.tau, min_scale, args.mode, max_abs, flags=flags)
     if args.output:
         write_signal(args.output, out)
     vals = np.abs(out.samples)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
@@ -101,8 +100,8 @@ MAX_SIGMA = 8  # largest Orlicz exponent parameter an experiment or CLI takes
 class ExperimentConfig:
     """Shared knobs for all experiments; unused fields are ignored.
 
-    ``threads = 0`` defers to the ``LACUNA_THREADS`` environment variable
-    (falling back to 1), so batch scripts can widen without editing configs.
+    ``threads`` is accepted and ignored (every experiment runs serially);
+    it stays so that old configs parse and report ``config`` blocks keep it.
     """
 
     log2_n: int = 12
@@ -148,14 +147,6 @@ class ExperimentConfig:
     @property
     def log2_period(self) -> int:
         return DyadicScalar.from_float(self.period).log2()
-
-    def resolved_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        try:
-            return max(1, int(os.environ.get("LACUNA_THREADS", "1")))
-        except ValueError:
-            return 1
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -421,10 +412,6 @@ def _combined(bank: BandBank, sig: Signal, flags: Optional[AliasFlags]) -> np.nd
     return np.abs(bank.combine(sig, flags=flags))
 
 
-def _square(bank: BandBank, sig: Signal, flags: Optional[AliasFlags]) -> np.ndarray:
-    return bank.square(sig, flags=flags)
-
-
 def build_operator(kind: str, cfg: ExperimentConfig,
                    rng: Optional[np.random.Generator] = None) -> OperatorSpec:
     rng = rng or np.random.default_rng(cfg.seed + 1)
@@ -445,12 +432,12 @@ def build_operator(kind: str, cfg: ExperimentConfig,
     if kind == "lp":
         family = lambda_tau(cfg.tau, min_scale, sharp_cap)
         return _banked("lp", f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2,
-                       _family_bank(family, sharp_window, "lp"), _square)
+                       _family_bank(family, sharp_window, "lp"), BandBank.square)
 
     if kind == "smooth-sqfn":
         family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
         return _banked("smooth-sqfn", f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2,
-                       _family_bank(family, eta_window, "smooth-sqfn"), _square)
+                       _family_bank(family, eta_window, "smooth-sqfn"), BandBank.square)
 
     if kind == "hormander":
         family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
@@ -480,11 +467,12 @@ def weak_type_ratio(out_mags, in_vals, dx: float, exponent: float,
     subsampling.  Covering the top decades matters: the interesting regime
     for the weakened exponents sits at large thresholds.
     """
-    mags = np.abs(np.asarray(out_mags)).ravel().astype(float)
+    # one sorted copy serves the level grid and every level count
+    mags = np.sort(np.abs(np.asarray(out_mags)).ravel().astype(float))
     peak = float(mags.max(initial=0.0))
     if peak <= 0.0:
         return {"max_ratio": 0.0, "alpha": 0.0, "levels": 0}
-    distinct = np.unique(mags[mags > 1e-13 * peak])
+    distinct = np.unique(mags[np.searchsorted(mags, 1e-13 * peak, "right"):])
     lo, hi = float(distinct[0]), float(distinct[-1])
     if hi <= lo * (1.0 + 1e-12):
         alphas = np.array([hi])
@@ -493,10 +481,13 @@ def weak_type_ratio(out_mags, in_vals, dx: float, exponent: float,
         idx = np.unique(np.clip(np.searchsorted(distinct, grid), 0, distinct.size - 1))
         alphas = distinct[idx]
     young = YoungFunction(exponent)
+    # B(0) = 0: zero inputs add nothing to the Orlicz mass
     absin = np.abs(np.asarray(in_vals).ravel())
+    absin = absin[absin != 0.0]
+    counts = mags.size - np.searchsorted(mags, alphas * (1.0 - 1e-12), "left")
     best_ratio, best_alpha = 0.0, float(alphas[-1])
-    for a in alphas:
-        lhs = dx * np.count_nonzero(mags >= a * (1.0 - 1e-12))
+    for a, count in zip(alphas, counts):
+        lhs = dx * count
         rhs = dx * float(np.sum(young(absin / a)))
         if rhs <= 0.0:
             continue
@@ -837,13 +828,12 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
     if cfg.n_max > feasible:
         notes.append(f"parameters above {feasible} skipped (band overflow)")
     params = [n for n in range(cfg.n_min, cfg.n_max + 1) if n <= feasible]
-    threads = cfg.resolved_threads()
     rows = []
     for n_param in params:
         fam = build_sharpness_family(n_param, cfg.log2_n, cfg.period)
         g = fam.g_n
         mask = np.abs(g.x) <= 0.5
-        agg = fam.square_aggregate(g, threads=threads)
+        agg = fam.square_aggregate(g)
         weak_det = weak_l1_norm(np.abs(agg.samples[mask]), g.dx)
         row = {
             "n": n_param,

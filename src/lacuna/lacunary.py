@@ -122,6 +122,14 @@ def whitney(interval: LacInterval, min_scale: DyadicScalar) -> WhitneyResult:
     return WhitneyResult(tuple(pieces), False)
 
 
+def _check_system(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> None:
+    if tau < 1:
+        raise ValueError("tau must be >= 1; order 0 is the LAMBDA_0 sentinel")
+    _require_pow2(min_scale, "min_scale")
+    if max_abs <= ZERO:
+        raise ValueError("max_abs must be positive")
+
+
 def lambda_tau(
     tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar
 ) -> list[LacInterval]:
@@ -131,12 +139,7 @@ def lambda_tau(
     ``tau = 0`` is rejected: the order-0 objects are the half-line sentinels
     ``LAMBDA_0``, not bounded intervals.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1; order 0 is the LAMBDA_0 sentinel")
-    _require_pow2(min_scale, "min_scale")
-    if max_abs <= ZERO:
-        raise ValueError("max_abs must be positive")
-
+    _check_system(tau, min_scale, max_abs)
     if tau == 1:
         out = []
         k = min_scale.log2()
@@ -154,6 +157,21 @@ def lambda_tau(
         out.extend(whitney(parent, min_scale).intervals)
     out.sort(key=lambda piece: piece.left.as_fraction())
     return out
+
+
+def lambda_tau_count(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> int:
+    """``len(lambda_tau(tau, min_scale, max_abs))`` by the same recursion on
+    interval scales, building no interval: order 1 holds two blocks at each
+    scale it keeps, and a parent at scale ``2^s`` two Whitney pieces at each
+    scale from its order's ``min_scale`` up to ``2^(s-2)``."""
+    _check_system(tau, min_scale, max_abs)
+    s_min = min_scale.log2()
+    # log2 length -> count; order k keeps the lengths from 2^(s_min + 2 (tau - k))
+    counts = dict.fromkeys(range(s_min + 2 * tau - 2, _floor_log2(max_abs)), 2)
+    for low in range(s_min + 2 * tau - 4, s_min - 1, -2):
+        counts = {piece: 2 * sum(c for s, c in counts.items() if s >= piece + 2)
+                  for piece in range(low, max(counts, default=low) - 1)}
+    return sum(counts.values())
 
 
 def normalize_to_origin(interval: LacInterval) -> LacInterval:

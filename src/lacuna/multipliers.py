@@ -209,9 +209,9 @@ class SharpnessFamily:
         symbol = component_symbol_func(k, l)(freqs(sig))
         return synthesize(spectrum(sig) * symbol, sig.period, sig.offset)
 
-    def square_aggregate(self, sig: Signal, threads: int = 1) -> Signal:
-        """Pointwise l2 norm over the family, deterministic accumulation."""
-        return sig.with_samples(self.bank(sig).square(sig, threads))
+    def square_aggregate(self, sig: Signal) -> Signal:
+        """Pointwise l2 norm over the family (see :meth:`BandBank.square`)."""
+        return sig.with_samples(self.bank(sig).square(sig))
 
     def random_sign_apply(self, sig: Signal, signs: Sequence[float]) -> Signal:
         """Single application of sum_i eps_i T_i (one inverse transform)."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -278,13 +277,6 @@ class BandBank:
         """Samples of ``sum_i w_i T_i f``: one transform pair in all."""
         return np.fft.ifft(np.fft.fft(sig.samples) * self.symbol(weights, flags))
 
-    @staticmethod
-    def _piece(coeffs: np.ndarray, row: tuple) -> np.ndarray:
-        idx, vals = row
-        masked = np.zeros_like(coeffs)
-        masked[idx] = coeffs[idx] * vals
-        return np.fft.ifft(masked)
-
     def magnitudes(
         self, sig: Signal, columns=slice(None), flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
@@ -293,36 +285,50 @@ class BandBank:
         self._replay(flags)
         coeffs = np.fft.fft(sig.samples)
         out = np.zeros((len(self.rows), sig.samples[columns].size))
-        for out_row, row in zip(out, self.rows):
-            if row[0].size:
-                out_row[:] = np.abs(self._piece(coeffs, row)[columns])
+        for out_row, (idx, vals) in zip(out, self.rows):
+            if idx.size:
+                masked = np.zeros_like(coeffs)
+                masked[idx] = coeffs[idx] * vals
+                out_row[:] = np.abs(np.fft.ifft(masked)[columns])
         return out
 
-    def square(
-        self, sig: Signal, threads: int = 1, flags: Optional[AliasFlags] = None
-    ) -> np.ndarray:
-        """Pointwise l2 norm ``(sum_i |T_i f|^2)^(1/2)``, one inverse transform
-        per band.  Threads transform a chunk of bands at a time and the sums
-        are added in band order, so any thread count gives the same bits."""
+    def square(self, sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
+        """Pointwise l2 norm ``(sum_i |T_i f|^2)^(1/2)`` by one spectral sum.
+
+        Band ``i`` holds coefficients ``b_0 .. b_(w-1)`` on one run of lattice
+        points mod ``n`` (dropped zero weights read as zeros), so
+        ``|T_i f(x_k)|^2 = n^-2 sum_(|d|<w) A_i(d) exp(2 pi i d k / n)`` with
+        the autocorrelation ``A_i(d) = sum_j b_(j+d) conj(b_j)``; the run's
+        start cancels in the modulus, and ``A_i(-d) = conj(A_i(d))``.  The
+        transforms of ``|fft(b)|^2`` at length ``L = min(2^ceil(log2 2w), n)``
+        give the lags ``0 <= d < w`` without wrap-around, or their sums mod
+        ``n`` when ``L = n``.  All lags go into one half spectrum at ``d mod
+        n`` and one real inverse transform gives the sum of squares.  The
+        result is within about ``1e-13`` of its peak of the band-by-band sum,
+        and exactly zero for a zero input or a bank without lattice points.
+        """
         self._replay(flags)
         coeffs = np.fft.fft(sig.samples)
-
-        def power(row):
-            piece = self._piece(coeffs, row)
-            return piece.real**2 + piece.imag**2
-
-        # a band without lattice points adds exactly zero
-        rows = [row for row in self.rows if row[0].size]
-        acc = np.zeros(self.n)
-        if threads <= 1:
-            for row in rows:
-                acc += power(row)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for start in range(0, len(rows), threads):
-                    for result in pool.map(power, rows[start : start + threads]):
-                        acc += result
-        return np.sqrt(acc)
+        n = self.n
+        total = np.zeros(n // 2 + 1, dtype=np.complex128)
+        for idx, vals in self.rows:
+            if not idx.size:
+                continue
+            offs = (idx - idx[0]) % n
+            if np.any(np.diff(offs) <= 0):
+                raise ValueError("a band row must be one run of lattice points mod n")
+            w = int(offs[-1]) + 1
+            size = min(1 << (2 * w - 1).bit_length(), n)
+            run = np.zeros(size, dtype=np.complex128)
+            run[offs] = coeffs[idx] * vals
+            spec = np.fft.fft(run)
+            # the lags d >= 0; A(-d) = conj(A(d)) gives the others
+            lags = np.fft.ihfft(spec.real**2 + spec.imag**2)
+            head = min(w, size // 2 + 1)
+            total[:head] += lags[:head]
+        # roundoff can leave a sum of squares slightly below zero
+        power = np.fft.irfft(total, n) / n
+        return np.sqrt(np.maximum(power, 0.0))
 
     def energies(self, sig: Signal) -> np.ndarray:
         """``||T_i f||_2^2`` per band by Parseval, with no inverse transform."""

@@ -7,8 +7,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lacuna import cli
+from lacuna import cli, spectral
 from lacuna.cli import main
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lambda_tau
@@ -77,6 +79,18 @@ class TestLacunary:
         assert str(cli.MAX_LACUNARY_TERMS) in captured.err
 
 
+    def test_interval_system_over_budget_is_a_usage_error(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the interval system was built")
+
+        monkeypatch.setattr(cli, "lambda_tau", refuse)
+        code = main(["lacunary", "--intervals", "--tau", "6", "--min-scale-log2", "-16"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "would build 792064 intervals" in captured.err
+        assert str(cli.MAX_LACUNARY_INTERVALS) in captured.err
+
+
 class TestProject:
     def test_sharp_round_trip(self, stored_signal, tmp_path, capsys):
         out_bin = tmp_path / "g.bin"
@@ -119,6 +133,24 @@ class TestSqfn:
                                       "--mode", "smooth", "--max-abs", "16",
                                       "--min-scale-log2", "-3"])
         assert code == 0 and got["mode"] == "smooth"
+
+
+    @pytest.mark.parametrize("period, max_abs", [(2.0**-1000, []), (16.0, ["--max-abs", "1e300"])],
+                             ids=["tiny-period", "huge-max-abs"])
+    def test_interval_system_over_budget_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          period, max_abs):
+        # a file's period of 2^-1000 puts the default band edge at 2^1005:
+        # the order-2 family would hold 2,038,180 intervals
+        def refuse(*args):
+            raise AssertionError("the interval system was built")
+
+        monkeypatch.setattr(spectral, "lambda_tau", refuse)
+        path = tmp_path / "tiny.bin"
+        write_signal(path, Signal(np.ones(64), period, -period / 2))
+        code = main(["sqfn", "--input", str(path)] + max_abs)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "intervals, above the budget" in captured.err
 
 
 class TestOrlicz:
@@ -236,6 +268,31 @@ class TestCzd:
         code = main(["czd", "--input", str(path), "--sigma", "1", "--alpha", "0.5"])
         assert code == 2
         assert "lacuna:" in capsys.readouterr().err
+
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_corrupted_file_exits_2(self, stored_signal, tmp_path, capsys, data):
+        # cut or extend the file, or overwrite part of its header with
+        # random bytes; whatever read_signal rejects exits 2 through main
+        raw = stored_signal.read_bytes()
+        start = data.draw(st.integers(0, 15))
+        patch = data.draw(st.binary(min_size=1, max_size=16 - start))
+        raw = raw[:start] + patch + raw[start + len(patch):]
+        raw = data.draw(st.sampled_from([
+            raw, raw[: data.draw(st.integers(0, len(raw) - 1))],
+            raw + data.draw(st.binary(min_size=1, max_size=24))]))
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(raw)
+        try:
+            read_signal(path)
+            want = 0
+        except ValueError:
+            want = 2
+        code = main(["orlicz", "--input", str(path), "--sigma", "1"])
+        assert code == want
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestExperimentCommands:

@@ -13,10 +13,44 @@ from hypothesis import strategies as st
 from lacuna import harness as hn
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lac_tau, lambda_tau
-from lacuna.multipliers import apply_multiplier
+from lacuna.multipliers import apply_multiplier, build_sharpness_family
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import AliasFlags, BandBank, Signal, spectrum
 from test_orlicz import bisection_luxemburg
+from test_spectral import square_reference
+
+
+def weak_type_ratio_reference(out_mags, in_vals, dx, exponent, n_levels=24):
+    """The per-threshold loop: one count over the outputs and one Orlicz sum
+    over every input sample at each level."""
+    mags = np.abs(np.asarray(out_mags)).ravel().astype(float)
+    peak = float(mags.max(initial=0.0))
+    if peak <= 0.0:
+        return {"max_ratio": 0.0, "alpha": 0.0, "levels": 0}
+    distinct = np.unique(mags[mags > 1e-13 * peak])
+    lo, hi = float(distinct[0]), float(distinct[-1])
+    if hi <= lo * (1.0 + 1e-12):
+        alphas = np.array([hi])
+    else:
+        grid = np.geomspace(lo, hi, n_levels)
+        idx = np.unique(np.clip(np.searchsorted(distinct, grid), 0, distinct.size - 1))
+        alphas = distinct[idx]
+    young = YoungFunction(exponent)
+    absin = np.abs(np.asarray(in_vals).ravel())
+    best_ratio, best_alpha = 0.0, float(alphas[-1])
+    for a in alphas:
+        lhs = dx * np.count_nonzero(mags >= a * (1.0 - 1e-12))
+        rhs = dx * float(np.sum(young(absin / a)))
+        if rhs > 0.0 and lhs / rhs > best_ratio:
+            best_ratio, best_alpha = lhs / rhs, float(a)
+    return {"max_ratio": float(best_ratio), "alpha": best_alpha, "levels": int(alphas.size)}
+
+
+def assert_weak_type_ratio_matches_reference(out, in_vals, dx, exponent, n_levels):
+    got = hn.weak_type_ratio(out, in_vals, dx, exponent, n_levels)
+    want = weak_type_ratio_reference(out, in_vals, dx, exponent, n_levels)
+    assert got["levels"] == want["levels"] and got["alpha"] == want["alpha"]
+    assert abs(got["max_ratio"] - want["max_ratio"]) <= 1e-12 * want["max_ratio"]
 
 
 def tiny_config(**overrides):
@@ -81,12 +115,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             hn.make_config(bad)
 
-    def test_threads_resolution(self, monkeypatch):
+    def test_threads_is_accepted_and_ignored(self, monkeypatch):
+        # the field only echoes into the report's config block
         monkeypatch.setenv("LACUNA_THREADS", "5")
-        assert hn.make_config({"threads": 0}).resolved_threads() == 5
-        assert hn.make_config({"threads": 2}).resolved_threads() == 2
-        monkeypatch.setenv("LACUNA_THREADS", "junk")
-        assert hn.make_config({"threads": 0}).resolved_threads() == 1
+        base = {"log2_n": 12, "n_min": 2, "n_max": 3, "khintchine": 2}
+        serial = hn.sharpness_growth(hn.make_config(base))
+        wide = hn.sharpness_growth(hn.make_config(dict(base, threads=4)))
+        assert serial["config"]["threads"] == 0 and wide["config"]["threads"] == 4
+        wide["config"]["threads"] = 0
+        assert hn.report_to_json(wide) == hn.report_to_json(serial)
 
     @given(st.integers(4, 22), st.booleans())
     @settings(max_examples=25, deadline=None)
@@ -233,6 +270,29 @@ class TestOperators:
             DyadicScalar.pow2(cfg.log2_n - 2 - cfg.log2_period))
         assert np.allclose(op.apply(sig, None), np.abs(direct.samples), atol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["lp", "smooth-sqfn"])
+    def test_square_operators_match_band_by_band_sum(self, kind, monkeypatch):
+        # the verify banks at tau 3 (the eta rows drop their zero weights) on
+        # the ensemble and its 4x refinement
+        square = BandBank.square
+        seen = []
+
+        def checked(bank, sig, flags=None):
+            got = square(bank, sig, flags)
+            want = square_reference(bank, sig)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+            seen.append((got, sig))
+            return got
+
+        monkeypatch.setattr(BandBank, "square", checked)
+        cfg = hn.make_config({"log2_n": 11, "tau": 3, "ensemble": 3, "seed": 5})
+        run = hn.verify_endpoint if kind == "lp" else hn.verify_hormander
+        rep = run(cfg, kind)
+        assert rep.ok and len(seen) == 2 * cfg.ensemble
+        for out, sig in seen:
+            assert_weak_type_ratio_matches_reference(out, sig.samples, sig.dx,
+                                                     rep.exponent, cfg.n_levels)
+
     def test_alias_flags_propagate(self):
         # ask for sharp blocks beyond the representable band of a tiny grid
         cfg = tiny_config(log2_n=14)
@@ -298,6 +358,18 @@ class TestWeakTypeRatio:
         lhs = 1.0
         rhs = float(np.sum(YoungFunction(0.5)(out / 50.0)))
         assert got["max_ratio"] >= lhs / rhs - 1e-12
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_matches_per_threshold_loop_on_growth_rows(self, order):
+        fam = build_sharpness_family(order, 14)
+        g = fam.g_n
+        agg = fam.square_aggregate(g).samples
+        inside = np.abs(g.x) < 1.0
+        # the aggregate, then outputs that vanish off [-1, 1] exactly and to
+        # about the 1e-13 * peak cutoff of the level grid
+        for out in (agg, agg * inside, agg * np.where(inside, 1.0, 1.2e-13)):
+            for exponent in (1.0, 0.5):
+                assert_weak_type_ratio_matches_reference(out, g.samples, g.dx, exponent, 40)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)

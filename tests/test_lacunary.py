@@ -26,6 +26,7 @@ from lacuna.lacunary import (
     interval_to_line,
     lac_tau,
     lambda_tau,
+    lambda_tau_count,
     normalize_to_origin,
     whitney,
 )
@@ -233,6 +234,17 @@ def test_lambda_1_window():
 def test_lambda_tau_rejects_order_zero():
     with pytest.raises(ValueError):
         lambda_tau(0, ONE, D(F(8)))
+    with pytest.raises(ValueError):
+        lambda_tau_count(0, ONE, D(F(8)))
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 4])
+def test_lambda_tau_count_matches_the_built_system(tau):
+    # windows on and between powers of two, scales above and below them
+    for min_log2 in (-2 * tau, -1, 0, 2):
+        for max_abs in (F(1, 4), F(1), F(3), F(64), F(100)):
+            fam = lambda_tau(tau, DyadicScalar.pow2(min_log2), D(max_abs))
+            assert lambda_tau_count(tau, DyadicScalar.pow2(min_log2), D(max_abs)) == len(fam)
 
 
 def test_lambda_2_parent_8_16():

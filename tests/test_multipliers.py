@@ -10,6 +10,7 @@ from lacuna.dyadic import DyadicScalar as D
 from lacuna.lacunary import LacInterval, lambda_tau
 from lacuna import multipliers as mult
 from lacuna import spectral as sp
+from test_spectral import square_reference
 
 
 def block_at(family, left):
@@ -208,11 +209,13 @@ class TestSharpnessFamily:
             acc += np.abs(piece) ** 2
         assert np.max(np.abs(agg.samples.real - np.sqrt(acc))) < 1e-10
 
-    def test_threaded_aggregate_matches_serial(self):
-        fam = mult.build_sharpness_family(5, 12)
-        serial = fam.square_aggregate(fam.g_n, threads=1)
-        threaded = fam.square_aggregate(fam.g_n, threads=4)
-        assert np.array_equal(serial.samples, threaded.samples)
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_aggregate_matches_band_by_band_sum(self, order):
+        fam = mult.build_sharpness_family(order, 14)
+        for sig in (fam.g_n, fam.f_n):
+            want = square_reference(fam.bank(sig), sig)
+            got = fam.square_aggregate(sig).samples
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_random_sign_apply_matches_sum(self):
         fam = mult.build_sharpness_family(4, 12)

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lacuna.dyadic import DyadicScalar as D
@@ -369,6 +369,19 @@ def _reference_spectra(sig, kind, family):
     return np.array(rows)
 
 
+def square_reference(bank, sig):
+    """The band-by-band aggregate: one inverse transform per band, squared
+    and added in band order."""
+    coeffs = np.fft.fft(sig.samples)
+    acc = np.zeros(sig.n)
+    for idx, vals in bank.rows:
+        masked = np.zeros_like(coeffs)
+        masked[idx] = coeffs[idx] * vals
+        piece = np.fft.ifft(masked)
+        acc += piece.real**2 + piece.imag**2
+    return np.sqrt(acc)
+
+
 class TestBandBank:
     # scales down to 1/32 on the 1/8 lattice: some band edges fall on lattice
     # points, some between them, and some bands hold no lattice point at all
@@ -410,6 +423,46 @@ class TestBandBank:
         at = np.sqrt(np.sum(np.abs(phases @ spectra.T / sig.period) ** 2, axis=1))
         close(bank.square_at(sig, xs), at, np.max(at))
         close(at[:3], square[[3, 400, 1000]], np.max(at))
+
+    @pytest.mark.parametrize("offset", [0.0, -4.0])
+    def test_square_matches_band_by_band_sum_on_edge_bands(self, offset):
+        rng = np.random.default_rng(53)
+        n = 1 << 10
+        sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                        self.PERIOD, offset)
+        windows = [
+            (D.from_int(-1), D.from_int(1), 1.0),  # straddles index 0
+            (D.from_int(-48), D.from_int(40), 1.0),  # 704 > n/2 points: L = n
+            (D.from_int(-64), D.from_int(64), 1.0),  # the whole lattice
+            (D.from_int(56), D.from_int(72), 1.0),  # clipped at the top edge
+            (D.from_int(-64), D.from_int(-60), 1.0),  # starts at -n/2
+            (D.pow2(-6), D.pow2(-5), 1.0),  # no lattice point: an empty row
+            # zero weights inside the run are dropped from the row
+            (D.from_int(5), D.from_int(15), lambda xi: np.abs(xi - 10.0) > 1.0),
+            (D.from_int(2), D.from_int(9), lambda xi: np.exp(1j * xi) * xi),
+        ] + [sp.eta_window(L) for L in self.FAMILY]
+        bank = sp.BandBank.build(sig, windows)
+        assert bank.rows[5][0].size == 0
+        assert bank.rows[6][0].size < 80
+        want = square_reference(bank, sig)
+        assert np.max(np.abs(bank.square(sig) - want)) <= 1e-12 * np.max(want)
+
+    def test_square_is_exactly_zero_without_signal_or_lattice_points(self):
+        windows = [sp.sharp_window(L) for L in self.FAMILY]
+        zero = sp.Signal(np.zeros(1 << 10), self.PERIOD)
+        assert np.array_equal(sp.BandBank.build(zero, windows).square(zero), np.zeros(1 << 10))
+        rng = np.random.default_rng(54)
+        sig = sp.Signal(rng.standard_normal(1 << 10), self.PERIOD)
+        empty = sp.BandBank.build(sig, [(D.pow2(-6), D.pow2(-5), 1.0)] * 3)
+        assert np.array_equal(empty.square(sig), np.zeros(1 << 10))
+        assert np.array_equal(sp.BandBank(sig.n, sig.period, []).square(sig), np.zeros(1 << 10))
+
+    @pytest.mark.parametrize("idx", [[4, 6, 5], [1, 2, 2], [0, 5, 3]])
+    def test_square_rejects_a_row_that_is_not_one_run(self, idx):
+        sig = sp.Signal(np.ones(16), 2.0)
+        row = (np.array(idx), np.ones(len(idx)))
+        with pytest.raises(ValueError, match="one run"):
+            sp.BandBank(16, 2.0, [row]).square(sig)
 
     def test_rows_hold_exact_bands_with_nonzero_weights(self):
         on_lattice = [(L.left.as_fraction() * 8).denominator == 1
@@ -514,6 +567,35 @@ class TestWeakNormAndIO:
         path.write_bytes(self.header(2, period) + b"\x00" * 64)
         with pytest.raises(ValueError, match="period"):
             sp.read_signal(path)
+
+    @given(magic=st.just(sp.MAGIC) | st.binary(min_size=4, max_size=4),
+           j=st.integers(0, 6) | st.integers(0, 2**32 - 1),
+           period=st.floats() | st.just(2.0),
+           sample=st.binary(min_size=8, max_size=8) | st.just(bytes(8)),
+           extra=st.integers(-64, 24), keep=st.none() | st.integers(0, 15))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_read_accepts_exactly_the_well_formed_files(self, tmp_path, magic, j, period,
+                                                        sample, extra, keep):
+        # random header fields, a payload of one repeated sample cut short
+        # or run long by ``extra`` bytes, or the file cut inside its header
+        size = 16 << min(j, 6)
+        data = magic + struct.pack("<I", j) + struct.pack("<d", period)
+        data += (sample * (size // 8 + 3))[: max(0, size + extra)]
+        if keep is not None:
+            data = data[:keep]
+        path = tmp_path / "fuzz.lac"
+        path.write_bytes(data)
+        value = struct.unpack("<d", sample)[0]
+        well_formed = (keep is None and magic == sp.MAGIC and j <= 6 and extra == 0
+                       and 0 < period < math.inf and math.isfinite(value))
+        if not well_formed:
+            with pytest.raises(ValueError):
+                sp.read_signal(path)
+            return
+        sig = sp.read_signal(path)
+        assert sig.n == 1 << j and sig.period == period and sig.offset == -period / 2
+        assert np.all(sig.samples.view(np.float64) == value)
 
     def test_read_rejects_non_finite_sample(self, tmp_path):
         path, data = self.stored(tmp_path)
