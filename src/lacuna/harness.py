@@ -94,6 +94,13 @@ __all__ = [
 
 
 MAX_SIGMA = 8  # largest Orlicz exponent parameter an experiment or CLI takes
+# periods and the smallest lacunary scale stay within 2^64 of 1
+MAX_SCALE_LOG2 = 64
+# threshold levels of a weak-type ratio, and ensemble members of an experiment
+MAX_N_LEVELS = 10_000
+MAX_ENSEMBLE = 10_000
+# samples ``cww`` draws at once (ensemble x 2^log2_n, 128 MB of float64)
+MAX_CWW_SAMPLES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -123,18 +130,18 @@ class ExperimentConfig:
         if not 4 <= self.log2_n <= MAX_LOG2_N:
             raise ValueError(f"log2_n must lie in [4, {MAX_LOG2_N}]")
         per = DyadicScalar.from_float(self.period)
-        if not (per.is_power_of_two() and self.period >= 2.0):
-            raise ValueError("period must be a power of two, at least 2")
+        if not (per.is_power_of_two() and 2.0 <= self.period <= 2.0**MAX_SCALE_LOG2):
+            raise ValueError(f"period must be a power of two in [2, 2^{MAX_SCALE_LOG2}]")
         if not 1 <= self.tau <= 6:
             raise ValueError("tau must lie in [1, 6]")
         if not 0 <= self.sigma <= MAX_SIGMA:
             raise ValueError(f"sigma must lie in [0, {MAX_SIGMA}]")
-        if self.n_levels < 2:
-            raise ValueError("need at least two threshold levels")
-        if self.ensemble < 1:
-            raise ValueError("ensemble must be positive")
-        if self.min_scale_log2 > 0:
-            raise ValueError("min_scale_log2 must be nonpositive")
+        if not 2 <= self.n_levels <= MAX_N_LEVELS:
+            raise ValueError(f"n_levels must lie in [2, {MAX_N_LEVELS}]")
+        if not 1 <= self.ensemble <= MAX_ENSEMBLE:
+            raise ValueError(f"ensemble must lie in [1, {MAX_ENSEMBLE}]")
+        if not -MAX_SCALE_LOG2 <= self.min_scale_log2 <= 0:
+            raise ValueError(f"min_scale_log2 must lie in [-{MAX_SCALE_LOG2}, 0]")
         if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
             raise ValueError("gamma must be finite and at least 1")
         if not 2 <= self.n_min <= self.n_max:
@@ -272,6 +279,10 @@ def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
     cap = DyadicScalar.pow2(cfg.log2_n - 4 - cfg.log2_period)
     pts = lac_tau(cfg.tau, DyadicScalar.pow2(cfg.min_scale_log2), cap)
     positive = np.array([float(p) for p in pts.points if float(p) > 0.0])
+    if positive.size == 0:
+        raise ValueError(f"no lacunary frequency lies between 2^{cfg.min_scale_log2} and "
+                         f"the band cap 2^{cfg.log2_n - 4}/period at period {cfg.period:g}; "
+                         "lower the period or min_scale_log2")
     size = min(int(rng.integers(8, 65)), positive.size)
     lams = rng.choice(positive, size=size, replace=False)
     eps = rng.choice([-1.0, 1.0], size=size)
@@ -898,6 +909,9 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
 
 def cww_experiment(cfg: ExperimentConfig) -> dict:
     """Tail bounds and exponential-norm comparisons for sign martingales."""
+    if cfg.ensemble << cfg.log2_n > MAX_CWW_SAMPLES:
+        raise ValueError(f"cww draws ensemble x 2^log2_n samples at once: ensemble "
+                         f"{cfg.ensemble} at log2_n {cfg.log2_n} is over {MAX_CWW_SAMPLES:,}")
     rng = np.random.default_rng(cfg.seed)
     j = cfg.log2_n
     lam_grid = (0.5, 1.0, 2.0, 3.0)

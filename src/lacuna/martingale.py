@@ -18,13 +18,19 @@ Pieces:
   ``(sum_k |f_k|^2)^{1/2}``.  The objective is convex but nonsmooth, so the
   solver minimizes a smoothed surrogate by projected gradient descent with
   implicit differentiation of the Luxemburg norm, and reports the true
-  (unsmoothed) objective plus an exactness certificate.
+  (unsmoothed) objective plus an exactness certificate.  Its state is
+  ``f_k`` itself; the candidate, the unprojected gradient and the squares
+  are written into buffers allocated once per solve.  The projection onto
+  the feasible subspace takes one pass: a single ``np.add.reduceat`` sums
+  every half-block of every row, and one ``np.repeat`` spreads the shifts
+  back.  Nonzero input must have ``max|f|`` in ``[2^-400, 2^400]``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -167,6 +173,11 @@ def cww_check(f: DyadicFunction, sigma: float) -> dict:
 # -- the decomposition solver ---------------------------------------------
 
 
+# the nonzero max|f| the solver accepts: its squares, the smoothing eps^2 and
+# the Luxemburg solves stay inside the normal float range
+PEAK_LOG2 = 400
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 5000
@@ -191,28 +202,44 @@ class DecompositionResult:
     certificate: dict
 
 
+@lru_cache(maxsize=8)
+def _half_blocks(rows: int, n: int) -> tuple:
+    """Start and length of the blocks whose means ``project_to_constraint``
+    subtracts, in heap order over a flattened ``(rows, n)`` array: block
+    ``s >= 1`` lies on row ``k = floor(log2 s)``, the whole row at k = 0,
+    else its half-block ``s - 2^k``."""
+    block = np.arange(1, 1 << rows)
+    level = np.frexp(block)[1] - 1
+    length = n >> level
+    return level * n + (block - (1 << level)) * length, length
+
+
 def project_to_constraint(psi: np.ndarray) -> np.ndarray:
     """Zero out the level-k difference of row k (the feasible subspace).
 
     Row 0 loses its mean.  For k >= 1, each level-(k-1) cell of row k splits
     into halves with means ``m_a, m_b``; ``D_k`` is ``+-(m_a - m_b)/2`` on
-    them, so one block-mean pass per row gives everything to subtract.
+    them.  One ``np.add.reduceat`` sums every half-block of every row, and
+    one ``np.repeat`` spreads the shifts back over the entries to subtract.
     """
-    out = psi.copy()
-    out[0] -= out[0].mean()
-    n = psi.shape[-1]
-    for k in range(1, psi.shape[0]):
-        halves = out[k].reshape(1 << (k - 1), 2, n >> k)
-        means = halves.mean(axis=-1)
-        half_gap = 0.5 * (means[:, 0] - means[:, 1])
-        halves[:, 0] -= half_gap[:, None]
-        halves[:, 1] += half_gap[:, None]
-    return out
+    psi = np.asarray(psi, dtype=float)
+    starts, length = _half_blocks(*psi.shape)
+    shift = np.add.reduceat(psi.ravel(), starts) / length
+    half_gap = 0.5 * (shift[1::2] - shift[2::2])
+    shift[1::2] = half_gap
+    np.negative(half_gap, out=shift[2::2])
+    out = np.repeat(shift, length).reshape(psi.shape)
+    return np.subtract(psi, out, out=out)
 
 
-def _aggregate(diffs: np.ndarray, psi: np.ndarray, eps: float) -> np.ndarray:
-    rows = diffs + psi
-    return np.sqrt(np.sum(rows**2, axis=0) + eps**2)
+def _aggregate(rows: np.ndarray, eps: float, out: np.ndarray,
+               squares: np.ndarray) -> np.ndarray:
+    """``sqrt(sum_k rows_k^2 + eps^2)`` written into ``out``; ``squares``
+    (the shape of ``rows``) is scratch."""
+    np.square(rows, out=squares)
+    np.sum(squares, axis=0, out=out)
+    out += eps**2
+    return np.sqrt(out, out=out)
 
 
 def decompose_quotient_norm(
@@ -228,6 +255,12 @@ def decompose_quotient_norm(
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    peak = float(np.max(np.abs(f.samples)))
+    if peak != 0.0 and not 2.0**-PEAK_LOG2 <= peak <= 2.0**PEAK_LOG2:
+        raise ValueError(
+            f"max|f| = {peak:.3g} lies outside [2^-{PEAK_LOG2}, 2^{PEAK_LOG2}], where the "
+            "solver's squares neither underflow nor overflow; rescale the input"
+        )
     j = f.max_level
     n = f.n
     diffs = np.stack([_dk(f.samples, k) for k in range(j + 1)])
@@ -248,37 +281,41 @@ def decompose_quotient_norm(
 
     eps = config.epsilon_scale * l2
 
-    def smoothed(psi: np.ndarray, start: Optional[float] = None) -> tuple:
-        """The aggregate G at psi and its Luxemburg norm."""
-        g = _aggregate(diffs, psi, eps)
-        return g, luxemburg_avg(g, sigma / 2, start=start)
+    # the state is f_k = D_k f + psi_k; the candidate, the raw gradient, the
+    # squares and both aggregates live in buffers allocated once per solve
+    fk = diffs.copy()
+    cand = np.empty_like(fk)
+    raw = np.empty_like(fk)
+    squares = np.empty_like(fk)
+    agg = _aggregate(fk, eps, np.empty(n), squares)
+    cand_agg = np.empty(n)
 
-    def gradient(psi: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-        """Projected gradient at psi, given ``smoothed(psi)``."""
+    def gradient(g: np.ndarray, lam: float) -> np.ndarray:
+        """Projected gradient at the state, given its aggregate and norm."""
         u = g / lam
         bp = young.deriv(u)
         denom = float(np.sum(bp * u))
         weights = bp / denom  # d lambda / d G_x
-        grad = (diffs + psi) * (weights / g)
-        return project_to_constraint(grad)
+        np.multiply(fk, weights / g, out=raw)
+        return project_to_constraint(raw)
 
-    psi = np.zeros_like(diffs)
-    agg, current = smoothed(psi)
+    current = luxemburg_avg(agg, sigma / 2)
     trace = [current]
     step = config.init_step
     converged = False
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        grad = gradient(psi, agg, current)
-        gnorm2 = float(np.sum(grad**2))
+        grad = gradient(agg, current)
+        gnorm2 = float(np.sum(np.square(grad, out=squares)))
         if gnorm2 == 0.0:
             converged = True
             break
         accepted = False
         while step > 1e-18:
-            cand = psi - step * grad
-            cand_agg, value = smoothed(cand, start=current)
+            np.subtract(fk, np.multiply(grad, step, out=cand), out=cand)
+            _aggregate(cand, eps, cand_agg, squares)
+            value = luxemburg_avg(cand_agg, sigma / 2, start=current)
             if value <= current - config.armijo * step * gnorm2:
                 accepted = True
                 break
@@ -286,7 +323,9 @@ def decompose_quotient_norm(
         if not accepted:
             converged = True  # no descent direction at fp resolution
             break
-        psi, agg, current = cand, cand_agg, value
+        fk, cand = cand, fk
+        agg, cand_agg = cand_agg, agg
+        current = value
         trace.append(current)
         step *= config.grow
         if len(trace) > config.patience:
@@ -295,7 +334,7 @@ def decompose_quotient_norm(
                 converged = True
                 break
 
-    psi = project_to_constraint(psi)  # exact feasibility of the output
+    psi = project_to_constraint(fk - diffs)  # exact feasibility of the output
     f_k = diffs + psi
     true_objective = luxemburg_avg(np.sqrt(np.sum(f_k**2, axis=0)), sigma / 2)
     baseline = luxemburg_avg(np.sqrt(np.sum(diffs**2, axis=0)), sigma / 2)

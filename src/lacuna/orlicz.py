@@ -12,7 +12,8 @@ Conventions (sigma >= 0 throughout):
   iteration on ``s = log lam``, with tolerance 1e-10 on the constraint value.
   The bracket starts at ``[mean |f|, hi]`` (``hi`` grown by doubling) and
   shrinks with every evaluation; a Newton step that leaves it is replaced by
-  the bracket midpoint.  ``sigma = 0`` returns the mean exactly.
+  the bracket midpoint.  A warm start at or above the root skips the doubling
+  probe.  ``sigma = 0`` returns the mean exactly.
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
   (mean |f|^p)^{1/p}`` over integer p, the exp(L^{1/sigma}) norm up to
   absolute constants.  ``sigma = 0`` is rejected; that endpoint is the
@@ -70,8 +71,13 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     doubling until ``h(log hi) <= 0``; every evaluation shrinks it, and a
     step that leaves it goes to the bracket midpoint instead.  The iterate
     starts at ``start`` when that lies strictly inside the first bracket (a
-    warm start from a nearby solve), else at the midpoint.  Returns once
-    ``|mean B(u) - 1| <= CONSTRAINT_TOL``, after at most 200 steps.
+    warm start from a nearby solve), else at the midpoint.  A warm start
+    inside ``(lo, hi)`` before any doubling is evaluated first: when the
+    constraint there is at most 1 (up to the tolerance), ``start`` is already
+    the upper end of the bracket and the doubling probe at ``hi`` is skipped;
+    otherwise the probe runs as for a cold start and the value at ``start``
+    is reused.  Either way the iterates are those of probing first.  Returns
+    once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, after at most 200 steps.
     """
     B = YoungFunction(sigma)
     v = np.abs(np.asarray(values, dtype=float)).ravel()
@@ -92,14 +98,25 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
         hi = math.inf
     if not math.isfinite(hi):
         raise ValueError(f"the starting bracket overflows at sigma = {sigma}")
-    grow = 0
-    while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
-        hi *= 2.0
-        grow += 1
-    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-    for _ in range(200):
+
+    def at(lam: float) -> tuple:
         u = v / lam
-        val = float(np.mean(B(u)))
+        return u, float(np.mean(B(u)))
+
+    # a warm start at or above the root is the upper end of the bracket
+    inside = start is not None and lo < start < hi
+    if inside:
+        lam = start
+        u, val = at(lam)
+    if not inside or val - 1.0 > CONSTRAINT_TOL:
+        grow = 0
+        while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
+            hi *= 2.0
+            grow += 1
+        if not inside:
+            lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+            u, val = at(lam)
+    for _ in range(200):
         if abs(val - 1.0) <= CONSTRAINT_TOL:
             return lam
         if val > 1.0:
@@ -111,6 +128,7 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
         step = (val - 1.0) / float(np.mean(B.deriv(u) * u))
         nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        u, val = at(lam)
     return 0.5 * (lo + hi)
 
 

@@ -305,6 +305,36 @@ class TestExperimentCommands:
                                       "--sigma", "1"])
         assert code == 0 and got["ok"]
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_decompose_rejects_out_of_range_magnitudes(self, scale, tmp_path, capsys):
+        # 1e-300 used to exit 0 with a zero objective after no iterations
+        path = tmp_path / "scaled.bin"
+        write_signal(path, Signal(scale * np.linspace(-1.0, 1.0, 64) ** 3, 16.0, -8.0))
+        code = main(["decompose", "--input", str(path), "--sigma", "1"])
+        assert code == 2
+        assert "outside [2^-400, 2^400]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, argv", [
+        ("period = 8.98846567431158e307", ["verify", "endpoint"]),
+        ("period = 65536", ["verify", "endpoint"]),
+        ("min_scale_log2 = -1000000", ["verify", "endpoint"]),
+        ("n_levels = 1000000000", ["verify", "endpoint"]),
+        ("ensemble = 100000000", ["cww"]),
+    ])
+    def test_oversized_config_values_are_usage_errors(self, line, argv, tmp_path, capsys):
+        # each used to end in a traceback, a hang or a memory error
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(line + "\n")
+        code = main(argv + ["--log2-n", "6", "--config", str(cfg)])
+        assert code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    def test_cww_bounds_the_samples_it_draws_at_once(self, capsys):
+        # 10,000 members of 2^22 samples would be one 335 GB array
+        code = main(["cww", "--log2-n", "22", "--ensemble", "10000"])
+        assert code == 2
+        assert "ensemble" in capsys.readouterr().err
+
     def test_verify_endpoint(self, capsys):
         code, got = run_json(capsys, ["verify", "endpoint", "--operator", "step",
                                       "--log2-n", "9", "--ensemble", "2",

@@ -109,11 +109,22 @@ class TestConfig:
             {"gamma": math.inf},
             {"min_scale_log2": 1},
             {"khintchine": -1},
+            {"period": 2.0**65},
+            {"min_scale_log2": -65},
+            {"n_levels": 10_001},
+            {"ensemble": 0},
+            {"ensemble": 10_001},
         ],
     )
     def test_validation_rejects(self, bad):
         with pytest.raises(ValueError):
             hn.make_config(bad)
+
+    def test_size_bounds_are_inclusive(self):
+        cfg = hn.make_config({"period": 2.0**hn.MAX_SCALE_LOG2,
+                              "min_scale_log2": -hn.MAX_SCALE_LOG2,
+                              "n_levels": hn.MAX_N_LEVELS, "ensemble": hn.MAX_ENSEMBLE})
+        assert cfg.ensemble == hn.MAX_ENSEMBLE
 
     def test_threads_is_accepted_and_ignored(self, monkeypatch):
         # the field only echoes into the report's config block

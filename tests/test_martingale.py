@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import martingale as mg
-from lacuna.orlicz import luxemburg_avg
+from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import plateau_bump
 
 
@@ -249,9 +249,40 @@ class TestConstraintProjection:
         got = mg.project_to_constraint(psi)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(psi))
 
+    @pytest.mark.parametrize("j", [0, 12])
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_one_pass_projection_at_fixed_magnitudes(self, j, scale):
+        rng = np.random.default_rng(200 + j)
+        psi = rng.standard_normal((j + 1, 1 << j)) * scale
+        want = psi.copy()
+        for k in range(j + 1):
+            want[k] -= mg._dk(want[k], k)
+        got = mg.project_to_constraint(psi)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(psi))
+        assert np.max(np.abs(got - reference_project(psi))) <= 1e-15 * np.max(np.abs(psi))
+
+
+def gate08_inputs():
+    """The 16 gate 08 solves as (sigma, samples): three plateau bumps per
+    function drawn from seed 2026, four functions per sigma, each at 2^10
+    and 2^12."""
+    rng = np.random.default_rng(2026)
+    for sigma in (0.0, 1.0):
+        for _ in range(4):
+            terms = [(rng.uniform(0.15, 0.85), 2.0 ** rng.uniform(-4.0, -1.0),
+                      rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+                     for _ in range(3)]
+            for log2_n in (10, 12):
+                n = 1 << log2_n
+                x = (np.arange(n) + 0.5) / n
+                vals = np.zeros(n)
+                for c, w, a in terms:
+                    vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
+                yield sigma, vals
+
 
 def gate08_values(log2_n: int = 10) -> np.ndarray:
-    """The first gate 08 input: three plateau bumps drawn from seed 2026."""
+    """The first gate 08 input at 2^10, or its function sampled at 2^log2_n."""
     rng = np.random.default_rng(2026)
     n = 1 << log2_n
     x = (np.arange(n) + 0.5) / n
@@ -263,7 +294,113 @@ def gate08_values(log2_n: int = 10) -> np.ndarray:
     return vals
 
 
+def rough_values(log2_n: int = 8) -> np.ndarray:
+    """A Gaussian-modulated cosine plus a jump (the command-line fixture's
+    shape), which the solver runs to its iteration cap."""
+    n = 1 << log2_n
+    x = -8.0 + (16.0 / n) * np.arange(n)
+    return np.exp(-(x ** 2)) * np.cos(2 * np.pi * 3 * x) + 0.6 * (np.abs(x) < 0.25)
+
+
+def reference_project(psi):
+    """The projection before its one-pass form: a block mean per row."""
+    out = psi.copy()
+    out[0] -= out[0].mean()
+    n = psi.shape[-1]
+    for k in range(1, psi.shape[0]):
+        halves = out[k].reshape(1 << (k - 1), 2, n >> k)
+        means = halves.mean(axis=-1)
+        half_gap = 0.5 * (means[:, 0] - means[:, 1])
+        halves[:, 0] -= half_gap[:, None]
+        halves[:, 1] += half_gap[:, None]
+    return out
+
+
+def reference_solve(f, sigma, config=mg.SolverConfig()):
+    """The solver loop before its state buffers: psi is the state, every
+    candidate and gradient a fresh array, the projection a block mean per
+    row.  Returns (objective, iterations, constraint residual)."""
+    j = f.max_level
+    diffs = np.stack([mg._dk(f.samples, k) for k in range(j + 1)])
+    young = YoungFunction(sigma / 2)
+    eps = config.epsilon_scale * math.sqrt(float(np.mean(f.samples**2)))
+
+    def smoothed(psi, start=None):
+        g = np.sqrt(np.sum((diffs + psi) ** 2, axis=0) + eps**2)
+        return g, luxemburg_avg(g, sigma / 2, start=start)
+
+    def gradient(psi, g, lam):
+        u = g / lam
+        bp = young.deriv(u)
+        weights = bp / float(np.sum(bp * u))
+        return reference_project((diffs + psi) * (weights / g))
+
+    psi = np.zeros_like(diffs)
+    agg, current = smoothed(psi)
+    trace = [current]
+    step = config.init_step
+    iterations = 0
+    for iterations in range(1, config.max_iter + 1):
+        grad = gradient(psi, agg, current)
+        gnorm2 = float(np.sum(grad**2))
+        if gnorm2 == 0.0:
+            break
+        accepted = False
+        while step > 1e-18:
+            cand = psi - step * grad
+            cand_agg, value = smoothed(cand, start=current)
+            if value <= current - config.armijo * step * gnorm2:
+                accepted = True
+                break
+            step *= config.shrink
+        if not accepted:
+            break
+        psi, agg, current = cand, cand_agg, value
+        trace.append(current)
+        step *= config.grow
+        if len(trace) > config.patience:
+            past = trace[-config.patience - 1]
+            if past - current < config.rel_tol * max(past, 1e-300):
+                break
+    psi = reference_project(psi)
+    objective = luxemburg_avg(np.sqrt(np.sum((diffs + psi) ** 2, axis=0)), sigma / 2)
+    residual = max(float(np.max(np.abs(mg._dk(psi[k], k)))) for k in range(j + 1))
+    return objective, iterations, residual
+
+
 class TestDecompositionSolver:
+    @pytest.mark.parametrize("case", ["gate08", "rough"])
+    def test_matches_the_reference_loop(self, case):
+        # the rough input runs to a cap of 1000 iterations, not 5000, to keep
+        # the pair of solves under a second
+        config = mg.SolverConfig(max_iter=1000) if case == "rough" else mg.SolverConfig()
+        inputs = gate08_inputs() if case == "gate08" else [(1.0, rough_values())]
+        for sigma, vals in inputs:
+            f = mg.DyadicFunction(vals)
+            want, want_iters, want_residual = reference_solve(f, sigma, config)
+            out = mg.decompose_quotient_norm(f, sigma, config)
+            assert abs(out.objective - want) <= 1e-5 * want
+            assert abs(out.iterations - want_iters) <= 5
+            assert out.certificate["constraint_residual"] <= 1e-10
+            assert want_residual <= 1e-10
+        if case == "rough":
+            assert out.iterations == want_iters == config.max_iter
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_out_of_range_magnitudes_are_rejected(self, scale):
+        # the squares under- or overflow out there: 1e-300 used to report a
+        # zero objective after no iterations, 1e160 an unrelated finiteness error
+        f = mg.DyadicFunction(gate08_values(6) * scale)
+        with pytest.raises(ValueError, match=r"max\|f\| = .* outside \[2\^-400, 2\^400\]"):
+            mg.decompose_quotient_norm(f, 1.0)
+
+    @pytest.mark.parametrize("peak", [2.0**-400, 2.0**400])
+    def test_range_ends_are_accepted(self, peak):
+        vals = gate08_values(6)
+        vals *= peak / np.max(np.abs(vals))
+        out = mg.decompose_quotient_norm(mg.DyadicFunction(vals), 1.0)
+        assert math.isfinite(out.objective) and 0.0 < out.objective <= out.baseline
+
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_no_luxemburg_solve_is_repeated(self, monkeypatch, sigma):
         # the accepted line-search solve is handed on to the gradient, so
@@ -343,15 +480,16 @@ class TestDecompositionSolver:
         diffs = np.stack([mg._dk(f.samples, k) for k in range(j + 1)])
         eps = 1e-6 * math.sqrt(float(np.mean(f.samples**2)))
 
-        def smoothed(psi):
-            return luxemburg_avg(mg._aggregate(diffs, psi, eps), sigma / 2)
+        def aggregate(psi):
+            return np.sqrt(np.sum((diffs + psi) ** 2, axis=0) + eps**2)
 
-        from lacuna.orlicz import YoungFunction
+        def smoothed(psi):
+            return luxemburg_avg(aggregate(psi), sigma / 2)
 
         young = YoungFunction(sigma / 2)
 
         def analytic_grad(psi):
-            g = mg._aggregate(diffs, psi, eps)
+            g = aggregate(psi)
             lam = luxemburg_avg(g, sigma / 2)
             u = g / lam
             bp = young.deriv(u)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import martingale as mg
 from lacuna.czd import young_mass
 from lacuna.orlicz import (
     CONSTRAINT_TOL,
@@ -72,6 +73,52 @@ def bisection_luxemburg(values, sigma: float) -> float:
         if hi - lo <= 1e-15 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def probe_first_luxemburg(values, sigma: float, start=None) -> float:
+    """``luxemburg_avg`` before its warm-start shortcut: the doubling probe
+    at the upper end of the first bracket always runs before ``start`` is
+    evaluated, and ``start`` is evaluated again inside the loop."""
+    B = YoungFunction(sigma)
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    mean = float(v.mean())
+    if mean == 0.0:
+        return 0.0
+    if sigma == 0:
+        return mean
+    lo = mean
+    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
+    grow = 0
+    while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
+        hi *= 2.0
+        grow += 1
+    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    for _ in range(200):
+        u = v / lam
+        val = float(np.mean(B(u)))
+        if abs(val - 1.0) <= CONSTRAINT_TOL:
+            return lam
+        if val > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= 1e-15 * hi:
+            break
+        step = (val - 1.0) / float(np.mean(B.deriv(u) * u))
+        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def count_young_calls(monkeypatch, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the number of ``B`` evaluations it made."""
+    calls = []
+    real = YoungFunction.__call__
+    monkeypatch.setattr(YoungFunction, "__call__",
+                        lambda self, t: calls.append(1) or real(self, t))
+    out = fn(*args, **kwargs)
+    monkeypatch.setattr(YoungFunction, "__call__", real)
+    return out, len(calls)
 
 
 def newton_inputs(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -297,15 +344,47 @@ def test_newton_matches_bisection_reference(sigma, kind):
 def test_warm_start_inside_the_bracket_is_used(sigma, monkeypatch):
     v = np.random.default_rng(3).pareto(1.5, 4096)
     lam = luxemburg_avg(v, sigma)
-    calls = []
-    real = YoungFunction.__call__
-    monkeypatch.setattr(YoungFunction, "__call__",
-                        lambda self, t: calls.append(1) or real(self, t))
-    # started at its own root: the bracket check, then one evaluation
-    assert luxemburg_avg(v, sigma, start=lam) == lam
-    assert len(calls) == 2
+    # started at its own root: one evaluation, and no doubling probe
+    got, calls = count_young_calls(monkeypatch, luxemburg_avg, v, sigma, start=lam)
+    assert got == lam
+    assert calls == 1
     near = luxemburg_avg(v, sigma, start=lam * (1 + 1e-3))
     assert abs(near - lam) <= 1e-9 * lam
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_start_above_the_root_skips_the_doubling_probe(sigma, monkeypatch):
+    # mean B(v / start) < 1 there, so start is the upper end of the bracket
+    v = np.random.default_rng(5).pareto(1.5, 4096)
+    start = luxemburg_avg(v, sigma) * (1 + 1e-3)
+    got, calls = count_young_calls(monkeypatch, luxemburg_avg, v, sigma, start=start)
+    want, probe_calls = count_young_calls(monkeypatch, probe_first_luxemburg,
+                                          v, sigma, start=start)
+    assert got == want
+    assert calls == probe_calls - 1
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_solver_warm_starts_match_the_probe_first_solve_bitwise(sigma, monkeypatch):
+    # every warm-started solve of one decomposition, replayed through the
+    # solve that always probes first
+    calls = []
+
+    def recording(values, s, **kwargs):
+        got = luxemburg_avg(values, s, **kwargs)
+        if kwargs.get("start") is not None:
+            calls.append((np.array(values, dtype=float), s, kwargs["start"], got))
+        return got
+
+    n = 1 << 9
+    x = -8.0 + (16.0 / n) * np.arange(n)
+    vals = np.exp(-(x ** 2)) * np.cos(2 * np.pi * 3 * x) + 0.6 * (np.abs(x) < 0.25)
+    monkeypatch.setattr(mg, "luxemburg_avg", recording)
+    mg.decompose_quotient_norm(mg.DyadicFunction(vals), sigma,
+                               mg.SolverConfig(max_iter=400))
+    assert len(calls) > 400
+    for values, s, start, got in calls:
+        assert got == probe_first_luxemburg(values, s, start=start)
 
 
 def test_start_outside_the_bracket_takes_the_fallback():
