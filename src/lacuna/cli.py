@@ -8,9 +8,8 @@ signal format (``lacunary``, ``project``, ``sqfn``, ``orlicz``, ``czd``,
 
 Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails, an
 input is rejected or a ``czd`` certificate constant is not finite, 2 for
-usage errors (argparse, a sigma outside [0, MAX_SIGMA], a ``lacunary``
-enumeration over ``MAX_LACUNARY_TERMS``, an interval system over
-``MAX_LACUNARY_INTERVALS``) and for unreadable or malformed input files.
+usage errors (argparse, a sigma outside [0, MAX_SIGMA], an enumeration over
+a ``lacunary`` budget) and for unreadable or malformed input files.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from .harness import (
     verify_hormander,
     verify_zygmund_bonami,
 )
-from .lacunary import (LacInterval, interval_to_line, lac_tau, lac_tau_terms, lambda_tau,
-                       lambda_tau_count)
+from .lacunary import LacInterval, interval_to_line, lac_tau, lambda_tau
 from .orlicz import exp_norm, llogl_avg_equiv, luxemburg_avg
 from .spectral import (
     AliasFlags,
@@ -56,14 +54,6 @@ from .spectral import (
 )
 
 __all__ = ["main"]
-
-# largest signed-sum enumeration ``lacuna lacunary`` starts, about 7 s at the
-# 7 us a term measured on a 2-vCPU x86 host (tau 5 on the window 64 at scale
-# 2^-6 is 274,176 terms and took 1.8 s)
-MAX_LACUNARY_TERMS = 1_000_000
-# largest interval system ``lacunary --intervals`` and ``sqfn`` build, about 6 s
-# at 21 us an interval (tau 5, window 64, scale 2^-16: 274,176 in 5.7 s)
-MAX_LACUNARY_INTERVALS = 300_000
 
 
 def _emit(payload, out: Optional[str]) -> None:
@@ -123,13 +113,6 @@ def _finish_experiment(report, args: argparse.Namespace) -> int:
 # -- file utilities ---------------------------------------------------------
 
 
-def _require_interval_budget(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> None:
-    count = lambda_tau_count(tau, min_scale, max_abs)
-    if count > MAX_LACUNARY_INTERVALS:
-        raise ValueError(f"tau {tau} would build {count} intervals, "
-                         f"above the budget of {MAX_LACUNARY_INTERVALS}")
-
-
 def _cmd_lacunary(args: argparse.Namespace) -> int:
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
     max_abs = DyadicScalar.from_float(args.max_abs)
@@ -139,15 +122,10 @@ def _cmd_lacunary(args: argparse.Namespace) -> int:
         "max_abs": args.max_abs,
     }
     if args.intervals:
-        _require_interval_budget(args.tau, min_scale, max_abs)
         fam = lambda_tau(args.tau, min_scale, max_abs)
         payload["count"] = len(fam)
         payload["intervals"] = [interval_to_line(piece) for piece in fam]
     else:
-        terms = lac_tau_terms(args.tau, min_scale, max_abs)
-        if terms > MAX_LACUNARY_TERMS:
-            raise ValueError(f"tau {args.tau} would enumerate {terms} signed sums, "
-                             f"above the budget of {MAX_LACUNARY_TERMS}")
         pts = lac_tau(args.tau, min_scale, max_abs)
         payload["count"] = len(pts.points)
         payload["points"] = [float(p) for p in pts.points]
@@ -186,7 +164,6 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
     flags = AliasFlags()
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
     max_abs = DyadicScalar.from_float(args.max_abs) if args.max_abs else default_band(sig)
-    _require_interval_budget(args.tau, min_scale, max_abs)
     out = lp_square_function(sig, args.tau, min_scale, args.mode, max_abs, flags=flags)
     if args.output:
         write_signal(args.output, out)
@@ -233,8 +210,7 @@ def _cmd_czd(args: argparse.Namespace) -> int:
     _require_sigma(args.sigma)
     sig = read_signal(args.input)
     try:
-        dec = cz_decompose(sig, args.sigma, args.alpha,
-                           min_margin=args.min_margin, threads=args.threads)
+        dec = cz_decompose(sig, args.sigma, args.alpha, min_margin=args.min_margin)
     except ValueError as err:
         sys.stderr.write(f"czd: {err}\n")
         return 1
@@ -332,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=1)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--min-margin", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.add_argument("--output", default=None, help="save parts under this path prefix")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_czd)

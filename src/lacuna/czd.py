@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -39,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import DyadicScalar
-from .lacunary import lac_tau
+from .lacunary import MAX_LACUNARY_TERMS, lac_tau, lac_tau_terms
 from .orlicz import YoungFunction, luxemburg_avg
 from .spectral import Signal, write_signal
 
@@ -238,8 +237,10 @@ def lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
 
     Every returned value is an integer multiple of ``1/length``; the full
     sets are infinite upward, so the Nyquist cut is what makes them finite.
-    Results are memoized: a decomposition asks for the same few
-    ``(length, nyquist, sigma)`` triples once per atom.
+    Orders whose signed sums add up to more than ``MAX_LACUNARY_TERMS`` are
+    refused with ``ValueError`` before any is enumerated.  Results are
+    memoized: a decomposition asks for the same few ``(length, nyquist,
+    sigma)`` triples once per atom.
     """
     sigma = _check_parameters(sigma, 1.0)
     return _lacunary_frequencies(float(length), float(nyquist), sigma)
@@ -253,6 +254,10 @@ def _lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
     out = {DyadicScalar.from_int(0)}
     max_abs = nu - one_over  # largest lattice multiple strictly below nyquist
     if max_abs > DyadicScalar.from_int(0):
+        terms = sum(lac_tau_terms(rho, one_over, max_abs) for rho in range(1, sigma + 1))
+        if terms > MAX_LACUNARY_TERMS:
+            raise ValueError(f"sigma {sigma} would enumerate {terms} signed sums, "
+                             f"above the budget of {MAX_LACUNARY_TERMS}")
         for rho in range(1, sigma + 1):
             out.update(lac_tau(rho, one_over, max_abs).points)
     return tuple(sorted((float(d) for d in out)))
@@ -407,8 +412,8 @@ def cz_decompose(
     """Run the full decomposition at level alpha and measure its constants.
 
     ``min_margin`` optionally enforces a window/support ratio so that the
-    periodic wrap-around stays away from the data.  ``threads`` parallelizes
-    the per-atom frequency removal (atoms are independent).
+    periodic wrap-around stays away from the data.  ``threads`` is accepted
+    and ignored: the atoms are built serially.
     """
     sigma = _check_parameters(sigma, alpha)
     if min_margin is not None and support_margin(sig) < min_margin:
@@ -416,22 +421,14 @@ def cz_decompose(
     s = sigma / 2
 
     stopping = stopping_intervals(sig, sigma, alpha)
-    pieces = [_restrict(sig, j) for j in stopping]
-
-    def build_atom(args):
-        interval, piece = args
+    atoms = []
+    for interval in stopping:
+        piece = _restrict(sig, interval)
         nu = piece.n / (2.0 * piece.period)
         freqs = lacunary_frequencies(piece.period, nu, sigma)
         canc, lac = remove_lacunary(piece, sigma, freqs)
         diag = _atom_diagnostics(interval, piece, canc, lac, freqs, s, alpha)
-        return CzAtom(interval, canc, lac, diag)
-
-    jobs = list(zip(stopping, pieces))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            atoms = tuple(pool.map(build_atom, jobs))
-    else:
-        atoms = tuple(map(build_atom, jobs))
+        atoms.append(CzAtom(interval, canc, lac, diag))
 
     good_vals = np.array(sig.samples, dtype=np.complex128)
     lac_vals = np.zeros(sig.n, dtype=np.complex128)
@@ -443,7 +440,7 @@ def cz_decompose(
 
     constants = _global_constants(sig, good, atoms, lac_part, sigma, alpha)
     return CzDecomposition(
-        good, atoms, lac_part, stopping, float(alpha), sigma, constants
+        good, tuple(atoms), lac_part, stopping, float(alpha), sigma, constants
     )
 
 

@@ -274,8 +274,8 @@ def _spike_mixture_builder(period: float, rng: np.random.Generator) -> Callable:
     return build
 
 
-def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
-                   support: Optional[str]) -> SampleSpec:
+def _lac_poly_pool(cfg: ExperimentConfig) -> np.ndarray:
+    """The positive order-tau frequencies the sign polynomials draw from."""
     cap = DyadicScalar.pow2(cfg.log2_n - 4 - cfg.log2_period)
     pts = lac_tau(cfg.tau, DyadicScalar.pow2(cfg.min_scale_log2), cap)
     positive = np.array([float(p) for p in pts.points if float(p) > 0.0])
@@ -283,6 +283,11 @@ def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
         raise ValueError(f"no lacunary frequency lies between 2^{cfg.min_scale_log2} and "
                          f"the band cap 2^{cfg.log2_n - 4}/period at period {cfg.period:g}; "
                          "lower the period or min_scale_log2")
+    return positive
+
+
+def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
+                   support: Optional[str], positive: np.ndarray) -> SampleSpec:
     size = min(int(rng.integers(8, 65)), positive.size)
     lams = rng.choice(positive, size=size, replace=False)
     eps = rng.choice([-1.0, 1.0], size=size)
@@ -345,20 +350,22 @@ def make_sample_specs(cfg: ExperimentConfig, rng: np.random.Generator,
     or ``[-1/2, 1/2)`` for the windowed experiments.
     """
     specs: list[SampleSpec] = []
+    # member 1 is the first sign polynomial in both cycles
+    positive = _lac_poly_pool(cfg) if cfg.ensemble >= 2 else None
     for i in range(cfg.ensemble):
         if support is None:
             kind = i % 3
             if kind == 0:
                 specs.append(_bump_mixture_spec(f"bump-{i}", cfg.period, rng, None))
             elif kind == 1:
-                specs.append(_lac_poly_spec(f"lacpoly-{i}", cfg, rng, None))
+                specs.append(_lac_poly_spec(f"lacpoly-{i}", cfg, rng, None, positive))
             else:
                 specs.append(_cz_bad_spec(f"czbad-{i}", cfg, rng))
         else:
             if i % 2 == 0:
                 specs.append(_bump_mixture_spec(f"bump-{i}", cfg.period, rng, support))
             else:
-                specs.append(_lac_poly_spec(f"lacpoly-{i}", cfg, rng, support))
+                specs.append(_lac_poly_spec(f"lacpoly-{i}", cfg, rng, support, positive))
     return specs
 
 
@@ -400,27 +407,11 @@ def _halved_step(family: Sequence[LacInterval], rng: np.random.Generator) -> Ste
     return StepMultiplier(tuple(pieces), overlap_bound=2)
 
 
-def _banked(kind: str, label: str, exponent: float,
-            make: Callable[[Signal], BandBank], use: Callable) -> OperatorSpec:
-    """An operator through the banks ``make`` builds, once per ``(n, period)``;
-    ``use(bank, sig, flags)`` gives the output magnitudes."""
-    banks: dict = {}
-
-    def apply(sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
-        key = (sig.n, sig.period)
-        if key not in banks:
-            banks[key] = make(sig)
-        return use(banks[key], sig, flags)
-
-    return OperatorSpec(kind, label, exponent, apply)
-
-
-def _family_bank(family: Sequence[LacInterval], window: Callable, label: str) -> Callable:
-    return lambda sig: BandBank.build(sig, [window(block) for block in family], label)
-
-
-def _combined(bank: BandBank, sig: Signal, flags: Optional[AliasFlags]) -> np.ndarray:
-    return np.abs(bank.combine(sig, flags=flags))
+def _combined(kind: str, label: str, exponent: float, bank: BandBank,
+              weights=None) -> OperatorSpec:
+    """The operator with output magnitudes ``|sum_i w_i T_i f|``."""
+    return OperatorSpec(kind, label, exponent,
+                        lambda sig, flags=None: np.abs(bank.combine(sig, weights, flags)))
 
 
 def build_operator(kind: str, cfg: ExperimentConfig,
@@ -434,31 +425,29 @@ def build_operator(kind: str, cfg: ExperimentConfig,
 
     if kind == "prototype":
         m = prototype_multiplier(cfg.tau, min_scale, sharp_cap, rng=rng)
-        return _banked("prototype", f"prototype-tau{cfg.tau}", cfg.tau / 2, m.bank, _combined)
+        return _combined("prototype", f"prototype-tau{cfg.tau}", cfg.tau / 2, m.bank())
 
     if kind == "step":
         m = _halved_step(lambda_tau(cfg.tau, min_scale, sharp_cap), rng)
-        return _banked("step", f"step-N2-tau{cfg.tau}", cfg.tau / 2, m.bank, _combined)
+        return _combined("step", f"step-N2-tau{cfg.tau}", cfg.tau / 2, m.bank())
 
     if kind == "lp":
         family = lambda_tau(cfg.tau, min_scale, sharp_cap)
-        return _banked("lp", f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2,
-                       _family_bank(family, sharp_window, "lp"), BandBank.square)
+        bank = BandBank([sharp_window(block) for block in family], "lp")
+        return OperatorSpec("lp", f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2, bank.square)
 
     if kind == "smooth-sqfn":
         family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
-        return _banked("smooth-sqfn", f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2,
-                       _family_bank(family, eta_window, "smooth-sqfn"), BandBank.square)
+        bank = BandBank([eta_window(block) for block in family], "smooth-sqfn")
+        return OperatorSpec("smooth-sqfn", f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2,
+                            bank.square)
 
     if kind == "hormander":
         family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
         eps = rng.choice([-1.0, 1.0], size=len(family))
-
-        def signed(bank: BandBank, sig: Signal, flags: Optional[AliasFlags]) -> np.ndarray:
-            return np.abs(bank.combine(sig, eps, flags))
-
-        return _banked("hormander", f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2,
-                       _family_bank(family, eta_window, "hormander"), signed)
+        bank = BandBank([eta_window(block) for block in family], "hormander")
+        return _combined("hormander", f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2,
+                         bank, eps)
 
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -689,19 +678,11 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
 # -- localized block estimates on a unit window ------------------------------
 
 
-def _gen_zb_bank(banks: dict, sig: Signal, label: str, windows: Callable[[], list]) -> BandBank:
-    """The ``label`` bank at ``sig``'s ``(n, period)``, built on first use."""
-    key = (sig.n, sig.period, label)
-    if key not in banks:
-        banks[key] = BandBank.build(sig, windows(), label)
-    return banks[key]
-
-
 def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
-                 tail_gammas: Sequence[float], banks: dict) -> list:
-    """One sample's branch measurements on the window J = [-1/2, 1/2);
-    ``banks`` caches the three band banks per ``(n, period)``."""
-    sharp_cap, smooth_cap, min_scale, _ = _caps(cfg)
+                 tail_gammas: Sequence[float], banks: tuple) -> list:
+    """One sample's branch measurements on the window J = [-1/2, 1/2) through
+    the ``(wide, small, every)`` banks of :func:`verify_gen_zygmund_bonami`."""
+    wide, small, every = banks
     x = sig.x
     # half-open windows, aligned with the sample grid
     jmask = (x >= -0.5) & (x < 0.5)
@@ -711,8 +692,6 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
 
     # blocks at unit scale and above: smooth pieces, localized averages
     flags = AliasFlags()
-    wide = _gen_zb_bank(banks, sig, "project_smooth", lambda: [
-        eta_window(block) for block in lambda_tau(cfg.tau, DyadicScalar.from_int(1), smooth_cap)])
     pieces = wide.magnitudes(sig, flags=flags)
     if flags.aliased:
         rows.append({"label": label, "branch": "local", "gamma": cfg.gamma,
@@ -751,9 +730,6 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     full = np.zeros(sig.n, dtype=complex)
     full[jmask] = canc.samples
     canc_ext = Signal(full, sig.period, sig.offset)
-    small = _gen_zb_bank(banks, canc_ext, "cancellative", lambda: [
-        sharp_window(block) for block in lambda_tau(cfg.tau, min_scale, smooth_cap)
-        if float(block.length) < 1.0])
     lhs_small = float(np.sum(small.energies(canc_ext)))
     rhs_small = luxemburg_avg(np.abs(canc.samples), (cfg.tau - 1) / 2) ** 2
     rows.append({"label": label, "branch": "cancellative", "gamma": cfg.gamma,
@@ -762,8 +738,6 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
                  "ratio": lhs_small / rhs_small if rhs_small > 0 else math.inf})
 
     # all scales at once on the cancelled signal: sharp pieces, localized
-    every = _gen_zb_bank(banks, canc_ext, "combined", lambda: [
-        sharp_window(block) for block in lambda_tau(cfg.tau, min_scale, smooth_cap)])
     comb_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2)
                           for row in every.magnitudes(canc_ext, gmask)])
     lhs_comb = float(np.sqrt(np.sum(comb_avgs ** 2)))
@@ -791,8 +765,15 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     tail_gammas = [g for g in (2.0, 4.0, 8.0) if g <= cfg.period / 2]
     anchor = ("block-average aggregate, off-window tails, and sub-unit energies "
               "on the unit window, against Luxemburg averages of the input")
+    # smooth blocks at unit scale and above, sharp sub-unit blocks, all sharp blocks
+    _, smooth_cap, min_scale, _ = _caps(cfg)
+    wide = lambda_tau(cfg.tau, DyadicScalar.from_int(1), smooth_cap)
+    every = lambda_tau(cfg.tau, min_scale, smooth_cap)
+    banks = (BandBank([eta_window(block) for block in wide], "project_smooth"),
+             BandBank([sharp_window(block) for block in every
+                       if float(block.length) < 1.0], "cancellative"),
+             BandBank([sharp_window(block) for block in every], "combined"))
     rows: list = []
-    banks: dict = {}
     for spec in specs:
         coarse = _gen_zb_rows(cfg, spec.build(cfg.log2_n), spec.label, tail_gammas, banks)
         if cfg.refine:
@@ -844,8 +825,8 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
         fam = build_sharpness_family(n_param, cfg.log2_n, cfg.period)
         g = fam.g_n
         mask = np.abs(g.x) <= 0.5
-        agg = fam.square_aggregate(g)
-        weak_det = weak_l1_norm(np.abs(agg.samples[mask]), g.dx)
+        agg = fam.bank.square(g)
+        weak_det = weak_l1_norm(agg[mask], g.dx)
         row = {
             "n": n_param,
             "components": len(fam.pairs),
@@ -857,15 +838,15 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
             draws = rng.choice([-1.0, 1.0], size=(cfg.khintchine, len(fam.pairs)))
             weaks = []
             for signs in draws:
-                out = fam.random_sign_apply(g, signs)
-                weaks.append(weak_l1_norm(np.abs(out.samples[mask]), g.dx))
+                out = fam.bank.combine(g, signs)
+                weaks.append(weak_l1_norm(np.abs(out[mask]), g.dx))
             row["weak_rand_max"] = max(weaks)
             row["weak_rand_median"] = statistics.median(weaks)
         xs = np.geomspace(2.0 ** (-5 * n_param / 8), 0.25, 16)
-        envelope = fam.square_aggregate_at(fam.f_n, xs)
+        envelope = fam.bank.square_at(fam.f_n, xs)
         row["cmin"] = float(np.min(envelope * xs / n_param))
-        correct = weak_type_ratio(agg.samples, g.samples, g.dx, 1.0, cfg.n_levels)
-        weakened = weak_type_ratio(agg.samples, g.samples, g.dx, 0.5, cfg.n_levels)
+        correct = weak_type_ratio(agg, g.samples, g.dx, 1.0, cfg.n_levels)
+        weakened = weak_type_ratio(agg, g.samples, g.dx, 0.5, cfg.n_levels)
         row["ratio_correct"] = correct["max_ratio"]
         row["ratio_weak"] = weakened["max_ratio"]
         row["alpha_weak"] = weakened["alpha"]

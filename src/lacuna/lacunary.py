@@ -35,6 +35,14 @@ NEG_HALFLINE = "(-inf,0)"
 POS_HALFLINE = "(0,inf)"
 LAMBDA_0 = (NEG_HALFLINE, POS_HALFLINE)
 
+# largest signed-sum enumeration ``lac_tau`` starts, about 7 s at the 7 us a
+# term measured on a 2-vCPU x86 host (tau 5 on the window 64 at scale 2^-6 is
+# 274,176 terms and took 1.8 s)
+MAX_LACUNARY_TERMS = 1_000_000
+# largest interval system ``lambda_tau`` builds, about 6 s at 21 us an
+# interval (tau 5, window 64, scale 2^-16: 274,176 in 5.7 s)
+MAX_LACUNARY_INTERVALS = 300_000
+
 
 @dataclass(frozen=True)
 class LacInterval:
@@ -122,14 +130,6 @@ def whitney(interval: LacInterval, min_scale: DyadicScalar) -> WhitneyResult:
     return WhitneyResult(tuple(pieces), False)
 
 
-def _check_system(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> None:
-    if tau < 1:
-        raise ValueError("tau must be >= 1; order 0 is the LAMBDA_0 sentinel")
-    _require_pow2(min_scale, "min_scale")
-    if max_abs <= ZERO:
-        raise ValueError("max_abs must be positive")
-
-
 def lambda_tau(
     tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar
 ) -> list[LacInterval]:
@@ -137,9 +137,13 @@ def lambda_tau(
 
     Keeps intervals with ``|L| ≥ min_scale`` contained in ``[-max_abs, max_abs]``.
     ``tau = 0`` is rejected: the order-0 objects are the half-line sentinels
-    ``LAMBDA_0``, not bounded intervals.
+    ``LAMBDA_0``, not bounded intervals, and so is a system of more than
+    ``MAX_LACUNARY_INTERVALS`` intervals, counted before any is built.
     """
-    _check_system(tau, min_scale, max_abs)
+    count = lambda_tau_count(tau, min_scale, max_abs)
+    if count > MAX_LACUNARY_INTERVALS:
+        raise ValueError(f"tau {tau} would build {count} intervals, "
+                         f"above the budget of {MAX_LACUNARY_INTERVALS}")
     if tau == 1:
         out = []
         k = min_scale.log2()
@@ -164,7 +168,11 @@ def lambda_tau_count(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -
     interval scales, building no interval: order 1 holds two blocks at each
     scale it keeps, and a parent at scale ``2^s`` two Whitney pieces at each
     scale from its order's ``min_scale`` up to ``2^(s-2)``."""
-    _check_system(tau, min_scale, max_abs)
+    if tau < 1:
+        raise ValueError("tau must be >= 1; order 0 is the LAMBDA_0 sentinel")
+    _require_pow2(min_scale, "min_scale")
+    if max_abs <= ZERO:
+        raise ValueError("max_abs must be positive")
     s_min = min_scale.log2()
     # log2 length -> count; order k keeps the lengths from 2^(s_min + 2 (tau - k))
     counts = dict.fromkeys(range(s_min + 2 * tau - 2, _floor_log2(max_abs)), 2)
@@ -238,11 +246,17 @@ def lac_tau(
     Truncation: smallest exponent ``n_tau ≥ log2(min_scale)``; window:
     ``|x| ≤ max_abs``.  Values are deduplicated (distinct representations can
     collide, e.g. ``2^4 - 2^2 = 2^3 + 2^2``).  ``tau = 0`` gives ``{0}``.
+    More than ``MAX_LACUNARY_TERMS`` signed sums (:func:`lac_tau_terms`) are
+    refused before any is enumerated.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0:
         return LacPointSet(0, min_scale, max_abs, (ZERO,))
+    terms = lac_tau_terms(tau, min_scale, max_abs)
+    if terms > MAX_LACUNARY_TERMS:
+        raise ValueError(f"tau {tau} would enumerate {terms} signed sums, "
+                         f"above the budget of {MAX_LACUNARY_TERMS}")
     exponents = _exponent_range(tau, min_scale, max_abs)
     if len(exponents) < tau:
         return LacPointSet(tau, min_scale, max_abs, tuple())

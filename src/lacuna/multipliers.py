@@ -105,10 +105,9 @@ class StepMultiplier:
             best = max(best, depth)
         return best
 
-    def bank(self, sig: Signal) -> BandBank:
-        """One row per piece: its window, weighted by its coefficient."""
-        windows = [(p.lo, p.hi, p.coeff) for p in self.pieces]
-        return BandBank.build(sig, windows, "step_multiplier")
+    def bank(self) -> BandBank:
+        """One band per piece: its window, weighted by its coefficient."""
+        return BandBank([(p.lo, p.hi, p.coeff) for p in self.pieces], "step_multiplier")
 
 
 def prototype_multiplier(
@@ -141,7 +140,7 @@ def apply_multiplier(
     flags: Optional[AliasFlags] = None,
 ) -> Signal:
     """Pointwise multiply the spectrum by the symbol and invert."""
-    return sig.with_samples(m.bank(sig).combine(sig, flags=flags))
+    return sig.with_samples(m.bank().combine(sig, flags=flags))
 
 
 # -- the sharpness family ------------------------------------------------------
@@ -180,7 +179,8 @@ def max_feasible_parameter(log2_n: int, period: float) -> int:
 
 @dataclass
 class SharpnessFamily:
-    """The O(N^2) array of second-order components and its test signals."""
+    """The O(N^2) array of second-order components and its test signals;
+    ``bank`` holds one band per component, in ``pairs`` order."""
 
     n_param: int
     log2_n: int
@@ -188,38 +188,13 @@ class SharpnessFamily:
     pairs: tuple[tuple[int, int], ...]
     f_n: Signal
     g_n: Signal
-    _banks: dict = field(default_factory=dict, repr=False)
-
-    def bank(self, sig: Signal) -> BandBank:
-        """The component rows at the signal's ``(n, period)``, built once."""
-        key = (sig.n, sig.period)
-        if key not in self._banks:
-            windows = []
-            for k, l in self.pairs:
-                # the (k, l) symbol lives in 2^k + 2^{l-1} * [1, 3/2]
-                lo = DyadicScalar.pow2(k) + DyadicScalar.pow2(l - 1)
-                hi = lo + DyadicScalar.pow2(l - 1)
-                windows.append((lo, hi, component_symbol_func(k, l)))
-            self._banks[key] = BandBank.build(sig, windows, "sharpness")
-        return self._banks[key]
+    bank: BandBank = field(repr=False)
 
     def apply_component(self, sig: Signal, k: int, l: int) -> Signal:
         """One component through the true-phase transforms, on the whole
         lattice: the reference the bank operations are tested against."""
         symbol = component_symbol_func(k, l)(freqs(sig))
         return synthesize(spectrum(sig) * symbol, sig.period, sig.offset)
-
-    def square_aggregate(self, sig: Signal) -> Signal:
-        """Pointwise l2 norm over the family (see :meth:`BandBank.square`)."""
-        return sig.with_samples(self.bank(sig).square(sig))
-
-    def random_sign_apply(self, sig: Signal, signs: Sequence[float]) -> Signal:
-        """Single application of sum_i eps_i T_i (one inverse transform)."""
-        return sig.with_samples(self.bank(sig).combine(sig, signs))
-
-    def square_aggregate_at(self, sig: Signal, xs: np.ndarray) -> np.ndarray:
-        """Off-grid pointwise l2 aggregate by direct band quadrature."""
-        return self.bank(sig).square_at(sig, xs)
 
 
 def build_sharpness_family(
@@ -239,13 +214,21 @@ def build_sharpness_family(
             f"parameter {n_param} overflows the band; max feasible is {feasible}"
         )
     n = 1 << log2_n
-    offset = -period / 2
     xi = freq_indices(n) / period
     f_coeffs = base_bump_spectrum(xi / 2.0**n_param).astype(complex)
-    f_n = synthesize(f_coeffs, period, offset)
+    # on the centered window the offset phase at j/T is exactly (-1)^j: a
+    # half-period roll of the samples
+    samples = np.roll(np.fft.ifft(f_coeffs), n // 2) * (n / period)
+    f_n = Signal(samples, period, -period / 2)
     x = f_n.x
     g_n = f_n.with_samples(f_n.samples * (np.abs(x) <= 0.5))
     pairs = tuple((k, l) for k in range(2, n_param + 1) for l in range(1, k))
+    windows = []
+    for k, l in pairs:
+        # the (k, l) symbol lives in 2^k + 2^{l-1} * [1, 3/2]
+        lo = DyadicScalar.pow2(k) + DyadicScalar.pow2(l - 1)
+        hi = lo + DyadicScalar.pow2(l - 1)
+        windows.append((lo, hi, component_symbol_func(k, l)))
     return SharpnessFamily(
         n_param=n_param,
         log2_n=log2_n,
@@ -253,4 +236,5 @@ def build_sharpness_family(
         pairs=pairs,
         f_n=f_n,
         g_n=g_n,
+        bank=BandBank(windows, "sharpness"),
     )

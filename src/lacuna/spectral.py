@@ -219,55 +219,63 @@ def eta_window(interval: LacInterval) -> tuple:
 
 
 class BandBank:
-    """Sparse lattice rows ``(positions, weights)`` over one family of bands
-    at one ``(n, period)``: the band operators ``T_i`` with symbols ``m_i``.
+    """The band operators ``T_i`` of ``(lo, hi, weight)`` windows: symbol
+    ``m_i`` is ``weight`` (a constant or a function of the frequencies) on
+    the exact lattice band ``[lo, hi)`` (see :func:`band_indices`).
 
-    Every operation works on the bare ``fft`` of the samples.  The offset
-    phases that :func:`spectrum` multiplies in and :func:`synthesize` takes
-    out cancel in every band piece, so the pieces come out at the signal's
-    own sample positions without computing them.  The alias events raised
-    while the rows were built are replayed into the caller's flags on every
-    use, so a cached bank reports them as often as a fresh one.
+    Every operation takes the grid from its signal.  The sparse rows
+    ``(positions, weights)`` of a ``(n, period)`` are resolved when the first
+    signal on it arrives and kept in ``grids`` with the alias events raised
+    meanwhile, which are replayed into the caller's flags on every use.
+    Operations work on the bare ``fft`` of the samples: the offset phases that
+    :func:`spectrum` multiplies in and :func:`synthesize` takes out cancel in
+    every band piece, so the pieces come out at the signal's own samples.
     """
 
-    def __init__(self, n: int, period: float, rows: list, events=()) -> None:
-        self.n = n
-        self.period = period
-        self.rows = rows
-        self.events = tuple(events)
+    def __init__(self, windows, label: str = "band") -> None:
+        self.windows = tuple(windows)
+        self.label = label
+        # (n, period) -> (rows, alias events)
+        self.grids: dict = {}
 
-    @classmethod
-    def build(cls, sig: Signal, windows, label: str = "band") -> "BandBank":
-        """Rows from ``(lo, hi, weight)`` windows: the exact lattice band
-        ``[lo, hi)`` (see :func:`band_indices`) and its nonzero weights,
-        where ``weight`` is a constant or a function of the frequencies."""
+    def _resolve(self, sig: Signal) -> tuple:
         recorder = AliasFlags()
         xi = freqs(sig)
         rows = []
-        for lo, hi, weight in windows:
-            idx = band_indices(sig, lo, hi, recorder, label)
+        for lo, hi, weight in self.windows:
+            idx = band_indices(sig, lo, hi, recorder, self.label)
             if callable(weight):
                 vals = weight(xi[idx])
             else:
                 vals = np.full(idx.size, weight)
             keep = vals != 0.0
             rows.append((idx[keep], vals[keep]))
-        return cls(sig.n, sig.period, rows, recorder.events)
+        return rows, tuple(recorder.events)
 
-    def _replay(self, flags: Optional[AliasFlags]) -> None:
+    def rows(self, sig: Signal, flags: Optional[AliasFlags] = None) -> list:
+        """The rows at ``sig``'s ``(n, period)``, one per window (empty for a band
+        without lattice points); the grid's alias events are marked on ``flags``."""
+        key = (sig.n, sig.period)
+        if key not in self.grids:
+            self.grids[key] = self._resolve(sig)
+        rows, events = self.grids[key]
         if flags is not None:
-            for event in self.events:
+            for event in events:
                 flags.mark(event)
+        return rows
 
-    def symbol(self, weights=None, flags: Optional[AliasFlags] = None) -> np.ndarray:
-        """The FFT-layout symbol ``sum_i w_i m_i`` (every ``w_i = 1`` by default)."""
-        self._replay(flags)
+    def symbol(
+        self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
+    ) -> np.ndarray:
+        """The FFT-layout symbol ``sum_i w_i m_i`` on ``sig``'s grid (every
+        ``w_i = 1`` by default)."""
+        rows = self.rows(sig, flags)
         if weights is None:
-            weights = np.ones(len(self.rows))
-        if len(weights) != len(self.rows):
+            weights = np.ones(len(rows))
+        if len(weights) != len(rows):
             raise ValueError("need one weight per band")
-        sym = np.zeros(self.n, dtype=np.complex128)
-        for w, (idx, vals) in zip(weights, self.rows):
+        sym = np.zeros(sig.n, dtype=np.complex128)
+        for w, (idx, vals) in zip(weights, rows):
             sym[idx] += w * vals
         return sym
 
@@ -275,17 +283,17 @@ class BandBank:
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
         """Samples of ``sum_i w_i T_i f``: one transform pair in all."""
-        return np.fft.ifft(np.fft.fft(sig.samples) * self.symbol(weights, flags))
+        return np.fft.ifft(np.fft.fft(sig.samples) * self.symbol(sig, weights, flags))
 
     def magnitudes(
         self, sig: Signal, columns=slice(None), flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
         """``|T_i f|`` at the selected samples, one row per band (zero for a
         band without lattice points)."""
-        self._replay(flags)
+        rows = self.rows(sig, flags)
         coeffs = np.fft.fft(sig.samples)
-        out = np.zeros((len(self.rows), sig.samples[columns].size))
-        for out_row, (idx, vals) in zip(out, self.rows):
+        out = np.zeros((len(rows), sig.samples[columns].size))
+        for out_row, (idx, vals) in zip(out, rows):
             if idx.size:
                 masked = np.zeros_like(coeffs)
                 masked[idx] = coeffs[idx] * vals
@@ -307,11 +315,11 @@ class BandBank:
         result is within about ``1e-13`` of its peak of the band-by-band sum,
         and exactly zero for a zero input or a bank without lattice points.
         """
-        self._replay(flags)
+        rows = self.rows(sig, flags)
         coeffs = np.fft.fft(sig.samples)
-        n = self.n
+        n = sig.n
         total = np.zeros(n // 2 + 1, dtype=np.complex128)
-        for idx, vals in self.rows:
+        for idx, vals in rows:
             if not idx.size:
                 continue
             offs = (idx - idx[0]) % n
@@ -333,22 +341,22 @@ class BandBank:
     def energies(self, sig: Signal) -> np.ndarray:
         """``||T_i f||_2^2`` per band by Parseval, with no inverse transform."""
         coeffs = np.fft.fft(sig.samples)
-        scale = self.period / self.n**2
+        scale = sig.period / sig.n**2
         return np.array(
-            [scale * np.sum(np.abs(coeffs[idx] * vals) ** 2) for idx, vals in self.rows]
+            [scale * np.sum(np.abs(coeffs[idx] * vals) ** 2) for idx, vals in self.rows(sig)]
         )
 
     def square_at(self, sig: Signal, xs) -> np.ndarray:
         """The pointwise l2 norm at arbitrary positions ``xs``, by direct
         quadrature of each band (no interpolation between samples)."""
         coeffs = np.fft.fft(sig.samples)
-        js = freq_indices(self.n)
+        js = freq_indices(sig.n)
         # relative to the window start the band pieces carry no offset phase
         t = np.asarray(xs, dtype=float) - sig.offset
         acc = np.zeros(t.shape)
-        for idx, vals in self.rows:
-            phases = np.exp(2j * np.pi * np.outer(t, js[idx] / self.period))
-            acc += np.abs(phases @ (coeffs[idx] * vals) / self.n) ** 2
+        for idx, vals in self.rows(sig):
+            phases = np.exp(2j * np.pi * np.outer(t, js[idx] / sig.period))
+            acc += np.abs(phases @ (coeffs[idx] * vals) / sig.n) ** 2
         return np.sqrt(acc)
 
 
@@ -359,7 +367,7 @@ def project_sharp(
     sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
     """Zero all coefficients outside ``[left, right)`` (exact membership)."""
-    bank = BandBank.build(sig, [sharp_window(interval)], "project_sharp")
+    bank = BandBank([sharp_window(interval)], "project_sharp")
     return sig.with_samples(bank.combine(sig, flags=flags))
 
 
@@ -367,7 +375,7 @@ def project_smooth(
     sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
     """Multiply the spectrum by the adapted bump ``eta((xi - c_L)/|L|)``."""
-    bank = BandBank.build(sig, [eta_window(interval)], "project_smooth")
+    bank = BandBank([eta_window(interval)], "project_smooth")
     return sig.with_samples(bank.combine(sig, flags=flags))
 
 
@@ -428,7 +436,7 @@ def lp_square_function(
         raise ValueError("mode must be 'sharp' or 'smooth'")
     window = sharp_window if mode == "sharp" else eta_window
     family = family_for_signal(sig, order, min_scale, max_abs)
-    bank = BandBank.build(sig, [window(L) for L in family], "square_function")
+    bank = BandBank([window(L) for L in family], "square_function")
     return sig.with_samples(bank.square(sig, flags=flags))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lacuna import cli, spectral
+from lacuna import czd, lacunary
 from lacuna.cli import main
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lambda_tau
@@ -68,7 +68,7 @@ class TestLacunary:
         def refuse(*args):
             raise AssertionError("the enumeration was started")
 
-        monkeypatch.setattr(cli, "lac_tau", refuse)
+        monkeypatch.setattr(lacunary.itertools, "combinations", refuse)
         # exponents -20..28 (the window 2^20 plus tau): C(49, 8) * 2^8 sums
         terms = math.comb(49, 8) << 8
         code = main(["lacunary", "--tau", "8", "--min-scale-log2", "-20",
@@ -76,19 +76,18 @@ class TestLacunary:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"would enumerate {terms} signed sums" in captured.err
-        assert str(cli.MAX_LACUNARY_TERMS) in captured.err
-
+        assert str(lacunary.MAX_LACUNARY_TERMS) in captured.err
 
     def test_interval_system_over_budget_is_a_usage_error(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("the interval system was built")
 
-        monkeypatch.setattr(cli, "lambda_tau", refuse)
+        monkeypatch.setattr(lacunary, "whitney", refuse)
         code = main(["lacunary", "--intervals", "--tau", "6", "--min-scale-log2", "-16"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "would build 792064 intervals" in captured.err
-        assert str(cli.MAX_LACUNARY_INTERVALS) in captured.err
+        assert str(lacunary.MAX_LACUNARY_INTERVALS) in captured.err
 
 
 class TestProject:
@@ -144,7 +143,7 @@ class TestSqfn:
         def refuse(*args):
             raise AssertionError("the interval system was built")
 
-        monkeypatch.setattr(spectral, "lambda_tau", refuse)
+        monkeypatch.setattr(lacunary, "whitney", refuse)
         path = tmp_path / "tiny.bin"
         write_signal(path, Signal(np.ones(64), period, -period / 2))
         code = main(["sqfn", "--input", str(path)] + max_abs)
@@ -207,6 +206,27 @@ class TestCzd:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "lacuna: sigma must lie in [0, 8]\n"
+
+    def test_frequencies_over_budget_fail_before_enumerating(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # 0.7 on the first 4096 of 2^14 samples: at sigma 8 (B(0.7) = 1.6) the
+        # first quarter is the one stopping interval, and its 2^11 bins hold
+        # 24,379,392 signed sums of orders 1..8
+        vals = np.zeros(1 << 14)
+        vals[: 1 << 12] = 0.7
+        path = tmp_path / "quarter.bin"
+        write_signal(path, Signal(vals, 16.0, -8.0))
+
+        def refuse(*args):
+            raise AssertionError("an enumeration was started")
+
+        monkeypatch.setattr(czd, "lac_tau", refuse)
+        czd._lacunary_frequencies.cache_clear()
+        code = main(["czd", "--input", str(path), "--sigma", "8", "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"czd: sigma 8 would enumerate 24379392 signed sums, above the "
+                f"budget of {lacunary.MAX_LACUNARY_TERMS}") in captured.err
 
     def test_alpha_below_root_average_fails_cleanly(self, stored_signal, capsys):
         code = main(["czd", "--input", str(stored_signal),

@@ -8,11 +8,13 @@ integer-phase quadrature checked against the per-frequency one.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from lacuna import czd
+from lacuna.lacunary import MAX_LACUNARY_TERMS
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import Signal, plateau_bump, read_signal
 
@@ -167,6 +169,19 @@ class TestLacunaryFrequencies:
         assert czd.lacunary_frequencies(0.5, 64, 2) is first
         assert calls == [1, 2]
         czd._lacunary_frequencies.cache_clear()
+
+    def test_budget_refuses_before_enumerating(self, monkeypatch):
+        # 2^11 bins at unit scale: orders 1..8 hold 24,379,392 signed sums
+        def refuse(*args):
+            raise AssertionError("an enumeration was started")
+
+        monkeypatch.setattr(czd, "lac_tau", refuse)
+        czd._lacunary_frequencies.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"sigma 8 would enumerate 24379392 signed "
+                                             f"sums, above the budget of {MAX_LACUNARY_TERMS}"):
+            czd.lacunary_frequencies(1.0, 2048.0, 8)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestWindowedCoefficient:
@@ -382,17 +397,6 @@ class TestDecomposition:
         for key in ("measure_bound_ratio", "good_sup_constant", "max_atom_constant"):
             lo, hi = sorted([a[key], b[key]])
             assert hi <= 2.0 * max(lo, 1e-12)
-
-    def test_threaded_matches_serial(self):
-        sig = random_signal(1024, seed=41)
-        alpha = 1.3 * luxemburg_avg(np.abs(sig.samples), 0.5)
-        serial = czd.cz_decompose(sig, 1, alpha, threads=1)
-        threaded = czd.cz_decompose(sig, 1, alpha, threads=4)
-        assert np.array_equal(serial.good.samples, threaded.good.samples)
-        assert np.array_equal(
-            serial.lacunary_part.samples, threaded.lacunary_part.samples
-        )
-        assert serial.to_json_dict() == threaded.to_json_dict()
 
     def test_margin_guard(self):
         vals = np.zeros(256)

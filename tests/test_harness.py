@@ -374,7 +374,7 @@ class TestWeakTypeRatio:
     def test_matches_per_threshold_loop_on_growth_rows(self, order):
         fam = build_sharpness_family(order, 14)
         g = fam.g_n
-        agg = fam.square_aggregate(g).samples
+        agg = fam.bank.square(g)
         inside = np.abs(g.x) < 1.0
         # the aggregate, then outputs that vanish off [-1, 1] exactly and to
         # about the 1e-13 * peak cutoff of the level grid
@@ -470,25 +470,32 @@ class TestZygmundBonami:
 
 
 class TestGenZygmundBonami:
-    def test_banks_are_built_once_per_grid(self, monkeypatch):
+    def test_bank_rows_are_resolved_once_per_grid(self, monkeypatch):
         # three banks (wide, sub-unit, all) at two grids, however many samples
         cfg = tiny_config(log2_n=10, ensemble=4)
-        built = []
-        real = BandBank.build.__func__
+        resolved = []
+        real = BandBank._resolve
 
-        def counting(cls, sig, windows, label="band"):
-            built.append((sig.n, label))
-            return real(cls, sig, windows, label)
+        def counting(bank, sig):
+            resolved.append((id(bank), bank.label, sig.n, sig.period))
+            return real(bank, sig)
 
-        monkeypatch.setattr(BandBank, "build", classmethod(counting))
+        monkeypatch.setattr(BandBank, "_resolve", counting)
         cached = hn.report_to_json(hn.verify_gen_zygmund_bonami(cfg))
-        assert len(built) == 6 and len(set(built)) == 6
-        # against a fresh bank at every use
-        monkeypatch.setattr(hn, "_gen_zb_bank", lambda banks, sig, label, windows:
-                            BandBank.build(sig, windows(), label))
-        built.clear()
+        assert len(resolved) == 6 and len(set(resolved)) == 6
+        assert {label for _, label, _, _ in resolved} == {
+            "project_smooth", "cancellative", "combined"}
+        # against rows resolved anew at every use
+        rows = BandBank.rows
+
+        def fresh_rows(bank, sig, flags=None):
+            bank.grids.clear()
+            return rows(bank, sig, flags)
+
+        monkeypatch.setattr(BandBank, "rows", fresh_rows)
+        resolved.clear()
         fresh = hn.report_to_json(hn.verify_gen_zygmund_bonami(cfg))
-        assert len(built) == 3 * 2 * cfg.ensemble
+        assert len(resolved) == 3 * 2 * cfg.ensemble
         assert cached == fresh
 
     def test_report_structure(self):

@@ -11,14 +11,18 @@ Oracles used here are independent of the library code paths:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import lacunary
 from lacuna.dyadic import ONE, ZERO, DyadicScalar
 from lacuna.lacunary import (
+    MAX_LACUNARY_INTERVALS,
+    MAX_LACUNARY_TERMS,
     LacInterval,
     dilate_interval,
     dilate_set,
@@ -245,6 +249,23 @@ def test_lambda_tau_count_matches_the_built_system(tau):
         for max_abs in (F(1, 4), F(1), F(3), F(64), F(100)):
             fam = lambda_tau(tau, DyadicScalar.pow2(min_log2), D(max_abs))
             assert lambda_tau_count(tau, DyadicScalar.pow2(min_log2), D(max_abs)) == len(fam)
+
+
+def _refuse(*args):
+    raise AssertionError("the enumeration was started")
+
+
+def test_enumerations_over_budget_are_refused_before_they_start(monkeypatch):
+    monkeypatch.setattr(lacunary, "whitney", _refuse)
+    monkeypatch.setattr(lacunary.itertools, "combinations", _refuse)
+    with pytest.raises(ValueError, match=f"tau 6 would build 792064 intervals, "
+                                         f"above the budget of {MAX_LACUNARY_INTERVALS}"):
+        lambda_tau(6, DyadicScalar.pow2(-16), D(F(64)))
+    # exponents -20..28: C(49, 8) * 2^8 signed sums
+    terms = math.comb(49, 8) << 8
+    with pytest.raises(ValueError, match=f"tau 8 would enumerate {terms} signed sums, "
+                                         f"above the budget of {MAX_LACUNARY_TERMS}"):
+        lac_tau(8, DyadicScalar.pow2(-20), DyadicScalar.pow2(20))
 
 
 def test_lambda_2_parent_8_16():

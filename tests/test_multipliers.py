@@ -172,6 +172,20 @@ class TestSharpnessFamily:
         outside = np.abs(xi) >= 4.0 * 2**4
         assert np.max(np.abs(coeffs[outside])) < 1e-9
 
+    @pytest.mark.parametrize("order, log2_n", [(4, 12), (8, 16), (11, 18)])
+    def test_dilated_bump_is_the_exact_sign_synthesis(self, order, log2_n):
+        # the centered window's offset phase at j/T is exactly (-1)^j;
+        # synthesize, which evaluates it as exp(-pi i j), stays the near reference
+        fam = mult.build_sharpness_family(order, log2_n)
+        n, period = 1 << log2_n, fam.period
+        js = sp.freq_indices(n)
+        coeffs = mult.base_bump_spectrum(js / period / 2.0**order).astype(complex)
+        exact = np.fft.ifft(coeffs * (-1.0) ** np.abs(js)) * (n / period)
+        assert np.array_equal(fam.f_n.samples, exact)
+        assert fam.f_n.offset == -period / 2
+        near = sp.synthesize(coeffs, period, -period / 2).samples
+        assert np.max(np.abs(near - exact)) <= 1e-10 * np.max(np.abs(exact))
+
     def test_dilated_bump_is_real_and_concentrated(self):
         fam = mult.build_sharpness_family(5, 14, period=16.0)
         f = fam.f_n.samples
@@ -202,39 +216,39 @@ class TestSharpnessFamily:
     def test_square_aggregate_matches_component_loop(self):
         fam = mult.build_sharpness_family(4, 12)
         sig = fam.g_n
-        agg = fam.square_aggregate(sig)
+        agg = fam.bank.square(sig)
         acc = np.zeros(sig.n)
         for k, l in fam.pairs:
             piece = fam.apply_component(sig, k, l).samples
             acc += np.abs(piece) ** 2
-        assert np.max(np.abs(agg.samples.real - np.sqrt(acc))) < 1e-10
+        assert np.max(np.abs(agg - np.sqrt(acc))) < 1e-10
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_aggregate_matches_band_by_band_sum(self, order):
         fam = mult.build_sharpness_family(order, 14)
         for sig in (fam.g_n, fam.f_n):
-            want = square_reference(fam.bank(sig), sig)
-            got = fam.square_aggregate(sig).samples
+            want = square_reference(fam.bank, sig)
+            got = fam.bank.square(sig)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_random_sign_apply_matches_sum(self):
         fam = mult.build_sharpness_family(4, 12)
         rng = np.random.default_rng(2)
         signs = rng.choice([-1.0, 1.0], size=len(fam.pairs))
-        fast = fam.random_sign_apply(fam.g_n, signs)
+        fast = fam.bank.combine(fam.g_n, signs)
         slow = np.zeros(fam.g_n.n, dtype=complex)
         for eps, (k, l) in zip(signs, fam.pairs):
             slow += eps * fam.apply_component(fam.g_n, k, l).samples
-        assert np.max(np.abs(fast.samples - slow)) < 1e-10
+        assert np.max(np.abs(fast - slow)) < 1e-10
 
     def test_offgrid_quadrature_matches_grid(self):
         fam = mult.build_sharpness_family(4, 12)
         sig = fam.f_n
-        agg = fam.square_aggregate(sig)
+        agg = fam.bank.square(sig)
         pick = np.array([100, 777, 2048, 3000])
         xs = sig.x[pick]
-        direct = fam.square_aggregate_at(sig, xs)
-        grid_vals = agg.samples.real[pick]
+        direct = fam.bank.square_at(sig, xs)
+        grid_vals = agg[pick]
         assert np.max(np.abs(direct - grid_vals)) < 1e-8 * max(1.0, grid_vals.max())
 
 

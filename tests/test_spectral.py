@@ -239,8 +239,8 @@ class TestSmoothProjection:
     def test_symbol_values_on_lattice(self):
         sig = sp.Signal(np.zeros(128), period=16.0, offset=-8.0)
         L = dyadic_interval(2, 4)
-        bank = sp.BandBank.build(sig, [sp.eta_window(L)], "project_smooth")
-        sym = bank.symbol().real
+        bank = sp.BandBank([sp.eta_window(L)], "project_smooth")
+        sym = bank.symbol(sig).real
         xi = sp.freq_indices(sig.n) / sig.period
         expected = sp.eta((xi - 3.0) / 2.0)
         assert np.max(np.abs(sym - expected)) < 1e-14
@@ -374,7 +374,7 @@ def square_reference(bank, sig):
     and added in band order."""
     coeffs = np.fft.fft(sig.samples)
     acc = np.zeros(sig.n)
-    for idx, vals in bank.rows:
+    for idx, vals in bank.rows(sig):
         masked = np.zeros_like(coeffs)
         masked[idx] = coeffs[idx] * vals
         piece = np.fft.ifft(masked)
@@ -391,12 +391,17 @@ class TestBandBank:
     @pytest.mark.parametrize("kind", ["sharp", "eta"])
     @pytest.mark.parametrize("offset", [0.0, -4.0])
     def test_matches_band_by_band_reference(self, kind, offset):
+        # one bank serves both grids, each with its own rows
+        window = sp.sharp_window if kind == "sharp" else sp.eta_window
+        bank = sp.BandBank([window(L) for L in self.FAMILY])
+        for n in (1 << 10, 1 << 11, 1 << 10):
+            self._check_against_reference(bank, kind, offset, n)
+        assert set(bank.grids) == {(1 << 10, self.PERIOD), (1 << 11, self.PERIOD)}
+
+    def _check_against_reference(self, bank, kind, offset, n):
         rng = np.random.default_rng(51)
-        n = 1 << 10
         sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                         self.PERIOD, offset)
-        window = sp.sharp_window if kind == "sharp" else sp.eta_window
-        bank = sp.BandBank.build(sig, [window(L) for L in self.FAMILY])
         spectra = _reference_spectra(sig, kind, self.FAMILY)
         pieces = np.array([sp.synthesize(row, sig.period, sig.offset).samples
                            for row in spectra])
@@ -441,28 +446,29 @@ class TestBandBank:
             (D.from_int(5), D.from_int(15), lambda xi: np.abs(xi - 10.0) > 1.0),
             (D.from_int(2), D.from_int(9), lambda xi: np.exp(1j * xi) * xi),
         ] + [sp.eta_window(L) for L in self.FAMILY]
-        bank = sp.BandBank.build(sig, windows)
-        assert bank.rows[5][0].size == 0
-        assert bank.rows[6][0].size < 80
+        bank = sp.BandBank(windows)
+        assert bank.rows(sig)[5][0].size == 0
+        assert bank.rows(sig)[6][0].size < 80
         want = square_reference(bank, sig)
         assert np.max(np.abs(bank.square(sig) - want)) <= 1e-12 * np.max(want)
 
     def test_square_is_exactly_zero_without_signal_or_lattice_points(self):
         windows = [sp.sharp_window(L) for L in self.FAMILY]
         zero = sp.Signal(np.zeros(1 << 10), self.PERIOD)
-        assert np.array_equal(sp.BandBank.build(zero, windows).square(zero), np.zeros(1 << 10))
+        assert np.array_equal(sp.BandBank(windows).square(zero), np.zeros(1 << 10))
         rng = np.random.default_rng(54)
         sig = sp.Signal(rng.standard_normal(1 << 10), self.PERIOD)
-        empty = sp.BandBank.build(sig, [(D.pow2(-6), D.pow2(-5), 1.0)] * 3)
+        empty = sp.BandBank([(D.pow2(-6), D.pow2(-5), 1.0)] * 3)
         assert np.array_equal(empty.square(sig), np.zeros(1 << 10))
-        assert np.array_equal(sp.BandBank(sig.n, sig.period, []).square(sig), np.zeros(1 << 10))
+        assert np.array_equal(sp.BandBank([]).square(sig), np.zeros(1 << 10))
 
     @pytest.mark.parametrize("idx", [[4, 6, 5], [1, 2, 2], [0, 5, 3]])
     def test_square_rejects_a_row_that_is_not_one_run(self, idx):
         sig = sp.Signal(np.ones(16), 2.0)
-        row = (np.array(idx), np.ones(len(idx)))
+        bank = sp.BandBank([])
+        bank.grids[(16, 2.0)] = ([(np.array(idx), np.ones(len(idx)))], ())
         with pytest.raises(ValueError, match="one run"):
-            sp.BandBank(16, 2.0, [row]).square(sig)
+            bank.square(sig)
 
     def test_rows_hold_exact_bands_with_nonzero_weights(self):
         on_lattice = [(L.left.as_fraction() * 8).denominator == 1
@@ -470,13 +476,56 @@ class TestBandBank:
                       for L in self.FAMILY]
         assert any(on_lattice) and not all(on_lattice)
         sig = sp.Signal(np.zeros(1 << 10), self.PERIOD)
-        sharp = sp.BandBank.build(sig, [sp.sharp_window(L) for L in self.FAMILY])
-        for (idx, vals), L in zip(sharp.rows, self.FAMILY):
+        sharp = sp.BandBank([sp.sharp_window(L) for L in self.FAMILY])
+        for (idx, vals), L in zip(sharp.rows(sig), self.FAMILY):
             assert np.array_equal(idx, sp.band_indices(sig, L.left, L.right))
             assert np.all(vals == 1.0)
-        assert any(idx.size == 0 for idx, _ in sharp.rows)
-        eta = sp.BandBank.build(sig, [sp.eta_window(L) for L in self.FAMILY])
-        assert all(np.all(vals != 0.0) for _, vals in eta.rows)
+        assert any(idx.size == 0 for idx, _ in sharp.rows(sig))
+        eta = sp.BandBank([sp.eta_window(L) for L in self.FAMILY])
+        assert all(np.all(vals != 0.0) for _, vals in eta.rows(sig))
+
+    def test_rows_are_resolved_once_per_grid(self, monkeypatch):
+        resolved = []
+        real = sp.BandBank._resolve
+
+        def counting(bank, sig):
+            resolved.append((id(bank), sig.n, sig.period))
+            return real(bank, sig)
+
+        monkeypatch.setattr(sp.BandBank, "_resolve", counting)
+        rng = np.random.default_rng(55)
+        windows = [sp.eta_window(L) for L in self.FAMILY]
+        banks = [sp.BandBank(windows), sp.BandBank(windows)]
+        grids = [(1 << 9, self.PERIOD), (1 << 10, self.PERIOD), (1 << 10, 2 * self.PERIOD)]
+        for _ in range(3):
+            for n, period in grids:
+                sig = sp.Signal(rng.standard_normal(n), period, -period / 2)
+                for bank in banks:
+                    bank.square(sig)
+                    bank.combine(sig, flags=sp.AliasFlags())
+                    bank.energies(sig)
+                # a resolved grid gives what fresh rows give, bit for bit
+                fresh = sp.BandBank(windows)
+                assert np.array_equal(banks[0].magnitudes(sig), fresh.magnitudes(sig))
+        ids = {id(bank) for bank in banks}
+        assert sorted(r for r in resolved if r[0] in ids) == sorted(
+            (id(bank), n, period) for bank in banks for n, period in grids)
+
+    def test_resolved_grid_replays_its_alias_events(self):
+        # 2^8 samples at period 4 reach the frequency 32: the blocks +-[32, 64)
+        # leave the lattice
+        family = lambda_tau(1, D.from_int(1), D.from_int(64))
+        bank = sp.BandBank([sp.sharp_window(L) for L in family], "wide")
+        sig = sp.Signal(np.ones(1 << 8), 4.0)
+        first, again = sp.AliasFlags(), sp.AliasFlags()
+        bank.square(sig, first)
+        bank.magnitudes(sig, flags=again)
+        assert first.aliased and again.events == first.events
+        assert all(event.startswith("wide:") for event in first.events)
+        # on a grid that holds the whole family nothing is flagged
+        clean = sp.AliasFlags()
+        bank.combine(sp.Signal(np.ones(1 << 8), 1.0), flags=clean)
+        assert not clean.aliased
 
 
 # -- weak L1 and dumps -------------------------------------------------------

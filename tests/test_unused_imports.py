@@ -1,8 +1,11 @@
-"""Every module-level import in a ``lacuna`` module is used or re-exported.
+"""Every module-level import in a ``lacuna`` module is used or re-exported,
+and no module imports a thread or process pool.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
-annotations included) or be listed in its ``__all__``.
+annotations included) or be listed in its ``__all__``.  Nothing in the
+package runs concurrently, which is what keeps report bytes independent of
+the accepted-and-ignored ``threads`` setting.
 """
 
 import ast
@@ -14,6 +17,7 @@ import lacuna
 
 MODULES = sorted(p for p in Path(lacuna.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+CONCURRENCY = ("concurrent", "threading", "multiprocessing")
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -63,3 +67,17 @@ def test_no_unused_module_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(Path(lacuna.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_concurrency_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.append(node.module)
+    banned = [name for name in found if name.split(".")[0] in CONCURRENCY]
+    assert not banned, f"{path.name}: imports {banned}"
