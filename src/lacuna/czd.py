@@ -181,6 +181,16 @@ def _check_parameters(sigma, alpha: float) -> int:
     return int(sigma)
 
 
+def _block_sums(w: np.ndarray) -> list:
+    """Sums of ``w`` over the dyadic blocks of every level, root first; each
+    level adds the even and odd entries of the one below it."""
+    sums = [w]
+    while sums[-1].size > 1:
+        sums.append(sums[-1][0::2] + sums[-1][1::2])
+    sums.reverse()
+    return sums
+
+
 def stopping_intervals(sig: Signal, sigma, alpha: float) -> tuple:
     """Maximal dyadic sample blocks with ``<|f|>_{B_{sigma/2},J} > alpha``.
 
@@ -194,12 +204,7 @@ def stopping_intervals(sig: Signal, sigma, alpha: float) -> tuple:
     w = np.asarray(B(np.abs(sig.samples) / alpha), dtype=float)
     n = sig.n
 
-    # per-level block sums, root first
-    sums = [w]
-    while sums[-1].size > 1:
-        sums.append(sums[-1].reshape(-1, 2).sum(axis=1))
-    sums.reverse()
-
+    sums = _block_sums(w)
     if sums[0][0] / n > 1.0:
         raise ValueError(
             "whole-window average exceeds alpha; enlarge the window or raise alpha"
@@ -272,9 +277,20 @@ def windowed_coefficient(piece: Signal, freq: float) -> complex:
     return complex(piece.dx * np.sum(piece.samples * phases))
 
 
+def _lattice_indices(piece: Signal, freqs) -> np.ndarray:
+    """The integers ``q`` with ``freqs = q/|J|``, each a local DFT bin below
+    the Nyquist (``|q| < n/2``); any other frequency is a ``ValueError``."""
+    scaled = np.asarray(freqs, dtype=float) * piece.period
+    qs = np.rint(scaled)
+    if not (np.array_equal(qs, scaled) and np.all(np.abs(qs) < piece.n / 2)):
+        raise ValueError("frequencies must be q/|J| on the local lattice with |q| < n/2")
+    return qs.astype(np.int64)
+
+
 def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
     """:func:`windowed_coefficient` at every ``freqs`` value, all of which
-    must lie on the local lattice ``q/|J|``, as one direct sum over samples.
+    must lie on the local lattice ``q/|J|`` with ``|q| < n/2``, as one direct
+    sum over samples.
 
     With ``x_k = x_lo + k |J|/n`` the phase ``exp(-2 pi i f x_k)`` is
     ``exp(-2 pi i f x_lo)`` times the root of unity of exact integer index
@@ -283,10 +299,7 @@ def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
     ``m x n_freq`` elementwise sum, so memory stays ``O(n + sqrt(n) n_freq)``.
     No FFT is involved.
     """
-    scaled = np.asarray(freqs, dtype=float) * piece.period
-    qs = np.rint(scaled)
-    if not np.array_equal(qs, scaled):
-        raise ValueError("frequencies must lie on the local lattice q/|J|")
+    qs = _lattice_indices(piece, freqs)
     n = piece.n
     half = piece.log2_n // 2
     m = 1 << half
@@ -296,7 +309,7 @@ def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
     # fine[idx mod m]; the index of sample a + m b is (q a + q m b) mod n
     coarse = np.exp(step * np.arange(0, n, m))
     fine = np.exp(step * np.arange(m))
-    q_mod = qs.astype(np.int64) % n
+    q_mod = qs % n
     outer = coarse[np.arange(rows)[:, None] * q_mod % rows]
     idx = np.arange(m)[:, None] * q_mod % n
     inner = coarse[idx >> half] * fine[idx & (m - 1)]
@@ -312,7 +325,8 @@ def remove_lacunary(piece: Signal, sigma, freqs: Optional[tuple] = None) -> tupl
     lacunary frequencies of all orders up to sigma at scale ``1/|J|``; the
     cancellative remainder has those coefficients equal to zero.  Both parts
     keep the window geometry of the input.  ``freqs`` passes in those
-    frequencies when the caller already holds them.
+    frequencies when the caller already holds them; each must be ``q/|J|``
+    with ``|q| < n/2``, else ``ValueError``.
     """
     sigma = _check_parameters(sigma, 1.0)
     if freqs is None:
@@ -320,9 +334,7 @@ def remove_lacunary(piece: Signal, sigma, freqs: Optional[tuple] = None) -> tupl
         nu_d = DyadicScalar.pow2(piece.log2_n - 1 - len_d.log2())
         freqs = lacunary_frequencies(piece.period, float(nu_d), sigma)
 
-    # each frequency is q/|J| with |q| < n/2: an exact local DFT bin
-    qs = np.array([round(f * piece.period) for f in freqs], dtype=int)
-    bins = np.mod(qs, piece.n)
+    bins = _lattice_indices(piece, freqs) % piece.n
 
     local = np.fft.fft(piece.samples)
     lac_spec = np.zeros_like(local)

@@ -13,7 +13,9 @@ Conventions (sigma >= 0 throughout):
   The bracket starts at ``[mean |f|, hi]`` (``hi`` grown by doubling) and
   shrinks with every evaluation; a Newton step that leaves it is replaced by
   the bracket midpoint.  A warm start at or above the root skips the doubling
-  probe.  ``sigma = 0`` returns the mean exactly.
+  probe.  ``sigma = 0`` returns the mean exactly.  Zero samples are skipped
+  (``B(0) = 0``), and each evaluation takes one log per remaining sample,
+  shared by ``B`` and the Newton slope (:meth:`YoungFunction.mean_terms`).
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
   (mean |f|^p)^{1/p}`` over integer p, the exp(L^{1/sigma}) norm up to
   absolute constants.  ``sigma = 0`` is rejected; that endpoint is the
@@ -56,6 +58,23 @@ class YoungFunction:
         logs = np.log(_E + t)
         return logs**self.sigma + self.sigma * t * logs ** (self.sigma - 1) / (_E + t)
 
+    def mean_terms(self, t: np.ndarray, size: int) -> tuple:
+        """``sum B(t) / size`` and the arrays :meth:`mean_slope` reuses.
+
+        ``log(e + t)`` is taken once; the operations are those of
+        ``__call__`` and :meth:`deriv`, so both sums are bitwise theirs.
+        """
+        et = _E + t
+        logs = np.log(et)
+        power = logs**self.sigma
+        return float((t * power).sum()) / size, (t, et, logs, power)
+
+    def mean_slope(self, terms: tuple, size: int) -> float:
+        """``sum B'(t) t / size`` from the arrays :meth:`mean_terms` returned."""
+        t, et, logs, power = terms
+        slope = power + self.sigma * t * logs ** (self.sigma - 1) / et
+        return float((slope * t).sum()) / size
+
     def submult_constant(self) -> float:
         """c with B(st) <= c B(s) B(t): log(e+st) <= 2 log(e+s) log(e+t)."""
         return 2.0**self.sigma
@@ -78,6 +97,11 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     otherwise the probe runs as for a cold start and the value at ``start``
     is reused.  Either way the iterates are those of probing first.  Returns
     once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, after at most 200 steps.
+
+    The mean, the maximum and the bracket come from every sample; the
+    evaluations sum over the nonzero samples only and divide by the full
+    sample count, which is exact because ``B(0) = 0`` and ``B'(0) 0 = 0``.
+    With no zero sample the sums are those over all of ``values``.
     """
     B = YoungFunction(sigma)
     v = np.abs(np.asarray(values, dtype=float)).ravel()
@@ -99,23 +123,22 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     if not math.isfinite(hi):
         raise ValueError(f"the starting bracket overflows at sigma = {sigma}")
 
-    def at(lam: float) -> tuple:
-        u = v / lam
-        return u, float(np.mean(B(u)))
+    size = v.size
+    v = v[v != 0]
 
     # a warm start at or above the root is the upper end of the bracket
     inside = start is not None and lo < start < hi
     if inside:
         lam = start
-        u, val = at(lam)
+        val, terms = B.mean_terms(v / lam, size)
     if not inside or val - 1.0 > CONSTRAINT_TOL:
         grow = 0
-        while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
+        while B.mean_terms(v / hi, size)[0] > 1.0 and grow < 200:
             hi *= 2.0
             grow += 1
         if not inside:
             lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-            u, val = at(lam)
+            val, terms = B.mean_terms(v / lam, size)
     for _ in range(200):
         if abs(val - 1.0) <= CONSTRAINT_TOL:
             return lam
@@ -125,10 +148,10 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
             hi = lam
         if hi - lo <= 1e-15 * hi:
             break
-        step = (val - 1.0) / float(np.mean(B.deriv(u) * u))
+        step = (val - 1.0) / B.mean_slope(terms, size)
         nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        u, val = at(lam)
+        val, terms = B.mean_terms(v / lam, size)
     return 0.5 * (lo + hi)
 
 

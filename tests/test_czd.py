@@ -118,6 +118,20 @@ class TestStoppingIntervals:
                 avg = luxemburg_avg(np.abs(sig.samples[j.lo : j.hi]), sigma / 2)
                 assert alpha * (1 - 1e-9) < avg <= 2 * alpha * (1 + 1e-9)
 
+    @pytest.mark.parametrize("log2_n", range(17))
+    def test_pairwise_pyramid_is_the_reshape_pyramid(self, log2_n):
+        # the pairwise sums of every level, bitwise, with exact zeros mixed in
+        rng = np.random.default_rng(40 + log2_n)
+        w = rng.pareto(1.1, 1 << log2_n) * (rng.random(1 << log2_n) < 0.3)
+        want = [w]
+        while want[-1].size > 1:
+            want.append(want[-1].reshape(-1, 2).sum(axis=1))
+        want.reverse()
+        got = czd._block_sums(w)
+        assert len(got) == len(want) == log2_n + 1
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_measure_bound(self):
         sig = random_signal(1024, seed=5)
         for sigma in (0, 1, 2):
@@ -223,9 +237,11 @@ class TestLatticeCoefficients:
                     assert abs(got[i] - ref) <= tol
 
     def test_off_lattice_frequency_rejected(self):
+        # 16 samples on a window of length 2: the bins are q/2 with |q| < 8
         piece = Signal(np.ones(16), period=2.0, offset=-1.0)
-        with pytest.raises(ValueError):
-            czd.lattice_coefficients(piece, [0.25])
+        for freq in (0.25, 4.0, -4.0, 20.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="local lattice"):
+                czd.lattice_coefficients(piece, [0.0, freq])
 
 
 class TestRemoveLacunary:
@@ -287,6 +303,13 @@ class TestRemoveLacunary:
         total = np.sum(np.abs(piece.samples) ** 2)
         split = np.sum(np.abs(canc.samples) ** 2) + np.sum(np.abs(lac.samples) ** 2)
         assert split == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("freq", [0.3, 8.0, -8.0, 20.0, 1e300, np.nan, np.inf])
+    def test_off_lattice_frequency_is_an_error_not_a_rounded_bin(self, freq):
+        # 0.3 used to round to the mean bin and 20 to wrap to bin 4
+        piece = self.rand_piece(n=16)
+        with pytest.raises(ValueError, match="local lattice"):
+            czd.remove_lacunary(piece, 0, freqs=(0.0, freq))
 
     def test_single_sample_atom(self):
         piece = Signal(np.array([3.0]), period=2.0 ** -5, offset=0.125)

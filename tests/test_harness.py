@@ -136,6 +136,26 @@ class TestConfig:
         wide["config"]["threads"] = 0
         assert hn.report_to_json(wide) == hn.report_to_json(serial)
 
+    @given(st.lists(st.tuples(
+        st.sampled_from(sorted(hn._CONFIG_FIELDS)),
+        st.one_of(
+            st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "",
+                             "0x10", "1_000", "1e3", "4" * 400, "-" + "9" * 400,
+                             "true", "off", "2.5", "  ", "'8'", "\"\"", "=", "1#2"]),
+            st.integers().map(str),
+            st.floats().map(repr),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+        ),
+    ), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_config_lines_give_a_config_or_a_value_error(self, lines):
+        text = "\n".join(f"{key} = {value}" for key, value in lines)
+        try:
+            cfg = hn.make_config(hn.parse_config_text(text))
+        except ValueError:
+            return
+        assert isinstance(cfg, hn.ExperimentConfig)
+
     @given(st.integers(4, 22), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_parse_round_trip(self, log2_n, refine):

@@ -110,14 +110,66 @@ def probe_first_luxemburg(values, sigma: float, start=None) -> float:
     return 0.5 * (lo + hi)
 
 
+def full_array_luxemburg(values, sigma: float, start=None) -> float:
+    """``luxemburg_avg`` before it skipped zero samples: every evaluation
+    runs ``B`` and ``B'`` over all of ``values``, each taking its own log."""
+    B = YoungFunction(sigma)
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    mean = float(v.mean())
+    if mean == 0.0:
+        return 0.0
+    if sigma == 0:
+        return mean
+    lo = mean
+    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
+
+    def at(lam: float) -> tuple:
+        u = v / lam
+        return u, float(np.mean(B(u)))
+
+    inside = start is not None and lo < start < hi
+    if inside:
+        lam = start
+        u, val = at(lam)
+    if not inside or val - 1.0 > CONSTRAINT_TOL:
+        grow = 0
+        while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
+            hi *= 2.0
+            grow += 1
+        if not inside:
+            lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+            u, val = at(lam)
+    for _ in range(200):
+        if abs(val - 1.0) <= CONSTRAINT_TOL:
+            return lam
+        if val > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= 1e-15 * hi:
+            break
+        step = (val - 1.0) / float(np.mean(B.deriv(u) * u))
+        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        u, val = at(lam)
+    return 0.5 * (lo + hi)
+
+
 def count_young_calls(monkeypatch, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` and the number of ``B`` evaluations it made."""
+    """``fn(*args, **kwargs)`` and the number of ``B`` evaluations it made:
+    calls of ``YoungFunction.mean_terms``, through which ``luxemburg_avg``
+    makes every evaluation, plus calls of ``YoungFunction.__call__``, through
+    which the references above make theirs."""
     calls = []
-    real = YoungFunction.__call__
+    real_call = YoungFunction.__call__
+    real_terms = YoungFunction.mean_terms
     monkeypatch.setattr(YoungFunction, "__call__",
-                        lambda self, t: calls.append(1) or real(self, t))
+                        lambda self, t: calls.append(1) or real_call(self, t))
+    monkeypatch.setattr(YoungFunction, "mean_terms",
+                        lambda self, t, size: calls.append(1) or real_terms(self, t, size))
     out = fn(*args, **kwargs)
-    monkeypatch.setattr(YoungFunction, "__call__", real)
+    monkeypatch.setattr(YoungFunction, "__call__", real_call)
+    monkeypatch.setattr(YoungFunction, "mean_terms", real_terms)
     return out, len(calls)
 
 
@@ -385,6 +437,59 @@ def test_solver_warm_starts_match_the_probe_first_solve_bitwise(sigma, monkeypat
     assert len(calls) > 400
     for values, s, start, got in calls:
         assert got == probe_first_luxemburg(values, s, start=start)
+
+
+# -- the solve over the support against the full-array solve it replaced -------
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("kind", ["normal", "pareto", "constant", "tiny"])
+def test_support_solve_without_zeros_is_the_full_array_solve(sigma, kind):
+    # nothing is filtered, so the sums and every iterate are bitwise the same
+    rng = np.random.default_rng(int(sigma * 100) + 7)
+    for n in (1, 2, 3, 64, 1024, 1 << 14):
+        v = newton_inputs(kind, n, rng)
+        assert np.all(v != 0)
+        cold = luxemburg_avg(v, sigma)
+        assert cold == full_array_luxemburg(v, sigma), (n, kind)
+        for start in (cold, cold * (1 - 1e-3), cold * (1 + 1e-3), cold * 1.5):
+            assert luxemburg_avg(v, sigma, start=start) == \
+                full_array_luxemburg(v, sigma, start=start), (n, kind, start)
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("zeros", ["half", "99%", "all-but-one"])
+def test_support_solve_with_zeros_matches_the_full_array_solve(sigma, zeros):
+    # the sums skip the zeros and so group their terms differently
+    rng = np.random.default_rng(int(sigma * 100) + 11)
+    for n in (2, 64, 1024, 1 << 14):
+        for kind in ("normal", "pareto", "tiny"):
+            v = newton_inputs(kind, n, rng)
+            if zeros == "all-but-one":
+                keep = rng.integers(n, size=1)
+            else:
+                share = 0.5 if zeros == "half" else 0.01
+                keep = rng.choice(n, size=max(1, int(share * n)), replace=False)
+            sparse = np.zeros(n)
+            sparse[keep] = v[keep]
+            cold = luxemburg_avg(sparse, sigma)
+            want = full_array_luxemburg(sparse, sigma)
+            assert abs(cold - want) <= 1e-14 * want, (n, kind, cold, want)
+            for start in (want * (1 - 1e-3), want * (1 + 1e-3)):
+                got = luxemburg_avg(sparse, sigma, start=start)
+                ref = full_array_luxemburg(sparse, sigma, start=start)
+                assert abs(got - ref) <= 1e-14 * ref, (n, kind, start, got, ref)
+
+
+def test_fused_evaluation_is_bitwise_young_and_its_derivative():
+    rng = np.random.default_rng(17)
+    t = np.concatenate([rng.pareto(1.1, 4096), [0.0, 1e-300, 1e300]])
+    for sigma in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 300.0):
+        B = YoungFunction(sigma)
+        with np.errstate(over="ignore"):
+            val, terms = B.mean_terms(t, t.size + 5)
+            assert val == float(np.sum(B(t))) / (t.size + 5)
+            assert B.mean_slope(terms, t.size) == float(np.mean(B.deriv(t) * t))
 
 
 def test_start_outside_the_bracket_takes_the_fallback():
