@@ -46,11 +46,10 @@ __all__ = [
     "StoppingInterval",
     "CzAtom",
     "CzDecomposition",
-    "leaf_threshold",
     "young_mass",
     "stopping_intervals",
     "lacunary_frequencies",
-    "windowed_coefficient",
+    "lattice_indices",
     "lattice_coefficients",
     "remove_lacunary",
     "cz_decompose",
@@ -147,22 +146,6 @@ class CzDecomposition:
         write_signal(paths["good"], self.good)
         write_signal(paths["lacunary"], self.lacunary_part)
         return {k: str(v) for k, v in paths.items()}
-
-
-def leaf_threshold(s: float) -> float:
-    """The t with ``B_s(t) = 1``; single samples exceed level alpha iff
-    ``|f| > t * alpha``.  Equals 1 for s = 0 and decreases with s."""
-    if s == 0:
-        return 1.0
-    B = YoungFunction(s)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(B(mid)) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def young_mass(sig: Signal, sigma: int, alpha: float) -> float:
@@ -268,16 +251,7 @@ def _lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
     return tuple(sorted((float(d) for d in out)))
 
 
-def windowed_coefficient(piece: Signal, freq: float) -> complex:
-    """Quadrature of the Fourier integral of the piece over its own window,
-    by direct summation (works for frequencies off any lattice).
-
-    The reference for :func:`lattice_coefficients`."""
-    phases = np.exp(-2j * np.pi * freq * piece.x)
-    return complex(piece.dx * np.sum(piece.samples * phases))
-
-
-def _lattice_indices(piece: Signal, freqs) -> np.ndarray:
+def lattice_indices(piece: Signal, freqs) -> np.ndarray:
     """The integers ``q`` with ``freqs = q/|J|``, each a local DFT bin below
     the Nyquist (``|q| < n/2``); any other frequency is a ``ValueError``."""
     scaled = np.asarray(freqs, dtype=float) * piece.period
@@ -288,9 +262,9 @@ def _lattice_indices(piece: Signal, freqs) -> np.ndarray:
 
 
 def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
-    """:func:`windowed_coefficient` at every ``freqs`` value, all of which
-    must lie on the local lattice ``q/|J|`` with ``|q| < n/2``, as one direct
-    sum over samples.
+    """The quadrature of the piece's Fourier integral over its own window at
+    every ``freqs`` value, all of which must lie on the local lattice ``q/|J|``
+    with ``|q| < n/2``, as one direct sum over samples.
 
     With ``x_k = x_lo + k |J|/n`` the phase ``exp(-2 pi i f x_k)`` is
     ``exp(-2 pi i f x_lo)`` times the root of unity of exact integer index
@@ -299,7 +273,7 @@ def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
     ``m x n_freq`` elementwise sum, so memory stays ``O(n + sqrt(n) n_freq)``.
     No FFT is involved.
     """
-    qs = _lattice_indices(piece, freqs)
+    qs = lattice_indices(piece, freqs)
     n = piece.n
     half = piece.log2_n // 2
     m = 1 << half
@@ -334,7 +308,7 @@ def remove_lacunary(piece: Signal, sigma, freqs: Optional[tuple] = None) -> tupl
         nu_d = DyadicScalar.pow2(piece.log2_n - 1 - len_d.log2())
         freqs = lacunary_frequencies(piece.period, float(nu_d), sigma)
 
-    bins = _lattice_indices(piece, freqs) % piece.n
+    bins = lattice_indices(piece, freqs) % piece.n
 
     local = np.fft.fft(piece.samples)
     lac_spec = np.zeros_like(local)

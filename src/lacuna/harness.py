@@ -18,7 +18,11 @@ Every experiment draws all random parameters up front from one seeded
 generator and aggregates in a fixed order, so reports are byte-stable for a
 given configuration.  A "ratio" always means measured-lhs / claimed-rhs; the
 experiments check finiteness and stability under grid refinement, never a
-particular constant.
+particular constant.  The four verify experiments share one refinement rule
+(``_refined_rows``): a row pairs with the row of the same branch and gamma on
+the x4 finer grid and aborts when that mate aborted.  A report is ok when no
+row aborted, every ratio is finite and no drift exceeds 2; its notes name
+each failing row.
 """
 
 from __future__ import annotations
@@ -32,7 +36,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .czd import cz_decompose, lacunary_frequencies, lattice_coefficients, remove_lacunary
+from .czd import (
+    cz_decompose,
+    lacunary_frequencies,
+    lattice_coefficients,
+    lattice_indices,
+    remove_lacunary,
+)
 from .dyadic import DyadicScalar
 from .lacunary import LacInterval, lac_tau, lambda_tau
 from .martingale import (
@@ -59,7 +69,6 @@ from .spectral import (
     eta_window,
     plateau_bump,
     sharp_window,
-    spectrum,
     weak_l1_norm,
 )
 
@@ -232,6 +241,13 @@ def _grid(log2_n: int, period: float) -> tuple[np.ndarray, float]:
     return offset + (period / n) * np.arange(n), offset
 
 
+def _add_bumps(vals: np.ndarray, x: np.ndarray, bumps) -> np.ndarray:
+    """Add ``a * plateau_bump((x - c) / w)`` onto ``vals`` for each ``(c, w, a)``."""
+    for c, w, a in bumps:
+        vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
+    return vals
+
+
 def _bump_mixture_spec(label: str, period: float, rng: np.random.Generator,
                        support: Optional[str]) -> SampleSpec:
     n_terms = int(rng.integers(1, 4))
@@ -248,10 +264,7 @@ def _bump_mixture_spec(label: str, period: float, rng: np.random.Generator,
 
     def build(log2_n: int) -> Signal:
         x, offset = _grid(log2_n, period)
-        vals = np.zeros_like(x)
-        for c, w, a in zip(centers, widths, amps):
-            vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
-        return Signal(vals, period, offset)
+        return Signal(_add_bumps(np.zeros_like(x), x, zip(centers, widths, amps)), period, offset)
 
     return SampleSpec(label, build)
 
@@ -265,11 +278,8 @@ def _spike_mixture_builder(period: float, rng: np.random.Generator) -> Callable:
 
     def build(log2_n: int) -> Signal:
         sig = base(log2_n)
-        x = sig.x
-        vals = np.array(sig.samples)
-        for c, w, a in zip(centers, widths, amps):
-            vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
-        return Signal(vals, period, sig.offset)
+        return sig.with_samples(_add_bumps(np.array(sig.samples), sig.x,
+                                           zip(centers, widths, amps)))
 
     return build
 
@@ -518,6 +528,15 @@ class RatioReport:
         return asdict(self)
 
 
+def _bound_row(label: str, lhs: float, rhs: float, **where) -> dict:
+    """One measured ``lhs <= C * rhs``; a zero right side aborts the row."""
+    row = {"label": label, **where, "aborted": rhs <= 0.0, "lhs": lhs, "rhs": rhs,
+           "ratio": lhs / rhs if rhs > 0 else math.inf}
+    if rhs <= 0.0:
+        row["note"] = "degenerate sample (zero average)"
+    return row
+
+
 def _drift(coarse: float, fine: float) -> float:
     if coarse <= 0.0 and fine <= 0.0:
         return 1.0
@@ -526,19 +545,53 @@ def _drift(coarse: float, fine: float) -> float:
     return max(coarse / fine, fine / coarse)
 
 
+def _refined_rows(cfg: ExperimentConfig, specs: Sequence[SampleSpec],
+                  rows_at: Callable[[Signal, str], list]) -> list:
+    """Every spec's rows at ``log2_n`` through ``rows_at(sig, label)``.
+
+    With ``refine`` on, each row that did not abort pairs with the row of the
+    same ``(branch, gamma)`` on the x4 finer grid and gains ``fine_ratio`` and
+    ``drift``, or is aborted with its mate's note when that mate aborted.  The
+    fine grid is not measured when every coarse row aborted.
+    """
+    rows: list = []
+    for spec in specs:
+        coarse = rows_at(spec.build(cfg.log2_n), spec.label)
+        if cfg.refine and not all(row["aborted"] for row in coarse):
+            fine = rows_at(spec.build(cfg.log2_n + 2), spec.label)
+            mates = {(row.get("branch"), row.get("gamma")): row for row in fine}
+            for row in coarse:
+                if row["aborted"]:
+                    continue
+                # a missing mate means the fine rows stopped at their last, aborted row
+                mate = mates.get((row.get("branch"), row.get("gamma")), fine[-1])
+                if mate["aborted"]:
+                    row.update(aborted=True, note=mate["note"])
+                else:
+                    row["fine_ratio"] = mate["ratio"]
+                    row["drift"] = _drift(row["ratio"], mate["ratio"])
+        rows.extend(coarse)
+    return rows
+
+
 def _finish_report(experiment: str, anchor: str, cfg: ExperimentConfig,
-                   operator: str, exponent: float, rows: list,
-                   notes: Optional[list] = None) -> RatioReport:
-    notes = list(notes or [])
-    ratios = [row["ratio"] for row in rows if not row.get("aborted")]
-    drifts = [row["drift"] for row in rows
-              if not row.get("aborted") and "drift" in row]
-    aborted = [row["label"] for row in rows if row.get("aborted")]
-    if aborted:
-        notes.append(f"aborted samples: {', '.join(aborted)}")
-    finite = bool(ratios) and all(math.isfinite(r) for r in ratios)
-    stable = (not cfg.refine) or (bool(drifts) and max(drifts) <= 2.0)
-    ok = finite and stable and not aborted
+                   operator: str, exponent: float, rows: list) -> RatioReport:
+    ratios = [row["ratio"] for row in rows if not row["aborted"]]
+    drifts = [row["drift"] for row in rows if "drift" in row]
+    aborted = [row["label"] for row in rows if row["aborted"]]
+    notes = [f"aborted samples: {', '.join(aborted)}"] if aborted else []
+    failures = []
+    for row in rows:
+        if row["aborted"]:
+            reason = "aborted"
+        elif not math.isfinite(row["ratio"]):
+            reason = f"non-finite ratio {row['ratio']}"
+        elif row.get("drift", 0.0) > 2.0:
+            reason = f"drift {row['drift']:.4f} above 2"
+        else:
+            continue
+        where = f" {row['branch']} gamma {row['gamma']:g}" if "branch" in row else ""
+        failures.append(f"{row['label']}{where}: {reason}")
     refinement = {}
     if cfg.refine:
         refinement = {
@@ -556,123 +609,74 @@ def _finish_report(experiment: str, anchor: str, cfg: ExperimentConfig,
         max_ratio=max(ratios) if ratios else 0.0,
         median_ratio=statistics.median(ratios) if ratios else 0.0,
         refinement=refinement,
-        ok=ok,
-        notes=notes,
+        ok=bool(ratios) and not failures,
+        notes=notes + failures,
     )
 
 
 # -- distribution-bound experiments ---------------------------------------
 
 
-def _ratio_rows(cfg: ExperimentConfig, specs: Sequence[SampleSpec],
-                op: OperatorSpec, exponent: float) -> list:
-    rows = []
-    for spec in specs:
-        row: dict = {"label": spec.label, "aborted": False}
+def _distribution_bound(experiment: str, operators: tuple, claim: str, cfg: ExperimentConfig,
+                        operator: str, exponent: Optional[float]) -> RatioReport:
+    """The weak-type ratio of one operator over the signal ensemble."""
+    if operator not in operators:
+        raise ValueError(f"{experiment} operator must be one of {operators}")
+    specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed))
+    op = build_operator(operator, cfg, np.random.default_rng(cfg.seed + 1))
+    p = op.exponent if exponent is None else float(exponent)
+    anchor = f"|x : |Tf(x)| > a| <= C * integral (|f|/a) log^{p:g}(e + |f|/a) dx {claim}"
+
+    def rows_at(sig: Signal, label: str) -> list:
         flags = AliasFlags()
-        sig = spec.build(cfg.log2_n)
         mags = op.apply(sig, flags)
         if flags.aliased:
-            row.update(aborted=True, note="; ".join(flags.events[:3]))
-            rows.append(row)
-            continue
-        meas = weak_type_ratio(mags, sig.samples, sig.dx, exponent, cfg.n_levels)
-        row.update(ratio=meas["max_ratio"], alpha=meas["alpha"])
-        if cfg.refine:
-            fine_flags = AliasFlags()
-            fine = spec.build(cfg.log2_n + 2)
-            fine_mags = op.apply(fine, fine_flags)
-            if fine_flags.aliased:
-                row.update(aborted=True, note="; ".join(fine_flags.events[:3]))
-            else:
-                fine_meas = weak_type_ratio(fine_mags, fine.samples, fine.dx,
-                                            exponent, cfg.n_levels)
-                row["fine_ratio"] = fine_meas["max_ratio"]
-                row["drift"] = _drift(meas["max_ratio"], fine_meas["max_ratio"])
-        rows.append(row)
-    return rows
+            return [{"label": label, "aborted": True, "note": "; ".join(flags.events[:3])}]
+        meas = weak_type_ratio(mags, sig.samples, sig.dx, p, cfg.n_levels)
+        return [{"label": label, "aborted": False,
+                 "ratio": meas["max_ratio"], "alpha": meas["alpha"]}]
+
+    rows = _refined_rows(cfg, specs, rows_at)
+    return _finish_report(experiment, anchor, cfg, op.label, p, rows)
 
 
 def verify_endpoint(cfg: ExperimentConfig, operator: str = "prototype",
                     exponent: Optional[float] = None) -> RatioReport:
     """Distribution bound |{|Tf| > a}| <= C int B_p(|f|/a), p = tau/2."""
-    if operator not in ENDPOINT_OPERATORS:
-        raise ValueError(f"endpoint operator must be one of {ENDPOINT_OPERATORS}")
-    rng = np.random.default_rng(cfg.seed)
-    specs = make_sample_specs(cfg, rng)
-    op = build_operator(operator, cfg, np.random.default_rng(cfg.seed + 1))
-    p = op.exponent if exponent is None else float(exponent)
-    anchor = (f"|x : |Tf(x)| > a| <= C * integral (|f|/a) log^{p:g}(e + |f|/a) dx "
-              "for every threshold a > 0")
-    rows = _ratio_rows(cfg, specs, op, p)
-    return _finish_report("endpoint", anchor, cfg, op.label, p, rows)
+    return _distribution_bound("endpoint", ENDPOINT_OPERATORS, "for every threshold a > 0",
+                               cfg, operator, exponent)
 
 
 def verify_hormander(cfg: ExperimentConfig, operator: str = "hormander",
                      exponent: Optional[float] = None) -> RatioReport:
     """Same distribution bound with the improved exponent (tau-1)/2 for the
     overlapping-bump symbols and the smooth square aggregate."""
-    if operator not in HORMANDER_OPERATORS:
-        raise ValueError(f"hormander operator must be one of {HORMANDER_OPERATORS}")
-    rng = np.random.default_rng(cfg.seed)
-    specs = make_sample_specs(cfg, rng)
-    op = build_operator(operator, cfg, np.random.default_rng(cfg.seed + 1))
-    p = op.exponent if exponent is None else float(exponent)
-    anchor = (f"|x : |Tf(x)| > a| <= C * integral (|f|/a) log^{p:g}(e + |f|/a) dx "
-              "for smooth order-decomposed symbols")
-    rows = _ratio_rows(cfg, specs, op, p)
-    return _finish_report("hormander", anchor, cfg, op.label, p, rows)
+    return _distribution_bound("hormander", HORMANDER_OPERATORS,
+                               "for smooth order-decomposed symbols", cfg, operator, exponent)
 
 
 # -- coefficient embedding on the unit window -------------------------------
 
 
-def _coefficient_positions(lams: Sequence[float], sig: Signal) -> np.ndarray:
-    """FFT-layout positions of integer frequencies (exact on the lattice)."""
-    js = np.array([round(lam * sig.period) for lam in lams], dtype=np.int64)
-    half = sig.n // 2
-    if np.any(np.abs(js) >= half):
-        raise ValueError("coefficient frequency exceeds the lattice")
-    return np.mod(js, sig.n)
-
-
 def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     """l2 mass of the order-tau coefficient set against the L log^{tau/2} L
     average, for signals supported on the unit window."""
-    rng = np.random.default_rng(cfg.seed)
-    specs = make_sample_specs(cfg, rng, support="unit")
+    specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support="unit")
     nu = 1 << (cfg.log2_n - 1 - cfg.log2_period)
     pts = lac_tau(cfg.tau, DyadicScalar.from_int(1), DyadicScalar.from_int(nu - 1))
     lams = [float(p) for p in pts.points]
     anchor = ("(sum over order-tau lacunary frequencies |fhat(lam)|^2)^{1/2} "
               "<= C * Luxemburg average of |f| with t log^{tau/2}(e+t) on [0,1]")
 
-    def measure(sig: Signal) -> tuple[float, float]:
-        sp = spectrum(sig)
-        pos = _coefficient_positions(lams, sig)
-        lhs = float(np.sqrt(np.sum(np.abs(sp[pos]) ** 2)))
+    def rows_at(sig: Signal, label: str) -> list:
+        # |fhat(j/T)| = |fft_j| * T/n: the offset phase cancels in the modulus
+        coeffs = np.abs(np.fft.fft(sig.samples)[lattice_indices(sig, lams) % sig.n]) * sig.dx
         mask = (sig.x >= 0.0) & (sig.x < 1.0)
-        rhs = luxemburg_avg(np.abs(sig.samples[mask]), cfg.tau / 2)
-        return lhs, rhs
+        return [_bound_row(label, float(np.sqrt(np.sum(coeffs ** 2))),
+                           luxemburg_avg(np.abs(sig.samples[mask]), cfg.tau / 2))]
 
-    rows = []
-    for spec in specs:
-        row: dict = {"label": spec.label, "aborted": False}
-        sig = spec.build(cfg.log2_n)
-        lhs, rhs = measure(sig)
-        if rhs <= 0.0:
-            row.update(aborted=True, note="degenerate sample (zero average)")
-            rows.append(row)
-            continue
-        row.update(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-        if cfg.refine:
-            lhs2, rhs2 = measure(spec.build(cfg.log2_n + 2))
-            fine = lhs2 / rhs2 if rhs2 > 0 else math.inf
-            row["fine_ratio"] = fine
-            row["drift"] = _drift(row["ratio"], fine)
-        rows.append(row)
     return _finish_report("zygmund-bonami", anchor, cfg, "coefficient-embedding",
-                          cfg.tau / 2, rows)
+                          cfg.tau / 2, _refined_rows(cfg, specs, rows_at))
 
 
 # -- localized block estimates on a unit window ------------------------------
@@ -687,34 +691,25 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     # half-open windows, aligned with the sample grid
     jmask = (x >= -0.5) & (x < 0.5)
     gmask = (x >= -cfg.gamma / 2) & (x < cfg.gamma / 2)
-    dx = sig.dx
-    rows = []
 
     # blocks at unit scale and above: smooth pieces, localized averages
     flags = AliasFlags()
     pieces = wide.magnitudes(sig, flags=flags)
     if flags.aliased:
-        rows.append({"label": label, "branch": "local", "gamma": cfg.gamma,
-                     "aborted": True, "note": "; ".join(flags.events[:3])})
-        return rows
+        return [{"label": label, "branch": "local", "gamma": cfg.gamma, "aborted": True,
+                 "note": "; ".join(flags.events[:3])}]
     local_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2) for row in pieces[:, gmask]])
-    lhs_local = float(np.sqrt(np.sum(local_avgs ** 2)))
-    rhs_local = luxemburg_avg(np.abs(sig.samples[jmask]), (cfg.sigma + cfg.tau) / 2)
-    rows.append({"label": label, "branch": "local", "gamma": cfg.gamma,
-                 "aborted": rhs_local <= 0.0,
-                 "lhs": lhs_local, "rhs": rhs_local,
-                 "ratio": lhs_local / rhs_local if rhs_local > 0 else math.inf})
+    rows = [_bound_row(label, float(np.sqrt(np.sum(local_avgs ** 2))),
+                       luxemburg_avg(np.abs(sig.samples[jmask]), (cfg.sigma + cfg.tau) / 2),
+                       branch="local", gamma=cfg.gamma)]
 
     # energy of the same pieces off the dilated window
     rhs_tail = luxemburg_avg(np.abs(sig.samples[jmask]), (cfg.tau - 1) / 2) ** 2
     sq = pieces ** 2
     for gam in tail_gammas:
         tmask = (x < -gam / 2) | (x >= gam / 2)
-        lhs_tail = float(dx * np.sum(sq[:, tmask]))
-        rows.append({"label": label, "branch": "tail", "gamma": gam,
-                     "aborted": rhs_tail <= 0.0,
-                     "lhs": lhs_tail, "rhs": rhs_tail,
-                     "ratio": lhs_tail / rhs_tail if rhs_tail > 0 else math.inf})
+        rows.append(_bound_row(label, float(sig.dx * np.sum(sq[:, tmask])), rhs_tail,
+                               branch="tail", gamma=gam))
 
     # small scales on the coefficient-cancelled window restriction
     piece = Signal(sig.samples[jmask], 1.0, -0.5)
@@ -730,22 +725,16 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     full = np.zeros(sig.n, dtype=complex)
     full[jmask] = canc.samples
     canc_ext = Signal(full, sig.period, sig.offset)
-    lhs_small = float(np.sum(small.energies(canc_ext)))
-    rhs_small = luxemburg_avg(np.abs(canc.samples), (cfg.tau - 1) / 2) ** 2
-    rows.append({"label": label, "branch": "cancellative", "gamma": cfg.gamma,
-                 "aborted": rhs_small <= 0.0,
-                 "lhs": lhs_small, "rhs": rhs_small,
-                 "ratio": lhs_small / rhs_small if rhs_small > 0 else math.inf})
+    rows.append(_bound_row(label, float(np.sum(small.energies(canc_ext))),
+                           luxemburg_avg(np.abs(canc.samples), (cfg.tau - 1) / 2) ** 2,
+                           branch="cancellative", gamma=cfg.gamma))
 
     # all scales at once on the cancelled signal: sharp pieces, localized
     comb_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2)
                           for row in every.magnitudes(canc_ext, gmask)])
-    lhs_comb = float(np.sqrt(np.sum(comb_avgs ** 2)))
-    rhs_comb = luxemburg_avg(np.abs(canc.samples), (cfg.sigma + cfg.tau) / 2)
-    rows.append({"label": label, "branch": "combined", "gamma": cfg.gamma,
-                 "aborted": rhs_comb <= 0.0,
-                 "lhs": lhs_comb, "rhs": rhs_comb,
-                 "ratio": lhs_comb / rhs_comb if rhs_comb > 0 else math.inf})
+    rows.append(_bound_row(label, float(np.sqrt(np.sum(comb_avgs ** 2))),
+                           luxemburg_avg(np.abs(canc.samples), (cfg.sigma + cfg.tau) / 2),
+                           branch="combined", gamma=cfg.gamma))
     return rows
 
 
@@ -760,8 +749,7 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
                   the low-order lacunary coefficients on the window;
     * combined -- all scales on the cancelled signal, localized averages.
     """
-    rng = np.random.default_rng(cfg.seed)
-    specs = make_sample_specs(cfg, rng, support="centered")
+    specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support="centered")
     tail_gammas = [g for g in (2.0, 4.0, 8.0) if g <= cfg.period / 2]
     anchor = ("block-average aggregate, off-window tails, and sub-unit energies "
               "on the unit window, against Luxemburg averages of the input")
@@ -773,29 +761,17 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
              BandBank([sharp_window(block) for block in every
                        if float(block.length) < 1.0], "cancellative"),
              BandBank([sharp_window(block) for block in every], "combined"))
-    rows: list = []
-    for spec in specs:
-        coarse = _gen_zb_rows(cfg, spec.build(cfg.log2_n), spec.label, tail_gammas, banks)
-        if cfg.refine:
-            fine = _gen_zb_rows(cfg, spec.build(cfg.log2_n + 2), spec.label, tail_gammas, banks)
-            fine_by_key = {(r["branch"], r["gamma"]): r for r in fine}
-            for row in coarse:
-                mate = fine_by_key.get((row["branch"], row["gamma"]))
-                if row.get("aborted") or mate is None or mate.get("aborted"):
-                    continue
-                row["fine_ratio"] = mate["ratio"]
-                row["drift"] = _drift(row["ratio"], mate["ratio"])
-        rows.extend(coarse)
+    rows = _refined_rows(cfg, specs, lambda sig, label: _gen_zb_rows(
+        cfg, sig, label, tail_gammas, banks))
     report = _finish_report("gen-zygmund-bonami", anchor, cfg, "window-blocks",
                             (cfg.sigma + cfg.tau) / 2, rows)
     # tail rows should decay as the excluded window grows
     by_label: dict = {}
     for row in rows:
-        if row["branch"] == "tail" and not row.get("aborted"):
-            by_label.setdefault(row["label"], []).append((row["gamma"], row["ratio"]))
-    for label, pairs in sorted(by_label.items()):
-        pairs.sort()
-        vals = [r for _, r in pairs]
+        if row["branch"] == "tail" and not row["aborted"]:
+            by_label.setdefault(row["label"], []).append(row["ratio"])
+    # each label's tail rows come in increasing gamma
+    for label, vals in sorted(by_label.items()):
         if any(b > a * (1 + 1e-9) for a, b in zip(vals, vals[1:])):
             report.notes.append(f"tail ratios not monotone in gamma for {label}")
     return report
@@ -888,6 +864,13 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
 # -- martingale experiments ----------------------------------------------------
 
 
+def _cww_row(draw, samples: np.ndarray, sigma: int) -> dict:
+    """Measured tails against the Azuma bound, and the exponential-norm check."""
+    tails = {f"{lam:g}": {"measured": tail_measure(samples, lam), "bound": azuma_tail_bound(lam)}
+             for lam in (0.5, 1.0, 2.0, 3.0)}
+    return {"draw": draw, "tails": tails, "cww": cww_check(DyadicFunction(samples), sigma)}
+
+
 def cww_experiment(cfg: ExperimentConfig) -> dict:
     """Tail bounds and exponential-norm comparisons for sign martingales."""
     if cfg.ensemble << cfg.log2_n > MAX_CWW_SAMPLES:
@@ -895,32 +878,15 @@ def cww_experiment(cfg: ExperimentConfig) -> dict:
                          f"{cfg.ensemble} at log2_n {cfg.log2_n} is over {MAX_CWW_SAMPLES:,}")
     rng = np.random.default_rng(cfg.seed)
     j = cfg.log2_n
-    lam_grid = (0.5, 1.0, 2.0, 3.0)
     draws = random_sign_martingale(j, rng, count=cfg.ensemble)
-    rows = []
-    max_excess = 0.0
-    for i in range(cfg.ensemble):
-        f = DyadicFunction(draws[i])
-        tails = {}
-        for lam in lam_grid:
-            measured = tail_measure(f.samples, lam)
-            bound = azuma_tail_bound(lam)
-            tails[f"{lam:g}"] = {"measured": measured, "bound": bound}
-            max_excess = max(max_excess, measured - bound)
-        check = cww_check(f, cfg.sigma)
-        rows.append({"draw": i, "tails": tails, "cww": check})
+    rows = [_cww_row(i, draws[i], cfg.sigma) for i in range(cfg.ensemble)]
     # one non-uniform example: geometric weights, same tail bound after
     # normalizing by the square function sup
     weights = 2.0 ** (-0.5 * np.arange(1, j + 1))
     weights /= math.sqrt(float(np.sum(weights ** 2)))
-    skew = random_sign_martingale(j, rng, weights=weights)
-    skew_row = {"draw": "weighted", "tails": {}, "cww": cww_check(DyadicFunction(skew), cfg.sigma)}
-    for lam in lam_grid:
-        measured = tail_measure(skew, lam)
-        bound = azuma_tail_bound(lam)
-        skew_row["tails"][f"{lam:g}"] = {"measured": measured, "bound": bound}
-        max_excess = max(max_excess, measured - bound)
-    rows.append(skew_row)
+    rows.append(_cww_row("weighted", random_sign_martingale(j, rng, weights=weights), cfg.sigma))
+    max_excess = max([0.0] + [tail["measured"] - tail["bound"]
+                              for row in rows for tail in row["tails"].values()])
     ratios = [row["cww"]["ratio"] for row in rows]
     ok = max_excess <= 1e-12 and all(math.isfinite(r) for r in ratios)
     return {
@@ -943,13 +909,11 @@ def decompose_experiment(cfg: ExperimentConfig,
     rng = np.random.default_rng(cfg.seed)
     if samples is None:
         n = 1 << min(cfg.log2_n, 10)
-        x = (np.arange(n) + 0.5) / n
-        vals = np.zeros(n)
-        for _ in range(int(rng.integers(2, 5))):
-            c = rng.uniform(0.2, 0.8)
-            w = 2.0 ** rng.uniform(-4.0, -1.0)
-            a = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-            vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
+        # each bump draws its center, width and amplitude in turn
+        bumps = [(rng.uniform(0.2, 0.8), 2.0 ** rng.uniform(-4.0, -1.0),
+                  rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
+                 for _ in range(int(rng.integers(2, 5)))]
+        vals = _add_bumps(np.zeros(n), (np.arange(n) + 0.5) / n, bumps)
     else:
         vals = np.asarray(samples, dtype=float)
     result = decompose_quotient_norm(DyadicFunction(vals), cfg.sigma)

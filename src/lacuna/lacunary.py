@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .dyadic import ZERO, DyadicScalar
 
@@ -126,7 +126,7 @@ def whitney(interval: LacInterval, min_scale: DyadicScalar) -> WhitneyResult:
         pieces.append(
             LacInterval(b - double, b - step, interval.order + 1, b, interval)
         )
-    pieces.sort(key=lambda piece: piece.left.as_fraction())
+    pieces.sort(key=lambda piece: piece.left)
     return WhitneyResult(tuple(pieces), False)
 
 
@@ -152,14 +152,14 @@ def lambda_tau(
             out.append(LacInterval(lo, hi, 1, ZERO, None))
             out.append(LacInterval(-hi, -lo, 1, ZERO, None))
             k += 1
-        out.sort(key=lambda piece: piece.left.as_fraction())
+        out.sort(key=lambda piece: piece.left)
         return out
 
     parents = lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs)
     out = []
     for parent in parents:
         out.extend(whitney(parent, min_scale).intervals)
-    out.sort(key=lambda piece: piece.left.as_fraction())
+    out.sort(key=lambda piece: piece.left)
     return out
 
 
@@ -270,7 +270,7 @@ def lac_tau(
             x = DyadicScalar(total, emin)
             if abs(x) <= max_abs:
                 values.add(x)
-    points = tuple(sorted(values, key=lambda v: v.as_fraction()))
+    points = tuple(sorted(values))
     return LacPointSet(tau, min_scale, max_abs, points)
 
 
@@ -284,26 +284,6 @@ def dilate_set(points: LacPointSet, factor: DyadicScalar) -> LacPointSet:
         points.max_abs.scale_pow2(k),
         tuple(p.scale_pow2(k) for p in points.points),
     )
-
-
-def dilate_interval(interval: LacInterval, k: int) -> LacInterval:
-    """Scale an interval (and its lineage) by ``2**k``."""
-    parent = dilate_interval(interval.parent, k) if interval.parent else None
-    return LacInterval(
-        interval.left.scale_pow2(k),
-        interval.right.scale_pow2(k),
-        interval.order,
-        interval.anchor.scale_pow2(k),
-        parent,
-    )
-
-
-def endpoints_of(intervals: Iterable[LacInterval]) -> tuple[DyadicScalar, ...]:
-    seen: set[DyadicScalar] = set()
-    for interval in intervals:
-        seen.add(interval.left)
-        seen.add(interval.right)
-    return tuple(sorted(seen, key=lambda v: v.as_fraction()))
 
 
 # -- line format (printed by ``lacuna lacunary --intervals``) ----------------

@@ -17,7 +17,6 @@ Two kinds of operator live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,10 +28,7 @@ from .spectral import (
     BandBank,
     Signal,
     freq_indices,
-    freqs,
     plateau_bump,
-    spectrum,
-    synthesize,
 )
 
 
@@ -95,10 +91,10 @@ class StepMultiplier:
         }
 
     def _max_overlap(self) -> int:
-        events: list[tuple[Fraction, int]] = []
+        events: list[tuple[DyadicScalar, int]] = []
         for p in self.pieces:
-            events.append((p.lo.as_fraction(), 1))
-            events.append((p.hi.as_fraction(), -1))
+            events.append((p.lo, 1))
+            events.append((p.hi, -1))
         depth = best = 0
         for _, step in sorted(events):
             depth += step
@@ -190,11 +186,6 @@ class SharpnessFamily:
     g_n: Signal
     bank: BandBank = field(repr=False)
 
-    def apply_component(self, sig: Signal, k: int, l: int) -> Signal:
-        """One component through the true-phase transforms, on the whole
-        lattice: the reference the bank operations are tested against."""
-        symbol = component_symbol_func(k, l)(freqs(sig))
-        return synthesize(spectrum(sig) * symbol, sig.period, sig.offset)
 
 
 def build_sharpness_family(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import harness as hn
+from lacuna.czd import lattice_indices
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lac_tau, lambda_tau
 from lacuna.multipliers import apply_multiplier, build_sharpness_family
@@ -476,17 +477,22 @@ class TestZygmundBonami:
         pts = lac_tau(2, DyadicScalar.from_int(1), DyadicScalar.from_int(nu - 1))
         lams = [float(p) for p in pts.points]
         assert 3.0 in lams
-        pos = hn._coefficient_positions(lams, sig)
-        sp = spectrum(sig)
-        lhs = float(np.sqrt(np.sum(np.abs(sp[pos]) ** 2)))
+        pos = lattice_indices(sig, lams) % sig.n
+        coeffs = np.abs(np.fft.fft(sig.samples)[pos]) * sig.dx
+        lhs = float(np.sqrt(np.sum(coeffs ** 2)))
         assert lhs == pytest.approx(1.0, abs=1e-12)
+        # the offset phase of the true-phase transform cancels in the modulus
+        with_phase = np.abs(spectrum(sig)[pos])
+        assert np.all(np.abs(coeffs - with_phase) <= 1e-15 * np.max(with_phase))
         rhs = luxemburg_avg(np.abs(sig.samples[mask]), 1.0)
         assert rhs == pytest.approx(luxemburg_avg(np.ones(mask.sum()), 1.0), rel=1e-12)
 
     def test_out_of_band_frequency_rejected(self):
         sig = Signal(np.ones(64), 16.0, -8.0)
-        with pytest.raises(ValueError, match="exceeds the lattice"):
-            hn._coefficient_positions([10.0], sig)
+        # 10 * 16 is past the Nyquist bin 32; 1/32 lies between lattice points
+        for lam in (10.0, 1.0 / 32):
+            with pytest.raises(ValueError, match="local lattice"):
+                lattice_indices(sig, [lam])
 
 
 class TestGenZygmundBonami:
@@ -576,6 +582,74 @@ class TestGenZygmundBonami:
             else:
                 assert a == b, path
         assert floats > 0
+
+
+class TestRefinementRule:
+    """One pairing of coarse and x4-finer rows behind every verify experiment."""
+
+    def test_every_kept_row_carries_its_drift(self):
+        cfg = tiny_config(log2_n=10)
+        reports = [hn.verify_endpoint(cfg, op) for op in hn.ENDPOINT_OPERATORS]
+        reports += [hn.verify_hormander(cfg, op) for op in hn.HORMANDER_OPERATORS]
+        reports += [hn.verify_zygmund_bonami(cfg), hn.verify_gen_zygmund_bonami(cfg)]
+        for rep in reports:
+            kept = [row for row in rep.samples if not row["aborted"]]
+            assert kept, rep.experiment
+            for row in kept:
+                assert row["drift"] == hn._drift(row["ratio"], row["fine_ratio"])
+            assert rep.refinement["pairs"] == len(kept)
+
+    def test_fine_grid_abort_aborts_its_coarse_mates(self, monkeypatch):
+        # only the fine grid's coefficient removal check fails: the coarse
+        # cancellative and combined rows lose their mates and abort with them
+        cfg = tiny_config(log2_n=10, ensemble=2)
+        fine_piece = 1 << (cfg.log2_n + 2 - cfg.log2_period)
+        real = hn.lattice_coefficients
+
+        def failing_on_fine(piece, freqs):
+            coeffs = real(piece, freqs)
+            return coeffs + 1.0 if piece.n == fine_piece else coeffs
+
+        monkeypatch.setattr(hn, "lattice_coefficients", failing_on_fine)
+        rep = hn.verify_gen_zygmund_bonami(cfg)
+        assert not rep.ok
+        for row in rep.samples:
+            if row["branch"] in ("cancellative", "combined"):
+                assert row["aborted"] and row["note"] == "coefficient removal residual"
+                assert "drift" not in row
+                assert f"{row['label']} {row['branch']} gamma 2: aborted" in rep.notes
+            else:
+                assert not row["aborted"] and "drift" in row
+        assert rep.refinement["pairs"] == sum(not row["aborted"] for row in rep.samples)
+
+    def test_failing_rows_are_named_in_the_notes(self):
+        cfg = hn.make_config({"log2_n": 10, "tau": 3, "sigma": 0, "gamma": 2.0,
+                              "ensemble": 3, "seed": 9})
+        rep = hn.verify_gen_zygmund_bonami(cfg)
+        assert not rep.ok and not any(row["aborted"] for row in rep.samples)
+        assert rep.notes == ["bump-0 cancellative gamma 2: drift 2.7287 above 2"]
+
+    def test_fine_grid_alias_aborts_the_row(self, monkeypatch):
+        cfg = tiny_config()
+        real = hn.build_operator
+
+        def aliasing_on_fine(kind, cfg_, rng=None):
+            op = real(kind, cfg_, rng)
+
+            def apply(sig, flags=None):
+                if sig.n > 1 << cfg.log2_n:
+                    flags.mark("fine band past the Nyquist")
+                return op.apply(sig, flags)
+
+            return hn.OperatorSpec(op.kind, op.label, op.exponent, apply)
+
+        monkeypatch.setattr(hn, "build_operator", aliasing_on_fine)
+        rep = hn.verify_endpoint(cfg, "step")
+        assert not rep.ok and rep.refinement["pairs"] == 0
+        for row in rep.samples:
+            assert row["aborted"] and "drift" not in row and math.isfinite(row["ratio"])
+            assert "fine band past the Nyquist" in row["note"]
+            assert f"{row['label']}: aborted" in rep.notes
 
 
 class TestSharpness:

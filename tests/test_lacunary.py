@@ -24,9 +24,7 @@ from lacuna.lacunary import (
     MAX_LACUNARY_INTERVALS,
     MAX_LACUNARY_TERMS,
     LacInterval,
-    dilate_interval,
     dilate_set,
-    endpoints_of,
     interval_to_line,
     lac_tau,
     lambda_tau,
@@ -37,6 +35,27 @@ from lacuna.lacunary import (
 
 D = DyadicScalar.from_fraction
 F = Fraction
+
+
+def dilate_interval(interval, k):
+    """Scale an interval (and its lineage) by ``2**k``."""
+    parent = dilate_interval(interval.parent, k) if interval.parent else None
+    return LacInterval(
+        interval.left.scale_pow2(k),
+        interval.right.scale_pow2(k),
+        interval.order,
+        interval.anchor.scale_pow2(k),
+        parent,
+    )
+
+
+def endpoints_of(intervals):
+    """Every left and right endpoint of the intervals, in increasing order."""
+    seen = set()
+    for interval in intervals:
+        seen.add(interval.left)
+        seen.add(interval.right)
+    return tuple(sorted(seen))
 
 
 def ival(lo, hi, order=1, anchor=0):
@@ -109,6 +128,15 @@ def test_dyadic_canonical_form(x):
 def test_dyadic_ordering(x, y):
     assert (x < y) == (x.as_fraction() < y.as_fraction())
     assert (x <= y) == (x.as_fraction() <= y.as_fraction())
+
+
+@given(st.lists(st.tuples(dyadics, st.sampled_from([1, -1])), max_size=40))
+def test_native_sort_matches_fraction_order(events):
+    # the interval, point and overlap-event sorts compare scalars natively;
+    # the Fraction keys they replaced give the same order
+    assert sorted(events) == sorted(events, key=lambda e: (e[0].as_fraction(), e[1]))
+    values = [v for v, _ in events]
+    assert sorted(values) == sorted(values, key=lambda v: v.as_fraction())
 
 
 @given(dyadics, st.integers(min_value=-10, max_value=10))

@@ -8,13 +8,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_window_checks_writes_its_reports(tmp_path):
+def run_script(name, outdir, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_window_checks.py"),
-         "--log2-n", "10", "--outdir", str(tmp_path)],
+        [sys.executable, str(ROOT / "scripts" / name), *args, "--outdir", str(outdir)],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+    return sorted(p.name for p in outdir.iterdir())
+
+
+def test_run_window_checks_writes_its_reports(tmp_path):
+    assert run_script("run_window_checks.py", tmp_path, "--log2-n", "10") == sorted(
         [f"zb_tau{tau}.json" for tau in (1, 2)]
         + [f"genzb_tau{tau}_sigma{sigma}.json" for tau in (1, 2) for sigma in (0, 1)])
+
+
+def test_run_endpoint_suite_writes_its_reports(tmp_path):
+    names = run_script("run_endpoint_suite.py", tmp_path, "--log2-n", "9", "--ensemble", "3")
+    endpoint = ("prototype", "step", "lp", "identity")
+    assert names == sorted(
+        [f"endpoint_{kind}.{ext}" for kind in endpoint for ext in ("json", "csv")]
+        + [f"hormander_{kind}.json" for kind in ("hormander", "smooth-sqfn")])
+
+
+def test_run_martingale_suite_writes_its_reports(tmp_path):
+    names = run_script("run_martingale_suite.py", tmp_path, "--log2-n", "8", "--ensemble", "3")
+    assert names == sorted([f"cww_sigma{sigma}.json" for sigma in (0, 1, 2)]
+                           + [f"decompose_sigma{sigma}.json" for sigma in (0, 1)])
