@@ -7,9 +7,10 @@ signal format (``lacunary``, ``project``, ``sqfn``, ``orlicz``, ``czd``,
 ``--config`` file of flat ``key = value`` lines, then explicit flags.
 
 Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails, an
-input is rejected or a ``czd`` certificate constant is not finite, 2 for
-usage errors (argparse, a sigma outside [0, MAX_SIGMA], an enumeration over
-a ``lacunary`` budget) and for unreadable or malformed input files.
+input is rejected or a ``czd`` certificate constant or ``orlicz`` result is
+not finite, 2 for usage errors (argparse, a sigma outside [0, MAX_SIGMA], a
+tau outside [0, MAX_TAU], an enumeration over a ``lacunary`` budget) and for
+unreadable or malformed input files.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .harness import (
     verify_hormander,
     verify_zygmund_bonami,
 )
-from .lacunary import LacInterval, interval_to_line, lac_tau, lambda_tau
+from .lacunary import (MAX_LACUNARY_TERMS, LacInterval, interval_to_line, lac_tau,
+                       lambda_tau)
 from .orlicz import exp_norm, llogl_avg_equiv, luxemburg_avg
 from .spectral import (
     AliasFlags,
@@ -54,6 +56,9 @@ from .spectral import (
 )
 
 __all__ = ["main"]
+
+# 2^MAX_TAU sign choices alone exceed every enumeration budget in ``lacunary``
+MAX_TAU = MAX_LACUNARY_TERMS.bit_length()
 
 
 def _emit(payload, out: Optional[str]) -> None:
@@ -113,7 +118,23 @@ def _finish_experiment(report, args: argparse.Namespace) -> int:
 # -- file utilities ---------------------------------------------------------
 
 
+def _require_in(name: str, value: float, lowest: int, highest: int) -> None:
+    if not lowest <= value <= highest:
+        raise ValueError(f"{name} must lie in [{lowest}, {highest}]")
+
+
+def _require_finite(label: str, values: dict) -> int:
+    """Exit status 1, naming the fields, when a float in ``values`` is not finite."""
+    bad = sorted(key for key, val in values.items()
+                 if isinstance(val, float) and not math.isfinite(val))
+    if bad:
+        sys.stderr.write(f"{label} not finite: {', '.join(bad)}\n")
+        return 1
+    return 0
+
+
 def _cmd_lacunary(args: argparse.Namespace) -> int:
+    _require_in("tau", args.tau, int(args.intervals), MAX_TAU)
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
     max_abs = DyadicScalar.from_float(args.max_abs)
     payload: dict = {
@@ -156,10 +177,11 @@ def _cmd_project(args: argparse.Namespace) -> int:
         "output": args.output,
     }
     _emit(summary, args.out)
-    return 0 if not flags.aliased else 1
+    return _require_finite("project: summary", summary) or int(flags.aliased)
 
 
 def _cmd_sqfn(args: argparse.Namespace) -> int:
+    _require_in("tau", args.tau, 1, MAX_TAU)
     sig = read_signal(args.input)
     flags = AliasFlags()
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
@@ -179,16 +201,11 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
         "output": args.output,
     }
     _emit(summary, args.out)
-    return 0 if not flags.aliased else 1
-
-
-def _require_sigma(sigma: float) -> None:
-    if not 0 <= sigma <= MAX_SIGMA:
-        raise ValueError(f"sigma must lie in [0, {MAX_SIGMA}]")
+    return _require_finite("sqfn: summary", summary) or int(flags.aliased)
 
 
 def _cmd_orlicz(args: argparse.Namespace) -> int:
-    _require_sigma(args.sigma)
+    _require_in("sigma", args.sigma, 0, MAX_SIGMA)
     sig = read_signal(args.input)
     vals = np.abs(sig.samples)
     payload = {
@@ -203,11 +220,11 @@ def _cmd_orlicz(args: argparse.Namespace) -> int:
         payload["young_mass"] = young_mass(sig, int(round(2 * args.sigma)), args.alpha)
         payload["alpha"] = args.alpha
     _emit(payload, args.out)
-    return 0
+    return _require_finite("orlicz: result", payload)
 
 
 def _cmd_czd(args: argparse.Namespace) -> int:
-    _require_sigma(args.sigma)
+    _require_in("sigma", args.sigma, 0, MAX_SIGMA)
     sig = read_signal(args.input)
     try:
         dec = cz_decompose(sig, args.sigma, args.alpha, min_margin=args.min_margin)
@@ -217,12 +234,7 @@ def _cmd_czd(args: argparse.Namespace) -> int:
     if args.output:
         dec.save(args.output)
     _emit(dec.to_json_dict(), args.out)
-    bad = sorted(key for key, val in dec.constants.items()
-                 if isinstance(val, float) and not math.isfinite(val))
-    if bad:
-        sys.stderr.write(f"czd: certificate not finite: {', '.join(bad)}\n")
-        return 1
-    return 0
+    return _require_finite("czd: certificate", dec.constants)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:

@@ -15,8 +15,11 @@ Discretization notes that drive the implementation:
   values and per-level block sums; no bisection enters the selection, so
   maximality is exact in floating point.
 - Every lacunary frequency of scale at least ``1/|J|`` that lies strictly
-  below the sampling Nyquist is an integer multiple of ``1/|J|``, hence an
-  exact bin of the length-``n_J`` DFT of the samples on ``J``.  Removing
+  below the sampling Nyquist is an integer multiple ``q/|J|``, hence an
+  exact bin of the length-``n_J`` DFT of the samples on ``J``.  The ``q`` of
+  the orders ``0..sigma`` are read off in closed form
+  (:func:`~lacuna.lacunary.lattice_points`), at a cost linear in ``n_J``,
+  with no signed sum enumerated and nothing memoized.  Removing
   those coefficients is an exact orthogonal projection (bin masking); the
   position of ``J`` only contributes a unitary phase that cancels.  The
   certificate re-checks the vanishing by direct quadrature over the samples,
@@ -28,7 +31,6 @@ Discretization notes that drive the implementation:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import DyadicScalar
-from .lacunary import MAX_LACUNARY_TERMS, lac_tau, lac_tau_terms
+from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
 from .spectral import Signal, write_signal
 
@@ -220,35 +222,19 @@ def _dyadic_from_float(x: float, what: str) -> DyadicScalar:
 
 
 def lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
-    """Deduplicated union of the lacunary frequencies of orders 0..sigma at
-    scale ``1/length``, restricted strictly below ``nyquist``.
+    """Ascending union of the lacunary frequencies of orders 0..sigma at
+    scale ``1/length`` (both powers of two) strictly below ``nyquist``.
 
-    Every returned value is an integer multiple of ``1/length``; the full
-    sets are infinite upward, so the Nyquist cut is what makes them finite.
-    Orders whose signed sums add up to more than ``MAX_LACUNARY_TERMS`` are
-    refused with ``ValueError`` before any is enumerated.  Results are
-    memoized: a decomposition asks for the same few ``(length, nyquist,
-    sigma)`` triples once per atom.
+    These are the ``q/length`` whose ``q`` has at most ``sigma`` nonzero
+    non-adjacent digits (:func:`~lacuna.lacunary.lattice_points`), in time
+    linear in ``nyquist * length``: the Nyquist cut is what makes them finite.
     """
     sigma = _check_parameters(sigma, 1.0)
-    return _lacunary_frequencies(float(length), float(nyquist), sigma)
-
-
-@functools.lru_cache(maxsize=1024)
-def _lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
-    len_d = _dyadic_from_float(length, "length")
-    nu = _dyadic_from_float(nyquist, "nyquist")
-    one_over = DyadicScalar.pow2(-len_d.log2())
-    out = {DyadicScalar.from_int(0)}
-    max_abs = nu - one_over  # largest lattice multiple strictly below nyquist
-    if max_abs > DyadicScalar.from_int(0):
-        terms = sum(lac_tau_terms(rho, one_over, max_abs) for rho in range(1, sigma + 1))
-        if terms > MAX_LACUNARY_TERMS:
-            raise ValueError(f"sigma {sigma} would enumerate {terms} signed sums, "
-                             f"above the budget of {MAX_LACUNARY_TERMS}")
-        for rho in range(1, sigma + 1):
-            out.update(lac_tau(rho, one_over, max_abs).points)
-    return tuple(sorted((float(d) for d in out)))
+    length = _dyadic_from_float(length, "length")
+    nyquist = _dyadic_from_float(nyquist, "nyquist")
+    # |q| < nyquist * length, a power of two
+    qs = lattice_points(sigma, (1 << max(nyquist.log2() + length.log2(), 0)) - 1)
+    return tuple((qs / float(length)).tolist())
 
 
 def lattice_indices(piece: Signal, freqs) -> np.ndarray:
@@ -304,9 +290,7 @@ def remove_lacunary(piece: Signal, sigma, freqs: Optional[tuple] = None) -> tupl
     """
     sigma = _check_parameters(sigma, 1.0)
     if freqs is None:
-        len_d = _dyadic_from_float(piece.period, "window length")
-        nu_d = DyadicScalar.pow2(piece.log2_n - 1 - len_d.log2())
-        freqs = lacunary_frequencies(piece.period, float(nu_d), sigma)
+        freqs = lacunary_frequencies(piece.period, piece.n / (2.0 * piece.period), sigma)
 
     bins = lattice_indices(piece, freqs) % piece.n
 
@@ -449,6 +433,11 @@ def _global_constants(sig, good, atoms, lac_part, sigma, alpha) -> dict:
     for a in atoms:
         recon[a.interval.lo : a.interval.hi] += a.cancellative.samples
     recon_err = float(np.max(np.abs(recon - sig.samples)))
+    vs_mass = None
+    if mass > 0:
+        # a normaliser that underflows leaves the ratio past the float range
+        scale = alpha * alpha * mass
+        vs_mass = lac_sq / scale if scale > 0 else (math.inf if lac_sq > 0 else 0.0)
     return {
         "orlicz_mass": mass,
         "total_stopping_length": total_len,
@@ -458,7 +447,7 @@ def _global_constants(sig, good, atoms, lac_part, sigma, alpha) -> dict:
         "lacunary_l2_sq": lac_sq,
         "atom_weighted_sq": atom_weighted,
         "lacunary_vs_atoms": lac_sq / atom_weighted if atom_weighted > 0 else None,
-        "lacunary_vs_mass": lac_sq / (alpha * alpha * mass) if mass > 0 else None,
+        "lacunary_vs_mass": vs_mass,
         "max_atom_constant": max(
             (a.diagnostics["atom_constant"] for a in atoms), default=0.0
         ),

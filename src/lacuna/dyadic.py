@@ -66,7 +66,16 @@ class DyadicScalar:
         return Fraction(self.mantissa, 1 << (-self.exponent))
 
     def __float__(self) -> float:
-        return self.mantissa * math.ldexp(1.0, self.exponent)
+        # integer true division rounds correctly, also where the mantissa alone
+        # is past the float range or 2^exponent alone is below it
+        m, e = self.mantissa, self.exponent
+        top = abs(m).bit_length() + e
+        if -1076 <= top <= 1024:
+            try:
+                return float(m << e) if e >= 0 else m / (1 << -e)
+            except OverflowError:  # rounded up past the largest float
+                pass
+        return (0.0 if top < 0 else math.inf) * (-1 if m < 0 else 1)
 
     # -- predicates ----------------------------------------------------
     @property

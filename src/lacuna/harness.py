@@ -44,7 +44,7 @@ from .czd import (
     remove_lacunary,
 )
 from .dyadic import DyadicScalar
-from .lacunary import LacInterval, lac_tau, lambda_tau
+from .lacunary import LacInterval, lac_tau, lambda_tau, lattice_points
 from .martingale import (
     DyadicFunction,
     azuma_tail_bound,
@@ -578,8 +578,6 @@ def _finish_report(experiment: str, anchor: str, cfg: ExperimentConfig,
                    operator: str, exponent: float, rows: list) -> RatioReport:
     ratios = [row["ratio"] for row in rows if not row["aborted"]]
     drifts = [row["drift"] for row in rows if "drift" in row]
-    aborted = [row["label"] for row in rows if row["aborted"]]
-    notes = [f"aborted samples: {', '.join(aborted)}"] if aborted else []
     failures = []
     for row in rows:
         if row["aborted"]:
@@ -610,7 +608,7 @@ def _finish_report(experiment: str, anchor: str, cfg: ExperimentConfig,
         median_ratio=statistics.median(ratios) if ratios else 0.0,
         refinement=refinement,
         ok=bool(ratios) and not failures,
-        notes=notes + failures,
+        notes=failures,
     )
 
 
@@ -662,9 +660,11 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     """l2 mass of the order-tau coefficient set against the L log^{tau/2} L
     average, for signals supported on the unit window."""
     specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support="unit")
-    nu = 1 << (cfg.log2_n - 1 - cfg.log2_period)
-    pts = lac_tau(cfg.tau, DyadicScalar.from_int(1), DyadicScalar.from_int(nu - 1))
-    lams = [float(p) for p in pts.points]
+    nu_log2 = cfg.log2_n - 1 - cfg.log2_period
+    if nu_log2 < 1:
+        raise ValueError(f"no nonzero unit-lattice frequency lies below the Nyquist 2^{nu_log2}")
+    qs = lattice_points(cfg.tau, (1 << nu_log2) - 1)
+    lams = qs[qs != 0]
     anchor = ("(sum over order-tau lacunary frequencies |fhat(lam)|^2)^{1/2} "
               "<= C * Luxemburg average of |f| with t log^{tau/2}(e+t) on [0,1]")
 

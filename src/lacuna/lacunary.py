@@ -17,6 +17,10 @@ matching signed-sum set (asserted in the test suite), while the reverse
 containment fails exactly at points that are limits of interval endpoints
 (e.g. powers of two for order 2), which is why the signed-sum semantics is
 the one exposed here.
+
+Two closed forms need no enumeration: the union of the orders ``0..tau`` on
+an integer lattice (:func:`lattice_points`) and the size of an interval
+system (:func:`lambda_tau_count`).
 """
 
 from __future__ import annotations
@@ -26,14 +30,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dyadic import ZERO, DyadicScalar
+import numpy as np
 
-# Order-0 sentinel: the two open half-lines.  Order-1 intervals have
-# parent=None and anchor 0; callers that need "the parent of an order-1
-# interval" should treat these markers as that parent.
-NEG_HALFLINE = "(-inf,0)"
-POS_HALFLINE = "(0,inf)"
-LAMBDA_0 = (NEG_HALFLINE, POS_HALFLINE)
+from .dyadic import ZERO, DyadicScalar
 
 # largest signed-sum enumeration ``lac_tau`` starts, about 7 s at the 7 us a
 # term measured on a 2-vCPU x86 host (tau 5 on the window 64 at scale 2^-6 is
@@ -136,14 +135,17 @@ def lambda_tau(
     """Order-``tau`` interval system, truncated and windowed.
 
     Keeps intervals with ``|L| ≥ min_scale`` contained in ``[-max_abs, max_abs]``.
-    ``tau = 0`` is rejected: the order-0 objects are the half-line sentinels
-    ``LAMBDA_0``, not bounded intervals, and so is a system of more than
-    ``MAX_LACUNARY_INTERVALS`` intervals, counted before any is built.
+    ``tau = 0`` is rejected: the order-0 objects are the two open half-lines
+    (the parent of every order-1 block), not bounded intervals, and so is a
+    system of more than ``MAX_LACUNARY_INTERVALS`` intervals, counted in
+    closed form before any is built.
     """
     count = lambda_tau_count(tau, min_scale, max_abs)
     if count > MAX_LACUNARY_INTERVALS:
         raise ValueError(f"tau {tau} would build {count} intervals, "
                          f"above the budget of {MAX_LACUNARY_INTERVALS}")
+    if count == 0:
+        return []
     if tau == 1:
         out = []
         k = min_scale.log2()
@@ -164,22 +166,19 @@ def lambda_tau(
 
 
 def lambda_tau_count(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> int:
-    """``len(lambda_tau(tau, min_scale, max_abs))`` by the same recursion on
-    interval scales, building no interval: order 1 holds two blocks at each
-    scale it keeps, and a parent at scale ``2^s`` two Whitney pieces at each
-    scale from its order's ``min_scale`` up to ``2^(s-2)``."""
+    """``len(lambda_tau(tau, min_scale, max_abs))`` in closed form.
+
+    An order-``tau`` interval is ``2^tau`` side choices times a chain of log2
+    lengths ``s_1 > ... > s_tau`` with gaps of at least 2, ``2^(s_1 + 1) <=
+    max_abs`` and ``s_k >= log2(min_scale) + 2 (tau - k)``; shifting ``s_k``
+    by ``2 (tau - k)`` makes them the nonincreasing ``tau``-tuples of ``m``
+    values, ``C(m + tau - 1, tau)`` of them.
+    """
     if tau < 1:
-        raise ValueError("tau must be >= 1; order 0 is the LAMBDA_0 sentinel")
-    _require_pow2(min_scale, "min_scale")
-    if max_abs <= ZERO:
-        raise ValueError("max_abs must be positive")
-    s_min = min_scale.log2()
-    # log2 length -> count; order k keeps the lengths from 2^(s_min + 2 (tau - k))
-    counts = dict.fromkeys(range(s_min + 2 * tau - 2, _floor_log2(max_abs)), 2)
-    for low in range(s_min + 2 * tau - 4, s_min - 1, -2):
-        counts = {piece: 2 * sum(c for s, c in counts.items() if s >= piece + 2)
-                  for piece in range(low, max(counts, default=low) - 1)}
-    return sum(counts.values())
+        raise ValueError("tau must be >= 1; order 0 is the two half-lines")
+    s_min, top = _window_log2(min_scale, max_abs)
+    m = top - s_min - 2 * tau + 2
+    return math.comb(m + tau - 1, tau) << tau if m > 0 else 0
 
 
 def normalize_to_origin(interval: LacInterval) -> LacInterval:
@@ -205,37 +204,16 @@ class LacPointSet:
     max_abs: DyadicScalar
     points: tuple[DyadicScalar, ...]
 
-    def __contains__(self, x: DyadicScalar) -> bool:
-        return x in set(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _floor_log2(x: DyadicScalar) -> int:
-    if x <= ZERO:
-        raise ValueError("positive value required")
-    return x.exponent + abs(x.mantissa).bit_length() - 1
-
-
-def _exponent_range(
-    tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar
-) -> range:
-    """Exponents the terms of a windowed ``tau``-term signed sum can take."""
+def _window_log2(min_scale: DyadicScalar, max_abs: DyadicScalar) -> tuple[int, int]:
+    """``log2(min_scale)`` and ``floor(log2(max_abs))`` of a valid window."""
     _require_pow2(min_scale, "min_scale")
     if max_abs <= ZERO:
         raise ValueError("max_abs must be positive")
-    # |x| > 2^(n_1 - tau + 1) for any tau-term sum led by 2^(n_1), so larger
-    # leading exponents cannot re-enter the window
-    return range(min_scale.log2(), _floor_log2(max_abs) + tau + 1)
-
-
-def lac_tau_terms(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> int:
-    """Number of signed sums :func:`lac_tau` enumerates before windowing and
-    dedupe: ``C(#exponents, tau) * 2^tau`` (1 for ``tau <= 0``)."""
-    if tau <= 0:
-        return 1
-    return math.comb(len(_exponent_range(tau, min_scale, max_abs)), tau) << tau
+    return min_scale.log2(), max_abs.exponent + abs(max_abs.mantissa).bit_length() - 1
 
 
 def lac_tau(
@@ -246,24 +224,22 @@ def lac_tau(
     Truncation: smallest exponent ``n_tau ≥ log2(min_scale)``; window:
     ``|x| ≤ max_abs``.  Values are deduplicated (distinct representations can
     collide, e.g. ``2^4 - 2^2 = 2^3 + 2^2``).  ``tau = 0`` gives ``{0}``.
-    More than ``MAX_LACUNARY_TERMS`` signed sums (:func:`lac_tau_terms`) are
-    refused before any is enumerated.
+    More than ``MAX_LACUNARY_TERMS`` signed sums, ``C(#exponents, tau)
+    2^tau``, are refused before any is enumerated.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0:
         return LacPointSet(0, min_scale, max_abs, (ZERO,))
-    terms = lac_tau_terms(tau, min_scale, max_abs)
+    # |x| > 2^(n_1 - tau + 1) for any tau-term sum led by 2^(n_1), so larger
+    # leading exponents cannot re-enter the window
+    emin, top = _window_log2(min_scale, max_abs)
+    terms = math.comb(max(top + tau + 1 - emin, 0), tau) << tau
     if terms > MAX_LACUNARY_TERMS:
         raise ValueError(f"tau {tau} would enumerate {terms} signed sums, "
                          f"above the budget of {MAX_LACUNARY_TERMS}")
-    exponents = _exponent_range(tau, min_scale, max_abs)
-    if len(exponents) < tau:
-        return LacPointSet(tau, min_scale, max_abs, tuple())
-
-    emin = exponents.start
     values: set[DyadicScalar] = set()
-    for combo in itertools.combinations(exponents, tau):
+    for combo in itertools.combinations(range(emin, top + tau + 1), tau):
         weights = [1 << (e - emin) for e in combo]
         for signs in itertools.product((1, -1), repeat=tau):
             total = sum(s * w for s, w in zip(signs, weights))
@@ -272,6 +248,19 @@ def lac_tau(
                 values.add(x)
     points = tuple(sorted(values))
     return LacPointSet(tau, min_scale, max_abs, points)
+
+
+def lattice_points(tau: int, bound: int) -> np.ndarray:
+    """Sorted int64 array of the ``q`` with ``|q| <= bound`` whose
+    non-adjacent form has at most ``tau`` nonzero digits, ``popcount(q ^ 3q)``.
+
+    A signed sum of fewer distinct powers ``2^n`` (``n >= 0``) gains a term at
+    its leading one, ``2^e = 2^(e+1) - 2^e``, so for ``tau >= 1`` the nonzero
+    points are ``lac_tau(tau, 1, bound)``, and the array is the union of the
+    orders ``0..tau`` on the unit lattice, in time linear in ``bound``.
+    """
+    q = np.arange(-bound, bound + 1, dtype=np.int64)
+    return q[np.bitwise_count(q ^ 3 * q) <= tau]
 
 
 def dilate_set(points: LacPointSet, factor: DyadicScalar) -> LacPointSet:

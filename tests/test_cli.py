@@ -3,14 +3,19 @@
 
 import json
 import math
+import resource
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lacuna import czd, lacunary
+from lacuna import lacunary
 from lacuna.cli import main
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lambda_tau
@@ -89,6 +94,52 @@ class TestLacunary:
         assert "would build 792064 intervals" in captured.err
         assert str(lacunary.MAX_LACUNARY_INTERVALS) in captured.err
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["--tau", "1", "--min-scale-log2", "-1000000000"], 2,
+         "would build 2000000012 intervals"),
+        (["--tau", "2", "--min-scale-log2", "-100000"], 2,
+         "would build 20001800040 intervals"),
+        (["--tau", "2000"], 2, "tau must lie in [1, 20]"),
+    ], ids=["tau1-scale-2^-1e9", "tau2-scale-2^-1e5", "tau2000"])
+    def test_huge_systems_are_refused_at_once(self, argv, code, err):
+        # sized by a closed form: no per-scale table (MemoryError), no
+        # quadratic recurrence (no answer in 30 s), no recursion per order
+        # (RecursionError); run capped so that a regression cannot take the
+        # machine's memory with it
+        done = run_capped(["lacunary", "--intervals", *argv])
+        assert done.returncode == code and done.stdout == ""
+        assert err in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("flags", [["--tau", "21"], ["--tau", "100000"], ["--tau", "-1"],
+                                       ["--intervals", "--tau", "0"]])
+    def test_tau_outside_its_range_is_a_usage_error(self, capsys, flags):
+        low = 1 if "--intervals" in flags else 0
+        code = main(["lacunary", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"lacuna: tau must lie in [{low}, 20]\n"
+
+    def test_scale_past_the_index_range_is_refused(self, capsys):
+        # 2^-(8.4e25): the exponent range has no len(), which used to raise
+        # OverflowError before the budget was checked
+        code = main(["lacunary", "--min-scale-log2=-83715809102568938782326784"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "signed sums, above the budget" in captured.err
+
+
+def run_capped(argv, seconds=20, address_space=3 << 29):
+    """Run ``python -m lacuna.cli`` under a wall-clock limit and an
+    address-space cap (1.5 GB)."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "lacuna.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=seconds, preexec_fn=cap)
+
 
 class TestProject:
     def test_sharp_round_trip(self, stored_signal, tmp_path, capsys):
@@ -114,6 +165,29 @@ class TestProject:
                      "--lo", "1", "--hi", "2"])
         assert code == 2
         assert "lacuna:" in capsys.readouterr().err
+
+    def test_band_edge_far_past_a_tiny_period(self, tmp_path, capsys):
+        # the smooth window's length 1e308 - 1.09e-5 is exact with a mantissa
+        # past the float range, whose float conversion used to raise
+        path = tmp_path / "short.bin"
+        x = np.linspace(-4.0, 4.0, 64)
+        write_signal(path, Signal(np.exp(-x ** 2), 2.0**-1000, -(2.0**-1001)))
+        code, got = run_json(capsys, ["project", "--input", str(path), "--mode", "smooth",
+                                      "--lo", "1.0862168472479359e-05", "--hi", "1e308"])
+        assert code == 1
+        assert "exceeds lattice" in got["alias_events"][0]
+
+    def test_non_finite_summary_fails(self, tmp_path, capsys):
+        # finite samples whose squares sum past the float range
+        vals = np.zeros(64)
+        vals[8:24] = 1.2e154
+        path = tmp_path / "huge.bin"
+        write_signal(path, Signal(vals, 8.0, -4.0))
+        with np.errstate(over="ignore"):
+            code = main(["project", "--input", str(path), "--lo", "0.25", "--hi", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "project: summary not finite: l2_in, l2_out\n"
 
 
 class TestSqfn:
@@ -151,6 +225,26 @@ class TestSqfn:
         assert code == 2 and captured.out == ""
         assert "intervals, above the budget" in captured.err
 
+    @pytest.mark.parametrize("tau", ["0", "21", "100000"])
+    def test_tau_outside_its_range_is_a_usage_error(self, stored_signal, capsys, tau):
+        code = main(["sqfn", "--input", str(stored_signal), f"--tau={tau}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "lacuna: tau must lie in [1, 20]\n"
+
+    def test_non_finite_summary_fails(self, tmp_path, capsys):
+        # a period of 2^1000 puts the weak-L1 norm of a 3e9 aggregate past
+        # the float range; this used to print Infinity and exit 0
+        x = np.linspace(-4.0, 4.0, 64)
+        path = tmp_path / "long.bin"
+        write_signal(path, Signal(1e10 * np.exp(-x ** 2), 2.0**1000, -(2.0**999)))
+        with np.errstate(over="ignore"):
+            code = main(["sqfn", "--input", str(path), "--tau", "1",
+                         "--min-scale-log2", "-1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "sqfn: summary not finite: l2, weak_l1\n"
+
 
 class TestOrlicz:
     def test_constant_signal_values(self, tmp_path, capsys):
@@ -186,6 +280,17 @@ class TestOrlicz:
         assert code == 2 and captured.out == ""
         assert "lacuna: alpha must be finite and positive" in captured.err
 
+    def test_non_finite_result_fails(self, tmp_path, capsys):
+        # |f|/alpha overflows: the Young mass is past the float range
+        path = tmp_path / "c.bin"
+        write_signal(path, Signal(np.exp(-np.linspace(-4.0, 4.0, 64) ** 2), 16.0, -8.0))
+        with np.errstate(over="ignore"):
+            code = main(["orlicz", "--input", str(path), "--alpha", "1e-320"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "orlicz: result not finite: young_mass\n"
+        assert json.loads(captured.out)["young_mass"] == float("inf")
+
 
 class TestCzd:
     def test_decomposition_json_and_files(self, stored_signal, tmp_path, capsys):
@@ -207,26 +312,32 @@ class TestCzd:
         assert code == 2 and captured.out == ""
         assert captured.err == "lacuna: sigma must lie in [0, 8]\n"
 
-    def test_frequencies_over_budget_fail_before_enumerating(self, tmp_path, capsys,
-                                                              monkeypatch):
+    def test_sigma_8_decomposes_without_a_budget(self, tmp_path, capsys):
         # 0.7 on the first 4096 of 2^14 samples: at sigma 8 (B(0.7) = 1.6) the
-        # first quarter is the one stopping interval, and its 2^11 bins hold
-        # 24,379,392 signed sums of orders 1..8
+        # first quarter is the one stopping interval, and its 2^11 bins once
+        # held 24,379,392 signed sums of orders 1..8; every one of the 4095
+        # bins below its Nyquist is a lacunary frequency of order at most 8
         vals = np.zeros(1 << 14)
         vals[: 1 << 12] = 0.7
         path = tmp_path / "quarter.bin"
         write_signal(path, Signal(vals, 16.0, -8.0))
+        start = time.perf_counter()
+        code, got = run_json(capsys, ["czd", "--input", str(path), "--sigma", "8",
+                                      "--alpha", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert [atom["n_frequencies"] for atom in got["atoms"]] == [4095]
 
-        def refuse(*args):
-            raise AssertionError("an enumeration was started")
-
-        monkeypatch.setattr(czd, "lac_tau", refuse)
-        czd._lacunary_frequencies.cache_clear()
-        code = main(["czd", "--input", str(path), "--sigma", "8", "--alpha", "1"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert (f"czd: sigma 8 would enumerate 24379392 signed sums, above the "
-                f"budget of {lacunary.MAX_LACUNARY_TERMS}") in captured.err
+    def test_subnormal_input_leaves_no_division_by_zero(self, tmp_path, capsys):
+        # alpha^2 times a Young mass of 1e-323 underflows to zero; dividing
+        # by it used to raise ZeroDivisionError
+        path = tmp_path / "subnormal.bin"
+        write_signal(path, Signal(np.full(16, 5e-324), 1.0, -0.5))
+        code, got = run_json(capsys, ["czd", "--input", str(path), "--sigma", "8",
+                                      "--alpha", "0.5"])
+        assert code == 0
+        assert got["constants"]["orlicz_mass"] > 0
+        assert got["constants"]["lacunary_vs_mass"] == 0.0
 
     def test_alpha_below_root_average_fails_cleanly(self, stored_signal, capsys):
         code = main(["czd", "--input", str(stored_signal),

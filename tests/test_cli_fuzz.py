@@ -1,0 +1,123 @@
+"""Hypothesis fuzzing of the file-utility flags (``lacunary``, ``project``,
+``sqfn``, ``orlicz``, ``czd``).
+
+Every generated command line must end in exit status 0, 1 or 2 without an
+uncaught exception, and a run that exits 0 must print strict JSON: no
+``Infinity`` or ``NaN`` token.  Flag values mix integers, floats (nan, inf,
+1e+-400, negative), empty strings and junk; inputs are small stored signals,
+some with huge or tiny finite samples or periods, and paths that do not
+exist or are not files.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lacuna import lacunary
+from lacuna.cli import main
+from lacuna.spectral import Signal, write_signal
+
+SPECIAL = ["", "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-1e-400", "0", "-0",
+           "-1", "1", "2", "8", "0.5", "1e308", "-1e308", "5e-324", "1e-320", "64",
+           "1e300", "2**3", "x"]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.integers().map(str),
+                   st.integers(-70, 70).map(str), st.floats().map(repr))
+
+
+def _signals(root):
+    x = np.linspace(-4.0, 4.0, 64)
+    bump = np.exp(-x ** 2)
+    spiky = np.zeros(64)
+    spiky[8:24] = 1.2e154
+    alternating = np.where(np.arange(64) % 2, -1.0, 1.0) * 1e308
+    files = {
+        "plain": Signal(bump * np.cos(6 * x), 16.0, -8.0),
+        "huge": Signal(spiky, 8.0, -4.0),
+        "max": Signal(alternating, 16.0, -8.0),
+        "tiny": Signal(bump * 1e-300, 16.0, -8.0),
+        "subnormal": Signal(np.full(16, 5e-324), 1.0, -0.5),
+        "zero": Signal(np.zeros(32), 4.0, -2.0),
+        "long-period": Signal(bump, 2.0**1000, -(2.0**999)),
+        "short-period": Signal(bump, 2.0**-1000, -(2.0**-1001)),
+    }
+    paths = []
+    for name, sig in files.items():
+        write_signal(root / f"{name}.bin", sig)
+        paths.append(str(root / f"{name}.bin"))
+    return paths + [str(root / "missing.bin"), "", str(root)]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, _signals(root)
+
+
+def _reject(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def _flag(draw, name):
+    # one token, so that argparse reads a value like "-1" as the value
+    return f"{name}={draw(VALUES)}"
+
+
+def _flags(draw, names):
+    return [_flag(draw, name) for name in names if draw(st.booleans())]
+
+
+@st.composite
+def command_lines(draw, inputs, outdir):
+    command = draw(st.sampled_from(["lacunary", "project", "sqfn", "orlicz", "czd"]))
+    argv = [command]
+    if command != "lacunary":
+        argv += ["--input", draw(st.sampled_from(inputs))]
+    if command == "lacunary":
+        argv += _flags(draw, ["--tau", "--min-scale-log2", "--max-abs"])
+        if draw(st.booleans()):
+            argv.append("--intervals")
+    elif command == "project":
+        argv += [_flag(draw, "--lo"), _flag(draw, "--hi")]
+        argv += ["--mode", draw(st.sampled_from(["sharp", "smooth"]))]
+    elif command == "sqfn":
+        argv += _flags(draw, ["--tau", "--min-scale-log2", "--max-abs"])
+        argv += ["--mode", draw(st.sampled_from(["sharp", "smooth"]))]
+    elif command == "orlicz":
+        argv += _flags(draw, ["--sigma", "--alpha"])
+    else:
+        argv.append(_flag(draw, "--alpha"))
+        argv += _flags(draw, ["--sigma", "--min-margin", "--threads"])
+    if command in ("project", "sqfn", "czd") and draw(st.booleans()):
+        argv += ["--output", str(outdir / "out")]
+    return argv
+
+
+def run_main(argv):
+    try:
+        with np.errstate(all="ignore"):
+            return main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flags_end_in_a_status_and_strict_json(workdir, capsys, monkeypatch, data):
+    # lower budgets keep every example fast; what is fuzzed is the exit
+    # path, and a refusal takes the same path at any budget
+    monkeypatch.setattr(lacunary, "MAX_LACUNARY_TERMS", 20_000)
+    monkeypatch.setattr(lacunary, "MAX_LACUNARY_INTERVALS", 2_000)
+    root, inputs = workdir
+    argv = data.draw(command_lines(inputs, root))
+    code = run_main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        payload = json.loads(captured.out, parse_constant=_reject)
+        assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))

@@ -4,9 +4,12 @@ Oracles: stopping intervals recomputed by enumerating every aligned dyadic
 block and filtering to maximal ones; vanishing coefficients re-checked by
 direct quadrature at each frequency (the implementation works through local
 FFT bins, so the quadrature is an independent path); the batched
-integer-phase quadrature checked against the per-frequency one.
+integer-phase quadrature checked against the per-frequency one; the
+closed-form lacunary frequency sets against the union of one signed-sum
+enumeration per order.
 """
 
+import functools
 import json
 import time
 
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 
 from lacuna import czd
-from lacuna.lacunary import MAX_LACUNARY_TERMS
+from lacuna.dyadic import DyadicScalar
+from lacuna.lacunary import lac_tau
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import Signal, plateau_bump, read_signal
 
@@ -33,6 +37,25 @@ def leaf_threshold(s):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def union_of_orders(length, nyquist, sigma):
+    """The lacunary frequencies of orders 0..sigma at scale ``1/length``
+    strictly below ``nyquist``, as the union of one ``lac_tau`` enumeration
+    per order (the decomposition's former path)."""
+    out = {DyadicScalar.from_int(0)}
+    for rho in range(1, sigma + 1):
+        out.update(_order_points(rho, length, nyquist))
+    return tuple(sorted(float(d) for d in out))
+
+
+@functools.cache
+def _order_points(rho, length, nyquist):
+    one_over = DyadicScalar.pow2(-DyadicScalar.from_float(length).log2())
+    max_abs = DyadicScalar.from_float(nyquist) - one_over
+    if not max_abs > DyadicScalar.from_int(0):
+        return ()
+    return lac_tau(rho, one_over, max_abs).points
 
 
 def windowed_coefficient(piece, freq):
@@ -193,33 +216,22 @@ class TestLacunaryFrequencies:
         with pytest.raises(ValueError):
             czd.lacunary_frequencies(3.0, 8.0, 1)
 
-    def test_memoized_one_enumeration_per_order(self, monkeypatch):
-        calls = []
-        real = czd.lac_tau
+    @pytest.mark.parametrize("length", [0.25, 1.0, 16.0])
+    def test_matches_the_union_of_enumerated_orders(self, length):
+        # nyquist * length = 2^k for k = -1 .. 6: bins |q| < 2^k, at most 63
+        for k in range(-1, 7):
+            nyquist = 2.0**k / length
+            for sigma in range(7):
+                want = union_of_orders(length, nyquist, sigma)
+                assert czd.lacunary_frequencies(length, nyquist, sigma) == want
 
-        def counting(tau, min_scale, max_abs):
-            calls.append(tau)
-            return real(tau, min_scale, max_abs)
-
-        monkeypatch.setattr(czd, "lac_tau", counting)
-        czd._lacunary_frequencies.cache_clear()
-        first = czd.lacunary_frequencies(0.5, 64.0, 2)
-        assert czd.lacunary_frequencies(0.5, 64, 2) is first
-        assert calls == [1, 2]
-        czd._lacunary_frequencies.cache_clear()
-
-    def test_budget_refuses_before_enumerating(self, monkeypatch):
-        # 2^11 bins at unit scale: orders 1..8 hold 24,379,392 signed sums
-        def refuse(*args):
-            raise AssertionError("an enumeration was started")
-
-        monkeypatch.setattr(czd, "lac_tau", refuse)
-        czd._lacunary_frequencies.cache_clear()
+    def test_sigma_8_is_linear_in_the_bins(self):
+        # 2^11 bins at unit scale: orders 1..8 hold 24,379,392 signed sums,
+        # and every q with |q| < 2^11 has at most 6 non-adjacent digits
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"sigma 8 would enumerate 24379392 signed "
-                                             f"sums, above the budget of {MAX_LACUNARY_TERMS}"):
-            czd.lacunary_frequencies(1.0, 2048.0, 8)
+        got = czd.lacunary_frequencies(1.0, 2048.0, 8)
         assert time.perf_counter() - start < 1.0
+        assert got == tuple(float(q) for q in range(-2047, 2048))
 
 
 class TestWindowedCoefficient:

@@ -621,6 +621,9 @@ class TestRefinementRule:
             else:
                 assert not row["aborted"] and "drift" in row
         assert rep.refinement["pairs"] == sum(not row["aborted"] for row in rep.samples)
+        # one note per failing row, and no summary note repeating their labels
+        assert rep.notes == [f"{row['label']} {row['branch']} gamma 2: aborted"
+                             for row in rep.samples if row["aborted"]]
 
     def test_failing_rows_are_named_in_the_notes(self):
         cfg = hn.make_config({"log2_n": 10, "tau": 3, "sigma": 0, "gamma": 2.0,

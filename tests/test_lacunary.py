@@ -6,14 +6,18 @@ Oracles used here are independent of the library code paths:
   so no separate maximality pass is needed).
 - ``brute_signed_sums`` enumerates ``±2^{n_1}±...±2^{n_tau}`` naively over an
   exponent range.
+- ``lac_tau`` in turn is the oracle for the closed forms ``lattice_points``
+  and ``lambda_tau_count`` (the latter also against the built system).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +33,7 @@ from lacuna.lacunary import (
     lac_tau,
     lambda_tau,
     lambda_tau_count,
+    lattice_points,
     normalize_to_origin,
     whitney,
 )
@@ -142,6 +147,32 @@ def test_native_sort_matches_fraction_order(events):
 @given(dyadics, st.integers(min_value=-10, max_value=10))
 def test_dyadic_pow2_scaling(x, k):
     assert x.scale_pow2(k).as_fraction() == x.as_fraction() * F(2) ** k
+
+
+@given(st.integers(min_value=-(2**1200), max_value=2**1200),
+       st.integers(min_value=-2400, max_value=1100))
+def test_dyadic_float_is_correctly_rounded(m, e):
+    # Fraction's float is an int true division, rounded correctly; past the
+    # float range it raises where the scalar, like float arithmetic, is inf
+    x = DyadicScalar(m, e)
+    try:
+        want = float(x.as_fraction())
+    except OverflowError:
+        want = math.inf if m > 0 else -math.inf
+    assert float(x) == want and math.copysign(1.0, float(x)) == math.copysign(1.0, want)
+
+
+def test_dyadic_float_extremes():
+    # a mantissa past the float range over an exponent that brings it back
+    # (a band edge minus a tiny one) used to raise OverflowError; a power
+    # 2^e below the float range used to zero a mantissa that lifts it back
+    assert float(DyadicScalar(2**1100 + 1, -1100)) == 1.0
+    assert float(D(F(10**308)) - D(F(1, 2**70))) == 1e308
+    assert float(DyadicScalar(2**100, -1100)) == 2.0**-1000
+    assert float(DyadicScalar.pow2(-1100)) == 0.0
+    assert float(DyadicScalar(-1, -2000)) == 0.0 and math.copysign(1, float(DyadicScalar(-1, -2000))) < 0
+    assert float(DyadicScalar.pow2(1024)) == math.inf
+    assert float(DyadicScalar(-3, 10**9)) == -math.inf
 
 
 def test_dyadic_from_float_exact():
@@ -277,6 +308,16 @@ def test_lambda_tau_count_matches_the_built_system(tau):
         for max_abs in (F(1, 4), F(1), F(3), F(64), F(100)):
             fam = lambda_tau(tau, DyadicScalar.pow2(min_log2), D(max_abs))
             assert lambda_tau_count(tau, DyadicScalar.pow2(min_log2), D(max_abs)) == len(fam)
+
+
+def test_lambda_tau_count_needs_no_system_and_no_recursion():
+    # a window of 2^1,000,000,006 at unit scale, and orders past the window
+    start = time.perf_counter()
+    assert lambda_tau_count(1, DyadicScalar.pow2(-10**9), D(F(64))) == 2 * (10**9 + 6)
+    assert lambda_tau_count(2, DyadicScalar.pow2(-10**5), D(F(64))) == 20_001_800_040
+    assert lambda_tau(2000, DyadicScalar.pow2(-6), D(F(64))) == []
+    assert lambda_tau_count(2000, DyadicScalar.pow2(-6), D(F(64))) == 0
+    assert time.perf_counter() - start < 1.0
 
 
 def _refuse(*args):
@@ -415,6 +456,35 @@ def test_lac_tau_dilation_lemma(tau, k):
     assert {p.as_fraction() for p in back.points} == {
         p.as_fraction() for p in base.points
     }
+
+
+@pytest.mark.parametrize("tau", range(1, 7))
+def test_lattice_points_match_lac_tau(tau):
+    # the nonzero points are the order-tau signed sums on the unit lattice;
+    # lac_tau's window keeps every exponent a bound's sums can use, so its
+    # points at smaller bounds are the restrictions checked here (at tau 6
+    # they are all of [-2^7, 2^7] \ {0}, and enumerating 2^10 takes 2 s)
+    top = 1 << (10 if tau < 6 else 7)
+    want = np.array(sorted(int(p.as_fraction()) for p in lac_tau(tau, ONE, D(F(top))).points))
+    for bound in (1, 2, 3, 7, 8, 9, 31, 32, 33):
+        direct = sorted(int(p.as_fraction()) for p in lac_tau(tau, ONE, D(F(bound))).points)
+        assert direct == want[np.abs(want) <= bound].tolist()
+    for bound in range(top + 1):
+        got = lattice_points(tau, bound)
+        assert got.dtype == np.int64
+        assert np.array_equal(got[got != 0], want[np.abs(want) <= bound])
+        assert 0 in got
+
+
+def test_lattice_points_are_the_union_of_orders():
+    bound = 100
+    union = {0}
+    for tau in range(7):
+        if tau:
+            union |= {int(p.as_fraction()) for p in lac_tau(tau, ONE, D(F(bound))).points}
+        assert lattice_points(tau, bound).tolist() == sorted(union)
+    # no q has fewer than 0 digits, and no |q| is at most -1
+    assert lattice_points(-1, 8).size == 0 and lattice_points(2, -1).size == 0
 
 
 def test_lac_tau_dedup_collisions():

@@ -1,4 +1,4 @@
-"""Smoke runs of the batch scripts under ``scripts/``."""
+"""Smoke runs of every batch script under ``scripts/``."""
 
 import os
 import subprocess
@@ -35,3 +35,9 @@ def test_run_martingale_suite_writes_its_reports(tmp_path):
     names = run_script("run_martingale_suite.py", tmp_path, "--log2-n", "8", "--ensemble", "3")
     assert names == sorted([f"cww_sigma{sigma}.json" for sigma in (0, 1, 2)]
                            + [f"decompose_sigma{sigma}.json" for sigma in (0, 1)])
+
+
+def test_run_sharpness_study_writes_its_reports(tmp_path):
+    # 2^15 admits the parameters N = 2..8 of the dilated family
+    names = run_script("run_sharpness_study.py", tmp_path, "--log2-n", "15", "--khintchine", "4")
+    assert names == ["sharpness.csv", "sharpness.json"]
