@@ -9,8 +9,9 @@ signal format (``lacunary``, ``project``, ``sqfn``, ``orlicz``, ``czd``,
 Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails, an
 input is rejected or a ``czd`` certificate constant or ``orlicz`` result is
 not finite, 2 for usage errors (argparse, a sigma outside [0, MAX_SIGMA], a
-tau outside [0, MAX_TAU], an enumeration over a ``lacunary`` budget) and for
-unreadable or malformed input files.
+tau outside [0, MAX_TAU], an enumeration over a ``lacunary`` budget, a
+``lacunary`` point that no float holds exactly) and for unreadable or
+malformed input files.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .harness import (
     verify_hormander,
     verify_zygmund_bonami,
 )
-from .lacunary import (MAX_LACUNARY_TERMS, LacInterval, interval_to_line, lac_tau,
-                       lambda_tau)
+from .lacunary import LacInterval, interval_to_line, lac_tau, lambda_tau
 from .orlicz import exp_norm, llogl_avg_equiv, luxemburg_avg
 from .spectral import (
     AliasFlags,
@@ -57,8 +57,10 @@ from .spectral import (
 
 __all__ = ["main"]
 
-# 2^MAX_TAU sign choices alone exceed every enumeration budget in ``lacunary``
-MAX_TAU = MAX_LACUNARY_TERMS.bit_length()
+# a point of more than 20 non-adjacent digits lies past 2^40, where every
+# lattice is over ``lacunary.MAX_LACUNARY_TERMS``, and a nonempty interval
+# system of order 21 holds 2^21 side choices, over ``MAX_LACUNARY_INTERVALS``
+MAX_TAU = 20
 
 
 def _emit(payload, out: Optional[str]) -> None:
@@ -133,6 +135,16 @@ def _require_finite(label: str, values: dict) -> int:
     return 0
 
 
+def _require_floats(points) -> None:
+    # a point no float holds would print rounded: onto a neighbour, or 0.0
+    if any(p.exponent < -1074 for p in points):
+        raise ValueError("points finer than 2^-1074 are not floats: "
+                         "raise --min-scale-log2 to -1074 or more")
+    if any(abs(p.mantissa).bit_length() > 53 for p in points):
+        raise ValueError("points of more than 53 significant bits are not floats: "
+                         "lower --max-abs to at most 2^53 times the smallest scale")
+
+
 def _cmd_lacunary(args: argparse.Namespace) -> int:
     _require_in("tau", args.tau, int(args.intervals), MAX_TAU)
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
@@ -148,6 +160,7 @@ def _cmd_lacunary(args: argparse.Namespace) -> int:
         payload["intervals"] = [interval_to_line(piece) for piece in fam]
     else:
         pts = lac_tau(args.tau, min_scale, max_abs)
+        _require_floats(pts.points)
         payload["count"] = len(pts.points)
         payload["points"] = [float(p) for p in pts.points]
     _emit(payload, args.out)

@@ -18,8 +18,8 @@ Discretization notes that drive the implementation:
   below the sampling Nyquist is an integer multiple ``q/|J|``, hence an
   exact bin of the length-``n_J`` DFT of the samples on ``J``.  The ``q`` of
   the orders ``0..sigma`` are read off in closed form
-  (:func:`~lacuna.lacunary.lattice_points`), at a cost linear in ``n_J``,
-  with no signed sum enumerated and nothing memoized.  Removing
+  (:func:`~lacuna.lacunary.lattice_points`), each once, at a cost
+  proportional to their number, and nothing is memoized.  Removing
   those coefficients is an exact orthogonal projection (bin masking); the
   position of ``J`` only contributes a unitary phase that cancels.  The
   certificate re-checks the vanishing by direct quadrature over the samples,
@@ -227,7 +227,7 @@ def lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
 
     These are the ``q/length`` whose ``q`` has at most ``sigma`` nonzero
     non-adjacent digits (:func:`~lacuna.lacunary.lattice_points`), in time
-    linear in ``nyquist * length``: the Nyquist cut is what makes them finite.
+    proportional to their number: the Nyquist cut is what makes them finite.
     """
     sigma = _check_parameters(sigma, 1.0)
     length = _dyadic_from_float(length, "length")

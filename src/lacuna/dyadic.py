@@ -17,10 +17,9 @@ from fractions import Fraction
 def _canonical(mantissa: int, exponent: int) -> tuple[int, int]:
     if mantissa == 0:
         return 0, 0
-    while mantissa % 2 == 0:
-        mantissa //= 2
-        exponent += 1
-    return mantissa, exponent
+    # the lowest set bit, also of a negative mantissa
+    shift = (mantissa & -mantissa).bit_length() - 1
+    return mantissa >> shift, exponent + shift
 
 
 @dataclass(frozen=True, order=False)

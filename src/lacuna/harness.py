@@ -44,7 +44,7 @@ from .czd import (
     remove_lacunary,
 )
 from .dyadic import DyadicScalar
-from .lacunary import LacInterval, lac_tau, lambda_tau, lattice_points
+from .lacunary import LacInterval, lambda_tau, lattice_points
 from .martingale import (
     DyadicFunction,
     azuma_tail_bound,
@@ -286,9 +286,10 @@ def _spike_mixture_builder(period: float, rng: np.random.Generator) -> Callable:
 
 def _lac_poly_pool(cfg: ExperimentConfig) -> np.ndarray:
     """The positive order-tau frequencies the sign polynomials draw from."""
-    cap = DyadicScalar.pow2(cfg.log2_n - 4 - cfg.log2_period)
-    pts = lac_tau(cfg.tau, DyadicScalar.pow2(cfg.min_scale_log2), cap)
-    positive = np.array([float(p) for p in pts.points if float(p) > 0.0])
+    # q 2^min_scale_log2 <= 2^(log2_n - 4) / period, q on the unit lattice
+    bits = cfg.log2_n - 4 - cfg.log2_period - cfg.min_scale_log2
+    qs = lattice_points(cfg.tau, 1 << bits if bits >= 0 else 0)
+    positive = np.ldexp(qs[qs > 0].astype(float), cfg.min_scale_log2)
     if positive.size == 0:
         raise ValueError(f"no lacunary frequency lies between 2^{cfg.min_scale_log2} and "
                          f"the band cap 2^{cfg.log2_n - 4}/period at period {cfg.period:g}; "

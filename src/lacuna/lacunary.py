@@ -18,14 +18,15 @@ containment fails exactly at points that are limits of interval endpoints
 (e.g. powers of two for order 2), which is why the signed-sum semantics is
 the one exposed here.
 
-Two closed forms need no enumeration: the union of the orders ``0..tau`` on
-an integer lattice (:func:`lattice_points`) and the size of an interval
-system (:func:`lambda_tau_count`).
+On the ``min_scale`` lattice these sums are exactly the nonzero ``q`` whose
+non-adjacent form has at most ``tau`` nonzero digits, so one enumeration of
+non-adjacent forms (:func:`lattice_points`) yields every point set, each
+point once.  The size of an interval system is a closed form
+(:func:`lambda_tau_count`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,10 +35,13 @@ import numpy as np
 
 from .dyadic import ZERO, DyadicScalar
 
-# largest signed-sum enumeration ``lac_tau`` starts, about 7 s at the 7 us a
-# term measured on a 2-vCPU x86 host (tau 5 on the window 64 at scale 2^-6 is
-# 274,176 terms and took 1.8 s)
+# most digit choices one step of ``lattice_points`` places, counted before
+# they are; ``lattice_points(8, 2^20 - 1)``, czd's widest, places at most
+# 631,488 at a step and takes 0.16 s on a 2-vCPU x86 host
 MAX_LACUNARY_TERMS = 1_000_000
+# most bits of a lattice bound: floats span 2,098 bits, 2^-1074 .. 2^1024,
+# and the cap bounds the Python integers a wide lattice is built from
+MAX_LATTICE_BITS = 2_100
 # largest interval system ``lambda_tau`` builds, about 6 s at 21 us an
 # interval (tau 5, window 64, scale 2^-16: 274,176 in 5.7 s)
 MAX_LACUNARY_INTERVALS = 300_000
@@ -142,7 +146,9 @@ def lambda_tau(
     """
     count = lambda_tau_count(tau, min_scale, max_abs)
     if count > MAX_LACUNARY_INTERVALS:
-        raise ValueError(f"tau {tau} would build {count} intervals, "
+        # a huge window's count has more digits than str() converts
+        shown = count if count < 10**12 else "more than 10^12"
+        raise ValueError(f"tau {tau} would build {shown} intervals, "
                          f"above the budget of {MAX_LACUNARY_INTERVALS}")
     if count == 0:
         return []
@@ -222,45 +228,66 @@ def lac_tau(
     """Signed sums ``±2^{n_1} ± ... ± 2^{n_tau}``, ``n_1 > ... > n_tau``.
 
     Truncation: smallest exponent ``n_tau ≥ log2(min_scale)``; window:
-    ``|x| ≤ max_abs``.  Values are deduplicated (distinct representations can
-    collide, e.g. ``2^4 - 2^2 = 2^3 + 2^2``).  ``tau = 0`` gives ``{0}``.
-    More than ``MAX_LACUNARY_TERMS`` signed sums, ``C(#exponents, tau)
-    2^tau``, are refused before any is enumerated.
+    ``|x| ≤ max_abs``.  Each value appears once, although distinct
+    representations can collide (e.g. ``2^4 - 2^2 = 2^3 + 2^2``).  ``tau = 0``
+    gives ``{0}``.  The points are ``min_scale`` times the nonzero
+    ``lattice_points(tau, floor(max_abs / min_scale))``, a signed sum of
+    fewer powers gaining terms at its leading one, ``2^e = 2^(e+1) - 2^e``.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0:
         return LacPointSet(0, min_scale, max_abs, (ZERO,))
-    # |x| > 2^(n_1 - tau + 1) for any tau-term sum led by 2^(n_1), so larger
-    # leading exponents cannot re-enter the window
-    emin, top = _window_log2(min_scale, max_abs)
-    terms = math.comb(max(top + tau + 1 - emin, 0), tau) << tau
-    if terms > MAX_LACUNARY_TERMS:
-        raise ValueError(f"tau {tau} would enumerate {terms} signed sums, "
-                         f"above the budget of {MAX_LACUNARY_TERMS}")
-    values: set[DyadicScalar] = set()
-    for combo in itertools.combinations(range(emin, top + tau + 1), tau):
-        weights = [1 << (e - emin) for e in combo]
-        for signs in itertools.product((1, -1), repeat=tau):
-            total = sum(s * w for s, w in zip(signs, weights))
-            x = DyadicScalar(total, emin)
-            if abs(x) <= max_abs:
-                values.add(x)
-    points = tuple(sorted(values))
+    emin, _ = _window_log2(min_scale, max_abs)
+    ratio = max_abs.scale_pow2(-emin)
+    # a shift capped at MAX_LATTICE_BITS still leaves a bound that is refused
+    shift = min(ratio.exponent, MAX_LATTICE_BITS)
+    bound = ratio.mantissa << shift if shift >= 0 else ratio.mantissa >> -shift
+    qs = lattice_points(tau, bound)
+    points = tuple(DyadicScalar(q, emin) for q in qs[qs != 0].tolist())
     return LacPointSet(tau, min_scale, max_abs, points)
 
 
 def lattice_points(tau: int, bound: int) -> np.ndarray:
-    """Sorted int64 array of the ``q`` with ``|q| <= bound`` whose
-    non-adjacent form has at most ``tau`` nonzero digits, ``popcount(q ^ 3q)``.
+    """Sorted array of the ``q`` with ``|q| <= bound`` whose non-adjacent form
+    has at most ``tau`` nonzero digits: for ``tau >= 1``, 0 and the points of
+    ``lac_tau(tau, 1, bound)``, the union of the orders ``0..tau``.
 
-    A signed sum of fewer distinct powers ``2^n`` (``n >= 0``) gains a term at
-    its leading one, ``2^e = 2^(e+1) - 2^e``, so for ``tau >= 1`` the nonzero
-    points are ``lac_tau(tau, 1, bound)``, and the array is the union of the
-    orders ``0..tau`` on the unit lattice, in time linear in ``bound``.
+    Each form is built from its top digit down.  A partial sum ``P`` whose
+    last digit sits at ``2^p`` takes its next one at ``2^j``, ``j <= p - 2``;
+    the digits below ``2^p`` add less than ``2^(p-1)``, so ``P`` is dropped
+    once ``|P| > bound + 2^(p-1)``.  Every point comes once, at a cost
+    proportional to the points, in int64 below 2^61 and in Python integers
+    above.  A bound of more than ``MAX_LATTICE_BITS`` bits, or a step of more
+    than ``MAX_LACUNARY_TERMS`` digit choices, is refused before it is built.
     """
-    q = np.arange(-bound, bound + 1, dtype=np.int64)
-    return q[np.bitwise_count(q ^ 3 * q) <= tau]
+    if tau < 0 or bound < 0:
+        return np.zeros(0, dtype=np.int64)
+    top = bound.bit_length()
+    if top > MAX_LATTICE_BITS:
+        raise ValueError(f"max_abs / min_scale must lie below 2^{MAX_LATTICE_BITS}")
+    dtype = np.int64 if bound < 1 << 61 else object
+    pow2 = np.array([1 << p for p in range(top + 1)], dtype=dtype)
+    # P = 0, as if its last digit sat at 2^(top+2): a first digit past 2^top
+    # leaves no room for the bound
+    partial, last = np.zeros(1, dtype=dtype), np.array([top + 2])
+    found = [partial]
+    for _ in range(tau):
+        counts = np.maximum(last - 1, 0)
+        choices = 2 * int(counts.sum())
+        if choices > MAX_LACUNARY_TERMS:
+            raise ValueError(f"tau {tau} would place {choices} digit choices at one "
+                             f"step, above the budget of {MAX_LACUNARY_TERMS}")
+        # partial sum i takes its next digit at 2^j, j = 0 .. last_i - 2
+        partial = np.repeat(partial, counts)
+        last = np.arange(choices // 2) - np.repeat(np.cumsum(counts) - counts, counts)
+        digit = pow2[last]
+        last = np.concatenate((last, last))
+        partial = np.concatenate((partial + digit, partial - digit))
+        keep = 2 * np.abs(partial) <= 2 * bound + pow2[last]
+        last, partial = last[keep], partial[keep]
+        found.append(partial[np.abs(partial) <= bound])
+    return np.sort(np.concatenate(found))
 
 
 def dilate_set(points: LacPointSet, factor: DyadicScalar) -> LacPointSet:

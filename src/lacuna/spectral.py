@@ -314,9 +314,14 @@ class BandBank:
         n`` and one real inverse transform gives the sum of squares.  The
         result is within about ``1e-13`` of its peak of the band-by-band sum,
         and exactly zero for a zero input or a bank without lattice points.
+        The samples' peak is brought near 1 by a power of two and the root is
+        scaled back: exact, so only a result past the float range overflows.
         """
         rows = self.rows(sig, flags)
-        coeffs = np.fft.fft(sig.samples)
+        samples = sig.samples
+        peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
+        shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
+        coeffs = np.fft.fft(samples * 2.0**-shift)
         n = sig.n
         total = np.zeros(n // 2 + 1, dtype=np.complex128)
         for idx, vals in rows:
@@ -336,7 +341,7 @@ class BandBank:
             total[:head] += lags[:head]
         # roundoff can leave a sum of squares slightly below zero
         power = np.fft.irfft(total, n) / n
-        return np.sqrt(np.maximum(power, 0.0))
+        return np.ldexp(np.sqrt(np.maximum(power, 0.0)), shift)
 
     def energies(self, sig: Signal) -> np.ndarray:
         """``||T_i f||_2^2`` per band by Parseval, with no inverse transform."""

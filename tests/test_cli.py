@@ -2,7 +2,6 @@
 ``main(argv)``, exit codes, file round trips, and config layering."""
 
 import json
-import math
 import resource
 import struct
 import subprocess
@@ -69,19 +68,15 @@ class TestLacunary:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["tau"] == 2
 
-    def test_enumeration_over_budget_is_a_usage_error(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the enumeration was started")
-
-        monkeypatch.setattr(lacunary.itertools, "combinations", refuse)
-        # exponents -20..28 (the window 2^20 plus tau): C(49, 8) * 2^8 sums
-        terms = math.comb(49, 8) << 8
-        code = main(["lacunary", "--tau", "8", "--min-scale-log2", "-20",
-                     "--max-abs", str(2.0**20)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"would enumerate {terms} signed sums" in captured.err
-        assert str(lacunary.MAX_LACUNARY_TERMS) in captured.err
+    def test_enumeration_over_budget_is_a_usage_error(self):
+        # lattice 2^40 at tau 8: the fourth step's digit choices are counted
+        # before they are placed; run capped, so that a step allocated before
+        # its count is checked would fail on memory or time instead
+        done = run_capped(["lacunary", "--tau", "8", "--min-scale-log2", "-20",
+                           "--max-abs", str(2.0**20)])
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("lacuna: tau 8 would place 1118880 digit choices at one step, "
+                               f"above the budget of {lacunary.MAX_LACUNARY_TERMS}\n")
 
     def test_interval_system_over_budget_is_a_usage_error(self, capsys, monkeypatch):
         def refuse(*args):
@@ -95,20 +90,34 @@ class TestLacunary:
         assert str(lacunary.MAX_LACUNARY_INTERVALS) in captured.err
 
     @pytest.mark.parametrize("argv, code, err", [
-        (["--tau", "1", "--min-scale-log2", "-1000000000"], 2,
+        (["--intervals", "--tau", "1", "--min-scale-log2", "-1000000000"], 2,
          "would build 2000000012 intervals"),
-        (["--tau", "2", "--min-scale-log2", "-100000"], 2,
+        (["--intervals", "--tau", "2", "--min-scale-log2", "-100000"], 2,
          "would build 20001800040 intervals"),
-        (["--tau", "2000"], 2, "tau must lie in [1, 20]"),
-    ], ids=["tau1-scale-2^-1e9", "tau2-scale-2^-1e5", "tau2000"])
+        (["--intervals", "--tau", "2000"], 2, "tau must lie in [1, 20]"),
+        (["--intervals", "--tau", "20", f"--min-scale-log2=-{10**300}"], 2,
+         "tau 20 would build more than 10^12 intervals, above the budget of 300000"),
+        (["--tau", "20", f"--min-scale-log2=-{10**300}"], 2,
+         "max_abs / min_scale must lie below 2^2100"),
+        (["--tau", "1", "--min-scale-log2", "-400000", "--max-abs", "1"], 2,
+         "max_abs / min_scale must lie below 2^2100"),
+        (["--tau", "2", "--min-scale-log2", "-1000", "--max-abs", "1e300"], 2,
+         "tau 2 would place 7972024 digit choices at one step, above the budget of 1000000"),
+    ], ids=["tau1-scale-2^-1e9", "tau2-scale-2^-1e5", "tau2000", "intervals-tau20-scale-2^-1e300",
+            "points-tau20-scale-2^-1e300", "points-tau1-scale-2^-4e5", "points-tau2-span-2000"])
     def test_huge_systems_are_refused_at_once(self, argv, code, err):
-        # sized by a closed form: no per-scale table (MemoryError), no
-        # quadratic recurrence (no answer in 30 s), no recursion per order
-        # (RecursionError); run capped so that a regression cannot take the
-        # machine's memory with it
-        done = run_capped(["lacunary", "--intervals", *argv])
+        # sized by a closed form or counted a step ahead: no per-scale table
+        # (MemoryError), no quadratic recurrence (no answer in 30 s), no
+        # recursion per order (RecursionError), no 400,000-bit window that
+        # passes a signed-sum budget and runs past 20 s, and no count of
+        # 10^6000 printed past str()'s digit limit; run capped so that a
+        # regression cannot take the machine's memory with it
+        start = time.perf_counter()
+        done = run_capped(["lacunary", *argv])
+        assert time.perf_counter() - start < 10.0
         assert done.returncode == code and done.stdout == ""
         assert err in done.stderr and "Traceback" not in done.stderr
+        assert len(done.stderr) < 200
 
     @pytest.mark.parametrize("flags", [["--tau", "21"], ["--tau", "100000"], ["--tau", "-1"],
                                        ["--intervals", "--tau", "0"]])
@@ -119,13 +128,50 @@ class TestLacunary:
         assert code == 2 and captured.out == ""
         assert captured.err == f"lacuna: tau must lie in [{low}, 20]\n"
 
-    def test_scale_past_the_index_range_is_refused(self, capsys):
+    def test_scale_past_the_index_range_is_refused(self):
         # 2^-(8.4e25): the exponent range has no len(), which used to raise
-        # OverflowError before the budget was checked
-        code = main(["lacunary", "--min-scale-log2=-83715809102568938782326784"])
+        # OverflowError before the budget was checked; the lattice's bound
+        # is refused before it is built
+        done = run_capped(["lacunary", "--min-scale-log2=-83715809102568938782326784"])
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "lacuna: max_abs / min_scale must lie below 2^2100\n"
+
+    def test_a_2000_bit_window_of_order_one(self, capsys):
+        # +-2^k for k = -1000 .. 1000: each point's lattice integer has 2000
+        # trailing zeros, which canonical form strips in one shift
+        start = time.perf_counter()
+        code, got = run_json(capsys, ["lacunary", "--tau", "1", "--min-scale-log2", "-1000",
+                                      "--max-abs", repr(2.0**1000)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and got["count"] == 4002
+        positive = [2.0**k for k in range(-1000, 1001)]
+        assert got["points"] == [-x for x in reversed(positive)] + positive
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--tau", "1", "--min-scale-log2", "-1076", "--max-abs", "1e-320"],
+         "points finer than 2^-1074 are not floats: raise --min-scale-log2 to -1074 or more"),
+        (["--tau", "2", "--min-scale-log2", "-60", "--max-abs", "1"],
+         "points of more than 53 significant bits are not floats: lower --max-abs to at "
+         "most 2^53 times the smallest scale"),
+    ], ids=["below-2^-1074", "mantissa-past-53-bits"])
+    def test_points_that_are_not_floats_are_a_usage_error(self, capsys, argv, err):
+        # printed as floats they used to collapse: 26 points with -0.0, -0.0,
+        # 0.0, 0.0 among them, and 1 - 2^-60 printed as 1.0 next to 1.0
+        code = main(["lacunary", *argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "signed sums, above the budget" in captured.err
+        assert captured.err == f"lacuna: {err}\n"
+
+    def test_points_at_the_float_limits_are_printed_exactly(self, capsys):
+        # the smallest subnormal and 53-bit mantissas are floats
+        code, got = run_json(capsys, ["lacunary", "--tau", "1", "--min-scale-log2", "-1074",
+                                      "--max-abs", repr(4 * 5e-324)])
+        assert code == 0 and got["points"] == [-4 * 5e-324, -2 * 5e-324, -5e-324,
+                                               5e-324, 2 * 5e-324, 4 * 5e-324]
+        code, got = run_json(capsys, ["lacunary", "--tau", "2", "--min-scale-log2", "-52",
+                                      "--max-abs", "1"])
+        assert code == 0 and got["count"] == len(set(got["points"])) > 0
+        assert 1.0 - 2.0**-52 in got["points"]
 
 
 def run_capped(argv, seconds=20, address_space=3 << 29):
@@ -224,6 +270,28 @@ class TestSqfn:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "intervals, above the budget" in captured.err
+
+    def test_huge_samples_give_a_finite_aggregate(self, tmp_path, capsys):
+        # 16 samples of 1.2e154: the square function used to overflow and
+        # reject its own aggregate as "samples must be finite" (exit 2); now
+        # only a summary field whose value passes the float range is named
+        vals = np.zeros(64)
+        vals[8:24] = 1.2e154
+        path = tmp_path / "huge.bin"
+        write_signal(path, Signal(vals, 8.0, -4.0))
+        for mode in ("sharp", "smooth"):
+            with np.errstate(over="ignore"):
+                code = main(["sqfn", "--input", str(path), "--mode", mode,
+                             "--output", str(tmp_path / "agg.bin")])
+            captured = capsys.readouterr()
+            got = json.loads(captured.out)
+            overflowed = sorted(key for key, val in got.items()
+                                if isinstance(val, float) and not np.isfinite(val))
+            assert code == (1 if overflowed else 0)
+            assert captured.err == (f"sqfn: summary not finite: {', '.join(overflowed)}\n"
+                                    if overflowed else "")
+            assert np.isfinite(got["sup"]) and got["sup"] > 1e153
+            assert np.all(np.isfinite(read_signal(tmp_path / "agg.bin").samples))
 
     @pytest.mark.parametrize("tau", ["0", "21", "100000"])
     def test_tau_outside_its_range_is_a_usage_error(self, stored_signal, capsys, tau):

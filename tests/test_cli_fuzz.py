@@ -2,8 +2,9 @@
 ``sqfn``, ``orlicz``, ``czd``).
 
 Every generated command line must end in exit status 0, 1 or 2 without an
-uncaught exception, and a run that exits 0 must print strict JSON: no
-``Infinity`` or ``NaN`` token.  Flag values mix integers, floats (nan, inf,
+uncaught exception within a few seconds, and a run that exits 0 must print
+strict JSON: no ``Infinity`` or ``NaN`` token; a ``lacunary`` run's points
+must be as many as its count and strictly increasing.  Flag values mix integers, floats (nan, inf,
 1e+-400, negative), empty strings and junk; inputs are small stored signals,
 some with huge or tiny finite samples or periods, and paths that do not
 exist or are not files.
@@ -11,6 +12,7 @@ exist or are not files.
 
 import json
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ SPECIAL = ["", "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-1e-400", "0"
            "1e300", "2**3", "x"]
 VALUES = st.one_of(st.sampled_from(SPECIAL), st.integers().map(str),
                    st.integers(-70, 70).map(str), st.floats().map(repr))
+# scales around 2^-400000: windows far wider than any float range
+SCALES = st.one_of(VALUES, st.integers(-400_050, -399_950).map(str))
 
 
 def _signals(root):
@@ -63,7 +67,7 @@ def _reject(token):
 
 def _flag(draw, name):
     # one token, so that argparse reads a value like "-1" as the value
-    return f"{name}={draw(VALUES)}"
+    return f"{name}={draw(SCALES if name == '--min-scale-log2' else VALUES)}"
 
 
 def _flags(draw, names):
@@ -104,7 +108,7 @@ def run_main(argv):
         return exc.code
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_flags_end_in_a_status_and_strict_json(workdir, capsys, monkeypatch, data):
@@ -121,3 +125,9 @@ def test_flags_end_in_a_status_and_strict_json(workdir, capsys, monkeypatch, dat
     if code == 0:
         payload = json.loads(captured.out, parse_constant=_reject)
         assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
+        if argv[0] == "lacunary":
+            # distinct points that round to one float would repeat
+            listed = payload.get("points", payload.get("intervals"))
+            assert payload["count"] == len(listed)
+            if "points" in payload:
+                assert all(a < b for a, b in zip(listed, listed[1:])), argv

@@ -18,9 +18,9 @@ import pytest
 
 from lacuna import czd
 from lacuna.dyadic import DyadicScalar
-from lacuna.lacunary import lac_tau
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import Signal, plateau_bump, read_signal
+from test_lacunary import reference_lac_tau
 
 
 def leaf_threshold(s):
@@ -41,8 +41,8 @@ def leaf_threshold(s):
 
 def union_of_orders(length, nyquist, sigma):
     """The lacunary frequencies of orders 0..sigma at scale ``1/length``
-    strictly below ``nyquist``, as the union of one ``lac_tau`` enumeration
-    per order (the decomposition's former path)."""
+    strictly below ``nyquist``, as the union of one signed-sum enumeration
+    per order (``reference_lac_tau``, the decomposition's former path)."""
     out = {DyadicScalar.from_int(0)}
     for rho in range(1, sigma + 1):
         out.update(_order_points(rho, length, nyquist))
@@ -55,7 +55,7 @@ def _order_points(rho, length, nyquist):
     max_abs = DyadicScalar.from_float(nyquist) - one_over
     if not max_abs > DyadicScalar.from_int(0):
         return ()
-    return lac_tau(rho, one_over, max_abs).points
+    return reference_lac_tau(rho, one_over, max_abs)
 
 
 def windowed_coefficient(piece, freq):

@@ -6,15 +6,22 @@ Oracles used here are independent of the library code paths:
   so no separate maximality pass is needed).
 - ``brute_signed_sums`` enumerates ``±2^{n_1}±...±2^{n_tau}`` naively over an
   exponent range.
-- ``lac_tau`` in turn is the oracle for the closed forms ``lattice_points``
-  and ``lambda_tau_count`` (the latter also against the built system).
+- ``reference_lac_tau`` is the former signed-sum enumeration behind
+  ``lac_tau`` (every exponent combination and sign choice, deduplicated), and
+  ``popcount_points`` the former rule behind ``lattice_points`` (a scan of
+  ``[-bound, bound]`` for ``popcount(q ^ 3q) <= tau``): the references the
+  one non-adjacent-form enumeration is checked against.
+- ``lac_tau`` is the oracle for ``lambda_tau_count``, which is also checked
+  against the built system.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +34,7 @@ from lacuna.dyadic import ONE, ZERO, DyadicScalar
 from lacuna.lacunary import (
     MAX_LACUNARY_INTERVALS,
     MAX_LACUNARY_TERMS,
+    MAX_LATTICE_BITS,
     LacInterval,
     dilate_set,
     interval_to_line,
@@ -105,6 +113,31 @@ def brute_signed_sums_exact(tau: int, emin: int, emax: int):
     return vals
 
 
+def reference_lac_tau(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> tuple:
+    """The sorted points of ``lac_tau`` by enumerating every signed sum over
+    the exponents ``log2(min_scale) .. floor(log2(max_abs)) + tau``: a sum
+    led by a larger exponent exceeds ``max_abs``."""
+    if tau == 0:
+        return (ZERO,)
+    emin = min_scale.log2()
+    top = max_abs.exponent + abs(max_abs.mantissa).bit_length() - 1
+    values = set()
+    for combo in itertools.combinations(range(emin, top + tau + 1), tau):
+        weights = [1 << (e - emin) for e in combo]
+        for signs in itertools.product((1, -1), repeat=tau):
+            x = DyadicScalar(sum(s * w for s, w in zip(signs, weights)), emin)
+            if abs(x) <= max_abs:
+                values.add(x)
+    return tuple(sorted(values))
+
+
+def popcount_points(tau: int, bound: int) -> np.ndarray:
+    """The ``q`` in ``[-bound, bound]`` with at most ``tau`` nonzero
+    non-adjacent digits, by the popcount of ``q ^ 3q`` over every ``q``."""
+    q = np.arange(-bound, bound + 1, dtype=np.int64)
+    return q[np.bitwise_count(q ^ 3 * q) <= tau]
+
+
 # -- dyadic scalar arithmetic -------------------------------------------------
 
 dyadics = st.builds(
@@ -127,6 +160,17 @@ def test_dyadic_canonical_form(x):
     assert DyadicScalar.from_float(float(x)).as_fraction() == x.as_fraction() or abs(
         x.mantissa
     ) >= 2**53
+
+
+def test_dyadic_canonical_form_of_wide_mantissas():
+    # trailing zeros come off in one shift, not one halving each
+    start = time.perf_counter()
+    for k in range(0, 4000, 7):
+        for m in (1, -3, 5 << 200):
+            x = DyadicScalar(m << k, -k)
+            assert (x.mantissa, x.exponent) == (m >> (m & -m).bit_length() - 1,
+                                                (m & -m).bit_length() - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(dyadics, dyadics)
@@ -326,15 +370,45 @@ def _refuse(*args):
 
 def test_enumerations_over_budget_are_refused_before_they_start(monkeypatch):
     monkeypatch.setattr(lacunary, "whitney", _refuse)
-    monkeypatch.setattr(lacunary.itertools, "combinations", _refuse)
     with pytest.raises(ValueError, match=f"tau 6 would build 792064 intervals, "
                                          f"above the budget of {MAX_LACUNARY_INTERVALS}"):
         lambda_tau(6, DyadicScalar.pow2(-16), D(F(64)))
-    # exponents -20..28: C(49, 8) * 2^8 signed sums
-    terms = math.comb(49, 8) << 8
-    with pytest.raises(ValueError, match=f"tau 8 would enumerate {terms} signed sums, "
-                                         f"above the budget of {MAX_LACUNARY_TERMS}"):
-        lac_tau(8, DyadicScalar.pow2(-20), DyadicScalar.pow2(20))
+    # the digit choices of a step are counted before any is allocated: each
+    # refused step would hold an array of one 8-byte entry per choice, while
+    # both runs together peak below 8 bytes per budgeted choice
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"tau 8 would place 1118880 digit choices at "
+                                             f"one step, above the budget of {MAX_LACUNARY_TERMS}"):
+            lac_tau(8, DyadicScalar.pow2(-20), DyadicScalar.pow2(20))
+        with pytest.raises(ValueError, match="tau 2 would place 8004000 digit choices"):
+            lac_tau(2, DyadicScalar.pow2(-1000), DyadicScalar.pow2(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MAX_LACUNARY_TERMS
+    # the widest lattice is refused before its bound is built
+    for argv in ((1, DyadicScalar.pow2(-400000), ONE),
+                 (20, DyadicScalar.pow2(-10**300), D(F(64)))):
+        with pytest.raises(ValueError, match=f"below 2\\^{MAX_LATTICE_BITS}$"):
+            lac_tau(*argv)
+    with pytest.raises(ValueError, match=f"below 2\\^{MAX_LATTICE_BITS}$"):
+        lattice_points(1, 1 << MAX_LATTICE_BITS)
+
+
+def test_a_scale_far_above_the_window_leaves_no_point():
+    # the bound floor(max_abs / min_scale) is 0 by a shift, not a division
+    # that first builds 2^(10^300)
+    assert lac_tau(2, DyadicScalar.pow2(10**300), D(F(64))).points == ()
+    assert lac_tau(1, D(F(2)), D(F(3, 2))).points == ()
+
+
+def test_lambda_tau_budget_message_stays_short():
+    # a count of more digits than str() converts is not printed
+    with pytest.raises(ValueError) as err:
+        lambda_tau(20, DyadicScalar.pow2(-10**300), D(F(64)))
+    assert str(err.value) == ("tau 20 would build more than 10^12 intervals, "
+                              f"above the budget of {MAX_LACUNARY_INTERVALS}")
 
 
 def test_lambda_2_parent_8_16():
@@ -461,13 +535,13 @@ def test_lac_tau_dilation_lemma(tau, k):
 @pytest.mark.parametrize("tau", range(1, 7))
 def test_lattice_points_match_lac_tau(tau):
     # the nonzero points are the order-tau signed sums on the unit lattice;
-    # lac_tau's window keeps every exponent a bound's sums can use, so its
-    # points at smaller bounds are the restrictions checked here (at tau 6
-    # they are all of [-2^7, 2^7] \ {0}, and enumerating 2^10 takes 2 s)
+    # the reference's window keeps every exponent a bound's sums can use, so
+    # its points at smaller bounds are the restrictions checked here (at tau
+    # 6 they are all of [-2^7, 2^7] \ {0}, and enumerating 2^10 takes 2 s)
     top = 1 << (10 if tau < 6 else 7)
-    want = np.array(sorted(int(p.as_fraction()) for p in lac_tau(tau, ONE, D(F(top))).points))
+    want = np.array([int(p.as_fraction()) for p in reference_lac_tau(tau, ONE, D(F(top)))])
     for bound in (1, 2, 3, 7, 8, 9, 31, 32, 33):
-        direct = sorted(int(p.as_fraction()) for p in lac_tau(tau, ONE, D(F(bound))).points)
+        direct = [int(p.as_fraction()) for p in reference_lac_tau(tau, ONE, D(F(bound)))]
         assert direct == want[np.abs(want) <= bound].tolist()
     for bound in range(top + 1):
         got = lattice_points(tau, bound)
@@ -481,10 +555,59 @@ def test_lattice_points_are_the_union_of_orders():
     union = {0}
     for tau in range(7):
         if tau:
-            union |= {int(p.as_fraction()) for p in lac_tau(tau, ONE, D(F(bound))).points}
+            union |= {int(p.as_fraction()) for p in reference_lac_tau(tau, ONE, D(F(bound)))}
         assert lattice_points(tau, bound).tolist() == sorted(union)
     # no q has fewer than 0 digits, and no |q| is at most -1
     assert lattice_points(-1, 8).size == 0 and lattice_points(2, -1).size == 0
+
+
+def test_lattice_points_match_the_popcount_rule():
+    # every bound up to 2^10, bounds on either side of powers of two, and
+    # czd's widest lattice, the bins of half a 2^22-sample signal
+    bounds = list(range((1 << 10) + 1)) + [(1 << k) + d for k in range(11, 17) for d in (-1, 1)]
+    for tau in range(9):
+        for bound in bounds:
+            assert np.array_equal(lattice_points(tau, bound), popcount_points(tau, bound))
+    got = lattice_points(8, (1 << 20) - 1)
+    assert got.dtype == np.int64 and got.size == 1_817_343
+    assert np.array_equal(got, popcount_points(8, (1 << 20) - 1))
+
+
+def test_lattice_points_past_int64_hold_python_integers():
+    # above 2^61 the same enumeration runs on Python integers
+    bound = (1 << 70) + 12345
+    got = lattice_points(2, bound)
+    assert got.dtype == object and all(type(q) is int for q in got)
+    want = reference_lac_tau(2, ONE, DyadicScalar.from_int(bound))
+    assert got.tolist() == sorted([0] + [int(p.as_fraction()) for p in want])
+
+
+def _random_windows(count: int, seed: int):
+    """Windows ``(tau, min_scale, max_abs)`` whose reference enumeration is
+    small: odd and even mantissas, bounds below the scale, and each span."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        tau = rng.randint(0, 4)
+        emin = rng.randint(-12, 6)
+        max_abs = DyadicScalar(rng.randint(1, 1 << 12), rng.randint(-16, 4))
+        top = max_abs.exponent + abs(max_abs.mantissa).bit_length() - 1
+        if math.comb(max(top + tau + 1 - emin, 0), tau) << tau <= 20_000:
+            out.append((tau, DyadicScalar.pow2(emin), max_abs))
+    return out
+
+
+@pytest.mark.parametrize("tau, min_scale, max_abs", _random_windows(150, 2026)
+                         + [(1, DyadicScalar.pow2(-100), DyadicScalar(3, 0)),
+                            (1, DyadicScalar.pow2(-200), DyadicScalar(5, 10)),
+                            (2, DyadicScalar.pow2(-66), DyadicScalar(7, -1)),
+                            (3, DyadicScalar.pow2(-3), DyadicScalar(1, -4))])
+def test_lac_tau_matches_the_signed_sum_reference(tau, min_scale, max_abs):
+    # the same points with the same canonical mantissas and exponents; the
+    # last four windows span 100 to 210 bits or lie below the scale
+    got = lac_tau(tau, min_scale, max_abs).points
+    want = reference_lac_tau(tau, min_scale, max_abs)
+    assert [(p.mantissa, p.exponent) for p in got] == [(p.mantissa, p.exponent) for p in want]
 
 
 def test_lac_tau_dedup_collisions():

@@ -452,6 +452,32 @@ class TestBandBank:
         want = square_reference(bank, sig)
         assert np.max(np.abs(bank.square(sig) - want)) <= 1e-12 * np.max(want)
 
+    def test_square_is_exactly_scale_covariant(self):
+        # the samples are brought near 1 by a power of two before they are
+        # squared, so scaling the input by 2^k scales the result by exactly
+        # 2^k, also where the squares alone would over- or underflow
+        rng = np.random.default_rng(55)
+        sig = sp.Signal(rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10),
+                        self.PERIOD)
+        bank = sp.BandBank([sp.sharp_window(L) for L in self.FAMILY])
+        base = bank.square(sig)
+        assert np.max(base) > 0.0
+        for k in (-900, -300, 300, 900):
+            assert np.array_equal(bank.square(sig.with_samples(sig.samples * 2.0**k)),
+                                  base * 2.0**k)
+
+    def test_square_of_huge_samples_is_finite(self):
+        # 16 samples of 1.2e154 (the CLI fuzz's "huge" signal): the band
+        # coefficients' squares pass the float range unless scaled
+        vals = np.zeros(64)
+        vals[8:24] = 1.2e154
+        sig = sp.Signal(vals, 8.0, -4.0)
+        agg = sp.lp_square_function(sig, 2, D.pow2(-6), "sharp", sp.default_band(sig))
+        assert np.all(np.isfinite(agg.samples)) and np.max(np.abs(agg.samples)) > 1e153
+        small = sp.lp_square_function(sig.with_samples(vals * 2.0**-600), 2, D.pow2(-6),
+                                      "sharp", sp.default_band(sig))
+        assert np.array_equal(agg.samples, small.samples * 2.0**600)
+
     def test_square_is_exactly_zero_without_signal_or_lattice_points(self):
         windows = [sp.sharp_window(L) for L in self.FAMILY]
         zero = sp.Signal(np.zeros(1 << 10), self.PERIOD)
