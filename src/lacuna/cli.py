@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .czd import cz_decompose, young_mass
+from .czd import _rms, cz_decompose, young_mass
 from .dyadic import DyadicScalar
 from .harness import (
     ENDPOINT_OPERATORS,
@@ -184,8 +184,9 @@ def _cmd_project(args: argparse.Namespace) -> int:
         "period": sig.period,
         "mode": args.mode,
         "band": [args.lo, args.hi],
-        "l2_in": float(np.sqrt(sig.dx * np.sum(np.abs(sig.samples) ** 2))),
-        "l2_out": float(np.sqrt(out.dx * np.sum(np.abs(out.samples) ** 2))),
+        # sqrt(dx sum |f|^2), with no square past the float range
+        "l2_in": math.sqrt(sig.period) * _rms(sig.samples),
+        "l2_out": math.sqrt(out.period) * _rms(out.samples),
         "alias_events": flags.events,
         "output": args.output,
     }
@@ -208,7 +209,7 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
         "tau": args.tau,
         "mode": args.mode,
         "sup": float(vals.max()),
-        "l2": float(np.sqrt(out.dx * np.sum(vals ** 2))),
+        "l2": math.sqrt(out.period) * _rms(out.samples),
         "weak_l1": weak_l1_norm(vals, out.dx),
         "alias_events": flags.events,
         "output": args.output,
@@ -230,7 +231,7 @@ def _cmd_orlicz(args: argparse.Namespace) -> int:
     if args.sigma > 0:
         payload["exp_norm_dual"] = exp_norm(vals, args.sigma)
     if args.alpha is not None:
-        payload["young_mass"] = young_mass(sig, int(round(2 * args.sigma)), args.alpha)
+        payload["young_mass"] = young_mass(sig, args.sigma, args.alpha)
         payload["alpha"] = args.alpha
     _emit(payload, args.out)
     return _require_finite("orlicz: result", payload)

@@ -15,18 +15,19 @@ Discretization notes that drive the implementation:
   values and per-level block sums; no bisection enters the selection, so
   maximality is exact in floating point.
 - Every lacunary frequency of scale at least ``1/|J|`` that lies strictly
-  below the sampling Nyquist is an integer multiple ``q/|J|``, hence an
-  exact bin of the length-``n_J`` DFT of the samples on ``J``.  The ``q`` of
-  the orders ``0..sigma`` are read off in closed form
-  (:func:`~lacuna.lacunary.lattice_points`), each once, at a cost
-  proportional to their number, and nothing is memoized.  Removing
-  those coefficients is an exact orthogonal projection (bin masking); the
-  position of ``J`` only contributes a unitary phase that cancels.  The
-  certificate re-checks the vanishing by direct quadrature over the samples,
-  independent of the removal FFT: with ``f = q/|J|`` the phase of sample
-  ``k`` is the root of unity ``exp(-2 pi i (q k mod n_J) / n_J)``, indexed
-  by exact integers, so all frequencies of an atom come out of one matrix
-  product (:func:`lattice_coefficients`).
+  below the sampling Nyquist is an integer multiple ``q/|J|``, hence the
+  exact bin ``q`` of the length-``n_J`` DFT of the samples on ``J``.  The
+  decomposition works on those integer bins throughout: the ``q`` with
+  ``|q| < n_J/2`` of the orders ``0..sigma`` are read off in closed form
+  (:func:`lacunary_bins`), each once, at a cost proportional to their
+  number, and nothing is memoized.  Removing those coefficients is an exact
+  orthogonal projection (bin masking); the position of ``J`` only
+  contributes a unitary phase, which cancels and is never computed.  The
+  certificate re-checks the vanishing by direct quadrature over the
+  samples, independent of the removal FFT: the phase of sample ``k`` at bin
+  ``q`` is the root of unity ``exp(-2 pi i (q k mod n_J) / n_J)``, indexed by
+  exact integers, so all bins of an atom come out of one matrix product
+  (:func:`lattice_coefficients`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import DyadicScalar
 from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
 from .spectral import Signal, write_signal
@@ -50,8 +50,7 @@ __all__ = [
     "CzDecomposition",
     "young_mass",
     "stopping_intervals",
-    "lacunary_frequencies",
-    "lattice_indices",
+    "lacunary_bins",
     "lattice_coefficients",
     "remove_lacunary",
     "cz_decompose",
@@ -150,11 +149,12 @@ class CzDecomposition:
         return {k: str(v) for k, v in paths.items()}
 
 
-def young_mass(sig: Signal, sigma: int, alpha: float) -> float:
-    """Grid quadrature of ``B_{sigma/2}(|f|/alpha)`` over the window."""
+def young_mass(sig: Signal, s: float, alpha: float) -> float:
+    """Grid quadrature of ``B_s(|f|/alpha)`` over the window, with the Young
+    exponent ``s`` that :func:`~lacuna.orlicz.luxemburg_avg` takes."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
-    B = YoungFunction(sigma / 2)
+    B = YoungFunction(s)
     return float(sig.dx * np.sum(B(np.abs(sig.samples) / alpha)))
 
 
@@ -214,52 +214,35 @@ def stopping_intervals(sig: Signal, sigma, alpha: float) -> tuple:
     )
 
 
-def _dyadic_from_float(x: float, what: str) -> DyadicScalar:
-    d = DyadicScalar.from_float(x)
-    if not d.is_power_of_two():
-        raise ValueError(f"{what} must be a power of two, got {x}")
-    return d
+def lacunary_bins(n: int, sigma) -> np.ndarray:
+    """The DFT bins ``q`` of the lacunary frequencies ``q/|J|`` of orders
+    0..sigma on a window of ``n`` samples: the ascending integers with
+    ``|q| < n/2`` and at most ``sigma`` nonzero non-adjacent digits."""
+    return lattice_points(_check_parameters(sigma, 1.0), (n - 1) // 2)
 
 
-def lacunary_frequencies(length: float, nyquist: float, sigma: int) -> tuple:
-    """Ascending union of the lacunary frequencies of orders 0..sigma at
-    scale ``1/length`` (both powers of two) strictly below ``nyquist``.
-
-    These are the ``q/length`` whose ``q`` has at most ``sigma`` nonzero
-    non-adjacent digits (:func:`~lacuna.lacunary.lattice_points`), in time
-    proportional to their number: the Nyquist cut is what makes them finite.
-    """
-    sigma = _check_parameters(sigma, 1.0)
-    length = _dyadic_from_float(length, "length")
-    nyquist = _dyadic_from_float(nyquist, "nyquist")
-    # |q| < nyquist * length, a power of two
-    qs = lattice_points(sigma, (1 << max(nyquist.log2() + length.log2(), 0)) - 1)
-    return tuple((qs / float(length)).tolist())
+def _local_bins(piece: Signal, bins) -> np.ndarray:
+    # each bin an integer below the piece's Nyquist, never rounded or wrapped
+    qs = np.asarray(bins)
+    half = (piece.n - 1) // 2
+    if qs.ndim != 1 or qs.dtype.kind not in "iu" or np.any((qs < -half) | (qs > half)):
+        raise ValueError("bins must be a 1-d array of integers q with |q| < n/2")
+    return qs
 
 
-def lattice_indices(piece: Signal, freqs) -> np.ndarray:
-    """The integers ``q`` with ``freqs = q/|J|``, each a local DFT bin below
-    the Nyquist (``|q| < n/2``); any other frequency is a ``ValueError``."""
-    scaled = np.asarray(freqs, dtype=float) * piece.period
-    qs = np.rint(scaled)
-    if not (np.array_equal(qs, scaled) and np.all(np.abs(qs) < piece.n / 2)):
-        raise ValueError("frequencies must be q/|J| on the local lattice with |q| < n/2")
-    return qs.astype(np.int64)
-
-
-def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
+def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
     """The quadrature of the piece's Fourier integral over its own window at
-    every ``freqs`` value, all of which must lie on the local lattice ``q/|J|``
-    with ``|q| < n/2``, as one direct sum over samples.
+    the frequency ``q/|J|`` of every bin ``q`` (an integer, ``|q| < n/2``), up
+    to the unit factor ``exp(-2 pi i x_lo q/|J|)`` of the window's start, as
+    one direct sum over samples.
 
-    With ``x_k = x_lo + k |J|/n`` the phase ``exp(-2 pi i f x_k)`` is
-    ``exp(-2 pi i f x_lo)`` times the root of unity of exact integer index
+    The phase of sample ``k`` is the root of unity of exact integer index
     ``q k mod n``.  Splitting ``k = a + m b`` with ``m ~ sqrt(n)`` turns the
-    sum into an ``(n/m x m)^T @ (n/m x n_freq)`` product followed by an
-    ``m x n_freq`` elementwise sum, so memory stays ``O(n + sqrt(n) n_freq)``.
+    sum into an ``(n/m x m)^T @ (n/m x n_bins)`` product followed by an
+    ``m x n_bins`` elementwise sum, so memory stays ``O(n + sqrt(n) n_bins)``.
     No FFT is involved.
     """
-    qs = lattice_indices(piece, freqs)
+    qs = _local_bins(piece, bins)
     n = piece.n
     half = piece.log2_n // 2
     m = 1 << half
@@ -274,26 +257,20 @@ def lattice_coefficients(piece: Signal, freqs) -> np.ndarray:
     idx = np.arange(m)[:, None] * q_mod % n
     inner = coarse[idx >> half] * fine[idx & (m - 1)]
     sums = np.sum((piece.samples.reshape(rows, m).T @ outer) * inner, axis=0)
-    shift = np.exp(-2j * np.pi * (piece.offset / piece.period) * qs)
-    return piece.dx * shift * sums
+    return piece.dx * sums
 
 
-def remove_lacunary(piece: Signal, sigma, freqs: Optional[tuple] = None) -> tuple:
+def remove_lacunary(piece: Signal, bins) -> tuple:
     """Split a windowed piece into (cancellative, lacunary) parts.
 
-    The lacunary part carries the windowed Fourier coefficients at the
-    lacunary frequencies of all orders up to sigma at scale ``1/|J|``; the
-    cancellative remainder has those coefficients equal to zero.  Both parts
-    keep the window geometry of the input.  ``freqs`` passes in those
-    frequencies when the caller already holds them; each must be ``q/|J|``
-    with ``|q| < n/2``, else ``ValueError``.
+    The lacunary part carries the windowed Fourier coefficients at the local
+    DFT ``bins`` (integers ``q`` with ``|q| < n/2``, else ``ValueError``),
+    which :func:`lacunary_bins` gives for the lacunary frequencies of the
+    orders up to sigma at scale ``1/|J|``; the cancellative remainder has
+    those coefficients equal to zero.  Both parts keep the window geometry of
+    the input.
     """
-    sigma = _check_parameters(sigma, 1.0)
-    if freqs is None:
-        freqs = lacunary_frequencies(piece.period, piece.n / (2.0 * piece.period), sigma)
-
-    bins = lattice_indices(piece, freqs) % piece.n
-
+    bins = _local_bins(piece, bins) % piece.n
     local = np.fft.fft(piece.samples)
     lac_spec = np.zeros_like(local)
     lac_spec[bins] = local[bins]
@@ -339,7 +316,7 @@ def _atom_diagnostics(
     piece: Signal,
     canc: Signal,
     lac: Signal,
-    freqs: tuple,
+    bins: np.ndarray,
     s: float,
     alpha: float,
 ) -> dict:
@@ -351,7 +328,7 @@ def _atom_diagnostics(
     if rms > 0:
         # re-evaluate the removed coefficients on the cancellative part as
         # one direct integer-phase product, independent of the removal FFT
-        coeffs = lattice_coefficients(canc, freqs)
+        coeffs = lattice_coefficients(canc, bins)
         scale = piece.period * rms
         # an overflowed normaliser must not pass for a vanishing residual
         residual = math.inf
@@ -365,7 +342,7 @@ def _atom_diagnostics(
             "atom_constant": atom_avg / alpha,
             "lacunary_l2": lac_l2,
             "lacunary_constant": lac_l2 / level_avg if level_avg > 0 else 0.0,
-            "n_frequencies": len(freqs),
+            "n_frequencies": len(bins),
             "residual_coefficient": residual,
         }
     )
@@ -386,6 +363,10 @@ def cz_decompose(
     and ignored: the atoms are built serially.
     """
     sigma = _check_parameters(sigma, alpha)
+    # the lacunary frequencies of a stopping interval are DFT bins only when
+    # its length, the period over a power of two, is dyadic
+    if math.frexp(sig.period)[0] != 0.5:
+        raise ValueError(f"period must be a power of two, got {sig.period!r}")
     if min_margin is not None and support_margin(sig) < min_margin:
         raise ValueError("support margin below the requested minimum")
     s = sigma / 2
@@ -394,10 +375,9 @@ def cz_decompose(
     atoms = []
     for interval in stopping:
         piece = _restrict(sig, interval)
-        nu = piece.n / (2.0 * piece.period)
-        freqs = lacunary_frequencies(piece.period, nu, sigma)
-        canc, lac = remove_lacunary(piece, sigma, freqs)
-        diag = _atom_diagnostics(interval, piece, canc, lac, freqs, s, alpha)
+        bins = lacunary_bins(piece.n, sigma)
+        canc, lac = remove_lacunary(piece, bins)
+        diag = _atom_diagnostics(interval, piece, canc, lac, bins, s, alpha)
         atoms.append(CzAtom(interval, canc, lac, diag))
 
     good_vals = np.array(sig.samples, dtype=np.complex128)
@@ -415,7 +395,7 @@ def cz_decompose(
 
 
 def _global_constants(sig, good, atoms, lac_part, sigma, alpha) -> dict:
-    mass = young_mass(sig, sigma, alpha)
+    mass = young_mass(sig, sigma / 2, alpha)
     total_len = float(sum(a.interval.length for a in atoms))
     sup_good = float(np.max(np.abs(good.samples)))
     l1_f = float(sig.dx * np.sum(np.abs(sig.samples)))

@@ -36,13 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .czd import (
-    cz_decompose,
-    lacunary_frequencies,
-    lattice_coefficients,
-    lattice_indices,
-    remove_lacunary,
-)
+from .czd import cz_decompose, lacunary_bins, lattice_coefficients, remove_lacunary
 from .dyadic import DyadicScalar
 from .lacunary import LacInterval, lambda_tau, lattice_points
 from .martingale import (
@@ -670,8 +664,8 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
               "<= C * Luxemburg average of |f| with t log^{tau/2}(e+t) on [0,1]")
 
     def rows_at(sig: Signal, label: str) -> list:
-        # |fhat(j/T)| = |fft_j| * T/n: the offset phase cancels in the modulus
-        coeffs = np.abs(np.fft.fft(sig.samples)[lattice_indices(sig, lams) % sig.n]) * sig.dx
+        # |fhat(j)| = |fft_{jT}| * T/n: the offset phase cancels in the modulus
+        coeffs = np.abs(np.fft.fft(sig.samples)[(lams << cfg.log2_period) % sig.n]) * sig.dx
         mask = (sig.x >= 0.0) & (sig.x < 1.0)
         return [_bound_row(label, float(np.sqrt(np.sum(coeffs ** 2))),
                            luxemburg_avg(np.abs(sig.samples[mask]), cfg.tau / 2))]
@@ -714,11 +708,11 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
 
     # small scales on the coefficient-cancelled window restriction
     piece = Signal(sig.samples[jmask], 1.0, -0.5)
-    lam_list = lacunary_frequencies(1.0, piece.n / 2.0, cfg.tau - 1)
-    canc, _lac = remove_lacunary(piece, cfg.tau - 1, lam_list)
+    bins = lacunary_bins(piece.n, cfg.tau - 1)
+    canc, _lac = remove_lacunary(piece, bins)
     scale = float(np.max(np.abs(canc.samples)))
     if scale > 0.0:
-        residual = float(np.max(np.abs(lattice_coefficients(canc, lam_list))))
+        residual = float(np.max(np.abs(lattice_coefficients(canc, bins))))
         if residual > 1e-8 * scale:
             rows.append({"label": label, "branch": "cancellative", "gamma": cfg.gamma,
                          "aborted": True, "note": "coefficient removal residual"})

@@ -2,6 +2,7 @@
 ``main(argv)``, exit codes, file round trips, and config layering."""
 
 import json
+import math
 import resource
 import struct
 import subprocess
@@ -18,6 +19,7 @@ from lacuna import lacunary
 from lacuna.cli import main
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lambda_tau
+from lacuna.orlicz import luxemburg_avg
 from lacuna.spectral import Signal, read_signal, write_signal
 
 
@@ -224,13 +226,24 @@ class TestProject:
         assert "exceeds lattice" in got["alias_events"][0]
 
     def test_non_finite_summary_fails(self, tmp_path, capsys):
-        # finite samples whose squares sum past the float range
+        # finite samples whose squares sum past the float range: the norm is
+        # not, and is the exact one
         vals = np.zeros(64)
         vals[8:24] = 1.2e154
         path = tmp_path / "huge.bin"
         write_signal(path, Signal(vals, 8.0, -4.0))
-        with np.errstate(over="ignore"):
-            code = main(["project", "--input", str(path), "--lo", "0.25", "--hi", "0.5"])
+        code, got = run_json(capsys, ["project", "--input", str(path),
+                                      "--lo", "0.25", "--hi", "0.5"])
+        assert code == 0
+        exact = math.sqrt(8.0 / 64) * math.hypot(*vals)
+        assert got["l2_in"] == pytest.approx(exact, rel=1e-15)
+        assert 0 < got["l2_out"] < got["l2_in"]
+        # a norm whose exact value lies past the float range still fails:
+        # 16 samples of 1e200 on a window of 2^1020 have l2 2^510 * 5e199
+        vals[8:24] = 1e200
+        write_signal(path, Signal(vals, 2.0**1020, -(2.0**1019)))
+        code = main(["project", "--input", str(path), "--lo", repr(2.0**-1018),
+                     "--hi", repr(2.0**-1017)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == "project: summary not finite: l2_in, l2_out\n"
@@ -302,7 +315,8 @@ class TestSqfn:
 
     def test_non_finite_summary_fails(self, tmp_path, capsys):
         # a period of 2^1000 puts the weak-L1 norm of a 3e9 aggregate past
-        # the float range; this used to print Infinity and exit 0
+        # the float range; this used to print Infinity and exit 0 (its l2,
+        # 2^500 times the aggregate's RMS, is finite and not named)
         x = np.linspace(-4.0, 4.0, 64)
         path = tmp_path / "long.bin"
         write_signal(path, Signal(1e10 * np.exp(-x ** 2), 2.0**1000, -(2.0**999)))
@@ -311,7 +325,7 @@ class TestSqfn:
                          "--min-scale-log2", "-1000"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "sqfn: summary not finite: l2, weak_l1\n"
+        assert captured.err == "sqfn: summary not finite: weak_l1\n"
 
 
 class TestOrlicz:
@@ -348,6 +362,21 @@ class TestOrlicz:
         assert code == 2 and captured.out == ""
         assert "lacuna: alpha must be finite and positive" in captured.err
 
+    @pytest.mark.parametrize("sigma", [0.3, 1.2])
+    def test_young_mass_takes_the_luxemburg_exponent(self, tmp_path, capsys, sigma):
+        # the mass uses B_sigma, as the average does, not B_{round(2 sigma)/2}
+        ramp = np.linspace(0.0, 3.0, 64)
+        path = tmp_path / "ramp.bin"
+        write_signal(path, Signal(ramp, 2.0, -1.0))
+        code, got = run_json(capsys, ["orlicz", "--input", str(path),
+                                      f"--sigma={sigma}", "--alpha", "0.5"])
+        assert code == 0
+        t = ramp / 0.5
+        want = 2.0 / 64 * np.sum(t * np.log(np.e + t) ** sigma)
+        assert got["young_mass"] == pytest.approx(want, rel=1e-13)
+        assert got["luxemburg_avg"] == pytest.approx(
+            luxemburg_avg(ramp, sigma), rel=1e-15)
+
     def test_non_finite_result_fails(self, tmp_path, capsys):
         # |f|/alpha overflows: the Young mass is past the float range
         path = tmp_path / "c.bin"
@@ -371,6 +400,17 @@ class TestCzd:
         assert got["constants"]["sandwich_ok"] is True
         assert (tmp_path / "dec.json").exists()
         assert (tmp_path / "dec_good.bin").exists()
+
+    @pytest.mark.parametrize("alpha", ["0.6", "10"])
+    def test_period_not_a_power_of_two_fails_on_entry(self, tmp_path, capsys, alpha):
+        # at alpha 0.6 the first half is a stopping interval, at 10 none is;
+        # either way the period is refused before any atom is built
+        path = tmp_path / "three.bin"
+        write_signal(path, Signal(np.r_[np.ones(8), np.zeros(8)], 3.0, -1.5))
+        code = main(["czd", "--input", str(path), "--sigma", "0", "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "czd: period must be a power of two, got 3.0\n"
 
     @pytest.mark.parametrize("sigma", ["-1", "9", "100000"])
     def test_sigma_outside_its_range_is_a_usage_error(self, stored_signal, capsys, sigma):

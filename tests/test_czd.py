@@ -5,8 +5,8 @@ block and filtering to maximal ones; vanishing coefficients re-checked by
 direct quadrature at each frequency (the implementation works through local
 FFT bins, so the quadrature is an independent path); the batched
 integer-phase quadrature checked against the per-frequency one; the
-closed-form lacunary frequency sets against the union of one signed-sum
-enumeration per order.
+closed-form lacunary bins against the union of one signed-sum enumeration
+per order, times the window length.
 """
 
 import functools
@@ -184,54 +184,72 @@ class TestStoppingIntervals:
         for sigma in (0, 1, 2):
             alpha = 1.2 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
             total = sum(j.length for j in czd.stopping_intervals(sig, sigma, alpha))
-            assert total <= czd.young_mass(sig, sigma, alpha) * (1 + 1e-9)
+            assert total <= czd.young_mass(sig, sigma / 2, alpha) * (1 + 1e-9)
 
 
 class TestLacunaryFrequencies:
+    """The local bins of the lacunary frequencies, against the frequencies of
+    the float reference times the window length."""
+
     def test_order_zero_is_mean_only(self):
-        assert czd.lacunary_frequencies(1.0, 8.0, 0) == (0.0,)
+        assert czd.lacunary_bins(16, 0).tolist() == [0]
 
     def test_order_one_unit_scale(self):
-        got = czd.lacunary_frequencies(1.0, 8.0, 1)
-        assert got == (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
+        got = czd.lacunary_bins(16, 1)
+        assert got.tolist() == [-4, -2, -1, 0, 1, 2, 4]
 
     def test_order_two_fills_integers(self):
-        got = czd.lacunary_frequencies(1.0, 8.0, 2)
-        assert got == tuple(float(q) for q in range(-7, 8))
+        assert czd.lacunary_bins(16, 2).tolist() == list(range(-7, 8))
 
     def test_scale_halves_with_doubled_length(self):
-        unit = np.array(czd.lacunary_frequencies(1.0, 8.0, 1))
-        doubled = np.array(czd.lacunary_frequencies(2.0, 4.0, 1))
-        assert np.array_equal(doubled, unit / 2.0)
+        # 16 samples on a unit window and on a doubled one: the same bins,
+        # at frequencies q/1 and q/2
+        bins = czd.lacunary_bins(16, 1)
+        assert np.array_equal(bins / 1.0, union_of_orders(1.0, 8.0, 1))
+        assert np.array_equal(bins / 2.0, union_of_orders(2.0, 4.0, 1))
 
     def test_tight_nyquist_keeps_only_zero(self):
-        assert czd.lacunary_frequencies(1.0, 1.0, 2) == (0.0,)
+        for n in (1, 2):
+            assert czd.lacunary_bins(n, 2).tolist() == [0]
 
     def test_all_on_local_lattice(self):
-        for f in czd.lacunary_frequencies(4.0, 16.0, 2):
-            assert (f * 4.0) == round(f * 4.0)
-            assert abs(f) < 16.0
+        for n in (1, 2, 64):
+            bins = czd.lacunary_bins(n, 2)
+            assert bins.dtype == np.int64
+            assert np.all(2 * np.abs(bins) < n)
 
     def test_non_dyadic_length_rejected(self):
-        with pytest.raises(ValueError):
-            czd.lacunary_frequencies(3.0, 8.0, 1)
+        # the period is refused on entry, with atoms and without
+        vals = np.r_[np.ones(8), np.zeros(8)]
+        for alpha, atoms in ((0.6, 1), (10.0, 0)):
+            assert len(czd.cz_decompose(Signal(vals, 4.0), 0, alpha).atoms) == atoms
+            with pytest.raises(ValueError, match="period must be a power of two, got 3.0"):
+                czd.cz_decompose(Signal(vals, 3.0), 0, alpha)
 
     @pytest.mark.parametrize("length", [0.25, 1.0, 16.0])
     def test_matches_the_union_of_enumerated_orders(self, length):
-        # nyquist * length = 2^k for k = -1 .. 6: bins |q| < 2^k, at most 63
-        for k in range(-1, 7):
-            nyquist = 2.0**k / length
+        # nyquist * length = n/2, bins |q| < n/2; the reference enumerates
+        # 792,000 signed sums at n = 2^12, so the other lengths stop at 2^7
+        for log2_n in range(13 if length == 1.0 else 8):
+            n = 1 << log2_n
+            nyquist = n / 2 / length
             for sigma in range(7):
-                want = union_of_orders(length, nyquist, sigma)
-                assert czd.lacunary_frequencies(length, nyquist, sigma) == want
+                want = np.array(union_of_orders(length, nyquist, sigma)) * length
+                got = czd.lacunary_bins(n, sigma)
+                assert got.tolist() == want.tolist(), (n, sigma)
 
     def test_sigma_8_is_linear_in_the_bins(self):
-        # 2^11 bins at unit scale: orders 1..8 hold 24,379,392 signed sums,
-        # and every q with |q| < 2^11 has at most 6 non-adjacent digits
+        # 2^11 bins a side: orders 1..8 hold 24,379,392 signed sums, and
+        # every q with |q| < 2^11 has at most 6 non-adjacent digits
         start = time.perf_counter()
-        got = czd.lacunary_frequencies(1.0, 2048.0, 8)
+        got = czd.lacunary_bins(4096, 8)
         assert time.perf_counter() - start < 1.0
-        assert got == tuple(float(q) for q in range(-2047, 2048))
+        assert got.tolist() == list(range(-2047, 2048))
+
+    def test_bad_sigma_rejected(self):
+        for sigma in (-1, 1.5):
+            with pytest.raises(ValueError, match="sigma"):
+                czd.lacunary_bins(16, sigma)
 
 
 class TestWindowedCoefficient:
@@ -253,6 +271,7 @@ class TestLatticeCoefficients:
 
     @pytest.mark.parametrize("log2_n", range(16))
     def test_matches_windowed_coefficient(self, log2_n):
+        # equal in modulus: the window start's phase is left out
         rng = np.random.default_rng(100 + log2_n)
         n = 1 << log2_n
         period = 2.0 ** (log2_n - 10)
@@ -261,23 +280,33 @@ class TestLatticeCoefficients:
             piece = Signal(vals, period=period, offset=offset)
             tol = 1e-11 * period * np.sqrt(np.mean(np.abs(vals) ** 2))
             for sigma in range(4):
-                freqs = czd.lacunary_frequencies(period, n / (2 * period), sigma)
-                got = czd.lattice_coefficients(piece, freqs)
-                assert got.shape == (len(freqs),)
+                bins = czd.lacunary_bins(n, sigma)
+                got = czd.lattice_coefficients(piece, bins)
+                assert got.shape == bins.shape
                 # the reference costs n exponentials per frequency: check the
                 # extremes and a random sample of the rest
-                pick = {0, len(freqs) - 1}
-                pick.update(rng.choice(len(freqs), size=min(len(freqs), 24)).tolist())
+                pick = {0, len(bins) - 1}
+                pick.update(rng.choice(len(bins), size=min(len(bins), 24)).tolist())
                 for i in sorted(pick):
-                    ref = windowed_coefficient(piece, freqs[i])
-                    assert abs(got[i] - ref) <= tol
+                    ref = windowed_coefficient(piece, bins[i] / period)
+                    assert abs(abs(got[i]) - abs(ref)) <= tol
+
+    def test_phase_is_the_window_start_phase(self):
+        rng = np.random.default_rng(99)
+        piece = Signal(rng.standard_normal(64), period=0.5, offset=0.375)
+        bins = czd.lacunary_bins(64, 2)
+        got = czd.lattice_coefficients(piece, bins)
+        shift = np.exp(-2j * np.pi * piece.offset * bins / piece.period)
+        want = [windowed_coefficient(piece, q / piece.period) for q in bins]
+        assert np.max(np.abs(shift * got - want)) < 1e-13
 
     def test_off_lattice_frequency_rejected(self):
-        # 16 samples on a window of length 2: the bins are q/2 with |q| < 8
+        # 16 samples: the bins are the integers q with |q| < 8
         piece = Signal(np.ones(16), period=2.0, offset=-1.0)
-        for freq in (0.25, 4.0, -4.0, 20.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="local lattice"):
-                czd.lattice_coefficients(piece, [0.0, freq])
+        for bins in ([0, 8], [0, -8], [0, 20], [0.0, 1.0], [0.5], [np.nan], [np.inf],
+                     np.array([0, 8], dtype=np.uint8), [True], 3, [[1]]):
+            with pytest.raises(ValueError, match="integers q with"):
+                czd.lattice_coefficients(piece, bins)
 
 
 class TestRemoveLacunary:
@@ -288,32 +317,32 @@ class TestRemoveLacunary:
 
     def test_sigma_zero_removes_exactly_the_mean(self):
         piece = self.rand_piece()
-        canc, lac = czd.remove_lacunary(piece, 0)
+        canc, lac = czd.remove_lacunary(piece, czd.lacunary_bins(piece.n, 0))
         mean = np.mean(piece.samples)
         assert np.max(np.abs(lac.samples - mean)) < 1e-12
         assert np.max(np.abs(canc.samples - (piece.samples - mean))) < 1e-12
 
     def test_parts_sum_back(self):
         piece = self.rand_piece(seed=11)
-        canc, lac = czd.remove_lacunary(piece, 2)
+        canc, lac = czd.remove_lacunary(piece, czd.lacunary_bins(piece.n, 2))
         err = np.max(np.abs(canc.samples + lac.samples - piece.samples))
         assert err < 1e-15 * np.max(np.abs(piece.samples))
 
     @pytest.mark.parametrize("sigma", [0, 1, 2])
     def test_vanishing_by_direct_quadrature(self, sigma):
         piece = self.rand_piece(seed=12 + sigma)
-        canc, _ = czd.remove_lacunary(piece, sigma)
-        nu = piece.n / (2 * piece.period)
+        bins = czd.lacunary_bins(piece.n, sigma)
+        canc, _ = czd.remove_lacunary(piece, bins)
         scale = piece.period * np.sqrt(np.mean(np.abs(piece.samples) ** 2))
-        for f in czd.lacunary_frequencies(piece.period, nu, sigma):
-            assert abs(windowed_coefficient(canc, f)) < 1e-12 * scale
+        for q in bins:
+            assert abs(windowed_coefficient(canc, q / piece.period)) < 1e-12 * scale
 
     def test_lattice_exponential_fully_removed(self):
         # a tone on the local lattice at a first-order lacunary frequency
         piece = grid_signal(
             lambda x: np.exp(2j * np.pi * 4.0 * x), n=128, period=1.0, offset=-0.5
         )
-        canc, lac = czd.remove_lacunary(piece, 1)
+        canc, lac = czd.remove_lacunary(piece, czd.lacunary_bins(piece.n, 1))
         assert np.max(np.abs(canc.samples)) < 1e-12
         assert np.max(np.abs(lac.samples - piece.samples)) < 1e-12
 
@@ -322,34 +351,40 @@ class TestRemoveLacunary:
         vals = rng.standard_normal(64)
         a = Signal(vals, period=0.5, offset=0.0)
         b = Signal(vals, period=0.5, offset=-7.25)
-        canc_a, _ = czd.remove_lacunary(a, 2)
-        canc_b, _ = czd.remove_lacunary(b, 2)
+        canc_a, _ = czd.remove_lacunary(a, czd.lacunary_bins(a.n, 2))
+        canc_b, _ = czd.remove_lacunary(b, czd.lacunary_bins(b.n, 2))
         assert np.max(np.abs(canc_a.samples - canc_b.samples)) < 1e-12
 
     def test_projection_idempotent(self):
         piece = self.rand_piece(seed=15)
-        canc, _ = czd.remove_lacunary(piece, 2)
-        again, lac2 = czd.remove_lacunary(canc, 2)
+        canc, _ = czd.remove_lacunary(piece, czd.lacunary_bins(piece.n, 2))
+        again, lac2 = czd.remove_lacunary(canc, czd.lacunary_bins(canc.n, 2))
         assert np.max(np.abs(lac2.samples)) < 1e-13
         assert np.max(np.abs(again.samples - canc.samples)) < 1e-13
 
     def test_pythagoras(self):
         piece = self.rand_piece(seed=16)
-        canc, lac = czd.remove_lacunary(piece, 1)
+        canc, lac = czd.remove_lacunary(piece, czd.lacunary_bins(piece.n, 1))
         total = np.sum(np.abs(piece.samples) ** 2)
         split = np.sum(np.abs(canc.samples) ** 2) + np.sum(np.abs(lac.samples) ** 2)
         assert split == pytest.approx(total, rel=1e-12)
 
     @pytest.mark.parametrize("freq", [0.3, 8.0, -8.0, 20.0, 1e300, np.nan, np.inf])
     def test_off_lattice_frequency_is_an_error_not_a_rounded_bin(self, freq):
-        # 0.3 used to round to the mean bin and 20 to wrap to bin 4
+        # 16 samples: the bins are the integers q with |q| < 8; 0.3 must not
+        # round to the mean bin, nor 20 wrap to bin 4, and a float bin is
+        # refused even when it holds an integer
         piece = self.rand_piece(n=16)
-        with pytest.raises(ValueError, match="local lattice"):
-            czd.remove_lacunary(piece, 0, freqs=(0.0, freq))
+        cases = [np.array([0.0, freq])]
+        if np.isfinite(freq) and freq == int(freq):
+            cases.append([0, int(freq)])
+        for bins in cases:
+            with pytest.raises(ValueError, match="integers q with"):
+                czd.remove_lacunary(piece, bins)
 
     def test_single_sample_atom(self):
         piece = Signal(np.array([3.0]), period=2.0 ** -5, offset=0.125)
-        canc, lac = czd.remove_lacunary(piece, 2)
+        canc, lac = czd.remove_lacunary(piece, czd.lacunary_bins(piece.n, 2))
         assert canc.samples[0] == 0.0
         assert lac.samples[0] == 3.0
 
@@ -418,13 +453,13 @@ class TestDecomposition:
         sig = Signal(vals, period, -period / 2)
 
         calls = []
-        real = czd.lacunary_frequencies
+        real = czd.lacunary_bins
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(czd, "lacunary_frequencies", counting)
+        monkeypatch.setattr(czd, "lacunary_bins", counting)
         alpha = 1.5 * luxemburg_avg(np.abs(sig.samples), 1.0)
         dec = czd.cz_decompose(sig, 2, alpha)
         assert len(dec.atoms) > 1

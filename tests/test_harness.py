@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import harness as hn
-from lacuna.czd import lattice_indices
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import lac_tau, lambda_tau
 from lacuna.multipliers import apply_multiplier, build_sharpness_family
@@ -475,9 +474,12 @@ class TestZygmundBonami:
         sig = Signal(np.exp(2j * np.pi * 3.0 * x) * mask, 16.0, -8.0)
         nu = 1 << (cfg.log2_n - 1 - cfg.log2_period)
         pts = lac_tau(2, DyadicScalar.from_int(1), DyadicScalar.from_int(nu - 1))
-        lams = [float(p) for p in pts.points]
-        assert 3.0 in lams
-        pos = lattice_indices(sig, lams) % sig.n
+        lams = np.array([p.mantissa << p.exponent for p in pts.points])
+        assert 3 in lams
+        # the report's integer map from the unit lattice to the DFT bins
+        # against the float one, frequency times period rounded
+        pos = (lams << cfg.log2_period) % sig.n
+        assert np.array_equal(pos, np.rint(lams * sig.period).astype(int) % sig.n)
         coeffs = np.abs(np.fft.fft(sig.samples)[pos]) * sig.dx
         lhs = float(np.sqrt(np.sum(coeffs ** 2)))
         assert lhs == pytest.approx(1.0, abs=1e-12)
@@ -488,11 +490,10 @@ class TestZygmundBonami:
         assert rhs == pytest.approx(luxemburg_avg(np.ones(mask.sum()), 1.0), rel=1e-12)
 
     def test_out_of_band_frequency_rejected(self):
-        sig = Signal(np.ones(64), 16.0, -8.0)
-        # 10 * 16 is past the Nyquist bin 32; 1/32 lies between lattice points
-        for lam in (10.0, 1.0 / 32):
-            with pytest.raises(ValueError, match="local lattice"):
-                lattice_indices(sig, [lam])
+        # 32 samples on a window of 16: the unit-lattice frequency 1 is the
+        # Nyquist bin 16, and no nonzero one lies below it
+        with pytest.raises(ValueError, match="no nonzero unit-lattice frequency"):
+            hn.verify_zygmund_bonami(tiny_config(log2_n=5))
 
 
 class TestGenZygmundBonami:

@@ -1,9 +1,11 @@
 """Every module-level import in a ``lacuna`` module is used or re-exported,
-and no module imports a thread or process pool.
+every exported name exists, and no module imports a thread or process pool.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
-annotations included) or be listed in its ``__all__``.  Nothing in the
+annotations included) or be listed in its ``__all__``.  Since listing a
+name counts as using it, every name in an ``__all__``, the package's
+included, must also be bound at the top of its module.  Nothing in the
 package runs concurrently, which is what keeps report bytes independent of
 the accepted-and-ignored ``threads`` setting.
 """
@@ -15,8 +17,8 @@ import pytest
 
 import lacuna
 
-MODULES = sorted(p for p in Path(lacuna.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(lacuna.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 CONCURRENCY = ("concurrent", "threading", "multiprocessing")
 
 
@@ -69,8 +71,25 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name}: imported but never used: {unused}"
 
 
-@pytest.mark.parametrize("path", sorted(Path(lacuna.__file__).parent.glob("*.py")),
-                         ids=lambda p: p.stem)
+def bound_names(tree: ast.Module) -> set:
+    bound = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return bound
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_every_exported_name_is_bound(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stale = sorted(exported_names(tree) - bound_names(tree))
+    assert not stale, f"{path.name}: __all__ lists names it never binds: {stale}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_concurrency_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
