@@ -132,8 +132,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 4 <= self.log2_n <= MAX_LOG2_N:
             raise ValueError(f"log2_n must lie in [4, {MAX_LOG2_N}]")
-        per = DyadicScalar.from_float(self.period)
-        if not (per.is_power_of_two() and 2.0 <= self.period <= 2.0**MAX_SCALE_LOG2):
+        if not (2.0 <= self.period <= 2.0**MAX_SCALE_LOG2  # nan and inf fail here
+                and DyadicScalar.from_float(self.period).is_power_of_two()):
             raise ValueError(f"period must be a power of two in [2, 2^{MAX_SCALE_LOG2}]")
         if not 1 <= self.tau <= 6:
             raise ValueError("tau must lie in [1, 6]")
@@ -151,8 +151,9 @@ class ExperimentConfig:
             raise ValueError("need 2 <= n_min <= n_max")
         if self.khintchine < 0:
             raise ValueError("khintchine draw count must be nonnegative")
-        if self.threads < 0:
-            raise ValueError("threads must be nonnegative")
+        for key in ("seed", "threads"):  # numpy refuses a negative seed unnamed
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative")
 
     @property
     def log2_period(self) -> int:
@@ -472,12 +473,18 @@ def weak_type_ratio(out_mags, in_vals, dx: float, exponent: float,
     subsampling.  Covering the top decades matters: the interesting regime
     for the weakened exponents sits at large thresholds.
     """
-    # one sorted copy serves the level grid and every level count
+    return _sup_ratio(*_ratio_levels(out_mags, n_levels), in_vals, dx, exponent)
+
+
+def _ratio_levels(out_mags, n_levels: int):
+    """The thresholds of ``weak_type_ratio`` and the output counts at them,
+    from one sort of the magnitudes (empty when they are all zero)."""
     mags = np.sort(np.abs(np.asarray(out_mags)).ravel().astype(float))
     peak = float(mags.max(initial=0.0))
     if peak <= 0.0:
-        return {"max_ratio": 0.0, "alpha": 0.0, "levels": 0}
-    distinct = np.unique(mags[np.searchsorted(mags, 1e-13 * peak, "right"):])
+        return np.empty(0), np.empty(0)
+    kept = mags[np.searchsorted(mags, 1e-13 * peak, "right"):]
+    distinct = kept[np.r_[True, kept[1:] != kept[:-1]]]  # already sorted
     lo, hi = float(distinct[0]), float(distinct[-1])
     if hi <= lo * (1.0 + 1e-12):
         alphas = np.array([hi])
@@ -485,20 +492,19 @@ def weak_type_ratio(out_mags, in_vals, dx: float, exponent: float,
         grid = np.geomspace(lo, hi, n_levels)
         idx = np.unique(np.clip(np.searchsorted(distinct, grid), 0, distinct.size - 1))
         alphas = distinct[idx]
+    return alphas, mags.size - np.searchsorted(mags, alphas * (1.0 - 1e-12), "left")
+
+
+def _sup_ratio(alphas, counts, in_vals, dx: float, exponent: float) -> dict:
     young = YoungFunction(exponent)
     # B(0) = 0: zero inputs add nothing to the Orlicz mass
     absin = np.abs(np.asarray(in_vals).ravel())
     absin = absin[absin != 0.0]
-    counts = mags.size - np.searchsorted(mags, alphas * (1.0 - 1e-12), "left")
-    best_ratio, best_alpha = 0.0, float(alphas[-1])
+    best_ratio, best_alpha = 0.0, float(alphas[-1]) if alphas.size else 0.0
     for a, count in zip(alphas, counts):
-        lhs = dx * count
         rhs = dx * float(np.sum(young(absin / a)))
-        if rhs <= 0.0:
-            continue
-        ratio = lhs / rhs
-        if ratio > best_ratio:
-            best_ratio, best_alpha = ratio, float(a)
+        if rhs > 0.0 and dx * count / rhs > best_ratio:
+            best_ratio, best_alpha = dx * count / rhs, float(a)
     return {"max_ratio": float(best_ratio), "alpha": best_alpha, "levels": int(alphas.size)}
 
 
@@ -816,8 +822,9 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
         xs = np.geomspace(2.0 ** (-5 * n_param / 8), 0.25, 16)
         envelope = fam.bank.square_at(fam.f_n, xs)
         row["cmin"] = float(np.min(envelope * xs / n_param))
-        correct = weak_type_ratio(agg, g.samples, g.dx, 1.0, cfg.n_levels)
-        weakened = weak_type_ratio(agg, g.samples, g.dx, 0.5, cfg.n_levels)
+        levels = _ratio_levels(agg, cfg.n_levels)  # one sort for both exponents
+        correct = _sup_ratio(*levels, g.samples, g.dx, 1.0)
+        weakened = _sup_ratio(*levels, g.samples, g.dx, 0.5)
         row["ratio_correct"] = correct["max_ratio"]
         row["ratio_weak"] = weakened["max_ratio"]
         row["alpha_weak"] = weakened["alpha"]

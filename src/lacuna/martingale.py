@@ -23,7 +23,9 @@ Pieces:
   are written into buffers allocated once per solve.  The projection onto
   the feasible subspace takes one pass: a single ``np.add.reduceat`` sums
   every half-block of every row, and one ``np.repeat`` spreads the shifts
-  back.  Nonzero input must have ``max|f|`` in ``[2^-400, 2^400]``.
+  back.  The line search rejects a first trial that ``luxemburg_exceeds``
+  rules out (one Young-mass evaluation) without a Luxemburg solve.  Nonzero
+  input must have ``max|f|`` in ``[2^-400, 2^400]``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .orlicz import YoungFunction, exp_norm, luxemburg_avg
+from .orlicz import YoungFunction, exp_norm, luxemburg_avg, luxemburg_exceeds
 
 
 def _require_pow2(n: int) -> int:
@@ -204,14 +206,14 @@ class DecompositionResult:
 
 @lru_cache(maxsize=8)
 def _half_blocks(rows: int, n: int) -> tuple:
-    """Start and length of the blocks whose means ``project_to_constraint``
-    subtracts, in heap order over a flattened ``(rows, n)`` array: block
-    ``s >= 1`` lies on row ``k = floor(log2 s)``, the whole row at k = 0,
-    else its half-block ``s - 2^k``."""
+    """Start and length (int and float) of the blocks whose means
+    ``project_to_constraint`` subtracts, in heap order over a flattened
+    ``(rows, n)`` array: block ``s >= 1`` lies on row ``k = floor(log2 s)``,
+    the whole row at k = 0, else its half-block ``s - 2^k``."""
     block = np.arange(1, 1 << rows)
     level = np.frexp(block)[1] - 1
     length = n >> level
-    return level * n + (block - (1 << level)) * length, length
+    return level * n + (block - (1 << level)) * length, length, length.astype(float)
 
 
 def project_to_constraint(psi: np.ndarray) -> np.ndarray:
@@ -223,8 +225,8 @@ def project_to_constraint(psi: np.ndarray) -> np.ndarray:
     one ``np.repeat`` spreads the shifts back over the entries to subtract.
     """
     psi = np.asarray(psi, dtype=float)
-    starts, length = _half_blocks(*psi.shape)
-    shift = np.add.reduceat(psi.ravel(), starts) / length
+    starts, length, flength = _half_blocks(*psi.shape)
+    shift = np.add.reduceat(psi.ravel(), starts) / flength
     half_gap = 0.5 * (shift[1::2] - shift[2::2])
     shift[1::2] = half_gap
     np.negative(half_gap, out=shift[2::2])
@@ -237,7 +239,7 @@ def _aggregate(rows: np.ndarray, eps: float, out: np.ndarray,
     """``sqrt(sum_k rows_k^2 + eps^2)`` written into ``out``; ``squares``
     (the shape of ``rows``) is scratch."""
     np.square(rows, out=squares)
-    np.sum(squares, axis=0, out=out)
+    squares.sum(axis=0, out=out)
     out += eps**2
     return np.sqrt(out, out=out)
 
@@ -251,7 +253,10 @@ def decompose_quotient_norm(
 
     The Luxemburg norm is differentiated implicitly: with u = G/lambda at the
     solution of  mean B(G/lambda) = 1,  one has
-    d lambda / d G_x = B'(u_x) / sum_y B'(u_y) u_y.
+    d lambda / d G_x = B'(u_x) / sum_y B'(u_y) u_y.  The Armijo search halves
+    the step from twice the last accepted one until ``luxemburg_avg(G) <= bar``;
+    at sigma > 0 a first trial that ``luxemburg_exceeds(G, sigma/2, bar)``
+    rules out is rejected unsolved, so the iterates are those of solving it.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -294,7 +299,7 @@ def decompose_quotient_norm(
         """Projected gradient at the state, given its aggregate and norm."""
         u = g / lam
         bp = young.deriv(u)
-        denom = float(np.sum(bp * u))
+        denom = float((bp * u).sum())
         weights = bp / denom  # d lambda / d G_x
         np.multiply(fk, weights / g, out=raw)
         return project_to_constraint(raw)
@@ -307,20 +312,22 @@ def decompose_quotient_norm(
 
     for iterations in range(1, config.max_iter + 1):
         grad = gradient(agg, current)
-        gnorm2 = float(np.sum(np.square(grad, out=squares)))
+        gnorm2 = float(np.square(grad, out=squares).sum())
         if gnorm2 == 0.0:
             converged = True
             break
-        accepted = False
+        screen = sigma > 0  # first trial only; at sigma 0 the solve is a mean
         while step > 1e-18:
             np.subtract(fk, np.multiply(grad, step, out=cand), out=cand)
             _aggregate(cand, eps, cand_agg, squares)
-            value = luxemburg_avg(cand_agg, sigma / 2, start=current)
-            if value <= current - config.armijo * step * gnorm2:
-                accepted = True
-                break
+            bar = current - config.armijo * step * gnorm2
+            if not (screen and luxemburg_exceeds(cand_agg, sigma / 2, bar)):
+                value = luxemburg_avg(cand_agg, sigma / 2, start=current)
+                if value <= bar:
+                    break
+            screen = False
             step *= config.shrink
-        if not accepted:
+        else:
             converged = True  # no descent direction at fp resolution
             break
         fk, cand = cand, fk

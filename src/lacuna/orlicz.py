@@ -32,6 +32,7 @@ import numpy as np
 
 _E = math.e
 CONSTRAINT_TOL = 1e-10
+SCREEN_MARGIN = 1e-8  # luxemburg_exceeds: far above CONSTRAINT_TOL and rounding
 EXP_NORM_MAX_P = 512
 
 
@@ -55,8 +56,9 @@ class YoungFunction:
         t = np.asarray(t, dtype=float)
         if self.sigma == 0:
             return np.ones_like(t)
-        logs = np.log(_E + t)
-        return logs**self.sigma + self.sigma * t * logs ** (self.sigma - 1) / (_E + t)
+        et = _E + t
+        logs = np.log(et)
+        return logs**self.sigma + self.sigma * t * logs ** (self.sigma - 1) / et
 
     def mean_terms(self, t: np.ndarray, size: int) -> tuple:
         """``sum B(t) / size`` and the arrays :meth:`mean_slope` reuses.
@@ -107,7 +109,7 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     if v.size == 0:
         raise ValueError("empty sample set")
-    mean = float(v.mean())
+    mean = float(v.sum()) / v.size  # the reduction and division of v.mean()
     if not math.isfinite(mean):
         raise ValueError("values and their mean must be finite")
     if mean == 0.0:
@@ -124,7 +126,7 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
         raise ValueError(f"the starting bracket overflows at sigma = {sigma}")
 
     size = v.size
-    v = v[v != 0]
+    v = v if v.all() else v[v != 0]
 
     # a warm start at or above the root is the upper end of the bracket
     inside = start is not None and lo < start < hi
@@ -153,6 +155,23 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
         val, terms = B.mean_terms(v / lam, size)
     return 0.5 * (lo + hi)
+
+
+def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
+    """True only if ``luxemburg_avg(values, sigma, start=...)`` exceeds
+    ``bound`` for every ``start``, from one evaluation of B (finite values).
+
+    ``mean B(|f|/lam)`` decreases in ``lam`` with log-slope at most ``1 +
+    sigma``, and one evaluation rounds far below ``SCREEN_MARGIN``.  So when
+    ``mean B(|f|/bound) - 1`` exceeds it, no ``lam <= bound`` has a computed
+    constraint within ``CONSTRAINT_TOL``, nor is it the midpoint of a collapsed
+    bracket (``hi - lo <= 1e-15 hi``) whose upper end has computed constraint
+    ``<= 0``: the solve's only returns short of its 200-step caps.
+    """
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    if bound <= 0.0 or v.size == 0:
+        return bound < 0.0 or bool(v.any())
+    return YoungFunction(sigma).mean_terms(v / bound, v.size)[0] - 1.0 > SCREEN_MARGIN
 
 
 def llogl_avg_equiv(values, sigma: float) -> float:
@@ -196,10 +215,7 @@ def exp_norm(values, sigma: float) -> float:
     for p in range(2, EXP_NORM_MAX_P + 1):
         cur = math.exp(_log_p_mean(logv, n, p) / p) * p**-sigma
         best = max(best, cur)
-        if cur < prev:
-            decreases += 1
-        else:
-            decreases = 0
+        decreases = decreases + 1 if cur < prev else 0
         prev = cur
         if decreases >= 2 and p >= 32:
             break

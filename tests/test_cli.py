@@ -553,6 +553,22 @@ class TestExperimentCommands:
         assert code == 2
         assert "outside [2^-400, 2^400]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--seed=-1", "seed"), ("--threads=-2", "threads"),
+        ("--period=nan", "period"), ("--period=inf", "period"), ("--period=-inf", "period"),
+    ])
+    @pytest.mark.parametrize("command", [["decompose"], ["cww"]])
+    def test_bad_config_values_name_their_field(self, command, flag, field,
+                                                stored_signal, capsys):
+        # found by fuzzing decompose: a negative seed reached numpy, whose
+        # message names no field, and a non-finite period failed in the dyadic
+        # conversion with "not a finite value"
+        extra = ["--input", str(stored_signal)] if command == ["decompose"] else []
+        code = main(command + extra + ["--log2-n", "6", flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"lacuna: {field} must"), err
+
     @pytest.mark.parametrize("line, argv", [
         ("period = 8.98846567431158e307", ["verify", "endpoint"]),
         ("period = 65536", ["verify", "endpoint"]),

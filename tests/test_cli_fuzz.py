@@ -1,5 +1,5 @@
 """Hypothesis fuzzing of the file-utility flags (``lacunary``, ``project``,
-``sqfn``, ``orlicz``, ``czd``).
+``sqfn``, ``orlicz``, ``czd``) and of ``decompose`` with its config flags.
 
 Every generated command line must end in exit status 0, 1 or 2 without an
 uncaught exception within a few seconds, and a run that exits 0 must print
@@ -7,7 +7,10 @@ strict JSON: no ``Infinity`` or ``NaN`` token; a ``lacunary`` run's points
 must be as many as its count and strictly increasing.  Flag values mix integers, floats (nan, inf,
 1e+-400, negative), empty strings and junk; inputs are small stored signals,
 some with huge or tiny finite samples or periods, and paths that do not
-exist or are not files.
+exist or are not files.  ``decompose`` draws each flag from values that
+parse and the same mixed values, and ``--config`` files (valid, out of range,
+junk, not UTF-8, missing, a directory); a run that exits 0 must report a
+feasible perturbation no worse than none (``ok``).
 """
 
 import json
@@ -55,10 +58,22 @@ def _signals(root):
     return paths + [str(root / "missing.bin"), "", str(root)]
 
 
+def _configs(root):
+    texts = {
+        "solver.cfg": "sigma = 1\nseed = 3\nlog2_n = 6\n",
+        "range.cfg": "sigma = 9\nthreads = -1\n",
+        "junk.cfg": "sigma\n= = =\nsigma = x\n",
+        "binary.cfg": "\udcff\udcfe",
+    }
+    for name, text in texts.items():
+        (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    return [str(root / name) for name in texts] + [str(root / "missing.cfg"), str(root)]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    return root, _signals(root)
+    return root, _signals(root), _configs(root)
 
 
 def _reject(token):
@@ -116,7 +131,7 @@ def test_flags_end_in_a_status_and_strict_json(workdir, capsys, monkeypatch, dat
     # path, and a refusal takes the same path at any budget
     monkeypatch.setattr(lacunary, "MAX_LACUNARY_TERMS", 20_000)
     monkeypatch.setattr(lacunary, "MAX_LACUNARY_INTERVALS", 2_000)
-    root, inputs = workdir
+    root, inputs, _ = workdir
     argv = data.draw(command_lines(inputs, root))
     code = run_main(argv)
     captured = capsys.readouterr()
@@ -131,3 +146,46 @@ def test_flags_end_in_a_status_and_strict_json(workdir, capsys, monkeypatch, dat
             assert payload["count"] == len(listed)
             if "points" in payload:
                 assert all(a < b for a, b in zip(listed, listed[1:])), argv
+
+
+# the files the solver accepts: finite samples with max|f| in [2^-400, 2^400]
+SOLVABLE = ("plain", "zero", "long-period", "short-period")
+DECOMPOSE_FLAGS = (
+    ("--sigma", st.integers(0, 8)),
+    ("--seed", st.integers(0, 2**64)),
+    ("--threads", st.integers(0, 4)),
+    ("--log2-n", st.integers(4, 10)),
+    ("--period", st.sampled_from(["2", "16", "1.8446744073709552e19", "0.5", "3"])),
+    ("--tau", st.integers(1, 6)),
+)
+
+
+@st.composite
+def decompose_lines(draw, inputs, configs):
+    solvable = [p for p in inputs if any(p.endswith(f"/{name}.bin") for name in SOLVABLE)]
+    argv = ["decompose"]
+    if draw(st.integers(0, 5)):
+        argv += ["--input", draw(st.sampled_from(solvable) | st.sampled_from(inputs))]
+    for name, good in DECOMPOSE_FLAGS:
+        if draw(st.booleans()):
+            argv.append(f"{name}={draw(good.map(str) | VALUES)}")
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--config", draw(st.sampled_from(configs))]
+    return argv + draw(st.sampled_from([[], ["--refine"], ["--no-refine"]]))
+
+
+@settings(max_examples=120, deadline=timedelta(seconds=5), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_decompose_flags_end_in_a_status_and_strict_json(workdir, capsys, data):
+    _, inputs, configs = workdir
+    argv = data.draw(decompose_lines(inputs, configs))
+    code = run_main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        payload = json.loads(captured.out, parse_constant=_reject)
+        assert payload["ok"] is True, argv
+        assert payload["objective"] <= payload["baseline"] + 1e-9, argv
+        assert payload["certificate"]["constraint_residual"] <= 1e-8, argv

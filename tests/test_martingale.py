@@ -535,3 +535,67 @@ class TestDecompositionSolver:
             rhs = luxemburg_avg(np.abs(f.samples), 0.5)
             ratios.append(out.objective / rhs)
         assert 0.5 <= ratios[1] / ratios[0] <= 2.0
+
+
+def solve_bytes(f, sigma, config):
+    """Every output of one solve as exact bytes, and its Luxemburg solves."""
+    calls = []
+
+    def counting(values, s, **kwargs):
+        calls.append(1)
+        return luxemburg_avg(values, s, **kwargs)
+
+    real = mg.luxemburg_avg
+    mg.luxemburg_avg = counting
+    try:
+        out = mg.decompose_quotient_norm(f, sigma, config)
+    finally:
+        mg.luxemburg_avg = real
+    cert = repr(sorted(out.certificate.items()))
+    return (np.array(out.trace).tobytes(), out.f_k.tobytes(), out.iterations, cert), len(calls)
+
+
+class TestScreenedLineSearch:
+    @pytest.mark.parametrize("case", ["gate08", "rough"])
+    def test_screen_leaves_every_output_bitwise_unchanged(self, case, monkeypatch):
+        # with the screen answering False every trial is solved, as before it
+        config = mg.SolverConfig(max_iter=1000) if case == "rough" else mg.SolverConfig()
+        inputs = list(gate08_inputs()) if case == "gate08" else [(1.0, rough_values())]
+        screened = [solve_bytes(mg.DyadicFunction(v), s, config) for s, v in inputs]
+        monkeypatch.setattr(mg, "luxemburg_exceeds", lambda values, s, bound: False)
+        solved = [solve_bytes(mg.DyadicFunction(v), s, config) for s, v in inputs]
+        totals = np.zeros(2)
+        for (sigma, _), (got, got_calls), (want, want_calls) in zip(inputs, screened, solved):
+            assert got == want
+            if sigma > 0:
+                assert got_calls < want_calls
+                totals += got_calls, want_calls
+            else:
+                assert got_calls == want_calls
+        # the first trial, at the grown step, is almost always rejected
+        assert totals[0] < 0.75 * totals[1]
+        if case == "rough":
+            assert screened[0][0][2] == config.max_iter
+
+    def test_screen_runs_once_per_iteration_at_positive_sigma(self, monkeypatch):
+        seen = []
+        real = mg.luxemburg_exceeds
+        monkeypatch.setattr(mg, "luxemburg_exceeds",
+                            lambda *args: seen.append(1) or real(*args))
+        out = mg.decompose_quotient_norm(mg.DyadicFunction(gate08_values()), 1.0)
+        assert len(seen) == out.iterations
+        seen.clear()
+        mg.decompose_quotient_norm(mg.DyadicFunction(gate08_values()), 0.0)
+        assert seen == []
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5, 1.0, 1.5, 4.0, 300.0])
+def test_young_derivative_is_its_two_sum_form_bitwise(sigma):
+    rng = np.random.default_rng(23)
+    t = np.concatenate([rng.pareto(1.1, 4096), [0.0, 1e-300, 1e300]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = YoungFunction(sigma).deriv(t)
+        logs = np.log(math.e + t)
+        want = (np.ones_like(t) if sigma == 0 else
+                logs**sigma + sigma * t * logs ** (sigma - 1) / (math.e + t))
+    assert np.array_equal(got, want, equal_nan=True)

@@ -13,10 +13,12 @@ from lacuna import martingale as mg
 from lacuna.czd import young_mass
 from lacuna.orlicz import (
     CONSTRAINT_TOL,
+    SCREEN_MARGIN,
     YoungFunction,
     exp_norm,
     llogl_avg_equiv,
     luxemburg_avg,
+    luxemburg_exceeds,
 )
 from lacuna.spectral import Signal
 
@@ -517,3 +519,65 @@ def test_bad_sigma_is_rejected(sigma):
 def test_young_mass_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be finite and positive"):
         young_mass(Signal(np.ones(16), 2.0, -1.0), 1, alpha)
+
+
+# -- the one-evaluation screen in front of the solve --------------------------
+
+SCREEN_SAMPLES = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(samples=SCREEN_SAMPLES, scale_log2=st.integers(-30, 30),
+       sigma=st.floats(0.0, 3.0, exclude_min=True), rel=st.floats(-1e-6, 1e-6),
+       start_rel=st.one_of(st.none(), st.floats(-1e-3, 1e-3), st.just("bound")))
+def test_screen_never_rejects_a_value_the_solve_would_accept(samples, scale_log2, sigma,
+                                                             rel, start_rel):
+    # bounds within 1e-6 of the root straddle the margin on either side
+    v = np.ldexp(np.array(samples), scale_log2)
+    lam = luxemburg_avg(v, sigma)
+    bound = lam * (1.0 + rel)
+    start = None if start_rel is None else bound if start_rel == "bound" \
+        else lam * (1.0 + start_rel)
+    exceeds = luxemburg_exceeds(v, sigma, bound)
+    if exceeds:
+        assert luxemburg_avg(v, sigma, start=start) > bound
+    if lam > 0.0 and rel <= -1e-7:
+        # B(t)/t increases, so the mass at the bound is at least 1 + 1e-7
+        assert exceeds
+
+
+@pytest.mark.parametrize("sigma", [0.25, 1.0, 3.0])
+def test_screen_at_bounds_without_a_positive_root(sigma):
+    v = np.random.default_rng(8).exponential(size=64)
+    v[::3] = 0.0
+    for bound in (0.0, -0.0, -1e-300, -1.0, -math.inf):
+        assert luxemburg_exceeds(v, sigma, bound)
+        assert luxemburg_avg(v, sigma) > bound
+    zeros = np.zeros(16)
+    assert not luxemburg_exceeds(zeros, sigma, 0.0)  # the solve returns 0.0 there
+    assert luxemburg_exceeds(zeros, sigma, -1.0)
+    assert luxemburg_avg(zeros, sigma) == 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("bound", [5e-324, 1e-310, 1e-300])
+def test_screen_at_bounds_where_the_ratio_overflows(sigma, bound):
+    v = np.random.default_rng(9).exponential(size=64)
+    v[::4] = 0.0
+    with np.errstate(over="ignore"):
+        assert luxemburg_exceeds(v, sigma, bound)
+    assert luxemburg_avg(v, sigma) > bound
+    for start in (None, 1e-300, luxemburg_avg(v, sigma)):
+        assert luxemburg_avg(v, sigma, start=start) > bound
+
+
+def test_screen_is_one_young_evaluation_with_the_stated_margin(monkeypatch):
+    v = np.random.default_rng(10).pareto(1.5, 1024)
+    lam = luxemburg_avg(v, 1.0)
+    _, calls = count_young_calls(monkeypatch, luxemburg_exceeds, v, 1.0, lam)
+    assert calls == 1
+    assert CONSTRAINT_TOL * 10 <= SCREEN_MARGIN <= 1e-6
+    # at the root itself the mass is 1 up to the solve's tolerance: no claim
+    assert not luxemburg_exceeds(v, 1.0, lam)
+    assert luxemburg_exceeds(v, 1.0, lam * (1 - 1e-6))
