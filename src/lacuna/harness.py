@@ -201,8 +201,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def parse_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return parse_config_text(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"--config {path}: not UTF-8 at byte {err.start}") from None
 
 
 def make_config(*mappings: dict) -> ExperimentConfig:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -164,16 +165,14 @@ def eta(x):
 # -- exact lattice windows ------------------------------------------------
 
 
-def _lattice_bounds(
-    lo: DyadicScalar, hi: DyadicScalar, period: float
-) -> tuple[int, int]:
-    """Integer j with lo <= j/T < hi, exactly (T is a dyadic float)."""
-    t = Fraction(period)
-    lo_t = lo.as_fraction() * t
-    hi_t = hi.as_fraction() * t
-    jmin = math.ceil(lo_t)
-    jmax = math.ceil(hi_t) - 1
-    return jmin, jmax
+def _lattice_bounds(lo: DyadicScalar, hi: DyadicScalar, period: float) -> tuple[int, int]:
+    """Integer j with lo <= j/T < hi, exactly: with T = t 2^-k a dyadic float,
+    ``ceil(m 2^e T) = -floor(-m t 2^(e-k))`` is a shift of the integer ``m t``."""
+    t, den = float(period).as_integer_ratio()
+    k = den.bit_length() - 1
+    jmin = -((-lo.mantissa * t << max(lo.exponent - k, 0)) >> max(k - lo.exponent, 0))
+    jend = -((-hi.mantissa * t << max(hi.exponent - k, 0)) >> max(k - hi.exponent, 0))
+    return jmin, jend - 1
 
 
 def band_indices(
@@ -218,6 +217,35 @@ def eta_window(interval: LacInterval) -> tuple:
     )
 
 
+_BandPlan = namedtuple("_BandPlan", "pos vals counts slots runs heads lags")
+
+
+def _band_plan(rows: list, n: int) -> _BandPlan:
+    """A grid's rows laid out for whole-bank operations: ``pos``, ``vals`` and
+    ``counts`` concatenate them in order.  Each row gets a run of ``L`` slots (see
+    ``square``), stacked by ``L`` and then row order (``runs`` lists ``(L, k)``);
+    head entry ``e`` adds lag ``heads[e]`` from stacked place ``lags[e]``, rows in order."""
+    counts = np.array([idx.size for idx, _ in rows], dtype=np.int64)
+    pos = np.concatenate([idx for idx, _ in rows] + [np.empty(0, np.int64)])
+    vals = np.concatenate([v for _, v in rows] + [np.empty(0)])
+    live = counts[counts > 0]
+    owner = np.repeat(np.arange(live.size), live)
+    offs = (pos - pos[np.cumsum(live) - live][owner]) % n
+    if np.any((np.diff(offs) <= 0) & (np.diff(owner) == 0)):
+        raise ValueError("a band row must be one run of lattice points mod n")
+    span = offs[np.cumsum(live) - 1] + 1
+    size = np.minimum(1 << np.frexp(2 * span - 1)[1].astype(np.int64), n)
+    head = np.minimum(span, size // 2 + 1)
+    order = np.argsort(size, kind="stable")  # the stacking order of the runs
+    run_at, lag_at = np.empty((2, live.size), dtype=np.int64)
+    run_at[order] = np.cumsum(size[order]) - size[order]
+    lag_at[order] = np.cumsum(size[order] // 2 + 1) - (size[order] // 2 + 1)
+    heads = np.arange(head.sum()) - np.repeat(np.cumsum(head) - head, head)
+    return _BandPlan(pos, vals, counts, run_at[owner] + offs,
+                     list(zip(*np.unique(size, return_counts=True))), heads,
+                     np.repeat(lag_at, head) + heads)
+
+
 class BandBank:
     """The band operators ``T_i`` of ``(lo, hi, weight)`` windows: symbol
     ``m_i`` is ``weight`` (a constant or a function of the frequencies) on
@@ -226,7 +254,8 @@ class BandBank:
     Every operation takes the grid from its signal.  The sparse rows
     ``(positions, weights)`` of a ``(n, period)`` are resolved when the first
     signal on it arrives and kept in ``grids`` with the alias events raised
-    meanwhile, which are replayed into the caller's flags on every use.
+    meanwhile (replayed into the caller's flags on every use) and the plan
+    that lets ``symbol`` and ``square`` take all rows at once (:func:`_band_plan`).
     Operations work on the bare ``fft`` of the samples: the offset phases that
     :func:`spectrum` multiplies in and :func:`synthesize` takes out cancel in
     every band piece, so the pieces come out at the signal's own samples.
@@ -235,7 +264,7 @@ class BandBank:
     def __init__(self, windows, label: str = "band") -> None:
         self.windows = tuple(windows)
         self.label = label
-        # (n, period) -> (rows, alias events)
+        # (n, period) -> (rows, alias events, plan)
         self.grids: dict = {}
 
     def _resolve(self, sig: Signal) -> tuple:
@@ -250,33 +279,35 @@ class BandBank:
                 vals = np.full(idx.size, weight)
             keep = vals != 0.0
             rows.append((idx[keep], vals[keep]))
-        return rows, tuple(recorder.events)
+        return rows, tuple(recorder.events), _band_plan(rows, sig.n)
+
+    def _grid(self, sig: Signal, flags: Optional[AliasFlags]) -> tuple:
+        key = (sig.n, sig.period)
+        if key not in self.grids:
+            self.grids[key] = self._resolve(sig)
+        rows, events, plan = self.grids[key]
+        if flags is not None:
+            for event in events:
+                flags.mark(event)
+        return rows, plan
 
     def rows(self, sig: Signal, flags: Optional[AliasFlags] = None) -> list:
         """The rows at ``sig``'s ``(n, period)``, one per window (empty for a band
         without lattice points); the grid's alias events are marked on ``flags``."""
-        key = (sig.n, sig.period)
-        if key not in self.grids:
-            self.grids[key] = self._resolve(sig)
-        rows, events = self.grids[key]
-        if flags is not None:
-            for event in events:
-                flags.mark(event)
-        return rows
+        return self._grid(sig, flags)[0]
 
     def symbol(
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
         """The FFT-layout symbol ``sum_i w_i m_i`` on ``sig``'s grid (every
-        ``w_i = 1`` by default)."""
-        rows = self.rows(sig, flags)
+        ``w_i = 1`` by default), by one scatter that adds in row order."""
+        rows, plan = self._grid(sig, flags)
         if weights is None:
             weights = np.ones(len(rows))
         if len(weights) != len(rows):
             raise ValueError("need one weight per band")
         sym = np.zeros(sig.n, dtype=np.complex128)
-        for w, (idx, vals) in zip(weights, rows):
-            sym[idx] += w * vals
+        np.add.at(sym, plan.pos, np.repeat(weights, plan.counts) * plan.vals)
         return sym
 
     def combine(
@@ -310,35 +341,31 @@ class BandBank:
         start cancels in the modulus, and ``A_i(-d) = conj(A_i(d))``.  The
         transforms of ``|fft(b)|^2`` at length ``L = min(2^ceil(log2 2w), n)``
         give the lags ``0 <= d < w`` without wrap-around, or their sums mod
-        ``n`` when ``L = n``.  All lags go into one half spectrum at ``d mod
-        n`` and one real inverse transform gives the sum of squares.  The
-        result is within about ``1e-13`` of its peak of the band-by-band sum,
+        ``n`` when ``L = n``; the plan stacks the ``k`` runs of one ``L`` in a
+        ``(k, L)`` array, one ``fft`` and one ``ihfft`` per length.  All lags go
+        into one half spectrum at ``d mod n``, in row order as band by band,
+        and one real inverse transform gives the sum of squares.  The result
+        is within about ``1e-13`` of its peak of the sum of squared pieces,
         and exactly zero for a zero input or a bank without lattice points.
         The samples' peak is brought near 1 by a power of two and the root is
         scaled back: exact, so only a result past the float range overflows.
         """
-        rows = self.rows(sig, flags)
+        plan = self._grid(sig, flags)[1]
         samples = sig.samples
         peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
         shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
         coeffs = np.fft.fft(samples * 2.0**-shift)
         n = sig.n
-        total = np.zeros(n // 2 + 1, dtype=np.complex128)
-        for idx, vals in rows:
-            if not idx.size:
-                continue
-            offs = (idx - idx[0]) % n
-            if np.any(np.diff(offs) <= 0):
-                raise ValueError("a band row must be one run of lattice points mod n")
-            w = int(offs[-1]) + 1
-            size = min(1 << (2 * w - 1).bit_length(), n)
-            run = np.zeros(size, dtype=np.complex128)
-            run[offs] = coeffs[idx] * vals
-            spec = np.fft.fft(run)
+        stack = np.zeros(sum(size * k for size, k in plan.runs), dtype=np.complex128)
+        stack[plan.slots] = coeffs[plan.pos] * plan.vals
+        lags, at = [np.empty(0)], 0
+        for size, k in plan.runs:
+            spec = np.fft.fft(stack[at:at + k * size].reshape(k, size), axis=1)
+            at += k * size
             # the lags d >= 0; A(-d) = conj(A(d)) gives the others
-            lags = np.fft.ihfft(spec.real**2 + spec.imag**2)
-            head = min(w, size // 2 + 1)
-            total[:head] += lags[:head]
+            lags.append(np.fft.ihfft(spec.real**2 + spec.imag**2, axis=1).ravel())
+        total = np.zeros(n // 2 + 1, dtype=np.complex128)
+        np.add.at(total, plan.heads, np.concatenate(lags)[plan.lags])
         # roundoff can leave a sum of squares slightly below zero
         power = np.fft.irfft(total, n) / n
         return np.ldexp(np.sqrt(np.maximum(power, 0.0)), shift)

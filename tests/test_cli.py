@@ -641,6 +641,18 @@ class TestExperimentCommands:
         code = main(["cww", "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("raw, offset", [(b"\xff\xfe", 0),
+                                             (b"log2_n = 9\n# caf\xc3\xa9 \xff\n", 19)])
+    def test_config_that_is_not_utf8_names_file_flag_and_byte(self, raw, offset,
+                                                              tmp_path, capsys):
+        # used to exit with the bare codec message, naming neither
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(raw)
+        code = main(["cww", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"lacuna: --config {cfg}: not UTF-8 at byte {offset}\n"
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_gamma_is_a_usage_error(self, bad, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -232,6 +232,43 @@ class TestSharpProjection:
         assert math.isclose(covered + residual, total, rel_tol=1e-10)
 
 
+def reference_lattice_bounds(lo, hi, period):
+    """The integers j with lo <= j/T < hi, from exact rational arithmetic."""
+    t = F(period)
+    return math.ceil(lo.as_fraction() * t), math.ceil(hi.as_fraction() * t) - 1
+
+
+LATTICE_PERIODS = [16.0, 3.0, 0.1, 2.0**-40, 1e300]
+
+
+class TestLatticeBounds:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-(1 << 64), 1 << 64), st.integers(-1000, 1000),
+           st.integers(-(1 << 64), 1 << 64), st.integers(-1000, 1000),
+           st.sampled_from(LATTICE_PERIODS))
+    def test_matches_exact_rationals(self, m_lo, e_lo, m_hi, e_hi, period):
+        lo, hi = D(m_lo, e_lo), D(m_hi, e_hi)
+        assert sp._lattice_bounds(lo, hi, period) == reference_lattice_bounds(lo, hi, period)
+
+    @pytest.mark.parametrize("period", LATTICE_PERIODS)
+    def test_bounds_on_and_next_to_lattice_points(self, period):
+        # with T = t 2^-k (t odd unless k = 0), x = i 2^(k - v) with v the
+        # 2-adic valuation of t sits exactly on the lattice point j = i t/2^v
+        t, den = period.as_integer_ratio()
+        k = den.bit_length() - 1
+        v = (t & -t).bit_length() - 1
+        rng = np.random.default_rng(61)
+        for i in [0, 1, -1, 2, -3] + rng.integers(-(1 << 40), 1 << 40, 20).tolist():
+            on = D(i, k - v)
+            j = i * (t >> v)
+            assert sp._lattice_bounds(on, on, period) == (j, j - 1)
+            for off in (-1, 1):  # half a lattice step below or above the point
+                near = on + D(off, k - v - 1)
+                for lo, hi in ((on, near), (near, on), (near, near)):
+                    assert sp._lattice_bounds(lo, hi, period) == reference_lattice_bounds(
+                        lo, hi, period)
+
+
 # -- smooth projections and modulation -------------------------------------
 
 
@@ -369,6 +406,45 @@ def _reference_spectra(sig, kind, family):
     return np.array(rows)
 
 
+def reference_band_square(bank, sig):
+    """The per-band ``BandBank.square`` loop that the grid plan replaced: two
+    small transforms per band, each band's lags added on its own, in band
+    order.  The plan must give its bits."""
+    rows = bank.rows(sig)
+    samples = sig.samples
+    peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
+    shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
+    coeffs = np.fft.fft(samples * 2.0**-shift)
+    n = sig.n
+    total = np.zeros(n // 2 + 1, dtype=np.complex128)
+    for idx, vals in rows:
+        if not idx.size:
+            continue
+        offs = (idx - idx[0]) % n
+        assert np.all(np.diff(offs) > 0)
+        w = int(offs[-1]) + 1
+        size = min(1 << (2 * w - 1).bit_length(), n)
+        run = np.zeros(size, dtype=np.complex128)
+        run[offs] = coeffs[idx] * vals
+        spec = np.fft.fft(run)
+        lags = np.fft.ihfft(spec.real**2 + spec.imag**2)
+        head = min(w, size // 2 + 1)
+        total[:head] += lags[:head]
+    power = np.fft.irfft(total, n) / n
+    return np.ldexp(np.sqrt(np.maximum(power, 0.0)), shift)
+
+
+def reference_band_symbol(bank, sig, weights=None):
+    """The per-band ``BandBank.symbol`` loop that the one scatter replaced."""
+    rows = bank.rows(sig)
+    if weights is None:
+        weights = np.ones(len(rows))
+    sym = np.zeros(sig.n, dtype=np.complex128)
+    for w, (idx, vals) in zip(weights, rows):
+        sym[idx] += w * vals
+    return sym
+
+
 def square_reference(bank, sig):
     """The band-by-band aggregate: one inverse transform per band, squared
     and added in band order."""
@@ -429,13 +505,9 @@ class TestBandBank:
         close(bank.square_at(sig, xs), at, np.max(at))
         close(at[:3], square[[3, 400, 1000]], np.max(at))
 
-    @pytest.mark.parametrize("offset", [0.0, -4.0])
-    def test_square_matches_band_by_band_sum_on_edge_bands(self, offset):
-        rng = np.random.default_rng(53)
-        n = 1 << 10
-        sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                        self.PERIOD, offset)
-        windows = [
+    @staticmethod
+    def edge_windows():
+        return [
             (D.from_int(-1), D.from_int(1), 1.0),  # straddles index 0
             (D.from_int(-48), D.from_int(40), 1.0),  # 704 > n/2 points: L = n
             (D.from_int(-64), D.from_int(64), 1.0),  # the whole lattice
@@ -445,8 +517,15 @@ class TestBandBank:
             # zero weights inside the run are dropped from the row
             (D.from_int(5), D.from_int(15), lambda xi: np.abs(xi - 10.0) > 1.0),
             (D.from_int(2), D.from_int(9), lambda xi: np.exp(1j * xi) * xi),
-        ] + [sp.eta_window(L) for L in self.FAMILY]
-        bank = sp.BandBank(windows)
+        ] + [sp.eta_window(L) for L in TestBandBank.FAMILY]
+
+    @pytest.mark.parametrize("offset", [0.0, -4.0])
+    def test_square_matches_band_by_band_sum_on_edge_bands(self, offset):
+        rng = np.random.default_rng(53)
+        n = 1 << 10
+        sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                        self.PERIOD, offset)
+        bank = sp.BandBank(self.edge_windows())
         assert bank.rows(sig)[5][0].size == 0
         assert bank.rows(sig)[6][0].size < 80
         want = square_reference(bank, sig)
@@ -489,10 +568,12 @@ class TestBandBank:
         assert np.array_equal(sp.BandBank([]).square(sig), np.zeros(1 << 10))
 
     @pytest.mark.parametrize("idx", [[4, 6, 5], [1, 2, 2], [0, 5, 3]])
-    def test_square_rejects_a_row_that_is_not_one_run(self, idx):
+    def test_square_rejects_a_row_that_is_not_one_run(self, idx, monkeypatch):
+        # the grid's plan checks its rows when it is built, so the bad row
+        # comes in through the window resolution
+        monkeypatch.setattr(sp, "band_indices", lambda *args: np.array(idx))
         sig = sp.Signal(np.ones(16), 2.0)
-        bank = sp.BandBank([])
-        bank.grids[(16, 2.0)] = ([(np.array(idx), np.ones(len(idx)))], ())
+        bank = sp.BandBank([(D.from_int(0), D.from_int(1), 1.0)])
         with pytest.raises(ValueError, match="one run"):
             bank.square(sig)
 
@@ -552,6 +633,110 @@ class TestBandBank:
         clean = sp.AliasFlags()
         bank.combine(sp.Signal(np.ones(1 << 8), 1.0), flags=clean)
         assert not clean.aliased
+
+
+class TestBandPlan:
+    """``square`` and ``symbol`` on a grid's plan give the bits of the per-band
+    loops they replaced, on the banks the experiments build."""
+
+    @staticmethod
+    def record(monkeypatch):
+        # every square and symbol call the code makes, with its result
+        calls = []
+        real_square, real_symbol = sp.BandBank.square, sp.BandBank.symbol
+
+        def square(bank, sig, flags=None):
+            out = real_square(bank, sig, flags)
+            calls.append((bank, sig, None, out, reference_band_square))
+            return out
+
+        def symbol(bank, sig, weights=None, flags=None):
+            out = real_symbol(bank, sig, weights, flags)
+            calls.append((bank, sig, weights, out, reference_band_symbol))
+            return out
+
+        monkeypatch.setattr(sp.BandBank, "square", square)
+        monkeypatch.setattr(sp.BandBank, "symbol", symbol)
+        return calls
+
+    @staticmethod
+    def assert_bitwise(calls):
+        for bank, sig, weights, out, reference in calls:
+            want = (reference(bank, sig) if weights is None
+                    else reference(bank, sig, weights))
+            assert np.array_equal(out, want), (bank.label, sig.n)
+
+    @pytest.mark.parametrize("experiment, operator", [
+        ("endpoint", "prototype"), ("endpoint", "step"), ("endpoint", "lp"),
+        ("hormander", "hormander"), ("hormander", "smooth-sqfn")])
+    def test_verify_banks_at_tau_3(self, experiment, operator, monkeypatch):
+        from lacuna import harness
+
+        calls = self.record(monkeypatch)
+        cfg = harness.ExperimentConfig(log2_n=13, tau=3, ensemble=1, seed=10,
+                                       n_levels=8, refine=True)
+        run = harness.verify_endpoint if experiment == "endpoint" else harness.verify_hormander
+        run(cfg, operator)
+        # the coarse grid and its x4 refinement, each on a bank of over 100 bands
+        assert {sig.n for _, sig, *_ in calls} == {1 << 13, 1 << 15}
+        assert min(len(bank.windows) for bank, *_ in calls) > 100
+        self.assert_bitwise(calls)
+
+    def test_sharpness_banks(self, monkeypatch):
+        from lacuna import multipliers
+
+        calls = self.record(monkeypatch)
+        rng = np.random.default_rng(63)
+        # at 2^14 the growth study's period 16 holds N <= 7, period 8 also N = 8
+        for period, top in ((16.0, 7), (8.0, 8)):
+            for n_param in range(2, top + 1):
+                fam = multipliers.build_sharpness_family(n_param, 14, period)
+                for sig in (fam.f_n, fam.g_n):
+                    fam.bank.square(sig)
+                    fam.bank.symbol(sig)
+                    fam.bank.symbol(sig, rng.choice([-1.0, 1.0], size=len(fam.pairs)))
+        assert len(calls) == (6 + 7) * 2 * 3
+        self.assert_bitwise(calls)
+
+    @pytest.mark.parametrize("offset", [0.0, -4.0])
+    def test_edge_bands(self, offset, monkeypatch):
+        calls = self.record(monkeypatch)
+        rng = np.random.default_rng(64)
+        windows = TestBandBank.edge_windows()
+        bank = sp.BandBank(windows)
+        for n in (1 << 10, 1 << 7):
+            sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                            TestBandBank.PERIOD, offset)
+            bank.square(sig)
+            bank.symbol(sig)
+            bank.symbol(sig, rng.standard_normal(len(windows)))
+            bank.symbol(sig, list(rng.standard_normal(len(windows)) * 1j))
+        self.assert_bitwise(calls)
+
+
+class TestDilation:
+    """Scaling the period by 2^k and the frequency bounds by 2^-k keeps every
+    lattice index, so the square functions agree bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["sharp", "smooth"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_square_function_is_dilation_invariant(self, mode, order):
+        rng = np.random.default_rng(65)
+        n = 1 << 11
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        def aggregate(k):
+            period = 16.0 * 2.0**k
+            flags = sp.AliasFlags()
+            out = sp.lp_square_function(sp.Signal(samples, period, -period / 2), order,
+                                        D.pow2(-6 - k), mode, D.pow2(6 - k), flags)
+            return out.samples, flags.events
+
+        base, events = aggregate(0)
+        assert np.max(base) > 0.0
+        for k in (-3, 1, 5):
+            scaled, scaled_events = aggregate(k)
+            assert np.array_equal(scaled, base) and scaled_events == events
 
 
 # -- weak L1 and dumps -------------------------------------------------------
