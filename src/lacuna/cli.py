@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .czd import _rms, cz_decompose, young_mass
+from .czd import cz_decompose, young_mass
 from .dyadic import DyadicScalar
 from .harness import (
     ENDPOINT_OPERATORS,
@@ -51,6 +51,7 @@ from .spectral import (
     project_sharp,
     project_smooth,
     read_signal,
+    rms,
     weak_l1_norm,
     write_signal,
 )
@@ -185,8 +186,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "band": [args.lo, args.hi],
         # sqrt(dx sum |f|^2), with no square past the float range
-        "l2_in": math.sqrt(sig.period) * _rms(sig.samples),
-        "l2_out": math.sqrt(out.period) * _rms(out.samples),
+        "l2_in": math.sqrt(sig.period) * rms(sig.samples),
+        "l2_out": math.sqrt(out.period) * rms(out.samples),
         "alias_events": flags.events,
         "output": args.output,
     }
@@ -209,7 +210,7 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
         "tau": args.tau,
         "mode": args.mode,
         "sup": float(vals.max()),
-        "l2": math.sqrt(out.period) * _rms(out.samples),
+        "l2": math.sqrt(out.period) * rms(out.samples),
         "weak_l1": weak_l1_norm(vals, out.dx),
         "alias_events": flags.events,
         "output": args.output,

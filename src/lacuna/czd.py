@@ -42,7 +42,7 @@ import numpy as np
 
 from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import Signal, write_signal
+from .spectral import Signal, rms, write_signal
 
 __all__ = [
     "StoppingInterval",
@@ -115,7 +115,8 @@ class CzDecomposition:
 
     def reconstruct(self) -> Signal:
         total = self.good.samples + self.lacunary_part.samples
-        total = total + self.cancellative_part().samples
+        for atom in self.atoms:
+            total[atom.interval.lo : atom.interval.hi] += atom.cancellative.samples
         return self.good.with_samples(total)
 
     def to_json_dict(self) -> dict:
@@ -302,15 +303,6 @@ def support_margin(sig: Signal, threshold: float = 1e-12) -> float:
     return sig.period / diam
 
 
-def _rms(values: np.ndarray) -> float:
-    """Root mean square, scaled by the peak so that no square overflows."""
-    mags = np.abs(values)
-    peak = float(mags.max(initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    return peak * float(np.sqrt(np.mean((mags / peak) ** 2)))
-
-
 def _atom_diagnostics(
     interval: StoppingInterval,
     piece: Signal,
@@ -322,14 +314,14 @@ def _atom_diagnostics(
 ) -> dict:
     level_avg = luxemburg_avg(np.abs(piece.samples), s)
     atom_avg = luxemburg_avg(np.abs(canc.samples), s)
-    lac_l2 = _rms(lac.samples)
-    rms = _rms(piece.samples)
+    lac_l2 = rms(lac.samples)
+    piece_rms = rms(piece.samples)
     residual = 0.0
-    if rms > 0:
+    if piece_rms > 0:
         # re-evaluate the removed coefficients on the cancellative part as
         # one direct integer-phase product, independent of the removal FFT
         coeffs = lattice_coefficients(canc, bins)
-        scale = piece.period * rms
+        scale = piece.period * piece_rms
         # an overflowed normaliser must not pass for a vanishing residual
         residual = math.inf
         if math.isfinite(scale):
@@ -388,13 +380,14 @@ def cz_decompose(
     good = sig.with_samples(good_vals)
     lac_part = sig.with_samples(lac_vals)
 
-    constants = _global_constants(sig, good, atoms, lac_part, sigma, alpha)
-    return CzDecomposition(
-        good, tuple(atoms), lac_part, stopping, float(alpha), sigma, constants
-    )
+    dec = CzDecomposition(good, tuple(atoms), lac_part, stopping, float(alpha), sigma, {})
+    dec.constants.update(_global_constants(sig, dec))
+    return dec
 
 
-def _global_constants(sig, good, atoms, lac_part, sigma, alpha) -> dict:
+def _global_constants(sig: Signal, dec: CzDecomposition) -> dict:
+    good, atoms, lac_part = dec.good, dec.atoms, dec.lacunary_part
+    sigma, alpha = dec.sigma, dec.alpha
     mass = young_mass(sig, sigma / 2, alpha)
     total_len = float(sum(a.interval.length for a in atoms))
     sup_good = float(np.max(np.abs(good.samples)))
@@ -409,10 +402,7 @@ def _global_constants(sig, good, atoms, lac_part, sigma, alpha) -> dict:
         for a in atoms
     )
     peak = float(np.max(np.abs(sig.samples))) if sig.n else 0.0
-    recon = good.samples + lac_part.samples
-    for a in atoms:
-        recon[a.interval.lo : a.interval.hi] += a.cancellative.samples
-    recon_err = float(np.max(np.abs(recon - sig.samples)))
+    recon_err = float(np.max(np.abs(dec.reconstruct().samples - sig.samples)))
     vs_mass = None
     if mass > 0:
         # a normaliser that underflows leaves the ratio past the float range

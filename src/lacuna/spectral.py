@@ -217,17 +217,16 @@ def eta_window(interval: LacInterval) -> tuple:
     )
 
 
-_BandPlan = namedtuple("_BandPlan", "pos vals counts slots runs heads lags")
+_BandPlan = namedtuple("_BandPlan", "pos vals counts starts slots runs heads lags")
 
 
-def _band_plan(rows: list, n: int) -> _BandPlan:
-    """A grid's rows laid out for whole-bank operations: ``pos``, ``vals`` and
-    ``counts`` concatenate them in order.  Each row gets a run of ``L`` slots (see
-    ``square``), stacked by ``L`` and then row order (``runs`` lists ``(L, k)``);
-    head entry ``e`` adds lag ``heads[e]`` from stacked place ``lags[e]``, rows in order."""
-    counts = np.array([idx.size for idx, _ in rows], dtype=np.int64)
-    pos = np.concatenate([idx for idx, _ in rows] + [np.empty(0, np.int64)])
-    vals = np.concatenate([v for _, v in rows] + [np.empty(0)])
+def _band_plan(pos: np.ndarray, vals: np.ndarray, counts: np.ndarray, n: int) -> _BandPlan:
+    """A grid's bands laid out for every bank operation: band ``i`` holds the
+    ``counts[i]`` lattice positions ``pos`` and weights ``vals`` from ``starts[i]``
+    on.  Each band gets a run of ``L`` slots (see ``square``), stacked by ``L``
+    and then band order (``runs`` lists ``(L, k)``); head entry ``e`` adds lag
+    ``heads[e]`` from stacked place ``lags[e]``, bands in order."""
+    starts = np.cumsum(counts) - counts
     live = counts[counts > 0]
     owner = np.repeat(np.arange(live.size), live)
     offs = (pos - pos[np.cumsum(live) - live][owner]) % n
@@ -241,9 +240,17 @@ def _band_plan(rows: list, n: int) -> _BandPlan:
     run_at[order] = np.cumsum(size[order]) - size[order]
     lag_at[order] = np.cumsum(size[order] // 2 + 1) - (size[order] // 2 + 1)
     heads = np.arange(head.sum()) - np.repeat(np.cumsum(head) - head, head)
-    return _BandPlan(pos, vals, counts, run_at[owner] + offs,
+    return _BandPlan(pos, vals, counts, starts, run_at[owner] + offs,
                      list(zip(*np.unique(size, return_counts=True))), heads,
                      np.repeat(lag_at, head) + heads)
+
+
+def _band_sums(plan: _BandPlan, values: np.ndarray) -> np.ndarray:
+    """Per-band sums of ``values`` laid out along ``plan.pos`` (first axis),
+    one segmented sum; a band without lattice points sums to zero."""
+    out = np.zeros((plan.counts.size,) + values.shape[1:], dtype=values.dtype)
+    out[plan.counts > 0] = np.add.reduceat(values, plan.starts[plan.counts > 0], axis=0)
+    return out
 
 
 class BandBank:
@@ -251,60 +258,62 @@ class BandBank:
     ``m_i`` is ``weight`` (a constant or a function of the frequencies) on
     the exact lattice band ``[lo, hi)`` (see :func:`band_indices`).
 
-    Every operation takes the grid from its signal.  The sparse rows
-    ``(positions, weights)`` of a ``(n, period)`` are resolved when the first
-    signal on it arrives and kept in ``grids`` with the alias events raised
-    meanwhile (replayed into the caller's flags on every use) and the plan
-    that lets ``symbol`` and ``square`` take all rows at once (:func:`_band_plan`).
-    Operations work on the bare ``fft`` of the samples: the offset phases that
-    :func:`spectrum` multiplies in and :func:`synthesize` takes out cancel in
-    every band piece, so the pieces come out at the signal's own samples.
+    Every operation takes the grid from its signal and reads its one plan
+    (:func:`_band_plan`), resolved when the first signal on a ``(n, period)``
+    arrives and kept in ``grids`` with the alias events raised meanwhile
+    (replayed into the caller's flags on every use).  Operations work on the
+    bare ``fft`` of the samples: the offset phases that :func:`spectrum`
+    multiplies in and :func:`synthesize` takes out cancel in every band piece,
+    so the pieces come out at the signal's own samples.
     """
 
     def __init__(self, windows, label: str = "band") -> None:
         self.windows = tuple(windows)
         self.label = label
-        # (n, period) -> (rows, alias events, plan)
+        # (n, period) -> (plan, alias events)
         self.grids: dict = {}
 
     def _resolve(self, sig: Signal) -> tuple:
         recorder = AliasFlags()
         xi = freqs(sig)
-        rows = []
+        pos, vals = [np.empty(0, np.int64)], [np.empty(0)]
         for lo, hi, weight in self.windows:
             idx = band_indices(sig, lo, hi, recorder, self.label)
-            if callable(weight):
-                vals = weight(xi[idx])
-            else:
-                vals = np.full(idx.size, weight)
-            keep = vals != 0.0
-            rows.append((idx[keep], vals[keep]))
-        return rows, tuple(recorder.events), _band_plan(rows, sig.n)
+            w = weight(xi[idx]) if callable(weight) else np.full(idx.size, weight)
+            keep = w != 0.0
+            pos.append(idx[keep])
+            vals.append(w[keep])
+        counts = np.array([idx.size for idx in pos[1:]], dtype=np.int64)
+        plan = _band_plan(np.concatenate(pos), np.concatenate(vals), counts, sig.n)
+        return plan, tuple(recorder.events)
 
-    def _grid(self, sig: Signal, flags: Optional[AliasFlags]) -> tuple:
+    def _grid(self, sig: Signal, flags: Optional[AliasFlags]) -> _BandPlan:
         key = (sig.n, sig.period)
         if key not in self.grids:
             self.grids[key] = self._resolve(sig)
-        rows, events, plan = self.grids[key]
+        plan, events = self.grids[key]
         if flags is not None:
             for event in events:
                 flags.mark(event)
-        return rows, plan
+        return plan
 
     def rows(self, sig: Signal, flags: Optional[AliasFlags] = None) -> list:
-        """The rows at ``sig``'s ``(n, period)``, one per window (empty for a band
-        without lattice points); the grid's alias events are marked on ``flags``."""
-        return self._grid(sig, flags)[0]
+        """The plan at ``sig``'s ``(n, period)`` split into ``(positions,
+        weights)`` rows, one per window (empty for a band without lattice
+        points); the grid's alias events are marked on ``flags``."""
+        plan = self._grid(sig, flags)
+        return [(plan.pos[at:at + k], plan.vals[at:at + k])
+                for at, k in zip(plan.starts, plan.counts)]
 
     def symbol(
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
         """The FFT-layout symbol ``sum_i w_i m_i`` on ``sig``'s grid (every
-        ``w_i = 1`` by default), by one scatter that adds in row order."""
-        rows, plan = self._grid(sig, flags)
+        ``w_i = 1`` by default), by one scatter that adds in band order."""
+        plan = self._grid(sig, flags)
         if weights is None:
-            weights = np.ones(len(rows))
-        if len(weights) != len(rows):
+            weights = np.ones(plan.counts.size)
+        if len(weights) != plan.counts.size:
             raise ValueError("need one weight per band")
         sym = np.zeros(sig.n, dtype=np.complex128)
         np.add.at(sym, plan.pos, np.repeat(weights, plan.counts) * plan.vals)
@@ -320,7 +329,7 @@ class BandBank:
         self, sig: Signal, columns=slice(None), flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
         """``|T_i f|`` at the selected samples, one row per band (zero for a
-        band without lattice points)."""
+        band without lattice points): one inverse transform per band."""
         rows = self.rows(sig, flags)
         coeffs = np.fft.fft(sig.samples)
         out = np.zeros((len(rows), sig.samples[columns].size))
@@ -343,14 +352,14 @@ class BandBank:
         give the lags ``0 <= d < w`` without wrap-around, or their sums mod
         ``n`` when ``L = n``; the plan stacks the ``k`` runs of one ``L`` in a
         ``(k, L)`` array, one ``fft`` and one ``ihfft`` per length.  All lags go
-        into one half spectrum at ``d mod n``, in row order as band by band,
+        into one half spectrum at ``d mod n`` in band order, as a band loop would,
         and one real inverse transform gives the sum of squares.  The result
         is within about ``1e-13`` of its peak of the sum of squared pieces,
         and exactly zero for a zero input or a bank without lattice points.
         The samples' peak is brought near 1 by a power of two and the root is
         scaled back: exact, so only a result past the float range overflows.
         """
-        plan = self._grid(sig, flags)[1]
+        plan = self._grid(sig, flags)
         samples = sig.samples
         peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
         shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
@@ -371,25 +380,25 @@ class BandBank:
         return np.ldexp(np.sqrt(np.maximum(power, 0.0)), shift)
 
     def energies(self, sig: Signal) -> np.ndarray:
-        """``||T_i f||_2^2`` per band by Parseval, with no inverse transform."""
-        coeffs = np.fft.fft(sig.samples)
-        scale = sig.period / sig.n**2
-        return np.array(
-            [scale * np.sum(np.abs(coeffs[idx] * vals) ** 2) for idx, vals in self.rows(sig)]
-        )
+        """``||T_i f||_2^2`` per band by Parseval, with no inverse transform:
+        one gather of the weighted coefficients and one segmented sum."""
+        plan = self._grid(sig, None)
+        power = np.abs(np.fft.fft(sig.samples)[plan.pos] * plan.vals) ** 2
+        return sig.period / sig.n**2 * _band_sums(plan, power)
 
     def square_at(self, sig: Signal, xs) -> np.ndarray:
         """The pointwise l2 norm at arbitrary positions ``xs``, by direct
-        quadrature of each band (no interpolation between samples)."""
+        quadrature of each band (no interpolation between samples): one phase
+        matrix over the plan's positions, one segmented sum per band, and the
+        squares added in band order."""
+        plan = self._grid(sig, None)
         coeffs = np.fft.fft(sig.samples)
-        js = freq_indices(sig.n)
         # relative to the window start the band pieces carry no offset phase
         t = np.asarray(xs, dtype=float) - sig.offset
-        acc = np.zeros(t.shape)
-        for idx, vals in self.rows(sig):
-            phases = np.exp(2j * np.pi * np.outer(t, js[idx] / sig.period))
-            acc += np.abs(phases @ (coeffs[idx] * vals) / sig.n) ** 2
-        return np.sqrt(acc)
+        xi = freq_indices(sig.n)[plan.pos] / sig.period
+        terms = np.exp(2j * np.pi * np.outer(xi, t))
+        terms *= (coeffs[plan.pos] * plan.vals)[:, None]
+        return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))
 
 
 # -- projections ----------------------------------------------------------
@@ -443,17 +452,6 @@ def default_band(sig: Signal) -> DyadicScalar:
     return DyadicScalar.pow2(k)
 
 
-def family_for_signal(
-    sig: Signal,
-    order: int,
-    min_scale: DyadicScalar,
-    max_abs: Optional[DyadicScalar] = None,
-) -> list[LacInterval]:
-    if max_abs is None:
-        max_abs = default_band(sig)
-    return lambda_tau(order, min_scale, max_abs)
-
-
 def lp_square_function(
     sig: Signal,
     order: int,
@@ -467,12 +465,21 @@ def lp_square_function(
     if mode not in ("sharp", "smooth"):
         raise ValueError("mode must be 'sharp' or 'smooth'")
     window = sharp_window if mode == "sharp" else eta_window
-    family = family_for_signal(sig, order, min_scale, max_abs)
+    family = lambda_tau(order, min_scale, default_band(sig) if max_abs is None else max_abs)
     bank = BandBank([window(L) for L in family], "square_function")
     return sig.with_samples(bank.square(sig, flags=flags))
 
 
-# -- weak L1 ------------------------------------------------------------------
+# -- norms --------------------------------------------------------------------
+
+
+def rms(values: np.ndarray) -> float:
+    """Root mean square, scaled by the peak so that no square overflows."""
+    mags = np.abs(values)
+    peak = float(mags.max(initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.sqrt(np.mean((mags / peak) ** 2)))
 
 
 def weak_l1_norm(values, dx: float) -> float:

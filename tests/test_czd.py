@@ -229,12 +229,16 @@ class TestLacunaryFrequencies:
     @pytest.mark.parametrize("length", [0.25, 1.0, 16.0])
     def test_matches_the_union_of_enumerated_orders(self, length):
         # nyquist * length = n/2, bins |q| < n/2; the reference enumerates
-        # 792,000 signed sums at n = 2^12, so the other lengths stop at 2^7
-        for log2_n in range(13 if length == 1.0 else 8):
-            n = 1 << log2_n
-            nyquist = n / 2 / length
-            for sigma in range(7):
-                want = np.array(union_of_orders(length, nyquist, sigma)) * length
+        # 792,000 signed sums at n = 2^12, so the other lengths stop at 2^7.
+        # It runs once per order at the largest n: a signed sum of at most
+        # |q| < n/2 uses no exponent past the smaller enumeration's, so its
+        # restriction to |q| < n/2 is the reference set at n
+        top = 12 if length == 1.0 else 7
+        for sigma in range(7):
+            full = np.array(union_of_orders(length, (1 << top) / 2 / length, sigma)) * length
+            for log2_n in range(top + 1):
+                n = 1 << log2_n
+                want = full[2 * np.abs(full) < n]
                 got = czd.lacunary_bins(n, sigma)
                 assert got.tolist() == want.tolist(), (n, sigma)
 

@@ -512,14 +512,15 @@ class TestGenZygmundBonami:
         assert len(resolved) == 6 and len(set(resolved)) == 6
         assert {label for _, label, _, _ in resolved} == {
             "project_smooth", "cancellative", "combined"}
-        # against rows resolved anew at every use
-        rows = BandBank.rows
+        # against plans resolved anew at every use: every operation reads
+        # its grid's plan through _grid
+        grid = BandBank._grid
 
-        def fresh_rows(bank, sig, flags=None):
+        def fresh_grid(bank, sig, flags):
             bank.grids.clear()
-            return rows(bank, sig, flags)
+            return grid(bank, sig, flags)
 
-        monkeypatch.setattr(BandBank, "rows", fresh_rows)
+        monkeypatch.setattr(BandBank, "_grid", fresh_grid)
         resolved.clear()
         fresh = hn.report_to_json(hn.verify_gen_zygmund_bonami(cfg))
         assert len(resolved) == 3 * 2 * cfg.ensemble

@@ -5,6 +5,7 @@ stated convention fhat(xi_j) = (T/M) sum_k f(x_k) exp(-2 pi i x_k xi_j); the
 fast path must agree with it to near machine precision.
 """
 
+import inspect
 import math
 import struct
 from fractions import Fraction as F
@@ -215,7 +216,7 @@ class TestSharpProjection:
     def test_parseval_tiling_order_one(self):
         rng = np.random.default_rng(23)
         sig = random_signal(rng, j=10, period=8.0)
-        family = sp.family_for_signal(sig, 1, D.pow2(-3))
+        family = lambda_tau(1, D.pow2(-3), sp.default_band(sig))
         coeffs = sp.spectrum(sig)
         total = np.sum(np.abs(coeffs) ** 2) / sig.period
         covered = 0.0
@@ -355,7 +356,7 @@ class TestSquareFunction:
         # Fubini: ||S f||_2^2 equals the summed energy of the projections
         rng = np.random.default_rng(41)
         sig = random_signal(rng, j=10, period=8.0)
-        family = sp.family_for_signal(sig, 1, D.pow2(-3))
+        family = lambda_tau(1, D.pow2(-3), sp.default_band(sig))
         s = sp.lp_square_function(sig, 1, D.pow2(-3), mode="sharp")
         lhs = sig.dx * np.sum(s.samples.real ** 2)
         rhs = 0.0
@@ -368,7 +369,7 @@ class TestSquareFunction:
         # disjoint bands: sign flips never change the l2 norm of the sum
         rng = np.random.default_rng(42)
         sig = random_signal(rng, j=9, period=4.0)
-        family = sp.family_for_signal(sig, 1, D.pow2(-2))
+        family = lambda_tau(1, D.pow2(-2), sp.default_band(sig))
         pieces = [sp.project_sharp(sig, L).samples for L in family]
         base = sum(sig.dx * np.sum(np.abs(p) ** 2) for p in pieces)
         for _ in range(8):
@@ -443,6 +444,42 @@ def reference_band_symbol(bank, sig, weights=None):
     for w, (idx, vals) in zip(weights, rows):
         sym[idx] += w * vals
     return sym
+
+
+def reference_band_magnitudes(bank, sig, columns=slice(None)):
+    """The per-band ``BandBank.magnitudes`` loop over the rows: one masked
+    spectrum and one inverse transform per band.  The plan must give its bits."""
+    rows = bank.rows(sig)
+    coeffs = np.fft.fft(sig.samples)
+    out = np.zeros((len(rows), sig.samples[columns].size))
+    for out_row, (idx, vals) in zip(out, rows):
+        if idx.size:
+            masked = np.zeros_like(coeffs)
+            masked[idx] = coeffs[idx] * vals
+            out_row[:] = np.abs(np.fft.ifft(masked)[columns])
+    return out
+
+
+def reference_band_energies(bank, sig):
+    """The per-band ``BandBank.energies`` loop that the segmented sum replaced."""
+    coeffs = np.fft.fft(sig.samples)
+    scale = sig.period / sig.n**2
+    return np.array(
+        [scale * np.sum(np.abs(coeffs[idx] * vals) ** 2) for idx, vals in bank.rows(sig)]
+    )
+
+
+def reference_band_square_at(bank, sig, xs):
+    """The per-band ``BandBank.square_at`` loop that the one phase matrix
+    replaced: one matrix-vector product per band, squares added in band order."""
+    coeffs = np.fft.fft(sig.samples)
+    js = sp.freq_indices(sig.n)
+    t = np.asarray(xs, dtype=float) - sig.offset
+    acc = np.zeros(t.shape)
+    for idx, vals in bank.rows(sig):
+        phases = np.exp(2j * np.pi * np.outer(t, js[idx] / sig.period))
+        acc += np.abs(phases @ (coeffs[idx] * vals) / sig.n) ** 2
+    return np.sqrt(acc)
 
 
 def square_reference(bank, sig):
@@ -636,35 +673,47 @@ class TestBandBank:
 
 
 class TestBandPlan:
-    """``square`` and ``symbol`` on a grid's plan give the bits of the per-band
-    loops they replaced, on the banks the experiments build."""
+    """Every ``BandBank`` operation on a grid's plan against the per-band loop
+    it replaced, on the banks the experiments build: ``square``, ``symbol``
+    and ``magnitudes`` give its bits, ``energies`` and ``square_at`` (one
+    segmented sum where the loop summed band by band) lie within ``1e-14`` of
+    its peak."""
 
-    @staticmethod
-    def record(monkeypatch):
-        # every square and symbol call the code makes, with its result
+    REFERENCES = {
+        "square": (reference_band_square, 0.0),
+        "symbol": (reference_band_symbol, 0.0),
+        "magnitudes": (reference_band_magnitudes, 0.0),
+        "energies": (reference_band_energies, 1e-14),
+        "square_at": (reference_band_square_at, 1e-14),
+    }
+
+    @classmethod
+    def record(cls, monkeypatch):
+        # every bank operation the code makes: its arguments but the flags,
+        # its result, its reference and the tolerance
         calls = []
-        real_square, real_symbol = sp.BandBank.square, sp.BandBank.symbol
+        for name, (reference, tol) in cls.REFERENCES.items():
+            real = getattr(sp.BandBank, name)
 
-        def square(bank, sig, flags=None):
-            out = real_square(bank, sig, flags)
-            calls.append((bank, sig, None, out, reference_band_square))
-            return out
+            def operation(*args, real=real, reference=reference, tol=tol, **kwargs):
+                out = real(*args, **kwargs)
+                bound = inspect.signature(real).bind(*args, **kwargs)
+                bound.arguments.pop("flags", None)
+                calls.append((*bound.arguments.values(), out, reference, tol))
+                return out
 
-        def symbol(bank, sig, weights=None, flags=None):
-            out = real_symbol(bank, sig, weights, flags)
-            calls.append((bank, sig, weights, out, reference_band_symbol))
-            return out
-
-        monkeypatch.setattr(sp.BandBank, "square", square)
-        monkeypatch.setattr(sp.BandBank, "symbol", symbol)
+            monkeypatch.setattr(sp.BandBank, name, operation)
         return calls
 
     @staticmethod
-    def assert_bitwise(calls):
-        for bank, sig, weights, out, reference in calls:
-            want = (reference(bank, sig) if weights is None
-                    else reference(bank, sig, weights))
-            assert np.array_equal(out, want), (bank.label, sig.n)
+    def assert_matches(calls):
+        for *args, out, reference, tol in calls:
+            want = reference(*args)
+            if tol:
+                assert np.max(np.abs(out - want), initial=0.0) <= tol * np.max(
+                    np.abs(want), initial=0.0)
+            else:
+                assert np.array_equal(out, want), (args[0].label, args[1].n)
 
     @pytest.mark.parametrize("experiment, operator", [
         ("endpoint", "prototype"), ("endpoint", "step"), ("endpoint", "lp"),
@@ -680,7 +729,7 @@ class TestBandPlan:
         # the coarse grid and its x4 refinement, each on a bank of over 100 bands
         assert {sig.n for _, sig, *_ in calls} == {1 << 13, 1 << 15}
         assert min(len(bank.windows) for bank, *_ in calls) > 100
-        self.assert_bitwise(calls)
+        self.assert_matches(calls)
 
     def test_sharpness_banks(self, monkeypatch):
         from lacuna import multipliers
@@ -696,7 +745,7 @@ class TestBandPlan:
                     fam.bank.symbol(sig)
                     fam.bank.symbol(sig, rng.choice([-1.0, 1.0], size=len(fam.pairs)))
         assert len(calls) == (6 + 7) * 2 * 3
-        self.assert_bitwise(calls)
+        self.assert_matches(calls)
 
     @pytest.mark.parametrize("offset", [0.0, -4.0])
     def test_edge_bands(self, offset, monkeypatch):
@@ -711,7 +760,44 @@ class TestBandPlan:
             bank.symbol(sig)
             bank.symbol(sig, rng.standard_normal(len(windows)))
             bank.symbol(sig, list(rng.standard_normal(len(windows)) * 1j))
-        self.assert_bitwise(calls)
+        self.assert_matches(calls)
+
+    @pytest.mark.parametrize("tau", [2, 3])
+    def test_gen_zygmund_bonami_banks(self, tau, monkeypatch):
+        from lacuna import harness
+
+        calls = self.record(monkeypatch)
+        cfg = harness.make_config({"log2_n": 10, "tau": tau, "ensemble": 3, "seed": 7})
+        harness.verify_gen_zygmund_bonami(cfg)
+        ops = {reference for *_, reference, _ in calls}
+        assert {reference_band_magnitudes, reference_band_energies} <= ops
+        self.assert_matches(calls)
+
+    def test_sharpness_growth_banks(self, monkeypatch):
+        from lacuna import harness
+
+        calls = self.record(monkeypatch)
+        cfg = harness.make_config({"log2_n": 14, "n_min": 2, "n_max": 7, "khintchine": 2})
+        harness.sharpness_growth(cfg)
+        assert sum(reference is reference_band_square_at for *_, reference, _ in calls) == 6
+        self.assert_matches(calls)
+
+    @pytest.mark.parametrize("offset", [0.0, -4.0])
+    def test_edge_bands_band_by_band(self, offset, monkeypatch):
+        calls = self.record(monkeypatch)
+        rng = np.random.default_rng(65)
+        xs = np.concatenate([rng.uniform(-6.0, 6.0, 9), [-4.0, 0.0, 3.9375]])
+        banks = [sp.BandBank(TestBandBank.edge_windows()), sp.BandBank([]),
+                 sp.BandBank([(D.pow2(-6), D.pow2(-5), 1.0)] * 3)]
+        for n in (1 << 10, 1 << 7):
+            sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                            TestBandBank.PERIOD, offset)
+            for bank in banks:
+                outs = [bank.magnitudes(sig), bank.magnitudes(sig, np.abs(sig.x) < 1.0),
+                        bank.energies(sig), bank.square_at(sig, xs)]
+                # exactly zero on the banks without lattice points
+                assert (bank is banks[0]) == any(np.any(out) for out in outs)
+        self.assert_matches(calls)
 
 
 class TestDilation:

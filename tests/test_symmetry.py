@@ -1,0 +1,66 @@
+"""Exact dyadic symmetries: scaling the samples by 2^k moves every output of
+a linear or l2 operator by exactly 2^k, and every energy by exactly 2^(2k),
+as long as nothing over- or underflows.
+
+Floating-point arithmetic commutes with a power-of-two scale, so these tests
+need no reference implementation.  They catch an intermediate value that
+leaves the float range while the exact result stays inside it.
+"""
+
+import numpy as np
+import pytest
+
+from lacuna import spectral as sp
+from lacuna.multipliers import build_sharpness_family
+import test_spectral
+
+SCALES = [-30, 5, 40]
+
+
+def family_bank(kind):
+    window = sp.sharp_window if kind == "sharp" else sp.eta_window
+    return sp.BandBank([window(L) for L in test_spectral.TestBandBank.FAMILY])
+
+
+def random_signal(n, offset):
+    rng = np.random.default_rng(71)
+    return sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                     test_spectral.TestBandBank.PERIOD, offset)
+
+
+def sharpness_case():
+    fam = build_sharpness_family(5, 12)
+    return fam.bank, fam.f_n
+
+
+CASES = {
+    "sharp": lambda: (family_bank("sharp"), random_signal(1 << 10, 0.0)),
+    "eta": lambda: (family_bank("eta"), random_signal(1 << 10, -4.0)),
+    "sharpness": sharpness_case,
+}
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_band_bank_is_exactly_amplitude_covariant(case, k):
+    bank, sig = CASES[case]()
+    scaled = sig.with_samples(sig.samples * 2.0**k)
+    rng = np.random.default_rng(72)
+    weights = rng.standard_normal(len(bank.windows))
+    cols = np.abs(sig.x) < 1.0
+    xs = np.concatenate([sig.x[[3, 200, 700]], rng.uniform(-sig.period / 2, sig.period / 2, 8)])
+    linear = {
+        "combine": lambda s: bank.combine(s),
+        "combine with weights": lambda s: bank.combine(s, weights),
+        "magnitudes": lambda s: bank.magnitudes(s),
+        "magnitudes on columns": lambda s: bank.magnitudes(s, cols),
+        "square": lambda s: bank.square(s),
+        "square_at": lambda s: bank.square_at(s, xs),
+    }
+    for name, op in linear.items():
+        base = op(sig)
+        assert np.any(base != 0.0), name
+        assert np.array_equal(op(scaled), base * 2.0**k), name
+    energies = bank.energies(sig)
+    assert np.any(energies > 0.0)
+    assert np.array_equal(bank.energies(scaled), energies * 2.0 ** (2 * k))

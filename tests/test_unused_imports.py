@@ -1,5 +1,6 @@
 """Every module-level import in a ``lacuna`` module is used or re-exported,
-every exported name exists, and no module imports a thread or process pool.
+every exported name exists, no module imports a private (``_``-prefixed)
+name of another, and no module imports a thread or process pool.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
@@ -100,3 +101,15 @@ def test_no_concurrency_imports(path):
             found.append(node.module)
     banned = [name for name in found if name.split(".")[0] in CONCURRENCY]
     assert not banned, f"{path.name}: imports {banned}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_private_names_across_modules(path):
+    # a name another module needs is public in the module that defines it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("lacuna")):
+            private += [f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_")]
+    assert not private, f"{path.name}: imports private names {private}"
