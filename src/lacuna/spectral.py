@@ -229,7 +229,7 @@ def _band_plan(pos: np.ndarray, vals: np.ndarray, counts: np.ndarray, n: int) ->
     starts = np.cumsum(counts) - counts
     live = counts[counts > 0]
     owner = np.repeat(np.arange(live.size), live)
-    offs = (pos - pos[np.cumsum(live) - live][owner]) % n
+    offs = (pos - pos[starts[counts > 0]][owner]) % n
     if np.any((np.diff(offs) <= 0) & (np.diff(owner) == 0)):
         raise ValueError("a band row must be one run of lattice points mod n")
     span = offs[np.cumsum(live) - 1] + 1
