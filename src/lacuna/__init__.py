@@ -22,7 +22,6 @@ from .martingale import DyadicFunction, cww_check, decompose_quotient_norm
 from .multipliers import (
     SharpnessFamily,
     StepMultiplier,
-    apply_multiplier,
     build_sharpness_family,
     prototype_multiplier,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Signal",
     "StepMultiplier",
     "YoungFunction",
-    "apply_multiplier",
     "build_sharpness_family",
     "cww_check",
     "cww_experiment",

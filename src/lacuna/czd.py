@@ -68,10 +68,6 @@ class StoppingInterval:
     x_hi: float
 
     @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    @property
     def length(self) -> float:
         return self.x_hi - self.x_lo
 

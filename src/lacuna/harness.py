@@ -338,7 +338,7 @@ def _cz_bad_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator) ->
                     continue
                 if dec.atoms:
                     memo["alpha"] = mult * root
-                    break
+                    return dec.cancellative_part()
         if memo["alpha"] < 0.0:
             return sig
         try:

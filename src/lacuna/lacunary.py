@@ -86,24 +86,19 @@ class LacInterval:
         )
 
 
-@dataclass(frozen=True)
-class WhitneyResult:
-    intervals: tuple[LacInterval, ...]
-    over_truncated: bool
-
-
 def _require_pow2(x: DyadicScalar, what: str) -> None:
     if not (x.mantissa == 1):
         raise ValueError(f"{what} must be a positive power of two, got {x!r}")
 
 
-def whitney(interval: LacInterval, min_scale: DyadicScalar) -> WhitneyResult:
+def whitney(interval: LacInterval, min_scale: DyadicScalar) -> tuple[LacInterval, ...]:
     """Maximal dyadic ``L ⊂ I`` with ``dist(L, R\\I) = |L|`` and ``|L| ≥ min_scale``.
 
     The pieces at scale ``|I|/2^j`` (j ≥ 2) are the two intervals adjacent to
     the inner quarter marks: ``[A + |I|/2^j, A + |I|/2^(j-1))`` and its mirror
-    at ``B``; no piece of scale ``|I|/2`` exists.  ``over_truncated`` is set
-    when ``min_scale > |I|/4`` (nothing survives).
+    at ``B``; no piece of scale ``|I|/2`` exists.  They come left to right:
+    those anchored at ``A`` by growing scale, then those anchored at ``B`` by
+    shrinking scale.  Nothing survives when ``min_scale > |I|/4``.
     """
     _require_pow2(min_scale, "min_scale")
     length = interval.length
@@ -114,23 +109,15 @@ def whitney(interval: LacInterval, min_scale: DyadicScalar) -> WhitneyResult:
     if not ratio.is_zero and ratio.exponent < 0:
         raise ValueError(f"{interval!r} is not a dyadic interval")
 
-    s_min = min_scale.log2()
-    if s_min > s_parent - 2:
-        return WhitneyResult(tuple(), True)
-
-    pieces = []
     a, b = interval.left, interval.right
-    for s in range(s_min, s_parent - 1):  # piece scales 2^s, s <= s_parent-2
-        step = DyadicScalar.pow2(s)
-        double = DyadicScalar.pow2(s + 1)
-        pieces.append(
-            LacInterval(a + step, a + double, interval.order + 1, a, interval)
-        )
-        pieces.append(
-            LacInterval(b - double, b - step, interval.order + 1, b, interval)
-        )
-    pieces.sort(key=lambda piece: piece.left)
-    return WhitneyResult(tuple(pieces), False)
+    order = interval.order + 1
+    scales = range(min_scale.log2(), s_parent - 1)  # piece scales 2^s, s <= s_parent-2
+    powers = [(DyadicScalar.pow2(s), DyadicScalar.pow2(s + 1)) for s in scales]
+    return tuple(
+        [LacInterval(a + step, a + double, order, a, interval) for step, double in powers]
+        + [LacInterval(b - double, b - step, order, b, interval)
+           for step, double in reversed(powers)]
+    )
 
 
 def lambda_tau(
@@ -153,22 +140,16 @@ def lambda_tau(
     if count == 0:
         return []
     if tau == 1:
-        out = []
-        k = min_scale.log2()
-        while DyadicScalar.pow2(k + 1) <= max_abs:
-            lo, hi = DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1)
-            out.append(LacInterval(lo, hi, 1, ZERO, None))
-            out.append(LacInterval(-hi, -lo, 1, ZERO, None))
-            k += 1
-        out.sort(key=lambda piece: piece.left)
-        return out
+        # the blocks +-[2^k, 2^(k+1)) left to right: the negative ones by
+        # shrinking scale, then the positive ones by growing scale
+        s_min, top = _window_log2(min_scale, max_abs)
+        powers = [(DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1)) for k in range(s_min, top)]
+        return ([LacInterval(-hi, -lo, 1, ZERO, None) for lo, hi in reversed(powers)]
+                + [LacInterval(lo, hi, 1, ZERO, None) for lo, hi in powers])
 
-    parents = lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs)
-    out = []
-    for parent in parents:
-        out.extend(whitney(parent, min_scale).intervals)
-    out.sort(key=lambda piece: piece.left)
-    return out
+    # the parents are disjoint and in order, and each one's pieces lie in it
+    return [piece for parent in lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs)
+            for piece in whitney(parent, min_scale)]
 
 
 def lambda_tau_count(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> int:

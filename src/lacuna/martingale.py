@@ -66,10 +66,6 @@ class DyadicFunction:
     def max_level(self) -> int:
         return self.n.bit_length() - 1
 
-    @property
-    def x(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) / self.n
-
     def with_samples(self, samples: np.ndarray) -> "DyadicFunction":
         return DyadicFunction(samples)
 
@@ -91,16 +87,6 @@ def _dk(values: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return _ek(values, 0)
     return _ek(values, k) - _ek(values, k - 1)
-
-
-def expectation(f: DyadicFunction, k: int) -> DyadicFunction:
-    """E_k f: average over each level-k dyadic cell."""
-    return f.with_samples(_ek(f.samples, k))
-
-
-def difference(f: DyadicFunction, k: int) -> DyadicFunction:
-    """D_k f = E_k f - E_{k-1} f, with D_0 f = E_0 f."""
-    return f.with_samples(_dk(f.samples, k))
 
 
 def martingale_square_function(f: DyadicFunction) -> DyadicFunction:
@@ -180,16 +166,18 @@ def cww_check(f: DyadicFunction, sigma: float) -> dict:
 PEAK_LOG2 = 400
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iter: int = 5000
-    patience: int = 20
-    rel_tol: float = 1e-6
-    epsilon_scale: float = 1e-6
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    grow: float = 2.0
-    init_step: float = 1.0
+# the projected-gradient schedule: an iteration cap, a stop once PATIENCE
+# accepted steps gained less than REL_TOL, the smoothing EPS_SCALE * ||f||_2,
+# and an Armijo search from INIT_STEP that shrinks a rejected step and grows
+# an accepted one
+MAX_ITER = 5000
+PATIENCE = 20
+REL_TOL = 1e-6
+EPS_SCALE = 1e-6
+ARMIJO = 1e-4
+SHRINK = 0.5
+GROW = 2.0
+INIT_STEP = 1.0
 
 
 @dataclass
@@ -244,9 +232,7 @@ def _aggregate(rows: np.ndarray, eps: float, out: np.ndarray,
     return np.sqrt(out, out=out)
 
 
-def decompose_quotient_norm(
-    f: DyadicFunction, sigma: float, config: SolverConfig = SolverConfig()
-) -> DecompositionResult:
+def decompose_quotient_norm(f: DyadicFunction, sigma: float) -> DecompositionResult:
     """Minimize || (sum_k |D_k f + psi_k|^2)^{1/2} ||_{L log^{sigma/2} L}
     over perturbations with D_k psi_k = 0, by projected gradient descent on
     the smoothed objective.
@@ -272,19 +258,7 @@ def decompose_quotient_norm(
     young = YoungFunction(sigma / 2)
 
     l2 = math.sqrt(float(np.mean(f.samples**2)))
-    if l2 == 0.0:
-        zero = np.zeros_like(diffs)
-        cert = {
-            "constraint_residual": 0.0,
-            "objective": 0.0,
-            "baseline": 0.0,
-            "sigma": sigma,
-            "iterations": 0,
-            "converged": True,
-        }
-        return DecompositionResult(zero, zero, 0.0, 0.0, 0, True, [0.0], cert)
-
-    eps = config.epsilon_scale * l2
+    eps = EPS_SCALE * l2
 
     # the state is f_k = D_k f + psi_k; the candidate, the raw gradient, the
     # squares and both aggregates live in buffers allocated once per solve
@@ -306,11 +280,12 @@ def decompose_quotient_norm(
 
     current = luxemburg_avg(agg, sigma / 2)
     trace = [current]
-    step = config.init_step
-    converged = False
+    step = INIT_STEP
+    # zero input is its own optimum, and its gradient would divide by zero
+    converged = l2 == 0.0
     iterations = 0
 
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, 0 if converged else MAX_ITER + 1):
         grad = gradient(agg, current)
         gnorm2 = float(np.square(grad, out=squares).sum())
         if gnorm2 == 0.0:
@@ -320,13 +295,13 @@ def decompose_quotient_norm(
         while step > 1e-18:
             np.subtract(fk, np.multiply(grad, step, out=cand), out=cand)
             _aggregate(cand, eps, cand_agg, squares)
-            bar = current - config.armijo * step * gnorm2
+            bar = current - ARMIJO * step * gnorm2
             if not (screen and luxemburg_exceeds(cand_agg, sigma / 2, bar)):
                 value = luxemburg_avg(cand_agg, sigma / 2, start=current)
                 if value <= bar:
                     break
             screen = False
-            step *= config.shrink
+            step *= SHRINK
         else:
             converged = True  # no descent direction at fp resolution
             break
@@ -334,10 +309,10 @@ def decompose_quotient_norm(
         agg, cand_agg = cand_agg, agg
         current = value
         trace.append(current)
-        step *= config.grow
-        if len(trace) > config.patience:
-            past = trace[-config.patience - 1]
-            if past - current < config.rel_tol * max(past, 1e-300):
+        step *= GROW
+        if len(trace) > PATIENCE:
+            past = trace[-PATIENCE - 1]
+            if past - current < REL_TOL * max(past, 1e-300):
                 converged = True
                 break
 

@@ -1,4 +1,4 @@
-"""Step multipliers, the sharpness family, and their FFT application.
+"""Step multipliers and the sharpness family.
 
 Two kinds of operator live here:
 
@@ -7,8 +7,9 @@ Two kinds of operator live here:
   lacunary family.  Carries the normalized-step invariants: per-block
   coefficient l2 mass at most ``1/overlap_bound`` and pointwise overlap at
   most ``overlap_bound``.  :func:`prototype_multiplier` draws the random-sign
-  block symbol, and :func:`apply_multiplier` applies a step symbol through
-  one band bank (one row per piece, one inverse transform).
+  block symbol, and :meth:`StepMultiplier.bank` is its band bank (one band
+  per piece), whose ``combine`` applies the symbol with one inverse
+  transform.
 * the sharpness family — the parametrized array of second-order components
   whose vector-valued action on a dilated bump grows linearly in the
   parameter; see :func:`build_sharpness_family`.
@@ -24,7 +25,6 @@ import numpy as np
 from .dyadic import DyadicScalar
 from .lacunary import LacInterval, lambda_tau
 from .spectral import (
-    AliasFlags,
     BandBank,
     Signal,
     freq_indices,
@@ -125,18 +125,6 @@ def prototype_multiplier(
         StepPiece(L.left, L.right, complex(s), L) for L, s in zip(family, signs)
     )
     return StepMultiplier(pieces, overlap_bound=1)
-
-
-# -- application ----------------------------------------------------------
-
-
-def apply_multiplier(
-    sig: Signal,
-    m: StepMultiplier,
-    flags: Optional[AliasFlags] = None,
-) -> Signal:
-    """Pointwise multiply the spectrum by the symbol and invert."""
-    return sig.with_samples(m.bank().combine(sig, flags=flags))
 
 
 # -- the sharpness family ------------------------------------------------------

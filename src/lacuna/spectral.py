@@ -77,11 +77,6 @@ class Signal:
     def x(self) -> np.ndarray:
         return self.offset + self.dx * np.arange(self.n)
 
-    @property
-    def nyquist(self) -> float:
-        # one-sided band edge of the frequency lattice j/T, |j| <= n/2
-        return self.n / (2 * self.period)
-
     def with_samples(self, samples: np.ndarray) -> "Signal":
         return Signal(samples, self.period, self.offset)
 
@@ -396,7 +391,11 @@ class BandBank:
         # relative to the window start the band pieces carry no offset phase
         t = np.asarray(xs, dtype=float) - sig.offset
         xi = freq_indices(sig.n)[plan.pos] / sig.period
-        terms = np.exp(2j * np.pi * np.outer(xi, t))
+        # the phases 2 pi xi t, exponentiated in place: one complex matrix
+        terms = np.zeros((xi.size, t.size), dtype=complex)
+        np.outer(xi, t, out=terms.imag)
+        terms.imag *= 2 * np.pi
+        np.exp(terms, out=terms)
         terms *= (coeffs[plan.pos] * plan.vals)[:, None]
         return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))
 

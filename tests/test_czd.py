@@ -5,22 +5,21 @@ block and filtering to maximal ones; vanishing coefficients re-checked by
 direct quadrature at each frequency (the implementation works through local
 FFT bins, so the quadrature is an independent path); the batched
 integer-phase quadrature checked against the per-frequency one; the
-closed-form lacunary bins against the union of one signed-sum enumeration
-per order, times the window length.
+closed-form lacunary bins against the union of the signed sums of each
+order, built from those of the order below, times the window length.
 """
 
 import functools
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
 from lacuna import czd
-from lacuna.dyadic import DyadicScalar
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import Signal, plateau_bump, read_signal
-from test_lacunary import reference_lac_tau
 
 
 def leaf_threshold(s):
@@ -41,21 +40,38 @@ def leaf_threshold(s):
 
 def union_of_orders(length, nyquist, sigma):
     """The lacunary frequencies of orders 0..sigma at scale ``1/length``
-    strictly below ``nyquist``, as the union of one signed-sum enumeration
-    per order (``reference_lac_tau``, the decomposition's former path)."""
-    out = {DyadicScalar.from_int(0)}
-    for rho in range(1, sigma + 1):
-        out.update(_order_points(rho, length, nyquist))
-    return tuple(sorted(float(d) for d in out))
+    strictly below ``nyquist``: the union over the orders of the signed sums
+    ``q / length``, ``q = ±2^{n_1} ± ... ± 2^{n_rho}`` with ``n_1 > ... >
+    n_rho >= 0``, each order built from the one below (``signed_sums``)."""
+    bound = math.ceil(nyquist * length) - 1
+    out = set()
+    for sums in signed_sums(bound, sigma):
+        out |= {q for q in sums if abs(q) <= bound}
+    return tuple(sorted(q / length for q in out))
 
 
 @functools.cache
-def _order_points(rho, length, nyquist):
-    one_over = DyadicScalar.pow2(-DyadicScalar.from_float(length).log2())
-    max_abs = DyadicScalar.from_float(nyquist) - one_over
-    if not max_abs > DyadicScalar.from_int(0):
-        return ()
-    return reference_lac_tau(rho, one_over, max_abs)
+def signed_sums(bound, top_order):
+    """One set per order ``0..top_order``: the signed sums of that many
+    distinct powers ``2^n``, ``n >= 0``, that can still end in ``[-bound,
+    bound]``.  An order's sums are those of the order below, each with one
+    power added below its lowest one, which is ``2^v`` for ``v`` the 2-adic
+    valuation of the sum.  Powers placed later add at most ``2^v - 1``, so a
+    sum with ``|s| - 2^v + 1 > bound`` is dropped; a sum in the window leads
+    with ``2^n``, ``2^(n - rho + 1) <= |s| <= bound``, so the first power
+    stops at the order count past the bound's top bit."""
+    first = bound.bit_length() + top_order  # the lowest power of the empty sum
+    orders = [{0}]
+    for _ in range(top_order):
+        grown = set()
+        for s in orders[-1]:
+            low = (s & -s).bit_length() - 1 if s else first
+            for e in range(low):
+                for q in (s + (1 << e), s - (1 << e)):
+                    if abs(q) - (1 << e) < bound:
+                        grown.add(q)
+        orders.append(grown)
+    return orders
 
 
 def windowed_coefficient(piece, freq):
@@ -228,12 +244,10 @@ class TestLacunaryFrequencies:
 
     @pytest.mark.parametrize("length", [0.25, 1.0, 16.0])
     def test_matches_the_union_of_enumerated_orders(self, length):
-        # nyquist * length = n/2, bins |q| < n/2; the reference enumerates
-        # 792,000 signed sums at n = 2^12, so the other lengths stop at 2^7.
-        # It runs once per order at the largest n: a signed sum of at most
-        # |q| < n/2 uses no exponent past the smaller enumeration's, so its
-        # restriction to |q| < n/2 is the reference set at n
-        top = 12 if length == 1.0 else 7
+        # nyquist * length = n/2, bins |q| < n/2.  The reference runs once
+        # per order at the largest n: its sums with |q| < n/2 are the
+        # reference set at n
+        top = 12
         for sigma in range(7):
             full = np.array(union_of_orders(length, (1 << top) / 2 / length, sigma)) * length
             for log2_n in range(top + 1):

@@ -231,18 +231,17 @@ def test_dyadic_from_float_exact():
 
 def test_whitney_8_16():
     res = whitney(ival(8, 16), D(F(1)))
-    assert not res.over_truncated
-    assert as_pairs(res.intervals) == {
+    assert as_pairs(res) == {
         (F(9), F(10)),
         (F(10), F(12)),
         (F(12), F(14)),
         (F(14), F(15)),
     }
     anchors = {
-        (i.left.as_fraction(), i.anchor.as_fraction()) for i in res.intervals
+        (i.left.as_fraction(), i.anchor.as_fraction()) for i in res
     }
     assert anchors == {(F(9), F(8)), (F(10), F(8)), (F(12), F(16)), (F(14), F(16))}
-    assert as_pairs(res.intervals) == brute_whitney(F(8), F(16), F(1))
+    assert as_pairs(res) == brute_whitney(F(8), F(16), F(1))
 
 
 def test_whitney_unit_interval_quarter_scale():
@@ -250,8 +249,8 @@ def test_whitney_unit_interval_quarter_scale():
     # the two central quarter pieces survive (oracle-verified)
     res = whitney(ival(1, 2), D(F(1, 4)))
     expect = {(F(5, 4), F(3, 2)), (F(3, 2), F(7, 4))}
-    assert as_pairs(res.intervals) == expect
-    assert as_pairs(res.intervals) == brute_whitney(F(1), F(2), F(1, 4))
+    assert as_pairs(res) == expect
+    assert as_pairs(res) == brute_whitney(F(1), F(2), F(1, 4))
 
 
 def test_whitney_unit_interval_eighth_scale():
@@ -262,14 +261,12 @@ def test_whitney_unit_interval_eighth_scale():
         (F(3, 2), F(7, 4)),
         (F(7, 4), F(15, 8)),
     }
-    assert as_pairs(res.intervals) == expect
-    assert as_pairs(res.intervals) == brute_whitney(F(1), F(2), F(1, 8))
+    assert as_pairs(res) == expect
+    assert as_pairs(res) == brute_whitney(F(1), F(2), F(1, 8))
 
 
 def test_whitney_over_truncated():
-    res = whitney(ival(0, 1), D(F(1, 2)))
-    assert res.intervals == tuple()
-    assert res.over_truncated
+    assert whitney(ival(0, 1), D(F(1, 2))) == ()
 
 
 def test_whitney_rejects_non_pow2_scale():
@@ -290,13 +287,12 @@ def test_whitney_rejects_non_pow2_scale():
 )
 def test_whitney_matches_brute_force(a, b, ms):
     res = whitney(LacInterval(D(a), D(b), 1, ZERO, None), D(ms))
-    assert as_pairs(res.intervals) == brute_whitney(a, b, ms)
+    assert as_pairs(res) == brute_whitney(a, b, ms)
 
 
 def test_whitney_invariants():
     parent = ival(8, 16, order=1)
-    res = whitney(parent, D(F(1, 4)))
-    pieces = res.intervals
+    pieces = whitney(parent, D(F(1, 4)))
     # pairwise disjoint, inside parent, dist == length, anchor correct
     for p in pieces:
         assert parent.left <= p.left and p.right <= parent.right
@@ -320,6 +316,68 @@ def test_whitney_invariants():
     assert parent.right.as_fraction() - spans[-1][1] == F(1, 4)
     for (l1, r1), (l2, r2) in zip(spans, spans[1:]):
         assert r1 == l2
+
+
+# -- the former sort-by-left construction ---------------------------------------
+
+
+def sorted_whitney(interval, min_scale):
+    """``whitney`` as it was before its pieces came out in order: both
+    anchored pieces at each scale, then one sort by left end."""
+    pieces = []
+    a, b = interval.left, interval.right
+    for s in range(min_scale.log2(), interval.length.log2() - 1):
+        step, double = DyadicScalar.pow2(s), DyadicScalar.pow2(s + 1)
+        pieces.append(LacInterval(a + step, a + double, interval.order + 1, a, interval))
+        pieces.append(LacInterval(b - double, b - step, interval.order + 1, b, interval))
+    pieces.sort(key=lambda piece: piece.left)
+    return tuple(pieces)
+
+
+def sorted_lambda_tau(tau, min_scale, max_abs):
+    """``lambda_tau`` as it was before it was built in order: each order
+    sorted by left end after it is built."""
+    out = []
+    if tau == 1:
+        k = min_scale.log2()
+        while DyadicScalar.pow2(k + 1) <= max_abs:
+            lo, hi = DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1)
+            out += [LacInterval(lo, hi, 1, ZERO, None), LacInterval(-hi, -lo, 1, ZERO, None)]
+            k += 1
+    else:
+        for parent in sorted_lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs):
+            out.extend(sorted_whitney(parent, min_scale))
+    out.sort(key=lambda piece: piece.left)
+    return out
+
+
+def lineage(interval):
+    """The keys of an interval and of every ancestor, nearest first."""
+    keys = []
+    while interval is not None:
+        keys.append(interval.key())
+        interval = interval.parent
+    return tuple(keys)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 4])
+def test_lambda_tau_matches_the_sorted_construction(tau):
+    for min_log2 in (-2 * tau - 2, -3, 0):
+        for max_abs in (F(1), F(3), F(64), F(100)):
+            args = (DyadicScalar.pow2(min_log2), D(max_abs))
+            got, want = lambda_tau(tau, *args), sorted_lambda_tau(tau, *args)
+            assert [lineage(i) for i in got] == [lineage(i) for i in want]
+            assert all(a.right <= b.left for a, b in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("lo,hi", [(8, 16), (-16, -8), (0, 8), (-1, 0), (F(3, 4), 1)])
+def test_whitney_matches_the_sorted_construction(lo, hi):
+    parent = ival(lo, hi, order=2, anchor=hi)
+    for ms_log2 in range(-6, 4):
+        got = whitney(parent, DyadicScalar.pow2(ms_log2))
+        want = sorted_whitney(parent, DyadicScalar.pow2(ms_log2))
+        assert [lineage(i) for i in got] == [lineage(i) for i in want]
+        assert all(piece.parent is parent for piece in got)
 
 
 # -- lambda_tau ----------------------------------------------------------------
@@ -656,11 +714,11 @@ def test_whitney_partition_property(scale_exp, offset_mult, ms_exp):
     parent = LacInterval(D(a), D(a + s), 1, ZERO, None)
     ms = F(2) ** ms_exp
     if ms > s / 4:
-        assert whitney(parent, D(ms)).over_truncated
+        assert whitney(parent, D(ms)) == ()
         return
     res = whitney(parent, D(ms))
-    spans = sorted(as_pairs(res.intervals))
+    spans = sorted(as_pairs(res))
     assert spans[0][0] == a + ms and spans[-1][1] == a + s - ms
     for (l1, r1), (l2, r2) in zip(spans, spans[1:]):
         assert r1 == l2
-    assert as_pairs(res.intervals) == brute_whitney(a, a + s, ms)
+    assert as_pairs(res) == brute_whitney(a, a + s, ms)

@@ -51,23 +51,23 @@ def random_function(j, seed=0):
 class TestExpectation:
     def test_level_zero_is_mean(self):
         f = random_function(5)
-        e0 = mg.expectation(f, 0)
-        assert np.allclose(e0.samples, np.mean(f.samples), atol=1e-14)
+        e0 = mg._ek(f.samples, 0)
+        assert np.allclose(e0, np.mean(f.samples), atol=1e-14)
 
     def test_top_level_is_identity(self):
         f = random_function(5)
-        assert np.array_equal(mg.expectation(f, 5).samples, f.samples)
+        assert np.array_equal(mg._ek(f.samples, 5), f.samples)
 
     @pytest.mark.parametrize("k", range(7))
     def test_matches_brute_loops(self, k):
         f = random_function(6, seed=k)
-        fast = mg.expectation(f, k).samples
+        fast = mg._ek(f.samples, k)
         assert np.max(np.abs(fast - brute_expectation(f.samples, k))) < 1e-13
 
     def test_idempotent(self):
         f = random_function(6)
-        once = mg.expectation(f, 3)
-        assert np.array_equal(mg.expectation(once, 3).samples, once.samples)
+        once = mg._ek(f.samples, 3)
+        assert np.array_equal(mg._ek(once, 3), once)
 
     @given(
         j=st.integers(min_value=0, max_value=6),
@@ -77,16 +77,16 @@ class TestExpectation:
     @settings(max_examples=40, deadline=None)
     def test_tower_property(self, j, k, seed):
         f = random_function(6, seed=seed)
-        nested = mg.expectation(mg.expectation(f, k), j).samples
-        direct = mg.expectation(f, min(j, k)).samples
+        nested = mg._ek(mg._ek(f.samples, k), j)
+        direct = mg._ek(f.samples, min(j, k))
         assert np.max(np.abs(nested - direct)) < 1e-13
 
     def test_out_of_range(self):
         f = random_function(4)
         with pytest.raises(ValueError):
-            mg.expectation(f, 5)
+            mg._ek(f.samples, 5)
         with pytest.raises(ValueError):
-            mg.expectation(f, -1)
+            mg._ek(f.samples, -1)
 
     def test_rejects_non_pow2(self):
         with pytest.raises(ValueError):
@@ -96,25 +96,23 @@ class TestExpectation:
 class TestDifference:
     def test_level_zero_difference_is_mean(self):
         f = random_function(4)
-        assert np.array_equal(
-            mg.difference(f, 0).samples, mg.expectation(f, 0).samples
-        )
+        assert np.array_equal(mg._dk(f.samples, 0), mg._ek(f.samples, 0))
 
     def test_haar_is_eigenfunction(self):
         h = haar_at(5, level=3, cell=2)
-        assert np.array_equal(mg.difference(h, 3).samples, h.samples)
+        assert np.array_equal(mg._dk(h.samples, 3), h.samples)
         for k in [0, 1, 2, 4, 5]:
-            assert np.max(np.abs(mg.difference(h, k).samples)) < 1e-14
+            assert np.max(np.abs(mg._dk(h.samples, k))) < 1e-14
 
     def test_telescoping(self):
         f = random_function(6, seed=9)
-        total = sum(mg.difference(f, k).samples for k in range(7))
+        total = sum(mg._dk(f.samples, k) for k in range(7))
         assert np.max(np.abs(total - f.samples)) < 1e-13
 
     def test_difference_idempotent(self):
         f = random_function(6, seed=4)
-        d = mg.difference(f, 4)
-        assert np.max(np.abs(mg.difference(d, 4).samples - d.samples)) < 1e-14
+        d = mg._dk(f.samples, 4)
+        assert np.max(np.abs(mg._dk(d, 4) - d)) < 1e-14
 
     def test_levels_orthogonal(self):
         f = random_function(6, seed=5)
@@ -123,16 +121,14 @@ class TestDifference:
             for k in range(7):
                 if j == k:
                     continue
-                inner = np.mean(
-                    mg.difference(f, j).samples * mg.difference(g, k).samples
-                )
+                inner = np.mean(mg._dk(f.samples, j) * mg._dk(g.samples, k))
                 assert abs(inner) < 1e-14
 
     def test_martingale_property(self):
         f = random_function(7, seed=7)
         for k in range(1, 8):
-            d = mg.difference(f, k)
-            prev = mg.expectation(d, k - 1).samples
+            d = mg._dk(f.samples, k)
+            prev = mg._ek(d, k - 1)
             assert np.max(np.abs(prev)) < 1e-13
 
 class TestSquareFunction:
@@ -145,7 +141,7 @@ class TestSquareFunction:
         f = random_function(7, seed=13)
         s = mg.martingale_square_function(f)
         lhs = np.mean(s.samples**2)
-        centered = f.samples - mg.expectation(f, 0).samples
+        centered = f.samples - mg._ek(f.samples, 0)
         assert math.isclose(lhs, float(np.mean(centered**2)), rel_tol=1e-12)
 
     def test_matches_direct_level_sum(self):
@@ -172,7 +168,7 @@ class TestSignMartingales:
         weights = np.array([0.5, 0.25, 0.8])
         f = mg.DyadicFunction(mg.random_sign_martingale(3, rng, weights))
         for k in range(1, 4):
-            d = mg.difference(f, k).samples
+            d = mg._dk(f.samples, k)
             assert np.max(np.abs(np.abs(d) - weights[k - 1])) < 1e-12
 
     def test_batch_shape(self):
@@ -316,14 +312,15 @@ def reference_project(psi):
     return out
 
 
-def reference_solve(f, sigma, config=mg.SolverConfig()):
+def reference_solve(f, sigma):
     """The solver loop before its state buffers: psi is the state, every
     candidate and gradient a fresh array, the projection a block mean per
-    row.  Returns (objective, iterations, constraint residual)."""
+    row, on the solver's schedule constants as they stand at the call.
+    Returns (objective, iterations, constraint residual)."""
     j = f.max_level
     diffs = np.stack([mg._dk(f.samples, k) for k in range(j + 1)])
     young = YoungFunction(sigma / 2)
-    eps = config.epsilon_scale * math.sqrt(float(np.mean(f.samples**2)))
+    eps = mg.EPS_SCALE * math.sqrt(float(np.mean(f.samples**2)))
 
     def smoothed(psi, start=None):
         g = np.sqrt(np.sum((diffs + psi) ** 2, axis=0) + eps**2)
@@ -338,9 +335,9 @@ def reference_solve(f, sigma, config=mg.SolverConfig()):
     psi = np.zeros_like(diffs)
     agg, current = smoothed(psi)
     trace = [current]
-    step = config.init_step
+    step = mg.INIT_STEP
     iterations = 0
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, mg.MAX_ITER + 1):
         grad = gradient(psi, agg, current)
         gnorm2 = float(np.sum(grad**2))
         if gnorm2 == 0.0:
@@ -349,18 +346,18 @@ def reference_solve(f, sigma, config=mg.SolverConfig()):
         while step > 1e-18:
             cand = psi - step * grad
             cand_agg, value = smoothed(cand, start=current)
-            if value <= current - config.armijo * step * gnorm2:
+            if value <= current - mg.ARMIJO * step * gnorm2:
                 accepted = True
                 break
-            step *= config.shrink
+            step *= mg.SHRINK
         if not accepted:
             break
         psi, agg, current = cand, cand_agg, value
         trace.append(current)
-        step *= config.grow
-        if len(trace) > config.patience:
-            past = trace[-config.patience - 1]
-            if past - current < config.rel_tol * max(past, 1e-300):
+        step *= mg.GROW
+        if len(trace) > mg.PATIENCE:
+            past = trace[-mg.PATIENCE - 1]
+            if past - current < mg.REL_TOL * max(past, 1e-300):
                 break
     psi = reference_project(psi)
     objective = luxemburg_avg(np.sqrt(np.sum((diffs + psi) ** 2, axis=0)), sigma / 2)
@@ -370,21 +367,22 @@ def reference_solve(f, sigma, config=mg.SolverConfig()):
 
 class TestDecompositionSolver:
     @pytest.mark.parametrize("case", ["gate08", "rough"])
-    def test_matches_the_reference_loop(self, case):
+    def test_matches_the_reference_loop(self, case, monkeypatch):
         # the rough input runs to a cap of 1000 iterations, not 5000, to keep
         # the pair of solves under a second
-        config = mg.SolverConfig(max_iter=1000) if case == "rough" else mg.SolverConfig()
+        if case == "rough":
+            monkeypatch.setattr(mg, "MAX_ITER", 1000)
         inputs = gate08_inputs() if case == "gate08" else [(1.0, rough_values())]
         for sigma, vals in inputs:
             f = mg.DyadicFunction(vals)
-            want, want_iters, want_residual = reference_solve(f, sigma, config)
-            out = mg.decompose_quotient_norm(f, sigma, config)
+            want, want_iters, want_residual = reference_solve(f, sigma)
+            out = mg.decompose_quotient_norm(f, sigma)
             assert abs(out.objective - want) <= 1e-5 * want
             assert abs(out.iterations - want_iters) <= 5
             assert out.certificate["constraint_residual"] <= 1e-10
             assert want_residual <= 1e-10
         if case == "rough":
-            assert out.iterations == want_iters == config.max_iter
+            assert out.iterations == want_iters == 1000
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     def test_out_of_range_magnitudes_are_rejected(self, scale):
@@ -441,6 +439,16 @@ class TestDecompositionSolver:
         assert out.converged
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_zero_input_certificate_has_every_key(self, sigma):
+        # zero input goes through the same certificate as any other input
+        zero = mg.decompose_quotient_norm(mg.DyadicFunction(np.zeros(16)), sigma)
+        other = mg.decompose_quotient_norm(random_function(4, seed=60), sigma)
+        assert zero.certificate.keys() == other.certificate.keys()
+        assert zero.certificate["rhs_norm"] == 0.0
+        assert (zero.iterations, zero.converged, zero.trace) == (0, True, [0.0])
+        assert not zero.f_k.any() and not zero.psi.any()
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_contract_on_random_functions(self, sigma):
         f = random_function(8, seed=50 + int(sigma))
         out = mg.decompose_quotient_norm(f, sigma=sigma)
@@ -458,11 +466,10 @@ class TestDecompositionSolver:
         trace = np.asarray(out.trace)
         assert np.all(np.diff(trace) <= 1e-15)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(mg, "MAX_ITER", 2)
         f = random_function(8, seed=52)
-        out = mg.decompose_quotient_norm(
-            f, sigma=1.0, config=mg.SolverConfig(max_iter=2)
-        )
+        out = mg.decompose_quotient_norm(f, sigma=1.0)
         assert not out.converged
         assert out.iterations == 2
 
@@ -528,7 +535,7 @@ class TestDecompositionSolver:
         # same Haar data seen at J and J+2 produce comparable objectives
         rng = np.random.default_rng(58)
         fine = mg.DyadicFunction(mg.random_sign_martingale(8, rng))
-        coarse = mg.DyadicFunction(mg.expectation(fine, 6).samples[::4])
+        coarse = mg.DyadicFunction(mg._ek(fine.samples, 6)[::4])
         ratios = []
         for f in (coarse, fine):
             out = mg.decompose_quotient_norm(f, sigma=0.0)
@@ -537,7 +544,7 @@ class TestDecompositionSolver:
         assert 0.5 <= ratios[1] / ratios[0] <= 2.0
 
 
-def solve_bytes(f, sigma, config):
+def solve_bytes(f, sigma):
     """Every output of one solve as exact bytes, and its Luxemburg solves."""
     calls = []
 
@@ -548,7 +555,7 @@ def solve_bytes(f, sigma, config):
     real = mg.luxemburg_avg
     mg.luxemburg_avg = counting
     try:
-        out = mg.decompose_quotient_norm(f, sigma, config)
+        out = mg.decompose_quotient_norm(f, sigma)
     finally:
         mg.luxemburg_avg = real
     cert = repr(sorted(out.certificate.items()))
@@ -559,11 +566,12 @@ class TestScreenedLineSearch:
     @pytest.mark.parametrize("case", ["gate08", "rough"])
     def test_screen_leaves_every_output_bitwise_unchanged(self, case, monkeypatch):
         # with the screen answering False every trial is solved, as before it
-        config = mg.SolverConfig(max_iter=1000) if case == "rough" else mg.SolverConfig()
+        if case == "rough":
+            monkeypatch.setattr(mg, "MAX_ITER", 1000)
         inputs = list(gate08_inputs()) if case == "gate08" else [(1.0, rough_values())]
-        screened = [solve_bytes(mg.DyadicFunction(v), s, config) for s, v in inputs]
+        screened = [solve_bytes(mg.DyadicFunction(v), s) for s, v in inputs]
         monkeypatch.setattr(mg, "luxemburg_exceeds", lambda values, s, bound: False)
-        solved = [solve_bytes(mg.DyadicFunction(v), s, config) for s, v in inputs]
+        solved = [solve_bytes(mg.DyadicFunction(v), s) for s, v in inputs]
         totals = np.zeros(2)
         for (sigma, _), (got, got_calls), (want, want_calls) in zip(inputs, screened, solved):
             assert got == want
@@ -575,7 +583,7 @@ class TestScreenedLineSearch:
         # the first trial, at the grown step, is almost always rejected
         assert totals[0] < 0.75 * totals[1]
         if case == "rough":
-            assert screened[0][0][2] == config.max_iter
+            assert screened[0][0][2] == 1000
 
     def test_screen_runs_once_per_iteration_at_positive_sigma(self, monkeypatch):
         seen = []

@@ -31,6 +31,11 @@ def block_at(family, left):
 # -- step multipliers --------------------------------------------------------
 
 
+def apply_step(sig, m, flags=None):
+    """A step multiplier applied through its band bank, one inverse transform."""
+    return sig.with_samples(m.bank().combine(sig, flags=flags))
+
+
 def two_block_step(coeffs=(0.5, 0.5), overlap_bound=2):
     family = lambda_tau(1, D.pow2(-1), D.from_int(8))
     L1 = block_at(family, 1.0)  # [1, 2)
@@ -109,7 +114,7 @@ class TestApplication:
         half = D.from_fraction(F(sig.n, 2) / F(sig.period))
         band = LacInterval(-half, half, 1, D.from_int(0), None)
         m = mult.StepMultiplier((mult.StepPiece(band.left, band.right, 1.0, band),), 1)
-        out = mult.apply_multiplier(sig, m)
+        out = apply_step(sig, m)
         scale = np.max(np.abs(sig.samples))
         assert np.max(np.abs(out.samples - sig.samples)) < 1e-12 * scale
 
@@ -119,14 +124,14 @@ class TestApplication:
         L = block_at(family, 1.0)
         piece = mult.StepPiece(L.left, L.right, 1.0, L)
         sm = mult.StepMultiplier((piece,), 1)
-        via_mult = mult.apply_multiplier(sig, sm)
+        via_mult = apply_step(sig, sm)
         via_proj = sp.project_sharp(sig, L)
         assert np.max(np.abs(via_mult.samples - via_proj.samples)) < 1e-12
 
     def test_plancherel_contraction(self):
         sig = self.make_signal(seed=4)
         sm = two_block_step()
-        out = mult.apply_multiplier(sig, sm)
+        out = apply_step(sig, sm)
         sup = max(abs(p.coeff) for p in sm.pieces)
         assert _l2(out) <= sup * _l2(sig) + 1e-12
 
@@ -134,9 +139,9 @@ class TestApplication:
         f = self.make_signal(seed=5)
         g = self.make_signal(seed=6)
         sm = two_block_step(coeffs=(0.3, 0.4j))
-        both = mult.apply_multiplier(f.with_samples(f.samples + g.samples), sm)
+        both = apply_step(f.with_samples(f.samples + g.samples), sm)
         separate = (
-            mult.apply_multiplier(f, sm).samples + mult.apply_multiplier(g, sm).samples
+            apply_step(f, sm).samples + apply_step(g, sm).samples
         )
         assert np.max(np.abs(both.samples - separate)) < 1e-12
 
@@ -144,8 +149,8 @@ class TestApplication:
         sig = self.make_signal(seed=8)
         sm = two_block_step()
         rolled = sig.with_samples(np.roll(sig.samples, 5))
-        a = mult.apply_multiplier(rolled, sm).samples
-        b = np.roll(mult.apply_multiplier(sig, sm).samples, 5)
+        a = apply_step(rolled, sm).samples
+        b = np.roll(apply_step(sig, sm).samples, 5)
         assert np.max(np.abs(a - b)) < 1e-11
 
     def test_aliasing_flagged(self):
@@ -154,7 +159,7 @@ class TestApplication:
         L = block_at(family, 2.0)
         sm = mult.StepMultiplier((mult.StepPiece(L.left, L.right, 1.0, L),), 1)
         flags = sp.AliasFlags()
-        mult.apply_multiplier(sig, sm, flags)
+        apply_step(sig, sm, flags)
         assert flags.aliased
 
 
@@ -258,6 +263,31 @@ class TestSharpnessFamily:
         direct = fam.bank.square_at(sig, xs)
         grid_vals = agg[pick]
         assert np.max(np.abs(direct - grid_vals)) < 1e-8 * max(1.0, grid_vals.max())
+
+
+def one_matrix_square_at(bank, sig, xs):
+    """``BandBank.square_at`` before its phases were exponentiated in place:
+    the complex phase argument and its exponential both held at once."""
+    plan = bank._grid(sig, None)
+    coeffs = np.fft.fft(sig.samples)
+    t = np.asarray(xs, dtype=float) - sig.offset
+    xi = sp.freq_indices(sig.n)[plan.pos] / sig.period
+    terms = np.exp(2j * np.pi * np.outer(xi, t))
+    terms *= (coeffs[plan.pos] * plan.vals)[:, None]
+    return np.sqrt(np.sum(np.abs(sp._band_sums(plan, terms) / sig.n) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("order, log2_n", [(4, 12), (7, 14)])
+def test_square_at_is_the_one_matrix_expression_bitwise(order, log2_n):
+    fam = mult.build_sharpness_family(order, log2_n)
+    rng = np.random.default_rng(order)
+    xs = np.concatenate([fam.f_n.x[[0, 5, 1 << (log2_n - 1)]],
+                         rng.uniform(-fam.period / 2, fam.period / 2, 13)])
+    for sig in (fam.f_n, fam.g_n):
+        got = fam.bank.square_at(sig, xs)
+        assert np.array_equal(got, one_matrix_square_at(fam.bank, sig, xs))
+        assert np.array_equal(fam.bank.square_at(sig, xs[4]),
+                              one_matrix_square_at(fam.bank, sig, xs[4]))
 
 
 def _l2(sig):

@@ -434,8 +434,8 @@ def test_solver_warm_starts_match_the_probe_first_solve_bitwise(sigma, monkeypat
     x = -8.0 + (16.0 / n) * np.arange(n)
     vals = np.exp(-(x ** 2)) * np.cos(2 * np.pi * 3 * x) + 0.6 * (np.abs(x) < 0.25)
     monkeypatch.setattr(mg, "luxemburg_avg", recording)
-    mg.decompose_quotient_norm(mg.DyadicFunction(vals), sigma,
-                               mg.SolverConfig(max_iter=400))
+    monkeypatch.setattr(mg, "MAX_ITER", 400)
+    mg.decompose_quotient_norm(mg.DyadicFunction(vals), sigma)
     assert len(calls) > 400
     for values, s, start, got in calls:
         assert got == probe_first_luxemburg(values, s, start=start)

@@ -1,6 +1,7 @@
 """Every module-level import in a ``lacuna`` module is used or re-exported,
 every exported name exists, no module imports a private (``_``-prefixed)
-name of another, and no module imports a thread or process pool.
+name of another, no module imports a thread or process pool, and every
+public function, class and method is reached by the program.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
@@ -9,9 +10,16 @@ name counts as using it, every name in an ``__all__``, the package's
 included, must also be bound at the top of its module.  Nothing in the
 package runs concurrently, which is what keeps report bytes independent of
 the accepted-and-ignored ``threads`` setting.
+
+A public definition is reached when its name is read (an ``ast.Name`` or
+``ast.Attribute`` load) outside its own body, in the package, ``scripts/``,
+``perfbench/`` or the acceptance gates.  Import lines and strings do not
+count, so a name that only the unit tests or ``__all__`` mention is flagged
+unless it is a listed test reference.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +29,13 @@ import lacuna
 SOURCES = sorted(Path(lacuna.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 CONCURRENCY = ("concurrent", "threading", "multiprocessing")
+ROOT = Path(__file__).resolve().parents[1]
+# the code whose reads count as reach: the package, the batch scripts, the
+# benchmark and the acceptance gates
+READERS = (SOURCES + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"])
+# public definitions kept only as references that the unit tests compare with
+TEST_REFERENCES = {"spectral.spectrum"}
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -113,3 +128,37 @@ def test_no_private_names_across_modules(path):
             private += [f"{node.module}.{alias.name}" for alias in node.names
                         if alias.name.startswith("_")]
     assert not private, f"{path.name}: imports private names {private}"
+
+
+def loaded_names(node: ast.AST) -> list:
+    """Every name read under ``node``, as a variable or as an attribute."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.append(sub.attr)
+    return names
+
+
+def public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each public top-level function and class
+    and each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_definition_is_reached():
+    reads = Counter(name for path in READERS
+                    for name in loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unreached = {f"{path.stem}.{qualified}" for path in MODULES
+                 for qualified, node in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+                 if reads[node.name] <= loaded_names(node).count(node.name)}
+    # the test references stay defined and unreached, and nothing else is
+    assert unreached == TEST_REFERENCES
