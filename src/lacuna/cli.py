@@ -8,10 +8,10 @@ signal format (``lacunary``, ``project``, ``sqfn``, ``orlicz``, ``czd``,
 
 Exit status: 0 on success, 1 when an experiment's ``ok`` gate fails, an
 input is rejected or a ``czd`` certificate constant or ``orlicz`` result is
-not finite, 2 for usage errors (argparse, a sigma outside [0, MAX_SIGMA], a
-tau outside [0, MAX_TAU], an enumeration over a ``lacunary`` budget, a
-``lacunary`` point that no float holds exactly) and for unreadable or
-malformed input files.
+not finite, 2 for usage errors (argparse, a sigma or ``verify`` exponent outside
+[0, MAX_SIGMA], a tau outside [0, MAX_TAU], a ``verify`` flag the experiment
+does not take, an enumeration over a ``lacunary`` budget, a ``lacunary`` point
+that no float holds exactly) and for unreadable or malformed input files.
 """
 
 from __future__ import annotations
@@ -268,17 +268,17 @@ def _cmd_cww(args: argparse.Namespace) -> int:
     return _finish_experiment(cww_experiment(_resolve_config(args)), args)
 
 
+_VERIFY = {"endpoint": verify_endpoint, "hormander": verify_hormander,
+           "zygmund-bonami": verify_zygmund_bonami, "gen-zygmund-bonami": verify_gen_zygmund_bonami}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    if args.experiment == "endpoint":
-        report = verify_endpoint(cfg, args.operator or "prototype", args.exponent)
-    elif args.experiment == "hormander":
-        report = verify_hormander(cfg, args.operator or "hormander", args.exponent)
-    elif args.experiment == "zygmund-bonami":
-        report = verify_zygmund_bonami(cfg)
-    else:
-        report = verify_gen_zygmund_bonami(cfg)
-    return _finish_experiment(report, args)
+    # unset flags take the experiment's defaults; an empty --operator is a name
+    given = {k: getattr(args, k) for k in ("operator", "exponent") if getattr(args, k) is not None}
+    if given and args.experiment not in ("endpoint", "hormander"):
+        raise ValueError(f"{args.experiment} takes no --{next(iter(given))}")
+    return _finish_experiment(_VERIFY[args.experiment](cfg, **given), args)
 
 
 def _cmd_sharpness(args: argparse.Namespace) -> int:
@@ -350,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify", help="run a verification experiment")
-    p.add_argument("experiment", choices=("endpoint", "hormander",
-                                          "zygmund-bonami", "gen-zygmund-bonami"))
+    p.add_argument("experiment", choices=tuple(_VERIFY))
     p.add_argument("--operator", default=None,
                    help=f"endpoint: {', '.join(ENDPOINT_OPERATORS)}; "
                         f"hormander: {', '.join(HORMANDER_OPERATORS)}")

@@ -298,6 +298,8 @@ def _lac_poly_pool(cfg: ExperimentConfig) -> np.ndarray:
 
 def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
                    support: Optional[str], positive: np.ndarray) -> SampleSpec:
+    """``amp * sum e_lam exp(2 pi i lam x)`` summed on the support only: bitwise
+    the full-grid sum times the support mask, but ``+0.0`` (not ``-0.0``) off it."""
     size = min(int(rng.integers(8, 65)), positive.size)
     lams = rng.choice(positive, size=size, replace=False)
     eps = rng.choice([-1.0, 1.0], size=size)
@@ -305,16 +307,16 @@ def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
 
     def build(log2_n: int) -> Signal:
         x, offset = _grid(log2_n, cfg.period)
-        vals = np.zeros(x.size, dtype=complex)
-        for lam, e in zip(lams, eps):
-            vals += e * np.exp(2j * np.pi * lam * x)
-        vals *= amp
         if support == "unit":
-            vals *= (x >= 0.0) & (x < 1.0)
-        elif support == "centered":
-            vals *= np.abs(x) < 0.5
+            mask = (x >= 0.0) & (x < 1.0)
         else:
-            vals *= np.abs(x) < 1.0
+            mask = np.abs(x) < (0.5 if support == "centered" else 1.0)
+        kept = x[mask]
+        on = np.zeros(kept.size, dtype=complex)
+        for lam, e in zip(lams, eps):
+            on += e * np.exp(2j * np.pi * lam * kept)
+        vals = np.zeros(x.size, dtype=complex)
+        vals[mask] = amp * on
         return Signal(vals, cfg.period, offset)
 
     return SampleSpec(label, build)
@@ -363,19 +365,13 @@ def make_sample_specs(cfg: ExperimentConfig, rng: np.random.Generator,
     # member 1 is the first sign polynomial in both cycles
     positive = _lac_poly_pool(cfg) if cfg.ensemble >= 2 else None
     for i in range(cfg.ensemble):
-        if support is None:
-            kind = i % 3
-            if kind == 0:
-                specs.append(_bump_mixture_spec(f"bump-{i}", cfg.period, rng, None))
-            elif kind == 1:
-                specs.append(_lac_poly_spec(f"lacpoly-{i}", cfg, rng, None, positive))
-            else:
-                specs.append(_cz_bad_spec(f"czbad-{i}", cfg, rng))
+        kind = i % 3 if support is None else i % 2
+        if kind == 0:
+            specs.append(_bump_mixture_spec(f"bump-{i}", cfg.period, rng, support))
+        elif kind == 1:
+            specs.append(_lac_poly_spec(f"lacpoly-{i}", cfg, rng, support, positive))
         else:
-            if i % 2 == 0:
-                specs.append(_bump_mixture_spec(f"bump-{i}", cfg.period, rng, support))
-            else:
-                specs.append(_lac_poly_spec(f"lacpoly-{i}", cfg, rng, support, positive))
+            specs.append(_cz_bad_spec(f"czbad-{i}", cfg, rng))
     return specs
 
 
@@ -625,6 +621,8 @@ def _distribution_bound(experiment: str, operators: tuple, claim: str, cfg: Expe
     """The weak-type ratio of one operator over the signal ensemble."""
     if operator not in operators:
         raise ValueError(f"{experiment} operator must be one of {operators}")
+    if exponent is not None and not 0.0 <= exponent <= MAX_SIGMA:  # nan fails too
+        raise ValueError(f"exponent must lie in [0, {MAX_SIGMA}]")
     specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed))
     op = build_operator(operator, cfg, np.random.default_rng(cfg.seed + 1))
     p = op.exponent if exponent is None else float(exponent)
@@ -667,7 +665,8 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support="unit")
     nu_log2 = cfg.log2_n - 1 - cfg.log2_period
     if nu_log2 < 1:
-        raise ValueError(f"no nonzero unit-lattice frequency lies below the Nyquist 2^{nu_log2}")
+        raise ValueError(f"log2_n {cfg.log2_n} at period {cfg.period:g}: no nonzero "
+                         f"unit-lattice frequency lies below the Nyquist 2^{nu_log2}")
     qs = lattice_points(cfg.tau, (1 << nu_log2) - 1)
     lams = qs[qs != 0]
     anchor = ("(sum over order-tau lacunary frequencies |fhat(lam)|^2)^{1/2} "
@@ -952,7 +951,8 @@ def decompose_experiment(cfg: ExperimentConfig,
 
 def report_to_json(report) -> str:
     payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # inf, nan: null
+    return json.dumps(strict, indent=2, sort_keys=True) + "\n"
 
 
 def save_report_json(report, path) -> None:

@@ -106,15 +106,16 @@ def freq_indices(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
 
 
-def freqs(sig: Signal) -> np.ndarray:
-    return freq_indices(sig.n) / sig.period
+def _signed_indices(pos: np.ndarray, n: int) -> np.ndarray:
+    """``freq_indices(n)[pos]`` with no full-length array: ``pos - n`` from ``(n + 1) // 2``."""
+    return pos - n * (pos >= (n + 1) // 2)
 
 
 def spectrum(sig: Signal) -> np.ndarray:
     """Transform values on the lattice ``j/T`` in FFT layout."""
     coeffs = np.fft.fft(sig.samples) * (sig.period / sig.n)
     if sig.offset != 0.0:
-        coeffs = coeffs * np.exp(-2j * np.pi * sig.offset * freqs(sig))
+        coeffs = coeffs * np.exp(-2j * np.pi * sig.offset * (freq_indices(sig.n) / sig.period))
     return coeffs
 
 
@@ -270,11 +271,11 @@ class BandBank:
 
     def _resolve(self, sig: Signal) -> tuple:
         recorder = AliasFlags()
-        xi = freqs(sig)
         pos, vals = [np.empty(0, np.int64)], [np.empty(0)]
         for lo, hi, weight in self.windows:
             idx = band_indices(sig, lo, hi, recorder, self.label)
-            w = weight(xi[idx]) if callable(weight) else np.full(idx.size, weight)
+            xi = _signed_indices(idx, sig.n) / sig.period
+            w = weight(xi) if callable(weight) else np.full(idx.size, weight)
             keep = w != 0.0
             pos.append(idx[keep])
             vals.append(w[keep])
@@ -390,7 +391,7 @@ class BandBank:
         coeffs = np.fft.fft(sig.samples)
         # relative to the window start the band pieces carry no offset phase
         t = np.asarray(xs, dtype=float) - sig.offset
-        xi = freq_indices(sig.n)[plan.pos] / sig.period
+        xi = _signed_indices(plan.pos, sig.n) / sig.period
         # the phases 2 pi xi t, exponentiated in place: one complex matrix
         terms = np.zeros((xi.size, t.size), dtype=complex)
         np.outer(xi, t, out=terms.imag)

@@ -602,6 +602,47 @@ class TestExperimentCommands:
                      "--log2-n", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "8.5", "1e308"])
+    def test_verify_exponent_out_of_range_names_the_flag(self, bad, capsys):
+        # used to blame "sigma" (nan, inf, -1), or to run with a Young function
+        # that overflowed to inf and report a ratio of 0 as ok (1e308)
+        code = main(["verify", "endpoint", f"--exponent={bad}", "--log2-n", "6",
+                     "--ensemble", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "lacuna: exponent must lie in [0, 8]\n"
+
+    def test_verify_empty_operator_is_not_the_default(self, capsys):
+        # used to run the prototype operator
+        code = main(["verify", "endpoint", "--operator", "", "--log2-n", "6",
+                     "--ensemble", "1"])
+        assert code == 2
+        assert "endpoint operator must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["zygmund-bonami", "gen-zygmund-bonami"])
+    @pytest.mark.parametrize("flag", ["--operator=lp", "--exponent=1"])
+    def test_verify_rejects_a_flag_the_experiment_does_not_take(self, experiment, flag,
+                                                                capsys):
+        # used to be ignored, exit 0
+        code = main(["verify", experiment, flag, "--log2-n", "6", "--ensemble", "1"])
+        assert code == 2
+        name = flag.split("=")[0]
+        assert capsys.readouterr().err == f"lacuna: {experiment} takes no {name}\n"
+
+    def test_verify_report_with_aborted_rows_is_strict_json(self, capsys):
+        # every sample of a 2^4 window aborts the cancellative branches on a zero
+        # average; their ratio (and max_drift without pairs) used to print Infinity
+        code = main(["verify", "gen-zygmund-bonami", "--log2-n", "4", "--ensemble", "1"])
+        assert code == 1
+        text = capsys.readouterr().out
+        got = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+        aborted = [row for row in got["samples"] if row["aborted"]]
+        assert aborted and all(row["ratio"] is None for row in aborted)
+
+    def test_zygmund_bonami_grid_too_coarse_names_log2_n(self, capsys):
+        code = main(["verify", "zygmund-bonami", "--log2-n", "5", "--ensemble", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("lacuna: log2_n 5 at period 16: no nonzero")
+
     def test_verify_config_layering(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("log2_n = 9\nensemble = 2\nn_levels = 8\nrefine = false\n")

@@ -1,5 +1,6 @@
 """Hypothesis fuzzing of the file-utility flags (``lacunary``, ``project``,
-``sqfn``, ``orlicz``, ``czd``) and of ``decompose`` with its config flags.
+``sqfn``, ``orlicz``, ``czd``), of ``decompose`` with its config flags, and of
+``verify``.
 
 Every generated command line must end in exit status 0, 1 or 2 without an
 uncaught exception within a few seconds, and a run that exits 0 must print
@@ -10,7 +11,12 @@ some with huge or tiny finite samples or periods, and paths that do not
 exist or are not files.  ``decompose`` draws each flag from values that
 parse and the same mixed values, and ``--config`` files (valid, out of range,
 junk, not UTF-8, missing, a directory); a run that exits 0 must report a
-feasible perturbation no worse than none (``ok``).
+feasible perturbation no worse than none (``ok``).  ``verify`` draws its
+experiment, ``--tau``, ``--log2-n`` (up to 8), ``--ensemble`` (1-2),
+``--seed``, ``--operator``, ``--exponent`` and refinement, now and then a value
+to refuse or a flag the experiment does not take: a run prints a strict JSON
+report (exit 0 when ok, 1 naming the failing rows), or exits 2 with one line
+naming a flag it was given.
 """
 
 import json
@@ -24,6 +30,7 @@ from hypothesis import strategies as st
 
 from lacuna import lacunary
 from lacuna.cli import main
+from lacuna.harness import ENDPOINT_OPERATORS, HORMANDER_OPERATORS
 from lacuna.spectral import Signal, write_signal
 
 SPECIAL = ["", "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-1e-400", "0", "-0",
@@ -189,3 +196,68 @@ def test_decompose_flags_end_in_a_status_and_strict_json(workdir, capsys, data):
         assert payload["ok"] is True, argv
         assert payload["objective"] <= payload["baseline"] + 1e-9, argv
         assert payload["certificate"]["constraint_residual"] <= 1e-8, argv
+
+
+VERIFY_OPERATORS = {"endpoint": ENDPOINT_OPERATORS, "hormander": HORMANDER_OPERATORS,
+                    "zygmund-bonami": (), "gen-zygmund-bonami": ()}
+# (flag, values that run in a few tens of milliseconds, values to refuse); a
+# refused value does not parse or is out of range, and --operator runs with
+# the experiment's own operators
+VERIFY_FLAGS = (
+    ("--tau", st.integers(1, 6).map(str), VALUES),
+    ("--log2-n", st.integers(4, 8).map(str),
+     st.sampled_from(["", "x", "nan", "-1", "3", "23", "1e400", "2**3", str(2**70)])),
+    ("--ensemble", st.integers(1, 2).map(str),
+     st.sampled_from(["", "x", "0", "-1", "1.5", "10001", str(2**70)])),
+    ("--seed", st.integers(0, 2**64).map(str), VALUES),
+    ("--exponent", st.floats(0.0, 8.0).map(repr), VALUES),
+    ("--operator", None, st.sampled_from(ENDPOINT_OPERATORS + HORMANDER_OPERATORS + ("", "x"))),
+)
+# unset, these two would run the default 2^12 grid with 12 signals
+ALWAYS = ("--log2-n", "--ensemble")
+
+
+def _one_in(draw, k):
+    # the top of the range: Hypothesis leans towards the bottom one
+    return draw(st.integers(1, k)) == k
+
+
+@st.composite
+def verify_lines(draw):
+    experiment = draw(st.sampled_from(sorted(VERIFY_OPERATORS)))
+    operators = VERIFY_OPERATORS[experiment]
+    argv = ["verify", experiment]
+    for name, good, bad in VERIFY_FLAGS:
+        if name in ("--operator", "--exponent") and not operators:
+            good = None  # zygmund-bonami and gen-zygmund-bonami take neither
+        elif name == "--operator":
+            good = st.sampled_from(operators)
+        # a flag the experiment does not take is given one time in eight
+        if name in ALWAYS or _one_in(draw, 2 if good is not None else 8):
+            # and one value in eight is drawn to be refused, so most lines run
+            refuse = good is None or _one_in(draw, 8)
+            argv.append(f"{name}={draw(bad if refuse else good)}")
+    return argv + draw(st.sampled_from([[], ["--refine"], ["--no-refine"]]))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=verify_lines())
+def test_verify_flags_end_in_a_report_or_a_named_field(capsys, argv):
+    code = run_main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in captured.err
+    if code == 2:
+        # argparse prints its usage first; the program's own refusal is one line
+        lines = captured.err.splitlines()
+        assert lines and (len(lines) == 1 or "error: argument" in lines[-1]), (argv, lines)
+        fields = {arg.split("=")[0][2:] for arg in argv[2:]}
+        fields |= {field.replace("-", "_") for field in fields}
+        assert any(field in lines[-1] for field in fields), (argv, lines)
+        return
+    payload = json.loads(captured.out, parse_constant=_reject)
+    # exit 1 is a report whose gate failed, and it names the failing rows
+    assert payload["ok"] is (code == 0), argv
+    assert bool(payload["notes"]) is (code == 1), argv
+    assert payload["experiment"] == argv[1]

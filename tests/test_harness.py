@@ -216,6 +216,49 @@ class TestEnsembles:
         assert sig.n == 1024 and sig.period == cfg.period and sig.offset == -8.0
 
 
+def full_grid_sign_polynomial(cfg, seed, support, log2_n):
+    """The sign polynomial of ``_lac_poly_spec`` by its former path: every
+    term on the whole grid, then times the support mask.  The draws repeat
+    those of ``_lac_poly_spec``, from a generator of the same seed."""
+    rng = np.random.default_rng(seed)
+    positive = hn._lac_poly_pool(cfg)
+    size = min(int(rng.integers(8, 65)), positive.size)
+    lams = rng.choice(positive, size=size, replace=False)
+    eps = rng.choice([-1.0, 1.0], size=size)
+    x, _ = hn._grid(log2_n, cfg.period)
+    vals = np.zeros(x.size, dtype=complex)
+    for lam, e in zip(lams, eps):
+        vals += e * np.exp(2j * np.pi * lam * x)
+    vals *= size ** -0.5
+    if support == "unit":
+        vals *= (x >= 0.0) & (x < 1.0)
+    elif support == "centered":
+        vals *= np.abs(x) < 0.5
+    else:
+        vals *= np.abs(x) < 1.0
+    return vals
+
+
+class TestSignPolynomials:
+    @pytest.mark.parametrize("support", [None, "unit", "centered"])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    def test_support_only_sum_is_the_full_grid_sum(self, tau, support):
+        cfg = tiny_config(tau=tau)
+        pool = hn._lac_poly_pool(cfg)
+        for seed in (10, 2026):
+            spec = hn._lac_poly_spec("lacpoly", cfg, np.random.default_rng(seed), support, pool)
+            for log2_n in (cfg.log2_n, cfg.log2_n + 2):
+                got = spec.build(log2_n).samples
+                want = full_grid_sign_polynomial(cfg, seed, support, log2_n)
+                assert np.array_equal(got, want)
+                off = want == 0.0
+                assert off.sum() >= 7 * got.size // 8
+                # off the support: +0.0 in both parts, where the mask product
+                # could leave -0.0
+                assert not np.signbit(got.real[off]).any()
+                assert not np.signbit(got.imag[off]).any()
+
+
 # -- operators ----------------------------------------------------------------
 
 
@@ -722,6 +765,17 @@ class TestReportWriters:
         loaded = json.loads(path.read_text())
         assert loaded["experiment"] == "endpoint"
         assert loaded["ok"] is True
+
+    def test_json_writer_prints_non_finite_floats_as_null(self):
+        payload = {"ok": False, "rows": [{"ratio": math.inf, "drift": -math.inf},
+                                         {"ratio": math.nan, "x": 0.1 + 0.2}],
+                   "max": 1.7976931348623157e308, "tiny": 5e-324, "note": "drift inf"}
+        text = hn.report_to_json(payload)
+        got = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+        assert got["rows"] == [{"ratio": None, "drift": None}, {"ratio": None, "x": 0.1 + 0.2}]
+        # finite floats keep their bytes
+        finite = dict(payload, rows=[])
+        assert hn.report_to_json(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
 
     def test_csv_writer(self, tmp_path):
         rep = hn.verify_endpoint(tiny_config(refine=False), "identity")

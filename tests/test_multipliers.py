@@ -17,7 +17,7 @@ def apply_component(sig, k, l):
     """One component of the sharpness family through the true-phase
     transforms, on the whole lattice: the reference the bank operations are
     tested against."""
-    symbol = mult.component_symbol_func(k, l)(sp.freqs(sig))
+    symbol = mult.component_symbol_func(k, l)(sp.freq_indices(sig.n) / sig.period)
     return sp.synthesize(sp.spectrum(sig) * symbol, sig.period, sig.offset)
 
 

@@ -112,6 +112,20 @@ class TestTransform:
         rest = np.abs(np.delete(coeffs, idx))
         assert np.max(rest) < 1e-9
 
+    @pytest.mark.parametrize("log2_n", range(1, 21))
+    def test_signed_indices_pick_the_fft_layout(self, log2_n):
+        n = 1 << log2_n
+        rng = np.random.default_rng(log2_n)
+        pos = np.concatenate([[0, n // 2 - 1, n // 2, n - 1], rng.integers(0, n, 64)])
+        pos = np.unique(pos % n).astype(np.int64)  # n = 2 repeats the ends
+        got = sp._signed_indices(pos, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, sp.freq_indices(n)[pos])
+        if log2_n <= 12:
+            for m in (n, n + 1, n - 1):  # odd lengths too
+                whole = np.arange(m, dtype=np.int64)
+                assert np.array_equal(sp._signed_indices(whole, m), sp.freq_indices(m))
+
     def test_parseval(self):
         rng = np.random.default_rng(13)
         sig = random_signal(rng, j=10, period=16.0)
@@ -396,7 +410,7 @@ def _reference_spectra(sig, kind, family):
     """Each band's weighted true-phase spectrum, built band by band from the
     lattice frequencies, independent of band_indices."""
     coeffs = sp.spectrum(sig)
-    xi = sp.freqs(sig)
+    xi = sp.freq_indices(sig.n) / sig.period
     rows = []
     for L in family:
         if kind == "sharp":
@@ -537,7 +551,7 @@ class TestBandBank:
         close(bank.energies(sig), energies, np.max(energies))
         # off-grid: the band pieces as trigonometric sums at arbitrary points
         xs = np.concatenate([sig.x[[3, 400, 1000]], [-3.7, -0.01, 0.123, 2.9]])
-        phases = np.exp(2j * np.pi * np.outer(xs, sp.freqs(sig)))
+        phases = np.exp(2j * np.pi * np.outer(xs, sp.freq_indices(sig.n) / sig.period))
         at = np.sqrt(np.sum(np.abs(phases @ spectra.T / sig.period) ** 2, axis=1))
         close(bank.square_at(sig, xs), at, np.max(at))
         close(at[:3], square[[3, 400, 1000]], np.max(at))
