@@ -19,12 +19,7 @@ from .harness import (
 )
 from .lacunary import LacInterval, LacPointSet, lac_tau, lambda_tau, whitney
 from .martingale import DyadicFunction, cww_check, decompose_quotient_norm
-from .multipliers import (
-    SharpnessFamily,
-    StepMultiplier,
-    build_sharpness_family,
-    prototype_multiplier,
-)
+from .multipliers import SharpnessFamily, build_sharpness_family, prototype_multiplier
 from .orlicz import YoungFunction, exp_norm, luxemburg_avg
 from .spectral import (
     AliasFlags,
@@ -49,7 +44,6 @@ __all__ = [
     "LacPointSet",
     "SharpnessFamily",
     "Signal",
-    "StepMultiplier",
     "YoungFunction",
     "build_sharpness_family",
     "cww_check",

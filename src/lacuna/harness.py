@@ -47,13 +47,7 @@ from .martingale import (
     random_sign_martingale,
     tail_measure,
 )
-from .multipliers import (
-    StepMultiplier,
-    StepPiece,
-    build_sharpness_family,
-    max_feasible_parameter,
-    prototype_multiplier,
-)
+from .multipliers import build_sharpness_family, max_feasible_parameter, prototype_multiplier
 from .orlicz import YoungFunction, luxemburg_avg
 from .spectral import (
     MAX_LOG2_N,
@@ -149,8 +143,8 @@ class ExperimentConfig:
             raise ValueError("gamma must be finite and at least 1")
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
-        if self.khintchine < 0:
-            raise ValueError("khintchine draw count must be nonnegative")
+        if not 0 <= self.khintchine <= MAX_ENSEMBLE:  # one full combine per draw
+            raise ValueError(f"khintchine must lie in [0, {MAX_ENSEMBLE}]")
         for key in ("seed", "threads"):  # numpy refuses a negative seed unnamed
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
@@ -175,12 +169,11 @@ def _coerce(key: str, raw: str):
             return True
         if low in ("false", "no", "off", "0"):
             return False
-        raise ValueError(f"config key {key!r}: cannot read {raw!r} as a flag")
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+        raise ValueError(f"key {key!r}: cannot read {text!r} as a flag")
+    try:
+        return {"int": int, "float": float}[kind](text)
+    except ValueError:
+        raise ValueError(f"key {key!r}: cannot read {text!r} as {kind}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -196,7 +189,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = _coerce(key, raw)
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: {err}") from None
     return out
 
 
@@ -380,7 +376,6 @@ def make_sample_specs(cfg: ExperimentConfig, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    kind: str
     label: str
     exponent: float
     apply: Callable[[Signal, Optional[AliasFlags]], np.ndarray]
@@ -401,22 +396,21 @@ def _caps(cfg: ExperimentConfig) -> tuple[DyadicScalar, DyadicScalar, DyadicScal
     return sharp_cap, smooth_cap, min_scale, smooth_floor
 
 
-def _halved_step(family: Sequence[LacInterval], rng: np.random.Generator) -> StepMultiplier:
-    """Two half-window pieces per block with coefficients +-1/2: block mass
-    2 * (1/2)^2 = 1/2, so the class parameter is N = 2."""
-    pieces = []
+def _halved_step(family: Sequence[LacInterval], rng: np.random.Generator) -> BandBank:
+    """The step multiplier of two half windows per block with coefficients
+    +-1/2: block mass 2 * (1/2)^2 = 1/2, so the class parameter is N = 2."""
+    windows = []
     for block in family:
         mid = block.center
         signs = rng.choice([-1.0, 1.0], size=2)
-        pieces.append(StepPiece(block.left, mid, complex(0.5 * signs[0]), block))
-        pieces.append(StepPiece(mid, block.right, complex(0.5 * signs[1]), block))
-    return StepMultiplier(tuple(pieces), overlap_bound=2)
+        windows.append((block.left, mid, complex(0.5 * signs[0])))
+        windows.append((mid, block.right, complex(0.5 * signs[1])))
+    return BandBank(windows, "step_multiplier")
 
 
-def _combined(kind: str, label: str, exponent: float, bank: BandBank,
-              weights=None) -> OperatorSpec:
+def _combined(label: str, exponent: float, bank: BandBank, weights=None) -> OperatorSpec:
     """The operator with output magnitudes ``|sum_i w_i T_i f|``."""
-    return OperatorSpec(kind, label, exponent,
+    return OperatorSpec(label, exponent,
                         lambda sig, flags=None: np.abs(bank.combine(sig, weights, flags)))
 
 
@@ -426,34 +420,31 @@ def build_operator(kind: str, cfg: ExperimentConfig,
     sharp_cap, smooth_cap, min_scale, smooth_floor = _caps(cfg)
 
     if kind == "identity":
-        return OperatorSpec("identity", "identity", 0.0,
-                            lambda sig, flags=None: np.abs(sig.samples))
+        return OperatorSpec("identity", 0.0, lambda sig, flags=None: np.abs(sig.samples))
 
     if kind == "prototype":
-        m = prototype_multiplier(cfg.tau, min_scale, sharp_cap, rng=rng)
-        return _combined("prototype", f"prototype-tau{cfg.tau}", cfg.tau / 2, m.bank())
+        bank = prototype_multiplier(cfg.tau, min_scale, sharp_cap, rng=rng)
+        return _combined(f"prototype-tau{cfg.tau}", cfg.tau / 2, bank)
 
     if kind == "step":
-        m = _halved_step(lambda_tau(cfg.tau, min_scale, sharp_cap), rng)
-        return _combined("step", f"step-N2-tau{cfg.tau}", cfg.tau / 2, m.bank())
+        bank = _halved_step(lambda_tau(cfg.tau, min_scale, sharp_cap), rng)
+        return _combined(f"step-N2-tau{cfg.tau}", cfg.tau / 2, bank)
 
     if kind == "lp":
         family = lambda_tau(cfg.tau, min_scale, sharp_cap)
         bank = BandBank([sharp_window(block) for block in family], "lp")
-        return OperatorSpec("lp", f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2, bank.square)
+        return OperatorSpec(f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2, bank.square)
 
     if kind == "smooth-sqfn":
         family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
         bank = BandBank([eta_window(block) for block in family], "smooth-sqfn")
-        return OperatorSpec("smooth-sqfn", f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2,
-                            bank.square)
+        return OperatorSpec(f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2, bank.square)
 
     if kind == "hormander":
         family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
         eps = rng.choice([-1.0, 1.0], size=len(family))
         bank = BandBank([eta_window(block) for block in family], "hormander")
-        return _combined("hormander", f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2,
-                         bank, eps)
+        return _combined(f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2, bank, eps)
 
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -799,9 +790,8 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
     notes: list = []
     if cfg.n_max > feasible:
         notes.append(f"parameters above {feasible} skipped (band overflow)")
-    params = [n for n in range(cfg.n_min, cfg.n_max + 1) if n <= feasible]
     rows = []
-    for n_param in params:
+    for n_param in range(cfg.n_min, min(cfg.n_max, feasible) + 1):
         fam = build_sharpness_family(n_param, cfg.log2_n, cfg.period)
         g = fam.g_n
         mask = np.abs(g.x) <= 0.5

@@ -2,15 +2,15 @@
 
 Two kinds of operator live here:
 
-* :class:`StepMultiplier` — a list of half-open frequency windows with complex
-  coefficients, each window assigned to (and contained in) a block of the
-  lacunary family.  Carries the normalized-step invariants: per-block
-  coefficient l2 mass at most ``1/overlap_bound`` and pointwise overlap at
-  most ``overlap_bound``.  :func:`prototype_multiplier` draws the random-sign
-  block symbol, and :meth:`StepMultiplier.bank` is its band bank (one band
-  per piece), whose ``combine`` applies the symbol with one inverse
-  transform.
-* the sharpness family — the parametrized array of second-order components
+* step multipliers -- coefficient-weighted half-open frequency windows, each
+  inside a block of the lacunary family, held as the windows of a
+  :class:`~lacuna.spectral.BandBank` whose ``combine`` applies the symbol
+  with one inverse transform.  :func:`prototype_multiplier` is the
+  random-sign block symbol (one window per block, class parameter N = 1);
+  the class invariants (containment, per-block coefficient mass at most
+  1/N, pointwise overlap at most N) hold by construction and are checked
+  exactly in the tests.
+* the sharpness family -- the parametrized array of second-order components
   whose vector-valued action on a dilated bump grows linearly in the
   parameter; see :func:`build_sharpness_family`.
 """
@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dyadic import DyadicScalar
-from .lacunary import LacInterval, lambda_tau
+from .lacunary import lambda_tau
 from .spectral import (
     BandBank,
     Signal,
@@ -35,96 +35,23 @@ from .spectral import (
 # -- step multipliers ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepPiece:
-    lo: DyadicScalar
-    hi: DyadicScalar
-    coeff: complex
-    assigned: LacInterval
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("piece window must be nonempty")
-
-
-@dataclass(frozen=True)
-class StepMultiplier:
-    """Sum of coefficient-weighted half-open frequency windows, each assigned
-    to a containing block; ``overlap_bound`` is the class parameter N."""
-
-    pieces: tuple[StepPiece, ...]
-    overlap_bound: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if self.overlap_bound < 1:
-            raise ValueError("overlap bound must be a positive integer")
-        report = self.validate()
-        if not report["ok"]:
-            raise ValueError("; ".join(report["violations"]))
-
-    def validate(self, family: Optional[Sequence[LacInterval]] = None) -> dict:
-        violations: list[str] = []
-        keys = {L.key() for L in family} if family is not None else None
-        mass: dict[tuple, float] = {}
-        for i, p in enumerate(self.pieces):
-            L = p.assigned
-            if not (L.left <= p.lo and p.hi <= L.right):
-                violations.append(f"piece {i} escapes its assigned block")
-            if keys is not None and L.key() not in keys:
-                violations.append(f"piece {i} assigned outside the family")
-            mass[L.key()] = mass.get(L.key(), 0.0) + abs(p.coeff) ** 2
-        budget = 1.0 / self.overlap_bound + 1e-12
-        for key, total in sorted(mass.items()):
-            if total > budget:
-                violations.append(
-                    f"block {key} coefficient mass {total:.3e} exceeds 1/N"
-                )
-        overlap = self._max_overlap()
-        if overlap > self.overlap_bound:
-            violations.append(f"overlap {overlap} exceeds bound {self.overlap_bound}")
-        return {
-            "ok": not violations,
-            "violations": violations,
-            "max_overlap": overlap,
-            "block_mass": {str(k): v for k, v in sorted(mass.items())},
-        }
-
-    def _max_overlap(self) -> int:
-        events: list[tuple[DyadicScalar, int]] = []
-        for p in self.pieces:
-            events.append((p.lo, 1))
-            events.append((p.hi, -1))
-        depth = best = 0
-        for _, step in sorted(events):
-            depth += step
-            best = max(best, depth)
-        return best
-
-    def bank(self) -> BandBank:
-        """One band per piece: its window, weighted by its coefficient."""
-        return BandBank([(p.lo, p.hi, p.coeff) for p in self.pieces], "step_multiplier")
-
-
 def prototype_multiplier(
     tau: int,
     min_scale: DyadicScalar,
     max_abs: DyadicScalar,
     signs: Optional[Sequence[int]] = None,
     rng: Optional[np.random.Generator] = None,
-) -> StepMultiplier:
-    """Random-sign block symbol: each family block is one piece with
-    coefficient +-1, assigned to itself (a valid step form with N = 1)."""
+) -> BandBank:
+    """Random-sign block symbol: one window per family block, coefficient
+    +-1 (a step multiplier with N = 1)."""
     family = lambda_tau(tau, min_scale, max_abs)
     if signs is None:
         rng = rng or np.random.default_rng(0)
         signs = rng.choice([-1, 1], size=len(family))
     if len(signs) != len(family):
         raise ValueError("need one sign per block")
-    pieces = tuple(
-        StepPiece(L.left, L.right, complex(s), L) for L, s in zip(family, signs)
-    )
-    return StepMultiplier(pieces, overlap_bound=1)
+    return BandBank([(L.left, L.right, complex(s)) for L, s in zip(family, signs)],
+                    "step_multiplier")
 
 
 # -- the sharpness family ------------------------------------------------------
@@ -166,14 +93,10 @@ class SharpnessFamily:
     """The O(N^2) array of second-order components and its test signals;
     ``bank`` holds one band per component, in ``pairs`` order."""
 
-    n_param: int
-    log2_n: int
-    period: float
     pairs: tuple[tuple[int, int], ...]
     f_n: Signal
     g_n: Signal
     bank: BandBank = field(repr=False)
-
 
 
 def build_sharpness_family(
@@ -208,12 +131,4 @@ def build_sharpness_family(
         lo = DyadicScalar.pow2(k) + DyadicScalar.pow2(l - 1)
         hi = lo + DyadicScalar.pow2(l - 1)
         windows.append((lo, hi, component_symbol_func(k, l)))
-    return SharpnessFamily(
-        n_param=n_param,
-        log2_n=log2_n,
-        period=period,
-        pairs=pairs,
-        f_n=f_n,
-        g_n=g_n,
-        bank=BandBank(windows, "sharpness"),
-    )
+    return SharpnessFamily(pairs, f_n, g_n, BandBank(windows, "sharpness"))

@@ -575,6 +575,7 @@ class TestExperimentCommands:
         ("min_scale_log2 = -1000000", ["verify", "endpoint"]),
         ("n_levels = 1000000000", ["verify", "endpoint"]),
         ("ensemble = 100000000", ["cww"]),
+        ("khintchine = 1180591620717411303424", ["sharpness"]),
     ])
     def test_oversized_config_values_are_usage_errors(self, line, argv, tmp_path, capsys):
         # each used to end in a traceback, a hang or a memory error
@@ -675,6 +676,31 @@ class TestExperimentCommands:
                                       "--n-min", "2", "--n-max", "3",
                                       "--khintchine", "0"])
         assert code == 1 and not got["ok"]
+
+    @pytest.mark.parametrize("n_min, rows", [("2", [2, 3]), ("1000000000000", [])])
+    def test_sharpness_far_past_feasible_exits_promptly_with_its_note(self, n_min, rows):
+        # used to walk every parameter up to n_max before dropping the
+        # infeasible ones: hours for 10^12
+        done = run_capped(["sharpness", "--log2-n", "10", "--n-min", n_min,
+                           "--n-max", "1000000000000", "--khintchine", "0"])
+        got = json.loads(done.stdout)
+        assert done.returncode == 1 and [row["n"] for row in got["rows"]] == rows
+        assert got["notes"][0] == "parameters above 3 skipped (band overflow)"
+
+    @pytest.mark.parametrize("text, message", [
+        ("tau = 1.5\n", "config line 1: key 'tau': cannot read '1.5' as int"),
+        ("log2_n = 9\n\ngamma = 'two' # comment\n",
+         "config line 3: key 'gamma': cannot read 'two' as float"),
+        ("refine = maybe\n", "config line 1: key 'refine': cannot read 'maybe' as a flag"),
+    ])
+    def test_config_value_of_the_wrong_type_names_line_and_key(self, text, message,
+                                                               tmp_path, capsys):
+        # used to print the bare "invalid literal for int() with base 10: '1.5'"
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text(text)
+        code = main(["cww", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == f"lacuna: {message}\n"
 
     def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,6 +1,6 @@
 """Hypothesis fuzzing of the file-utility flags (``lacunary``, ``project``,
 ``sqfn``, ``orlicz``, ``czd``), of ``decompose`` with its config flags, and of
-``verify``.
+``verify``, ``cww`` and ``sharpness``.
 
 Every generated command line must end in exit status 0, 1 or 2 without an
 uncaught exception within a few seconds, and a run that exits 0 must print
@@ -16,7 +16,12 @@ experiment, ``--tau``, ``--log2-n`` (up to 8), ``--ensemble`` (1-2),
 ``--seed``, ``--operator``, ``--exponent`` and refinement, now and then a value
 to refuse or a flag the experiment does not take: a run prints a strict JSON
 report (exit 0 when ok, 1 naming the failing rows), or exits 2 with one line
-naming a flag it was given.
+naming a flag it was given.  ``cww`` and ``sharpness`` draw ``--log2-n`` 6-8,
+``--ensemble`` 1-2, ``--khintchine`` 0-4, periods and family parameters up to
+and far past the feasible ones, one line in four with a value to refuse: a
+run prints its strict JSON report or exits 2 naming a flag, and a
+``sharpness`` report holds exactly the feasible parameters from ``n_min`` on,
+noting the skipped ones.
 """
 
 import json
@@ -31,6 +36,7 @@ from hypothesis import strategies as st
 from lacuna import lacunary
 from lacuna.cli import main
 from lacuna.harness import ENDPOINT_OPERATORS, HORMANDER_OPERATORS
+from lacuna.multipliers import max_feasible_parameter
 from lacuna.spectral import Signal, write_signal
 
 SPECIAL = ["", "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-1e-400", "0", "-0",
@@ -240,24 +246,87 @@ def verify_lines(draw):
     return argv + draw(st.sampled_from([[], ["--refine"], ["--no-refine"]]))
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=verify_lines())
-def test_verify_flags_end_in_a_report_or_a_named_field(capsys, argv):
-    code = run_main(argv)
-    captured = capsys.readouterr()
+def _report_or_named_field(argv, code, captured, experiment):
+    """A run ends in a strict JSON report of its experiment (ok exactly when
+    it exits 0), or exits 2 with one line naming a flag it was given."""
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in captured.err
     if code == 2:
         # argparse prints its usage first; the program's own refusal is one line
         lines = captured.err.splitlines()
         assert lines and (len(lines) == 1 or "error: argument" in lines[-1]), (argv, lines)
-        fields = {arg.split("=")[0][2:] for arg in argv[2:]}
+        fields = {arg.split("=")[0][2:] for arg in argv if arg.startswith("--")}
         fields |= {field.replace("-", "_") for field in fields}
         assert any(field in lines[-1] for field in fields), (argv, lines)
-        return
+        return None
     payload = json.loads(captured.out, parse_constant=_reject)
-    # exit 1 is a report whose gate failed, and it names the failing rows
     assert payload["ok"] is (code == 0), argv
-    assert bool(payload["notes"]) is (code == 1), argv
-    assert payload["experiment"] == argv[1]
+    assert payload["experiment"] == experiment
+    return payload
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=verify_lines())
+def test_verify_flags_end_in_a_report_or_a_named_field(capsys, argv):
+    code = run_main(argv)
+    payload = _report_or_named_field(argv, code, capsys.readouterr(), argv[1])
+    if payload is not None:
+        # exit 1 is a report whose gate failed, and it names the failing rows
+        assert bool(payload["notes"]) is (code == 1), argv
+
+
+# family parameters past every feasible one (at most 3 on these grids)
+PAST_FEASIBLE = st.sampled_from(["8", "64", "1000000000000", str(2**70)])
+# (flag, values that run in a few tens of milliseconds, values to refuse)
+EXPERIMENT_FLAGS = {
+    "cww": (
+        ("--log2-n", st.integers(6, 8).map(str), st.sampled_from(["", "x", "3", "23"])),
+        ("--ensemble", st.integers(1, 2).map(str),
+         st.sampled_from(["", "x", "0", "-1", "1.5", "10001", str(2**70)])),
+        ("--sigma", st.integers(0, 8).map(str), VALUES),
+        ("--seed", st.integers(0, 2**64).map(str), VALUES),
+    ),
+    # largest first: at 2^8 and period 2 the feasible parameters are 2 and 3
+    "sharpness": (
+        ("--log2-n", st.sampled_from(["8", "7", "6"]), st.sampled_from(["", "x", "3", "23"])),
+        ("--period", st.sampled_from(["2", "4", "16"]), VALUES),
+        ("--n-min", st.sampled_from(["2", "3", "8"]), VALUES),
+        ("--n-max", st.sampled_from(["3", "2", "5"]) | PAST_FEASIBLE, VALUES),
+        ("--khintchine", st.integers(0, 4).map(str),
+         st.sampled_from(["", "x", "-1", "1.5", "10001", str(2**70)])),
+        ("--n-levels", st.integers(2, 40).map(str), VALUES),
+        ("--seed", st.integers(0, 2**64).map(str), VALUES),
+    ),
+}
+# unset, these would run the default 2^12 grid, 12 members or 256 draws, or
+# leave no feasible family parameter (period 16, n_min 4)
+EXPERIMENT_ALWAYS = ("--log2-n", "--ensemble", "--khintchine", "--period", "--n-min",
+                     "--n-max")
+
+
+@st.composite
+def experiment_lines(draw):
+    experiment = draw(st.sampled_from(sorted(EXPERIMENT_FLAGS)))
+    flags = [(name, good, bad) for name, good, bad in EXPERIMENT_FLAGS[experiment]
+             if name in EXPERIMENT_ALWAYS or draw(st.booleans())]
+    # one line in four gives one flag a value to refuse, so most lines run
+    refused = draw(st.sampled_from(range(len(flags)))) if _one_in(draw, 4) else None
+    return [experiment] + [f"{name}={draw(bad if i == refused else good)}"
+                           for i, (name, good, bad) in enumerate(flags)]
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=experiment_lines())
+def test_cww_and_sharpness_flags_end_in_a_report_or_a_named_field(capsys, argv):
+    code = run_main(argv)
+    payload = _report_or_named_field(argv, code, capsys.readouterr(), argv[0])
+    if payload is not None and argv[0] == "sharpness":
+        # the parameters past the feasible one are skipped, and the note says so
+        cfg = payload["config"]
+        feasible = max_feasible_parameter(cfg["log2_n"], cfg["period"])
+        assert [row["n"] for row in payload["rows"]] == list(
+            range(cfg["n_min"], min(cfg["n_max"], feasible) + 1)), argv
+        skipped = f"parameters above {feasible} skipped (band overflow)"
+        assert (skipped in payload["notes"]) is (cfg["n_max"] > feasible), argv

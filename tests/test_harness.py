@@ -17,6 +17,7 @@ from lacuna.multipliers import build_sharpness_family
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import AliasFlags, BandBank, Signal, spectrum
 from test_orlicz import bisection_luxemburg
+from test_multipliers import step_violations
 from test_spectral import square_reference
 
 
@@ -109,6 +110,7 @@ class TestConfig:
             {"gamma": math.inf},
             {"min_scale_log2": 1},
             {"khintchine": -1},
+            {"khintchine": 10_001},
             {"period": 2.0**65},
             {"min_scale_log2": -65},
             {"n_levels": 10_001},
@@ -123,8 +125,9 @@ class TestConfig:
     def test_size_bounds_are_inclusive(self):
         cfg = hn.make_config({"period": 2.0**hn.MAX_SCALE_LOG2,
                               "min_scale_log2": -hn.MAX_SCALE_LOG2,
-                              "n_levels": hn.MAX_N_LEVELS, "ensemble": hn.MAX_ENSEMBLE})
-        assert cfg.ensemble == hn.MAX_ENSEMBLE
+                              "n_levels": hn.MAX_N_LEVELS, "ensemble": hn.MAX_ENSEMBLE,
+                              "khintchine": hn.MAX_ENSEMBLE})
+        assert cfg.ensemble == cfg.khintchine == hn.MAX_ENSEMBLE
 
     def test_threads_is_accepted_and_ignored(self, monkeypatch):
         # the field only echoes into the report's config block
@@ -292,25 +295,26 @@ class TestOperators:
     def test_step_halves_blocks(self):
         # two half-windows per block at +-1/2 give mass 1/2 = 1/N with N = 2
         family = lambda_tau(2, DyadicScalar.pow2(-3), DyadicScalar.from_int(8))
-        m = hn._halved_step(family, np.random.default_rng(0))
-        report = m.validate(family)
-        assert report["ok"] and m.overlap_bound == 2
-        assert len(m.pieces) == 2 * len(family)
-        for mass in report["block_mass"].values():
-            assert abs(mass - 0.5) < 1e-15
+        bank = hn._halved_step(family, np.random.default_rng(0))
+        assert step_violations(bank.windows, family, 2) == []
+        assert len(bank.windows) == 2 * len(family)
+        for block, (lo, mid, c0), (mid_, hi, c1) in zip(family, bank.windows[::2],
+                                                        bank.windows[1::2]):
+            assert (lo, mid, mid_, hi) == (block.left, block.center, block.center, block.right)
+            assert abs(c0) ** 2 + abs(c1) ** 2 == 0.5
 
     def test_step_scales_a_pure_tone_by_its_piece(self):
         family = lambda_tau(2, DyadicScalar.pow2(-6), DyadicScalar.from_int(32))
-        m = hn._halved_step(family, np.random.default_rng(4))
+        bank = hn._halved_step(family, np.random.default_rng(4))
         lam = 43.0 / 16.0
         lam_d = DyadicScalar.from_float(lam)
-        owners = [p for p in m.pieces if p.lo <= lam_d and lam_d < p.hi]
+        owners = [c for lo, hi, c in bank.windows if lo <= lam_d and lam_d < hi]
         assert len(owners) == 1
         n = 1 << 10
         x = -8.0 + (16.0 / n) * np.arange(n)
         sig = Signal(np.exp(2j * np.pi * lam * x), 16.0, -8.0)
-        out = m.bank().combine(sig)
-        expected = owners[0].coeff * sig.samples
+        out = bank.combine(sig)
+        expected = owners[0] * sig.samples
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_hormander_symbol_is_multiplicative_on_tones(self):
@@ -689,7 +693,7 @@ class TestRefinementRule:
                     flags.mark("fine band past the Nyquist")
                 return op.apply(sig, flags)
 
-            return hn.OperatorSpec(op.kind, op.label, op.exponent, apply)
+            return hn.OperatorSpec(op.label, op.exponent, apply)
 
         monkeypatch.setattr(hn, "build_operator", aliasing_on_fine)
         rep = hn.verify_endpoint(cfg, "step")

@@ -1,5 +1,7 @@
-"""Tests for step multipliers, their application, and the sharpness family."""
+"""Tests for step multipliers (band-bank windows in the step class), their
+application, and the sharpness family."""
 
+import bisect
 import math
 from fractions import Fraction as F
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.lacunary import LacInterval, lambda_tau
+from lacuna.lacunary import lambda_tau
+from lacuna import harness
 from lacuna import multipliers as mult
 from lacuna import spectral as sp
 from test_spectral import square_reference
@@ -31,68 +34,135 @@ def block_at(family, left):
 # -- step multipliers --------------------------------------------------------
 
 
-def apply_step(sig, m, flags=None):
+def step_violations(windows, family, bound):
+    """The step-class invariants with class parameter N = ``bound``, checked
+    in exact rationals: every window ``(lo, hi, coeff)`` is nonempty and lies
+    in the family block that holds ``lo`` (the blocks are disjoint), each
+    block's coefficient l2 mass is at most 1/N, and no frequency lies in more
+    than N windows.  Returns one message per violation."""
+    violations = []
+    blocks = sorted((L.left.as_fraction(), L.right.as_fraction()) for L in family)
+    lefts = [left for left, _ in blocks]
+    mass = {}
+    for i, (lo, hi, coeff) in enumerate(windows):
+        lo, hi, coeff = lo.as_fraction(), hi.as_fraction(), complex(coeff)
+        if not lo < hi:
+            violations.append(f"window {i} is empty")
+        owner = blocks[max(bisect.bisect_right(lefts, lo) - 1, 0)]
+        if not owner[0] <= lo < owner[1]:
+            violations.append(f"window {i} lies in no block")
+        elif hi > owner[1]:
+            violations.append(f"window {i} escapes its block")
+        else:
+            mass[owner] = mass.get(owner, 0) + F(coeff.real) ** 2 + F(coeff.imag) ** 2
+    for block, total in sorted(mass.items()):
+        if total > F(1, bound):
+            violations.append(f"block [{block[0]}, {block[1]}) coefficient mass {total} "
+                              "exceeds 1/N")
+    # sweep the window ends, a window's end before another's start at one point
+    depth = overlap = 0
+    for _, step in sorted(e for lo, hi, _ in windows
+                          for e in ((lo.as_fraction(), 1), (hi.as_fraction(), -1))):
+        depth += step
+        overlap = max(overlap, depth)
+    if overlap > bound:
+        violations.append(f"overlap {overlap} exceeds bound {bound}")
+    return violations
+
+
+def apply_step(sig, windows, flags=None):
     """A step multiplier applied through its band bank, one inverse transform."""
-    return sig.with_samples(m.bank().combine(sig, flags=flags))
+    return sig.with_samples(sp.BandBank(windows).combine(sig, flags=flags))
 
 
-def two_block_step(coeffs=(0.5, 0.5), overlap_bound=2):
-    family = lambda_tau(1, D.pow2(-1), D.from_int(8))
-    L1 = block_at(family, 1.0)  # [1, 2)
-    L2 = block_at(family, 2.0)  # [2, 4)
-    pieces = (
-        mult.StepPiece(D.from_int(1), D.from_fraction(F(3, 2)), coeffs[0], L1),
-        mult.StepPiece(D.from_int(2), D.from_int(3), coeffs[1], L2),
-    )
-    return mult.StepMultiplier(pieces, overlap_bound)
+ORDER1 = lambda_tau(1, D.pow2(-1), D.from_int(8))
+
+
+def two_block_step(coeffs=(0.5, 0.5)):
+    """Windows [1, 3/2) and [2, 3) in the order-1 blocks [1, 2) and [2, 4)."""
+    return [(D.from_int(1), D.from_fraction(F(3, 2)), coeffs[0]),
+            (D.from_int(2), D.from_int(3), coeffs[1])]
 
 
 class TestStepMultiplier:
     def test_valid_construction(self):
-        sm = two_block_step()
-        report = sm.validate()
-        assert report["ok"]
-        assert report["max_overlap"] == 1
+        assert step_violations(two_block_step(), ORDER1, 1) == []
+        assert step_violations(two_block_step(), ORDER1, 2) == []
 
     def test_containment_violation_raises(self):
-        family = lambda_tau(1, D.pow2(-1), D.from_int(8))
-        L1 = family[0]
-        piece = mult.StepPiece(
-            L1.left, L1.right + L1.length, 0.1, L1
-        )  # escapes on the right
-        with pytest.raises(ValueError):
-            mult.StepMultiplier((piece,), 1)
+        L1 = ORDER1[0]
+        window = (L1.left, L1.right + L1.length, 0.1)  # escapes on the right
+        assert step_violations([window], ORDER1, 1) == ["window 0 escapes its block"]
+        empty = (L1.right, L1.left, 0.1)
+        assert step_violations([empty], ORDER1, 1) == ["window 0 is empty"]
 
     def test_budget_violation_raises(self):
-        with pytest.raises(ValueError):
-            two_block_step(coeffs=(0.9, 0.2), overlap_bound=2)  # 0.81 > 1/2
+        # 0.9^2 > 1/2, and the mass is summed exactly: 0.5^2 + 0.5^2 = 1/2 passes
+        assert step_violations(two_block_step(coeffs=(0.9, 0.2)), ORDER1, 2) == [
+            f"block [1, 2) coefficient mass {F(0.9) ** 2} exceeds 1/N"]
+        L = block_at(ORDER1, 1.0)
+        halves = [(L.left, L.center, 0.5), (L.center, L.right, 0.5j)]
+        assert step_violations(halves, ORDER1, 2) == []
+        assert len(step_violations(halves, ORDER1, 3)) == 1
 
     def test_overlap_violation_raises(self):
-        family = lambda_tau(1, D.pow2(-1), D.from_int(8))
-        L = block_at(family, 1.0)
-        pieces = (
-            mult.StepPiece(D.from_int(1), D.from_fraction(F(7, 4)), 0.5, L),
-            mult.StepPiece(D.from_fraction(F(3, 2)), D.from_int(2), 0.5, L),
-        )
-        with pytest.raises(ValueError):
-            mult.StepMultiplier(pieces, 1)
+        L = block_at(ORDER1, 1.0)
+        windows = [(D.from_int(1), D.from_fraction(F(7, 4)), 0.5),
+                   (D.from_fraction(F(3, 2)), D.from_int(2), 0.5)]
+        assert step_violations(windows, ORDER1, 1) == ["overlap 2 exceeds bound 1"]
         # the same geometry is fine with bound 2 (budget 1/2 still met)
-        sm = mult.StepMultiplier(pieces, 2)
-        assert sm.validate()["max_overlap"] == 2
+        assert step_violations(windows, ORDER1, 2) == []
+        # half-open windows that only touch do not overlap
+        assert step_violations([(L.left, L.center, 0.5), (L.center, L.right, 0.5)],
+                               ORDER1, 2) == []
 
     def test_family_membership_check(self):
-        sm = two_block_step()
-        fam1 = lambda_tau(1, D.pow2(-1), D.from_int(8))
-        assert sm.validate(fam1)["ok"]
+        assert step_violations(two_block_step(), ORDER1, 2) == []
+        # the order-2 blocks start at 1 + 1/16 and 2 + 1/16
         fam2 = lambda_tau(2, D.pow2(-4), D.from_int(8))
-        assert not sm.validate(fam2)["ok"]
+        assert step_violations(two_block_step(), fam2, 2) == [
+            "window 0 lies in no block", "window 1 lies in no block"]
+        # [5/4, 3) starts in the block [5/4, 3/2) and leaves it
+        across = [(D.from_fraction(F(5, 4)), D.from_int(3), 0.5)]
+        assert step_violations(across, fam2, 2) == ["window 0 escapes its block"]
 
     def test_prototype_is_valid_step_form(self):
-        proto = mult.prototype_multiplier(2, D.pow2(-3), D.from_int(8))
-        report = proto.validate(lambda_tau(2, D.pow2(-3), D.from_int(8)))
-        assert report["ok"]
-        assert report["max_overlap"] == 1
-        assert all(abs(p.coeff) == 1.0 for p in proto.pieces)
+        family = lambda_tau(2, D.pow2(-3), D.from_int(8))
+        bank = mult.prototype_multiplier(2, D.pow2(-3), D.from_int(8))
+        assert step_violations(bank.windows, family, 1) == []
+        assert all(abs(c) == 1.0 for _, _, c in bank.windows)
+        assert bank.label == "step_multiplier"
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 10, 2026])
+def test_prototype_windows_are_the_signed_blocks(tau, seed):
+    family = lambda_tau(tau, D.pow2(-6), D.from_int(64))
+    bank = mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64),
+                                     rng=np.random.default_rng(seed))
+    signs = np.random.default_rng(seed).choice([-1, 1], size=len(family))
+    assert bank.windows == tuple((L.left, L.right, complex(s)) for L, s in zip(family, signs))
+    assert step_violations(bank.windows, family, 1) == []
+    # explicit signs give the same windows; a wrong count is refused
+    assert mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64),
+                                     signs=signs).windows == bank.windows
+    with pytest.raises(ValueError, match="one sign per block"):
+        mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64), signs=signs[1:])
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 10, 2026])
+def test_halved_step_windows_are_the_signed_halves(tau, seed):
+    family = lambda_tau(tau, D.pow2(-6), D.from_int(64))
+    bank = harness._halved_step(family, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    want = []
+    for L in family:
+        s = rng.choice([-1.0, 1.0], size=2)
+        want += [(L.left, L.center, complex(0.5 * s[0])), (L.center, L.right, complex(0.5 * s[1]))]
+    assert bank.windows == tuple(want) and bank.label == "step_multiplier"
+    assert step_violations(bank.windows, family, 2) == []
+    assert len(step_violations(bank.windows, family, 3)) == len(family)  # mass 1/2 > 1/3
 
 
 # -- application --------------------------------------------------------------
@@ -109,57 +179,50 @@ class TestApplication:
         )
 
     def test_identity_symbol(self):
-        # one unit piece over the whole sampled band [-n/(2P), n/(2P))
+        # one unit window over the whole sampled band [-n/(2P), n/(2P))
         sig = self.make_signal()
         half = D.from_fraction(F(sig.n, 2) / F(sig.period))
-        band = LacInterval(-half, half, 1, D.from_int(0), None)
-        m = mult.StepMultiplier((mult.StepPiece(band.left, band.right, 1.0, band),), 1)
-        out = apply_step(sig, m)
+        out = apply_step(sig, [(-half, half, 1.0)])
         scale = np.max(np.abs(sig.samples))
         assert np.max(np.abs(out.samples - sig.samples)) < 1e-12 * scale
 
     def test_block_indicator_equals_sharp_projection(self):
         sig = self.make_signal()
-        family = lambda_tau(1, D.pow2(-1), D.from_int(8))
-        L = block_at(family, 1.0)
-        piece = mult.StepPiece(L.left, L.right, 1.0, L)
-        sm = mult.StepMultiplier((piece,), 1)
-        via_mult = apply_step(sig, sm)
+        L = block_at(ORDER1, 1.0)
+        via_mult = apply_step(sig, [(L.left, L.right, 1.0)])
         via_proj = sp.project_sharp(sig, L)
         assert np.max(np.abs(via_mult.samples - via_proj.samples)) < 1e-12
 
     def test_plancherel_contraction(self):
         sig = self.make_signal(seed=4)
-        sm = two_block_step()
-        out = apply_step(sig, sm)
-        sup = max(abs(p.coeff) for p in sm.pieces)
+        windows = two_block_step()
+        out = apply_step(sig, windows)
+        sup = max(abs(c) for _, _, c in windows)
         assert _l2(out) <= sup * _l2(sig) + 1e-12
 
     def test_linearity(self):
         f = self.make_signal(seed=5)
         g = self.make_signal(seed=6)
-        sm = two_block_step(coeffs=(0.3, 0.4j))
-        both = apply_step(f.with_samples(f.samples + g.samples), sm)
+        windows = two_block_step(coeffs=(0.3, 0.4j))
+        both = apply_step(f.with_samples(f.samples + g.samples), windows)
         separate = (
-            apply_step(f, sm).samples + apply_step(g, sm).samples
+            apply_step(f, windows).samples + apply_step(g, windows).samples
         )
         assert np.max(np.abs(both.samples - separate)) < 1e-12
 
     def test_translation_commutes(self):
         sig = self.make_signal(seed=8)
-        sm = two_block_step()
+        windows = two_block_step()
         rolled = sig.with_samples(np.roll(sig.samples, 5))
-        a = apply_step(rolled, sm).samples
-        b = np.roll(apply_step(sig, sm).samples, 5)
+        a = apply_step(rolled, windows).samples
+        b = np.roll(apply_step(sig, windows).samples, 5)
         assert np.max(np.abs(a - b)) < 1e-11
 
     def test_aliasing_flagged(self):
         sig = self.make_signal(j=4, period=8.0)  # band edge at 1
-        family = lambda_tau(1, D.pow2(-1), D.from_int(8))
-        L = block_at(family, 2.0)
-        sm = mult.StepMultiplier((mult.StepPiece(L.left, L.right, 1.0, L),), 1)
+        L = block_at(ORDER1, 2.0)
         flags = sp.AliasFlags()
-        apply_step(sig, sm, flags)
+        apply_step(sig, [(L.left, L.right, 1.0)], flags)
         assert flags.aliased
 
 
@@ -190,7 +253,7 @@ class TestSharpnessFamily:
         # the centered window's offset phase at j/T is exactly (-1)^j;
         # synthesize, which evaluates it as exp(-pi i j), stays the near reference
         fam = mult.build_sharpness_family(order, log2_n)
-        n, period = 1 << log2_n, fam.period
+        n, period = 1 << log2_n, fam.f_n.period
         js = sp.freq_indices(n)
         coeffs = mult.base_bump_spectrum(js / period / 2.0**order).astype(complex)
         exact = np.fft.ifft(coeffs * (-1.0) ** np.abs(js)) * (n / period)
@@ -282,7 +345,7 @@ def test_square_at_is_the_one_matrix_expression_bitwise(order, log2_n):
     fam = mult.build_sharpness_family(order, log2_n)
     rng = np.random.default_rng(order)
     xs = np.concatenate([fam.f_n.x[[0, 5, 1 << (log2_n - 1)]],
-                         rng.uniform(-fam.period / 2, fam.period / 2, 13)])
+                         rng.uniform(-fam.f_n.period / 2, fam.f_n.period / 2, 13)])
     for sig in (fam.f_n, fam.g_n):
         got = fam.bank.square_at(sig, xs)
         assert np.array_equal(got, one_matrix_square_at(fam.bank, sig, xs))

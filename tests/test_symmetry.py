@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from lacuna import spectral as sp
-from lacuna.multipliers import build_sharpness_family
+from lacuna.dyadic import DyadicScalar as D
+from lacuna.harness import _halved_step
+from lacuna.lacunary import lambda_tau
+from lacuna.multipliers import build_sharpness_family, prototype_multiplier
 import test_spectral
 
 SCALES = [-30, 5, 40]
@@ -33,10 +36,23 @@ def sharpness_case():
     return fam.bank, fam.f_n
 
 
+def step_case(kind):
+    # the verify operators' step multipliers at tau 3, on 2^10 samples of period 8
+    args = (3, D.pow2(-6), D.pow2(4))
+    rng = np.random.default_rng(73)
+    if kind == "prototype":
+        bank = prototype_multiplier(*args, rng=rng)
+    else:
+        bank = _halved_step(lambda_tau(*args), rng)
+    return bank, random_signal(1 << 10, -4.0)
+
+
 CASES = {
     "sharp": lambda: (family_bank("sharp"), random_signal(1 << 10, 0.0)),
     "eta": lambda: (family_bank("eta"), random_signal(1 << 10, -4.0)),
     "sharpness": sharpness_case,
+    "prototype": lambda: step_case("prototype"),
+    "step": lambda: step_case("step"),
 }
 
 
