@@ -17,7 +17,7 @@ from .harness import (
     verify_zygmund_bonami,
     weak_type_ratio,
 )
-from .lacunary import LacInterval, LacPointSet, lac_tau, lambda_tau, whitney
+from .lacunary import LacInterval, LacPointSet, lac_tau, lambda_tau
 from .martingale import DyadicFunction, cww_check, decompose_quotient_norm
 from .multipliers import SharpnessFamily, build_sharpness_family, prototype_multiplier
 from .orlicz import YoungFunction, exp_norm, luxemburg_avg
@@ -71,7 +71,6 @@ __all__ = [
     "verify_zygmund_bonami",
     "weak_l1_norm",
     "weak_type_ratio",
-    "whitney",
     "write_signal",
     "__version__",
 ]

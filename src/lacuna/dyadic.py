@@ -77,10 +77,6 @@ class DyadicScalar:
         return (0.0 if top < 0 else math.inf) * (-1 if m < 0 else 1)
 
     # -- predicates ----------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
     def is_power_of_two(self) -> bool:
         return self.mantissa == 1
 
@@ -99,11 +95,7 @@ class DyadicScalar:
 
     def _aligned(self, other: "DyadicScalar") -> tuple[int, int, int]:
         e = min(self.exponent, other.exponent)
-        return (
-            self.mantissa << (self.exponent - e),
-            other.mantissa << (other.exponent - e),
-            e,
-        )
+        return self.mantissa << (self.exponent - e), other.mantissa << (other.exponent - e), e
 
     def __add__(self, other: "DyadicScalar") -> "DyadicScalar":
         a, b, e = self._aligned(other)
@@ -113,29 +105,18 @@ class DyadicScalar:
         a, b, e = self._aligned(other)
         return DyadicScalar(a - b, e)
 
-    def __mul__(self, other: "DyadicScalar") -> "DyadicScalar":
-        return DyadicScalar(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
     def scale_pow2(self, k: int) -> "DyadicScalar":
         """Exact multiplication by 2**k."""
         return DyadicScalar(self.mantissa, self.exponent + k)
 
-    # -- ordering -------------------------------------------------------
-    def _cmp(self, other: "DyadicScalar") -> int:
-        a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
-
+    # -- ordering: ``>`` and ``>=`` are these, reflected ----------------
     def __lt__(self, other: "DyadicScalar") -> bool:
-        return self._cmp(other) < 0
+        a, b, _ = self._aligned(other)
+        return a < b
 
     def __le__(self, other: "DyadicScalar") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "DyadicScalar") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "DyadicScalar") -> bool:
-        return self._cmp(other) >= 0
+        a, b, _ = self._aligned(other)
+        return a <= b
 
     def __repr__(self) -> str:
         return f"Dyadic({self.mantissa}*2^{self.exponent})"

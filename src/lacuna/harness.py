@@ -38,7 +38,7 @@ import numpy as np
 
 from .czd import cz_decompose, lacunary_bins, lattice_coefficients, remove_lacunary
 from .dyadic import DyadicScalar
-from .lacunary import LacInterval, lambda_tau, lattice_points
+from .lacunary import Level, interval_arrays, lattice_points
 from .martingale import (
     DyadicFunction,
     azuma_tail_bound,
@@ -54,9 +54,8 @@ from .spectral import (
     AliasFlags,
     BandBank,
     Signal,
-    eta_window,
+    eta_bank,
     plateau_bump,
-    sharp_window,
     weak_l1_norm,
 )
 
@@ -396,16 +395,15 @@ def _caps(cfg: ExperimentConfig) -> tuple[DyadicScalar, DyadicScalar, DyadicScal
     return sharp_cap, smooth_cap, min_scale, smooth_floor
 
 
-def _halved_step(family: Sequence[LacInterval], rng: np.random.Generator) -> BandBank:
-    """The step multiplier of two half windows per block with coefficients
-    +-1/2: block mass 2 * (1/2)^2 = 1/2, so the class parameter is N = 2."""
-    windows = []
-    for block in family:
-        mid = block.center
-        signs = rng.choice([-1.0, 1.0], size=2)
-        windows.append((block.left, mid, complex(0.5 * signs[0])))
-        windows.append((mid, block.right, complex(0.5 * signs[1])))
-    return BandBank(windows, "step_multiplier")
+def _halved_step(family: Level, exponent: int, rng: np.random.Generator) -> BandBank:
+    """The step multiplier of two half windows per block of ``family`` (in
+    units of ``2^exponent``) with coefficients +-1/2: block mass
+    2 * (1/2)^2 = 1/2, so the class parameter is N = 2."""
+    mid = family.left + family.right  # in half units
+    lo = np.stack((2 * family.left, mid), axis=1).ravel()
+    hi = np.stack((mid, 2 * family.right), axis=1).ravel()
+    signs = rng.choice([-1.0, 1.0], size=(family.left.size, 2)).ravel()
+    return BandBank(lo, hi, exponent - 1, (0.5 * signs).astype(complex), "step_multiplier")
 
 
 def _combined(label: str, exponent: float, bank: BandBank, weights=None) -> OperatorSpec:
@@ -427,23 +425,25 @@ def build_operator(kind: str, cfg: ExperimentConfig,
         return _combined(f"prototype-tau{cfg.tau}", cfg.tau / 2, bank)
 
     if kind == "step":
-        bank = _halved_step(lambda_tau(cfg.tau, min_scale, sharp_cap), rng)
+        family = interval_arrays(cfg.tau, min_scale, sharp_cap)[-1]
+        bank = _halved_step(family, cfg.min_scale_log2, rng)
         return _combined(f"step-N2-tau{cfg.tau}", cfg.tau / 2, bank)
 
     if kind == "lp":
-        family = lambda_tau(cfg.tau, min_scale, sharp_cap)
-        bank = BandBank([sharp_window(block) for block in family], "lp")
+        family = interval_arrays(cfg.tau, min_scale, sharp_cap)[-1]
+        bank = BandBank(family.left, family.right, cfg.min_scale_log2,
+                        np.ones(family.left.size), "lp")
         return OperatorSpec(f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2, bank.square)
 
     if kind == "smooth-sqfn":
-        family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
-        bank = BandBank([eta_window(block) for block in family], "smooth-sqfn")
+        family = interval_arrays(cfg.tau, smooth_floor, smooth_cap)[-1]
+        bank = eta_bank(family.left, family.right, smooth_floor.log2(), "smooth-sqfn")
         return OperatorSpec(f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2, bank.square)
 
     if kind == "hormander":
-        family = lambda_tau(cfg.tau, smooth_floor, smooth_cap)
-        eps = rng.choice([-1.0, 1.0], size=len(family))
-        bank = BandBank([eta_window(block) for block in family], "hormander")
+        family = interval_arrays(cfg.tau, smooth_floor, smooth_cap)[-1]
+        eps = rng.choice([-1.0, 1.0], size=family.left.size)
+        bank = eta_bank(family.left, family.right, smooth_floor.log2(), "hormander")
         return _combined(f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2, bank, eps)
 
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -750,12 +750,14 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
               "on the unit window, against Luxemburg averages of the input")
     # smooth blocks at unit scale and above, sharp sub-unit blocks, all sharp blocks
     _, smooth_cap, min_scale, _ = _caps(cfg)
-    wide = lambda_tau(cfg.tau, DyadicScalar.from_int(1), smooth_cap)
-    every = lambda_tau(cfg.tau, min_scale, smooth_cap)
-    banks = (BandBank([eta_window(block) for block in wide], "project_smooth"),
-             BandBank([sharp_window(block) for block in every
-                       if float(block.length) < 1.0], "cancellative"),
-             BandBank([sharp_window(block) for block in every], "combined"))
+    wide = interval_arrays(cfg.tau, DyadicScalar.from_int(1), smooth_cap)[-1]
+    every = interval_arrays(cfg.tau, min_scale, smooth_cap)[-1]
+    small = every.right - every.left < 1 << -cfg.min_scale_log2
+    banks = (eta_bank(wide.left, wide.right, 0, "project_smooth"),
+             BandBank(every.left[small], every.right[small], cfg.min_scale_log2,
+                      np.ones(np.count_nonzero(small)), "cancellative"),
+             BandBank(every.left, every.right, cfg.min_scale_log2,
+                      np.ones(every.left.size), "combined"))
     rows = _refined_rows(cfg, specs, lambda sig, label: _gen_zb_rows(
         cfg, sig, label, tail_gammas, banks))
     report = _finish_report("gen-zygmund-bonami", anchor, cfg, "window-blocks",

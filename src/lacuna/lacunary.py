@@ -6,8 +6,10 @@ order with its Whitney decomposition: the maximal dyadic subintervals ``L``
 of ``I`` with ``dist(L, R \\ I) = |L|``.  Each interval carries its parent
 and its *anchor*: the endpoint of the parent at distance ``|L|`` from ``L``.
 
-All endpoint/scale arithmetic is exact (:class:`~lacuna.dyadic.DyadicScalar`);
-intervals are half-open ``[left, right)`` on both half-axes.
+All endpoint/scale arithmetic is exact: a system is built as integer arrays in
+units of its smallest scale (:func:`interval_arrays`) and read out with
+:class:`~lacuna.dyadic.DyadicScalar` ends; intervals are half-open ``[left,
+right)`` on both half-axes.
 
 The point sets ``lac_tau`` are the signed sums ``±2^{n_1} ± ... ± 2^{n_tau}``
 with strictly decreasing exponents, which is the closure of the interval
@@ -28,6 +30,7 @@ point once.  The size of an interval system is a closed form
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,8 +45,9 @@ MAX_LACUNARY_TERMS = 1_000_000
 # most bits of a lattice bound: floats span 2,098 bits, 2^-1074 .. 2^1024,
 # and the cap bounds the Python integers a wide lattice is built from
 MAX_LATTICE_BITS = 2_100
-# largest interval system ``lambda_tau`` builds, about 6 s at 21 us an
-# interval (tau 5, window 64, scale 2^-16: 274,176 in 5.7 s)
+# largest interval system ``interval_arrays`` builds; at tau 5, window 64,
+# scale 2^-16 (274,176 intervals) its arrays take 0.02 s and ``lambda_tau``'s
+# list of intervals 4.0 s, 15 us an interval, on a 2-vCPU x86 host
 MAX_LACUNARY_INTERVALS = 300_000
 
 
@@ -67,23 +71,11 @@ class LacInterval:
     def length(self) -> DyadicScalar:
         return self.right - self.left
 
-    @property
-    def center(self) -> DyadicScalar:
-        # lengths are powers of two so the midpoint is dyadic
-        return self.left + self.length.scale_pow2(-1)
-
     def covers(self, lo: DyadicScalar, hi: DyadicScalar) -> bool:
         return self.left <= lo and hi <= self.right
 
     def key(self) -> tuple:
         return (self.order, self.left, self.right, self.anchor)
-
-    def __repr__(self) -> str:
-        return (
-            f"LacInterval(order={self.order}, "
-            f"[{float(self.left):g},{float(self.right):g}), "
-            f"anchor={float(self.anchor):g})"
-        )
 
 
 def _require_pow2(x: DyadicScalar, what: str) -> None:
@@ -91,65 +83,79 @@ def _require_pow2(x: DyadicScalar, what: str) -> None:
         raise ValueError(f"{what} must be a positive power of two, got {x!r}")
 
 
-def whitney(interval: LacInterval, min_scale: DyadicScalar) -> tuple[LacInterval, ...]:
-    """Maximal dyadic ``L ⊂ I`` with ``dist(L, R\\I) = |L|`` and ``|L| ≥ min_scale``.
-
-    The pieces at scale ``|I|/2^j`` (j ≥ 2) are the two intervals adjacent to
-    the inner quarter marks: ``[A + |I|/2^j, A + |I|/2^(j-1))`` and its mirror
-    at ``B``; no piece of scale ``|I|/2`` exists.  They come left to right:
-    those anchored at ``A`` by growing scale, then those anchored at ``B`` by
-    shrinking scale.  Nothing survives when ``min_scale > |I|/4``.
-    """
-    _require_pow2(min_scale, "min_scale")
-    length = interval.length
-    _require_pow2(length, "interval length")
-    s_parent = length.log2()
-    # dyadic interval check: left endpoint must be a multiple of the length
-    ratio = interval.left.scale_pow2(-s_parent)
-    if not ratio.is_zero and ratio.exponent < 0:
-        raise ValueError(f"{interval!r} is not a dyadic interval")
-
-    a, b = interval.left, interval.right
-    order = interval.order + 1
-    scales = range(min_scale.log2(), s_parent - 1)  # piece scales 2^s, s <= s_parent-2
-    powers = [(DyadicScalar.pow2(s), DyadicScalar.pow2(s + 1)) for s in scales]
-    return tuple(
-        [LacInterval(a + step, a + double, order, a, interval) for step, double in powers]
-        + [LacInterval(b - double, b - step, order, b, interval)
-           for step, double in reversed(powers)]
-    )
+# one order of a system in integer units: row i is ``[left[i], right[i])``, its
+# anchor, and its parent's row ``parent[i]`` in the order below (-1 at order 1)
+Level = namedtuple("Level", "left right anchor parent")
 
 
-def lambda_tau(
-    tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar
-) -> list[LacInterval]:
-    """Order-``tau`` interval system, truncated and windowed.
-
-    Keeps intervals with ``|L| ≥ min_scale`` contained in ``[-max_abs, max_abs]``.
-    ``tau = 0`` is rejected: the order-0 objects are the two open half-lines
-    (the parent of every order-1 block), not bounded intervals, and so is a
-    system of more than ``MAX_LACUNARY_INTERVALS`` intervals, counted in
-    closed form before any is built.
-    """
+def interval_arrays(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> list[Level]:
+    """The orders ``1 .. tau`` of ``lambda_tau(tau, min_scale, max_abs)`` in
+    units of ``min_scale``.  A system of more than ``MAX_LACUNARY_INTERVALS``
+    intervals, or of a window of ``MAX_LATTICE_BITS`` bits, is refused first."""
     count = lambda_tau_count(tau, min_scale, max_abs)
     if count > MAX_LACUNARY_INTERVALS:
         # a huge window's count has more digits than str() converts
         shown = count if count < 10**12 else "more than 10^12"
         raise ValueError(f"tau {tau} would build {shown} intervals, "
                          f"above the budget of {MAX_LACUNARY_INTERVALS}")
-    if count == 0:
-        return []
-    if tau == 1:
-        # the blocks +-[2^k, 2^(k+1)) left to right: the negative ones by
-        # shrinking scale, then the positive ones by growing scale
-        s_min, top = _window_log2(min_scale, max_abs)
-        powers = [(DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1)) for k in range(s_min, top)]
-        return ([LacInterval(-hi, -lo, 1, ZERO, None) for lo, hi in reversed(powers)]
-                + [LacInterval(lo, hi, 1, ZERO, None) for lo, hi in powers])
+    s_min, top = _window_log2(min_scale, max_abs)
+    if count and top - s_min >= MAX_LATTICE_BITS:
+        raise ValueError(f"max_abs / min_scale must lie below 2^{MAX_LATTICE_BITS}")
+    return _whitney_levels(tau, max(top - s_min, 0))  # a scale above the window: none
 
-    # the parents are disjoint and in order, and each one's pieces lie in it
-    return [piece for parent in lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs)
-            for piece in whitney(parent, min_scale)]
+
+def _whitney_levels(tau: int, span: int) -> list[Level]:
+    """Orders ``1 .. tau`` in units of the order-``tau`` scale, window
+    ``2^span``; order ``k`` keeps pieces of at least ``4^(tau - k)`` units.
+    Order 1 is the blocks ``+-[2^k, 2^(k+1))``, the negative ones first, each
+    half by growing ``|x|``.  One Whitney step makes each next order: a parent
+    ``[A, B)`` of length ``2^S`` has the pieces ``[A + 2^s, A + 2^(s+1))`` and
+    their mirrors at ``B``, ``s <= S - 2``, left to right.  Values stay below
+    2^58 in int64, leaving room for small multiples; Python integers above."""
+    dtype = np.int64 if span <= 58 else object
+    pow2 = np.array([1 << k for k in range(span + 1)], dtype=dtype)
+    scale = np.arange(2 * (tau - 1), span)
+    blocks = pow2[scale]
+    left = np.concatenate((-2 * blocks[::-1], blocks))
+    right = np.concatenate((-blocks[::-1], 2 * blocks))
+    scale = np.concatenate((scale[::-1], scale))
+    levels = [Level(left, right, np.zeros_like(left), np.full(left.size, -1))]
+    for order in range(2, tau + 1):
+        floor = 2 * (tau - order)
+        # parent i holds count[i] pieces on each side, at scales floor .. S - 2
+        count = np.maximum(scale - 1 - floor, 0)
+        parent = np.repeat(np.arange(count.size), 2 * count)
+        j = np.arange(parent.size) - np.repeat(np.cumsum(2 * count) - 2 * count, 2 * count)
+        per = count[parent]
+        up = j < per  # anchored at the left end
+        scale = np.where(up, floor + j, floor + 2 * per - 1 - j)
+        step = pow2[scale]
+        a, b = left[parent], right[parent]
+        left = np.where(up, a + step, b - 2 * step)
+        right = np.where(up, a + 2 * step, b - step)
+        levels.append(Level(left, right, np.where(up, a, b), parent))
+    return levels
+
+
+def lambda_tau(
+    tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar
+) -> list[LacInterval]:
+    """Order-``tau`` interval system, truncated and windowed: the last order
+    of :func:`interval_arrays` as intervals that hold their parents.
+
+    Keeps intervals with ``|L| ≥ min_scale`` contained in ``[-max_abs, max_abs]``.
+    ``tau = 0`` is rejected: the order-0 objects are the two open half-lines
+    (the parent of every order-1 block), not bounded intervals.
+    """
+    levels = interval_arrays(tau, min_scale, max_abs)
+    m, built = min_scale.log2(), []
+    for order, level in enumerate(levels, start=1):
+        parents = built
+        built = [LacInterval(DyadicScalar(left, m), DyadicScalar(right, m), order,
+                             DyadicScalar(anchor, m), parents[up] if order > 1 else None)
+                 for left, right, anchor, up in zip(level.left.tolist(), level.right.tolist(),
+                                                    level.anchor.tolist(), level.parent.tolist())]
+    return built
 
 
 def lambda_tau_count(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> int:
@@ -289,13 +295,7 @@ def dilate_set(points: LacPointSet, factor: DyadicScalar) -> LacPointSet:
 
 
 def interval_to_line(interval: LacInterval) -> str:
-    parts = [
-        interval.order,
-        interval.left.mantissa,
-        interval.left.exponent,
-        interval.right.mantissa,
-        interval.right.exponent,
-        interval.anchor.mantissa,
-        interval.anchor.exponent,
-    ]
-    return " ".join(str(p) for p in parts)
+    fields = [interval.order]
+    for end in (interval.left, interval.right, interval.anchor):
+        fields += [end.mantissa, end.exponent]
+    return " ".join(str(field) for field in fields)

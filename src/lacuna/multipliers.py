@@ -18,12 +18,12 @@ Two kinds of operator live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .dyadic import DyadicScalar
-from .lacunary import lambda_tau
+from .lacunary import interval_arrays
 from .spectral import (
     BandBank,
     Signal,
@@ -44,14 +44,14 @@ def prototype_multiplier(
 ) -> BandBank:
     """Random-sign block symbol: one window per family block, coefficient
     +-1 (a step multiplier with N = 1)."""
-    family = lambda_tau(tau, min_scale, max_abs)
+    family = interval_arrays(tau, min_scale, max_abs)[-1]
     if signs is None:
         rng = rng or np.random.default_rng(0)
-        signs = rng.choice([-1, 1], size=len(family))
-    if len(signs) != len(family):
+        signs = rng.choice([-1, 1], size=family.left.size)
+    if len(signs) != family.left.size:
         raise ValueError("need one sign per block")
-    return BandBank([(L.left, L.right, complex(s)) for L, s in zip(family, signs)],
-                    "step_multiplier")
+    return BandBank(family.left, family.right, min_scale.log2(),
+                    np.asarray(signs).astype(complex), "step_multiplier")
 
 
 # -- the sharpness family ------------------------------------------------------
@@ -68,10 +68,10 @@ def base_symbol(xi):
     return psi_bump(xi - 1.0) * (xi >= 1.0)
 
 
-def component_symbol_func(k: int, l: int) -> Callable[[np.ndarray], np.ndarray]:
-    scale = 2.0 ** (l - 1)
-    shift = 2.0**k
-    return lambda xi: base_symbol((np.asarray(xi, dtype=float) - shift) / scale)
+def component_symbol(xi, k, l):
+    """The ``(k, l)`` component's symbol ``base_symbol((xi - 2^k) / 2^(l-1))``,
+    elementwise over ``xi``, ``k`` and ``l``."""
+    return base_symbol((np.asarray(xi, dtype=float) - 2.0**k) / 2.0 ** (l - 1))
 
 
 def base_bump_spectrum(xi):
@@ -125,10 +125,9 @@ def build_sharpness_family(
     x = f_n.x
     g_n = f_n.with_samples(f_n.samples * (np.abs(x) <= 0.5))
     pairs = tuple((k, l) for k in range(2, n_param + 1) for l in range(1, k))
-    windows = []
-    for k, l in pairs:
-        # the (k, l) symbol lives in 2^k + 2^{l-1} * [1, 3/2]
-        lo = DyadicScalar.pow2(k) + DyadicScalar.pow2(l - 1)
-        hi = lo + DyadicScalar.pow2(l - 1)
-        windows.append((lo, hi, component_symbol_func(k, l)))
-    return SharpnessFamily(pairs, f_n, g_n, BandBank(windows, "sharpness"))
+    ks, ls = np.array(pairs).T
+    # the (k, l) symbol lives in 2^k + 2^{l-1} * [1, 3/2]
+    lo = (1 << ks) + (1 << (ls - 1))
+    bank = BandBank(lo, lo + (1 << (ls - 1)), 0,
+                    lambda xi, at: component_symbol(xi, ks[at], ls[at]), "sharpness")
+    return SharpnessFamily(pairs, f_n, g_n, bank)

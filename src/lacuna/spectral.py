@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import DyadicScalar
-from .lacunary import LacInterval, lambda_tau, normalize_to_origin
+from .lacunary import LacInterval, interval_arrays, normalize_to_origin
 
 MAGIC = b"LAC1"
 # largest grid exponent a signal file may declare (the experiments' own limit)
@@ -161,14 +161,50 @@ def eta(x):
 # -- exact lattice windows ------------------------------------------------
 
 
-def _lattice_bounds(lo: DyadicScalar, hi: DyadicScalar, period: float) -> tuple[int, int]:
-    """Integer j with lo <= j/T < hi, exactly: with T = t 2^-k a dyadic float,
-    ``ceil(m 2^e T) = -floor(-m t 2^(e-k))`` is a shift of the integer ``m t``."""
+def _window_bounds(lo: np.ndarray, hi: np.ndarray, exponent: int, period: float) -> tuple:
+    """Per window, the first and last ``j`` with ``lo <= j 2^-exponent / T < hi``,
+    exactly: with ``T = t 2^-k`` a dyadic float, ``ceil(q 2^e T) = -floor(-q t
+    2^(e-k))`` is a shift of the integer ``q t``, in int64 where it fits and in
+    Python integers beyond."""
     t, den = float(period).as_integer_ratio()
-    k = den.bit_length() - 1
-    jmin = -((-lo.mantissa * t << max(lo.exponent - k, 0)) >> max(k - lo.exponent, 0))
-    jend = -((-hi.mantissa * t << max(hi.exponent - k, 0)) >> max(k - hi.exponent, 0))
-    return jmin, jend - 1
+    shift = exponent - (den.bit_length() - 1)
+    ends = np.concatenate((lo, hi))
+    bits = int(np.abs(ends).max(initial=0)).bit_length() + t.bit_length() + max(shift, 0)
+    ends = ends.astype(np.int64 if bits < 63 and shift > -63 else object) * t
+    ends = ends << shift if shift >= 0 else -(-ends >> -shift)
+    return ends[:lo.size], ends[lo.size:] - 1
+
+
+def _lattice_windows(lo: np.ndarray, hi: np.ndarray, exponent: int, n: int,
+                     period: float, label: str) -> tuple:
+    """FFT-layout positions of the lattice frequencies ``j/T`` in each window
+    ``[lo, hi) 2^exponent``, clipped to the representable ``[-n/2, n/2 - 1]``,
+    concatenated in window order with each position's window index, and the
+    alias events of the windows that leave the lattice, in window order."""
+    jmin, jmax = _window_bounds(lo, hi, exponent, period)
+    half = n // 2
+    exceeds = (jmin < -half) | (jmax > half - 1)
+    # clipped on both sides, so that an empty window stays empty in int64
+    first = np.clip(jmin, -half, half).astype(np.int64)
+    last = np.clip(jmax, -half - 1, half - 1).astype(np.int64)
+    counts = np.maximum(last - first + 1, 0)
+    outside = (counts == 0) & (jmin <= jmax)
+    events = []
+    for i in np.flatnonzero(exceeds | outside).tolist():
+        if exceeds[i]:
+            events.append(f"{label}: window [{jmin[i]},{jmax[i]}] exceeds lattice +-{half}")
+        if outside[i]:
+            events.append(f"{label}: window entirely outside lattice")
+    owner = np.repeat(np.arange(lo.size), counts)
+    pos = np.arange(owner.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return pos % n, owner, events
+
+
+def _window(lo: DyadicScalar, hi: DyadicScalar) -> tuple:
+    """``[lo, hi)`` as one-entry integer arrays times ``2^exponent``: ``(lo, hi, exponent)``."""
+    e = min(lo.exponent, hi.exponent)
+    return (np.array([lo.mantissa << (lo.exponent - e)], dtype=object),
+            np.array([hi.mantissa << (hi.exponent - e)], dtype=object), e)
 
 
 def band_indices(
@@ -180,37 +216,10 @@ def band_indices(
 ) -> np.ndarray:
     """FFT-layout positions of lattice frequencies in [lo, hi), clipped to the
     representable range [-n/2, n/2 - 1] with flagging."""
-    jmin, jmax = _lattice_bounds(lo, hi, sig.period)
-    half = sig.n // 2
-    lo_clip, hi_clip = max(jmin, -half), min(jmax, half - 1)
-    if flags is not None and (jmin < -half or jmax > half - 1):
-        flags.mark(f"{label}: window [{jmin},{jmax}] exceeds lattice +-{half}")
-    if lo_clip > hi_clip:
-        if flags is not None and jmin <= jmax:
-            flags.mark(f"{label}: window entirely outside lattice")
-        return np.empty(0, dtype=np.int64)
-    return np.arange(lo_clip, hi_clip + 1, dtype=np.int64) % sig.n
+    return BandBank(*_window(lo, hi), np.ones(1), label).rows(sig, flags)[0][0]
 
 
 # -- band banks ------------------------------------------------------------
-
-
-def sharp_window(interval: LacInterval) -> tuple:
-    """Bank window of the indicator of ``[left, right)``."""
-    return interval.left, interval.right, 1.0
-
-
-def eta_window(interval: LacInterval) -> tuple:
-    """Bank window of the adapted bump ``eta((xi - c_L)/|L|)``; the padded
-    window covers its support (5/4)L."""
-    length = float(interval.length)
-    center = float(interval.center)
-    pad = DyadicScalar.from_float(0.75) * interval.length
-    return (
-        interval.left - pad,
-        interval.right + pad,
-        lambda xi: eta((xi - center) / length),
-    )
 
 
 _BandPlan = namedtuple("_BandPlan", "pos vals counts starts slots runs heads lags")
@@ -250,38 +259,34 @@ def _band_sums(plan: _BandPlan, values: np.ndarray) -> np.ndarray:
 
 
 class BandBank:
-    """The band operators ``T_i`` of ``(lo, hi, weight)`` windows: symbol
-    ``m_i`` is ``weight`` (a constant or a function of the frequencies) on
-    the exact lattice band ``[lo, hi)`` (see :func:`band_indices`).
+    """The band operators ``T_i`` of windows ``[lo_i, hi_i) 2^exponent``
+    (integer arrays): symbol ``m_i`` is ``weight`` on the exact lattice band
+    of window ``i``, one constant per window or one function ``weight(xi,
+    window)`` of all the bands' frequencies and their window indices.
 
     Every operation takes the grid from its signal and reads its one plan
-    (:func:`_band_plan`), resolved when the first signal on a ``(n, period)``
-    arrives and kept in ``grids`` with the alias events raised meanwhile
-    (replayed into the caller's flags on every use).  Operations work on the
-    bare ``fft`` of the samples: the offset phases that :func:`spectrum`
-    multiplies in and :func:`synthesize` takes out cancel in every band piece,
-    so the pieces come out at the signal's own samples.
+    (:func:`_band_plan`), resolved in one pass when the first signal on a
+    ``(n, period)`` arrives and kept in ``grids`` with the alias events raised
+    meanwhile (replayed into the caller's flags on every use).  Operations
+    work on the bare ``fft`` of the samples: the offset phases that
+    :func:`spectrum` multiplies in and :func:`synthesize` takes out cancel in
+    every band piece, so the pieces come out at the signal's own samples.
     """
 
-    def __init__(self, windows, label: str = "band") -> None:
-        self.windows = tuple(windows)
-        self.label = label
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, exponent: int, weight,
+                 label: str = "band") -> None:
+        self.lo, self.hi, self.exponent, self.weight, self.label = lo, hi, exponent, weight, label
         # (n, period) -> (plan, alias events)
         self.grids: dict = {}
 
     def _resolve(self, sig: Signal) -> tuple:
-        recorder = AliasFlags()
-        pos, vals = [np.empty(0, np.int64)], [np.empty(0)]
-        for lo, hi, weight in self.windows:
-            idx = band_indices(sig, lo, hi, recorder, self.label)
-            xi = _signed_indices(idx, sig.n) / sig.period
-            w = weight(xi) if callable(weight) else np.full(idx.size, weight)
-            keep = w != 0.0
-            pos.append(idx[keep])
-            vals.append(w[keep])
-        counts = np.array([idx.size for idx in pos[1:]], dtype=np.int64)
-        plan = _band_plan(np.concatenate(pos), np.concatenate(vals), counts, sig.n)
-        return plan, tuple(recorder.events)
+        pos, owner, events = _lattice_windows(self.lo, self.hi, self.exponent,
+                                              sig.n, sig.period, self.label)
+        xi = _signed_indices(pos, sig.n) / sig.period
+        vals = self.weight(xi, owner) if callable(self.weight) else self.weight[owner]
+        keep = vals != 0.0
+        counts = np.bincount(owner[keep], minlength=self.lo.size)
+        return _band_plan(pos[keep], vals[keep], counts, sig.n), tuple(events)
 
     def _grid(self, sig: Signal, flags: Optional[AliasFlags]) -> _BandPlan:
         key = (sig.n, sig.period)
@@ -401,6 +406,16 @@ class BandBank:
         return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))
 
 
+def eta_bank(lo: np.ndarray, hi: np.ndarray, exponent: int, label: str) -> BandBank:
+    """The bank of the adapted bumps ``eta((xi - c_L)/|L|)`` of the intervals
+    ``L = [lo, hi) 2^exponent``, each on the padded window ``(5/4)L`` that
+    covers its support."""
+    center = np.array([float(DyadicScalar(q, exponent - 1)) for q in (lo + hi).tolist()])
+    length = np.array([float(DyadicScalar(q, exponent)) for q in (hi - lo).tolist()])
+    return BandBank(7 * lo - 3 * hi, 7 * hi - 3 * lo, exponent - 2,
+                    lambda xi, at: eta((xi - center[at]) / length[at]), label)
+
+
 # -- projections ----------------------------------------------------------
 
 
@@ -408,7 +423,7 @@ def project_sharp(
     sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
     """Zero all coefficients outside ``[left, right)`` (exact membership)."""
-    bank = BandBank([sharp_window(interval)], "project_sharp")
+    bank = BandBank(*_window(interval.left, interval.right), np.ones(1), "project_sharp")
     return sig.with_samples(bank.combine(sig, flags=flags))
 
 
@@ -416,7 +431,7 @@ def project_smooth(
     sig: Signal, interval: LacInterval, flags: Optional[AliasFlags] = None
 ) -> Signal:
     """Multiply the spectrum by the adapted bump ``eta((xi - c_L)/|L|)``."""
-    bank = BandBank([eta_window(interval)], "project_smooth")
+    bank = eta_bank(*_window(interval.left, interval.right), "project_smooth")
     return sig.with_samples(bank.combine(sig, flags=flags))
 
 
@@ -464,9 +479,12 @@ def lp_square_function(
     family: sharp mode uses indicator windows, smooth mode the eta symbols."""
     if mode not in ("sharp", "smooth"):
         raise ValueError("mode must be 'sharp' or 'smooth'")
-    window = sharp_window if mode == "sharp" else eta_window
-    family = lambda_tau(order, min_scale, default_band(sig) if max_abs is None else max_abs)
-    bank = BandBank([window(L) for L in family], "square_function")
+    family = interval_arrays(order, min_scale, max_abs or default_band(sig))[-1]
+    if mode == "sharp":
+        bank = BandBank(family.left, family.right, min_scale.log2(), np.ones(family.left.size),
+                        "square_function")
+    else:
+        bank = eta_bank(family.left, family.right, min_scale.log2(), "square_function")
     return sig.with_samples(bank.square(sig, flags=flags))
 
 

@@ -84,7 +84,7 @@ class TestLacunary:
         def refuse(*args):
             raise AssertionError("the interval system was built")
 
-        monkeypatch.setattr(lacunary, "whitney", refuse)
+        monkeypatch.setattr(lacunary, "_whitney_levels", refuse)
         code = main(["lacunary", "--intervals", "--tau", "6", "--min-scale-log2", "-16"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -260,6 +260,25 @@ class TestSqfn:
         agg = read_signal(out_bin)
         assert np.all(np.abs(agg.samples.imag) == 0.0)
 
+    @pytest.mark.parametrize("mode", ["sharp", "smooth"])
+    def test_windows_past_int64_are_flagged_exactly(self, tmp_path, capsys, mode):
+        # up to 1e300 at scale 2^-6 the window ends span about 1,000 bits: the
+        # resolution runs on Python integers, and each event names the exact
+        # lattice bounds, as the per-window reference resolves them
+        from test_lacunary import reference_lambda_tau
+        from test_spectral import eta_window, reference_resolve, sharp_window
+
+        path = tmp_path / "f.bin"
+        sig = Signal(np.cos(np.arange(256)), 16.0, -8.0)
+        write_signal(path, sig)
+        code, got = run_json(capsys, ["sqfn", "--input", str(path), "--tau", "1",
+                                      "--max-abs", "1e300", "--mode", mode])
+        window = sharp_window if mode == "sharp" else eta_window
+        family = reference_lambda_tau(1, DyadicScalar.pow2(-6), DyadicScalar.from_float(1e300))
+        want = reference_resolve([window(L) for L in family], "square_function", sig)[3]
+        assert code == 1 and got["alias_events"] == list(want)
+        assert max(len(event) for event in want) > 600
+
     def test_smooth_mode(self, stored_signal, capsys):
         code, got = run_json(capsys, ["sqfn", "--input", str(stored_signal),
                                       "--mode", "smooth", "--max-abs", "16",
@@ -276,7 +295,7 @@ class TestSqfn:
         def refuse(*args):
             raise AssertionError("the interval system was built")
 
-        monkeypatch.setattr(lacunary, "whitney", refuse)
+        monkeypatch.setattr(lacunary, "_whitney_levels", refuse)
         path = tmp_path / "tiny.bin"
         write_signal(path, Signal(np.ones(64), period, -period / 2))
         code = main(["sqfn", "--input", str(path)] + max_abs)

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from lacuna import harness as hn
 from lacuna.dyadic import DyadicScalar
-from lacuna.lacunary import lac_tau, lambda_tau
+from lacuna.lacunary import interval_arrays, lac_tau, lambda_tau
 from lacuna.multipliers import build_sharpness_family
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import AliasFlags, BandBank, Signal, spectrum
 from test_orlicz import bisection_luxemburg
 from test_multipliers import step_violations
-from test_spectral import square_reference
+from test_spectral import bank_windows, square_reference
 
 
 def weak_type_ratio_reference(out_mags, in_vals, dx, exponent, n_levels=24):
@@ -295,20 +295,23 @@ class TestOperators:
     def test_step_halves_blocks(self):
         # two half-windows per block at +-1/2 give mass 1/2 = 1/N with N = 2
         family = lambda_tau(2, DyadicScalar.pow2(-3), DyadicScalar.from_int(8))
-        bank = hn._halved_step(family, np.random.default_rng(0))
-        assert step_violations(bank.windows, family, 2) == []
-        assert len(bank.windows) == 2 * len(family)
-        for block, (lo, mid, c0), (mid_, hi, c1) in zip(family, bank.windows[::2],
-                                                        bank.windows[1::2]):
-            assert (lo, mid, mid_, hi) == (block.left, block.center, block.center, block.right)
+        bank = hn._halved_step(interval_arrays(2, DyadicScalar.pow2(-3),
+                                               DyadicScalar.from_int(8))[-1], -3,
+                               np.random.default_rng(0))
+        windows = bank_windows(bank)
+        assert step_violations(windows, family, 2) == []
+        assert len(windows) == 2 * len(family)
+        for block, (lo, mid, c0), (mid_, hi, c1) in zip(family, windows[::2], windows[1::2]):
+            center = block.left + block.length.scale_pow2(-1)
+            assert (lo, mid, mid_, hi) == (block.left, center, center, block.right)
             assert abs(c0) ** 2 + abs(c1) ** 2 == 0.5
 
     def test_step_scales_a_pure_tone_by_its_piece(self):
-        family = lambda_tau(2, DyadicScalar.pow2(-6), DyadicScalar.from_int(32))
-        bank = hn._halved_step(family, np.random.default_rng(4))
+        family = interval_arrays(2, DyadicScalar.pow2(-6), DyadicScalar.from_int(32))[-1]
+        bank = hn._halved_step(family, -6, np.random.default_rng(4))
         lam = 43.0 / 16.0
         lam_d = DyadicScalar.from_float(lam)
-        owners = [c for lo, hi, c in bank.windows if lo <= lam_d and lam_d < hi]
+        owners = [c for lo, hi, c in bank_windows(bank) if lo <= lam_d and lam_d < hi]
         assert len(owners) == 1
         n = 1 << 10
         x = -8.0 + (16.0 / n) * np.arange(n)

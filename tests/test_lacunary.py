@@ -6,11 +6,15 @@ Oracles used here are independent of the library code paths:
   so no separate maximality pass is needed).
 - ``brute_signed_sums`` enumerates ``±2^{n_1}±...±2^{n_tau}`` naively over an
   exponent range.
-- ``reference_lac_tau`` is the former signed-sum enumeration behind
-  ``lac_tau`` (every exponent combination and sign choice, deduplicated), and
-  ``popcount_points`` the former rule behind ``lattice_points`` (a scan of
-  ``[-bound, bound]`` for ``popcount(q ^ 3q) <= tau``): the references the
-  one non-adjacent-form enumeration is checked against.
+- ``reference_lac_tau`` enumerates the signed sums behind ``lac_tau`` order
+  by order in Python sets, and ``popcount_points`` is the former rule behind
+  ``lattice_points`` (a scan of ``[-bound, bound]`` for ``popcount(q ^ 3q)
+  <= tau``): the references the one non-adjacent-form enumeration is checked
+  against.
+- ``whitney`` and ``reference_lambda_tau`` are the former construction of
+  the interval systems, one ``LacInterval`` of ``DyadicScalar`` ends at a
+  time: the reference the array builder behind ``lambda_tau`` is checked
+  against.
 - ``lac_tau`` is the oracle for ``lambda_tau_count``, which is also checked
   against the built system.
 """
@@ -37,13 +41,13 @@ from lacuna.lacunary import (
     MAX_LATTICE_BITS,
     LacInterval,
     dilate_set,
+    interval_arrays,
     interval_to_line,
     lac_tau,
     lambda_tau,
     lambda_tau_count,
     lattice_points,
     normalize_to_origin,
-    whitney,
 )
 
 D = DyadicScalar.from_fraction
@@ -114,21 +118,29 @@ def brute_signed_sums_exact(tau: int, emin: int, emax: int):
 
 
 def reference_lac_tau(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> tuple:
-    """The sorted points of ``lac_tau`` by enumerating every signed sum over
-    the exponents ``log2(min_scale) .. floor(log2(max_abs)) + tau``: a sum
-    led by a larger exponent exceeds ``max_abs``."""
+    """The sorted points of ``lac_tau``: the signed sums of ``tau`` distinct
+    powers ``2^e``, ``log2(min_scale) <= e <= floor(log2(max_abs)) + tau`` (a
+    sum led by a larger power exceeds ``max_abs``), built order by order in
+    units of ``min_scale``.  A sum takes its next power below its lowest one,
+    ``2^v`` for ``v`` its 2-adic valuation, and the powers still to come add
+    at most ``2^v - 1``, so a sum with ``|s| - 2^v + 1`` past the window is
+    dropped."""
     if tau == 0:
         return (ZERO,)
     emin = min_scale.log2()
     top = max_abs.exponent + abs(max_abs.mantissa).bit_length() - 1
-    values = set()
-    for combo in itertools.combinations(range(emin, top + tau + 1), tau):
-        weights = [1 << (e - emin) for e in combo]
-        for signs in itertools.product((1, -1), repeat=tau):
-            x = DyadicScalar(sum(s * w for s, w in zip(signs, weights)), emin)
-            if abs(x) <= max_abs:
-                values.add(x)
-    return tuple(sorted(values))
+    window = max_abs.as_fraction() / F(2) ** emin
+    sums = {0}
+    for _ in range(tau):
+        grown = set()
+        for s in sums:
+            low = (s & -s).bit_length() - 1 if s else top - emin + tau + 1
+            for e in range(low):
+                for q in (s + (1 << e), s - (1 << e)):
+                    if abs(q) - (1 << e) + 1 <= window:
+                        grown.add(q)
+        sums = grown
+    return tuple(DyadicScalar(q, emin) for q in sorted(sums) if abs(q) <= window)
 
 
 def popcount_points(tau: int, bound: int) -> np.ndarray:
@@ -151,7 +163,6 @@ dyadics = st.builds(
 def test_dyadic_add_matches_fractions(x, y):
     assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
     assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
-    assert (x * y).as_fraction() == x.as_fraction() * y.as_fraction()
 
 
 @given(dyadics)
@@ -177,6 +188,9 @@ def test_dyadic_canonical_form_of_wide_mantissas():
 def test_dyadic_ordering(x, y):
     assert (x < y) == (x.as_fraction() < y.as_fraction())
     assert (x <= y) == (x.as_fraction() <= y.as_fraction())
+    # the reflected comparisons
+    assert (x > y) == (x.as_fraction() > y.as_fraction())
+    assert (x >= y) == (x.as_fraction() >= y.as_fraction())
 
 
 @given(st.lists(st.tuples(dyadics, st.sampled_from([1, -1])), max_size=40))
@@ -224,6 +238,116 @@ def test_dyadic_from_float_exact():
     assert DyadicScalar.from_float(-2.5) == D(F(-5, 2))
     with pytest.raises(ValueError):
         DyadicScalar.from_fraction(F(1, 3))
+
+
+# -- the former construction ------------------------------------------------
+
+
+def _require_pow2(x, what):
+    if x.mantissa != 1:
+        raise ValueError(f"{what} must be a positive power of two, got {x!r}")
+
+
+def whitney(interval, min_scale):
+    """Maximal dyadic ``L`` in ``I`` with ``dist(L, R\\I) = |L|`` and ``|L| >=
+    min_scale``, as ``LacInterval`` pieces with ``interval`` as their parent.
+
+    The pieces at scale ``|I|/2^j`` (j >= 2) are the two intervals adjacent to
+    the inner quarter marks: ``[A + |I|/2^j, A + |I|/2^(j-1))`` and its mirror
+    at ``B``; no piece of scale ``|I|/2`` exists.  They come left to right:
+    those anchored at ``A`` by growing scale, then those anchored at ``B`` by
+    shrinking scale.  Nothing survives when ``min_scale > |I|/4``.
+    """
+    _require_pow2(min_scale, "min_scale")
+    length = interval.length
+    _require_pow2(length, "interval length")
+    s_parent = length.log2()
+    # dyadic interval check: left endpoint must be a multiple of the length
+    ratio = interval.left.scale_pow2(-s_parent)
+    if ratio.mantissa != 0 and ratio.exponent < 0:
+        raise ValueError(f"{interval!r} is not a dyadic interval")
+    a, b = interval.left, interval.right
+    order = interval.order + 1
+    scales = range(min_scale.log2(), s_parent - 1)  # piece scales 2^s, s <= s_parent-2
+    powers = [(DyadicScalar.pow2(s), DyadicScalar.pow2(s + 1)) for s in scales]
+    return tuple(
+        [LacInterval(a + step, a + double, order, a, interval) for step, double in powers]
+        + [LacInterval(b - double, b - step, order, b, interval)
+           for step, double in reversed(powers)]
+    )
+
+
+def reference_lambda_tau(tau, min_scale, max_abs):
+    """``lambda_tau`` by recursion over the orders, one ``whitney`` call per
+    parent (no interval budget)."""
+    if lambda_tau_count(tau, min_scale, max_abs) == 0:
+        return []
+    if tau == 1:
+        # the blocks +-[2^k, 2^(k+1)) left to right: the negative ones by
+        # shrinking scale, then the positive ones by growing scale
+        top = max_abs.exponent + abs(max_abs.mantissa).bit_length() - 1
+        powers = [(DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1))
+                  for k in range(min_scale.log2(), top)]
+        return ([LacInterval(-hi, -lo, 1, ZERO, None) for lo, hi in reversed(powers)]
+                + [LacInterval(lo, hi, 1, ZERO, None) for lo, hi in powers])
+    # the parents are disjoint and in order, and each one's pieces lie in it
+    return [piece for parent in reference_lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs)
+            for piece in whitney(parent, min_scale)]
+
+
+# gate 02's systems, the verify operators' at their default scales (sharp cap
+# 2^7, smooth cap 2^6 over the floor 2^-3 at 2^13 samples of period 16), and
+# windows of more than 62 bits: the 2^8-sample sqfn up to 1e300 and verify at
+# period 2 down to 2^-64
+ARRAY_CASES = (
+    [(tau, DyadicScalar.pow2(-6), DyadicScalar.pow2(10)) for tau in (1, 2, 3, 4)]
+    + [(tau, DyadicScalar.pow2(-6), DyadicScalar.pow2(7)) for tau in (1, 2, 3, 4)]
+    + [(tau, DyadicScalar.pow2(-3), DyadicScalar.pow2(6)) for tau in (1, 2, 3, 4)]
+    + [(1, DyadicScalar.pow2(-6), DyadicScalar.from_float(1e300)),
+       (1, DyadicScalar.pow2(-64), DyadicScalar.pow2(5)),
+       (2, DyadicScalar.pow2(-64), DyadicScalar.pow2(5)),
+       (2, DyadicScalar.pow2(-1000), DyadicScalar.from_float(3e-290))])
+
+
+@pytest.mark.parametrize("tau, min_scale, max_abs", ARRAY_CASES)
+def test_array_builder_matches_the_recursion(tau, min_scale, max_abs):
+    want = reference_lambda_tau(tau, min_scale, max_abs)
+    assert want
+    got = lambda_tau(tau, min_scale, max_abs)
+    assert [lineage(i) for i in got] == [lineage(i) for i in want]
+    # the arrays themselves, in units of min_scale: ends, anchors, and each
+    # piece's parent as its row in the order below, against the recursion's
+    # orders 1 .. tau
+    systems = [reference_lambda_tau(1, min_scale.scale_pow2(2 * (tau - 1)), max_abs)]
+    for order in range(2, tau + 1):
+        scale = min_scale.scale_pow2(2 * (tau - order))
+        systems.append([piece for parent in systems[-1] for piece in whitney(parent, scale)])
+    levels = interval_arrays(tau, min_scale, max_abs)
+    assert len(levels) == tau
+    wide = max_abs.as_fraction() / min_scale.as_fraction() >= 2**59
+    m = min_scale.log2()
+    for order, (level, system) in enumerate(zip(levels, systems), start=1):
+        assert level.left.dtype == (object if wide else np.int64)
+        assert [(DyadicScalar(l, m), DyadicScalar(r, m), DyadicScalar(a, m))
+                for l, r, a in zip(level.left.tolist(), level.right.tolist(),
+                                   level.anchor.tolist())] == [
+            (i.left, i.right, i.anchor) for i in system]
+        if order == 1:
+            assert level.parent.tolist() == [-1] * len(system)
+        else:
+            rows = {id(parent): row for row, parent in enumerate(systems[order - 2])}
+            assert level.parent.tolist() == [rows[id(i.parent)] for i in system]
+
+
+def test_a_window_of_2100_bits_is_refused_before_it_is_built(monkeypatch):
+    # tau 1 keeps within the interval budget up to 150,000 bits, where the
+    # arrays would hold integers of that many bits; the window is refused
+    # as the lattices are, and the budget is still checked first
+    monkeypatch.setattr(lacunary, "_whitney_levels", _refuse)
+    with pytest.raises(ValueError, match=f"below 2\\^{MAX_LATTICE_BITS}$"):
+        lambda_tau(1, DyadicScalar.pow2(-MAX_LATTICE_BITS), ONE)
+    with pytest.raises(ValueError, match="tau 2 would build"):
+        lambda_tau(2, DyadicScalar.pow2(-MAX_LATTICE_BITS), ONE)
 
 
 # -- whitney: frozen examples (oracle-computed) --------------------------------
@@ -427,7 +551,7 @@ def _refuse(*args):
 
 
 def test_enumerations_over_budget_are_refused_before_they_start(monkeypatch):
-    monkeypatch.setattr(lacunary, "whitney", _refuse)
+    monkeypatch.setattr(lacunary, "_whitney_levels", _refuse)
     with pytest.raises(ValueError, match=f"tau 6 would build 792064 intervals, "
                                          f"above the budget of {MAX_LACUNARY_INTERVALS}"):
         lambda_tau(6, DyadicScalar.pow2(-16), D(F(64)))
@@ -458,6 +582,7 @@ def test_a_scale_far_above_the_window_leaves_no_point():
     # the bound floor(max_abs / min_scale) is 0 by a shift, not a division
     # that first builds 2^(10^300)
     assert lac_tau(2, DyadicScalar.pow2(10**300), D(F(64))).points == ()
+    assert lambda_tau(2, DyadicScalar.pow2(10**300), D(F(64))) == []
     assert lac_tau(1, D(F(2)), D(F(3, 2))).points == ()
 
 

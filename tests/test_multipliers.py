@@ -9,19 +9,24 @@ import numpy as np
 import pytest
 
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.lacunary import lambda_tau
+from lacuna.lacunary import interval_arrays, lambda_tau
 from lacuna import harness
 from lacuna import multipliers as mult
 from lacuna import spectral as sp
-from test_spectral import square_reference
+from test_spectral import bank_of, bank_windows, square_reference
 
 
 def apply_component(sig, k, l):
     """One component of the sharpness family through the true-phase
     transforms, on the whole lattice: the reference the bank operations are
     tested against."""
-    symbol = mult.component_symbol_func(k, l)(sp.freq_indices(sig.n) / sig.period)
+    symbol = mult.component_symbol(sp.freq_indices(sig.n) / sig.period, k, l)
     return sp.synthesize(sp.spectrum(sig) * symbol, sig.period, sig.offset)
+
+
+def center(block):
+    """The midpoint of a block, exactly."""
+    return block.left + block.length.scale_pow2(-1)
 
 
 def block_at(family, left):
@@ -72,7 +77,7 @@ def step_violations(windows, family, bound):
 
 def apply_step(sig, windows, flags=None):
     """A step multiplier applied through its band bank, one inverse transform."""
-    return sig.with_samples(sp.BandBank(windows).combine(sig, flags=flags))
+    return sig.with_samples(bank_of(windows).combine(sig, flags=flags))
 
 
 ORDER1 = lambda_tau(1, D.pow2(-1), D.from_int(8))
@@ -101,7 +106,7 @@ class TestStepMultiplier:
         assert step_violations(two_block_step(coeffs=(0.9, 0.2)), ORDER1, 2) == [
             f"block [1, 2) coefficient mass {F(0.9) ** 2} exceeds 1/N"]
         L = block_at(ORDER1, 1.0)
-        halves = [(L.left, L.center, 0.5), (L.center, L.right, 0.5j)]
+        halves = [(L.left, center(L), 0.5), (center(L), L.right, 0.5j)]
         assert step_violations(halves, ORDER1, 2) == []
         assert len(step_violations(halves, ORDER1, 3)) == 1
 
@@ -113,7 +118,7 @@ class TestStepMultiplier:
         # the same geometry is fine with bound 2 (budget 1/2 still met)
         assert step_violations(windows, ORDER1, 2) == []
         # half-open windows that only touch do not overlap
-        assert step_violations([(L.left, L.center, 0.5), (L.center, L.right, 0.5)],
+        assert step_violations([(L.left, center(L), 0.5), (center(L), L.right, 0.5)],
                                ORDER1, 2) == []
 
     def test_family_membership_check(self):
@@ -129,8 +134,8 @@ class TestStepMultiplier:
     def test_prototype_is_valid_step_form(self):
         family = lambda_tau(2, D.pow2(-3), D.from_int(8))
         bank = mult.prototype_multiplier(2, D.pow2(-3), D.from_int(8))
-        assert step_violations(bank.windows, family, 1) == []
-        assert all(abs(c) == 1.0 for _, _, c in bank.windows)
+        assert step_violations(bank_windows(bank), family, 1) == []
+        assert all(abs(c) == 1.0 for _, _, c in bank_windows(bank))
         assert bank.label == "step_multiplier"
 
 
@@ -141,11 +146,12 @@ def test_prototype_windows_are_the_signed_blocks(tau, seed):
     bank = mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64),
                                      rng=np.random.default_rng(seed))
     signs = np.random.default_rng(seed).choice([-1, 1], size=len(family))
-    assert bank.windows == tuple((L.left, L.right, complex(s)) for L, s in zip(family, signs))
-    assert step_violations(bank.windows, family, 1) == []
+    windows = bank_windows(bank)
+    assert windows == tuple((L.left, L.right, complex(s)) for L, s in zip(family, signs))
+    assert step_violations(windows, family, 1) == []
     # explicit signs give the same windows; a wrong count is refused
-    assert mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64),
-                                     signs=signs).windows == bank.windows
+    assert bank_windows(mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64),
+                                                  signs=signs)) == windows
     with pytest.raises(ValueError, match="one sign per block"):
         mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64), signs=signs[1:])
 
@@ -154,15 +160,17 @@ def test_prototype_windows_are_the_signed_blocks(tau, seed):
 @pytest.mark.parametrize("seed", [0, 10, 2026])
 def test_halved_step_windows_are_the_signed_halves(tau, seed):
     family = lambda_tau(tau, D.pow2(-6), D.from_int(64))
-    bank = harness._halved_step(family, np.random.default_rng(seed))
+    bank = harness._halved_step(interval_arrays(tau, D.pow2(-6), D.from_int(64))[-1], -6,
+                                np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     want = []
     for L in family:
         s = rng.choice([-1.0, 1.0], size=2)
-        want += [(L.left, L.center, complex(0.5 * s[0])), (L.center, L.right, complex(0.5 * s[1]))]
-    assert bank.windows == tuple(want) and bank.label == "step_multiplier"
-    assert step_violations(bank.windows, family, 2) == []
-    assert len(step_violations(bank.windows, family, 3)) == len(family)  # mass 1/2 > 1/3
+        want += [(L.left, center(L), complex(0.5 * s[0])), (center(L), L.right, complex(0.5 * s[1]))]
+    windows = bank_windows(bank)
+    assert windows == tuple(want) and bank.label == "step_multiplier"
+    assert step_violations(windows, family, 2) == []
+    assert len(step_violations(windows, family, 3)) == len(family)  # mass 1/2 > 1/3
 
 
 # -- application --------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.lacunary import LacInterval, lambda_tau
+from lacuna.lacunary import LacInterval, interval_arrays, lambda_tau
 from lacuna import spectral as sp
 
 
@@ -39,6 +39,88 @@ def dyadic_interval(left, right, anchor=0):
         order=1,
         anchor=D.from_fraction(F(anchor)),
     )
+
+
+def sharp_window(interval):
+    """The ``(lo, hi, weight)`` window of the indicator of ``[left, right)``."""
+    return interval.left, interval.right, 1.0
+
+
+def eta_window(interval):
+    """The ``(lo, hi, weight)`` window of the adapted bump ``eta((xi -
+    c_L)/|L|)``: the padded window ``(5/4)L`` covers its support."""
+    length = interval.length
+    center = float(interval.left + length.scale_pow2(-1))
+    pad = D(3 * length.mantissa, length.exponent - 2)
+    return (interval.left - pad, interval.right + pad,
+            lambda xi: sp.eta((xi - center) / float(length)))
+
+
+def window_ends(windows):
+    """The ends of ``(lo, hi, weight)`` windows as Python integers times one
+    power of two: ``(lo, hi, exponent)``."""
+    ends = [end for lo, hi, _ in windows for end in (lo, hi)]
+    e = min((end.exponent for end in ends), default=0)
+    q = np.array([end.mantissa << (end.exponent - e) for end in ends], dtype=object)
+    return q[0::2], q[1::2], e
+
+
+def bank_of(windows, label="band"):
+    """The bank of ``(lo, hi, weight)`` windows with scalar ends, each weight a
+    constant or a function of the window's frequencies."""
+    lo, hi, e = window_ends(windows)
+    weights = [w for *_, w in windows]
+    if not any(callable(w) for w in weights):
+        return sp.BandBank(lo, hi, e, np.array(weights), label)
+
+    def weight(xi, at):
+        # window by window in window order, promoted as one concatenation
+        parts = [np.empty(0)]
+        for i, w in enumerate(weights):
+            part = xi[at == i]
+            parts.append(w(part) if callable(w) else np.full(part.size, w))
+        return np.concatenate(parts)
+
+    return sp.BandBank(lo, hi, e, weight, label)
+
+
+def bank_windows(bank):
+    """The ``(lo, hi, weight)`` windows of a bank of constant weights."""
+    e = bank.exponent
+    return tuple((D(lo, e), D(hi, e), w) for lo, hi, w in
+                 zip(bank.lo.tolist(), bank.hi.tolist(), bank.weight.tolist()))
+
+
+def reference_resolve(windows, label, sig):
+    """The per-window resolution of ``(lo, hi, weight)`` windows on ``sig``'s
+    grid: each window's lattice band from exact rational bounds, clipped and
+    flagged, its weights on it, and the nonzero ones kept, concatenated in
+    window order.  Returns ``(pos, vals, counts, events)``."""
+    half = sig.n // 2
+    pos, vals, counts, events = [np.empty(0, np.int64)], [np.empty(0)], [], []
+    for lo, hi, weight in windows:
+        jmin, jmax = reference_lattice_bounds(lo, hi, sig.period)
+        if jmin < -half or jmax > half - 1:
+            events.append(f"{label}: window [{jmin},{jmax}] exceeds lattice +-{half}")
+        first, last = max(jmin, -half), min(jmax, half - 1)
+        if first > last and jmin <= jmax:
+            events.append(f"{label}: window entirely outside lattice")
+        js = np.arange(first, last + 1, dtype=np.int64) if first <= last else np.empty(0, np.int64)
+        w = weight(js / sig.period) if callable(weight) else np.full(js.size, weight)
+        keep = w != 0.0
+        pos.append(js[keep] % sig.n)
+        vals.append(w[keep])
+        counts.append(int(np.count_nonzero(keep)))
+    return (np.concatenate(pos), np.concatenate(vals), np.array(counts, dtype=np.int64),
+            tuple(events))
+
+
+def family_bank(kind, label="band"):
+    """The sharp or eta bank of ``TestBandBank.FAMILY``, from its arrays."""
+    family = interval_arrays(2, D.pow2(-5), D.from_int(8))[-1]
+    if kind == "sharp":
+        return sp.BandBank(family.left, family.right, -5, np.ones(family.left.size), label)
+    return sp.eta_bank(family.left, family.right, -5, label)
 
 
 def random_signal(rng, j=6, period=4.0, centered=True):
@@ -256,6 +338,12 @@ def reference_lattice_bounds(lo, hi, period):
 LATTICE_PERIODS = [16.0, 3.0, 0.1, 2.0**-40, 1e300]
 
 
+def window_bounds(lo, hi, period):
+    """The resolver's lattice bounds of one window."""
+    jmin, jmax = sp._window_bounds(*window_ends([(lo, hi, 1.0)]), period)
+    return int(jmin[0]), int(jmax[0])
+
+
 class TestLatticeBounds:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(-(1 << 64), 1 << 64), st.integers(-1000, 1000),
@@ -263,7 +351,7 @@ class TestLatticeBounds:
            st.sampled_from(LATTICE_PERIODS))
     def test_matches_exact_rationals(self, m_lo, e_lo, m_hi, e_hi, period):
         lo, hi = D(m_lo, e_lo), D(m_hi, e_hi)
-        assert sp._lattice_bounds(lo, hi, period) == reference_lattice_bounds(lo, hi, period)
+        assert window_bounds(lo, hi, period) == reference_lattice_bounds(lo, hi, period)
 
     @pytest.mark.parametrize("period", LATTICE_PERIODS)
     def test_bounds_on_and_next_to_lattice_points(self, period):
@@ -276,12 +364,25 @@ class TestLatticeBounds:
         for i in [0, 1, -1, 2, -3] + rng.integers(-(1 << 40), 1 << 40, 20).tolist():
             on = D(i, k - v)
             j = i * (t >> v)
-            assert sp._lattice_bounds(on, on, period) == (j, j - 1)
+            assert window_bounds(on, on, period) == (j, j - 1)
             for off in (-1, 1):  # half a lattice step below or above the point
                 near = on + D(off, k - v - 1)
                 for lo, hi in ((on, near), (near, on), (near, near)):
-                    assert sp._lattice_bounds(lo, hi, period) == reference_lattice_bounds(
+                    assert window_bounds(lo, hi, period) == reference_lattice_bounds(
                         lo, hi, period)
+
+    def test_windows_are_resolved_at_once(self):
+        # many windows of one bank in one call, int64 and Python integers alike
+        rng = np.random.default_rng(62)
+        for period in LATTICE_PERIODS:
+            for bits in (20, 70, 700):
+                q = [int(v) for v in rng.integers(-(1 << 62), 1 << 62, 64)]
+                ends = [D(v << max(bits - 62, 0) >> max(62 - bits, 0), -bits // 2) for v in q]
+                pairs = list(zip(ends[0::2], ends[1::2]))
+                lo, hi, e = window_ends([(a, b, 1.0) for a, b in pairs])
+                jmin, jmax = sp._window_bounds(lo, hi, e, period)
+                assert list(zip(jmin.tolist(), jmax.tolist())) == [
+                    reference_lattice_bounds(a, b, period) for a, b in pairs]
 
 
 # -- smooth projections and modulation -------------------------------------
@@ -290,8 +391,7 @@ class TestLatticeBounds:
 class TestSmoothProjection:
     def test_symbol_values_on_lattice(self):
         sig = sp.Signal(np.zeros(128), period=16.0, offset=-8.0)
-        L = dyadic_interval(2, 4)
-        bank = sp.BandBank([sp.eta_window(L)], "project_smooth")
+        bank = sp.eta_bank(np.array([2]), np.array([4]), 0, "project_smooth")
         sym = bank.symbol(sig).real
         xi = sp.freq_indices(sig.n) / sig.period
         expected = sp.eta((xi - 3.0) / 2.0)
@@ -416,7 +516,7 @@ def _reference_spectra(sig, kind, family):
         if kind == "sharp":
             weight = (xi >= float(L.left)) & (xi < float(L.right))
         else:
-            weight = sp.eta((xi - float(L.center)) / float(L.length))
+            weight = sp.eta((xi - float(L.left + L.length.scale_pow2(-1))) / float(L.length))
         rows.append(coeffs * weight)
     return np.array(rows)
 
@@ -519,8 +619,7 @@ class TestBandBank:
     @pytest.mark.parametrize("offset", [0.0, -4.0])
     def test_matches_band_by_band_reference(self, kind, offset):
         # one bank serves both grids, each with its own rows
-        window = sp.sharp_window if kind == "sharp" else sp.eta_window
-        bank = sp.BandBank([window(L) for L in self.FAMILY])
+        bank = family_bank(kind)
         for n in (1 << 10, 1 << 11, 1 << 10):
             self._check_against_reference(bank, kind, offset, n)
         assert set(bank.grids) == {(1 << 10, self.PERIOD), (1 << 11, self.PERIOD)}
@@ -568,7 +667,7 @@ class TestBandBank:
             # zero weights inside the run are dropped from the row
             (D.from_int(5), D.from_int(15), lambda xi: np.abs(xi - 10.0) > 1.0),
             (D.from_int(2), D.from_int(9), lambda xi: np.exp(1j * xi) * xi),
-        ] + [sp.eta_window(L) for L in TestBandBank.FAMILY]
+        ] + [eta_window(L) for L in TestBandBank.FAMILY]
 
     @pytest.mark.parametrize("offset", [0.0, -4.0])
     def test_square_matches_band_by_band_sum_on_edge_bands(self, offset):
@@ -576,7 +675,7 @@ class TestBandBank:
         n = 1 << 10
         sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                         self.PERIOD, offset)
-        bank = sp.BandBank(self.edge_windows())
+        bank = bank_of(self.edge_windows())
         assert bank.rows(sig)[5][0].size == 0
         assert bank.rows(sig)[6][0].size < 80
         want = square_reference(bank, sig)
@@ -589,7 +688,7 @@ class TestBandBank:
         rng = np.random.default_rng(55)
         sig = sp.Signal(rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10),
                         self.PERIOD)
-        bank = sp.BandBank([sp.sharp_window(L) for L in self.FAMILY])
+        bank = family_bank("sharp")
         base = bank.square(sig)
         assert np.max(base) > 0.0
         for k in (-900, -300, 300, 900):
@@ -609,22 +708,22 @@ class TestBandBank:
         assert np.array_equal(agg.samples, small.samples * 2.0**600)
 
     def test_square_is_exactly_zero_without_signal_or_lattice_points(self):
-        windows = [sp.sharp_window(L) for L in self.FAMILY]
         zero = sp.Signal(np.zeros(1 << 10), self.PERIOD)
-        assert np.array_equal(sp.BandBank(windows).square(zero), np.zeros(1 << 10))
+        assert np.array_equal(family_bank("sharp").square(zero), np.zeros(1 << 10))
         rng = np.random.default_rng(54)
         sig = sp.Signal(rng.standard_normal(1 << 10), self.PERIOD)
-        empty = sp.BandBank([(D.pow2(-6), D.pow2(-5), 1.0)] * 3)
+        empty = bank_of([(D.pow2(-6), D.pow2(-5), 1.0)] * 3)
         assert np.array_equal(empty.square(sig), np.zeros(1 << 10))
-        assert np.array_equal(sp.BandBank([]).square(sig), np.zeros(1 << 10))
+        assert np.array_equal(bank_of([]).square(sig), np.zeros(1 << 10))
 
     @pytest.mark.parametrize("idx", [[4, 6, 5], [1, 2, 2], [0, 5, 3]])
     def test_square_rejects_a_row_that_is_not_one_run(self, idx, monkeypatch):
         # the grid's plan checks its rows when it is built, so the bad row
         # comes in through the window resolution
-        monkeypatch.setattr(sp, "band_indices", lambda *args: np.array(idx))
+        monkeypatch.setattr(sp, "_lattice_windows",
+                            lambda *args: (np.array(idx), np.zeros(len(idx), np.int64), []))
         sig = sp.Signal(np.ones(16), 2.0)
-        bank = sp.BandBank([(D.from_int(0), D.from_int(1), 1.0)])
+        bank = bank_of([(D.from_int(0), D.from_int(1), 1.0)])
         with pytest.raises(ValueError, match="one run"):
             bank.square(sig)
 
@@ -634,12 +733,12 @@ class TestBandBank:
                       for L in self.FAMILY]
         assert any(on_lattice) and not all(on_lattice)
         sig = sp.Signal(np.zeros(1 << 10), self.PERIOD)
-        sharp = sp.BandBank([sp.sharp_window(L) for L in self.FAMILY])
+        sharp = family_bank("sharp")
         for (idx, vals), L in zip(sharp.rows(sig), self.FAMILY):
             assert np.array_equal(idx, sp.band_indices(sig, L.left, L.right))
             assert np.all(vals == 1.0)
         assert any(idx.size == 0 for idx, _ in sharp.rows(sig))
-        eta = sp.BandBank([sp.eta_window(L) for L in self.FAMILY])
+        eta = family_bank("eta")
         assert all(np.all(vals != 0.0) for _, vals in eta.rows(sig))
 
     def test_rows_are_resolved_once_per_grid(self, monkeypatch):
@@ -652,8 +751,7 @@ class TestBandBank:
 
         monkeypatch.setattr(sp.BandBank, "_resolve", counting)
         rng = np.random.default_rng(55)
-        windows = [sp.eta_window(L) for L in self.FAMILY]
-        banks = [sp.BandBank(windows), sp.BandBank(windows)]
+        banks = [family_bank("eta"), family_bank("eta")]
         grids = [(1 << 9, self.PERIOD), (1 << 10, self.PERIOD), (1 << 10, 2 * self.PERIOD)]
         for _ in range(3):
             for n, period in grids:
@@ -663,7 +761,7 @@ class TestBandBank:
                     bank.combine(sig, flags=sp.AliasFlags())
                     bank.energies(sig)
                 # a resolved grid gives what fresh rows give, bit for bit
-                fresh = sp.BandBank(windows)
+                fresh = family_bank("eta")
                 assert np.array_equal(banks[0].magnitudes(sig), fresh.magnitudes(sig))
         ids = {id(bank) for bank in banks}
         assert sorted(r for r in resolved if r[0] in ids) == sorted(
@@ -672,8 +770,8 @@ class TestBandBank:
     def test_resolved_grid_replays_its_alias_events(self):
         # 2^8 samples at period 4 reach the frequency 32: the blocks +-[32, 64)
         # leave the lattice
-        family = lambda_tau(1, D.from_int(1), D.from_int(64))
-        bank = sp.BandBank([sp.sharp_window(L) for L in family], "wide")
+        family = interval_arrays(1, D.from_int(1), D.from_int(64))[-1]
+        bank = sp.BandBank(family.left, family.right, 0, np.ones(family.left.size), "wide")
         sig = sp.Signal(np.ones(1 << 8), 4.0)
         first, again = sp.AliasFlags(), sp.AliasFlags()
         bank.square(sig, first)
@@ -742,7 +840,7 @@ class TestBandPlan:
         run(cfg, operator)
         # the coarse grid and its x4 refinement, each on a bank of over 100 bands
         assert {sig.n for _, sig, *_ in calls} == {1 << 13, 1 << 15}
-        assert min(len(bank.windows) for bank, *_ in calls) > 100
+        assert min(bank.lo.size for bank, *_ in calls) > 100
         self.assert_matches(calls)
 
     def test_sharpness_banks(self, monkeypatch):
@@ -766,7 +864,7 @@ class TestBandPlan:
         calls = self.record(monkeypatch)
         rng = np.random.default_rng(64)
         windows = TestBandBank.edge_windows()
-        bank = sp.BandBank(windows)
+        bank = bank_of(windows)
         for n in (1 << 10, 1 << 7):
             sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                             TestBandBank.PERIOD, offset)
@@ -801,8 +899,8 @@ class TestBandPlan:
         calls = self.record(monkeypatch)
         rng = np.random.default_rng(65)
         xs = np.concatenate([rng.uniform(-6.0, 6.0, 9), [-4.0, 0.0, 3.9375]])
-        banks = [sp.BandBank(TestBandBank.edge_windows()), sp.BandBank([]),
-                 sp.BandBank([(D.pow2(-6), D.pow2(-5), 1.0)] * 3)]
+        banks = [bank_of(TestBandBank.edge_windows()), bank_of([]),
+                 bank_of([(D.pow2(-6), D.pow2(-5), 1.0)] * 3)]
         for n in (1 << 10, 1 << 7):
             sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                             TestBandBank.PERIOD, offset)
@@ -812,6 +910,151 @@ class TestBandPlan:
                 # exactly zero on the banks without lattice points
                 assert (bank is banks[0]) == any(np.any(out) for out in outs)
         self.assert_matches(calls)
+
+
+class TestWindowResolution:
+    """Every bank the program builds resolves, in one pass over its window
+    arrays, the plan of the per-window path: each window's ``(lo, hi,
+    weight)`` from the intervals of the recursive reference, resolved one at
+    a time (``reference_resolve``).  Positions, counts and weights are equal
+    as arrays and the alias events equal in text and order."""
+
+    @staticmethod
+    def record(monkeypatch):
+        resolved = []
+        real = sp.BandBank._resolve
+
+        def recording(bank, sig):
+            out = real(bank, sig)
+            resolved.append((bank, sig, *out))
+            return out
+
+        monkeypatch.setattr(sp.BandBank, "_resolve", recording)
+        return resolved
+
+    @staticmethod
+    def assert_same_plans(resolved, windows_of):
+        assert resolved
+        for bank, sig, plan, events in resolved:
+            pos, vals, counts, want_events = reference_resolve(windows_of(bank), bank.label, sig)
+            assert np.array_equal(plan.pos, pos) and np.array_equal(plan.counts, counts)
+            assert plan.vals.dtype == vals.dtype and np.array_equal(plan.vals, vals)
+            assert events == want_events
+
+    @staticmethod
+    def operator_windows(kind, cfg):
+        """The windows of ``build_operator(kind, cfg)`` from the reference
+        intervals, with the same draws."""
+        from lacuna import harness
+        from test_lacunary import reference_lambda_tau
+
+        rng = np.random.default_rng(cfg.seed + 1)
+        sharp_cap, smooth_cap, min_scale, smooth_floor = harness._caps(cfg)
+        if kind in ("hormander", "smooth-sqfn"):
+            return [eta_window(L) for L in reference_lambda_tau(cfg.tau, smooth_floor, smooth_cap)]
+        family = reference_lambda_tau(cfg.tau, min_scale, sharp_cap)
+        if kind == "prototype":
+            signs = rng.choice([-1, 1], size=len(family))
+            return [(L.left, L.right, complex(s)) for L, s in zip(family, signs)]
+        if kind == "lp":
+            return [sharp_window(L) for L in family]
+        windows = []
+        for L in family:
+            mid = L.left + L.length.scale_pow2(-1)
+            signs = rng.choice([-1.0, 1.0], size=2)
+            windows += [(L.left, mid, complex(0.5 * signs[0])),
+                        (mid, L.right, complex(0.5 * signs[1]))]
+        return windows
+
+    # verify's default scales at 2^13 samples (sharp cap 2^7 over 2^-6, smooth
+    # cap 2^6 over 2^-3), and windows of more than 62 bits at period 2 down
+    # to 2^-64, where the smooth floor stays at 2^-3
+    @pytest.mark.parametrize("kind", ["prototype", "step", "lp", "smooth-sqfn", "hormander"])
+    @pytest.mark.parametrize("config", [
+        {"tau": 1, "log2_n": 13}, {"tau": 2, "log2_n": 13}, {"tau": 3, "log2_n": 13},
+        {"tau": 4, "log2_n": 13},
+        {"tau": 1, "log2_n": 8, "period": 2.0, "min_scale_log2": -64}],
+        ids=["tau1", "tau2", "tau3", "tau4", "wide"])
+    def test_verify_operator_banks(self, kind, config, monkeypatch):
+        from lacuna import harness
+
+        cfg = harness.make_config({"seed": 10, **config})
+        windows = self.operator_windows(kind, cfg)
+        resolved = self.record(monkeypatch)
+        op = harness.build_operator(kind, cfg, np.random.default_rng(cfg.seed + 1))
+        rng = np.random.default_rng(66)
+        for log2_n in (cfg.log2_n, cfg.log2_n + 2):
+            n = 1 << log2_n
+            op.apply(sp.Signal(rng.standard_normal(n), cfg.period, -cfg.period / 2),
+                     sp.AliasFlags())
+        assert len(resolved) == 2
+        self.assert_same_plans(resolved, lambda bank: windows)
+
+    @pytest.mark.parametrize("tau", [2, 3])
+    def test_gen_zygmund_bonami_banks(self, tau, monkeypatch):
+        from lacuna import harness
+        from test_lacunary import reference_lambda_tau
+
+        cfg = harness.make_config({"log2_n": 10, "tau": tau, "ensemble": 2, "seed": 7})
+        _, smooth_cap, min_scale, _ = harness._caps(cfg)
+        every = reference_lambda_tau(tau, min_scale, smooth_cap)
+        windows = {
+            "project_smooth": [eta_window(L) for L in
+                               reference_lambda_tau(tau, D.from_int(1), smooth_cap)],
+            "cancellative": [sharp_window(L) for L in every if float(L.length) < 1.0],
+            "combined": [sharp_window(L) for L in every]}
+        resolved = self.record(monkeypatch)
+        harness.verify_gen_zygmund_bonami(cfg)
+        assert {bank.label for bank, *_ in resolved} == set(windows)
+        self.assert_same_plans(resolved, lambda bank: windows[bank.label])
+
+    @pytest.mark.parametrize("mode", ["sharp", "smooth"])
+    @pytest.mark.parametrize("log2_n, period, order, scale_log2, max_abs", [
+        (8, 16.0, 1, -6, 1e300), (11, 16.0, 3, -4, None), (10, 2.0**-20, 2, -40, None),
+        (9, 1024.0, 2, -6, 1e12)], ids=["1e300", "tau3", "tiny-period", "1e12"])
+    def test_square_function_banks(self, mode, log2_n, period, order, scale_log2, max_abs,
+                                   monkeypatch):
+        from test_lacunary import reference_lambda_tau
+
+        sig = sp.Signal(np.random.default_rng(67).standard_normal(1 << log2_n), period,
+                        -period / 2)
+        cap = sp.default_band(sig) if max_abs is None else D.from_float(max_abs)
+        window = sharp_window if mode == "sharp" else eta_window
+        windows = [window(L) for L in reference_lambda_tau(order, D.pow2(scale_log2), cap)]
+        resolved = self.record(monkeypatch)
+        flags = sp.AliasFlags()
+        sp.lp_square_function(sig, order, D.pow2(scale_log2), mode,
+                              None if max_abs is None else cap, flags)
+        self.assert_same_plans(resolved, lambda bank: windows)
+        assert flags.events == list(resolved[0][3])
+
+    @pytest.mark.parametrize("mode", ["sharp", "smooth"])
+    def test_projection_banks(self, mode, monkeypatch):
+        bands = [(1.0, 2.5), (-3.25, 100.0), (1e-300, 1e300), (-1e300, 3e-300), (2.0, 4.0)]
+        intervals = [LacInterval(D.from_float(lo), D.from_float(hi), 1, D.from_float(lo))
+                     for lo, hi in bands] + lambda_tau(2, D.pow2(-2), D.from_int(8))
+        window = sharp_window if mode == "sharp" else eta_window
+        project = sp.project_sharp if mode == "sharp" else sp.project_smooth
+        rng = np.random.default_rng(68)
+        for log2_n, period in ((8, 16.0), (10, 2.0**-20)):
+            sig = sp.Signal(rng.standard_normal(1 << log2_n), period, -period / 2)
+            for interval in intervals:
+                resolved = self.record(monkeypatch)
+                project(sig, interval, sp.AliasFlags())
+                self.assert_same_plans(resolved, lambda bank: [window(interval)])
+
+    def test_sharpness_banks(self, monkeypatch):
+        from lacuna import multipliers as mult
+
+        for log2_n, period, top in ((14, 16.0, 7), (14, 8.0, 8), (12, 8.0, 6)):
+            for n_param in range(2, top + 1):
+                fam = mult.build_sharpness_family(n_param, log2_n, period)
+                windows = [(D.pow2(k) + D.pow2(l - 1), D.pow2(k) + D.pow2(l),
+                            lambda xi, k=k, l=l: mult.base_symbol((xi - 2.0**k) / 2.0 ** (l - 1)))
+                           for k, l in fam.pairs]
+                resolved = self.record(monkeypatch)
+                fam.bank.square(fam.g_n)
+                self.assert_same_plans(resolved, lambda bank: windows)
 
 
 class TestDilation:

@@ -13,16 +13,11 @@ import pytest
 from lacuna import spectral as sp
 from lacuna.dyadic import DyadicScalar as D
 from lacuna.harness import _halved_step
-from lacuna.lacunary import lambda_tau
+from lacuna.lacunary import interval_arrays
 from lacuna.multipliers import build_sharpness_family, prototype_multiplier
 import test_spectral
 
 SCALES = [-30, 5, 40]
-
-
-def family_bank(kind):
-    window = sp.sharp_window if kind == "sharp" else sp.eta_window
-    return sp.BandBank([window(L) for L in test_spectral.TestBandBank.FAMILY])
 
 
 def random_signal(n, offset):
@@ -43,13 +38,13 @@ def step_case(kind):
     if kind == "prototype":
         bank = prototype_multiplier(*args, rng=rng)
     else:
-        bank = _halved_step(lambda_tau(*args), rng)
+        bank = _halved_step(interval_arrays(*args)[-1], -6, rng)
     return bank, random_signal(1 << 10, -4.0)
 
 
 CASES = {
-    "sharp": lambda: (family_bank("sharp"), random_signal(1 << 10, 0.0)),
-    "eta": lambda: (family_bank("eta"), random_signal(1 << 10, -4.0)),
+    "sharp": lambda: (test_spectral.family_bank("sharp"), random_signal(1 << 10, 0.0)),
+    "eta": lambda: (test_spectral.family_bank("eta"), random_signal(1 << 10, -4.0)),
     "sharpness": sharpness_case,
     "prototype": lambda: step_case("prototype"),
     "step": lambda: step_case("step"),
@@ -62,7 +57,7 @@ def test_band_bank_is_exactly_amplitude_covariant(case, k):
     bank, sig = CASES[case]()
     scaled = sig.with_samples(sig.samples * 2.0**k)
     rng = np.random.default_rng(72)
-    weights = rng.standard_normal(len(bank.windows))
+    weights = rng.standard_normal(bank.lo.size)
     cols = np.abs(sig.x) < 1.0
     xs = np.concatenate([sig.x[[3, 200, 700]], rng.uniform(-sig.period / 2, sig.period / 2, 8)])
     linear = {
