@@ -28,6 +28,11 @@ Discretization notes that drive the implementation:
   ``q`` is the root of unity ``exp(-2 pi i (q k mod n_J) / n_J)``, indexed by
   exact integers, so all bins of an atom come out of one matrix product
   (:func:`lattice_coefficients`).
+- A decomposition takes ``|f|`` once and the Young weights ``B(|f|/alpha)``
+  once: the stopping walk sums the weights by blocks and their grid sum is
+  the Orlicz mass; the margin guard, the atoms' averages and the global
+  constants read ``|f|``, its slices and a copy with the stopping blocks
+  zeroed.  Arrays the decomposition makes become signals without a copy.
 """
 
 from __future__ import annotations
@@ -72,13 +77,8 @@ class StoppingInterval:
         return self.x_hi - self.x_lo
 
     def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "x_lo": self.x_lo,
-            "x_hi": self.x_hi,
-            "length": self.length,
-        }
+        return {"lo": self.lo, "hi": self.hi, "x_lo": self.x_lo, "x_hi": self.x_hi,
+                "length": self.length}
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,7 @@ class CzDecomposition:
         out = np.zeros(self.good.n, dtype=np.complex128)
         for atom in self.atoms:
             out[atom.interval.lo : atom.interval.hi] = atom.cancellative.samples
-        return self.good.with_samples(out)
-
-    def reconstruct(self) -> Signal:
-        total = self.good.samples + self.lacunary_part.samples
-        for atom in self.atoms:
-            total[atom.interval.lo : atom.interval.hi] += atom.cancellative.samples
-        return self.good.with_samples(total)
+        return Signal._adopt(out, self.good.period, self.good.offset)
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,13 +140,16 @@ class CzDecomposition:
         return {k: str(v) for k, v in paths.items()}
 
 
+def _young_weights(mags: np.ndarray, s: float, alpha: float) -> np.ndarray:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
+    return YoungFunction(s)(mags / alpha)
+
+
 def young_mass(sig: Signal, s: float, alpha: float) -> float:
     """Grid quadrature of ``B_s(|f|/alpha)`` over the window, with the Young
     exponent ``s`` that :func:`~lacuna.orlicz.luxemburg_avg` takes."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be finite and positive")
-    B = YoungFunction(s)
-    return float(sig.dx * np.sum(B(np.abs(sig.samples) / alpha)))
+    return float(sig.dx * np.sum(_young_weights(np.abs(sig.samples), s, alpha)))
 
 
 def _check_parameters(sigma, alpha: float) -> int:
@@ -173,8 +170,10 @@ def _block_sums(w: np.ndarray) -> list:
     return sums
 
 
-def stopping_intervals(sig: Signal, sigma, alpha: float) -> tuple:
-    """Maximal dyadic sample blocks with ``<|f|>_{B_{sigma/2},J} > alpha``.
+def stopping_intervals(sig: Signal, mags: np.ndarray, sigma, alpha: float) -> tuple:
+    """Maximal dyadic sample blocks with ``<|f|>_{B_{sigma/2},J} > alpha``,
+    and ``young_mass(sig, sigma / 2, alpha)``, the grid sum of the same
+    Young weights; ``mags`` is ``np.abs(sig.samples)``.
 
     Walks the block tree top-down; a block enters the collection when its
     average exceeds alpha and no ancestor's does.  The whole window itself
@@ -182,8 +181,7 @@ def stopping_intervals(sig: Signal, sigma, alpha: float) -> tuple:
     reported as an error (enlarge the window or raise alpha).
     """
     sigma = _check_parameters(sigma, alpha)
-    B = YoungFunction(sigma / 2)
-    w = np.asarray(B(np.abs(sig.samples) / alpha), dtype=float)
+    w = _young_weights(mags, sigma / 2, alpha)
     n = sig.n
 
     sums = _block_sums(w)
@@ -206,9 +204,10 @@ def stopping_intervals(sig: Signal, sigma, alpha: float) -> tuple:
     found.sort()
     dx = sig.dx
     off = sig.offset
-    return tuple(
+    intervals = tuple(
         StoppingInterval(lo, hi, off + lo * dx, off + hi * dx) for lo, hi in found
     )
+    return intervals, float(dx * np.sum(w))
 
 
 def lacunary_bins(n: int, sigma) -> np.ndarray:
@@ -272,25 +271,16 @@ def remove_lacunary(piece: Signal, bins) -> tuple:
     lac_spec = np.zeros_like(local)
     lac_spec[bins] = local[bins]
     lac_vals = np.fft.ifft(lac_spec)
-    canc_vals = piece.samples - lac_vals
-    return piece.with_samples(canc_vals), piece.with_samples(lac_vals)
+    parts = (piece.samples - lac_vals, lac_vals)
+    return tuple(Signal._adopt(vals, piece.period, piece.offset) for vals in parts)
 
 
-def _restrict(sig: Signal, interval: StoppingInterval) -> Signal:
-    return Signal(
-        sig.samples[interval.lo : interval.hi],
-        period=interval.length,
-        offset=interval.x_lo,
-    )
-
-
-def support_margin(sig: Signal, threshold: float = 1e-12) -> float:
+def support_margin(sig: Signal, mags: np.ndarray, threshold: float = 1e-12) -> float:
     """Window length over support diameter (inf when effectively zero).
 
-    The support is read off the samples at the given magnitude threshold
-    relative to the peak.
+    The support is read off the magnitudes ``mags = np.abs(sig.samples)`` at
+    the given threshold relative to the peak.
     """
-    mags = np.abs(sig.samples)
     peak = float(mags.max()) if mags.size else 0.0
     if peak == 0.0:
         return math.inf
@@ -299,25 +289,18 @@ def support_margin(sig: Signal, threshold: float = 1e-12) -> float:
     return sig.period / diam
 
 
-def _atom_diagnostics(
-    interval: StoppingInterval,
-    piece: Signal,
-    canc: Signal,
-    lac: Signal,
-    bins: np.ndarray,
-    s: float,
-    alpha: float,
-) -> dict:
-    level_avg = luxemburg_avg(np.abs(piece.samples), s)
+def _atom_diagnostics(interval: StoppingInterval, piece_mags: np.ndarray, canc: Signal,
+                      lac: Signal, bins: np.ndarray, s: float, alpha: float) -> dict:
+    level_avg = luxemburg_avg(piece_mags, s)
     atom_avg = luxemburg_avg(np.abs(canc.samples), s)
     lac_l2 = rms(lac.samples)
-    piece_rms = rms(piece.samples)
+    piece_rms = rms(piece_mags)
     residual = 0.0
     if piece_rms > 0:
         # re-evaluate the removed coefficients on the cancellative part as
         # one direct integer-phase product, independent of the removal FFT
         coeffs = lattice_coefficients(canc, bins)
-        scale = piece.period * piece_rms
+        scale = interval.length * piece_rms
         # an overflowed normaliser must not pass for a vanishing residual
         residual = math.inf
         if math.isfinite(scale):
@@ -337,13 +320,8 @@ def _atom_diagnostics(
     return out
 
 
-def cz_decompose(
-    sig: Signal,
-    sigma,
-    alpha: float,
-    min_margin: Optional[float] = None,
-    threads: int = 1,
-) -> CzDecomposition:
+def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] = None,
+                 threads: int = 1) -> CzDecomposition:
     """Run the full decomposition at level alpha and measure its constants.
 
     ``min_margin`` optionally enforces a window/support ratio so that the
@@ -355,40 +333,43 @@ def cz_decompose(
     # its length, the period over a power of two, is dyadic
     if math.frexp(sig.period)[0] != 0.5:
         raise ValueError(f"period must be a power of two, got {sig.period!r}")
-    if min_margin is not None and support_margin(sig) < min_margin:
+    mags = np.abs(sig.samples)
+    if min_margin is not None and support_margin(sig, mags) < min_margin:
         raise ValueError("support margin below the requested minimum")
     s = sigma / 2
 
-    stopping = stopping_intervals(sig, sigma, alpha)
+    stopping, mass = stopping_intervals(sig, mags, sigma, alpha)
     atoms = []
+    good_vals = np.array(sig.samples)
+    lac_vals = np.zeros(sig.n, dtype=np.complex128)
+    # |good|: bitwise the magnitudes of good_vals, whose atom blocks are 0
+    good_mags = mags.copy()
     for interval in stopping:
-        piece = _restrict(sig, interval)
+        lo, hi = interval.lo, interval.hi
+        # a read-only view of the checked samples of sig
+        piece = Signal._adopt(sig.samples[lo:hi], interval.length, interval.x_lo)
         bins = lacunary_bins(piece.n, sigma)
         canc, lac = remove_lacunary(piece, bins)
-        diag = _atom_diagnostics(interval, piece, canc, lac, bins, s, alpha)
+        diag = _atom_diagnostics(interval, mags[lo:hi], canc, lac, bins, s, alpha)
         atoms.append(CzAtom(interval, canc, lac, diag))
-
-    good_vals = np.array(sig.samples, dtype=np.complex128)
-    lac_vals = np.zeros(sig.n, dtype=np.complex128)
-    for atom in atoms:
-        good_vals[atom.interval.lo : atom.interval.hi] = 0.0
-        lac_vals[atom.interval.lo : atom.interval.hi] = atom.lacunary.samples
-    good = sig.with_samples(good_vals)
-    lac_part = sig.with_samples(lac_vals)
+        good_vals[lo:hi] = 0.0
+        good_mags[lo:hi] = 0.0
+        lac_vals[lo:hi] = lac.samples
+    good = Signal._adopt(good_vals, sig.period, sig.offset)
+    lac_part = Signal._adopt(lac_vals, sig.period, sig.offset)
 
     dec = CzDecomposition(good, tuple(atoms), lac_part, stopping, float(alpha), sigma, {})
-    dec.constants.update(_global_constants(sig, dec))
+    dec.constants.update(_global_constants(sig, dec, mags, good_mags, mass))
     return dec
 
 
-def _global_constants(sig: Signal, dec: CzDecomposition) -> dict:
-    good, atoms, lac_part = dec.good, dec.atoms, dec.lacunary_part
-    sigma, alpha = dec.sigma, dec.alpha
-    mass = young_mass(sig, sigma / 2, alpha)
+def _global_constants(sig: Signal, dec: CzDecomposition, mags: np.ndarray,
+                      good_mags: np.ndarray, mass: float) -> dict:
+    atoms, lac_part, alpha = dec.atoms, dec.lacunary_part, dec.alpha
     total_len = float(sum(a.interval.length for a in atoms))
-    sup_good = float(np.max(np.abs(good.samples)))
-    l1_f = float(sig.dx * np.sum(np.abs(sig.samples)))
-    l1_good = float(sig.dx * np.sum(np.abs(good.samples)))
+    sup_good = float(np.max(good_mags))
+    l1_f = float(sig.dx * np.sum(mags))
+    l1_good = float(sig.dx * np.sum(good_mags))
     lac_sq = float(sig.dx * np.sum(np.abs(lac_part.samples) ** 2))
     atom_weighted = float(
         sum(a.interval.length * a.diagnostics["atom_average"] ** 2 for a in atoms)
@@ -397,8 +378,12 @@ def _global_constants(sig: Signal, dec: CzDecomposition) -> dict:
         alpha * (1 - 1e-9) < a.diagnostics["level_average"] <= 2 * alpha * (1 + 1e-9)
         for a in atoms
     )
-    peak = float(np.max(np.abs(sig.samples))) if sig.n else 0.0
-    recon_err = float(np.max(np.abs(dec.reconstruct().samples - sig.samples)))
+    peak = float(np.max(mags))
+    # good + lacunary + cancellative - f is exactly 0 off the atoms, where
+    # good is f and the other two are 0
+    recon_err = max((float(np.max(np.abs(a.lacunary.samples + a.cancellative.samples
+                                         - sig.samples[a.interval.lo : a.interval.hi])))
+                     for a in atoms), default=0.0)
     vs_mass = None
     if mass > 0:
         # a normaliser that underflows leaves the ratio past the float range

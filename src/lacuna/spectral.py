@@ -54,12 +54,18 @@ class Signal:
             raise ValueError("sample count must be a positive power of two")
         if not (self.period > 0 and math.isfinite(self.period)):
             raise ValueError("period must be positive and finite")
-        arr = arr.astype(np.complex128, copy=True)
-        # the float view tests real and imaginary parts in one pass
-        if not np.isfinite(arr.view(np.float64)).all():
-            raise ValueError("samples must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _frozen(arr.astype(np.complex128, copy=True)))
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, period: float, offset: float = 0.0) -> "Signal":
+        """A signal over an array the package has just made, without a copy: a
+        fresh complex128 array is checked finite and frozen, a read-only one
+        (a view of a signal's checked samples) is taken as it is."""
+        sig = object.__new__(cls)
+        samples = _frozen(samples) if samples.flags.writeable else samples
+        for name, value in (("samples", samples), ("period", period), ("offset", offset)):
+            object.__setattr__(sig, name, value)
+        return sig
 
     @property
     def n(self) -> int:
@@ -79,6 +85,14 @@ class Signal:
 
     def with_samples(self, samples: np.ndarray) -> "Signal":
         return Signal(samples, self.period, self.offset)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    # the float view tests real and imaginary parts in one pass
+    if not np.isfinite(arr.view(np.float64)).all():
+        raise ValueError("samples must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 class AliasFlags:

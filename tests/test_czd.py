@@ -19,7 +19,8 @@ import pytest
 
 from lacuna import czd
 from lacuna.orlicz import YoungFunction, luxemburg_avg
-from lacuna.spectral import Signal, plateau_bump, read_signal
+from lacuna.spectral import Signal, plateau_bump, read_signal, rms
+import test_acceptance
 
 
 def leaf_threshold(s):
@@ -119,6 +120,287 @@ def brute_stopping(sig, sigma, alpha):
     return sorted(maximal)
 
 
+def reconstruct(dec):
+    """good + lacunary part + every atom's cancellative piece, summed over the
+    whole window: the identity the decomposition must satisfy."""
+    total = dec.good.samples + dec.lacunary_part.samples
+    for atom in dec.atoms:
+        total[atom.interval.lo : atom.interval.hi] += atom.cancellative.samples
+    return dec.good.with_samples(total)
+
+
+def reference_stopping(sig, sigma, alpha):
+    """The stopping walk on Young weights of its own, without the mass."""
+    w = YoungFunction(sigma / 2)(np.abs(sig.samples) / alpha)
+    sums = czd._block_sums(w)
+    if sums[0][0] / sig.n > 1.0:
+        raise ValueError(
+            "whole-window average exceeds alpha; enlarge the window or raise alpha"
+        )
+    found, covered = [], np.zeros(1, dtype=bool)
+    for k in range(1, len(sums)):
+        block = sig.n >> k
+        parent_covered = np.repeat(covered, 2)
+        fresh = (sums[k] / block > 1.0) & ~parent_covered
+        found += [(int(i) * block, (int(i) + 1) * block) for i in np.nonzero(fresh)[0]]
+        covered = parent_covered | fresh
+    dx, off = sig.dx, sig.offset
+    return tuple(czd.StoppingInterval(lo, hi, off + lo * dx, off + hi * dx)
+                 for lo, hi in sorted(found))
+
+
+def reference_remove(piece, bins):
+    """Bin masking with both parts built by the public, copying ``Signal``."""
+    local = np.fft.fft(piece.samples)
+    lac_spec = np.zeros_like(local)
+    lac_spec[bins % piece.n] = local[bins % piece.n]
+    lac_vals = np.fft.ifft(lac_spec)
+    return piece.with_samples(piece.samples - lac_vals), piece.with_samples(lac_vals)
+
+
+def reference_diagnostics(interval, piece, canc, lac, bins, s, alpha):
+    level_avg = luxemburg_avg(np.abs(piece.samples), s)
+    atom_avg = luxemburg_avg(np.abs(canc.samples), s)
+    lac_l2 = rms(lac.samples)
+    piece_rms = rms(piece.samples)
+    residual = 0.0
+    if piece_rms > 0:
+        coeffs = czd.lattice_coefficients(canc, bins)
+        scale = piece.period * piece_rms
+        residual = math.inf
+        if math.isfinite(scale):
+            residual = float(np.max(np.abs(coeffs))) / scale
+    out = interval.to_dict()
+    out.update({
+        "level_average": level_avg,
+        "atom_average": atom_avg,
+        "atom_constant": atom_avg / alpha,
+        "lacunary_l2": lac_l2,
+        "lacunary_constant": lac_l2 / level_avg if level_avg > 0 else 0.0,
+        "n_frequencies": len(bins),
+        "residual_coefficient": residual,
+    })
+    return out
+
+
+def reference_constants(sig, dec):
+    good, atoms, lac_part, alpha = dec.good, dec.atoms, dec.lacunary_part, dec.alpha
+    mass = czd.young_mass(sig, dec.sigma / 2, alpha)
+    total_len = float(sum(a.interval.length for a in atoms))
+    sup_good = float(np.max(np.abs(good.samples)))
+    l1_f = float(sig.dx * np.sum(np.abs(sig.samples)))
+    l1_good = float(sig.dx * np.sum(np.abs(good.samples)))
+    lac_sq = float(sig.dx * np.sum(np.abs(lac_part.samples) ** 2))
+    atom_weighted = float(
+        sum(a.interval.length * a.diagnostics["atom_average"] ** 2 for a in atoms)
+    )
+    sandwich_ok = all(
+        alpha * (1 - 1e-9) < a.diagnostics["level_average"] <= 2 * alpha * (1 + 1e-9)
+        for a in atoms
+    )
+    peak = float(np.max(np.abs(sig.samples)))
+    recon_err = float(np.max(np.abs(reconstruct(dec).samples - sig.samples)))
+    vs_mass = None
+    if mass > 0:
+        scale = alpha * alpha * mass
+        vs_mass = lac_sq / scale if scale > 0 else (math.inf if lac_sq > 0 else 0.0)
+    return {
+        "orlicz_mass": mass,
+        "total_stopping_length": total_len,
+        "measure_bound_ratio": total_len / mass if mass > 0 else 0.0,
+        "good_sup_constant": sup_good / alpha,
+        "good_l1_ratio": l1_good / l1_f if l1_f > 0 else 0.0,
+        "lacunary_l2_sq": lac_sq,
+        "atom_weighted_sq": atom_weighted,
+        "lacunary_vs_atoms": lac_sq / atom_weighted if atom_weighted > 0 else None,
+        "lacunary_vs_mass": vs_mass,
+        "max_atom_constant": max(
+            (a.diagnostics["atom_constant"] for a in atoms), default=0.0
+        ),
+        "max_residual_coefficient": max(
+            (a.diagnostics["residual_coefficient"] for a in atoms), default=0.0
+        ),
+        "sandwich_ok": sandwich_ok,
+        "reconstruction_error": recon_err / peak if peak > 0 else recon_err,
+        "n_atoms": len(atoms),
+    }
+
+
+def reference_cz_decompose(sig, sigma, alpha, min_margin=None):
+    """The decomposition as it ran before ``|f|`` and the Young weights were
+    shared: every stage takes its own ``|f|``, the Orlicz mass is a second
+    Young pass, every part is a copied ``Signal``, and the reconstruction
+    error is read off the whole reconstructed window."""
+    sigma = czd._check_parameters(sigma, alpha)
+    if math.frexp(sig.period)[0] != 0.5:
+        raise ValueError(f"period must be a power of two, got {sig.period!r}")
+    if min_margin is not None and czd.support_margin(sig, np.abs(sig.samples)) < min_margin:
+        raise ValueError("support margin below the requested minimum")
+    stopping = reference_stopping(sig, sigma, alpha)
+    atoms = []
+    for interval in stopping:
+        piece = Signal(sig.samples[interval.lo : interval.hi], interval.length, interval.x_lo)
+        bins = czd.lacunary_bins(piece.n, sigma)
+        canc, lac = reference_remove(piece, bins)
+        diag = reference_diagnostics(interval, piece, canc, lac, bins, sigma / 2, alpha)
+        atoms.append(czd.CzAtom(interval, canc, lac, diag))
+    good_vals = np.array(sig.samples, dtype=np.complex128)
+    lac_vals = np.zeros(sig.n, dtype=np.complex128)
+    for atom in atoms:
+        good_vals[atom.interval.lo : atom.interval.hi] = 0.0
+        lac_vals[atom.interval.lo : atom.interval.hi] = atom.lacunary.samples
+    dec = czd.CzDecomposition(sig.with_samples(good_vals), tuple(atoms),
+                              sig.with_samples(lac_vals), stopping, float(alpha), sigma, {})
+    dec.constants.update(reference_constants(sig, dec))
+    return dec
+
+
+def signals_of(dec):
+    """Every signal a decomposition hands out, in a fixed order."""
+    out = [dec.good, dec.lacunary_part, dec.cancellative_part()]
+    for atom in dec.atoms:
+        out += [atom.cancellative, atom.lacunary]
+    return out
+
+
+def assert_same_decomposition(got, want):
+    assert json.dumps(got.to_json_dict()).encode() == json.dumps(want.to_json_dict()).encode()
+    assert got.stopping == want.stopping
+    assert [a.interval for a in got.atoms] == [a.interval for a in want.atoms]
+    pairs = list(zip(signals_of(got), signals_of(want), strict=True))
+    for a, b in pairs:
+        assert (a.period, a.offset) == (b.period, b.offset)
+        assert a.samples.dtype == b.samples.dtype == np.complex128
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def gate06_members(count):
+    """The first ``count`` members of gate 06's ensemble at 2^16 with the
+    gate's alpha; their sigma cycles through 0, 1 and 2."""
+    rng = np.random.default_rng(3107)
+    for i in range(count):
+        sig = test_acceptance._terms_signal(test_acceptance._spiky_terms(rng), 16)
+        yield sig, i % 3, 1.5 * luxemburg_avg(np.abs(sig.samples), (i % 3) / 2.0)
+
+
+def margin_signal():
+    vals = np.zeros(256)
+    vals[120:136] = 1.0  # 16 of 256 samples: margin 16x
+    return Signal(vals, period=8.0, offset=-4.0)
+
+
+class TestEquivalenceWithReference:
+    """The shared-|f| decomposition against the path it replaced: the same
+    report bytes and the same bytes in every sample array, and the same
+    error text where either fails."""
+
+    @pytest.mark.parametrize("member", range(6))
+    def test_gate06_members(self, member):
+        sig, sigma, alpha = list(gate06_members(member + 1))[member]
+        dec = czd.cz_decompose(sig, sigma, alpha)
+        assert dec.atoms
+        assert_same_decomposition(dec, reference_cz_decompose(sig, sigma, alpha))
+
+    @pytest.mark.parametrize("sigma, alpha, atoms", [
+        (1, 10.0, 0), (0, 0.5, 1), (1, 0.7, 1), (2, 1.0, 1)])
+    def test_square_pulse(self, sigma, alpha, atoms):
+        sig = square_pulse()
+        dec = czd.cz_decompose(sig, sigma, alpha)
+        assert len(dec.atoms) == atoms
+        assert_same_decomposition(dec, reference_cz_decompose(sig, sigma, alpha))
+
+    @pytest.mark.parametrize("sigma", [0, 1, 2])
+    def test_random_signals(self, sigma):
+        for seed in range(3):
+            sig = random_signal(1024, seed=60 + seed)
+            alpha = 1.3 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
+            assert_same_decomposition(czd.cz_decompose(sig, sigma, alpha),
+                                      reference_cz_decompose(sig, sigma, alpha))
+
+    def test_overflowing_constants(self):
+        vals = np.zeros(256)
+        vals[8:24] = 1.2e154
+        sig = Signal(vals, 1.0, -0.5)
+        with np.errstate(over="ignore"):
+            dec = czd.cz_decompose(sig, 1, 3e153)
+            want = reference_cz_decompose(sig, 1, 3e153)
+        assert dec.constants["lacunary_l2_sq"] == math.inf
+        assert_same_decomposition(dec, want)
+
+    def test_min_margin_that_passes(self):
+        sig = margin_signal()
+        assert_same_decomposition(czd.cz_decompose(sig, 0, 2.0, min_margin=4.0),
+                                  reference_cz_decompose(sig, 0, 2.0, min_margin=4.0))
+
+    @pytest.mark.parametrize("case", ["alpha inf", "alpha nan", "alpha zero", "whole window",
+                                      "period", "min_margin", "sigma", "overflow"])
+    def test_error_paths(self, case):
+        sig, sigma, alpha, margin = square_pulse(), 1, 0.5, None
+        if case == "alpha inf":
+            alpha = math.inf
+        elif case == "alpha nan":
+            alpha = math.nan
+        elif case == "alpha zero":
+            alpha = 0.0
+        elif case == "whole window":
+            alpha = 0.25
+        elif case == "period":
+            sig = Signal(np.r_[np.ones(8), np.zeros(8)], 3.0, -1.5)
+        elif case == "min_margin":
+            sig, margin = margin_signal(), 100.0
+        elif case == "sigma":
+            sigma = 0.5
+        else:
+            sig, sigma, alpha = overflow_signal(), 0, 1e308
+        messages = []
+        for run in (czd.cz_decompose, reference_cz_decompose):
+            with pytest.raises(ValueError) as err, np.errstate(over="ignore", invalid="ignore"):
+                run(sig, sigma, alpha, min_margin=margin)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def overflow_signal():
+    """64 samples of +-1.5e308 on one stopping interval: removing its mean
+    overflows, so the cancellative part is not finite."""
+    vals = np.zeros(128)
+    vals[:64] = 1.5e308 * (-1.0) ** np.arange(64)
+    return Signal(vals, 2.0, -1.0)
+
+
+class TestHandedOutArrays:
+    """The decomposition builds its signals over arrays it has just made,
+    without a copy; each is still checked finite and frozen."""
+
+    def test_every_array_is_read_only(self):
+        sig, sigma, alpha = next(gate06_members(3))
+        dec = czd.cz_decompose(sig, sigma, alpha)
+        assert dec.atoms and sig.samples.flags.writeable is False
+        piece = Signal(np.arange(16.0), 1.0)
+        for out in signals_of(dec) + list(czd.remove_lacunary(piece, czd.lacunary_bins(16, 1))):
+            assert out.samples.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                out.samples[0] = 1.0
+
+    def test_parts_own_their_samples(self):
+        # good, the lacunary part and the atoms' parts are fresh arrays, and
+        # no part shares memory with the input or with another part
+        sig, sigma, alpha = next(gate06_members(1))
+        dec = czd.cz_decompose(sig, sigma, alpha)
+        arrays = [sig.samples] + [s.samples for s in signals_of(dec)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_overflowed_removal_is_refused(self):
+        piece = Signal(1.5e308 * (-1.0) ** np.arange(64), 1.0, -0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^samples must be finite$"):
+                czd.remove_lacunary(piece, czd.lacunary_bins(64, 1))
+            with pytest.raises(ValueError, match="^samples must be finite$"):
+                czd.cz_decompose(overflow_signal(), 0, 1e308)
+
+
 class TestLeafThreshold:
     def test_sigma_zero(self):
         assert leaf_threshold(0.0) == 1.0
@@ -133,8 +415,9 @@ class TestLeafThreshold:
 class TestStoppingIntervals:
     def test_square_pulse_single_block(self):
         sig = square_pulse()
-        out = czd.stopping_intervals(sig, 0, 0.5)
+        out, mass = czd.stopping_intervals(sig, np.abs(sig.samples), 0, 0.5)
         assert len(out) == 1
+        assert mass == 2.0
         j = out[0]
         assert (j.lo, j.hi) == (0, sig.n // 2)
         assert (j.x_lo, j.x_hi) == (0.0, 1.0)
@@ -142,19 +425,21 @@ class TestStoppingIntervals:
 
     def test_alpha_above_max_gives_empty(self):
         sig = square_pulse()
-        assert czd.stopping_intervals(sig, 0, 1.5) == ()
+        assert czd.stopping_intervals(sig, np.abs(sig.samples), 0, 1.5)[0] == ()
 
     def test_root_exceeding_raises(self):
         sig = square_pulse()
         with pytest.raises(ValueError):
-            czd.stopping_intervals(sig, 0, 0.25)
+            czd.stopping_intervals(sig, np.abs(sig.samples), 0, 0.25)
 
     def test_parameter_validation(self):
         sig = square_pulse(16)
         with pytest.raises(ValueError):
-            czd.stopping_intervals(sig, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            czd.stopping_intervals(sig, 0, 0.0)
+            czd.stopping_intervals(sig, np.abs(sig.samples), 0.5, 1.0)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            czd.stopping_intervals(sig, np.abs(sig.samples), 0, 0.0)
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            czd.stopping_intervals(sig, np.abs(sig.samples), 0, math.inf)
 
     @pytest.mark.parametrize("sigma", [0, 1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -162,14 +447,15 @@ class TestStoppingIntervals:
         sig = random_signal(64, seed=seed)
         root = luxemburg_avg(np.abs(sig.samples), sigma / 2)
         alpha = 2.0 * root
-        got = [(j.lo, j.hi) for j in czd.stopping_intervals(sig, sigma, alpha)]
+        stopping, _ = czd.stopping_intervals(sig, np.abs(sig.samples), sigma, alpha)
+        got = [(j.lo, j.hi) for j in stopping]
         assert got == brute_stopping(sig, sigma, alpha)
         assert len(got) > 0  # the draw actually exercises the walk
 
     def test_disjoint_and_sorted(self):
         sig = random_signal(512, seed=3)
         alpha = 2.0 * luxemburg_avg(np.abs(sig.samples), 0.5)
-        out = czd.stopping_intervals(sig, 1, alpha)
+        out, _ = czd.stopping_intervals(sig, np.abs(sig.samples), 1, alpha)
         for a, b in zip(out, out[1:]):
             assert a.hi <= b.lo
 
@@ -177,7 +463,7 @@ class TestStoppingIntervals:
         sig = random_signal(256, seed=4)
         for sigma in (0, 1, 2):
             alpha = 1.5 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
-            for j in czd.stopping_intervals(sig, sigma, alpha):
+            for j in czd.stopping_intervals(sig, np.abs(sig.samples), sigma, alpha)[0]:
                 avg = luxemburg_avg(np.abs(sig.samples[j.lo : j.hi]), sigma / 2)
                 assert alpha * (1 - 1e-9) < avg <= 2 * alpha * (1 + 1e-9)
 
@@ -199,8 +485,16 @@ class TestStoppingIntervals:
         sig = random_signal(1024, seed=5)
         for sigma in (0, 1, 2):
             alpha = 1.2 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
-            total = sum(j.length for j in czd.stopping_intervals(sig, sigma, alpha))
-            assert total <= czd.young_mass(sig, sigma / 2, alpha) * (1 + 1e-9)
+            stopping, mass = czd.stopping_intervals(sig, np.abs(sig.samples), sigma, alpha)
+            assert sum(j.length for j in stopping) <= mass * (1 + 1e-9)
+
+    @pytest.mark.parametrize("sigma", [0, 1, 2])
+    def test_mass_is_the_young_mass_bitwise(self, sigma):
+        # the walk's weights summed once
+        sig = random_signal(1024, seed=6)
+        alpha = 1.2 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
+        want = czd.young_mass(sig, sigma / 2, alpha)
+        assert czd.stopping_intervals(sig, np.abs(sig.samples), sigma, alpha)[1] == want
 
 
 class TestLacunaryFrequencies:
@@ -417,7 +711,7 @@ class TestDecomposition:
         # the atom is mean-free, so the lacunary part carries the pulse
         assert np.max(np.abs(dec.atoms[0].cancellative.samples)) < 1e-12
         assert np.max(np.abs(dec.lacunary_part.samples - sig.samples)) < 1e-12
-        err = np.max(np.abs(dec.reconstruct().samples - sig.samples))
+        err = np.max(np.abs(reconstruct(dec).samples - sig.samples))
         assert err < 1e-12
         assert dec.constants["measure_bound_ratio"] == pytest.approx(0.5)
         assert dec.constants["sandwich_ok"]
@@ -510,10 +804,31 @@ class TestDecomposition:
         vals = np.zeros(256)
         vals[120:136] = 1.0  # 16 of 256 samples: margin 16x
         sig = Signal(vals, period=8.0, offset=-4.0)
-        assert czd.support_margin(sig) == pytest.approx(16.0)
+        assert czd.support_margin(sig, np.abs(sig.samples)) == pytest.approx(16.0)
         czd.cz_decompose(sig, 0, 2.0, min_margin=4.0)  # passes the guard
         with pytest.raises(ValueError):
             czd.cz_decompose(sig, 0, 2.0, min_margin=100.0)
+
+    def test_margin_guard_reads_the_shared_magnitudes(self, monkeypatch):
+        # the guard and the stopping walk read the one |f| of the call
+        sig = margin_signal()
+        seen = {}
+        real_margin, real_stopping = czd.support_margin, czd.stopping_intervals
+
+        def margin(sig, mags, threshold=1e-12):
+            seen["margin"] = mags
+            return real_margin(sig, mags, threshold)
+
+        def stopping(sig, mags, sigma, alpha):
+            seen["stopping"] = mags
+            return real_stopping(sig, mags, sigma, alpha)
+
+        monkeypatch.setattr(czd, "support_margin", margin)
+        monkeypatch.setattr(czd, "stopping_intervals", stopping)
+        czd.cz_decompose(sig, 0, 2.0, min_margin=4.0)
+        assert seen["margin"] is seen["stopping"]
+        assert seen["margin"].tobytes() == np.abs(sig.samples).tobytes()
+        assert real_margin(sig, seen["margin"]) == 16.0
 
     def test_atom_diagnostics_fields(self):
         sig = random_signal(512, seed=43)

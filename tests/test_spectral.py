@@ -146,6 +146,17 @@ class TestSignalValidation:
         with pytest.raises(ValueError, match="period"):
             sp.Signal(np.ones(8), period=period)
 
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_public_constructor_copies_the_callers_array(self, dtype):
+        vals = np.arange(8, dtype=dtype)
+        sig = sp.Signal(vals, period=2.0)
+        assert not np.shares_memory(sig.samples, vals)
+        assert vals.flags.writeable and not sig.samples.flags.writeable
+        vals[0] = 5.0
+        assert sig.samples[0] == 0.0
+        with pytest.raises(ValueError):
+            sig.samples[0] = 1.0
+
 
 # -- transform conventions -----------------------------------------------
 

@@ -1,6 +1,7 @@
 """Exact dyadic symmetries: scaling the samples by 2^k moves every output of
 a linear or l2 operator by exactly 2^k, and every energy by exactly 2^(2k),
-as long as nothing over- or underflows.
+as long as nothing over- or underflows.  The stopping-time decomposition at
+level 2^k alpha keeps its atoms and moves each constant by 2^0, 2^k or 2^(2k).
 
 Floating-point arithmetic commutes with a power-of-two scale, so these tests
 need no reference implementation.  They catch an intermediate value that
@@ -10,11 +11,14 @@ leaves the float range while the exact result stays inside it.
 import numpy as np
 import pytest
 
+from lacuna import czd
 from lacuna import spectral as sp
 from lacuna.dyadic import DyadicScalar as D
 from lacuna.harness import _halved_step
 from lacuna.lacunary import interval_arrays
 from lacuna.multipliers import build_sharpness_family, prototype_multiplier
+from lacuna.orlicz import luxemburg_avg
+import test_acceptance
 import test_spectral
 
 SCALES = [-30, 5, 40]
@@ -75,3 +79,48 @@ def test_band_bank_is_exactly_amplitude_covariant(case, k):
     energies = bank.energies(sig)
     assert np.any(energies > 0.0)
     assert np.array_equal(bank.energies(scaled), energies * 2.0 ** (2 * k))
+
+
+# the power of 2^k by which each czd constant and atom diagnostic moves
+CZD_CONSTANTS = {
+    "orlicz_mass": 0, "total_stopping_length": 0, "measure_bound_ratio": 0,
+    "good_sup_constant": 0, "good_l1_ratio": 0, "lacunary_l2_sq": 2,
+    "atom_weighted_sq": 2, "lacunary_vs_atoms": 0, "lacunary_vs_mass": 0,
+    "max_atom_constant": 0, "max_residual_coefficient": 0, "sandwich_ok": 0,
+    "reconstruction_error": 0, "n_atoms": 0,
+}
+CZD_ATOM = {
+    "lo": 0, "hi": 0, "x_lo": 0, "x_hi": 0, "length": 0, "level_average": 1,
+    "atom_average": 1, "atom_constant": 0, "lacunary_l2": 1, "lacunary_constant": 0,
+    "n_frequencies": 0, "residual_coefficient": 0,
+}
+
+
+def assert_moves(got: dict, base: dict, powers: dict, k: int) -> None:
+    assert set(got) == set(base) == set(powers)
+    for key, power in powers.items():
+        if base[key] is None:
+            assert got[key] is None, key
+        else:
+            assert got[key] == base[key] * 2.0 ** (power * k), key
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("sigma", [0, 1, 2])
+def test_cz_decompose_is_exactly_amplitude_covariant(sigma, k):
+    # a gate 06 style member at 2^12, at 1.5 times its Luxemburg average
+    rng = np.random.default_rng(74)
+    sig = test_acceptance._terms_signal(test_acceptance._spiky_terms(rng), 12)
+    alpha = 1.5 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
+    base = czd.cz_decompose(sig, sigma, alpha)
+    got = czd.cz_decompose(sig.with_samples(sig.samples * 2.0**k), sigma, alpha * 2.0**k)
+    assert len(base.atoms) > 1
+    assert got.stopping == base.stopping
+    assert got.alpha == base.alpha * 2.0**k
+    assert_moves(got.constants, base.constants, CZD_CONSTANTS, k)
+    for a, b in zip(got.atoms, base.atoms, strict=True):
+        assert_moves(a.diagnostics, b.diagnostics, CZD_ATOM, k)
+        for part in ("cancellative", "lacunary"):
+            assert np.array_equal(getattr(a, part).samples, getattr(b, part).samples * 2.0**k)
+    for part in ("good", "lacunary_part"):
+        assert np.array_equal(getattr(got, part).samples, getattr(base, part).samples * 2.0**k)
