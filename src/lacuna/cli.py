@@ -46,7 +46,6 @@ from .lacunary import LacInterval, interval_to_line, lac_tau, lambda_tau
 from .orlicz import exp_norm, llogl_avg_equiv, luxemburg_avg
 from .spectral import (
     AliasFlags,
-    default_band,
     lp_square_function,
     project_sharp,
     project_smooth,
@@ -200,7 +199,7 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
     sig = read_signal(args.input)
     flags = AliasFlags()
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
-    max_abs = DyadicScalar.from_float(args.max_abs) if args.max_abs else default_band(sig)
+    max_abs = DyadicScalar.from_float(args.max_abs) if args.max_abs else None
     out = lp_square_function(sig, args.tau, min_scale, args.mode, max_abs, flags=flags)
     if args.output:
         write_signal(args.output, out)

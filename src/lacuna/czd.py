@@ -62,6 +62,8 @@ __all__ = [
     "support_margin",
 ]
 
+SUPPORT_THRESHOLD = 1e-12  # support_margin: the support is above this times the peak
+
 
 @dataclass(frozen=True)
 class StoppingInterval:
@@ -275,16 +277,16 @@ def remove_lacunary(piece: Signal, bins) -> tuple:
     return tuple(Signal._adopt(vals, piece.period, piece.offset) for vals in parts)
 
 
-def support_margin(sig: Signal, mags: np.ndarray, threshold: float = 1e-12) -> float:
+def support_margin(sig: Signal, mags: np.ndarray) -> float:
     """Window length over support diameter (inf when effectively zero).
 
-    The support is read off the magnitudes ``mags = np.abs(sig.samples)`` at
-    the given threshold relative to the peak.
+    The support is read off the magnitudes ``mags = np.abs(sig.samples)``
+    above ``SUPPORT_THRESHOLD`` times the peak.
     """
     peak = float(mags.max()) if mags.size else 0.0
     if peak == 0.0:
         return math.inf
-    idx = np.nonzero(mags > threshold * peak)[0]
+    idx = np.nonzero(mags > SUPPORT_THRESHOLD * peak)[0]
     diam = (int(idx[-1]) - int(idx[0]) + 1) * sig.dx
     return sig.period / diam
 

@@ -87,19 +87,12 @@ class DyadicScalar:
         return self.exponent
 
     # -- arithmetic ----------------------------------------------------
-    def __neg__(self) -> "DyadicScalar":
-        return DyadicScalar(-self.mantissa, self.exponent)
-
     def __abs__(self) -> "DyadicScalar":
         return DyadicScalar(abs(self.mantissa), self.exponent)
 
     def _aligned(self, other: "DyadicScalar") -> tuple[int, int, int]:
         e = min(self.exponent, other.exponent)
         return self.mantissa << (self.exponent - e), other.mantissa << (other.exponent - e), e
-
-    def __add__(self, other: "DyadicScalar") -> "DyadicScalar":
-        a, b, e = self._aligned(other)
-        return DyadicScalar(a + b, e)
 
     def __sub__(self, other: "DyadicScalar") -> "DyadicScalar":
         a, b, e = self._aligned(other)

@@ -18,7 +18,6 @@ Two kinds of operator live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,23 +34,14 @@ from .spectral import (
 # -- step multipliers ----------------------------------------------------------
 
 
-def prototype_multiplier(
-    tau: int,
-    min_scale: DyadicScalar,
-    max_abs: DyadicScalar,
-    signs: Optional[Sequence[int]] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> BandBank:
+def prototype_multiplier(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar,
+                         rng: np.random.Generator) -> BandBank:
     """Random-sign block symbol: one window per family block, coefficient
-    +-1 (a step multiplier with N = 1)."""
+    +-1 drawn from ``rng`` (a step multiplier with N = 1)."""
     family = interval_arrays(tau, min_scale, max_abs)[-1]
-    if signs is None:
-        rng = rng or np.random.default_rng(0)
-        signs = rng.choice([-1, 1], size=family.left.size)
-    if len(signs) != family.left.size:
-        raise ValueError("need one sign per block")
-    return BandBank(family.left, family.right, min_scale.log2(),
-                    np.asarray(signs).astype(complex), "step_multiplier")
+    signs = rng.choice([-1, 1], size=family.left.size)
+    return BandBank(family.left, family.right, min_scale.log2(), signs.astype(complex),
+                    "step_multiplier")
 
 
 # -- the sharpness family ------------------------------------------------------

@@ -10,10 +10,13 @@ Conventions (sigma >= 0 throughout):
 - Young function ``B_sigma(t) = t (log(e+t))^sigma``; ``sigma = 0`` is L^1.
 - ``luxemburg_avg`` solves ``mean B(|f|/lam) = 1`` by a safeguarded Newton
   iteration on ``s = log lam``, with tolerance 1e-10 on the constraint value.
-  The bracket starts at ``[mean |f|, hi]`` (``hi`` grown by doubling) and
-  shrinks with every evaluation; a Newton step that leaves it is replaced by
-  the bracket midpoint.  A warm start at or above the root skips the doubling
-  probe.  ``sigma = 0`` returns the mean exactly.  Zero samples are skipped
+  The bracket starts at ``[mean |f|, mean max(2, log(e + max/mean)^sigma)]``,
+  whose upper end the growth of ``B`` alone puts above the root (the bracket
+  bound, see :func:`luxemburg_avg`), and shrinks with every evaluation; a
+  Newton step that leaves it is replaced by the bracket midpoint.  The first
+  evaluation is at a warm start inside the bracket, else at its midpoint
+  (after doubling the upper end where the mean is subnormal).
+  ``sigma = 0`` returns the mean exactly.  Zero samples are skipped
   (``B(0) = 0``), and each evaluation takes one log per remaining sample,
   shared by ``B`` and the Newton slope (:meth:`YoungFunction.mean_terms`).
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
@@ -31,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 _E = math.e
+_NORMAL_MIN = float(np.finfo(float).tiny)  # the bracket bound holds for means at least this
 CONSTRAINT_TOL = 1e-10
 SCREEN_MARGIN = 1e-8  # luxemburg_exceeds: far above CONSTRAINT_TOL and rounding
 EXP_NORM_MAX_P = 512
@@ -88,17 +92,21 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     ``h(s) = mean B(|f| e^{-s}) - 1`` is convex and decreasing in
     ``s = log lam``, so Newton's step ``lam <- lam exp(h / mean B'(u) u)``
     (``u = |f|/lam``) converges from below once it has made one step.  The
-    bracket starts as ``lo = mean |f|`` (where ``h >= 0``) and ``hi`` grown by
-    doubling until ``h(log hi) <= 0``; every evaluation shrinks it, and a
-    step that leaves it goes to the bracket midpoint instead.  The iterate
-    starts at ``start`` when that lies strictly inside the first bracket (a
-    warm start from a nearby solve), else at the midpoint.  A warm start
-    inside ``(lo, hi)`` before any doubling is evaluated first: when the
-    constraint there is at most 1 (up to the tolerance), ``start`` is already
-    the upper end of the bracket and the doubling probe at ``hi`` is skipped;
-    otherwise the probe runs as for a cold start and the value at ``start``
-    is reused.  Either way the iterates are those of probing first.  Returns
-    once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, after at most 200 steps.
+    bracket starts as ``lo = mean |f|`` (where ``h >= 0``) and ``hi = mean
+    max(2, log(e + x)^sigma)`` with ``x = max |f| / mean |f|``; every
+    evaluation shrinks it, and a step that leaves it goes to the bracket
+    midpoint instead.  The first evaluation is at ``start`` when that lies
+    strictly inside the first bracket (a warm start), else at the midpoint.
+    Returns once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, after at most 200 steps.
+
+    The bracket bound puts ``h(log hi) < 0`` unevaluated: ``mean B(|f|/hi)
+    <= (mean/hi) log(e + max/hi)^sigma <= log(e + x/2)^sigma / max(2, log(e +
+    x)^sigma)``, which peaks over sigma where ``log(e + x)^sigma = 2``; as
+    ``x`` is at most the sample count, it is at most 0.9883 up to 2^22 samples
+    and 0.9964 up to 2^53.  Rounding moves it far less than that while the
+    mean is a normal float.  A subnormal mean can round down by up to a third
+    and the bound fail (``[12, 28, 1]`` times 2^-1074 among 27 zeros, sigma
+    1), so there ``hi`` first doubles until ``h(log hi) <= 0``.
 
     The mean, the maximum and the bracket come from every sample; the
     evaluations sum over the nonzero samples only and divide by the full
@@ -127,20 +135,10 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
 
     size = v.size
     v = v if v.all() else v[v != 0]
-
-    # a warm start at or above the root is the upper end of the bracket
-    inside = start is not None and lo < start < hi
-    if inside:
-        lam = start
-        val, terms = B.mean_terms(v / lam, size)
-    if not inside or val - 1.0 > CONSTRAINT_TOL:
-        grow = 0
-        while B.mean_terms(v / hi, size)[0] > 1.0 and grow < 200:
-            hi *= 2.0
-            grow += 1
-        if not inside:
-            lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-            val, terms = B.mean_terms(v / lam, size)
+    while mean < _NORMAL_MIN and B.mean_terms(v / hi, size)[0] > 1.0:
+        hi *= 2.0  # a subnormal mean can round too far down for the bracket bound
+    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    val, terms = B.mean_terms(v / lam, size)
     for _ in range(200):
         if abs(val - 1.0) <= CONSTRAINT_TOL:
             return lam
@@ -165,8 +163,12 @@ def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
     sigma``, and one evaluation rounds far below ``SCREEN_MARGIN``.  So when
     ``mean B(|f|/bound) - 1`` exceeds it, no ``lam <= bound`` has a computed
     constraint within ``CONSTRAINT_TOL``, nor is it the midpoint of a collapsed
-    bracket (``hi - lo <= 1e-15 hi``) whose upper end has computed constraint
-    ``<= 0``: the solve's only returns short of its 200-step caps.
+    bracket (``hi - lo <= 1e-15 hi``): the solve's only returns short of its
+    200-step caps.  Such a bracket's upper end lies far above ``bound``: it is
+    an iterate with computed constraint below 1, or the first upper end, which
+    for a normal mean the solve never evaluates but the bracket bound of
+    :func:`luxemburg_avg` puts at ``mean B <= 0.9964``, and for a subnormal
+    one was doubled until its computed constraint was at most 1.
     """
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     if bound <= 0.0 or v.size == 0:
@@ -184,9 +186,7 @@ def llogl_avg_equiv(values, sigma: float) -> float:
 
 
 def _log_p_mean(logv: np.ndarray, n: int, p: int) -> float:
-    # log( mean |f|^p ) over n samples, zeros dropped from logv
-    if logv.size == 0:
-        return -math.inf
+    # log( mean |f|^p ) over n samples, zeros dropped from logv (one at least left)
     m = float(np.max(logv))
     s = float(np.sum(np.exp(p * (logv - m))))
     return p * m + math.log(s) - math.log(n)

@@ -221,16 +221,10 @@ def _window(lo: DyadicScalar, hi: DyadicScalar) -> tuple:
             np.array([hi.mantissa << (hi.exponent - e)], dtype=object), e)
 
 
-def band_indices(
-    sig: Signal,
-    lo: DyadicScalar,
-    hi: DyadicScalar,
-    flags: Optional[AliasFlags] = None,
-    label: str = "band",
-) -> np.ndarray:
+def band_indices(sig: Signal, lo: DyadicScalar, hi: DyadicScalar) -> np.ndarray:
     """FFT-layout positions of lattice frequencies in [lo, hi), clipped to the
-    representable range [-n/2, n/2 - 1] with flagging."""
-    return BandBank(*_window(lo, hi), np.ones(1), label).rows(sig, flags)[0][0]
+    representable range [-n/2, n/2 - 1]."""
+    return BandBank(*_window(lo, hi), np.ones(1)).rows(sig)[0][0]
 
 
 # -- band banks ------------------------------------------------------------

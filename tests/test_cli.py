@@ -420,6 +420,21 @@ class TestCzd:
         assert (tmp_path / "dec.json").exists()
         assert (tmp_path / "dec_good.bin").exists()
 
+    def test_min_margin_guard(self, tmp_path, capsys):
+        # 16 nonzero samples of 256: the window is 16 times the support
+        vals = np.zeros(256)
+        vals[120:136] = 1.0
+        path = tmp_path / "pulse.bin"
+        write_signal(path, Signal(vals, 8.0, -4.0))
+        argv = ["czd", "--input", str(path), "--sigma", "0", "--alpha", "2"]
+        code, got = run_json(capsys, argv + ["--min-margin", "16"])
+        assert code == 0
+        assert got == run_json(capsys, argv)[1]
+        code = main(argv + ["--min-margin", "16.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "czd: support margin below the requested minimum\n"
+
     @pytest.mark.parametrize("alpha", ["0.6", "10"])
     def test_period_not_a_power_of_two_fails_on_entry(self, tmp_path, capsys, alpha):
         # at alpha 0.6 the first half is a stopping interval, at 10 none is;

@@ -815,9 +815,9 @@ class TestDecomposition:
         seen = {}
         real_margin, real_stopping = czd.support_margin, czd.stopping_intervals
 
-        def margin(sig, mags, threshold=1e-12):
+        def margin(sig, mags):
             seen["margin"] = mags
-            return real_margin(sig, mags, threshold)
+            return real_margin(sig, mags)
 
         def stopping(sig, mags, sigma, alpha):
             seen["stopping"] = mags

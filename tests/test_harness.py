@@ -302,7 +302,7 @@ class TestOperators:
         assert step_violations(windows, family, 2) == []
         assert len(windows) == 2 * len(family)
         for block, (lo, mid, c0), (mid_, hi, c1) in zip(family, windows[::2], windows[1::2]):
-            center = block.left + block.length.scale_pow2(-1)
+            center = block.right - block.length.scale_pow2(-1)
             assert (lo, mid, mid_, hi) == (block.left, center, center, block.right)
             assert abs(c0) ** 2 + abs(c1) ** 2 == 0.5
 

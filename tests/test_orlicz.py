@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -154,6 +155,50 @@ def full_array_luxemburg(values, sigma: float, start=None) -> float:
         nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
         u, val = at(lam)
+    return 0.5 * (lo + hi)
+
+
+def bracket_probe_luxemburg(values, sigma: float, start=None) -> float:
+    """``luxemburg_avg`` before it trusted the bracket bound: ``hi`` doubles
+    until ``mean B(|f|/hi) <= 1`` before the Newton loop, except after a warm
+    start inside the first bracket whose constraint is at most ``1 +
+    CONSTRAINT_TOL``, which is evaluated first and is then the upper end."""
+    B = YoungFunction(sigma)
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    mean = float(v.sum()) / v.size
+    if mean == 0.0:
+        return 0.0
+    if sigma == 0:
+        return mean
+    lo = mean
+    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
+    size = v.size
+    v = v if v.all() else v[v != 0]
+    inside = start is not None and lo < start < hi
+    if inside:
+        lam = start
+        val, terms = B.mean_terms(v / lam, size)
+    if not inside or val - 1.0 > CONSTRAINT_TOL:
+        grow = 0
+        while B.mean_terms(v / hi, size)[0] > 1.0 and grow < 200:
+            hi *= 2.0
+            grow += 1
+        if not inside:
+            lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+            val, terms = B.mean_terms(v / lam, size)
+    for _ in range(200):
+        if abs(val - 1.0) <= CONSTRAINT_TOL:
+            return lam
+        if val > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= 1e-15 * hi:
+            break
+        step = (val - 1.0) / B.mean_slope(terms, size)
+        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        val, terms = B.mean_terms(v / lam, size)
     return 0.5 * (lo + hi)
 
 
@@ -502,6 +547,119 @@ def test_start_outside_the_bracket_takes_the_fallback():
     assert lo < cold < hi
     for start in (-1.0, 0.0, 1e-300, lo, hi, 2.0 * hi, 1e300, math.inf, math.nan):
         assert luxemburg_avg(v, 1.0, start=start) == cold, start
+
+
+# -- the solve from the bracket bound against the probing solve it replaced ---
+
+
+def first_bracket(v: np.ndarray, sigma: float) -> tuple:
+    """The solve's first ``(lo, hi)``: ``hi = mean max(2, log(e + max/mean)^sigma)``."""
+    a = np.abs(v)
+    mean = float(a.sum()) / a.size
+    return mean, mean * max(2.0, math.log(E + float(a.max()) / mean) ** sigma)
+
+
+def mean_young(v: np.ndarray, sigma: float, lam: float) -> float:
+    """The solve's computed ``mean B(|f|/lam)``."""
+    a = np.abs(v)
+    return YoungFunction(sigma).mean_terms(a[a != 0] / lam, a.size)[0]
+
+
+def normal_range_corpus():
+    """``(values, sigma)`` with a normal-float mean: one spike in 2^j samples
+    (max/mean = 2^j up to 2^22) at sigma within 1e-6 of ``log(e + 2^j)^sigma
+    = 2``, where the bracket bound is tightest; and the pareto, constant,
+    tiny, normal and near-subnormal kinds, also with zeros, at sigma from 1e-3
+    to 8."""
+    rng = np.random.default_rng(2222)
+    for j in (1, 2, 3, 5, 8, 12, 16, 20, 22):
+        spike = np.zeros(1 << j)
+        spike[rng.integers(1 << j)] = 3.5
+        edge = math.log(2.0) / math.log(math.log(E + 2.0**j))
+        for sigma in (edge - 1e-6, edge, edge + 1e-6):
+            yield spike, sigma
+    for sigma in (1e-3, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+        for kind in ("pareto", "constant", "tiny", "normal", "near-subnormal"):
+            for n in (1, 2, 3, 64, 4096):
+                if kind == "near-subnormal":  # a mean near 2^-1017, some samples subnormal
+                    v = rng.random(n) * 2.0**-1016
+                    v[0] = 2.0**-1012
+                else:
+                    v = newton_inputs(kind, n, rng)
+                yield v, sigma
+                if n > 1:
+                    zeros = v * (rng.random(n) < 0.1)
+                    zeros[rng.integers(n)] = v[0]
+                    yield zeros, sigma
+
+
+def subnormal_corpus(draws: int = 16, seed: int = 1074):
+    """Integer multiples of 2^-1074 in 1 to 1000 samples, whose computed mean
+    can round far enough down that the first upper end is below the root:
+    every sorted array of one to three multiples 0..4, and random draws.
+    Each solve here runs all 200 steps, since ``1e-15 hi`` underflows."""
+    tiny = 2.0**-1074
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        for ints in itertools.combinations_with_replacement(range(5), n):
+            yield np.array(ints) * tiny
+    # the mean 41/30 rounds to 1: without doubling hi, 2^-1073 at sigma 1, not 2^-1072
+    found = np.zeros(30)
+    found[[5, 10, 21]] = 12, 28, 1
+    yield found * tiny
+    for _ in range(draws):
+        n = int(np.exp(rng.uniform(0.0, math.log(1000.0)))) + 1
+        ints = rng.integers(0, int(rng.choice([4, 64, 1 << 20])) + 1, n)
+        yield ints * (rng.random(n) < rng.uniform(0.01, 1.0)) * tiny
+
+
+def starts_around(v, sigma, root):
+    """Warm starts at, below and above the root, and outside the first bracket."""
+    lo, hi = first_bracket(v, sigma)
+    return (root, root * 0.7, root * (1 + 1e-3), 0.5 * lo, 2.0 * hi)
+
+
+def test_solve_is_the_probing_solve_bitwise_with_one_evaluation_fewer(monkeypatch):
+    # one Young evaluation fewer, except after a warm start inside the bracket
+    # at or above the root, where the probing solve skipped its probe too
+    seen = 0
+    for v, sigma in normal_range_corpus():
+        lo, hi = first_bracket(v, sigma)
+        assert lo >= np.finfo(float).tiny
+        for start in (None,) + starts_around(v, sigma, luxemburg_avg(v, sigma)):
+            got, calls = count_young_calls(monkeypatch, luxemburg_avg, v, sigma, start=start)
+            want, probe_calls = count_young_calls(monkeypatch, bracket_probe_luxemburg,
+                                                  v, sigma, start=start)
+            assert got == want, (v.size, sigma, start)
+            skipped = start is not None and lo < start < hi and \
+                mean_young(v, sigma, start) - 1.0 <= CONSTRAINT_TOL
+            assert calls == probe_calls - (not skipped), (v.size, sigma, start)
+            seen += 1
+    assert seen > 2000
+
+
+@pytest.mark.parametrize("sigma", [0.25, 1.0, 2.0, 8.0])
+def test_solve_is_the_probing_solve_on_subnormal_multiples(sigma):
+    short = 0
+    for v in subnormal_corpus():
+        root = luxemburg_avg(v, sigma)
+        assert root == bracket_probe_luxemburg(v, sigma), (v, sigma)
+        if root == 0.0:  # the mean rounds to zero
+            continue
+        short += mean_young(v, sigma, first_bracket(v, sigma)[1]) > 1.0
+        # below the root: the start the probing solve evaluated before its probe
+        start = root * 0.7
+        assert luxemburg_avg(v, sigma, start=start) == \
+            bracket_probe_luxemburg(v, sigma, start=start), (v, sigma, start)
+    # where the probing solve doubled its upper end, e.g. [0, 2, 2] 2^-1074 at sigma 2
+    assert short >= (2 if sigma in (1.0, 2.0) else 0)
+
+
+def test_bracket_bound_at_the_first_upper_end():
+    worst = 0.0
+    for v, sigma in normal_range_corpus():
+        worst = max(worst, mean_young(v, sigma, first_bracket(v, sigma)[1]))
+    assert 0.98 < worst <= 0.99
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])

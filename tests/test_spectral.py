@@ -50,9 +50,9 @@ def eta_window(interval):
     """The ``(lo, hi, weight)`` window of the adapted bump ``eta((xi -
     c_L)/|L|)``: the padded window ``(5/4)L`` covers its support."""
     length = interval.length
-    center = float(interval.left + length.scale_pow2(-1))
+    center = float(interval.right - length.scale_pow2(-1))
     pad = D(3 * length.mantissa, length.exponent - 2)
-    return (interval.left - pad, interval.right + pad,
+    return (interval.left - pad, interval.right - D(-pad.mantissa, pad.exponent),
             lambda xi: sp.eta((xi - center) / float(length)))
 
 
@@ -287,17 +287,17 @@ class TestSharpProjection:
         sig = sp.Signal(np.zeros(64), period=8.0)
         flags = sp.AliasFlags()
         # positive block ending exactly at the band edge: fits (half-open)
-        idx = sp.band_indices(sig, D.from_int(2), D.from_int(4), flags)
+        idx = bank_of([(D.from_int(2), D.from_int(4), 1.0)]).rows(sig, flags)[0][0]
         assert sorted(sp.freq_indices(64)[idx]) == list(range(16, 32))
         # negative block starting at -edge: the -n/2 bin is representable
-        idx = sp.band_indices(sig, D.from_int(-4), D.from_int(-2), flags)
+        idx = bank_of([(D.from_int(-4), D.from_int(-2), 1.0)]).rows(sig, flags)[0][0]
         assert sorted(sp.freq_indices(64)[idx]) == list(range(-32, -16))
         assert not flags.aliased
 
     def test_band_beyond_nyquist_flags(self):
         sig = sp.Signal(np.zeros(64), period=8.0)
         flags = sp.AliasFlags()
-        sp.band_indices(sig, D.from_int(4), D.from_int(8), flags)
+        bank_of([(D.from_int(4), D.from_int(8), 1.0)]).rows(sig, flags)
         assert flags.aliased
 
     def test_projection_idempotent_and_band_limited(self):
@@ -377,7 +377,7 @@ class TestLatticeBounds:
             j = i * (t >> v)
             assert window_bounds(on, on, period) == (j, j - 1)
             for off in (-1, 1):  # half a lattice step below or above the point
-                near = on + D(off, k - v - 1)
+                near = on - D(-off, k - v - 1)
                 for lo, hi in ((on, near), (near, on), (near, near)):
                     assert window_bounds(lo, hi, period) == reference_lattice_bounds(
                         lo, hi, period)
@@ -527,7 +527,7 @@ def _reference_spectra(sig, kind, family):
         if kind == "sharp":
             weight = (xi >= float(L.left)) & (xi < float(L.right))
         else:
-            weight = sp.eta((xi - float(L.left + L.length.scale_pow2(-1))) / float(L.length))
+            weight = sp.eta((xi - float(L.right - L.length.scale_pow2(-1))) / float(L.length))
         rows.append(coeffs * weight)
     return np.array(rows)
 
@@ -971,7 +971,7 @@ class TestWindowResolution:
             return [sharp_window(L) for L in family]
         windows = []
         for L in family:
-            mid = L.left + L.length.scale_pow2(-1)
+            mid = L.right - L.length.scale_pow2(-1)
             signs = rng.choice([-1.0, 1.0], size=2)
             windows += [(L.left, mid, complex(0.5 * signs[0])),
                         (mid, L.right, complex(0.5 * signs[1]))]
@@ -1060,7 +1060,7 @@ class TestWindowResolution:
         for log2_n, period, top in ((14, 16.0, 7), (14, 8.0, 8), (12, 8.0, 6)):
             for n_param in range(2, top + 1):
                 fam = mult.build_sharpness_family(n_param, log2_n, period)
-                windows = [(D.pow2(k) + D.pow2(l - 1), D.pow2(k) + D.pow2(l),
+                windows = [(D((1 << (k - l + 1)) + 1, l - 1), D((1 << (k - l)) + 1, l),
                             lambda xi, k=k, l=l: mult.base_symbol((xi - 2.0**k) / 2.0 ** (l - 1)))
                            for k, l in fam.pairs]
                 resolved = self.record(monkeypatch)

@@ -2,6 +2,8 @@
 a linear or l2 operator by exactly 2^k, and every energy by exactly 2^(2k),
 as long as nothing over- or underflows.  The stopping-time decomposition at
 level 2^k alpha keeps its atoms and moves each constant by 2^0, 2^k or 2^(2k).
+The Luxemburg average and the weak-L1 norm move by 2^k, and the weak-type
+ratio keeps its value and moves its threshold by 2^k.
 
 Floating-point arithmetic commutes with a power-of-two scale, so these tests
 need no reference implementation.  They catch an intermediate value that
@@ -14,10 +16,11 @@ import pytest
 from lacuna import czd
 from lacuna import spectral as sp
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.harness import _halved_step
+from lacuna.harness import _halved_step, weak_type_ratio
 from lacuna.lacunary import interval_arrays
 from lacuna.multipliers import build_sharpness_family, prototype_multiplier
 from lacuna.orlicz import luxemburg_avg
+from lacuna.spectral import weak_l1_norm
 import test_acceptance
 import test_spectral
 
@@ -124,3 +127,32 @@ def test_cz_decompose_is_exactly_amplitude_covariant(sigma, k):
             assert np.array_equal(getattr(a, part).samples, getattr(b, part).samples * 2.0**k)
     for part in ("good", "lacunary_part"):
         assert np.array_equal(getattr(got, part).samples, getattr(base, part).samples * 2.0**k)
+
+
+def sparse_magnitudes(seed):
+    # heavy-tailed samples with a quarter of them zero
+    rng = np.random.default_rng(seed)
+    return rng.pareto(1.5, 4096) * (rng.random(4096) < 0.75)
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("sigma", [0, 0.5, 1, 2, 4])
+def test_luxemburg_avg_is_exactly_amplitude_covariant(sigma, k):
+    v = sparse_magnitudes(75)
+    root = luxemburg_avg(v, sigma)
+    for start in (None, root, 0.9 * root, 1.1 * root, 1e-3 * root, 1e3 * root):
+        base = luxemburg_avg(v, sigma, start=start)
+        scaled_start = None if start is None else start * 2.0**k
+        assert luxemburg_avg(v * 2.0**k, sigma, start=scaled_start) == base * 2.0**k, start
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_weak_norms_are_exactly_amplitude_covariant(k):
+    out, vals = sparse_magnitudes(76), sparse_magnitudes(77)
+    dx = 1.0 / 64
+    assert weak_l1_norm(out * 2.0**k, dx) == weak_l1_norm(out, dx) * 2.0**k
+    for exponent in (0.0, 0.5, 1.0, 2.0):
+        base = weak_type_ratio(out, vals, dx, exponent)
+        got = weak_type_ratio(out * 2.0**k, vals * 2.0**k, dx, exponent)
+        assert base["max_ratio"] > 0.0
+        assert got == {**base, "alpha": base["alpha"] * 2.0**k}, exponent
