@@ -97,7 +97,8 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     evaluation shrinks it, and a step that leaves it goes to the bracket
     midpoint instead.  The first evaluation is at ``start`` when that lies
     strictly inside the first bracket (a warm start), else at the midpoint.
-    Returns once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, after at most 200 steps.
+    Returns once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, or the midpoint once
+    the bracket is within ``1e-15 hi`` or one float step, in at most 200 steps.
 
     The bracket bound puts ``h(log hi) < 0`` unevaluated: ``mean B(|f|/hi)
     <= (mean/hi) log(e + max/hi)^sigma <= log(e + x/2)^sigma / max(2, log(e +
@@ -146,7 +147,7 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
             lo = lam
         else:
             hi = lam
-        if hi - lo <= 1e-15 * hi:
+        if hi - lo <= max(1e-15 * hi, 2.0**-1074):  # one float step where 1e-15 hi underflows
             break
         step = (val - 1.0) / B.mean_slope(terms, size)
         nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
@@ -162,13 +163,14 @@ def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
     ``mean B(|f|/lam)`` decreases in ``lam`` with log-slope at most ``1 +
     sigma``, and one evaluation rounds far below ``SCREEN_MARGIN``.  So when
     ``mean B(|f|/bound) - 1`` exceeds it, no ``lam <= bound`` has a computed
-    constraint within ``CONSTRAINT_TOL``, nor is it the midpoint of a collapsed
-    bracket (``hi - lo <= 1e-15 hi``): the solve's only returns short of its
-    200-step caps.  Such a bracket's upper end lies far above ``bound``: it is
-    an iterate with computed constraint below 1, or the first upper end, which
-    for a normal mean the solve never evaluates but the bracket bound of
-    :func:`luxemburg_avg` puts at ``mean B <= 0.9964``, and for a subnormal
-    one was doubled until its computed constraint was at most 1.
+    constraint within ``CONSTRAINT_TOL``, nor is it the midpoint of a bracket
+    collapsed to ``hi - lo <= 1e-15 hi``: the solve's only returns but its
+    200-step caps and a bracket one subnormal step wide (whose midpoint can
+    be its lower end).  Such a bracket's upper end lies far above ``bound``:
+    it is an iterate with computed constraint below 1, or the first upper
+    end, which for a normal mean the solve never evaluates but the bracket
+    bound of :func:`luxemburg_avg` puts at ``mean B <= 0.9964``, and for a
+    subnormal one was doubled until its computed constraint was at most 1.
     """
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     if bound <= 0.0 or v.size == 0:

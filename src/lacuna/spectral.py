@@ -19,6 +19,9 @@ projection to interval ``L`` multiplies by ``eta((xi - c_L)/|L|)``.
 Anything that would touch frequencies outside the representable band sets a
 flag on the optional :class:`AliasFlags` accumulator instead of raising, so
 experiments can assert clean runs.
+
+A real signal's coefficients for a square function come from one ``rfft``,
+within about ``1e-14`` of the peak coefficient of its complex ``fft``.
 """
 
 from __future__ import annotations
@@ -123,6 +126,17 @@ def freq_indices(n: int) -> np.ndarray:
 def _signed_indices(pos: np.ndarray, n: int) -> np.ndarray:
     """``freq_indices(n)[pos]`` with no full-length array: ``pos - n`` from ``(n + 1) // 2``."""
     return pos - n * (pos >= (n + 1) // 2)
+
+
+def _coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real ones take
+    one ``rfft``, a position past ``n/2`` the conjugate of its mirror ``n -
+    pos``, within about ``1e-14`` of the peak coefficient."""
+    if samples.imag.any():
+        return np.fft.fft(samples)[pos]
+    mirrored = pos > samples.size // 2
+    coeffs = np.fft.rfft(samples.real)[np.where(mirrored, samples.size - pos, pos)]
+    return np.conjugate(coeffs, out=coeffs, where=mirrored)
 
 
 def spectrum(sig: Signal) -> np.ndarray:
@@ -276,9 +290,11 @@ class BandBank:
     (:func:`_band_plan`), resolved in one pass when the first signal on a
     ``(n, period)`` arrives and kept in ``grids`` with the alias events raised
     meanwhile (replayed into the caller's flags on every use).  Operations
-    work on the bare ``fft`` of the samples: the offset phases that
-    :func:`spectrum` multiplies in and :func:`synthesize` takes out cancel in
-    every band piece, so the pieces come out at the signal's own samples.
+    work on the bare ``fft`` of the samples (``square`` and ``square_at`` on
+    one ``rfft`` of a real signal, see :func:`_coefficients`): the offset
+    phases that :func:`spectrum` multiplies in and :func:`synthesize` takes
+    out cancel in every band piece, so the pieces come out at the signal's
+    own samples.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, exponent: int, weight,
@@ -372,10 +388,9 @@ class BandBank:
         samples = sig.samples
         peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
         shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
-        coeffs = np.fft.fft(samples * 2.0**-shift)
         n = sig.n
         stack = np.zeros(sum(size * k for size, k in plan.runs), dtype=np.complex128)
-        stack[plan.slots] = coeffs[plan.pos] * plan.vals
+        stack[plan.slots] = _coefficients(samples * 2.0**-shift, plan.pos) * plan.vals
         lags, at = [np.empty(0)], 0
         for size, k in plan.runs:
             spec = np.fft.fft(stack[at:at + k * size].reshape(k, size), axis=1)
@@ -401,7 +416,6 @@ class BandBank:
         matrix over the plan's positions, one segmented sum per band, and the
         squares added in band order."""
         plan = self._grid(sig, None)
-        coeffs = np.fft.fft(sig.samples)
         # relative to the window start the band pieces carry no offset phase
         t = np.asarray(xs, dtype=float) - sig.offset
         xi = _signed_indices(plan.pos, sig.n) / sig.period
@@ -410,7 +424,7 @@ class BandBank:
         np.outer(xi, t, out=terms.imag)
         terms.imag *= 2 * np.pi
         np.exp(terms, out=terms)
-        terms *= (coeffs[plan.pos] * plan.vals)[:, None]
+        terms *= (_coefficients(sig.samples, plan.pos) * plan.vals)[:, None]
         return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))
 
 

@@ -251,16 +251,18 @@ class TestSharpnessFamily:
         outside = np.abs(xi) >= 4.0 * 2**4
         assert np.max(np.abs(coeffs[outside])) < 1e-9
 
-    @pytest.mark.parametrize("order, log2_n", [(4, 12), (8, 16), (11, 18)])
+    @pytest.mark.parametrize("order, log2_n", [(4, 12), (8, 16), (11, 18), (12, 20)])
     def test_dilated_bump_is_the_exact_sign_synthesis(self, order, log2_n):
-        # the centered window's offset phase at j/T is exactly (-1)^j;
-        # synthesize, which evaluates it as exp(-pi i j), stays the near reference
+        # the centered window's offset phase at j/T is exactly (-1)^j; the
+        # complex ifft of the full signed spectrum is the reference, and
+        # synthesize, which evaluates the phase as exp(-pi i j), the near one
         fam = mult.build_sharpness_family(order, log2_n)
         n, period = 1 << log2_n, fam.f_n.period
         js = sp.freq_indices(n)
         coeffs = mult.base_bump_spectrum(js / period / 2.0**order).astype(complex)
         exact = np.fft.ifft(coeffs * (-1.0) ** np.abs(js)) * (n / period)
-        assert np.array_equal(fam.f_n.samples, exact)
+        assert not fam.f_n.samples.imag.any()
+        assert np.max(np.abs(fam.f_n.samples - exact)) <= 1e-14 * np.max(np.abs(exact))
         assert fam.f_n.offset == -period / 2
         near = sp.synthesize(coeffs, period, -period / 2).samples
         assert np.max(np.abs(near - exact)) <= 1e-10 * np.max(np.abs(exact))
@@ -335,11 +337,10 @@ def one_matrix_square_at(bank, sig, xs):
     """``BandBank.square_at`` before its phases were exponentiated in place:
     the complex phase argument and its exponential both held at once."""
     plan = bank._grid(sig, None)
-    coeffs = np.fft.fft(sig.samples)
     t = np.asarray(xs, dtype=float) - sig.offset
     xi = sp.freq_indices(sig.n)[plan.pos] / sig.period
     terms = np.exp(2j * np.pi * np.outer(xi, t))
-    terms *= (coeffs[plan.pos] * plan.vals)[:, None]
+    terms *= (sp._coefficients(sig.samples, plan.pos) * plan.vals)[:, None]
     return np.sqrt(np.sum(np.abs(sp._band_sums(plan, terms) / sig.n) ** 2, axis=0))
 
 

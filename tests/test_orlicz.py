@@ -202,6 +202,41 @@ def bracket_probe_luxemburg(values, sigma: float, start=None) -> float:
     return 0.5 * (lo + hi)
 
 
+def underflowing_collapse_luxemburg(values, sigma: float, start=None) -> float:
+    """``luxemburg_avg`` before its collapse test had a floor: ``hi - lo <=
+    1e-15 hi`` underflows where the mean is subnormal, so those solves run
+    all 200 steps on a bracket one float step wide."""
+    B = YoungFunction(sigma)
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    mean = float(v.sum()) / v.size
+    if mean == 0.0:
+        return 0.0
+    if sigma == 0:
+        return mean
+    lo = mean
+    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
+    size = v.size
+    v = v if v.all() else v[v != 0]
+    while mean < np.finfo(float).tiny and B.mean_terms(v / hi, size)[0] > 1.0:
+        hi *= 2.0
+    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    val, terms = B.mean_terms(v / lam, size)
+    for _ in range(200):
+        if abs(val - 1.0) <= CONSTRAINT_TOL:
+            return lam
+        if val > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= 1e-15 * hi:
+            break
+        step = (val - 1.0) / B.mean_slope(terms, size)
+        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        val, terms = B.mean_terms(v / lam, size)
+    return 0.5 * (lo + hi)
+
+
 def count_young_calls(monkeypatch, fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the number of ``B`` evaluations it made:
     calls of ``YoungFunction.mean_terms``, through which ``luxemburg_avg``
@@ -597,7 +632,8 @@ def subnormal_corpus(draws: int = 16, seed: int = 1074):
     """Integer multiples of 2^-1074 in 1 to 1000 samples, whose computed mean
     can round far enough down that the first upper end is below the root:
     every sorted array of one to three multiples 0..4, and random draws.
-    Each solve here runs all 200 steps, since ``1e-15 hi`` underflows."""
+    ``1e-15 hi`` underflows here, so the collapse test rests on its floor of
+    one subnormal step."""
     tiny = 2.0**-1074
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3):
@@ -639,20 +675,38 @@ def test_solve_is_the_probing_solve_bitwise_with_one_evaluation_fewer(monkeypatc
 
 
 @pytest.mark.parametrize("sigma", [0.25, 1.0, 2.0, 8.0])
-def test_solve_is_the_probing_solve_on_subnormal_multiples(sigma):
-    short = 0
+def test_solve_is_the_probing_solve_on_subnormal_multiples(sigma, monkeypatch):
+    # also the solve whose collapse test underflowed, with far fewer evaluations
+    short = calls = blind_calls = 0
     for v in subnormal_corpus():
-        root = luxemburg_avg(v, sigma)
-        assert root == bracket_probe_luxemburg(v, sigma), (v, sigma)
+        root, n = count_young_calls(monkeypatch, luxemburg_avg, v, sigma)
+        blind, blind_n = count_young_calls(monkeypatch, underflowing_collapse_luxemburg,
+                                           v, sigma)
+        assert root == bracket_probe_luxemburg(v, sigma) == blind, (v, sigma)
+        calls, blind_calls = calls + n, blind_calls + blind_n
         if root == 0.0:  # the mean rounds to zero
             continue
         short += mean_young(v, sigma, first_bracket(v, sigma)[1]) > 1.0
         # below the root: the start the probing solve evaluated before its probe
         start = root * 0.7
         assert luxemburg_avg(v, sigma, start=start) == \
-            bracket_probe_luxemburg(v, sigma, start=start), (v, sigma, start)
+            bracket_probe_luxemburg(v, sigma, start=start) == \
+            underflowing_collapse_luxemburg(v, sigma, start=start), (v, sigma, start)
     # where the probing solve doubled its upper end, e.g. [0, 2, 2] 2^-1074 at sigma 2
     assert short >= (2 if sigma in (1.0, 2.0) else 0)
+    # cold solves: 167 to 491 evaluations against 11,136 to 12,728 per sigma
+    assert 20 * calls < blind_calls
+
+
+def test_subnormal_solve_stops_one_float_step_wide(monkeypatch):
+    # [12, 28, 1] 2^-1074 among 27 zeros: 203 evaluations while 1e-15 hi underflowed
+    found = np.zeros(30)
+    found[[5, 10, 21]] = 12, 28, 1
+    want = (2.0**-1072, 203)
+    assert count_young_calls(monkeypatch, underflowing_collapse_luxemburg,
+                             found * 2.0**-1074, 1.0) == want
+    assert count_young_calls(monkeypatch, luxemburg_avg, found * 2.0**-1074, 1.0) == \
+        (want[0], 4)
 
 
 def test_bracket_bound_at_the_first_upper_end():

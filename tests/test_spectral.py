@@ -535,13 +535,14 @@ def _reference_spectra(sig, kind, family):
 def reference_band_square(bank, sig):
     """The per-band ``BandBank.square`` loop that the grid plan replaced: two
     small transforms per band, each band's lags added on its own, in band
-    order.  The plan must give its bits."""
+    order, reading the coefficients as ``square`` does.  The plan must give
+    its bits."""
     rows = bank.rows(sig)
     samples = sig.samples
     peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
     shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
-    coeffs = np.fft.fft(samples * 2.0**-shift)
     n = sig.n
+    coeffs = sp._coefficients(samples * 2.0**-shift, np.arange(n))
     total = np.zeros(n // 2 + 1, dtype=np.complex128)
     for idx, vals in rows:
         if not idx.size:
@@ -597,7 +598,7 @@ def reference_band_energies(bank, sig):
 def reference_band_square_at(bank, sig, xs):
     """The per-band ``BandBank.square_at`` loop that the one phase matrix
     replaced: one matrix-vector product per band, squares added in band order."""
-    coeffs = np.fft.fft(sig.samples)
+    coeffs = sp._coefficients(sig.samples, np.arange(sig.n))
     js = sp.freq_indices(sig.n)
     t = np.asarray(xs, dtype=float) - sig.offset
     acc = np.zeros(t.shape)
@@ -618,6 +619,33 @@ def square_reference(bank, sig):
         piece = np.fft.ifft(masked)
         acc += piece.real**2 + piece.imag**2
     return np.sqrt(acc)
+
+
+@pytest.mark.parametrize("log2_n", [0, 1, 2, 3, 7, 12, 16])
+def test_coefficients_are_the_fft_at_the_positions(log2_n):
+    # bitwise for complex samples; within 1e-14 of the peak coefficient for
+    # real ones, read from one rfft on both half-axes (-0.0 imaginary parts too)
+    from lacuna.multipliers import build_sharpness_family
+
+    n = 1 << log2_n
+    rng = np.random.default_rng(80 + log2_n)
+    pos = np.concatenate([np.arange(n), rng.integers(0, n, 64), [n // 2, 0, n - 1]])
+    real = [rng.standard_normal(n), rng.pareto(1.5, n) * (rng.random(n) < 0.3),
+            np.full(n, -2.5), np.zeros(n)]
+    if log2_n >= 12:
+        fam = build_sharpness_family(log2_n - 9, log2_n)
+        real += [fam.f_n.samples.real, fam.g_n.samples.real]
+    for values in real:
+        negative_zero = values.astype(complex)
+        negative_zero.imag = -0.0
+        for samples in (values.astype(complex), negative_zero):
+            want = np.fft.fft(samples)[pos]
+            got = sp._coefficients(samples, pos)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        tiny = values + 0j
+        tiny[rng.integers(n)] += 1e-300j
+        for samples in (tiny, values + 1j * rng.standard_normal(n)):
+            assert np.array_equal(sp._coefficients(samples, pos), np.fft.fft(samples)[pos])
 
 
 class TestBandBank:
@@ -1077,8 +1105,13 @@ class TestDilation:
     def test_square_function_is_dilation_invariant(self, mode, order):
         rng = np.random.default_rng(65)
         n = 1 << 11
-        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        complex_samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # real samples too, whose square function reads one rfft
+        for samples in (complex_samples, complex_samples.real):
+            self.assert_dilation_invariant(samples, mode, order)
 
+    @staticmethod
+    def assert_dilation_invariant(samples, mode, order):
         def aggregate(k):
             period = 16.0 * 2.0**k
             flags = sp.AliasFlags()

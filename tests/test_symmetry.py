@@ -10,10 +10,15 @@ need no reference implementation.  They catch an intermediate value that
 leaves the float range while the exact result stays inside it.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lacuna import czd
+from lacuna.cli import main
 from lacuna import spectral as sp
 from lacuna.dyadic import DyadicScalar as D
 from lacuna.harness import _halved_step, weak_type_ratio
@@ -27,10 +32,10 @@ import test_spectral
 SCALES = [-30, 5, 40]
 
 
-def random_signal(n, offset):
+def random_signal(n, offset, real=False):
     rng = np.random.default_rng(71)
-    return sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                     test_spectral.TestBandBank.PERIOD, offset)
+    samples = rng.standard_normal(n) + (0.0 if real else 1j * rng.standard_normal(n))
+    return sp.Signal(samples, test_spectral.TestBandBank.PERIOD, offset)
 
 
 def sharpness_case():
@@ -52,6 +57,12 @@ def step_case(kind):
 CASES = {
     "sharp": lambda: (test_spectral.family_bank("sharp"), random_signal(1 << 10, 0.0)),
     "eta": lambda: (test_spectral.family_bank("eta"), random_signal(1 << 10, -4.0)),
+    # real samples: their coefficients come from one rfft, conjugated on the
+    # negative half-axis, which these windows reach
+    "sharp-real": lambda: (test_spectral.family_bank("sharp"),
+                           random_signal(1 << 10, 0.0, real=True)),
+    "eta-real": lambda: (test_spectral.family_bank("eta"),
+                         random_signal(1 << 10, -4.0, real=True)),
     "sharpness": sharpness_case,
     "prototype": lambda: step_case("prototype"),
     "step": lambda: step_case("step"),
@@ -156,3 +167,37 @@ def test_weak_norms_are_exactly_amplitude_covariant(k):
         got = weak_type_ratio(out * 2.0**k, vals * 2.0**k, dx, exponent)
         assert base["max_ratio"] > 0.0
         assert got == {**base, "alpha": base["alpha"] * 2.0**k}, exponent
+
+
+# samples away from the float range's ends, so that 2^k moves them exactly
+SQFN_VALUES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("k", SCALES)
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), log2_n=st.integers(4, 9), tau=st.integers(1, 3),
+       mode=st.sampled_from(["sharp", "smooth"]))
+def test_sqfn_file_is_exactly_amplitude_covariant(tmp_path, capsys, k, data, log2_n, real,
+                                                  tau, mode):
+    n = 1 << log2_n
+    values = st.lists(SQFN_VALUES, min_size=n, max_size=n).filter(any)
+    samples = np.array(data.draw(values), dtype=complex)
+    if not real:
+        samples += 1j * np.array(data.draw(values))
+
+    def sqfn(scale):
+        path, out = tmp_path / f"in{scale}.bin", tmp_path / f"out{scale}.bin"
+        sp.write_signal(path, sp.Signal(samples * scale, 16.0, -8.0))
+        code = main(["sqfn", "--input", str(path), "--tau", str(tau), "--mode", mode,
+                     "--output", str(out)])
+        return code, json.loads(capsys.readouterr().out), sp.read_signal(out).samples
+
+    code, summary, base = sqfn(1.0)
+    got_code, got, scaled = sqfn(2.0**k)
+    assert got_code == code
+    assert np.array_equal(scaled, base * 2.0**k)
+    for key in ("sup", "l2", "weak_l1"):
+        assert got[key] == summary[key] * 2.0**k, key
+    assert got["alias_events"] == summary["alias_events"]
