@@ -331,6 +331,8 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     and ignored: the atoms are built serially.
     """
     sigma = _check_parameters(sigma, alpha)
+    if min_margin is not None and not math.isfinite(min_margin):
+        raise ValueError(f"min_margin must be finite, got {min_margin!r}")
     # the lacunary frequencies of a stopping interval are DFT bins only when
     # its length, the period over a power of two, is dyadic
     if math.frexp(sig.period)[0] != 0.5:

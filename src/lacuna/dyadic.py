@@ -1,10 +1,13 @@
-"""Exact dyadic rational arithmetic.
+"""Exact dyadic rationals at the package's public edges.
 
 Scalars are integer pairs ``mantissa * 2**exponent`` kept in canonical form
-(mantissa odd or zero; zero fixes exponent 0).  All combinatorial interval
-work in :mod:`lacuna.lacunary` runs on these scalars; floating point is not
-used there at all, so interval identities (tilings, dilations, anchor
-arithmetic) are exact set statements rather than approximate ones.
+(mantissa odd or zero; zero fixes exponent 0).  Inside the package a scale is
+an integer exponent (:func:`lacuna.lacunary.interval_arrays`,
+:func:`lacuna.spectral.band_log2`).  These scalars are the exact values public
+functions take and return: ``lac_tau``'s points, the ends and anchors of
+``lambda_tau``'s intervals, the windows of ``band_indices`` and ``project_*``,
+and the bounds the command line parses, so that interval identities (tilings,
+dilations, anchors) on them are exact set statements.
 """
 
 from __future__ import annotations
@@ -36,23 +39,12 @@ class DyadicScalar:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_int(n: int) -> "DyadicScalar":
-        return DyadicScalar(n, 0)
-
-    @staticmethod
     def from_float(x: float) -> "DyadicScalar":
         # binary floats are dyadic rationals, so this is exact
         if x != x or x in (float("inf"), float("-inf")):
             raise ValueError("not a finite value")
         num, den = float(x).as_integer_ratio()
         return DyadicScalar(num, -(den.bit_length() - 1))
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "DyadicScalar":
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"{q} is not a dyadic rational")
-        return DyadicScalar(q.numerator, -(den.bit_length() - 1))
 
     @staticmethod
     def pow2(k: int) -> "DyadicScalar":
@@ -75,10 +67,6 @@ class DyadicScalar:
             except OverflowError:  # rounded up past the largest float
                 pass
         return (0.0 if top < 0 else math.inf) * (-1 if m < 0 else 1)
-
-    # -- predicates ----------------------------------------------------
-    def is_power_of_two(self) -> bool:
-        return self.mantissa == 1
 
     def log2(self) -> int:
         """Exponent k with self == 2**k; requires a (positive) power of two."""
@@ -116,4 +104,3 @@ class DyadicScalar:
 
 
 ZERO = DyadicScalar(0, 0)
-ONE = DyadicScalar(1, 0)

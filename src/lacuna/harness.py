@@ -37,7 +37,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .czd import cz_decompose, lacunary_bins, lattice_coefficients, remove_lacunary
-from .dyadic import DyadicScalar
 from .lacunary import Level, interval_arrays, lattice_points
 from .martingale import (
     DyadicFunction,
@@ -54,6 +53,7 @@ from .spectral import (
     AliasFlags,
     BandBank,
     Signal,
+    band_log2,
     eta_bank,
     plateau_bump,
     weak_l1_norm,
@@ -126,7 +126,7 @@ class ExperimentConfig:
         if not 4 <= self.log2_n <= MAX_LOG2_N:
             raise ValueError(f"log2_n must lie in [4, {MAX_LOG2_N}]")
         if not (2.0 <= self.period <= 2.0**MAX_SCALE_LOG2  # nan and inf fail here
-                and DyadicScalar.from_float(self.period).is_power_of_two()):
+                and math.frexp(self.period)[0] == 0.5):
             raise ValueError(f"period must be a power of two in [2, 2^{MAX_SCALE_LOG2}]")
         if not 1 <= self.tau <= 6:
             raise ValueError("tau must lie in [1, 6]")
@@ -150,7 +150,7 @@ class ExperimentConfig:
 
     @property
     def log2_period(self) -> int:
-        return DyadicScalar.from_float(self.period).log2()
+        return math.frexp(self.period)[1] - 1
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -281,7 +281,7 @@ def _spike_mixture_builder(period: float, rng: np.random.Generator) -> Callable:
 def _lac_poly_pool(cfg: ExperimentConfig) -> np.ndarray:
     """The positive order-tau frequencies the sign polynomials draw from."""
     # q 2^min_scale_log2 <= 2^(log2_n - 4) / period, q on the unit lattice
-    bits = cfg.log2_n - 4 - cfg.log2_period - cfg.min_scale_log2
+    bits = band_log2(cfg.log2_n, cfg.period) - 3 - cfg.min_scale_log2
     qs = lattice_points(cfg.tau, 1 << bits if bits >= 0 else 0)
     positive = np.ldexp(qs[qs > 0].astype(float), cfg.min_scale_log2)
     if positive.size == 0:
@@ -384,15 +384,12 @@ ENDPOINT_OPERATORS = ("prototype", "step", "lp", "identity")
 HORMANDER_OPERATORS = ("hormander", "smooth-sqfn")
 
 
-def _caps(cfg: ExperimentConfig) -> tuple[DyadicScalar, DyadicScalar, DyadicScalar, DyadicScalar]:
-    """Frequency windows frozen at the base grid so refinement runs see the
-    identical operator: sharp cap = half the base band, smooth cap a quarter
-    (the padded bump windows then stay on the lattice)."""
-    sharp_cap = DyadicScalar.pow2(cfg.log2_n - 2 - cfg.log2_period)
-    smooth_cap = DyadicScalar.pow2(cfg.log2_n - 3 - cfg.log2_period)
-    min_scale = DyadicScalar.pow2(cfg.min_scale_log2)
-    smooth_floor = DyadicScalar.pow2(max(cfg.min_scale_log2, -3))
-    return sharp_cap, smooth_cap, min_scale, smooth_floor
+def _caps(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
+    """The log2 sharp cap (half the base band), smooth cap (a quarter, so the
+    padded bump windows stay on the lattice), smallest scale and smooth floor,
+    frozen at the base grid so refinement runs see the identical operator."""
+    band = band_log2(cfg.log2_n, cfg.period)
+    return band - 1, band - 2, cfg.min_scale_log2, max(cfg.min_scale_log2, -3)
 
 
 def _halved_step(family: Level, exponent: int, rng: np.random.Generator) -> BandBank:
@@ -415,35 +412,34 @@ def _combined(label: str, exponent: float, bank: BandBank, weights=None) -> Oper
 def build_operator(kind: str, cfg: ExperimentConfig,
                    rng: Optional[np.random.Generator] = None) -> OperatorSpec:
     rng = rng or np.random.default_rng(cfg.seed + 1)
-    sharp_cap, smooth_cap, min_scale, smooth_floor = _caps(cfg)
+    sharp_cap, smooth_cap, min_log2, smooth_floor = _caps(cfg)
 
     if kind == "identity":
         return OperatorSpec("identity", 0.0, lambda sig, flags=None: np.abs(sig.samples))
 
     if kind == "prototype":
-        bank = prototype_multiplier(cfg.tau, min_scale, sharp_cap, rng=rng)
+        bank = prototype_multiplier(cfg.tau, min_log2, sharp_cap, rng=rng)
         return _combined(f"prototype-tau{cfg.tau}", cfg.tau / 2, bank)
 
     if kind == "step":
-        family = interval_arrays(cfg.tau, min_scale, sharp_cap)[-1]
-        bank = _halved_step(family, cfg.min_scale_log2, rng)
+        family = interval_arrays(cfg.tau, min_log2, sharp_cap)[-1]
+        bank = _halved_step(family, min_log2, rng)
         return _combined(f"step-N2-tau{cfg.tau}", cfg.tau / 2, bank)
 
     if kind == "lp":
-        family = interval_arrays(cfg.tau, min_scale, sharp_cap)[-1]
-        bank = BandBank(family.left, family.right, cfg.min_scale_log2,
-                        np.ones(family.left.size), "lp")
+        family = interval_arrays(cfg.tau, min_log2, sharp_cap)[-1]
+        bank = BandBank(family.left, family.right, min_log2, np.ones(family.left.size), "lp")
         return OperatorSpec(f"sharp-sqfn-tau{cfg.tau}", cfg.tau / 2, bank.square)
 
     if kind == "smooth-sqfn":
         family = interval_arrays(cfg.tau, smooth_floor, smooth_cap)[-1]
-        bank = eta_bank(family.left, family.right, smooth_floor.log2(), "smooth-sqfn")
+        bank = eta_bank(family.left, family.right, smooth_floor, "smooth-sqfn")
         return OperatorSpec(f"smooth-sqfn-tau{cfg.tau}", (cfg.tau - 1) / 2, bank.square)
 
     if kind == "hormander":
         family = interval_arrays(cfg.tau, smooth_floor, smooth_cap)[-1]
         eps = rng.choice([-1.0, 1.0], size=family.left.size)
-        bank = eta_bank(family.left, family.right, smooth_floor.log2(), "hormander")
+        bank = eta_bank(family.left, family.right, smooth_floor, "hormander")
         return _combined(f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2, bank, eps)
 
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -659,7 +655,7 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     """l2 mass of the order-tau coefficient set against the L log^{tau/2} L
     average, for signals supported on the unit window."""
     specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support="unit")
-    nu_log2 = cfg.log2_n - 1 - cfg.log2_period
+    nu_log2 = band_log2(cfg.log2_n, cfg.period)
     if nu_log2 < 1:
         raise ValueError(f"log2_n {cfg.log2_n} at period {cfg.period:g}: no nonzero "
                          f"unit-lattice frequency lies below the Nyquist 2^{nu_log2}")
@@ -754,15 +750,14 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     anchor = ("block-average aggregate, off-window tails, and sub-unit energies "
               "on the unit window, against Luxemburg averages of the input")
     # smooth blocks at unit scale and above, sharp sub-unit blocks, all sharp blocks
-    _, smooth_cap, min_scale, _ = _caps(cfg)
-    wide = interval_arrays(cfg.tau, DyadicScalar.from_int(1), smooth_cap)[-1]
-    every = interval_arrays(cfg.tau, min_scale, smooth_cap)[-1]
-    small = every.right - every.left < 1 << -cfg.min_scale_log2
+    _, smooth_cap, m, _ = _caps(cfg)
+    wide = interval_arrays(cfg.tau, 0, smooth_cap)[-1]
+    every = interval_arrays(cfg.tau, m, smooth_cap)[-1]
+    small = every.right - every.left < 1 << -m
     banks = (eta_bank(wide.left, wide.right, 0, "project_smooth"),
-             BandBank(every.left[small], every.right[small], cfg.min_scale_log2,
+             BandBank(every.left[small], every.right[small], m,
                       np.ones(np.count_nonzero(small)), "cancellative"),
-             BandBank(every.left, every.right, cfg.min_scale_log2,
-                      np.ones(every.left.size), "combined"))
+             BandBank(every.left, every.right, m, np.ones(every.left.size), "combined"))
     rows = _refined_rows(cfg, specs, lambda sig, label: _gen_zb_rows(
         cfg, sig, label, tail_gammas, banks))
     report = _finish_report("gen-zygmund-bonami", anchor, cfg, "window-blocks",
@@ -799,7 +794,7 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
         notes.append(f"parameters above {feasible} skipped (band overflow)")
     rows = []
     # every order's signals share one grid and its block |x| <= 1/2
-    mask = np.abs(Signal(np.zeros(1 << cfg.log2_n), cfg.period, -cfg.period / 2).x) <= 0.5
+    mask = np.abs(_grid(cfg.log2_n, cfg.period)[0]) <= 0.5
     for n_param in range(cfg.n_min, min(cfg.n_max, feasible) + 1):
         fam = build_sharpness_family(n_param, cfg.log2_n, cfg.period)
         g = fam.g_n

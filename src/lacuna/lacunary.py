@@ -6,10 +6,12 @@ order with its Whitney decomposition: the maximal dyadic subintervals ``L``
 of ``I`` with ``dist(L, R \\ I) = |L|``.  Each interval carries its parent
 and its *anchor*: the endpoint of the parent at distance ``|L|`` from ``L``.
 
-All endpoint/scale arithmetic is exact: a system is built as integer arrays in
-units of its smallest scale (:func:`interval_arrays`) and read out with
-:class:`~lacuna.dyadic.DyadicScalar` ends; intervals are half-open ``[left,
-right)`` on both half-axes.
+All endpoint/scale arithmetic is exact.  The integers ``(tau, m, t)`` fix the
+system truncated at scale ``2^m`` in the window ``[-2^t, 2^t]``, and
+:func:`interval_arrays` builds it as integer arrays in units of ``2^m``.  The
+public ``lambda_tau`` and ``lac_tau`` read ``m`` and ``t`` from exact
+:class:`~lacuna.dyadic.DyadicScalar` bounds (:func:`window_log2`) and return
+such values.  Intervals are half-open ``[left, right)`` on both half-axes.
 
 The point sets ``lac_tau`` are the signed sums ``±2^{n_1} ± ... ± 2^{n_tau}``
 with strictly decreasing exponents, which is the closure of the interval
@@ -23,8 +25,8 @@ the one exposed here.
 On the ``min_scale`` lattice these sums are exactly the nonzero ``q`` whose
 non-adjacent form has at most ``tau`` nonzero digits, so one enumeration of
 non-adjacent forms (:func:`lattice_points`) yields every point set, each
-point once.  The size of an interval system is a closed form
-(:func:`lambda_tau_count`).
+point once.  The size of an interval system is a closed form in ``(tau, m,
+t)`` (:func:`lambda_tau_count`), so a system is refused before it is built.
 """
 
 from __future__ import annotations
@@ -88,20 +90,20 @@ def _require_pow2(x: DyadicScalar, what: str) -> None:
 Level = namedtuple("Level", "left right anchor parent")
 
 
-def interval_arrays(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> list[Level]:
-    """The orders ``1 .. tau`` of ``lambda_tau(tau, min_scale, max_abs)`` in
-    units of ``min_scale``.  A system of more than ``MAX_LACUNARY_INTERVALS``
-    intervals, or of a window of ``MAX_LATTICE_BITS`` bits, is refused first."""
-    count = lambda_tau_count(tau, min_scale, max_abs)
+def interval_arrays(tau: int, min_log2: int, top_log2: int) -> list[Level]:
+    """The orders ``1 .. tau`` of the system of scales ``2^min_log2`` and up in
+    the window ``[-2^top_log2, 2^top_log2]``, in units of ``2^min_log2``.  A
+    system of more than ``MAX_LACUNARY_INTERVALS`` intervals, or of a window
+    of ``MAX_LATTICE_BITS`` bits, is refused first."""
+    count = lambda_tau_count(tau, min_log2, top_log2)
     if count > MAX_LACUNARY_INTERVALS:
         # a huge window's count has more digits than str() converts
         shown = count if count < 10**12 else "more than 10^12"
         raise ValueError(f"tau {tau} would build {shown} intervals, "
                          f"above the budget of {MAX_LACUNARY_INTERVALS}")
-    s_min, top = _window_log2(min_scale, max_abs)
-    if count and top - s_min >= MAX_LATTICE_BITS:
+    if count and top_log2 - min_log2 >= MAX_LATTICE_BITS:
         raise ValueError(f"max_abs / min_scale must lie below 2^{MAX_LATTICE_BITS}")
-    return _whitney_levels(tau, max(top - s_min, 0))  # a scale above the window: none
+    return _whitney_levels(tau, max(top_log2 - min_log2, 0))  # a scale above the window: none
 
 
 def _whitney_levels(tau: int, span: int) -> list[Level]:
@@ -147,9 +149,9 @@ def lambda_tau(
     ``tau = 0`` is rejected: the order-0 objects are the two open half-lines
     (the parent of every order-1 block), not bounded intervals.
     """
-    levels = interval_arrays(tau, min_scale, max_abs)
-    m, built = min_scale.log2(), []
-    for order, level in enumerate(levels, start=1):
+    m, top = window_log2(min_scale, max_abs)
+    built = []
+    for order, level in enumerate(interval_arrays(tau, m, top), start=1):
         parents = built
         built = [LacInterval(DyadicScalar(left, m), DyadicScalar(right, m), order,
                              DyadicScalar(anchor, m), parents[up] if order > 1 else None)
@@ -158,19 +160,19 @@ def lambda_tau(
     return built
 
 
-def lambda_tau_count(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar) -> int:
-    """``len(lambda_tau(tau, min_scale, max_abs))`` in closed form.
+def lambda_tau_count(tau: int, min_log2: int, top_log2: int) -> int:
+    """The size of the order-``tau`` system of :func:`interval_arrays`, in
+    closed form.
 
     An order-``tau`` interval is ``2^tau`` side choices times a chain of log2
-    lengths ``s_1 > ... > s_tau`` with gaps of at least 2, ``2^(s_1 + 1) <=
-    max_abs`` and ``s_k >= log2(min_scale) + 2 (tau - k)``; shifting ``s_k``
-    by ``2 (tau - k)`` makes them the nonincreasing ``tau``-tuples of ``m``
-    values, ``C(m + tau - 1, tau)`` of them.
+    lengths ``s_1 > ... > s_tau`` with gaps of at least 2, ``s_1 < top_log2``
+    and ``s_k >= min_log2 + 2 (tau - k)``; shifting ``s_k`` by ``2 (tau - k)``
+    makes them the nonincreasing ``tau``-tuples of ``m`` values, ``C(m + tau -
+    1, tau)`` of them.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1; order 0 is the two half-lines")
-    s_min, top = _window_log2(min_scale, max_abs)
-    m = top - s_min - 2 * tau + 2
+    m = top_log2 - min_log2 - 2 * tau + 2
     return math.comb(m + tau - 1, tau) << tau if m > 0 else 0
 
 
@@ -201,8 +203,9 @@ class LacPointSet:
         return len(self.points)
 
 
-def _window_log2(min_scale: DyadicScalar, max_abs: DyadicScalar) -> tuple[int, int]:
-    """``log2(min_scale)`` and ``floor(log2(max_abs))`` of a valid window."""
+def window_log2(min_scale: DyadicScalar, max_abs: DyadicScalar) -> tuple[int, int]:
+    """``log2(min_scale)`` and ``floor(log2(max_abs))`` of a valid window: the
+    integer scales :func:`interval_arrays` takes."""
     _require_pow2(min_scale, "min_scale")
     if max_abs <= ZERO:
         raise ValueError("max_abs must be positive")
@@ -225,7 +228,7 @@ def lac_tau(
         raise ValueError("tau must be >= 0")
     if tau == 0:
         return LacPointSet(0, min_scale, max_abs, (ZERO,))
-    emin, _ = _window_log2(min_scale, max_abs)
+    emin, _ = window_log2(min_scale, max_abs)
     ratio = max_abs.scale_pow2(-emin)
     # a shift capped at MAX_LATTICE_BITS still leaves a bound that is refused
     shift = min(ratio.exponent, MAX_LATTICE_BITS)

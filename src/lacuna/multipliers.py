@@ -21,21 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicScalar
 from .lacunary import interval_arrays
-from .spectral import BandBank, Signal, plateau_bump
+from .spectral import BandBank, Signal, band_log2, plateau_bump
 
 
 # -- step multipliers ----------------------------------------------------------
 
 
-def prototype_multiplier(tau: int, min_scale: DyadicScalar, max_abs: DyadicScalar,
+def prototype_multiplier(tau: int, min_log2: int, top_log2: int,
                          rng: np.random.Generator) -> BandBank:
-    """Random-sign block symbol: one window per family block, coefficient
-    +-1 drawn from ``rng`` (a step multiplier with N = 1)."""
-    family = interval_arrays(tau, min_scale, max_abs)[-1]
+    """Random-sign block symbol: one window per block of the system of
+    ``interval_arrays(tau, min_log2, top_log2)``, coefficient +-1 drawn from
+    ``rng`` (a step multiplier with N = 1)."""
+    family = interval_arrays(tau, min_log2, top_log2)[-1]
     signs = rng.choice([-1, 1], size=family.left.size)
-    return BandBank(family.left, family.right, min_scale.log2(), signs.astype(complex),
+    return BandBank(family.left, family.right, min_log2, signs.astype(complex),
                     "step_multiplier")
 
 
@@ -65,12 +65,8 @@ def base_bump_spectrum(xi):
 
 
 def max_feasible_parameter(log2_n: int, period: float) -> int:
-    """Largest N whose dilated bump spectrum (support 2^{N+2}) fits the band."""
-    band = (1 << log2_n) / (2 * period)
-    n = 0
-    while 2.0 ** (n + 3) <= band:
-        n += 1
-    return n
+    """Largest N whose dilated bump spectrum (support 2^{N+2}) fits the band, or 0."""
+    return max(band_log2(log2_n, period) - 2, 0)
 
 
 @dataclass

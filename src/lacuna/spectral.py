@@ -30,13 +30,12 @@ import math
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .dyadic import DyadicScalar
-from .lacunary import LacInterval, interval_arrays, normalize_to_origin
+from .lacunary import LacInterval, interval_arrays, normalize_to_origin, window_log2
 
 MAGIC = b"LAC1"
 # largest grid exponent a signal file may declare (the experiments' own limit)
@@ -477,16 +476,11 @@ def modulate_project(
 # -- square functions -----------------------------------------------------
 
 
-def default_band(sig: Signal) -> DyadicScalar:
-    """Largest dyadic window that keeps half-open blocks on the lattice."""
-    band = Fraction(sig.n, 2) / Fraction(sig.period)
-    if band.denominator & (band.denominator - 1) == 0:
-        return DyadicScalar.from_fraction(band)
-    # non-dyadic lattice spacing: fall back to the largest power of two below
-    k = band.numerator.bit_length() - band.denominator.bit_length()
-    if Fraction(2) ** k > band:
-        k -= 1
-    return DyadicScalar.pow2(k)
+def band_log2(log2_n: int, period: float) -> int:
+    """``floor(log2(2^log2_n / (2 period)))``, exactly for any positive finite
+    period: the largest dyadic window a grid of ``2^log2_n`` samples resolves."""
+    mantissa, exponent = math.frexp(period)
+    return log2_n - 1 - exponent + (mantissa == 0.5)
 
 
 def lp_square_function(
@@ -501,12 +495,13 @@ def lp_square_function(
     family: sharp mode uses indicator windows, smooth mode the eta symbols."""
     if mode not in ("sharp", "smooth"):
         raise ValueError("mode must be 'sharp' or 'smooth'")
-    family = interval_arrays(order, min_scale, max_abs or default_band(sig))[-1]
+    band = DyadicScalar.pow2(band_log2(sig.log2_n, sig.period))
+    m, top = window_log2(min_scale, max_abs or band)
+    family = interval_arrays(order, m, top)[-1]
     if mode == "sharp":
-        bank = BandBank(family.left, family.right, min_scale.log2(), np.ones(family.left.size),
-                        "square_function")
+        bank = BandBank(family.left, family.right, m, np.ones(family.left.size), "square_function")
     else:
-        bank = eta_bank(family.left, family.right, min_scale.log2(), "square_function")
+        bank = eta_bank(family.left, family.right, m, "square_function")
     return sig.with_samples(bank.square(sig, flags=flags))
 
 

@@ -53,7 +53,7 @@ class TestLacunary:
         for tau in (1, 2, 3):
             code, got = run_json(capsys, ["lacunary", "--tau", str(tau), "--intervals",
                                           "--min-scale-log2", "-3", "--max-abs", "8"])
-            fam = lambda_tau(tau, DyadicScalar.pow2(-3), DyadicScalar.from_int(8))
+            fam = lambda_tau(tau, DyadicScalar.pow2(-3), DyadicScalar(8, 0))
             want = [
                 f"{L.order} {L.left.mantissa} {L.left.exponent} "
                 f"{L.right.mantissa} {L.right.exponent} "
@@ -434,6 +434,15 @@ class TestCzd:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "czd: support margin below the requested minimum\n"
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+    def test_non_finite_min_margin_is_refused_by_name(self, stored_signal, capsys, margin):
+        # `support_margin < nan` is never true: a NaN margin once ran unguarded
+        code = main(["czd", "--input", str(stored_signal), "--sigma", "1", "--alpha", "2",
+                     f"--min-margin={margin}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"czd: min_margin must be finite, got {float(margin)!r}\n"
 
     @pytest.mark.parametrize("alpha", ["0.6", "10"])
     def test_period_not_a_power_of_two_fails_on_entry(self, tmp_path, capsys, alpha):

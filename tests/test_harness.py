@@ -294,10 +294,8 @@ class TestOperators:
 
     def test_step_halves_blocks(self):
         # two half-windows per block at +-1/2 give mass 1/2 = 1/N with N = 2
-        family = lambda_tau(2, DyadicScalar.pow2(-3), DyadicScalar.from_int(8))
-        bank = hn._halved_step(interval_arrays(2, DyadicScalar.pow2(-3),
-                                               DyadicScalar.from_int(8))[-1], -3,
-                               np.random.default_rng(0))
+        family = lambda_tau(2, DyadicScalar.pow2(-3), DyadicScalar(8, 0))
+        bank = hn._halved_step(interval_arrays(2, -3, 3)[-1], -3, np.random.default_rng(0))
         windows = bank_windows(bank)
         assert step_violations(windows, family, 2) == []
         assert len(windows) == 2 * len(family)
@@ -307,7 +305,7 @@ class TestOperators:
             assert abs(c0) ** 2 + abs(c1) ** 2 == 0.5
 
     def test_step_scales_a_pure_tone_by_its_piece(self):
-        family = interval_arrays(2, DyadicScalar.pow2(-6), DyadicScalar.from_int(32))[-1]
+        family = interval_arrays(2, -6, 5)[-1]
         bank = hn._halved_step(family, -6, np.random.default_rng(4))
         lam = 43.0 / 16.0
         lam_d = DyadicScalar.from_float(lam)
@@ -523,7 +521,7 @@ class TestZygmundBonami:
         mask = (x >= 0.0) & (x < 1.0)
         sig = Signal(np.exp(2j * np.pi * 3.0 * x) * mask, 16.0, -8.0)
         nu = 1 << (cfg.log2_n - 1 - cfg.log2_period)
-        pts = lac_tau(2, DyadicScalar.from_int(1), DyadicScalar.from_int(nu - 1))
+        pts = lac_tau(2, DyadicScalar(1, 0), DyadicScalar(nu - 1, 0))
         lams = np.array([p.mantissa << p.exponent for p in pts.points])
         assert 3 in lams
         # the report's integer map from the unit lattice to the DFT bins

@@ -80,13 +80,13 @@ def apply_step(sig, windows, flags=None):
     return sig.with_samples(bank_of(windows).combine(sig, flags=flags))
 
 
-ORDER1 = lambda_tau(1, D.pow2(-1), D.from_int(8))
+ORDER1 = lambda_tau(1, D.pow2(-1), D(8, 0))
 
 
 def two_block_step(coeffs=(0.5, 0.5)):
     """Windows [1, 3/2) and [2, 3) in the order-1 blocks [1, 2) and [2, 4)."""
-    return [(D.from_int(1), D.from_fraction(F(3, 2)), coeffs[0]),
-            (D.from_int(2), D.from_int(3), coeffs[1])]
+    return [(D(1, 0), D(3, -1), coeffs[0]),
+            (D(2, 0), D(3, 0), coeffs[1])]
 
 
 class TestStepMultiplier:
@@ -112,8 +112,8 @@ class TestStepMultiplier:
 
     def test_overlap_violation_raises(self):
         L = block_at(ORDER1, 1.0)
-        windows = [(D.from_int(1), D.from_fraction(F(7, 4)), 0.5),
-                   (D.from_fraction(F(3, 2)), D.from_int(2), 0.5)]
+        windows = [(D(1, 0), D(7, -2), 0.5),
+                   (D(3, -1), D(2, 0), 0.5)]
         assert step_violations(windows, ORDER1, 1) == ["overlap 2 exceeds bound 1"]
         # the same geometry is fine with bound 2 (budget 1/2 still met)
         assert step_violations(windows, ORDER1, 2) == []
@@ -124,16 +124,16 @@ class TestStepMultiplier:
     def test_family_membership_check(self):
         assert step_violations(two_block_step(), ORDER1, 2) == []
         # the order-2 blocks start at 1 + 1/16 and 2 + 1/16
-        fam2 = lambda_tau(2, D.pow2(-4), D.from_int(8))
+        fam2 = lambda_tau(2, D.pow2(-4), D(8, 0))
         assert step_violations(two_block_step(), fam2, 2) == [
             "window 0 lies in no block", "window 1 lies in no block"]
         # [5/4, 3) starts in the block [5/4, 3/2) and leaves it
-        across = [(D.from_fraction(F(5, 4)), D.from_int(3), 0.5)]
+        across = [(D(5, -2), D(3, 0), 0.5)]
         assert step_violations(across, fam2, 2) == ["window 0 escapes its block"]
 
     def test_prototype_is_valid_step_form(self):
-        family = lambda_tau(2, D.pow2(-3), D.from_int(8))
-        bank = mult.prototype_multiplier(2, D.pow2(-3), D.from_int(8), np.random.default_rng(0))
+        family = lambda_tau(2, D.pow2(-3), D(8, 0))
+        bank = mult.prototype_multiplier(2, -3, 3, np.random.default_rng(0))
         assert step_violations(bank_windows(bank), family, 1) == []
         assert all(abs(c) == 1.0 for _, _, c in bank_windows(bank))
         assert bank.label == "step_multiplier"
@@ -142,9 +142,8 @@ class TestStepMultiplier:
 @pytest.mark.parametrize("tau", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 10, 2026])
 def test_prototype_windows_are_the_signed_blocks(tau, seed):
-    family = lambda_tau(tau, D.pow2(-6), D.from_int(64))
-    bank = mult.prototype_multiplier(tau, D.pow2(-6), D.from_int(64),
-                                     rng=np.random.default_rng(seed))
+    family = lambda_tau(tau, D.pow2(-6), D(64, 0))
+    bank = mult.prototype_multiplier(tau, -6, 6, rng=np.random.default_rng(seed))
     signs = np.random.default_rng(seed).choice([-1, 1], size=len(family))
     windows = bank_windows(bank)
     assert windows == tuple((L.left, L.right, complex(s)) for L, s in zip(family, signs))
@@ -154,9 +153,8 @@ def test_prototype_windows_are_the_signed_blocks(tau, seed):
 @pytest.mark.parametrize("tau", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 10, 2026])
 def test_halved_step_windows_are_the_signed_halves(tau, seed):
-    family = lambda_tau(tau, D.pow2(-6), D.from_int(64))
-    bank = harness._halved_step(interval_arrays(tau, D.pow2(-6), D.from_int(64))[-1], -6,
-                                np.random.default_rng(seed))
+    family = lambda_tau(tau, D.pow2(-6), D(64, 0))
+    bank = harness._halved_step(interval_arrays(tau, -6, 6)[-1], -6, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     want = []
     for L in family:
@@ -184,8 +182,8 @@ class TestApplication:
     def test_identity_symbol(self):
         # one unit window over the whole sampled band [-n/(2P), n/(2P))
         sig = self.make_signal()
-        half = F(sig.n, 2) / F(sig.period)
-        out = apply_step(sig, [(D.from_fraction(-half), D.from_fraction(half), 1.0)])
+        half = sig.n / (2 * sig.period)  # 64, exactly
+        out = apply_step(sig, [(D.from_float(-half), D.from_float(half), 1.0)])
         scale = np.max(np.abs(sig.samples))
         assert np.max(np.abs(out.samples - sig.samples)) < 1e-12 * scale
 
@@ -232,6 +230,16 @@ class TestApplication:
 # -- sharpness family ---------------------------------------------------------
 
 
+def loop_feasible_parameter(log2_n: int, period: float) -> int:
+    """The former ``max_feasible_parameter``: count up while the support 2^(N+3)
+    of the next dilated bump spectrum fits the band, in floats."""
+    band = (1 << log2_n) / (2 * period)
+    n = 0
+    while 2.0 ** (n + 3) <= band:
+        n += 1
+    return n
+
+
 class TestSharpnessFamily:
     def test_pair_enumeration(self):
         fam = mult.build_sharpness_family(4, 12)
@@ -239,6 +247,11 @@ class TestSharpnessFamily:
 
     def test_feasibility_guard(self):
         assert mult.max_feasible_parameter(20, 16.0) == 13
+        # the float loop it replaced, on every power-of-two period the configs take
+        for log2_n in range(4, 23):
+            for period in (2.0**p for p in range(1, 65)):
+                assert mult.max_feasible_parameter(log2_n, period) == \
+                    loop_feasible_parameter(log2_n, period), (log2_n, period)
         with pytest.raises(ValueError):
             mult.build_sharpness_family(14, 20, period=16.0)
 

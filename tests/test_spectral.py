@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from lacuna.dyadic import DyadicScalar as D
 from lacuna.lacunary import LacInterval, interval_arrays, lambda_tau
 from lacuna import spectral as sp
+from test_lacunary import D as fraction_scalar
 
 
 def brute_spectrum(samples, period, offset):
@@ -32,12 +33,25 @@ def brute_spectrum(samples, period, offset):
     return out
 
 
+def fraction_band(n, period):
+    """The former ``default_band``, in exact rationals: the largest dyadic
+    window at most n / (2 T), the reference ``band_log2`` is checked against."""
+    band = F(n, 2) / F(period)
+    if band.denominator & (band.denominator - 1) == 0:
+        return fraction_scalar(band)
+    # non-dyadic lattice spacing: fall back to the largest power of two below
+    k = band.numerator.bit_length() - band.denominator.bit_length()
+    if F(2) ** k > band:
+        k -= 1
+    return D.pow2(k)
+
+
 def dyadic_interval(left, right, anchor=0):
     return LacInterval(
-        left=D.from_fraction(F(left)),
-        right=D.from_fraction(F(right)),
+        left=fraction_scalar(F(left)),
+        right=fraction_scalar(F(right)),
         order=1,
-        anchor=D.from_fraction(F(anchor)),
+        anchor=fraction_scalar(F(anchor)),
     )
 
 
@@ -117,7 +131,7 @@ def reference_resolve(windows, label, sig):
 
 def family_bank(kind, label="band"):
     """The sharp or eta bank of ``TestBandBank.FAMILY``, from its arrays."""
-    family = interval_arrays(2, D.pow2(-5), D.from_int(8))[-1]
+    family = interval_arrays(2, -5, 3)[-1]
     if kind == "sharp":
         return sp.BandBank(family.left, family.right, -5, np.ones(family.left.size), label)
     return sp.eta_bank(family.left, family.right, -5, label)
@@ -268,36 +282,54 @@ class TestBumps:
 # -- lattice windows and sharp projections --------------------------------
 
 
+def band_periods():
+    """Every power of two a float holds, one float step either side of each,
+    and periods that are not dyadic."""
+    for e in range(-1074, 1024):
+        p = math.ldexp(1.0, e)
+        yield from (p, math.nextafter(p, math.inf), math.nextafter(p, 0.0))
+    yield from (3.0, 10.0, 0.75, 0.1, 1e300)
+
+
+def test_band_log2_matches_the_rational_band():
+    periods = [p for p in band_periods() if p > 0.0]  # below 2^-1074 lies 0
+    assert len(periods) == 3 * 2098 + 4
+    for log2_n in range(23):
+        for period in periods:
+            want = fraction_band(1 << log2_n, period)
+            assert want.log2() == sp.band_log2(log2_n, period), (log2_n, period)
+
+
 class TestSharpProjection:
     def test_band_indices_exact(self):
         sig = sp.Signal(np.zeros(64), period=8.0, offset=-4.0)
-        idx = sp.band_indices(sig, D.from_int(1), D.from_int(2))
+        idx = sp.band_indices(sig, D(1, 0), D(2, 0))
         js = sp.freq_indices(64)[idx]
         assert sorted(js) == list(range(8, 16))
-        idx_neg = sp.band_indices(sig, D.from_int(-2), D.from_int(-1))
+        idx_neg = sp.band_indices(sig, D(-2, 0), D(-1, 0))
         js_neg = sorted(sp.freq_indices(64)[idx_neg])
         assert js_neg == list(range(-16, -8))
 
     def test_band_indices_half_open(self):
         sig = sp.Signal(np.zeros(64), period=8.0)
-        idx = sp.band_indices(sig, D.from_fraction(F(1, 8)), D.from_fraction(F(1, 4)))
+        idx = sp.band_indices(sig, D(1, -3), D(1, -2))
         assert sorted(sp.freq_indices(64)[idx]) == [1]
 
     def test_band_at_nyquist_edges(self):
         sig = sp.Signal(np.zeros(64), period=8.0)
         flags = sp.AliasFlags()
         # positive block ending exactly at the band edge: fits (half-open)
-        idx = bank_of([(D.from_int(2), D.from_int(4), 1.0)]).rows(sig, flags)[0][0]
+        idx = bank_of([(D(2, 0), D(4, 0), 1.0)]).rows(sig, flags)[0][0]
         assert sorted(sp.freq_indices(64)[idx]) == list(range(16, 32))
         # negative block starting at -edge: the -n/2 bin is representable
-        idx = bank_of([(D.from_int(-4), D.from_int(-2), 1.0)]).rows(sig, flags)[0][0]
+        idx = bank_of([(D(-4, 0), D(-2, 0), 1.0)]).rows(sig, flags)[0][0]
         assert sorted(sp.freq_indices(64)[idx]) == list(range(-32, -16))
         assert not flags.aliased
 
     def test_band_beyond_nyquist_flags(self):
         sig = sp.Signal(np.zeros(64), period=8.0)
         flags = sp.AliasFlags()
-        bank_of([(D.from_int(4), D.from_int(8), 1.0)]).rows(sig, flags)
+        bank_of([(D(4, 0), D(8, 0), 1.0)]).rows(sig, flags)
         assert flags.aliased
 
     def test_projection_idempotent_and_band_limited(self):
@@ -323,7 +355,7 @@ class TestSharpProjection:
     def test_parseval_tiling_order_one(self):
         rng = np.random.default_rng(23)
         sig = random_signal(rng, j=10, period=8.0)
-        family = lambda_tau(1, D.pow2(-3), sp.default_band(sig))
+        family = lambda_tau(1, D.pow2(-3), fraction_band(sig.n, sig.period))
         coeffs = sp.spectrum(sig)
         total = np.sum(np.abs(coeffs) ** 2) / sig.period
         covered = 0.0
@@ -435,7 +467,7 @@ class TestSmoothProjection:
         rng = np.random.default_rng(32)
         period = 8.0
         sig = random_signal(rng, j=11, period=period)
-        family = lambda_tau(2, D.pow2(-2), D.from_int(8))
+        family = lambda_tau(2, D.pow2(-2), D(8, 0))
         flags = sp.AliasFlags()
         worst = 0.0
         for L in family:
@@ -481,7 +513,7 @@ class TestSquareFunction:
         # Fubini: ||S f||_2^2 equals the summed energy of the projections
         rng = np.random.default_rng(41)
         sig = random_signal(rng, j=10, period=8.0)
-        family = lambda_tau(1, D.pow2(-3), sp.default_band(sig))
+        family = lambda_tau(1, D.pow2(-3), fraction_band(sig.n, sig.period))
         s = sp.lp_square_function(sig, 1, D.pow2(-3), mode="sharp")
         lhs = sig.dx * np.sum(s.samples.real ** 2)
         rhs = 0.0
@@ -494,7 +526,7 @@ class TestSquareFunction:
         # disjoint bands: sign flips never change the l2 norm of the sum
         rng = np.random.default_rng(42)
         sig = random_signal(rng, j=9, period=4.0)
-        family = lambda_tau(1, D.pow2(-2), sp.default_band(sig))
+        family = lambda_tau(1, D.pow2(-2), fraction_band(sig.n, sig.period))
         pieces = [sp.project_sharp(sig, L).samples for L in family]
         base = sum(sig.dx * np.sum(np.abs(p) ** 2) for p in pieces)
         for _ in range(8):
@@ -651,7 +683,7 @@ def test_coefficients_are_the_fft_at_the_positions(log2_n):
 class TestBandBank:
     # scales down to 1/32 on the 1/8 lattice: some band edges fall on lattice
     # points, some between them, and some bands hold no lattice point at all
-    FAMILY = lambda_tau(2, D.pow2(-5), D.from_int(8))
+    FAMILY = lambda_tau(2, D.pow2(-5), D(8, 0))
     PERIOD = 8.0
 
     @pytest.mark.parametrize("kind", ["sharp", "eta"])
@@ -697,15 +729,15 @@ class TestBandBank:
     @staticmethod
     def edge_windows():
         return [
-            (D.from_int(-1), D.from_int(1), 1.0),  # straddles index 0
-            (D.from_int(-48), D.from_int(40), 1.0),  # 704 > n/2 points: L = n
-            (D.from_int(-64), D.from_int(64), 1.0),  # the whole lattice
-            (D.from_int(56), D.from_int(72), 1.0),  # clipped at the top edge
-            (D.from_int(-64), D.from_int(-60), 1.0),  # starts at -n/2
+            (D(-1, 0), D(1, 0), 1.0),  # straddles index 0
+            (D(-48, 0), D(40, 0), 1.0),  # 704 > n/2 points: L = n
+            (D(-64, 0), D(64, 0), 1.0),  # the whole lattice
+            (D(56, 0), D(72, 0), 1.0),  # clipped at the top edge
+            (D(-64, 0), D(-60, 0), 1.0),  # starts at -n/2
             (D.pow2(-6), D.pow2(-5), 1.0),  # no lattice point: an empty row
             # zero weights inside the run are dropped from the row
-            (D.from_int(5), D.from_int(15), lambda xi: np.abs(xi - 10.0) > 1.0),
-            (D.from_int(2), D.from_int(9), lambda xi: np.exp(1j * xi) * xi),
+            (D(5, 0), D(15, 0), lambda xi: np.abs(xi - 10.0) > 1.0),
+            (D(2, 0), D(9, 0), lambda xi: np.exp(1j * xi) * xi),
         ] + [eta_window(L) for L in TestBandBank.FAMILY]
 
     @pytest.mark.parametrize("offset", [0.0, -4.0])
@@ -740,10 +772,10 @@ class TestBandBank:
         vals = np.zeros(64)
         vals[8:24] = 1.2e154
         sig = sp.Signal(vals, 8.0, -4.0)
-        agg = sp.lp_square_function(sig, 2, D.pow2(-6), "sharp", sp.default_band(sig))
+        agg = sp.lp_square_function(sig, 2, D.pow2(-6), "sharp", fraction_band(sig.n, sig.period))
         assert np.all(np.isfinite(agg.samples)) and np.max(np.abs(agg.samples)) > 1e153
         small = sp.lp_square_function(sig.with_samples(vals * 2.0**-600), 2, D.pow2(-6),
-                                      "sharp", sp.default_band(sig))
+                                      "sharp", fraction_band(sig.n, sig.period))
         assert np.array_equal(agg.samples, small.samples * 2.0**600)
 
     def test_square_is_exactly_zero_without_signal_or_lattice_points(self):
@@ -762,7 +794,7 @@ class TestBandBank:
         monkeypatch.setattr(sp, "_lattice_windows",
                             lambda *args: (np.array(idx), np.zeros(len(idx), np.int64), []))
         sig = sp.Signal(np.ones(16), 2.0)
-        bank = bank_of([(D.from_int(0), D.from_int(1), 1.0)])
+        bank = bank_of([(D(0, 0), D(1, 0), 1.0)])
         with pytest.raises(ValueError, match="one run"):
             bank.square(sig)
 
@@ -809,7 +841,7 @@ class TestBandBank:
     def test_resolved_grid_replays_its_alias_events(self):
         # 2^8 samples at period 4 reach the frequency 32: the blocks +-[32, 64)
         # leave the lattice
-        family = interval_arrays(1, D.from_int(1), D.from_int(64))[-1]
+        family = interval_arrays(1, 0, 6)[-1]
         bank = sp.BandBank(family.left, family.right, 0, np.ones(family.left.size), "wide")
         sig = sp.Signal(np.ones(1 << 8), 4.0)
         first, again = sp.AliasFlags(), sp.AliasFlags()
@@ -988,7 +1020,7 @@ class TestWindowResolution:
         from test_lacunary import reference_lambda_tau
 
         rng = np.random.default_rng(cfg.seed + 1)
-        sharp_cap, smooth_cap, min_scale, smooth_floor = harness._caps(cfg)
+        sharp_cap, smooth_cap, min_scale, smooth_floor = map(D.pow2, harness._caps(cfg))
         if kind in ("hormander", "smooth-sqfn"):
             return [eta_window(L) for L in reference_lambda_tau(cfg.tau, smooth_floor, smooth_cap)]
         family = reference_lambda_tau(cfg.tau, min_scale, sharp_cap)
@@ -1035,11 +1067,11 @@ class TestWindowResolution:
         from test_lacunary import reference_lambda_tau
 
         cfg = harness.make_config({"log2_n": 10, "tau": tau, "ensemble": 2, "seed": 7})
-        _, smooth_cap, min_scale, _ = harness._caps(cfg)
+        _, smooth_cap, min_scale, _ = map(D.pow2, harness._caps(cfg))
         every = reference_lambda_tau(tau, min_scale, smooth_cap)
         windows = {
             "project_smooth": [eta_window(L) for L in
-                               reference_lambda_tau(tau, D.from_int(1), smooth_cap)],
+                               reference_lambda_tau(tau, D(1, 0), smooth_cap)],
             "cancellative": [sharp_window(L) for L in every if float(L.length) < 1.0],
             "combined": [sharp_window(L) for L in every]}
         resolved = self.record(monkeypatch)
@@ -1057,7 +1089,7 @@ class TestWindowResolution:
 
         sig = sp.Signal(np.random.default_rng(67).standard_normal(1 << log2_n), period,
                         -period / 2)
-        cap = sp.default_band(sig) if max_abs is None else D.from_float(max_abs)
+        cap = fraction_band(sig.n, sig.period) if max_abs is None else D.from_float(max_abs)
         window = sharp_window if mode == "sharp" else eta_window
         windows = [window(L) for L in reference_lambda_tau(order, D.pow2(scale_log2), cap)]
         resolved = self.record(monkeypatch)
@@ -1071,7 +1103,7 @@ class TestWindowResolution:
     def test_projection_banks(self, mode, monkeypatch):
         bands = [(1.0, 2.5), (-3.25, 100.0), (1e-300, 1e300), (-1e300, 3e-300), (2.0, 4.0)]
         intervals = [LacInterval(D.from_float(lo), D.from_float(hi), 1, D.from_float(lo))
-                     for lo, hi in bands] + lambda_tau(2, D.pow2(-2), D.from_int(8))
+                     for lo, hi in bands] + lambda_tau(2, D.pow2(-2), D(8, 0))
         window = sharp_window if mode == "sharp" else eta_window
         project = sp.project_sharp if mode == "sharp" else sp.project_smooth
         rng = np.random.default_rng(68)

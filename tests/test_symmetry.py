@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from lacuna import czd
 from lacuna.cli import main
 from lacuna import spectral as sp
-from lacuna.dyadic import DyadicScalar as D
 from lacuna.harness import _halved_step, weak_type_ratio
 from lacuna.lacunary import interval_arrays
 from lacuna.multipliers import build_sharpness_family, prototype_multiplier
@@ -45,7 +44,7 @@ def sharpness_case():
 
 def step_case(kind):
     # the verify operators' step multipliers at tau 3, on 2^10 samples of period 8
-    args = (3, D.pow2(-6), D.pow2(4))
+    args = (3, -6, 4)
     rng = np.random.default_rng(73)
     if kind == "prototype":
         bank = prototype_multiplier(*args, rng=rng)
@@ -201,3 +200,103 @@ def test_sqfn_file_is_exactly_amplitude_covariant(tmp_path, capsys, k, data, log
     for key in ("sup", "l2", "weak_l1"):
         assert got[key] == summary[key] * 2.0**k, key
     assert got["alias_events"] == summary["alias_events"]
+
+
+def file_signal(seed: int, log2_n: int, density: float, real: bool, period: float) -> sp.Signal:
+    """Heavy-tailed samples on ``2^log2_n`` points, a share ``density`` of them
+    (one at least) nonzero, all far from the float range's ends."""
+    rng = np.random.default_rng(seed)
+    n = 1 << log2_n
+    keep = rng.random(n) < density
+    keep[rng.integers(n)] = True
+    samples = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * keep
+    if not real:
+        samples = samples + 1j * rng.standard_normal(n) * keep
+    return sp.Signal(samples, period, -period / 2)
+
+
+def file_signals(periods):
+    return st.builds(file_signal, seed=st.integers(0, 2**32 - 1), log2_n=st.integers(8, 10),
+                     density=st.sampled_from([0.05, 0.3, 1.0]), real=st.booleans(),
+                     period=st.sampled_from(periods))
+
+
+def run_on_file(tmp_path, capsys, sig: sp.Signal, scale: float, argv: list) -> tuple:
+    """``lacuna CMD --input FILE *argv`` on ``sig`` scaled by ``scale``:
+    the exit code, the JSON summary (None when none was printed) and the
+    error text."""
+    path = tmp_path / f"in{scale}.bin"
+    sp.write_signal(path, sig.with_samples(sig.samples * scale))
+    code = main([argv[0], "--input", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if captured.out else None, captured.err
+
+
+FILE_SETTINGS = settings(max_examples=5, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("k", SCALES)
+@FILE_SETTINGS
+@given(sig=file_signals([16.0, 10.0, 2.0**-20]), mode=st.sampled_from(["sharp", "smooth"]),
+       band=st.sampled_from([(1.0, 2.0), (-3.25, 0.5), (0.0, 64.0), (-1e300, 1e300)]))
+def test_project_file_is_exactly_amplitude_covariant(tmp_path, capsys, k, sig, mode, band):
+    out = [str(tmp_path / f"out{scale}.bin") for scale in (1.0, 2.0**k)]
+    argv = ["project", f"--lo={band[0]!r}", f"--hi={band[1]!r}", "--mode", mode]
+    code, base, err = run_on_file(tmp_path, capsys, sig, 1.0, argv + ["--output", out[0]])
+    got_code, got, got_err = run_on_file(tmp_path, capsys, sig, 2.0**k,
+                                         argv + ["--output", out[1]])
+    assert (got_code, got_err) == (code, err)
+    assert np.array_equal(sp.read_signal(out[1]).samples,
+                          sp.read_signal(out[0]).samples * 2.0**k)
+    for key in ("l2_in", "l2_out"):
+        assert got[key] == base[key] * 2.0**k, key
+    assert {**got, "l2_in": 0, "l2_out": 0, "output": 0} == {
+        **base, "l2_in": 0, "l2_out": 0, "output": 0}
+
+
+@pytest.mark.parametrize("k", SCALES)
+@FILE_SETTINGS
+@given(sig=file_signals([16.0, 10.0, 2.0**-20]), sigma=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+       alpha=st.sampled_from([None, 0.25, 3.0]))
+def test_orlicz_file_is_exactly_amplitude_covariant(tmp_path, capsys, k, sig, sigma, alpha):
+    argv = ["orlicz", f"--sigma={sigma!r}"]
+    code, base, err = run_on_file(tmp_path, capsys, sig, 1.0,
+                                  argv + ([] if alpha is None else [f"--alpha={alpha!r}"]))
+    got_code, got, got_err = run_on_file(
+        tmp_path, capsys, sig, 2.0**k, argv + ([] if alpha is None else [f"--alpha={alpha * 2.0**k!r}"]))
+    assert (code, err) == (got_code, got_err) == (0, "")
+    # the Young mass at the scaled level keeps its value
+    powers = {"n": 0, "sigma": 0, "luxemburg_avg": 1, "llogl_equiv": 1, "young_mass": 0,
+              "alpha": 1}
+    if sigma > 0:
+        # the dual exponential norm runs through logarithms (ROADMAP: 9.1e-15)
+        assert got.pop("exp_norm_dual") == pytest.approx(
+            base.pop("exp_norm_dual") * 2.0**k, rel=1e-14, abs=0.0)
+    assert_moves(got, base, {key: powers[key] for key in base}, k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+@FILE_SETTINGS
+@given(sig=file_signals([16.0, 2.0**-20]), sigma=st.integers(0, 2),
+       mult=st.sampled_from([1.2, 2.0, 8.0]))
+def test_czd_file_is_exactly_amplitude_covariant(tmp_path, capsys, k, sig, sigma, mult):
+    # a level above the whole window's average, so that the stopping time runs
+    alpha = mult * luxemburg_avg(np.abs(sig.samples), sigma / 2)
+    parts = [tmp_path / f"dec{scale}" for scale in (1.0, 2.0**k)]
+    runs = [run_on_file(tmp_path, capsys, sig, scale,
+                        ["czd", f"--sigma={sigma}", f"--alpha={alpha * scale!r}",
+                         "--output", str(prefix)])
+            for scale, prefix in zip((1.0, 2.0**k), parts)]
+    (code, base, err), (got_code, got, got_err) = runs
+    assert (code, err) == (got_code, got_err) == (0, "")
+    assert got["stopping"] == base["stopping"]
+    assert_moves({key: got[key] for key in ("sigma", "alpha", "n", "period", "offset")},
+                 {key: base[key] for key in ("sigma", "alpha", "n", "period", "offset")},
+                 {"sigma": 0, "alpha": 1, "n": 0, "period": 0, "offset": 0}, k)
+    assert_moves(got["constants"], base["constants"], CZD_CONSTANTS, k)
+    for a, b in zip(got["atoms"], base["atoms"], strict=True):
+        assert_moves(a, b, CZD_ATOM, k)
+    for part in ("good", "lacunary"):
+        scaled, plain = (sp.read_signal(f"{prefix}_{part}.bin").samples for prefix in parts[::-1])
+        assert np.array_equal(scaled, plain * 2.0**k), part

@@ -1,7 +1,7 @@
 """Every module-level import in a ``lacuna`` module is used or re-exported,
 every exported name exists, no module imports a private (``_``-prefixed)
 name of another, no module imports a thread or process pool, and every
-public function, class and method is reached by the program.
+public function, class, method and module constant is reached by the program.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
@@ -142,23 +142,28 @@ def loaded_names(node: ast.AST) -> list:
 
 
 def public_definitions(tree: ast.Module):
-    """``(qualified name, node)`` of each public top-level function and class
-    and each public method of a top-level class."""
+    """``(qualified name, name, node)`` of each public top-level function,
+    class and constant (a name bound by a top-level assignment) and each
+    public method of a top-level class."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, t.id, node) for t in targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("_"))
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        yield node.name, node
+        yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def test_every_public_definition_is_reached():
     reads = Counter(name for path in READERS
                     for name in loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
     unreached = {f"{path.stem}.{qualified}" for path in MODULES
-                 for qualified, node in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
-                 if reads[node.name] <= loaded_names(node).count(node.name)}
+                 for qualified, name, node in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+                 if reads[name] <= loaded_names(node).count(name)}
     # the test references stay defined and unreached, and nothing else is
     assert unreached == TEST_REFERENCES
