@@ -11,12 +11,14 @@ input is rejected or a ``czd`` certificate constant or ``orlicz`` result is
 not finite, 2 for usage errors (argparse, a sigma or ``verify`` exponent outside
 [0, MAX_SIGMA], a tau outside [0, MAX_TAU], a ``verify`` flag the experiment
 does not take, an enumeration over a ``lacunary`` budget, a ``lacunary`` point
-that no float holds exactly) and for unreadable or malformed input files.
+that no float holds exactly, a non-finite ``--max-abs``, ``--lo`` or ``--hi``)
+and for unreadable or malformed input files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -135,6 +137,13 @@ def _require_finite(label: str, values: dict) -> int:
     return 0
 
 
+def _exact(flag: str, value: float) -> DyadicScalar:
+    # the exact parses take any finite float; name the flag of any other
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value!r}")
+    return DyadicScalar.from_float(value)
+
+
 def _require_floats(points) -> None:
     # a point no float holds would print rounded: onto a neighbour, or 0.0
     if any(p.exponent < -1074 for p in points):
@@ -148,7 +157,7 @@ def _require_floats(points) -> None:
 def _cmd_lacunary(args: argparse.Namespace) -> int:
     _require_in("tau", args.tau, int(args.intervals), MAX_TAU)
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
-    max_abs = DyadicScalar.from_float(args.max_abs)
+    max_abs = _exact("--max-abs", args.max_abs)
     payload: dict = {
         "tau": args.tau,
         "min_scale_log2": args.min_scale_log2,
@@ -169,8 +178,8 @@ def _cmd_lacunary(args: argparse.Namespace) -> int:
 
 def _cmd_project(args: argparse.Namespace) -> int:
     sig = read_signal(args.input)
-    lo = DyadicScalar.from_float(args.lo)
-    hi = DyadicScalar.from_float(args.hi)
+    lo = _exact("--lo", args.lo)
+    hi = _exact("--hi", args.hi)
     band = LacInterval(lo, hi, 1, lo, None)
     flags = AliasFlags()
     if args.mode == "sharp":
@@ -199,7 +208,7 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
     sig = read_signal(args.input)
     flags = AliasFlags()
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
-    max_abs = DyadicScalar.from_float(args.max_abs) if args.max_abs else None
+    max_abs = _exact("--max-abs", args.max_abs) if args.max_abs else None
     out = lp_square_function(sig, args.tau, min_scale, args.mode, max_abs, flags=flags)
     if args.output:
         write_signal(args.output, out)
@@ -287,6 +296,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lacuna",

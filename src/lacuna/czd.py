@@ -19,15 +19,19 @@ Discretization notes that drive the implementation:
   exact bin ``q`` of the length-``n_J`` DFT of the samples on ``J``.  The
   decomposition works on those integer bins throughout: the ``q`` with
   ``|q| < n_J/2`` of the orders ``0..sigma`` are read off in closed form
-  (:func:`lacunary_bins`), each once, at a cost proportional to their
-  number, and nothing is memoized.  Removing those coefficients is an exact
-  orthogonal projection (bin masking); the position of ``J`` only
-  contributes a unitary phase, which cancels and is never computed.  The
-  certificate re-checks the vanishing by direct quadrature over the
-  samples, independent of the removal FFT: the phase of sample ``k`` at bin
-  ``q`` is the root of unity ``exp(-2 pi i (q k mod n_J) / n_J)``, indexed by
-  exact integers, so all bins of an atom come out of one matrix product
-  (:func:`lattice_coefficients`).
+  (:func:`lacunary_bins`), each once per atom, at a cost proportional to
+  their number.  Removing those coefficients is an exact orthogonal
+  projection (bin masking); the position of ``J`` only contributes a
+  unitary phase, which cancels and is never computed.  The certificate
+  re-checks the vanishing by direct quadrature over the samples,
+  independent of the removal FFT: the phase of sample ``k`` at bin ``q`` is
+  the root of unity ``exp(-2 pi i (q k mod n_J) / n_J)``, indexed by exact
+  integers (``mod n_J`` is a bit mask, ``n_J`` being a power of two), so all
+  bins of an atom come out of one matrix product
+  (:func:`lattice_coefficients`).  Its two tables of phases depend only
+  on ``n_J`` and the bins, and are the one thing kept between calls: a
+  least-recently-used cache of read-only tables, keyed by ``(n_J, bins)``
+  and holding at most ``PHASE_TABLE_BYTES``.
 - A decomposition takes ``|f|`` once and the Young weights ``B(|f|/alpha)``
   once: the stopping walk sums the weights by blocks and their grid sum is
   the Orlicz mass; the margin guard, the atoms' averages and the global
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -63,6 +68,11 @@ __all__ = [
 ]
 
 SUPPORT_THRESHOLD = 1e-12  # support_margin: the support is above this times the peak
+# lattice_coefficients: bytes of phase tables cached in all, and built at once
+PHASE_TABLE_BYTES = 16 << 20
+
+# (n, int64 bins bytes) -> read-only (outer, inner) tables, least recent first
+_TABLES: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,53 @@ def _local_bins(piece: Signal, bins) -> np.ndarray:
     half = (piece.n - 1) // 2
     if qs.ndim != 1 or qs.dtype.kind not in "iu" or np.any((qs < -half) | (qs > half)):
         raise ValueError("bins must be a 1-d array of integers q with |q| < n/2")
-    return qs
+    return qs.astype(np.int64, copy=False)
+
+
+def _phase_tables(n: int, qs: np.ndarray) -> tuple:
+    """The ``(rows x n_bins)`` and ``(m x n_bins)`` factors of the phase
+    ``exp(-2 pi i (q k mod n) / n)`` of sample ``k = a + m b`` at each bin."""
+    half = (n.bit_length() - 1) // 2
+    m = 1 << half
+    rows = n >> half
+    step = -2j * np.pi / n
+    # exp(-2 pi i idx / n) for 0 <= idx < n is coarse[idx >> half] times
+    # fine[idx mod m]; the index of sample a + m b is (q a + q m b) mod n,
+    # and mod a power of two is a mask, also for negative q
+    coarse = np.exp(step * np.arange(0, n, m))
+    fine = np.exp(step * np.arange(m))
+    q_mod = qs & (n - 1)
+    outer = coarse[(np.arange(rows)[:, None] * q_mod) & (rows - 1)]
+    idx = np.arange(m)[:, None] * q_mod
+    idx &= n - 1
+    inner = coarse[idx >> half]
+    idx &= m - 1
+    inner *= fine[idx]
+    return outer, inner
+
+
+def _cached_tables(n: int, qs: np.ndarray) -> tuple:
+    key = (n, qs.tobytes())
+    tables = _TABLES.get(key)
+    if tables is not None:
+        _TABLES.move_to_end(key)
+        return tables
+    tables = _phase_tables(n, qs)
+    for table in tables:
+        table.flags.writeable = False
+    _TABLES[key] = tables
+    held = sum(outer.nbytes + inner.nbytes for outer, inner in _TABLES.values())
+    while held > PHASE_TABLE_BYTES:
+        outer, inner = _TABLES.popitem(last=False)[1]
+        held -= outer.nbytes + inner.nbytes
+    return tables
+
+
+def _quadrature(cols: np.ndarray, tables: tuple) -> np.ndarray:
+    outer, inner = tables
+    terms = cols @ outer
+    terms *= inner
+    return np.sum(terms, axis=0)
 
 
 def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
@@ -237,24 +293,26 @@ def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
     The phase of sample ``k`` is the root of unity of exact integer index
     ``q k mod n``.  Splitting ``k = a + m b`` with ``m ~ sqrt(n)`` turns the
     sum into an ``(n/m x m)^T @ (n/m x n_bins)`` product followed by an
-    ``m x n_bins`` elementwise sum, so memory stays ``O(n + sqrt(n) n_bins)``.
-    No FFT is involved.
+    ``m x n_bins`` elementwise sum.  No FFT is involved.
+
+    The two phase tables, ``(n/m + m) n_bins`` complex numbers, depend only
+    on ``n`` and the bins.  When they fit in ``PHASE_TABLE_BYTES`` they are
+    kept, read-only, in a least-recently-used cache keyed by ``(n, bins)``
+    that holds at most ``PHASE_TABLE_BYTES`` in all.  A larger set is built
+    for the call in chunks of bins, none of whose tables or ``m x chunk``
+    products exceed ``PHASE_TABLE_BYTES``, and is not kept.
     """
     qs = _local_bins(piece, bins)
     n = piece.n
-    half = piece.log2_n // 2
-    m = 1 << half
-    rows = n >> half
-    step = -2j * np.pi / n
-    # exp(-2 pi i idx / n) for 0 <= idx < n is coarse[idx >> half] times
-    # fine[idx mod m]; the index of sample a + m b is (q a + q m b) mod n
-    coarse = np.exp(step * np.arange(0, n, m))
-    fine = np.exp(step * np.arange(m))
-    q_mod = qs % n
-    outer = coarse[np.arange(rows)[:, None] * q_mod % rows]
-    idx = np.arange(m)[:, None] * q_mod % n
-    inner = coarse[idx >> half] * fine[idx & (m - 1)]
-    sums = np.sum((piece.samples.reshape(rows, m).T @ outer) * inner, axis=0)
+    m = 1 << (piece.log2_n // 2)
+    cols = piece.samples.reshape(n // m, m).T
+    chunk = max(1, PHASE_TABLE_BYTES // ((m + n // m) * 16))
+    if qs.size <= chunk:
+        sums = _quadrature(cols, _cached_tables(n, qs))
+    else:
+        # each chunk's tables are dropped before the next chunk's are built
+        sums = np.concatenate([_quadrature(cols, _phase_tables(n, qs[k : k + chunk]))
+                               for k in range(0, qs.size, chunk)])
     return piece.dx * sums
 
 
@@ -268,7 +326,7 @@ def remove_lacunary(piece: Signal, bins) -> tuple:
     those coefficients equal to zero.  Both parts keep the window geometry of
     the input.
     """
-    bins = _local_bins(piece, bins) % piece.n
+    bins = _local_bins(piece, bins) & (piece.n - 1)
     local = np.fft.fft(piece.samples)
     lac_spec = np.zeros_like(local)
     lac_spec[bins] = local[bins]

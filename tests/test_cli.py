@@ -783,3 +783,48 @@ class TestExperimentCommands:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+
+class TestExactFlags:
+    """The flags parsed into exact dyadic values refuse a non-finite float
+    as a usage error that names the flag and the value."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [
+        (["lacunary"], "--max-abs"),
+        (["project", "--hi", "2"], "--lo"),
+        (["project", "--lo", "1"], "--hi"),
+        (["sqfn"], "--max-abs"),
+    ])
+    def test_non_finite_value_is_named(self, command, flag, value, stored_signal, capsys):
+        # each used to print only "lacuna: not a finite value"
+        extra = [] if command == ["lacunary"] else ["--input", str(stored_signal)]
+        code = main(command + extra + [f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"lacuna: {flag} must be finite, got {float(value)!r}\n"
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        from lacuna import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_parse_leaves_no_state(self, stored_signal, capsys):
+        # flags given to one call are not defaults of the next
+        code, first = run_json(capsys, ["lacunary"])
+        assert code == 0
+        run_json(capsys, ["lacunary", "--tau", "1", "--min-scale-log2", "0",
+                          "--max-abs", "8"])
+        code, again = run_json(capsys, ["lacunary"])
+        assert code == 0 and again == first
+        assert (first["tau"], first["min_scale_log2"], first["max_abs"]) == (2, -6, 64.0)
+        # a required flag stays required after a call that gave it
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["project", "--input", str(stored_signal), "--lo", "1"])
+            assert err.value.code == 2
+            assert "required: --hi" in capsys.readouterr().err
+            main(["project", "--input", str(stored_signal), "--lo", "1", "--hi", "2"])
+            capsys.readouterr()

@@ -4,7 +4,8 @@ Oracles: stopping intervals recomputed by enumerating every aligned dyadic
 block and filtering to maximal ones; vanishing coefficients re-checked by
 direct quadrature at each frequency (the implementation works through local
 FFT bins, so the quadrature is an independent path); the batched
-integer-phase quadrature checked against the per-frequency one; the
+integer-phase quadrature checked against the per-frequency one, and its
+cached, chunked phase tables against the ``%``-indexed construction; the
 closed-form lacunary bins against the union of the signed sums of each
 order, built from those of the order below, times the window length.
 """
@@ -13,6 +14,7 @@ import functools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +83,36 @@ def windowed_coefficient(piece, freq):
     reference for ``czd.lattice_coefficients``."""
     phases = np.exp(-2j * np.pi * freq * piece.x)
     return complex(piece.dx * np.sum(piece.samples * phases))
+
+
+def reference_lattice_coefficients(piece, bins):
+    """``czd.lattice_coefficients`` as it was before its phase tables were
+    cached, chunked and indexed by masks: both tables built for every call,
+    their indices reduced with ``%``."""
+    qs = np.asarray(bins)
+    n = piece.n
+    half = piece.log2_n // 2
+    m = 1 << half
+    rows = n >> half
+    step = -2j * np.pi / n
+    coarse = np.exp(step * np.arange(0, n, m))
+    fine = np.exp(step * np.arange(m))
+    q_mod = qs % n
+    outer = coarse[np.arange(rows)[:, None] * q_mod % rows]
+    idx = np.arange(m)[:, None] * q_mod % n
+    inner = coarse[idx >> half] * fine[idx & (m - 1)]
+    sums = np.sum((piece.samples.reshape(rows, m).T @ outer) * inner, axis=0)
+    return piece.dx * sums
+
+
+def table_bytes(n, n_bins):
+    """Bytes of the two phase tables of ``n_bins`` bins on ``n`` samples."""
+    m = 1 << ((n.bit_length() - 1) // 2)
+    return (m + n // m) * n_bins * 16
+
+
+def cached_bytes():
+    return sum(outer.nbytes + inner.nbytes for outer, inner in czd._TABLES.values())
 
 
 def grid_signal(func, n=256, period=2.0, offset=0.0):
@@ -619,6 +651,119 @@ class TestLatticeCoefficients:
                      np.array([0, 8], dtype=np.uint8), [True], 3, [[1]]):
             with pytest.raises(ValueError, match="integers q with"):
                 czd.lattice_coefficients(piece, bins)
+
+
+class TestPhaseTables:
+    """The cached, chunked, mask-indexed phase tables against the ``%``
+    construction that rebuilt them on every call: bitwise, except where a
+    chunk is one bin wide (a matrix-vector product), which is held to 1e-14
+    of the peak coefficient."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        czd._TABLES.clear()
+        yield
+        czd._TABLES.clear()
+
+    @staticmethod
+    def piece(n, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return Signal(vals, period=2.0 ** (n.bit_length() - 8), offset=-0.375)
+
+    @pytest.mark.parametrize("log2_n", range(17))
+    def test_cold_cached_and_evicted_calls(self, log2_n, monkeypatch):
+        n = 1 << log2_n
+        piece = self.piece(n, 300 + log2_n)
+        sets = [czd.lacunary_bins(n, sigma) for sigma in range(4)]
+        want = [reference_lattice_coefficients(piece, bins).tobytes() for bins in sets]
+        keys = [(n, bins.tobytes()) for bins in sets]
+        # room for the largest set alone: sigma 3's evicts the sets before it
+        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", table_bytes(n, sets[-1].size))
+        for bins, ref, key in zip(sets, want, keys):
+            assert czd.lattice_coefficients(piece, bins).tobytes() == ref
+            assert key in czd._TABLES
+            assert czd.lattice_coefficients(piece, bins).tobytes() == ref
+            assert cached_bytes() <= czd.PHASE_TABLE_BYTES
+        evicted = 0
+        for bins, ref, key in zip(sets, want, keys):
+            evicted += key not in czd._TABLES
+            assert czd.lattice_coefficients(piece, bins).tobytes() == ref
+            assert cached_bytes() <= czd.PHASE_TABLE_BYTES
+        # below 4 samples every order has the one bin 0
+        assert evicted == (0 if n < 4 else len(set(keys)))
+
+    def test_cached_tables_are_read_only(self):
+        piece = self.piece(1 << 10, 7)
+        for sigma in range(4):
+            czd.lattice_coefficients(piece, czd.lacunary_bins(piece.n, sigma))
+        assert len(czd._TABLES) == 4
+        for tables in czd._TABLES.values():
+            for table in tables:
+                assert table.flags.writeable is False
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0.0
+
+    def test_least_recently_used_set_is_evicted(self, monkeypatch):
+        piece = self.piece(1 << 10, 8)
+        a, b, c = (czd.lacunary_bins(piece.n, sigma) for sigma in (1, 2, 3))
+        keys = {name: (piece.n, bins.tobytes()) for name, bins in zip("abc", (a, b, c))}
+        budget = table_bytes(piece.n, a.size + c.size)
+        assert table_bytes(piece.n, a.size + b.size + c.size) > budget
+        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", budget)
+        for bins in (a, b, a, c):
+            czd.lattice_coefficients(piece, bins)
+        assert list(czd._TABLES) == [keys["a"], keys["c"]]
+        assert cached_bytes() <= budget
+
+    def test_keys_are_int64_bins(self):
+        # the same bins of another integer type share one table set
+        piece = self.piece(64, 9)
+        bins = czd.lacunary_bins(64, 2)
+        want = czd.lattice_coefficients(piece, bins).tobytes()
+        for dtype in (np.int8, np.int32, np.uint64):
+            if dtype is np.uint64:
+                bins = bins[bins >= 0]
+                want = reference_lattice_coefficients(piece, bins).tobytes()
+            assert czd.lattice_coefficients(piece, bins.astype(dtype)).tobytes() == want
+        assert len(czd._TABLES) == 2
+
+    def test_over_budget_set_is_chunked_and_not_kept(self):
+        # sigma 3 at 2^16: 3,023 bins, 23.6 MiB of tables, over 16 MiB
+        n = 1 << 16
+        piece = self.piece(n, 10)
+        bins = czd.lacunary_bins(n, 3)
+        assert table_bytes(n, bins.size) > czd.PHASE_TABLE_BYTES
+        got = czd.lattice_coefficients(piece, bins)
+        assert got.tobytes() == reference_lattice_coefficients(piece, bins).tobytes()
+        assert len(czd._TABLES) == 0
+
+    @pytest.mark.parametrize("log2_n, sigma", [(10, 3), (12, 4), (14, 3)])
+    def test_one_bin_chunks_within_rounding(self, log2_n, sigma, monkeypatch):
+        n = 1 << log2_n
+        piece = self.piece(n, 11 + log2_n)
+        bins = czd.lacunary_bins(n, sigma)
+        want = reference_lattice_coefficients(piece, bins)
+        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", 1)
+        got = czd.lattice_coefficients(piece, bins)
+        assert len(czd._TABLES) == 0
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_memory_is_bounded_by_the_budget(self):
+        # sigma 4 at 2^16: 12,703 bins, whose one-shot tables take 99 MiB and
+        # whose construction peaked at 199 MiB; chunked, a call holds at most
+        # one chunk's tables, its m x chunk product and their indices, plus
+        # three vectors of n_bins coefficients
+        n = 1 << 16
+        piece = self.piece(n, 12)
+        bins = czd.lacunary_bins(n, 4)
+        tracemalloc.start()
+        try:
+            czd.lattice_coefficients(piece, bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * czd.PHASE_TABLE_BYTES + 3 * 16 * bins.size
 
 
 class TestRemoveLacunary:
