@@ -466,37 +466,56 @@ def weak_type_ratio(out_mags, in_vals, dx: float, exponent: float,
 def _ratio_levels(out_mags, n_levels: int):
     """The thresholds of ``weak_type_ratio`` and the output counts at them,
     from one sort of the magnitudes (empty when they are all zero)."""
-    mags = np.sort(np.abs(np.asarray(out_mags)).ravel())
+    mags = np.abs(np.asarray(out_mags)).ravel()
+    mags.sort()
     peak = float(mags.max(initial=0.0))
     if peak <= 0.0:
         return np.empty(0), np.empty(0)
     kept = mags[np.searchsorted(mags, 1e-13 * peak, "right"):]
-    distinct = kept[np.r_[True, kept[1:] != kept[:-1]]]  # already sorted
-    lo, hi = float(distinct[0]), float(distinct[-1])
+    lo, hi = float(kept[0]), float(kept[-1])
     if hi <= lo * (1.0 + 1e-12):
         alphas = np.array([hi])
     else:
+        # the smallest attained magnitude at or above each grid point, once each
         grid = np.geomspace(lo, hi, n_levels)
-        idx = np.unique(np.clip(np.searchsorted(distinct, grid), 0, distinct.size - 1))
-        alphas = distinct[idx]
+        alphas = np.unique(kept[np.minimum(np.searchsorted(kept, grid), kept.size - 1)])
     return alphas, mags.size - np.searchsorted(mags, alphas * (1.0 - 1e-12), "left")
 
 
 def _sup_ratios(alphas, counts, in_vals, dx: float, exponents: tuple) -> list:
     """``weak_type_ratio`` at each exponent in one loop over the levels, which
-    share ``t = |f|/a`` and ``log(e + t)``: each mass is ``YoungFunction``'s."""
+    share ``t = |f|/a`` and ``log(e + t)``: each mass is ``YoungFunction``'s.
+
+    The levels are visited from the largest down, and a level whose ratio
+    cannot reach the best one so far is skipped.  ``B(ct) >= c B(t)`` for
+    ``c >= 1`` (``sigma >= 0``), so below an evaluated level ``a'`` the mass
+    is ``M(a) >= (a'/a) M(a')`` and the ratio at most ``dx count a / (a'
+    M(a'))``.  A level is skipped when that bound times ``1 + 1e-9`` is at
+    most the best ratio at every exponent; the margin is far above the
+    masses' rounding, which ``a'`` with a mass of at least ``2^-900`` keeps
+    relative.  An evaluated level's ratio is computed as in the ascending
+    loop and a tie goes to the smaller level, so ``max_ratio``, ``alpha``
+    and ``levels`` are bitwise that loop's.
+    """
     youngs = [YoungFunction(p) for p in exponents]
     # B(0) = 0: zero inputs add nothing to the Orlicz mass
     absin = np.abs(np.asarray(in_vals).ravel())
     absin = absin[absin != 0.0]
     best = [(0.0, float(alphas[-1]) if alphas.size else 0.0) for _ in youngs]
-    for a, count in zip(alphas, counts):
+    top = None  # the last evaluated level and its masses, when they can bound
+    for a, count in zip(alphas[::-1], counts[::-1]):
+        if top is not None and all(dx * count / rhs * (a / top[0]) * (1 + 1e-9) <= r
+                                   for rhs, (r, _) in zip(top[1], best)):
+            continue
         t = absin / a
         logs = np.log(math.e + t)
-        for i, young in enumerate(youngs):
-            rhs = dx * float(np.sum(t * logs**young.sigma))
-            if rhs > 0.0 and dx * count / rhs > best[i][0]:
-                best[i] = (dx * count / rhs, float(a))
+        masses = [dx * float(np.sum(t * logs**young.sigma)) for young in youngs]
+        for i, rhs in enumerate(masses):
+            ratio = dx * count / rhs if rhs > 0.0 else 0.0
+            # from the top down, >= hands a tie to the smaller level
+            if ratio > 0.0 and ratio >= best[i][0]:
+                best[i] = (ratio, float(a))
+        top = (a, masses) if min(masses) >= 2.0**-900 else None
     return [{"max_ratio": float(r), "alpha": a, "levels": int(alphas.size)} for r, a in best]
 
 
@@ -793,14 +812,13 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
     if cfg.n_max > feasible:
         notes.append(f"parameters above {feasible} skipped (band overflow)")
     rows = []
-    # every order's signals share one grid and its block |x| <= 1/2
-    mask = np.abs(_grid(cfg.log2_n, cfg.period)[0]) <= 0.5
     for n_param in range(cfg.n_min, min(cfg.n_max, feasible) + 1):
         fam = build_sharpness_family(n_param, cfg.log2_n, cfg.period)
         g = fam.g_n
-        kept = g.samples[mask]
+        # the block |x| <= 1/2, one slice of the grid
+        kept = g.samples[fam.block]
         agg = fam.bank.square(g)
-        weak_det = weak_l1_norm(agg[mask], g.dx)
+        weak_det = weak_l1_norm(agg[fam.block], g.dx)
         row = {
             "n": n_param,
             "components": len(fam.pairs),
@@ -813,11 +831,11 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
             weaks = []
             for signs in draws:
                 out = fam.bank.combine(g, signs)
-                weaks.append(weak_l1_norm(np.abs(out[mask]), g.dx))
+                weaks.append(weak_l1_norm(np.abs(out[fam.block]), g.dx))
             row["weak_rand_max"] = max(weaks)
             row["weak_rand_median"] = statistics.median(weaks)
         xs = np.geomspace(2.0 ** (-5 * n_param / 8), 0.25, 16)
-        envelope = fam.bank.square_at(fam.f_n, xs)
+        envelope = fam.bank.square_at(fam.f_n, xs, fam.f_half)
         row["cmin"] = float(np.min(envelope * xs / n_param))
         # one sort and one pass over the levels for both exponents
         correct, weakened = _sup_ratios(*_ratio_levels(agg, cfg.n_levels), kept, g.dx,

@@ -17,6 +17,7 @@ Two kinds of operator live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +70,47 @@ def max_feasible_parameter(log2_n: int, period: float) -> int:
     return max(band_log2(log2_n, period) - 2, 0)
 
 
+def unit_block(n: int, period: float) -> slice:
+    """The samples of the centered window with ``|x| <= 1/2``, as one slice.
+
+    The sample positions ``x_k = -period/2 + (period/n) k`` (the floats of
+    ``Signal.x``) do not decrease in ``k``, so the block is one run of indices.
+    Its ends are estimated from ``(period/2 -+ 1/2) / dx`` and settled on those
+    floats, so the slice picks exactly the samples ``np.abs(x) <= 0.5`` picks.
+    """
+    dx, offset = period / n, -period / 2
+
+    def first(estimate: float, past) -> int:
+        # the first index whose position is ``past`` the edge (n when none is)
+        k = min(max(math.ceil(estimate), 0), n)
+        while k > 0 and past(offset + dx * (k - 1)):
+            k -= 1
+        while k < n and not past(offset + dx * k):
+            k += 1
+        return k
+
+    return slice(first((period / 2 - 0.5) / dx, lambda x: x >= -0.5),
+                 first((period / 2 + 0.5) / dx, lambda x: x > 0.5))
+
+
 @dataclass
 class SharpnessFamily:
     """The O(N^2) array of second-order components and its test signals;
-    ``bank`` holds one band per component, in ``pairs`` order."""
+    ``bank`` holds one band per component, in ``pairs`` order.
+
+    ``block`` is the slice of samples with ``|x| <= 1/2`` (:func:`unit_block`),
+    on which g_N equals f_N and off which it is zero.  ``f_half`` is the
+    prefix of f_N's half spectrum (``rfft`` layout, unnormalized) that holds
+    the bank's bands; ``bank.square_at(f_n, xs, f_half)`` reads f_N's
+    coefficients from it instead of transforming f_N.
+    """
 
     pairs: tuple[tuple[int, int], ...]
     f_n: Signal
     g_n: Signal
     bank: BandBank = field(repr=False)
+    block: slice
+    f_half: np.ndarray = field(repr=False)
 
 
 def build_sharpness_family(
@@ -89,6 +122,8 @@ def build_sharpness_family(
     its 2^N-dilation f_N is synthesized exactly in frequency, and g_N is the
     restriction of f_N to [-1/2, 1/2].  f_N is one ``irfft`` of the half
     spectrum: exactly real, within about ``1e-14`` of the peak of the ``ifft``.
+    g_N copies f_N's samples on the block slice into zeros.  The family keeps
+    of the half spectrum only its prefix through the top band (``f_half``).
     """
     if n_param < 2:
         raise ValueError("the family needs parameter at least 2")
@@ -103,13 +138,18 @@ def build_sharpness_family(
     js = np.arange(min(int(4 * 2.0**n_param * period) + 2, n // 2 + 1))
     half = np.zeros(n // 2 + 1)
     half[:js.size] = base_bump_spectrum(js / period / 2.0**n_param) * (1 - 2 * (js & 1))
-    f_n = Signal._adopt(np.fft.irfft(half * (n / period), n).astype(complex),
-                        period, -period / 2)
-    g_n = Signal._adopt(np.where(np.abs(f_n.x) <= 0.5, f_n.samples, 0), period, -period / 2)
+    half *= n / period
+    f_n = Signal._adopt(np.fft.irfft(half, n).astype(complex), period, -period / 2)
+    block = unit_block(n, period)
+    g = np.zeros(n, dtype=complex)
+    g[block] = f_n.samples[block]
+    g_n = Signal._adopt(g, period, -period / 2)
     pairs = tuple((k, l) for k in range(2, n_param + 1) for l in range(1, k))
     ks, ls = np.array(pairs).T
     # the (k, l) symbol lives in 2^k + 2^{l-1} * [1, 3/2]
     lo = (1 << ks) + (1 << (ls - 1))
-    bank = BandBank(lo, lo + (1 << (ls - 1)), 0,
-                    lambda xi, at: component_symbol(xi, ks[at], ls[at]), "sharpness")
-    return SharpnessFamily(pairs, f_n, g_n, bank)
+    hi = lo + (1 << (ls - 1))
+    bank = BandBank(lo, hi, 0, lambda xi, at: component_symbol(xi, ks[at], ls[at]), "sharpness")
+    # the bands' lattice points j/T lie below the top window end
+    f_half = half[:math.ceil(int(hi.max()) * period) + 1].copy()
+    return SharpnessFamily(pairs, f_n, g_n, bank, block, f_half)

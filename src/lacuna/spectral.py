@@ -129,12 +129,19 @@ def _signed_indices(pos: np.ndarray, n: int) -> np.ndarray:
 
 def _coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real ones take
-    one ``rfft``, a position past ``n/2`` the conjugate of its mirror ``n -
-    pos``, within about ``1e-14`` of the peak coefficient."""
+    one ``rfft`` (see :func:`_from_half`), within about ``1e-14`` of the peak
+    coefficient."""
     if samples.imag.any():
         return np.fft.fft(samples)[pos]
-    mirrored = pos > samples.size // 2
-    coeffs = np.fft.rfft(samples.real)[np.where(mirrored, samples.size - pos, pos)]
+    return _from_half(np.fft.rfft(samples.real), pos, samples.size)
+
+
+def _from_half(half: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
+    """The ``fft`` values at ``pos`` of a real length-``n`` signal from its half
+    spectrum ``half`` (``rfft`` layout): a position past ``n/2`` is the
+    conjugate of its mirror ``n - pos``."""
+    mirrored = pos > n // 2
+    coeffs = half[np.where(mirrored, n - pos, pos)]
     return np.conjugate(coeffs, out=coeffs, where=mirrored)
 
 
@@ -290,7 +297,8 @@ class BandBank:
     ``(n, period)`` arrives and kept in ``grids`` with the alias events raised
     meanwhile (replayed into the caller's flags on every use).  Operations
     work on the bare ``fft`` of the samples (``square`` and ``square_at`` on
-    one ``rfft`` of a real signal, see :func:`_coefficients`): the offset
+    one ``rfft`` of a real signal, see :func:`_coefficients`, or ``square_at``
+    on a known half spectrum): the offset
     phases that :func:`spectrum` multiplies in and :func:`synthesize` takes
     out cancel in every band piece, so the pieces come out at the signal's
     own samples.
@@ -398,9 +406,12 @@ class BandBank:
             lags.append(np.fft.ihfft(spec.real**2 + spec.imag**2, axis=1).ravel())
         total = np.zeros(n // 2 + 1, dtype=np.complex128)
         np.add.at(total, plan.heads, np.concatenate(lags)[plan.lags])
-        # roundoff can leave a sum of squares slightly below zero
-        power = np.fft.irfft(total, n) / n
-        return np.ldexp(np.sqrt(np.maximum(power, 0.0)), shift)
+        # roundoff can leave a sum of squares slightly below zero; the
+        # steps after the transform work in its array
+        power = np.fft.irfft(total, n)
+        power /= n
+        np.sqrt(np.maximum(power, 0.0, out=power), out=power)
+        return np.ldexp(power, shift, out=power)
 
     def energies(self, sig: Signal) -> np.ndarray:
         """``||T_i f||_2^2`` per band by Parseval, with no inverse transform:
@@ -409,11 +420,18 @@ class BandBank:
         power = np.abs(np.fft.fft(sig.samples)[plan.pos] * plan.vals) ** 2
         return sig.period / sig.n**2 * _band_sums(plan, power)
 
-    def square_at(self, sig: Signal, xs) -> np.ndarray:
+    def square_at(self, sig: Signal, xs, half: Optional[np.ndarray] = None) -> np.ndarray:
         """The pointwise l2 norm at arbitrary positions ``xs``, by direct
         quadrature of each band (no interpolation between samples): one phase
         matrix over the plan's positions, one segmented sum per band, and the
-        squares added in band order."""
+        squares added in band order.
+
+        ``half``, when given, is the known half spectrum of a real ``sig``:
+        its ``rfft``, or a prefix of it that holds the plan's positions.  The
+        plan's coefficients are read from it, a mirrored position conjugated
+        as in :func:`_coefficients`, and the samples are not transformed.
+        Without it the result is bitwise what the samples give.
+        """
         plan = self._grid(sig, None)
         # relative to the window start the band pieces carry no offset phase
         t = np.asarray(xs, dtype=float) - sig.offset
@@ -423,7 +441,11 @@ class BandBank:
         np.outer(xi, t, out=terms.imag)
         terms.imag *= 2 * np.pi
         np.exp(terms, out=terms)
-        terms *= (_coefficients(sig.samples, plan.pos) * plan.vals)[:, None]
+        if half is None:
+            coeffs = _coefficients(sig.samples, plan.pos)
+        else:
+            coeffs = _from_half(half, plan.pos, sig.n)
+        terms *= (coeffs * plan.vals)[:, None]
         return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))
 
 

@@ -553,7 +553,7 @@ class TestCzd:
 
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_corrupted_file_exits_2(self, stored_signal, tmp_path, capsys, data):
         # cut or extend the file, or overwrite part of its header with

@@ -13,6 +13,9 @@ order, built from those of the order below, times the window length.
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -1013,3 +1016,40 @@ class TestDecomposition:
         sig = square_pulse(64)
         # sigma = 0: plain integral of |f| / alpha
         assert czd.young_mass(sig, 0, 0.5) == pytest.approx(2.0, abs=1e-12)
+
+
+# five gate 06 style members at 2^12 (seed 3107, sigma 0, 1, 2, 0, 1): each
+# report's JSON and a hash of every sample array it hands out, one line each
+THREAD_SCRIPT = """
+import hashlib, json
+import numpy as np
+import test_acceptance as acc
+from test_czd import signals_of
+from lacuna.czd import cz_decompose
+from lacuna.orlicz import luxemburg_avg
+rng = np.random.default_rng(3107)
+for i in range(5):
+    sig = acc._terms_signal(acc._spiky_terms(rng), 12)
+    alpha = 1.5 * luxemburg_avg(np.abs(sig.samples), (i % 3) / 2.0)
+    dec = cz_decompose(sig, i % 3, alpha, threads=1)
+    digest = hashlib.sha256(b"".join(s.samples.tobytes() for s in signals_of(dec)))
+    print(json.dumps(dec.to_json_dict(), sort_keys=True), digest.hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # the certificate's zgemm is the one BLAS call; OpenBLAS may split it
+    # over threads whatever ``threads`` says, and the bytes must not move
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, here]))
+        runs.append(subprocess.Popen([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outs = [run.communicate(timeout=60) for run in runs]
+    for run, (out, err) in zip(runs, outs):
+        assert run.returncode == 0, err.decode()
+    assert outs[0][0].count(b"\n") == 5
+    assert outs[0][0] == outs[1][0]

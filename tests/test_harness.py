@@ -54,6 +54,56 @@ def assert_weak_type_ratio_matches_reference(out, in_vals, dx, exponent, n_level
     assert abs(got["max_ratio"] - want["max_ratio"]) <= 1e-12 * want["max_ratio"]
 
 
+def reference_sup_ratios(alphas, counts, in_vals, dx, exponents):
+    """``_sup_ratios`` before its levels were pruned: every level's Orlicz
+    mass, visited from the smallest threshold up."""
+    youngs = [YoungFunction(p) for p in exponents]
+    absin = np.abs(np.asarray(in_vals).ravel())
+    absin = absin[absin != 0.0]
+    best = [(0.0, float(alphas[-1]) if alphas.size else 0.0) for _ in youngs]
+    for a, count in zip(alphas, counts):
+        t = absin / a
+        logs = np.log(math.e + t)
+        for i, young in enumerate(youngs):
+            rhs = dx * float(np.sum(t * logs**young.sigma))
+            if rhs > 0.0 and dx * count / rhs > best[i][0]:
+                best[i] = (dx * count / rhs, float(a))
+    return [{"max_ratio": float(r), "alpha": a, "levels": int(alphas.size)} for r, a in best]
+
+
+def reference_ratio_levels(out_mags, n_levels):
+    """``_ratio_levels`` before it read the levels off the sorted magnitudes:
+    through the array of their distinct values."""
+    mags = np.sort(np.abs(np.asarray(out_mags)).ravel())
+    peak = float(mags.max(initial=0.0))
+    if peak <= 0.0:
+        return np.empty(0), np.empty(0)
+    kept = mags[np.searchsorted(mags, 1e-13 * peak, "right"):]
+    distinct = kept[np.r_[True, kept[1:] != kept[:-1]]]
+    lo, hi = float(distinct[0]), float(distinct[-1])
+    if hi <= lo * (1.0 + 1e-12):
+        alphas = np.array([hi])
+    else:
+        grid = np.geomspace(lo, hi, n_levels)
+        idx = np.unique(np.clip(np.searchsorted(distinct, grid), 0, distinct.size - 1))
+        alphas = distinct[idx]
+    return alphas, mags.size - np.searchsorted(mags, alphas * (1.0 - 1e-12), "left")
+
+
+def assert_sup_ratios_bitwise(out_mags, in_vals, dx, exponents, n_levels):
+    levels = hn._ratio_levels(out_mags, n_levels)
+    for got, want in zip(levels, reference_ratio_levels(out_mags, n_levels), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # magnitudes near the float range's ends overflow a mass or a ratio in
+    # both loops alike
+    with np.errstate(over="ignore"):
+        got = hn._sup_ratios(*levels, in_vals, dx, exponents)
+        want = reference_sup_ratios(*levels, in_vals, dx, exponents)
+    # == on floats, with the types the reports serialize
+    assert [tuple(map(repr, d.values())) for d in got] == \
+        [tuple(map(repr, d.values())) for d in want]
+
+
 def tiny_config(**overrides):
     base = {"log2_n": 9, "ensemble": 3, "n_levels": 10, "seed": 7}
     base.update(overrides)
@@ -449,6 +499,66 @@ class TestWeakTypeRatio:
         for out in (agg, agg * inside, agg * np.where(inside, 1.0, 1.2e-13)):
             for exponent in (1.0, 0.5):
                 assert_weak_type_ratio_matches_reference(out, g.samples, g.dx, exponent, 40)
+
+    @pytest.mark.parametrize("order", range(2, 8))
+    def test_pruned_levels_on_growth_rows_are_bitwise(self, order):
+        # the growth study's inputs at 2^14: the aggregate on g_N against
+        # g_N's block, both exponents in one pass
+        fam = build_sharpness_family(order, 14)
+        g = fam.g_n
+        agg = fam.bank.square(g)
+        assert_sup_ratios_bitwise(agg, g.samples[fam.block], g.dx, (1.0, 0.5), 40)
+
+    @pytest.mark.parametrize("experiment, operator", [
+        ("endpoint", "prototype"), ("endpoint", "step"), ("endpoint", "lp"),
+        ("hormander", "hormander"), ("hormander", "smooth-sqfn")])
+    def test_pruned_levels_on_verify_inputs_are_bitwise(self, experiment, operator,
+                                                        monkeypatch):
+        # every ratio of the verify commands at the benchmark's tau, grid and
+        # ensemble: twelve signals, each on its grid and the x4 refinement
+        seen = []
+        real_levels, real = hn._ratio_levels, hn._sup_ratios
+
+        def levels(out_mags, n_levels):
+            out = real_levels(out_mags, n_levels)
+            for got, want in zip(out, reference_ratio_levels(out_mags, n_levels)):
+                assert got.tobytes() == want.tobytes()
+            return out
+
+        def recording(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hn, "_ratio_levels", levels)
+        monkeypatch.setattr(hn, "_sup_ratios", recording)
+        cfg = hn.ExperimentConfig(log2_n=13, tau=3, ensemble=6, seed=10, refine=True)
+        run = hn.verify_endpoint if experiment == "endpoint" else hn.verify_hormander
+        run(cfg, operator)
+        assert len(seen) == 12
+        for alphas, counts, in_vals, dx, exponents in seen:
+            assert real(alphas, counts, in_vals, dx, exponents) == \
+                reference_sup_ratios(alphas, counts, in_vals, dx, exponents)
+
+    @given(st.lists(st.sampled_from([0.0, 1e-300, 0.25, 0.5, 1.0, 3.0, 7.5, 1e3, 1e150]),
+                    min_size=1, max_size=40),
+           st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+           st.sampled_from([2, 5, 40]), st.sampled_from([0.125, 1.0, 3.0]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_pruned_levels_on_drawn_magnitudes_are_bitwise(self, out, vals, n_levels, dx):
+        # few distinct values: single levels, ties and repeated counts
+        for exponents in ((1.0, 0.5), (0.0,), (1.5,)):
+            assert_sup_ratios_bitwise(np.array(out), np.array(vals), dx, exponents, n_levels)
+
+    @pytest.mark.parametrize("out, vals", [
+        (np.zeros(6), np.ones(6)), (np.ones(6), np.zeros(6)), (np.full(6, 2.0), np.ones(6)),
+        (np.array([1.0, 2.0, 2.0, 4.0]), np.array([4.0, 2.0, 2.0, 1.0])),
+        (np.array([1.0, 1.0, 2.0, 2.0]), np.ones(4)),
+        (np.array([1.0, 1e-200, 1e200]), np.array([1e-310, 1.0, 1e300]))])
+    def test_pruned_levels_edge_cases_are_bitwise(self, out, vals):
+        # all-zero outputs or inputs, a single level, tied levels and masses
+        # near the float range's ends
+        for exponents in ((1.0, 0.5), (0.0,)):
+            assert_sup_ratios_bitwise(out, vals, 0.5, exponents, 24)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)

@@ -296,6 +296,44 @@ class TestSharpnessFamily:
         assert np.array_equal(fam.g_n.samples[inside], fam.f_n.samples[inside])
         assert np.all(fam.g_n.samples[~inside] == 0.0)
 
+    def test_unit_block_is_the_mask(self):
+        # the samples np.abs(Signal.x) <= 0.5 picks, on dyadic and other periods
+        for period in (16.0, 10.0, 3.0, 2.0**-3):
+            for log2_n in range(4, 23):
+                n = 1 << log2_n
+                x = -period / 2 + (period / n) * np.arange(n)  # Signal.x
+                block = mult.unit_block(n, period)
+                assert np.array_equal(np.arange(n)[block],
+                                      np.flatnonzero(np.abs(x) <= 0.5)), (period, log2_n)
+
+    @pytest.mark.parametrize("period, log2_n", [(16.0, 12), (16.0, 14), (10.0, 13),
+                                                (3.0, 12), (2.0**-3, 9)])
+    def test_truncation_is_the_masked_copy_bitwise(self, period, log2_n):
+        # g_N as it was built before: np.where over the whole grid
+        for order in (2, mult.max_feasible_parameter(log2_n, period)):
+            fam = mult.build_sharpness_family(order, log2_n, period)
+            f = fam.f_n
+            want = np.where(np.abs(f.x) <= 0.5, f.samples, 0)
+            assert fam.g_n.samples.tobytes() == want.tobytes()
+            assert (fam.g_n.period, fam.g_n.offset) == (f.period, f.offset)
+            assert not fam.g_n.samples.flags.writeable
+
+    @pytest.mark.parametrize("period, top", [(16.0, 7), (1.0, 11)])
+    def test_envelope_from_the_known_spectrum(self, period, top):
+        # f_N's coefficients read from its half spectrum against a transform
+        # of its samples; at 2^14 period 16 holds orders up to 7, period 1 up to 11
+        for order in range(2, top + 1):
+            fam = mult.build_sharpness_family(order, 14, period)
+            f = fam.f_n
+            plan = fam.bank._grid(f, None)
+            assert plan.pos.max() < fam.f_half.size <= f.n // 2 + 1
+            rfft = np.fft.rfft(f.samples.real)[:fam.f_half.size]
+            assert np.max(np.abs(fam.f_half - rfft)) <= 1e-14 * np.max(np.abs(rfft))
+            xs = np.geomspace(2.0 ** (-5 * order / 8), 0.25, 16)
+            want = fam.bank.square_at(f, xs)
+            got = fam.bank.square_at(f, xs, fam.f_half)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
     def test_component_on_pure_tone(self):
         fam = mult.build_sharpness_family(4, 12, period=16.0)
         k, l = 3, 2
