@@ -265,7 +265,7 @@ class TestSqfn:
         # up to 1e300 at scale 2^-6 the window ends span about 1,000 bits: the
         # resolution runs on Python integers, and each event names the exact
         # lattice bounds, as the per-window reference resolves them
-        from test_lacunary import reference_lambda_tau
+        from test_lacunary import sorted_lambda_tau
         from test_spectral import eta_window, reference_resolve, sharp_window
 
         path = tmp_path / "f.bin"
@@ -274,7 +274,7 @@ class TestSqfn:
         code, got = run_json(capsys, ["sqfn", "--input", str(path), "--tau", "1",
                                       "--max-abs", "1e300", "--mode", mode])
         window = sharp_window if mode == "sharp" else eta_window
-        family = reference_lambda_tau(1, DyadicScalar.pow2(-6), DyadicScalar.from_float(1e300))
+        family = sorted_lambda_tau(1, DyadicScalar.pow2(-6), DyadicScalar.from_float(1e300))
         want = reference_resolve([window(L) for L in family], "square_function", sig)[3]
         assert code == 1 and got["alias_events"] == list(want)
         assert max(len(event) for event in want) > 600

@@ -8,6 +8,28 @@ integer-phase quadrature checked against the per-frequency one, and its
 cached, chunked phase tables against the ``%``-indexed construction; the
 closed-form lacunary bins against the union of the signed sums of each
 order, built from those of the order below, times the window length.
+
+Reference ledger:
+- ``brute_stopping``: every aligned dyadic block with average above alpha,
+  filtered to the maximal ones, sharing no code with ``czd``; the stopping
+  intervals of 64-sample signals at sigma 0-2, three seeds, exactly.
+- ``windowed_coefficient``: direct quadrature of one Fourier coefficient,
+  independent of the lattice; ``lattice_coefficients`` in modulus at 2^0 to
+  2^15 (sigma 0-3, up to 26 bins each) to 1e-11 of the rms, with its phase
+  at 2^6 to 1e-13, and the vanishing of removed coefficients at 2^7 to
+  1e-12 of the rms.
+- ``reference_lattice_coefficients``: ``lattice_coefficients`` before its
+  phase tables were cached, chunked and indexed by masks, the ``%``-indexed
+  tables; cold, cached, evicted, int-typed and over-budget calls at 2^0 to
+  2^16, bitwise (one-bin chunks to 1e-14).  The only bitwise pin of the
+  quadrature.
+- ``reference_cz_decompose``, with its stage parts ``reference_stopping``,
+  ``reference_remove``, ``reference_diagnostics`` and
+  ``reference_constants``: the decomposition before ``|f|`` and the Young
+  weights were shared, each part built by the public, copying ``Signal``;
+  gate 06 members 0-5 at 2^16, the square pulse, random signals at sigma
+  0-2, overflowing constants, the margin guard and its errors, bitwise in
+  the report and in every sample array.  The only bitwise pin of czd.
 """
 
 import functools

@@ -1,6 +1,25 @@
 """Tests for the experiment harness: config plumbing, signal ensembles,
-operator construction, the weak-type ratio measurement, and the experiment
-drivers at small sizes."""
+operator construction, the weak-type ratio measurement, and the experiments
+at small sizes.
+
+Reference ledger:
+- ``weak_type_ratio_reference`` (through
+  ``assert_weak_type_ratio_matches_reference``): the per-threshold loop, one
+  count over the outputs and one Orlicz sum over every input sample at each
+  level, sharing only ``YoungFunction``; ``weak_type_ratio`` on the lp and
+  smooth-sqfn ratios of verify at tau 3 on 2^11 and on growth rows at orders
+  2, 4 and 6 on 2^14, levels and alpha exactly, the ratio to 1e-12.  It
+  checks ``weak_type_ratio`` as a whole; the pair below checks its stages.
+- ``reference_ratio_levels`` and ``reference_sup_ratios``: ``_ratio_levels``
+  through the distinct magnitudes and ``_sup_ratios`` before its levels were
+  pruned; growth rows at orders 2-7 on 2^14, all twelve ratios of each
+  verify operator at tau 3 on 2^13, drawn magnitudes and edge cases,
+  bitwise.
+- ``square_reference`` (from ``test_spectral``): the lp and smooth-sqfn
+  squares of verify at tau 3 on 2^11 and its refinement, to 1e-12 of the
+  peak; ``bisection_luxemburg`` (from ``test_orlicz``): every float of a
+  gen-zygmund-bonami report at sigma 2, to 1e-9.
+"""
 
 import json
 import math

@@ -1,20 +1,27 @@
 """Lacunary interval systems: oracles, frozen examples, invariants.
 
-Oracles used here are independent of the library code paths:
-- ``brute_whitney`` scans every dyadic subinterval with Fraction arithmetic
-  and keeps those at Whitney distance (qualifying intervals form an antichain,
-  so no separate maximality pass is needed).
-- ``brute_signed_sums`` enumerates ``±2^{n_1}±...±2^{n_tau}`` naively over an
-  exponent range.
-- ``reference_lac_tau`` enumerates the signed sums behind ``lac_tau`` order
-  by order in Python sets, and ``popcount_points`` is the former rule behind
-  ``lattice_points`` (a scan of ``[-bound, bound]`` for ``popcount(q ^ 3q)
-  <= tau``): the references the one non-adjacent-form enumeration is checked
-  against.
-- ``whitney`` and ``reference_lambda_tau`` are the former construction of
-  the interval systems, one ``LacInterval`` of ``DyadicScalar`` ends at a
-  time: the reference the array builder behind ``lambda_tau`` is checked
-  against.
+Reference ledger (each compared with the code exactly, in exact rationals or
+integers; none shares code with ``lacunary``):
+- ``brute_whitney``: scans every dyadic subinterval with Fraction arithmetic
+  and keeps those at Whitney distance (qualifying intervals form an
+  antichain, so no maximality pass is needed); one Whitney step of
+  ``sorted_whitney`` on the frozen parents, six parents at scales 2^-4 to 1
+  and random parents of scale 2^-2 to 2^6, as sets of ends.
+- ``brute_signed_sums_exact``: every ``±2^{n_1}±...±2^{n_tau}`` over the
+  exponents -3..3 in Fractions; ``lac_tau`` at tau 1-3, as sets.
+- ``reference_lac_tau``: the signed sums order by order in Python sets;
+  ``lac_tau`` on 154 windows (mantissas and exponents), ``lattice_points``
+  at tau 1-6 on every bound up to 2^10 (2^7 at tau 6) and past int64.
+- ``popcount_points``: the former rule behind ``lattice_points``, a scan of
+  ``[-bound, bound]`` for ``popcount(q ^ 3q) <= tau``; tau 0-8 on every bound
+  up to 2^10, either side of 2^11..2^16, and 2^20 - 1 at tau 8, as arrays.
+- ``sorted_whitney`` and ``sorted_lambda_tau``: the systems as they were
+  built before ``interval_arrays``, one ``LacInterval`` of ``DyadicScalar``
+  ends at a time, each order recursively from the one below and sorted by
+  left end; ``lambda_tau``'s lineage and ``interval_arrays``' ends,
+  anchors, parent rows and dtype on ``ARRAY_CASES``, ``lambda_tau`` at tau
+  1-4 on 12 windows each, and the reference systems of the band-plan tests
+  in ``test_spectral`` and ``test_cli``.
 - ``lac_tau`` is the oracle for ``lambda_tau_count``, which is also checked
   against the built system.
 """
@@ -247,57 +254,48 @@ def test_dyadic_from_float_exact():
 # -- the former construction ------------------------------------------------
 
 
-def _require_pow2(x, what):
-    if x.mantissa != 1:
-        raise ValueError(f"{what} must be a positive power of two, got {x!r}")
-
-
-def whitney(interval, min_scale):
-    """Maximal dyadic ``L`` in ``I`` with ``dist(L, R\\I) = |L|`` and ``|L| >=
-    min_scale``, as ``LacInterval`` pieces with ``interval`` as their parent.
-
-    The pieces at scale ``|I|/2^j`` (j >= 2) are the two intervals adjacent to
-    the inner quarter marks: ``[A + |I|/2^j, A + |I|/2^(j-1))`` and its mirror
-    at ``B``; no piece of scale ``|I|/2`` exists.  They come left to right:
-    those anchored at ``A`` by growing scale, then those anchored at ``B`` by
-    shrinking scale.  Nothing survives when ``min_scale > |I|/4``.
-    """
-    _require_pow2(min_scale, "min_scale")
-    length = interval.length
-    _require_pow2(length, "interval length")
-    s_parent = length.log2()
-    # dyadic interval check: left endpoint must be a multiple of the length
-    ratio = interval.left.scale_pow2(-s_parent)
-    if ratio.mantissa != 0 and ratio.exponent < 0:
-        raise ValueError(f"{interval!r} is not a dyadic interval")
+def sorted_whitney(interval, min_scale):
+    """One Whitney step as it was before its pieces came out in order: the
+    maximal dyadic ``L`` in ``interval`` with ``dist(L, R\\I) = |L| >=
+    min_scale``, both anchored pieces ``[A + 2^s, A + 2^(s+1))`` and their
+    mirrors at ``B`` for each scale ``2^s <= |I|/4``, then one sort by left
+    end; each piece has ``interval`` as its parent."""
+    pieces = []
     a, b = interval.left, interval.right
-    order = interval.order + 1
-    scales = range(min_scale.log2(), s_parent - 1)  # piece scales 2^s, s <= s_parent-2
-    powers = [(DyadicScalar.pow2(s), DyadicScalar.pow2(s + 1)) for s in scales]
-    return tuple(
-        [LacInterval(a - (ZERO - step), a - (ZERO - double), order, a, interval)
-         for step, double in powers]
-        + [LacInterval(b - double, b - step, order, b, interval)
-           for step, double in reversed(powers)]
-    )
+    for s in range(min_scale.log2(), interval.length.log2() - 1):
+        step, double = DyadicScalar.pow2(s), DyadicScalar.pow2(s + 1)
+        pieces.append(LacInterval(a - (ZERO - step), a - (ZERO - double), interval.order + 1, a,
+                                  interval))
+        pieces.append(LacInterval(b - double, b - step, interval.order + 1, b, interval))
+    pieces.sort(key=lambda piece: piece.left)
+    return tuple(pieces)
 
 
-def reference_lambda_tau(tau, min_scale, max_abs):
-    """``lambda_tau`` by recursion over the orders, one ``whitney`` call per
-    parent (no interval budget)."""
-    if lambda_tau_count(tau, *window_log2(min_scale, max_abs)) == 0:
-        return []
+def sorted_lambda_tau(tau, min_scale, max_abs):
+    """``lambda_tau`` as it was before it was built in order: recursively
+    from order ``tau - 1`` at four times the scale, each order sorted by left
+    end after it is built."""
+    out = []
     if tau == 1:
-        # the blocks +-[2^k, 2^(k+1)) left to right: the negative ones by
-        # shrinking scale, then the positive ones by growing scale
-        top = max_abs.exponent + abs(max_abs.mantissa).bit_length() - 1
-        powers = [(DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1))
-                  for k in range(min_scale.log2(), top)]
-        return ([LacInterval(ZERO - hi, ZERO - lo, 1, ZERO, None) for lo, hi in reversed(powers)]
-                + [LacInterval(lo, hi, 1, ZERO, None) for lo, hi in powers])
-    # the parents are disjoint and in order, and each one's pieces lie in it
-    return [piece for parent in reference_lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs)
-            for piece in whitney(parent, min_scale)]
+        k = min_scale.log2()
+        while DyadicScalar.pow2(k + 1) <= max_abs:
+            lo, hi = DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1)
+            out += [LacInterval(lo, hi, 1, ZERO, None), LacInterval(ZERO - hi, ZERO - lo, 1, ZERO, None)]
+            k += 1
+    else:
+        for parent in sorted_lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs):
+            out.extend(sorted_whitney(parent, min_scale))
+    out.sort(key=lambda piece: piece.left)
+    return out
+
+
+def lineage(interval):
+    """The keys of an interval and of every ancestor, nearest first."""
+    keys = []
+    while interval is not None:
+        keys.append(interval.key())
+        interval = interval.parent
+    return tuple(keys)
 
 
 # gate 02's systems, the verify operators' at their default scales (sharp cap
@@ -316,17 +314,15 @@ ARRAY_CASES = (
 
 @pytest.mark.parametrize("tau, min_scale, max_abs", ARRAY_CASES)
 def test_array_builder_matches_the_recursion(tau, min_scale, max_abs):
-    want = reference_lambda_tau(tau, min_scale, max_abs)
+    # the arrays themselves, in units of min_scale: ends, anchors, and each
+    # piece's parent as its row in the order below, against the sorted
+    # recursion's orders 1 .. tau
+    systems = [sorted_lambda_tau(order, min_scale.scale_pow2(2 * (tau - order)), max_abs)
+               for order in range(1, tau + 1)]
+    want = systems[-1]
     assert want
     got = lambda_tau(tau, min_scale, max_abs)
     assert [lineage(i) for i in got] == [lineage(i) for i in want]
-    # the arrays themselves, in units of min_scale: ends, anchors, and each
-    # piece's parent as its row in the order below, against the recursion's
-    # orders 1 .. tau
-    systems = [reference_lambda_tau(1, min_scale.scale_pow2(2 * (tau - 1)), max_abs)]
-    for order in range(2, tau + 1):
-        scale = min_scale.scale_pow2(2 * (tau - order))
-        systems.append([piece for parent in systems[-1] for piece in whitney(parent, scale)])
     levels = interval_arrays(tau, *window_log2(min_scale, max_abs))
     assert len(levels) == tau
     wide = max_abs.as_fraction() / min_scale.as_fraction() >= 2**59
@@ -340,8 +336,8 @@ def test_array_builder_matches_the_recursion(tau, min_scale, max_abs):
         if order == 1:
             assert level.parent.tolist() == [-1] * len(system)
         else:
-            rows = {id(parent): row for row, parent in enumerate(systems[order - 2])}
-            assert level.parent.tolist() == [rows[id(i.parent)] for i in system]
+            rows = {parent.key(): row for row, parent in enumerate(systems[order - 2])}
+            assert level.parent.tolist() == [rows[i.parent.key()] for i in system]
 
 
 def test_a_window_of_2100_bits_is_refused_before_it_is_built(monkeypatch):
@@ -355,11 +351,11 @@ def test_a_window_of_2100_bits_is_refused_before_it_is_built(monkeypatch):
         lambda_tau(2, DyadicScalar.pow2(-MAX_LATTICE_BITS), ONE)
 
 
-# -- whitney: frozen examples (oracle-computed) --------------------------------
+# -- one Whitney step: frozen examples (oracle-computed) ---------------------
 
 
 def test_whitney_8_16():
-    res = whitney(ival(8, 16), D(F(1)))
+    res = sorted_whitney(ival(8, 16), D(F(1)))
     assert as_pairs(res) == {
         (F(9), F(10)),
         (F(10), F(12)),
@@ -376,14 +372,14 @@ def test_whitney_8_16():
 def test_whitney_unit_interval_quarter_scale():
     # post-condition |L| >= min_scale is authoritative: at min_scale 1/4 only
     # the two central quarter pieces survive (oracle-verified)
-    res = whitney(ival(1, 2), D(F(1, 4)))
+    res = sorted_whitney(ival(1, 2), D(F(1, 4)))
     expect = {(F(5, 4), F(3, 2)), (F(3, 2), F(7, 4))}
     assert as_pairs(res) == expect
     assert as_pairs(res) == brute_whitney(F(1), F(2), F(1, 4))
 
 
 def test_whitney_unit_interval_eighth_scale():
-    res = whitney(ival(1, 2), D(F(1, 8)))
+    res = sorted_whitney(ival(1, 2), D(F(1, 8)))
     expect = {
         (F(9, 8), F(5, 4)),
         (F(5, 4), F(3, 2)),
@@ -395,12 +391,12 @@ def test_whitney_unit_interval_eighth_scale():
 
 
 def test_whitney_over_truncated():
-    assert whitney(ival(0, 1), D(F(1, 2))) == ()
+    assert sorted_whitney(ival(0, 1), D(F(1, 2))) == ()
 
 
 def test_whitney_rejects_non_pow2_scale():
     with pytest.raises(ValueError):
-        whitney(ival(0, 1), D(F(3, 8)))
+        sorted_whitney(ival(0, 1), D(F(3, 8)))
 
 
 @pytest.mark.parametrize(
@@ -415,13 +411,13 @@ def test_whitney_rejects_non_pow2_scale():
     ],
 )
 def test_whitney_matches_brute_force(a, b, ms):
-    res = whitney(LacInterval(D(a), D(b), 1, ZERO, None), D(ms))
+    res = sorted_whitney(LacInterval(D(a), D(b), 1, ZERO, None), D(ms))
     assert as_pairs(res) == brute_whitney(a, b, ms)
 
 
 def test_whitney_invariants():
     parent = ival(8, 16, order=1)
-    pieces = whitney(parent, D(F(1, 4)))
+    pieces = sorted_whitney(parent, D(F(1, 4)))
     # pairwise disjoint, inside parent, dist == length, anchor correct
     for p in pieces:
         assert parent.left <= p.left and p.right <= parent.right
@@ -447,49 +443,6 @@ def test_whitney_invariants():
         assert r1 == l2
 
 
-# -- the former sort-by-left construction ---------------------------------------
-
-
-def sorted_whitney(interval, min_scale):
-    """``whitney`` as it was before its pieces came out in order: both
-    anchored pieces at each scale, then one sort by left end."""
-    pieces = []
-    a, b = interval.left, interval.right
-    for s in range(min_scale.log2(), interval.length.log2() - 1):
-        step, double = DyadicScalar.pow2(s), DyadicScalar.pow2(s + 1)
-        pieces.append(LacInterval(a - (ZERO - step), a - (ZERO - double), interval.order + 1, a,
-                                  interval))
-        pieces.append(LacInterval(b - double, b - step, interval.order + 1, b, interval))
-    pieces.sort(key=lambda piece: piece.left)
-    return tuple(pieces)
-
-
-def sorted_lambda_tau(tau, min_scale, max_abs):
-    """``lambda_tau`` as it was before it was built in order: each order
-    sorted by left end after it is built."""
-    out = []
-    if tau == 1:
-        k = min_scale.log2()
-        while DyadicScalar.pow2(k + 1) <= max_abs:
-            lo, hi = DyadicScalar.pow2(k), DyadicScalar.pow2(k + 1)
-            out += [LacInterval(lo, hi, 1, ZERO, None), LacInterval(ZERO - hi, ZERO - lo, 1, ZERO, None)]
-            k += 1
-    else:
-        for parent in sorted_lambda_tau(tau - 1, min_scale.scale_pow2(2), max_abs):
-            out.extend(sorted_whitney(parent, min_scale))
-    out.sort(key=lambda piece: piece.left)
-    return out
-
-
-def lineage(interval):
-    """The keys of an interval and of every ancestor, nearest first."""
-    keys = []
-    while interval is not None:
-        keys.append(interval.key())
-        interval = interval.parent
-    return tuple(keys)
-
-
 @pytest.mark.parametrize("tau", [1, 2, 3, 4])
 def test_lambda_tau_matches_the_sorted_construction(tau):
     for min_log2 in (-2 * tau - 2, -3, 0):
@@ -498,16 +451,6 @@ def test_lambda_tau_matches_the_sorted_construction(tau):
             got, want = lambda_tau(tau, *args), sorted_lambda_tau(tau, *args)
             assert [lineage(i) for i in got] == [lineage(i) for i in want]
             assert all(a.right <= b.left for a, b in zip(got, got[1:]))
-
-
-@pytest.mark.parametrize("lo,hi", [(8, 16), (-16, -8), (0, 8), (-1, 0), (F(3, 4), 1)])
-def test_whitney_matches_the_sorted_construction(lo, hi):
-    parent = ival(lo, hi, order=2, anchor=hi)
-    for ms_log2 in range(-6, 4):
-        got = whitney(parent, DyadicScalar.pow2(ms_log2))
-        want = sorted_whitney(parent, DyadicScalar.pow2(ms_log2))
-        assert [lineage(i) for i in got] == [lineage(i) for i in want]
-        assert all(piece.parent is parent for piece in got)
 
 
 # -- lambda_tau ----------------------------------------------------------------
@@ -846,9 +789,9 @@ def test_whitney_partition_property(scale_exp, offset_mult, ms_exp):
     parent = LacInterval(D(a), D(a + s), 1, ZERO, None)
     ms = F(2) ** ms_exp
     if ms > s / 4:
-        assert whitney(parent, D(ms)) == ()
+        assert sorted_whitney(parent, D(ms)) == ()
         return
-    res = whitney(parent, D(ms))
+    res = sorted_whitney(parent, D(ms))
     spans = sorted(as_pairs(res))
     assert spans[0][0] == a + ms and spans[-1][1] == a + s - ms
     for (l1, r1), (l2, r2) in zip(spans, spans[1:]):

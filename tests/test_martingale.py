@@ -3,6 +3,19 @@
 Oracles: conditional expectations recomputed by literal per-cell loops, the
 sub-Gaussian tail bound for sign martingales, and finite differences for the
 solver's implicit Luxemburg gradient.
+
+Reference ledger:
+- ``brute_expectation``: per-cell means by explicit Python loops; ``_ek`` at
+  levels 0-6 of 2^6 functions and the square function at 2^4, to 1e-13.
+- ``reference_project``: the projection as a block mean per row, the one
+  past version kept; ``project_to_constraint`` at 2^0 and 2^12, scales 1e-3
+  and 1e3, to 1e-15 of the peak (a ``_dk`` loop checks 2^0 to 2^12 alike).
+- ``reference_solve``: the solver loop before its state buffers, kept until
+  the solver's stop rule changes; the 16 gate 08 inputs and the rough input
+  capped at 1000 iterations (solved once per module, ``screened_solves``),
+  objectives to 1e-5, iterations within 5, residuals to 1e-10.  The same
+  solves are compared bitwise, with their Luxemburg solve counts, against a
+  run whose screen never answers.
 """
 
 import json
@@ -15,7 +28,7 @@ from hypothesis import strategies as st
 
 from lacuna import martingale as mg
 from lacuna.orlicz import YoungFunction, luxemburg_avg
-from lacuna.spectral import plateau_bump
+import test_acceptance
 
 
 def brute_expectation(values, k):
@@ -259,35 +272,21 @@ class TestConstraintProjection:
 
 
 def gate08_inputs():
-    """The 16 gate 08 solves as (sigma, samples): three plateau bumps per
-    function drawn from seed 2026, four functions per sigma, each at 2^10
+    """The 16 gate 08 solves as (sigma, samples), from the gate's own
+    generator: four functions per sigma drawn from seed 2026, each at 2^10
     and 2^12."""
     rng = np.random.default_rng(2026)
     for sigma in (0.0, 1.0):
         for _ in range(4):
-            terms = [(rng.uniform(0.15, 0.85), 2.0 ** rng.uniform(-4.0, -1.0),
-                      rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
-                     for _ in range(3)]
+            terms = test_acceptance._smooth_terms(rng)
             for log2_n in (10, 12):
-                n = 1 << log2_n
-                x = (np.arange(n) + 0.5) / n
-                vals = np.zeros(n)
-                for c, w, a in terms:
-                    vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
-                yield sigma, vals
+                yield sigma, test_acceptance._unit_values(terms, log2_n)
 
 
 def gate08_values(log2_n: int = 10) -> np.ndarray:
     """The first gate 08 input at 2^10, or its function sampled at 2^log2_n."""
-    rng = np.random.default_rng(2026)
-    n = 1 << log2_n
-    x = (np.arange(n) + 0.5) / n
-    vals = np.zeros(n)
-    for _ in range(3):
-        c, w = rng.uniform(0.15, 0.85), 2.0 ** rng.uniform(-4.0, -1.0)
-        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
-    return vals
+    terms = test_acceptance._smooth_terms(np.random.default_rng(2026))
+    return test_acceptance._unit_values(terms, log2_n)
 
 
 def rough_values(log2_n: int = 8) -> np.ndarray:
@@ -365,18 +364,56 @@ def reference_solve(f, sigma):
     return objective, iterations, residual
 
 
+def counted_solve(f, sigma):
+    """``decompose_quotient_norm(f, sigma)`` and its number of Luxemburg solves."""
+    calls = []
+
+    def counting(values, s, **kwargs):
+        calls.append(1)
+        return luxemburg_avg(values, s, **kwargs)
+
+    real = mg.luxemburg_avg
+    mg.luxemburg_avg = counting
+    try:
+        out = mg.decompose_quotient_norm(f, sigma)
+    finally:
+        mg.luxemburg_avg = real
+    return out, len(calls)
+
+
+def report_bytes(out):
+    """Every output of one solve as exact bytes."""
+    cert = repr(sorted(out.certificate.items()))
+    return np.array(out.trace).tobytes(), out.f_k.tobytes(), out.iterations, cert
+
+
+# the rough input runs to a cap of 1000 iterations, not 5000, to keep its
+# solves under a second
+CAPS = {"gate08": None, "rough": 1000}
+
+
+@pytest.fixture(scope="module")
+def screened_solves():
+    """The solve of every gate 08 input and of the rough input, once per
+    module: ``{case: [(sigma, samples, result, Luxemburg solves)]}``."""
+    inputs = {"gate08": list(gate08_inputs()), "rough": [(1.0, rough_values())]}
+    solves = {}
+    for case, cap in CAPS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            if cap:
+                mp.setattr(mg, "MAX_ITER", cap)
+            solves[case] = [(sigma, vals, *counted_solve(mg.DyadicFunction(vals), sigma))
+                            for sigma, vals in inputs[case]]
+    return solves
+
+
 class TestDecompositionSolver:
     @pytest.mark.parametrize("case", ["gate08", "rough"])
-    def test_matches_the_reference_loop(self, case, monkeypatch):
-        # the rough input runs to a cap of 1000 iterations, not 5000, to keep
-        # the pair of solves under a second
-        if case == "rough":
-            monkeypatch.setattr(mg, "MAX_ITER", 1000)
-        inputs = gate08_inputs() if case == "gate08" else [(1.0, rough_values())]
-        for sigma, vals in inputs:
-            f = mg.DyadicFunction(vals)
-            want, want_iters, want_residual = reference_solve(f, sigma)
-            out = mg.decompose_quotient_norm(f, sigma)
+    def test_matches_the_reference_loop(self, case, screened_solves, monkeypatch):
+        if CAPS[case]:
+            monkeypatch.setattr(mg, "MAX_ITER", CAPS[case])
+        for sigma, vals, out, _ in screened_solves[case]:
+            want, want_iters, want_residual = reference_solve(mg.DyadicFunction(vals), sigma)
             assert abs(out.objective - want) <= 1e-5 * want
             assert abs(out.iterations - want_iters) <= 5
             assert out.certificate["constraint_residual"] <= 1e-10
@@ -544,37 +581,18 @@ class TestDecompositionSolver:
         assert 0.5 <= ratios[1] / ratios[0] <= 2.0
 
 
-def solve_bytes(f, sigma):
-    """Every output of one solve as exact bytes, and its Luxemburg solves."""
-    calls = []
-
-    def counting(values, s, **kwargs):
-        calls.append(1)
-        return luxemburg_avg(values, s, **kwargs)
-
-    real = mg.luxemburg_avg
-    mg.luxemburg_avg = counting
-    try:
-        out = mg.decompose_quotient_norm(f, sigma)
-    finally:
-        mg.luxemburg_avg = real
-    cert = repr(sorted(out.certificate.items()))
-    return (np.array(out.trace).tobytes(), out.f_k.tobytes(), out.iterations, cert), len(calls)
-
-
 class TestScreenedLineSearch:
     @pytest.mark.parametrize("case", ["gate08", "rough"])
-    def test_screen_leaves_every_output_bitwise_unchanged(self, case, monkeypatch):
+    def test_screen_leaves_every_output_bitwise_unchanged(self, case, screened_solves,
+                                                          monkeypatch):
         # with the screen answering False every trial is solved, as before it
-        if case == "rough":
-            monkeypatch.setattr(mg, "MAX_ITER", 1000)
-        inputs = list(gate08_inputs()) if case == "gate08" else [(1.0, rough_values())]
-        screened = [solve_bytes(mg.DyadicFunction(v), s) for s, v in inputs]
+        if CAPS[case]:
+            monkeypatch.setattr(mg, "MAX_ITER", CAPS[case])
         monkeypatch.setattr(mg, "luxemburg_exceeds", lambda values, s, bound: False)
-        solved = [solve_bytes(mg.DyadicFunction(v), s) for s, v in inputs]
         totals = np.zeros(2)
-        for (sigma, _), (got, got_calls), (want, want_calls) in zip(inputs, screened, solved):
-            assert got == want
+        for sigma, vals, screened, got_calls in screened_solves[case]:
+            solved, want_calls = counted_solve(mg.DyadicFunction(vals), sigma)
+            assert report_bytes(screened) == report_bytes(solved)
             if sigma > 0:
                 assert got_calls < want_calls
                 totals += got_calls, want_calls
@@ -583,7 +601,7 @@ class TestScreenedLineSearch:
         # the first trial, at the grown step, is almost always rejected
         assert totals[0] < 0.75 * totals[1]
         if case == "rough":
-            assert screened[0][0][2] == 1000
+            assert screened.iterations == 1000
 
     def test_screen_runs_once_per_iteration_at_positive_sigma(self, monkeypatch):
         seen = []

@@ -1,5 +1,19 @@
 """Tests for step multipliers (band-bank windows in the step class), their
-application, and the sharpness family."""
+application, and the sharpness family.
+
+Reference ledger:
+- ``square_reference`` (from ``test_spectral``): the band-by-band aggregate,
+  one complex inverse transform per band; the sharpness family's aggregate
+  of f_N and g_N at orders 2-6 on 2^14 samples, to 1e-12 of the peak.
+- ``fraction_band`` (from ``test_spectral``): the band ``n / 2T`` in exact
+  rationals; ``max_feasible_parameter`` is ``max(log2 - 2, 0)`` of it,
+  exactly, at 2^4 to 2^22 samples on the periods 2^1 to 2^64.
+- ``one_matrix_square_at``: ``BandBank.square_at`` before it exponentiated
+  its phases in place; f_N and g_N at orders 4 and 7 on 16 points, bitwise
+  (``test_spectral.reference_band_square_at``, a per-band loop, is 1e-14).
+- ``step_violations``: the step class (containment, l2 budget, overlap) in
+  exact rationals, on hand-made windows and both built step multipliers.
+"""
 
 import bisect
 import math
@@ -13,7 +27,7 @@ from lacuna.lacunary import interval_arrays, lambda_tau
 from lacuna import harness
 from lacuna import multipliers as mult
 from lacuna import spectral as sp
-from test_spectral import bank_of, bank_windows, square_reference
+from test_spectral import bank_of, bank_windows, fraction_band, square_reference
 
 
 def apply_component(sig, k, l):
@@ -230,16 +244,6 @@ class TestApplication:
 # -- sharpness family ---------------------------------------------------------
 
 
-def loop_feasible_parameter(log2_n: int, period: float) -> int:
-    """The former ``max_feasible_parameter``: count up while the support 2^(N+3)
-    of the next dilated bump spectrum fits the band, in floats."""
-    band = (1 << log2_n) / (2 * period)
-    n = 0
-    while 2.0 ** (n + 3) <= band:
-        n += 1
-    return n
-
-
 class TestSharpnessFamily:
     def test_pair_enumeration(self):
         fam = mult.build_sharpness_family(4, 12)
@@ -247,11 +251,12 @@ class TestSharpnessFamily:
 
     def test_feasibility_guard(self):
         assert mult.max_feasible_parameter(20, 16.0) == 13
-        # the float loop it replaced, on every power-of-two period the configs take
+        # the support 2^(N+3) of the next dilated bump spectrum passes the
+        # exact rational band, on every power-of-two period the configs take
         for log2_n in range(4, 23):
             for period in (2.0**p for p in range(1, 65)):
-                assert mult.max_feasible_parameter(log2_n, period) == \
-                    loop_feasible_parameter(log2_n, period), (log2_n, period)
+                want = max(fraction_band(1 << log2_n, period).log2() - 2, 0)
+                assert mult.max_feasible_parameter(log2_n, period) == want, (log2_n, period)
         with pytest.raises(ValueError):
             mult.build_sharpness_family(14, 20, period=16.0)
 

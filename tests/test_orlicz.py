@@ -1,4 +1,23 @@
-"""Orlicz machinery: scalar oracles, exact degenerations, norm axioms."""
+"""Orlicz machinery: scalar oracles, exact degenerations, norm axioms.
+
+Reference ledger for ``luxemburg_avg``:
+- ``scalar_young_root``: plain interval halving on the scalar equation
+  ``B(c / lam) = 1``, sharing no code with the package; constant functions
+  at four levels and three sigmas, to 1e-8.
+- ``bisection_luxemburg``: the bracketed bisection the Newton solve
+  replaced, sharing only ``YoungFunction.__call__``; ``newton_inputs`` of
+  five kinds at six sigmas and sizes 1 to 2^16, to 1e-9, with the computed
+  constraint within ``CONSTRAINT_TOL``.
+- ``bracket_probe_luxemburg``: the Newton solve before it trusted the
+  bracket bound (it doubles the first upper end until the constraint is at
+  most 1, and its collapse test underflows where the mean is subnormal), the
+  one bitwise pin: ``normal_range_corpus`` cold and at ``starts_around``,
+  ``subnormal_corpus`` cold and at ``0.7 root``, ``newton_inputs`` with and
+  without zeros at four starts, a start above the root, and every warm
+  start of one decomposition solve, all bitwise; Young evaluation counts are
+  absolute counts of the solve, or one fewer than the pin's where the
+  bracket bound replaces its probe.
+"""
 
 from __future__ import annotations
 
@@ -78,86 +97,6 @@ def bisection_luxemburg(values, sigma: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def probe_first_luxemburg(values, sigma: float, start=None) -> float:
-    """``luxemburg_avg`` before its warm-start shortcut: the doubling probe
-    at the upper end of the first bracket always runs before ``start`` is
-    evaluated, and ``start`` is evaluated again inside the loop."""
-    B = YoungFunction(sigma)
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    mean = float(v.mean())
-    if mean == 0.0:
-        return 0.0
-    if sigma == 0:
-        return mean
-    lo = mean
-    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
-    grow = 0
-    while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
-        hi *= 2.0
-        grow += 1
-    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-    for _ in range(200):
-        u = v / lam
-        val = float(np.mean(B(u)))
-        if abs(val - 1.0) <= CONSTRAINT_TOL:
-            return lam
-        if val > 1.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-15 * hi:
-            break
-        step = (val - 1.0) / float(np.mean(B.deriv(u) * u))
-        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
-        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def full_array_luxemburg(values, sigma: float, start=None) -> float:
-    """``luxemburg_avg`` before it skipped zero samples: every evaluation
-    runs ``B`` and ``B'`` over all of ``values``, each taking its own log."""
-    B = YoungFunction(sigma)
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    mean = float(v.mean())
-    if mean == 0.0:
-        return 0.0
-    if sigma == 0:
-        return mean
-    lo = mean
-    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
-
-    def at(lam: float) -> tuple:
-        u = v / lam
-        return u, float(np.mean(B(u)))
-
-    inside = start is not None and lo < start < hi
-    if inside:
-        lam = start
-        u, val = at(lam)
-    if not inside or val - 1.0 > CONSTRAINT_TOL:
-        grow = 0
-        while float(np.mean(B(v / hi))) > 1.0 and grow < 200:
-            hi *= 2.0
-            grow += 1
-        if not inside:
-            lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-            u, val = at(lam)
-    for _ in range(200):
-        if abs(val - 1.0) <= CONSTRAINT_TOL:
-            return lam
-        if val > 1.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-15 * hi:
-            break
-        step = (val - 1.0) / float(np.mean(B.deriv(u) * u))
-        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
-        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        u, val = at(lam)
-    return 0.5 * (lo + hi)
-
-
 def bracket_probe_luxemburg(values, sigma: float, start=None) -> float:
     """``luxemburg_avg`` before it trusted the bracket bound: ``hi`` doubles
     until ``mean B(|f|/hi) <= 1`` before the Newton loop, except after a warm
@@ -202,55 +141,15 @@ def bracket_probe_luxemburg(values, sigma: float, start=None) -> float:
     return 0.5 * (lo + hi)
 
 
-def underflowing_collapse_luxemburg(values, sigma: float, start=None) -> float:
-    """``luxemburg_avg`` before its collapse test had a floor: ``hi - lo <=
-    1e-15 hi`` underflows where the mean is subnormal, so those solves run
-    all 200 steps on a bracket one float step wide."""
-    B = YoungFunction(sigma)
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    mean = float(v.sum()) / v.size
-    if mean == 0.0:
-        return 0.0
-    if sigma == 0:
-        return mean
-    lo = mean
-    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
-    size = v.size
-    v = v if v.all() else v[v != 0]
-    while mean < np.finfo(float).tiny and B.mean_terms(v / hi, size)[0] > 1.0:
-        hi *= 2.0
-    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-    val, terms = B.mean_terms(v / lam, size)
-    for _ in range(200):
-        if abs(val - 1.0) <= CONSTRAINT_TOL:
-            return lam
-        if val > 1.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-15 * hi:
-            break
-        step = (val - 1.0) / B.mean_slope(terms, size)
-        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
-        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        val, terms = B.mean_terms(v / lam, size)
-    return 0.5 * (lo + hi)
-
-
 def count_young_calls(monkeypatch, fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the number of ``B`` evaluations it made:
-    calls of ``YoungFunction.mean_terms``, through which ``luxemburg_avg``
-    makes every evaluation, plus calls of ``YoungFunction.__call__``, through
-    which the references above make theirs."""
+    calls of ``YoungFunction.mean_terms``, through which ``luxemburg_avg``,
+    ``luxemburg_exceeds`` and ``bracket_probe_luxemburg`` make every one."""
     calls = []
-    real_call = YoungFunction.__call__
     real_terms = YoungFunction.mean_terms
-    monkeypatch.setattr(YoungFunction, "__call__",
-                        lambda self, t: calls.append(1) or real_call(self, t))
     monkeypatch.setattr(YoungFunction, "mean_terms",
                         lambda self, t, size: calls.append(1) or real_terms(self, t, size))
     out = fn(*args, **kwargs)
-    monkeypatch.setattr(YoungFunction, "__call__", real_call)
     monkeypatch.setattr(YoungFunction, "mean_terms", real_terms)
     return out, len(calls)
 
@@ -492,16 +391,13 @@ def test_start_above_the_root_skips_the_doubling_probe(sigma, monkeypatch):
     v = np.random.default_rng(5).pareto(1.5, 4096)
     start = luxemburg_avg(v, sigma) * (1 + 1e-3)
     got, calls = count_young_calls(monkeypatch, luxemburg_avg, v, sigma, start=start)
-    want, probe_calls = count_young_calls(monkeypatch, probe_first_luxemburg,
-                                          v, sigma, start=start)
-    assert got == want
-    assert calls == probe_calls - 1
+    assert got == bracket_probe_luxemburg(v, sigma, start=start)
+    assert calls == 3
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
-def test_solver_warm_starts_match_the_probe_first_solve_bitwise(sigma, monkeypatch):
-    # every warm-started solve of one decomposition, replayed through the
-    # solve that always probes first
+def test_solver_warm_starts_match_the_probing_solve_bitwise(sigma, monkeypatch):
+    # every warm-started solve of one decomposition, replayed through the pin
     calls = []
 
     def recording(values, s, **kwargs):
@@ -518,31 +414,40 @@ def test_solver_warm_starts_match_the_probe_first_solve_bitwise(sigma, monkeypat
     mg.decompose_quotient_norm(mg.DyadicFunction(vals), sigma)
     assert len(calls) > 400
     for values, s, start, got in calls:
-        assert got == probe_first_luxemburg(values, s, start=start)
+        assert got == bracket_probe_luxemburg(values, s, start=start)
 
 
-# -- the solve over the support against the full-array solve it replaced -------
+# -- the solve over the support, on inputs with and without zeros -------------
+
+
+def assert_pin_at_four_starts(v, sigma):
+    """``luxemburg_avg`` is bitwise the pin cold and started at, below,
+    above and well above its root; returns the cold root."""
+    cold = luxemburg_avg(v, sigma)
+    assert cold == bracket_probe_luxemburg(v, sigma), (v.size, sigma)
+    for start in (cold, cold * (1 - 1e-3), cold * (1 + 1e-3), cold * 1.5):
+        assert luxemburg_avg(v, sigma, start=start) == \
+            bracket_probe_luxemburg(v, sigma, start=start), (v.size, sigma, start)
+    return cold
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("kind", ["normal", "pareto", "constant", "tiny"])
 def test_support_solve_without_zeros_is_the_full_array_solve(sigma, kind):
-    # nothing is filtered, so the sums and every iterate are bitwise the same
+    # nothing is filtered, so the sums run over every sample, as the pin's do
     rng = np.random.default_rng(int(sigma * 100) + 7)
     for n in (1, 2, 3, 64, 1024, 1 << 14):
         v = newton_inputs(kind, n, rng)
         assert np.all(v != 0)
-        cold = luxemburg_avg(v, sigma)
-        assert cold == full_array_luxemburg(v, sigma), (n, kind)
-        for start in (cold, cold * (1 - 1e-3), cold * (1 + 1e-3), cold * 1.5):
-            assert luxemburg_avg(v, sigma, start=start) == \
-                full_array_luxemburg(v, sigma, start=start), (n, kind, start)
+        assert_pin_at_four_starts(v, sigma)
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("zeros", ["half", "99%", "all-but-one"])
 def test_support_solve_with_zeros_matches_the_full_array_solve(sigma, zeros):
-    # the sums skip the zeros and so group their terms differently
+    # the sums skip the zeros, as the pin's do; the root also meets the
+    # constraint summed over every sample, zeros included
+    B = YoungFunction(sigma)
     rng = np.random.default_rng(int(sigma * 100) + 11)
     for n in (2, 64, 1024, 1 << 14):
         for kind in ("normal", "pareto", "tiny"):
@@ -554,13 +459,8 @@ def test_support_solve_with_zeros_matches_the_full_array_solve(sigma, zeros):
                 keep = rng.choice(n, size=max(1, int(share * n)), replace=False)
             sparse = np.zeros(n)
             sparse[keep] = v[keep]
-            cold = luxemburg_avg(sparse, sigma)
-            want = full_array_luxemburg(sparse, sigma)
-            assert abs(cold - want) <= 1e-14 * want, (n, kind, cold, want)
-            for start in (want * (1 - 1e-3), want * (1 + 1e-3)):
-                got = luxemburg_avg(sparse, sigma, start=start)
-                ref = full_array_luxemburg(sparse, sigma, start=start)
-                assert abs(got - ref) <= 1e-14 * ref, (n, kind, start, got, ref)
+            cold = assert_pin_at_four_starts(sparse, sigma)
+            assert abs(float(np.mean(B(np.abs(sparse) / cold))) - 1.0) <= CONSTRAINT_TOL, (n, kind)
 
 
 def test_fused_evaluation_is_bitwise_young_and_its_derivative():
@@ -676,37 +576,33 @@ def test_solve_is_the_probing_solve_bitwise_with_one_evaluation_fewer(monkeypatc
 
 @pytest.mark.parametrize("sigma", [0.25, 1.0, 2.0, 8.0])
 def test_solve_is_the_probing_solve_on_subnormal_multiples(sigma, monkeypatch):
-    # also the solve whose collapse test underflowed, with far fewer evaluations
-    short = calls = blind_calls = 0
+    # the pin's collapse test underflows here; the solve stops one float step wide
+    short = calls = 0
     for v in subnormal_corpus():
         root, n = count_young_calls(monkeypatch, luxemburg_avg, v, sigma)
-        blind, blind_n = count_young_calls(monkeypatch, underflowing_collapse_luxemburg,
-                                           v, sigma)
-        assert root == bracket_probe_luxemburg(v, sigma) == blind, (v, sigma)
-        calls, blind_calls = calls + n, blind_calls + blind_n
+        assert root == bracket_probe_luxemburg(v, sigma), (v, sigma)
+        calls += n
         if root == 0.0:  # the mean rounds to zero
             continue
         short += mean_young(v, sigma, first_bracket(v, sigma)[1]) > 1.0
         # below the root: the start the probing solve evaluated before its probe
         start = root * 0.7
         assert luxemburg_avg(v, sigma, start=start) == \
-            bracket_probe_luxemburg(v, sigma, start=start) == \
-            underflowing_collapse_luxemburg(v, sigma, start=start), (v, sigma, start)
+            bracket_probe_luxemburg(v, sigma, start=start), (v, sigma, start)
     # where the probing solve doubled its upper end, e.g. [0, 2, 2] 2^-1074 at sigma 2
     assert short >= (2 if sigma in (1.0, 2.0) else 0)
-    # cold solves: 167 to 491 evaluations against 11,136 to 12,728 per sigma
-    assert 20 * calls < blind_calls
+    # the cold solves' evaluations; a collapse test that underflows here
+    # takes 11,136 to 12,728 per sigma
+    assert calls == {0.25: 170, 1.0: 167, 2.0: 198, 8.0: 491}[sigma]
 
 
 def test_subnormal_solve_stops_one_float_step_wide(monkeypatch):
     # [12, 28, 1] 2^-1074 among 27 zeros: 203 evaluations while 1e-15 hi underflowed
     found = np.zeros(30)
     found[[5, 10, 21]] = 12, 28, 1
-    want = (2.0**-1072, 203)
-    assert count_young_calls(monkeypatch, underflowing_collapse_luxemburg,
-                             found * 2.0**-1074, 1.0) == want
+    assert bracket_probe_luxemburg(found * 2.0**-1074, 1.0) == 2.0**-1072
     assert count_young_calls(monkeypatch, luxemburg_avg, found * 2.0**-1074, 1.0) == \
-        (want[0], 4)
+        (2.0**-1072, 4)
 
 
 def test_bracket_bound_at_the_first_upper_end():

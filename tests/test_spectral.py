@@ -3,6 +3,36 @@
 The transform oracle is a direct O(n^2) Riemann-sum DFT, written against the
 stated convention fhat(xi_j) = (T/M) sum_k f(x_k) exp(-2 pi i x_k xi_j); the
 fast path must agree with it to near machine precision.
+
+Reference ledger:
+- ``brute_spectrum``: the direct Riemann-sum DFT, sharing no code with the
+  FFT path; ``spectrum`` at 64 samples and three offsets, to 1e-10.
+- ``fraction_band``: the band ``n / 2T`` in exact rationals; ``band_log2``
+  at 2^0 to 2^22 samples on every power-of-two period a float holds, one
+  float step either side and five non-dyadic periods, exactly.
+- ``reference_lattice_bounds``: each window's lattice bounds from exact
+  rationals; ``_window_bounds`` on drawn windows up to 2^64 mantissas at
+  five periods, on and next to lattice points, and on 20- to 700-bit ends,
+  exactly.
+- ``reference_resolve``: the per-window resolution, one window at a time
+  on those bounds; every bank verify, gen-zygmund-bonami, sqfn, the
+  projections and the sharpness families build (intervals from
+  ``test_lacunary.sorted_lambda_tau``), positions, weights and counts as
+  arrays and alias events as text.
+- ``_reference_spectra``: each band's true-phase spectrum from the float
+  frequencies, independent of the plan; ``TestBandBank.FAMILY`` sharp and
+  eta at two offsets, to 1e-12 of the peak.
+- ``reference_band_square``, ``reference_band_symbol``,
+  ``reference_band_magnitudes``, ``reference_band_energies`` and
+  ``reference_band_square_at``: the per-band loops the grid plan replaced;
+  every bank operation of verify at tau 3, the sharpness families and the
+  growth study at 2^14, gen-zygmund-bonami and the edge bands; square,
+  symbol and magnitudes bitwise, energies and square_at to 1e-14 of the
+  peak.
+- ``square_reference``: the band-by-band aggregate, one complex inverse
+  transform per band; ``square`` on the edge bands, and the verify and
+  growth squares in ``test_harness`` and ``test_multipliers``, to 1e-12 of
+  the peak.
 """
 
 import inspect
@@ -988,7 +1018,7 @@ class TestBandPlan:
 class TestWindowResolution:
     """Every bank the program builds resolves, in one pass over its window
     arrays, the plan of the per-window path: each window's ``(lo, hi,
-    weight)`` from the intervals of the recursive reference, resolved one at
+    weight)`` from the intervals of the sorted construction, resolved one at
     a time (``reference_resolve``).  Positions, counts and weights are equal
     as arrays and the alias events equal in text and order."""
 
@@ -1019,13 +1049,13 @@ class TestWindowResolution:
         """The windows of ``build_operator(kind, cfg)`` from the reference
         intervals, with the same draws."""
         from lacuna import harness
-        from test_lacunary import reference_lambda_tau
+        from test_lacunary import sorted_lambda_tau
 
         rng = np.random.default_rng(cfg.seed + 1)
         sharp_cap, smooth_cap, min_scale, smooth_floor = map(D.pow2, harness._caps(cfg))
         if kind in ("hormander", "smooth-sqfn"):
-            return [eta_window(L) for L in reference_lambda_tau(cfg.tau, smooth_floor, smooth_cap)]
-        family = reference_lambda_tau(cfg.tau, min_scale, sharp_cap)
+            return [eta_window(L) for L in sorted_lambda_tau(cfg.tau, smooth_floor, smooth_cap)]
+        family = sorted_lambda_tau(cfg.tau, min_scale, sharp_cap)
         if kind == "prototype":
             signs = rng.choice([-1, 1], size=len(family))
             return [(L.left, L.right, complex(s)) for L, s in zip(family, signs)]
@@ -1066,14 +1096,14 @@ class TestWindowResolution:
     @pytest.mark.parametrize("tau", [2, 3])
     def test_gen_zygmund_bonami_banks(self, tau, monkeypatch):
         from lacuna import harness
-        from test_lacunary import reference_lambda_tau
+        from test_lacunary import sorted_lambda_tau
 
         cfg = harness.make_config({"log2_n": 10, "tau": tau, "ensemble": 2, "seed": 7})
         _, smooth_cap, min_scale, _ = map(D.pow2, harness._caps(cfg))
-        every = reference_lambda_tau(tau, min_scale, smooth_cap)
+        every = sorted_lambda_tau(tau, min_scale, smooth_cap)
         windows = {
             "project_smooth": [eta_window(L) for L in
-                               reference_lambda_tau(tau, D(1, 0), smooth_cap)],
+                               sorted_lambda_tau(tau, D(1, 0), smooth_cap)],
             "cancellative": [sharp_window(L) for L in every if float(L.length) < 1.0],
             "combined": [sharp_window(L) for L in every]}
         resolved = self.record(monkeypatch)
@@ -1087,13 +1117,13 @@ class TestWindowResolution:
         (9, 1024.0, 2, -6, 1e12)], ids=["1e300", "tau3", "tiny-period", "1e12"])
     def test_square_function_banks(self, mode, log2_n, period, order, scale_log2, max_abs,
                                    monkeypatch):
-        from test_lacunary import reference_lambda_tau
+        from test_lacunary import sorted_lambda_tau
 
         sig = sp.Signal(np.random.default_rng(67).standard_normal(1 << log2_n), period,
                         -period / 2)
         cap = fraction_band(sig.n, sig.period) if max_abs is None else D.from_float(max_abs)
         window = sharp_window if mode == "sharp" else eta_window
-        windows = [window(L) for L in reference_lambda_tau(order, D.pow2(scale_log2), cap)]
+        windows = [window(L) for L in sorted_lambda_tau(order, D.pow2(scale_log2), cap)]
         resolved = self.record(monkeypatch)
         flags = sp.AliasFlags()
         sp.lp_square_function(sig, order, D.pow2(scale_log2), mode,

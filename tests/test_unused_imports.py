@@ -1,24 +1,36 @@
 """Every module-level import in a ``lacuna`` module is used or re-exported,
 every exported name exists, no module imports a private (``_``-prefixed)
-name of another, no module imports a thread or process pool, and every
-public function, class, method and module constant is reached by the program.
+name of another, no module imports a thread or process pool, every public
+function, class, method and module constant is reached by the program, and
+every reference a test module keeps is called and named in its ledger.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
 annotations included) or be listed in its ``__all__``.  Since listing a
 name counts as using it, every name in an ``__all__``, the package's
-included, must also be bound at the top of its module.  Nothing in the
-package runs concurrently, which is what keeps report bytes independent of
-the accepted-and-ignored ``threads`` setting.
+included, must also be bound at the top of its module.  No module starts a
+thread or a process.  The one BLAS call, the ``zgemm`` in
+``czd.lattice_coefficients``, may run on the BLAS library's own threads;
+``tests/test_czd.py::test_reports_do_not_depend_on_the_blas_thread_count``
+checks that report bytes do not depend on them, and the ``threads`` setting
+is accepted and ignored.
 
 A public definition is reached when its name is read (an ``ast.Name`` or
 ``ast.Attribute`` load) outside its own body, in the package, ``scripts/``,
 ``perfbench/`` or the acceptance gates.  Import lines and strings do not
 count, so a name that only the unit tests or ``__all__`` mention is flagged
 unless it is a listed test reference.
+
+A test reference is a top-level function of a test module named
+``reference_*``, ``*_luxemburg``, ``sorted_*``, ``brute_*`` or
+``*_reference``.  It is called when its name is read outside its own body
+in any test module, and its module's docstring, the reference ledger, must
+name it as ````name````.  The acceptance gates are left out: their module is
+fixed, and each gate's oracle is written inline.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -36,6 +48,8 @@ READERS = (SOURCES + sorted((ROOT / "scripts").glob("*.py"))
            + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"])
 # public definitions kept only as references that the unit tests compare with
 TEST_REFERENCES = {"spectral.spectrum"}
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
+REFERENCE_NAME = re.compile(r"reference_\w+|\w+_luxemburg|sorted_\w+|brute_\w+|\w+_reference")
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -167,3 +181,52 @@ def test_every_public_definition_is_reached():
                  if reads[name] <= loaded_names(node).count(name)}
     # the test references stay defined and unreached, and nothing else is
     assert unreached == TEST_REFERENCES
+
+
+def orphaned_references(sources: dict) -> list:
+    """``module.name: why`` for each test reference in ``sources`` (module
+    name to source text) that no test calls or that its module's reference
+    ledger does not name, in source order."""
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in loaded_names(tree))
+    found = []
+    for stem, tree in trees.items():
+        ledger = ast.get_docstring(tree) or ""
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and not node.name.startswith("test_")
+                    and REFERENCE_NAME.fullmatch(node.name)):
+                continue
+            if reads[node.name] <= loaded_names(node).count(node.name):
+                found.append(f"{stem}.{node.name}: no test calls it")
+            if f"``{node.name}``" not in ledger:
+                found.append(f"{stem}.{node.name}: not in the module's reference ledger")
+    return found
+
+
+def test_every_test_reference_is_called_and_in_its_ledger():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in TESTS
+               if path.name != "test_acceptance.py"}
+    assert orphaned_references(sources) == []
+
+
+def test_the_reference_guard_reports_an_orphan_and_an_unlisted_reference():
+    module = '''"""Reference ledger:
+- ``reference_x``: listed, but no test calls it.
+"""
+
+
+def reference_x(values):
+    return values
+
+
+def brute_y(values):
+    return brute_y(values[1:]) if len(values) > 1 else values
+
+
+def test_y():
+    assert brute_y([1, 2]) == [2]
+'''
+    assert orphaned_references({"test_synthetic": module}) == [
+        "test_synthetic.reference_x: no test calls it",
+        "test_synthetic.brute_y: not in the module's reference ledger",
+    ]
