@@ -5,6 +5,12 @@ level 2^k alpha keeps its atoms and moves each constant by 2^0, 2^k or 2^(2k).
 The Luxemburg average and the weak-L1 norm move by 2^k, and the weak-type
 ratio keeps its value and moves its threshold by 2^k.
 
+Dilation: multiplying the period by 2^k and every frequency bound by 2^-k
+keeps every lattice index, so each band operation returns the same bits
+(the energies, which carry ``dx``, move by exactly 2^k), and the
+decomposition returns the same parts with its lengths and masses moved by
+exactly 2^k.
+
 Floating-point arithmetic commutes with a power-of-two scale, so these tests
 need no reference implementation.  They catch an intermediate value that
 leaves the float range while the exact result stays inside it.
@@ -300,3 +306,90 @@ def test_czd_file_is_exactly_amplitude_covariant(tmp_path, capsys, k, sig, sigma
     for part in ("good", "lacunary"):
         scaled, plain = (sp.read_signal(f"{prefix}_{part}.bin").samples for prefix in parts[::-1])
         assert np.array_equal(scaled, plain * 2.0**k), part
+
+
+DILATIONS = [-3, 1, 5]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def dilation_samples(real: bool) -> np.ndarray:
+    rng = np.random.default_rng(78)
+    samples = rng.standard_normal(1 << 10)
+    return samples if real else samples + 1j * rng.standard_normal(samples.size)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("kind", ["sharp", "eta"])
+def test_band_bank_is_exactly_dilation_invariant(kind, real):
+    family = interval_arrays(2, -5, 3)[-1]
+    samples = dilation_samples(real)
+    rng = np.random.default_rng(79)
+    weights = rng.standard_normal(family.left.size)
+    t = rng.uniform(-0.5, 0.5, 8)
+
+    def outputs(k):
+        period = test_spectral.TestBandBank.PERIOD * 2.0**k
+        if kind == "sharp":
+            bank = sp.BandBank(family.left, family.right, -5 - k, np.ones(family.left.size))
+        else:
+            bank = sp.eta_bank(family.left, family.right, -5 - k, "band")
+        sig = sp.Signal(samples, period, -period / 2)
+        flags = sp.AliasFlags()
+        return {
+            "combine": bank.combine(sig, flags=flags),
+            "combine with weights": bank.combine(sig, weights),
+            "magnitudes": bank.magnitudes(sig),
+            "square": bank.square(sig),
+            "square_at": bank.square_at(sig, t * period),
+            "energies": bank.energies(sig) * 2.0**-k,
+            "events": np.array(flags.events, dtype=str),
+        }
+
+    base = outputs(0)
+    assert np.any(base["square"] > 0.0)
+    for k in DILATIONS:
+        got = outputs(k)
+        for name in base:
+            assert same_bits(got[name], base[name]), (name, k)
+
+
+# the power of 2^k by which each czd constant and atom diagnostic moves when
+# the period is dilated by 2^k
+CZD_DILATED_CONSTANTS = {**dict.fromkeys(CZD_CONSTANTS, 0), "orlicz_mass": 1,
+                         "total_stopping_length": 1, "lacunary_l2_sq": 1,
+                         "atom_weighted_sq": 1}
+CZD_DILATED_ATOM = {**dict.fromkeys(CZD_ATOM, 0), "x_lo": 1, "x_hi": 1, "length": 1}
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("sigma", [0, 1, 2])
+def test_cz_decompose_is_exactly_dilation_invariant(sigma, real):
+    # a gate 06 style member at 2^12, complex with a shifted copy as its
+    # imaginary part, at 1.5 times its Luxemburg average
+    rng = np.random.default_rng(74)
+    samples = test_acceptance._terms_signal(test_acceptance._spiky_terms(rng), 12).samples
+    if not real:
+        samples = samples + 1j * np.roll(samples, 700)
+    alpha = 1.5 * luxemburg_avg(np.abs(samples), sigma / 2)
+
+    def decompose(k):
+        period = 16.0 * 2.0**k
+        return czd.cz_decompose(sp.Signal(samples, period, -period / 2), sigma, alpha)
+
+    base = decompose(0)
+    assert len(base.atoms) > 1
+    for k in DILATIONS:
+        got = decompose(k)
+        assert [(j.lo, j.hi) for j in got.stopping] == [(j.lo, j.hi) for j in base.stopping]
+        assert_moves(got.constants, base.constants, CZD_DILATED_CONSTANTS, k)
+        for a, b in zip(got.atoms, base.atoms, strict=True):
+            assert_moves(a.diagnostics, b.diagnostics, CZD_DILATED_ATOM, k)
+            for part in ("cancellative", "lacunary"):
+                assert same_bits(getattr(a, part).samples, getattr(b, part).samples), part
+        for part in ("good", "lacunary_part"):
+            assert same_bits(getattr(got, part).samples, getattr(base, part).samples), part
+        assert got.good.period == base.good.period * 2.0**k
