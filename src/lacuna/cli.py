@@ -12,7 +12,7 @@ not finite, 2 for usage errors (argparse, a sigma or ``verify`` exponent outside
 [0, MAX_SIGMA], a tau outside [0, MAX_TAU], a ``verify`` flag the experiment
 does not take, an enumeration over a ``lacunary`` budget, a ``lacunary`` point
 that no float holds exactly, a non-finite ``--max-abs``, ``--lo`` or ``--hi``)
-and for unreadable or malformed input files.
+and for unreadable or malformed input files or a complex ``decompose`` input.
 """
 
 from __future__ import annotations
@@ -264,9 +264,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     samples = None
     if args.input:
-        samples = np.real(read_signal(args.input).samples)
-    report = decompose_experiment(cfg, samples)
-    return _finish_experiment(report, args)
+        samples = read_signal(args.input).samples
+        if samples.dtype.kind == "c":
+            raise ValueError(f"{args.input} has a nonzero imaginary part; decompose is real")
+    return _finish_experiment(decompose_experiment(cfg, samples), args)
 
 
 # -- experiments ------------------------------------------------------------
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cww)
 
     p = sub.add_parser("decompose", help="run the quotient-norm decomposition solver")
-    p.add_argument("--input", default=None, help="optional stored signal (real part is used)")
+    p.add_argument("--input", default=None, help="optional stored real signal")
     _add_config_args(p)
     p.set_defaults(func=_cmd_decompose)
 

@@ -105,7 +105,7 @@ class CzAtom:
 
 @dataclass(frozen=True)
 class CzDecomposition:
-    """The split f = good + sum of atoms + lacunary correction."""
+    """The split f = good (in f's dtype) + sum of atoms + lacunary correction."""
 
     good: Signal
     atoms: tuple

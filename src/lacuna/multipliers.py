@@ -121,7 +121,7 @@ def build_sharpness_family(
     The seed bump has spectrum identically 1 on [-2, 2] and support [-4, 4];
     its 2^N-dilation f_N is synthesized exactly in frequency, and g_N is the
     restriction of f_N to [-1/2, 1/2].  f_N is one ``irfft`` of the half
-    spectrum: exactly real, within about ``1e-14`` of the peak of the ``ifft``.
+    spectrum: float64, within about ``1e-14`` of the peak of the ``ifft``.
     g_N copies f_N's samples on the block slice into zeros.  The family keeps
     of the half spectrum only its prefix through the top band (``f_half``).
     """
@@ -139,9 +139,9 @@ def build_sharpness_family(
     half = np.zeros(n // 2 + 1)
     half[:js.size] = base_bump_spectrum(js / period / 2.0**n_param) * (1 - 2 * (js & 1))
     half *= n / period
-    f_n = Signal._adopt(np.fft.irfft(half, n).astype(complex), period, -period / 2)
+    f_n = Signal._adopt(np.fft.irfft(half, n), period, -period / 2)
     block = unit_block(n, period)
-    g = np.zeros(n, dtype=complex)
+    g = np.zeros(n)
     g[block] = f_n.samples[block]
     g_n = Signal._adopt(g, period, -period / 2)
     pairs = tuple((k, l) for k in range(2, n_param + 1) for l in range(1, k))

@@ -1,8 +1,8 @@
 """Periodic signals, frequency projections, and square functions.
 
-A :class:`Signal` holds ``M = 2**J`` complex samples of one period ``T``
-starting at ``offset``.  The analysis convention is the Riemann-sum
-transform on the lattice ``xi_j = j/T``::
+A :class:`Signal` holds ``M = 2**J`` samples, float64 for a real signal and
+complex128 otherwise, of one period ``T`` starting at ``offset``.  The
+analysis convention is the Riemann-sum transform on the lattice ``xi_j = j/T``::
 
     fhat(xi_j) = (T/M) * sum_k f(x_k) exp(-2 pi i x_k xi_j)
 
@@ -20,8 +20,8 @@ Anything that would touch frequencies outside the representable band sets a
 flag on the optional :class:`AliasFlags` accumulator instead of raising, so
 experiments can assert clean runs.
 
-A real signal's coefficients for a square function come from one ``rfft``,
-within about ``1e-14`` of the peak coefficient of its complex ``fft``.
+A real signal, held in either dtype, takes a square function's coefficients
+from one ``rfft``, within about ``1e-14`` of the peak coefficient of its ``fft``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ MAX_LOG2_N = 22
 
 @dataclass(frozen=True)
 class Signal:
-    """One period of a complex signal on a power-of-two sample grid."""
+    """One period of a signal on a power-of-two grid: float64 samples for real
+    input (a real dtype, or imaginary parts all ``+0.0``), complex128 otherwise."""
 
     samples: np.ndarray
     period: float
@@ -56,13 +57,17 @@ class Signal:
             raise ValueError("sample count must be a positive power of two")
         if not (self.period > 0 and math.isfinite(self.period)):
             raise ValueError("period must be positive and finite")
-        object.__setattr__(self, "samples", _frozen(arr.astype(np.complex128, copy=True)))
+        if np.iscomplexobj(arr):  # real when every imaginary part is +0.0, bit for bit
+            arr = np.asarray(arr, dtype=np.complex128)
+            arr = arr if arr.imag.view(np.int64).any() else arr.real
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        object.__setattr__(self, "samples", _frozen(np.array(arr, dtype=dtype)))
 
     @classmethod
     def _adopt(cls, samples: np.ndarray, period: float, offset: float = 0.0) -> "Signal":
-        """A signal over an array the package has just made, without a copy: a
-        fresh complex128 array is checked finite and frozen, a read-only one
-        (a view of a signal's checked samples) is taken as it is."""
+        """A signal over an array the package has just made, with no copy or
+        cast: a fresh float64 or complex128 array is checked finite and frozen,
+        a read-only one (a view of a signal's checked samples) is taken as is."""
         sig = object.__new__(cls)
         samples = _frozen(samples) if samples.flags.writeable else samples
         for name, value in (("samples", samples), ("period", period), ("offset", offset)):
@@ -128,10 +133,10 @@ def _signed_indices(pos: np.ndarray, n: int) -> np.ndarray:
 
 
 def _coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real ones take
-    one ``rfft`` (see :func:`_from_half`), within about ``1e-14`` of the peak
-    coefficient."""
-    if samples.imag.any():
+    """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real ones,
+    float64 or (adopted) complex with zero imaginary parts, take one ``rfft``
+    (see :func:`_from_half`), within about ``1e-14`` of the peak coefficient."""
+    if samples.dtype.kind == "c" and samples.imag.any():
         return np.fft.fft(samples)[pos]
     return _from_half(np.fft.rfft(samples.real), pos, samples.size)
 
@@ -298,10 +303,9 @@ class BandBank:
     meanwhile (replayed into the caller's flags on every use).  Operations
     work on the bare ``fft`` of the samples (``square`` and ``square_at`` on
     one ``rfft`` of a real signal, see :func:`_coefficients`, or ``square_at``
-    on a known half spectrum): the offset
-    phases that :func:`spectrum` multiplies in and :func:`synthesize` takes
-    out cancel in every band piece, so the pieces come out at the signal's
-    own samples.
+    on a known half spectrum): the offset phases that :func:`spectrum`
+    multiplies in and :func:`synthesize` takes out cancel in every band
+    piece, so the pieces come out at the signal's own samples.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, exponent: int, weight,
@@ -392,12 +396,12 @@ class BandBank:
         scaled back: exact, so only a result past the float range overflows.
         """
         plan = self._grid(sig, flags)
-        samples = sig.samples
-        peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
+        # the float view holds every real and imaginary part
+        peak = np.max(np.abs(sig.samples.view(np.float64)))
         shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
         n = sig.n
         stack = np.zeros(sum(size * k for size, k in plan.runs), dtype=np.complex128)
-        stack[plan.slots] = _coefficients(samples * 2.0**-shift, plan.pos) * plan.vals
+        stack[plan.slots] = _coefficients(sig.samples * 2.0**-shift, plan.pos) * plan.vals
         lags, at = [np.empty(0)], 0
         for size, k in plan.runs:
             spec = np.fft.fft(stack[at:at + k * size].reshape(k, size), axis=1)
@@ -441,10 +445,8 @@ class BandBank:
         np.outer(xi, t, out=terms.imag)
         terms.imag *= 2 * np.pi
         np.exp(terms, out=terms)
-        if half is None:
-            coeffs = _coefficients(sig.samples, plan.pos)
-        else:
-            coeffs = _from_half(half, plan.pos, sig.n)
+        coeffs = (_coefficients(sig.samples, plan.pos) if half is None
+                  else _from_half(half, plan.pos, sig.n))
         terms *= (coeffs * plan.vals)[:, None]
         return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))
 
@@ -569,16 +571,14 @@ def write_signal(path, sig: Signal) -> None:
         raise ValueError("signal files use the centered convention offset=-T/2")
     # layout: 4 magic + 4 uint32 J + 8 float64 T = 16 bytes
     header = MAGIC + struct.pack("<I", sig.log2_n) + struct.pack("<d", sig.period)
-    inter = np.empty(2 * sig.n, dtype="<f8")
-    inter[0::2] = sig.samples.real
-    inter[1::2] = sig.samples.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(inter.tobytes())
+        # interleaved re/im; a real signal's imaginary parts are +0.0
+        fh.write(sig.samples.astype("<c16").tobytes())
 
 
 def read_signal(path) -> Signal:
-    """Inverse of :func:`write_signal`.
+    """Inverse of :func:`write_signal`; zero imaginary parts give a real signal.
 
     Rejects with ``ValueError`` a header with ``J > MAX_LOG2_N`` or a period
     that is not finite and positive, a payload that is not exactly
@@ -601,6 +601,6 @@ def read_signal(path) -> Signal:
     if len(payload) != size:
         found = "more" if len(payload) > size else str(len(payload))
         raise ValueError(f"J = {j} needs {size} payload bytes, found {found}")
-    inter = np.frombuffer(payload, dtype="<f8")
-    samples = inter[0::2] + 1j * inter[1::2]
-    return Signal(samples, period, offset=-period / 2)
+    real, imag = np.frombuffer(payload, dtype="<f8").reshape(-1, 2).T
+    # where every imaginary part is +-0.0, ``real + 1j * imag`` is ``real + imag``
+    return Signal._adopt(real + 1j * imag if imag.any() else real + imag, period, -period / 2)

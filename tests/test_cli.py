@@ -587,6 +587,16 @@ class TestExperimentCommands:
                                       "--sigma", "1"])
         assert code == 0 and got["ok"]
 
+    def test_decompose_refuses_a_complex_input(self, tmp_path, capsys):
+        # it used to solve the real part and exit 0 with "ok": true
+        x = -8.0 + (16.0 / 256) * np.arange(256)
+        path = tmp_path / "wave.bin"
+        write_signal(path, Signal(np.exp(2j * np.pi * 3 * x) * (np.abs(x) < 1.0), 16.0, -8.0))
+        code = main(["decompose", "--input", str(path), "--sigma", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert str(path) in captured.err and "nonzero imaginary part" in captured.err
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     def test_decompose_rejects_out_of_range_magnitudes(self, scale, tmp_path, capsys):
         # 1e-300 used to exit 0 with a zero objective after no iterations

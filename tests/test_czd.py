@@ -26,10 +26,11 @@ Reference ledger:
 - ``reference_cz_decompose``, with its stage parts ``reference_stopping``,
   ``reference_remove``, ``reference_diagnostics`` and
   ``reference_constants``: the decomposition before ``|f|`` and the Young
-  weights were shared, each part built by the public, copying ``Signal``;
-  gate 06 members 0-5 at 2^16, the square pulse, random signals at sigma
-  0-2, overflowing constants, the margin guard and its errors, bitwise in
-  the report and in every sample array.  The only bitwise pin of czd.
+  weights were shared, each part a copy (the good part at the input's
+  dtype, the others complex); gate 06 members 0-5 at 2^16, the square
+  pulse, random signals at sigma 0-2, overflowing constants, the margin
+  guard and its errors, bitwise in the report and in every sample array.
+  The only bitwise pin of czd.
 """
 
 import functools
@@ -206,13 +207,18 @@ def reference_stopping(sig, sigma, alpha):
                  for lo, hi in sorted(found))
 
 
+def copied(like, vals, dtype=np.complex128):
+    """A copy of ``vals`` held as ``dtype``, on the window of the signal ``like``."""
+    return Signal._adopt(np.array(vals, dtype=dtype), like.period, like.offset)
+
+
 def reference_remove(piece, bins):
-    """Bin masking with both parts built by the public, copying ``Signal``."""
+    """Bin masking with both parts copied into complex signals."""
     local = np.fft.fft(piece.samples)
     lac_spec = np.zeros_like(local)
     lac_spec[bins % piece.n] = local[bins % piece.n]
     lac_vals = np.fft.ifft(lac_spec)
-    return piece.with_samples(piece.samples - lac_vals), piece.with_samples(lac_vals)
+    return copied(piece, piece.samples - lac_vals), copied(piece, lac_vals)
 
 
 def reference_diagnostics(interval, piece, canc, lac, bins, s, alpha):
@@ -301,13 +307,13 @@ def reference_cz_decompose(sig, sigma, alpha, min_margin=None):
         canc, lac = reference_remove(piece, bins)
         diag = reference_diagnostics(interval, piece, canc, lac, bins, sigma / 2, alpha)
         atoms.append(czd.CzAtom(interval, canc, lac, diag))
-    good_vals = np.array(sig.samples, dtype=np.complex128)
+    good_vals = np.array(sig.samples)
     lac_vals = np.zeros(sig.n, dtype=np.complex128)
     for atom in atoms:
         good_vals[atom.interval.lo : atom.interval.hi] = 0.0
         lac_vals[atom.interval.lo : atom.interval.hi] = atom.lacunary.samples
-    dec = czd.CzDecomposition(sig.with_samples(good_vals), tuple(atoms),
-                              sig.with_samples(lac_vals), stopping, float(alpha), sigma, {})
+    dec = czd.CzDecomposition(copied(sig, good_vals, sig.samples.dtype), tuple(atoms),
+                              copied(sig, lac_vals), stopping, float(alpha), sigma, {})
     dec.constants.update(reference_constants(sig, dec))
     return dec
 
@@ -325,9 +331,11 @@ def assert_same_decomposition(got, want):
     assert got.stopping == want.stopping
     assert [a.interval for a in got.atoms] == [a.interval for a in want.atoms]
     pairs = list(zip(signals_of(got), signals_of(want), strict=True))
-    for a, b in pairs:
+    for i, (a, b) in enumerate(pairs):
         assert (a.period, a.offset) == (b.period, b.offset)
-        assert a.samples.dtype == b.samples.dtype == np.complex128
+        # the good part (the first) follows the input's dtype, the others are complex
+        assert a.samples.dtype == b.samples.dtype
+        assert i == 0 or a.samples.dtype == np.complex128
         assert a.samples.tobytes() == b.samples.tobytes()
 
 

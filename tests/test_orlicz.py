@@ -1,9 +1,9 @@
 """Orlicz machinery: scalar oracles, exact degenerations, norm axioms.
 
 Reference ledger for ``luxemburg_avg``:
-- ``scalar_young_root``: plain interval halving on the scalar equation
-  ``B(c / lam) = 1``, sharing no code with the package; constant functions
-  at four levels and three sigmas, to 1e-8.
+- ``test_acceptance._scalar_luxemburg``: gate 05's interval halving on the
+  scalar equation ``B(c / lam) = 1``, sharing only ``YoungFunction.__call__``;
+  constant functions at four levels and three sigmas, to 1e-8.
 - ``bisection_luxemburg``: the bracketed bisection the Newton solve
   replaced, sharing only ``YoungFunction.__call__``; ``newton_inputs`` of
   five kinds at six sigmas and sizes 1 to 2^16, to 1e-9, with the computed
@@ -41,30 +41,12 @@ from lacuna.orlicz import (
     luxemburg_exceeds,
 )
 from lacuna.spectral import Signal
+import test_acceptance
 
 E = math.e
 
 
 # -- oracles -------------------------------------------------------------
-
-
-def scalar_young_root(c: float, sigma: float) -> float:
-    """Solve B_sigma(c / lam) = 1 for lam by plain interval halving.
-
-    For a constant function |f| = c the Luxemburg average is exactly this
-    root, giving an independent check of the Newton solve.
-    """
-    B = lambda t: t * math.log(E + t) ** sigma
-    lo, hi = 1e-12, max(1.0, 2 * c)
-    while B(c / hi) > 1:
-        hi *= 2
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if B(c / mid) > 1:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def bisection_luxemburg(values, sigma: float) -> float:
@@ -181,7 +163,8 @@ def test_constant_function_matches_scalar_root():
     for c in (0.25, 1.0, 3.5, 100.0):
         for sigma in (0.5, 1.0, 2.0):
             got = luxemburg_avg(np.full(64, c), sigma)
-            want = scalar_young_root(c, sigma)
+            # for a constant function |f| = c the Luxemburg average is the root
+            want = test_acceptance._scalar_luxemburg(c, sigma)
             assert abs(got - want) <= 1e-8 * want
 
 
