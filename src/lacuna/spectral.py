@@ -57,11 +57,10 @@ class Signal:
             raise ValueError("sample count must be a positive power of two")
         if not (self.period > 0 and math.isfinite(self.period)):
             raise ValueError("period must be positive and finite")
-        if np.iscomplexobj(arr):  # real when every imaginary part is +0.0, bit for bit
-            arr = np.asarray(arr, dtype=np.complex128)
-            arr = arr if arr.imag.view(np.int64).any() else arr.real
-        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-        object.__setattr__(self, "samples", _frozen(np.array(arr, dtype=dtype)))
+        samples = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=True)
+        if samples.dtype == np.complex128 and not samples.imag.view(np.int64).any():
+            samples = samples.real.copy()  # every imaginary part is +0.0, bit for bit
+        object.__setattr__(self, "samples", _frozen(samples))
 
     @classmethod
     def _adopt(cls, samples: np.ndarray, period: float, offset: float = 0.0) -> "Signal":
