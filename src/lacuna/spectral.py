@@ -59,7 +59,8 @@ class Signal:
             raise ValueError("period must be positive and finite")
         samples = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=True)
         if samples.dtype == np.complex128 and not samples.imag.view(np.int64).any():
-            samples = samples.real.copy()  # every imaginary part is +0.0, bit for bit
+            # from the whole copy: read straight from the input, czd's set-up refaulted its heap
+            samples = samples.real.copy()
         object.__setattr__(self, "samples", _frozen(samples))
 
     @classmethod
