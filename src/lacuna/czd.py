@@ -32,6 +32,10 @@ Discretization notes that drive the implementation:
   on ``n_J`` and the bins, and are the one thing kept between calls: a
   least-recently-used cache of read-only tables, keyed by ``(n_J, bins)``
   and holding at most ``PHASE_TABLE_BYTES``.
+- Real data (``spectral.is_real_data``) is the one switch: every part of a
+  real input is float64, its atoms split by one ``rfft``/``irfft`` pair and
+  certified on the bins ``q >= 0`` alone (``X(-q) = conj X(q)``) by a real
+  matrix product.  A complex input keeps the complex transforms and product.
 - A decomposition takes ``|f|`` once and the Young weights ``B(|f|/alpha)``
   once: the stopping walk sums the weights by blocks and their grid sum is
   the Orlicz mass; the margin guard, the atoms' averages and the global
@@ -52,7 +56,7 @@ import numpy as np
 
 from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import Signal, rms, write_signal
+from .spectral import Signal, is_real_data, rms, write_signal
 
 __all__ = [
     "StoppingInterval",
@@ -105,7 +109,8 @@ class CzAtom:
 
 @dataclass(frozen=True)
 class CzDecomposition:
-    """The split f = good (in f's dtype) + sum of atoms + lacunary correction."""
+    """The split f = good + sum of atoms + lacunary correction; every part
+    float64 for real data, complex128 otherwise."""
 
     good: Signal
     atoms: tuple
@@ -116,7 +121,7 @@ class CzDecomposition:
     constants: dict
 
     def cancellative_part(self) -> Signal:
-        out = np.zeros(self.good.n, dtype=np.complex128)
+        out = np.zeros(self.good.n, dtype=self.lacunary_part.samples.dtype)
         for atom in self.atoms:
             out[atom.interval.lo : atom.interval.hi] = atom.cancellative.samples
         return Signal._adopt(out, self.good.period, self.good.offset)
@@ -279,7 +284,9 @@ def _cached_tables(n: int, qs: np.ndarray) -> tuple:
 
 def _quadrature(cols: np.ndarray, tables: tuple) -> np.ndarray:
     outer, inner = tables
-    terms = cols @ outer
+    real = cols.dtype == np.float64
+    # real samples times the outer phases' (re, im) pairs are one real product
+    terms = (cols @ outer.view(np.float64)).view(np.complex128) if real else cols @ outer
     terms *= inner
     return np.sum(terms, axis=0)
 
@@ -293,7 +300,8 @@ def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
     The phase of sample ``k`` is the root of unity of exact integer index
     ``q k mod n``.  Splitting ``k = a + m b`` with ``m ~ sqrt(n)`` turns the
     sum into an ``(n/m x m)^T @ (n/m x n_bins)`` product followed by an
-    ``m x n_bins`` elementwise sum.  No FFT is involved.
+    ``m x n_bins`` elementwise sum.  No FFT is involved.  A float64 piece is
+    summed at the distinct ``|q|`` only, by one real product.
 
     The two phase tables, ``(n/m + m) n_bins`` complex numbers, depend only
     on ``n`` and the bins.  When they fit in ``PHASE_TABLE_BYTES`` they are
@@ -302,7 +310,10 @@ def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
     for the call in chunks of bins, none of whose tables or ``m x chunk``
     products exceed ``PHASE_TABLE_BYTES``, and is not kept.
     """
-    qs = _local_bins(piece, bins)
+    signed = _local_bins(piece, bins)
+    real = piece.samples.dtype == np.float64
+    # X(-q) of real samples is conj X(q): each distinct |q| is summed once
+    qs, at = np.unique(np.abs(signed), return_inverse=True) if real else (signed, None)
     n = piece.n
     m = 1 << (piece.log2_n // 2)
     cols = piece.samples.reshape(n // m, m).T
@@ -313,6 +324,8 @@ def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
         # each chunk's tables are dropped before the next chunk's are built
         sums = np.concatenate([_quadrature(cols, _phase_tables(n, qs[k : k + chunk]))
                                for k in range(0, qs.size, chunk)])
+    if real:
+        sums = np.where(signed < 0, sums[at].conj(), sums[at])
     return piece.dx * sums
 
 
@@ -323,14 +336,18 @@ def remove_lacunary(piece: Signal, bins) -> tuple:
     DFT ``bins`` (integers ``q`` with ``|q| < n/2``, else ``ValueError``),
     which :func:`lacunary_bins` gives for the lacunary frequencies of the
     orders up to sigma at scale ``1/|J|``; the cancellative remainder has
-    those coefficients equal to zero.  Both parts keep the window geometry of
-    the input.
+    those coefficients equal to zero, both on the input's window and in its
+    dtype: a float64 piece loses each bin with its mirror ``-q`` (as in the
+    symmetric :func:`lacunary_bins`) by one ``rfft``/``irfft`` pair.
     """
-    bins = _local_bins(piece, bins) & (piece.n - 1)
-    local = np.fft.fft(piece.samples)
+    bins = _local_bins(piece, bins)
+    real = piece.samples.dtype == np.float64
+    # a real piece's half spectrum holds each bin q as its |q|
+    local = np.fft.rfft(piece.samples) if real else np.fft.fft(piece.samples)
+    bins = np.abs(bins) if real else bins & (piece.n - 1)
     lac_spec = np.zeros_like(local)
     lac_spec[bins] = local[bins]
-    lac_vals = np.fft.ifft(lac_spec)
+    lac_vals = np.fft.irfft(lac_spec, piece.n) if real else np.fft.ifft(lac_spec)
     parts = (piece.samples - lac_vals, lac_vals)
     return tuple(Signal._adopt(vals, piece.period, piece.offset) for vals in parts)
 
@@ -366,17 +383,15 @@ def _atom_diagnostics(interval: StoppingInterval, piece_mags: np.ndarray, canc: 
         if math.isfinite(scale):
             residual = float(np.max(np.abs(coeffs))) / scale
     out = interval.to_dict()
-    out.update(
-        {
-            "level_average": level_avg,
-            "atom_average": atom_avg,
-            "atom_constant": atom_avg / alpha,
-            "lacunary_l2": lac_l2,
-            "lacunary_constant": lac_l2 / level_avg if level_avg > 0 else 0.0,
-            "n_frequencies": len(bins),
-            "residual_coefficient": residual,
-        }
-    )
+    out.update({
+        "level_average": level_avg,
+        "atom_average": atom_avg,
+        "atom_constant": atom_avg / alpha,
+        "lacunary_l2": lac_l2,
+        "lacunary_constant": lac_l2 / level_avg if level_avg > 0 else 0.0,
+        "n_frequencies": len(bins),
+        "residual_coefficient": residual,
+    })
     return out
 
 
@@ -395,21 +410,23 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     # its length, the period over a power of two, is dyadic
     if math.frexp(sig.period)[0] != 0.5:
         raise ValueError(f"period must be a power of two, got {sig.period!r}")
-    mags = np.abs(sig.samples)
+    # the one switch: every part of real data is float64, its pieces included
+    samples = sig.samples.real if is_real_data(sig.samples) else sig.samples
+    mags = np.abs(samples)
     if min_margin is not None and support_margin(sig, mags) < min_margin:
         raise ValueError("support margin below the requested minimum")
     s = sigma / 2
 
     stopping, mass = stopping_intervals(sig, mags, sigma, alpha)
     atoms = []
-    good_vals = np.array(sig.samples)
-    lac_vals = np.zeros(sig.n, dtype=np.complex128)
+    good_vals = np.array(samples)
+    lac_vals = np.zeros(sig.n, dtype=samples.dtype)
     # |good|: bitwise the magnitudes of good_vals, whose atom blocks are 0
     good_mags = mags.copy()
     for interval in stopping:
         lo, hi = interval.lo, interval.hi
         # a read-only view of the checked samples of sig
-        piece = Signal._adopt(sig.samples[lo:hi], interval.length, interval.x_lo)
+        piece = Signal._adopt(samples[lo:hi], interval.length, interval.x_lo)
         bins = lacunary_bins(piece.n, sigma)
         canc, lac = remove_lacunary(piece, bins)
         diag = _atom_diagnostics(interval, mags[lo:hi], canc, lac, bins, s, alpha)
@@ -433,9 +450,8 @@ def _global_constants(sig: Signal, dec: CzDecomposition, mags: np.ndarray,
     l1_f = float(sig.dx * np.sum(mags))
     l1_good = float(sig.dx * np.sum(good_mags))
     lac_sq = float(sig.dx * np.sum(np.abs(lac_part.samples) ** 2))
-    atom_weighted = float(
-        sum(a.interval.length * a.diagnostics["atom_average"] ** 2 for a in atoms)
-    )
+    atom_weighted = float(sum(a.interval.length * a.diagnostics["atom_average"] ** 2
+                              for a in atoms))
     sandwich_ok = all(
         alpha * (1 - 1e-9) < a.diagnostics["level_average"] <= 2 * alpha * (1 + 1e-9)
         for a in atoms
@@ -461,12 +477,10 @@ def _global_constants(sig: Signal, dec: CzDecomposition, mags: np.ndarray,
         "atom_weighted_sq": atom_weighted,
         "lacunary_vs_atoms": lac_sq / atom_weighted if atom_weighted > 0 else None,
         "lacunary_vs_mass": vs_mass,
-        "max_atom_constant": max(
-            (a.diagnostics["atom_constant"] for a in atoms), default=0.0
-        ),
-        "max_residual_coefficient": max(
-            (a.diagnostics["residual_coefficient"] for a in atoms), default=0.0
-        ),
+        "max_atom_constant": max((a.diagnostics["atom_constant"] for a in atoms),
+                                 default=0.0),
+        "max_residual_coefficient": max((a.diagnostics["residual_coefficient"] for a in atoms),
+                                        default=0.0),
         "sandwich_ok": sandwich_ok,
         "reconstruction_error": recon_err / peak if peak > 0 else recon_err,
         "n_atoms": len(atoms),

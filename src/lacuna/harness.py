@@ -737,7 +737,7 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
             rows.append({"label": label, "branch": "cancellative", "gamma": cfg.gamma,
                          "aborted": True, "note": "coefficient removal residual"})
             return rows
-    full = np.zeros(sig.n, dtype=complex)
+    full = np.zeros(sig.n, dtype=canc.samples.dtype)
     full[jmask] = canc.samples
     canc_ext = Signal(full, sig.period, sig.offset)
     rows.append(_bound_row(label, float(np.sum(small.energies(canc_ext))),

@@ -132,11 +132,16 @@ def _signed_indices(pos: np.ndarray, n: int) -> np.ndarray:
     return pos - n * (pos >= (n + 1) // 2)
 
 
+def is_real_data(samples: np.ndarray) -> bool:
+    """Real dtype, or complex with no nonzero imaginary part: real transforms apply."""
+    return samples.dtype.kind != "c" or not samples.imag.any()
+
+
 def _coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real ones,
-    float64 or (adopted) complex with zero imaginary parts, take one ``rfft``
-    (see :func:`_from_half`), within about ``1e-14`` of the peak coefficient."""
-    if samples.dtype.kind == "c" and samples.imag.any():
+    """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real data
+    (:func:`is_real_data`) takes one ``rfft`` (see :func:`_from_half`), within
+    about ``1e-14`` of the peak coefficient."""
+    if not is_real_data(samples):
         return np.fft.fft(samples)[pos]
     return _from_half(np.fft.rfft(samples.real), pos, samples.size)
 
@@ -548,7 +553,8 @@ def weak_l1_norm(values, dx: float) -> float:
     ``a |{|f| > a - }|``, which is where the sup of the step distribution
     function lives (e.g. ``c 1_E`` gives exactly ``c |E|``).
     """
-    mags = np.abs(np.asarray(values, dtype=complex)).ravel()
+    # |x| of a real x is hypot(x, 0): real magnitudes need no complex cast
+    mags = np.abs(np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)).ravel()
     uniq, counts = np.unique(mags, return_counts=True)
     if uniq.size == 0 or uniq[-1] == 0.0:
         return 0.0

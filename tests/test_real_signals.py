@@ -6,12 +6,16 @@ is exact), and every operation must return the same bytes on both: the band
 bank's operations, the square functions, the weak-type ratio, the
 stopping-time decomposition (report and parts) and the signal file.  The
 decomposition's good part follows the input's dtype, so it is compared
-after the exact cast back to complex.
+after the exact cast back to float64.
 
-``czd.lattice_coefficients`` is the one operation that does not follow: a
-single bin is a matrix-vector product whose bits depend on whether the
-piece is real or complex (1.4e-17 apart at 2^10).  The package only hands
-it cancellative parts, which are complex; a test pins that.
+Real data, held either way, is decomposed by real transforms, and every
+part it hands out is float64: each atom is split by one ``rfft``/``irfft``
+pair, and its certificate, ``czd.lattice_coefficients`` on a float64
+piece, sums each distinct ``|q|`` once as one real matrix product.  That
+certificate is checked against ``test_czd.windowed_coefficient`` and
+against ``test_czd.reference_lattice_coefficients`` on the complex cast
+(see the reference ledger of ``test_czd``), within 1e-14 of the peak
+coefficient.
 """
 
 import json
@@ -19,13 +23,14 @@ import json
 import numpy as np
 import pytest
 
-from lacuna import czd, harness
+from lacuna import czd
 from lacuna import spectral as sp
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.harness import make_config, verify_gen_zygmund_bonami, weak_type_ratio
+from lacuna.harness import weak_type_ratio
 from lacuna.multipliers import build_sharpness_family
 from lacuna.orlicz import luxemburg_avg
 import test_acceptance
+import test_czd
 import test_spectral
 
 
@@ -134,31 +139,78 @@ def test_cz_decompose_matches_the_complex_path(sigma):
     want = czd.cz_decompose(as_complex(sig), sigma, alpha)
     assert got.atoms
     assert json.dumps(got.to_json_dict()).encode() == json.dumps(want.to_json_dict()).encode()
-    # the good part follows the input: float64 here, exactly the complex one
-    assert got.good.samples.dtype == np.float64
-    assert same_bits(got.good.samples.astype(np.complex128), want.good.samples)
+    # both take the real path: the good part follows the input's dtype, and
+    # every other part is float64
+    assert same_bits(got.good.samples, want.good.samples.real)
     parts = [(got.lacunary_part, want.lacunary_part),
              (got.cancellative_part(), want.cancellative_part())]
     parts += [(getattr(a, p), getattr(b, p)) for a, b in zip(got.atoms, want.atoms, strict=True)
               for p in ("cancellative", "lacunary")]
     for a, b in parts:
-        assert a.samples.dtype == np.complex128
+        assert a.samples.dtype == np.float64
         assert same_bits(a.samples, b.samples)
 
 
-def test_lattice_coefficients_only_ever_see_complex_pieces(monkeypatch):
-    seen = []
-    real = czd.lattice_coefficients
+def raising(*args, **kwargs):
+    raise AssertionError("a complex FFT on the real path")
 
-    def recording(piece, bins):
-        seen.append(piece.samples.dtype)
-        return real(piece, bins)
 
-    monkeypatch.setattr(czd, "lattice_coefficients", recording)
-    monkeypatch.setattr(harness, "lattice_coefficients", recording)
+def test_real_input_makes_no_complex_fft(monkeypatch):
     sig = gate06_member()
-    for sigma in (0, 1, 2):
-        czd.cz_decompose(sig, sigma, 1.5 * luxemburg_avg(np.abs(sig.samples), sigma / 2))
-    assert verify_gen_zygmund_bonami(make_config({"log2_n": 9, "ensemble": 2,
-                                                  "refine": False})).ok
-    assert len(seen) > 3 and set(seen) == {np.dtype(np.complex128)}
+    alphas = [1.5 * luxemburg_avg(np.abs(sig.samples), sigma / 2) for sigma in (0, 1, 2)]
+    monkeypatch.setattr(czd.np.fft, "fft", raising)
+    monkeypatch.setattr(czd.np.fft, "ifft", raising)
+    for held in (sig, as_complex(sig)):
+        for sigma, alpha in enumerate(alphas):
+            dec = czd.cz_decompose(held, sigma, alpha)
+            assert dec.atoms
+            parts = test_czd.signals_of(dec)
+            parts = parts[1:] if held is not sig else parts
+            assert {part.samples.dtype for part in parts} == {np.dtype(np.float64)}
+    modulated = sig.with_samples(sig.samples * np.exp(2j * np.pi * 3 * sig.x))
+    with pytest.raises(AssertionError, match="a complex FFT on the real path"):
+        czd.cz_decompose(modulated, 1, alphas[1])
+
+
+def test_lattice_coefficients_of_real_pieces(monkeypatch):
+    """The half-bin certificate of a float64 piece against the complex cast's
+    quadrature within 1e-14 of the peak coefficient, and against the direct
+    sum within ``max(1e-14, pi n eps)`` of it: the direct sum's phases reach
+    ``n/4`` turns and carry a rounding error of about ``pi n eps`` radians
+    (it was 4.6e-12 of the peak at 2^16).  Cold, cached and chunked calls, a
+    bin-0-only set, and 2^0 to 2^16 samples."""
+    rng = np.random.default_rng(93)
+    czd._TABLES.clear()
+    for log2_n in range(17):
+        n = 1 << log2_n
+        period = 2.0 ** (log2_n - 8)
+        piece = sp.Signal(rng.standard_normal(n), period, -period / 2)
+        held = as_complex(piece)
+        sets = [np.array([0])] + [czd.lacunary_bins(n, sigma) for sigma in (1, 2, 3)]
+        for bins in sets:
+            want = test_czd.reference_lattice_coefficients(held, bins)
+            tol = 1e-14 * np.max(np.abs(want))
+            # cold, then cached
+            for _ in range(2):
+                got = czd.lattice_coefficients(piece, bins)
+                assert got.dtype == np.complex128 and got.shape == bins.shape
+                assert np.max(np.abs(got - want)) <= tol, (n, bins.size)
+            # the direct sum differs from both by the window start's phase
+            shift = np.exp(-2j * np.pi * piece.offset * bins / period)
+            pick = np.unique(rng.choice(bins.size, size=min(bins.size, 6)))
+            direct = [test_czd.windowed_coefficient(piece, bins[i] / period) for i in pick]
+            err = np.max(np.abs(shift[pick] * got[pick] - direct))
+            assert err <= max(1e-14, np.pi * n * 2.0**-52) * np.max(np.abs(want)), n
+    # the distinct |q| of a real piece key the cache: half the bins of a set
+    keys = [np.frombuffer(key[1], dtype=np.int64) for key in czd._TABLES]
+    assert keys and all(np.all(qs >= 0) for qs in keys)
+    # a budget below one set's tables: chunked, not kept
+    piece = sp.Signal(rng.standard_normal(1 << 12), 1.0, -0.5)
+    bins = czd.lacunary_bins(piece.n, 3)
+    want = test_czd.reference_lattice_coefficients(as_complex(piece), bins)
+    monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", test_czd.table_bytes(piece.n, 8))
+    czd._TABLES.clear()
+    got = czd.lattice_coefficients(piece, bins)
+    assert len(czd._TABLES) == 0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    czd._TABLES.clear()

@@ -29,6 +29,9 @@ Reference ledger:
   growth study at 2^14, gen-zygmund-bonami and the edge bands; square,
   symbol and magnitudes bitwise, energies and square_at to 1e-14 of the
   peak.
+- ``reference_weak_l1_norm``: ``weak_l1_norm`` as it was, with every
+  input cast to complex before its magnitudes; real, complex, integer,
+  signed-zero and subnormal inputs, bitwise.
 - ``square_reference``: the band-by-band aggregate, one complex inverse
   transform per band; ``square`` on the edge bands, and the verify and
   growth squares in ``test_harness`` and ``test_multipliers``, to 1e-12 of
@@ -1193,7 +1196,39 @@ class TestDilation:
 # -- weak L1 and dumps -------------------------------------------------------
 
 
+def reference_weak_l1_norm(values, dx):
+    """``weak_l1_norm`` before real input kept its real magnitudes: every
+    input cast to complex first."""
+    mags = np.abs(np.asarray(values, dtype=complex)).ravel()
+    uniq, counts = np.unique(mags, return_counts=True)
+    if uniq.size == 0 or uniq[-1] == 0.0:
+        return 0.0
+    tail = np.cumsum(counts[::-1])[::-1] * dx
+    nz = uniq > 0
+    return float(np.max(uniq[nz] * tail[nz]))
+
+
 class TestWeakNormAndIO:
+    def test_real_magnitudes_match_the_complex_cast(self):
+        rng = np.random.default_rng(52)
+        tiny = np.finfo(float).smallest_subnormal
+        cases = {
+            "real": rng.standard_normal(256),
+            "complex": rng.standard_normal(64) + 1j * rng.standard_normal(64),
+            "integer": rng.integers(-9, 10, 64),
+            "signed zeros": np.array([0.0, -0.0, 1.5, -0.0, -1.5]),
+            "all zeros": np.array([-0.0, 0.0]),
+            "subnormal": np.array([tiny, -3 * tiny, 0.0, -tiny, 2.0**-1030]),
+            "float32": rng.standard_normal(32).astype(np.float32),
+            "2-d": rng.standard_normal((4, 8)),
+            "list": [3, -1.0, 0.25],
+        }
+        for name, values in cases.items():
+            for dx in (0.25, 2.0**-20):
+                want = reference_weak_l1_norm(values, dx)
+                got = sp.weak_l1_norm(values, dx)
+                assert type(got) is float and repr(got) == repr(want), name
+
     def test_indicator_exact(self):
         vals = np.zeros(64)
         vals[:16] = 2.5

@@ -9,7 +9,9 @@ Dilation: multiplying the period by 2^k and every frequency bound by 2^-k
 keeps every lattice index, so each band operation returns the same bits
 (the energies, which carry ``dx``, move by exactly 2^k), and the
 decomposition returns the same parts with its lengths and masses moved by
-exactly 2^k.
+exactly 2^k.  The weak-type ratio of a square function and its input, whose
+``dx`` moves by 2^k in both the measure and the Orlicz mass, keeps its
+value, its threshold and its level count.
 
 Floating-point arithmetic commutes with a power-of-two scale, so these tests
 need no reference implementation.  They catch an intermediate value that
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from lacuna import czd
 from lacuna.cli import main
+from lacuna.dyadic import DyadicScalar as D
 from lacuna import spectral as sp
 from lacuna.harness import _halved_step, weak_type_ratio
 from lacuna.lacunary import interval_arrays
@@ -393,3 +396,23 @@ def test_cz_decompose_is_exactly_dilation_invariant(sigma, real):
         for part in ("good", "lacunary_part"):
             assert same_bits(getattr(got, part).samples, getattr(base, part).samples), part
         assert got.good.period == base.good.period * 2.0**k
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_weak_type_ratio_is_exactly_dilation_invariant(real):
+    samples = dilation_samples(real)
+
+    def ratios(k):
+        period = test_spectral.TestBandBank.PERIOD * 2.0**k
+        sig = sp.Signal(samples, period, -period / 2)
+        out = sp.lp_square_function(sig, 2, D.pow2(-3 - k), "sharp")
+        return out, [weak_type_ratio(out.samples, sig.samples, sig.dx, exponent)
+                     for exponent in (0.5, 1.0)]
+
+    base_out, base = ratios(0)
+    assert base[0]["max_ratio"] > 0.0 and base[0]["levels"] > 1
+    for k in (-3, 5):
+        out, got = ratios(k)
+        assert out.dx == base_out.dx * 2.0**k
+        assert same_bits(out.samples, base_out.samples)
+        assert repr(got) == repr(base), k

@@ -9,8 +9,9 @@ bound by a top-level import must be read somewhere in the module (string
 annotations included) or be listed in its ``__all__``.  Since listing a
 name counts as using it, every name in an ``__all__``, the package's
 included, must also be bound at the top of its module.  No module starts a
-thread or a process.  The one BLAS call, the ``zgemm`` in
-``czd.lattice_coefficients``, may run on the BLAS library's own threads;
+thread or a process.  The one BLAS call, the matrix product in
+``czd.lattice_coefficients`` (a ``dgemm`` on a real piece, a ``zgemm`` on a
+complex one), may run on the BLAS library's own threads;
 ``tests/test_czd.py::test_reports_do_not_depend_on_the_blas_thread_count``
 checks that report bytes do not depend on them, and the ``threads`` setting
 is accepted and ignored.
