@@ -3,11 +3,12 @@
 Oracles: stopping intervals recomputed by enumerating every aligned dyadic
 block and filtering to maximal ones; vanishing coefficients re-checked by
 direct quadrature at each frequency (the implementation works through local
-FFT bins, so the quadrature is an independent path); the batched
-integer-phase quadrature checked against the per-frequency one, and its
-cached, chunked phase tables against the ``%``-indexed construction; the
-closed-form lacunary bins against the union of the signed sums of each
-order, built from those of the order below, times the window length.
+FFT bins, so the quadrature is an independent path); the four-step
+integer-phase quadrature checked against the per-frequency one and a
+long-double direct sum, and its cached, chunked phase table against the
+``%``-indexed matrix product; the closed-form lacunary bins against the
+union of the signed sums of each order, built from those of the order
+below, times the window length.
 
 Reference ledger:
 - ``brute_stopping``: every aligned dyadic block with average above alpha,
@@ -18,11 +19,16 @@ Reference ledger:
   2^15 (sigma 0-3, up to 26 bins each) to 1e-11 of the rms, with its phase
   at 2^6 to 1e-13, and the vanishing of removed coefficients at 2^7 to
   1e-12 of the rms.
+- ``exact_lattice_coefficients``: a ``clongdouble`` direct sum whose phase
+  index is exactly ``q k mod n``, independent of the split, the tables and
+  the FFT; ``lattice_coefficients`` of real and complex pieces at 2^0 to
+  2^16 (sigma 0-3, at most 40 bins each) to 1e-15 of the peak coefficient,
+  or of the rms of all n coefficients where that is larger.
 - ``reference_lattice_coefficients``: ``lattice_coefficients`` before its
-  phase tables were cached, chunked and indexed by masks, the ``%``-indexed
-  tables; cold, cached, evicted, int-typed and over-budget calls at 2^0 to
-  2^16, bitwise (one-bin chunks to 1e-14).  The only bitwise pin of the
-  quadrature.
+  phase tables were cached, chunked and indexed by masks and before the
+  four-step split, a matrix product with ``%``-indexed tables; cold,
+  cached, evicted, int-typed, over-budget and one-bin-chunk calls at 2^0 to
+  2^16, to 1e-14 of the peak coefficient.  The pin of the quadrature.
 - ``reference_cz_decompose``, with its stage parts ``reference_stopping``,
   ``reference_remove``, ``reference_diagnostics`` and
   ``reference_constants``: the decomposition before ``|f|`` and the Young
@@ -114,10 +120,24 @@ def windowed_coefficient(piece, freq):
     return complex(piece.dx * np.sum(piece.samples * phases))
 
 
+def exact_lattice_coefficients(piece, bins):
+    """``czd.lattice_coefficients`` as a ``clongdouble`` direct sum over the
+    samples, each phase the long-double root of unity of exact index
+    ``q k mod n``: independent of any split, table or FFT."""
+    n = piece.n
+    k = np.arange(n)
+    turns = np.arctan(np.longdouble(1)) * 8 * np.arange(n, dtype=np.longdouble) / n
+    roots = (np.cos(turns) - 1j * np.sin(turns)).astype(np.clongdouble)
+    vals = piece.samples.astype(np.clongdouble)
+    sums = [np.sum(vals * roots[(int(q) * k) & (n - 1)]) for q in bins]
+    return np.array(sums, dtype=np.clongdouble) * np.longdouble(piece.dx)
+
+
 def reference_lattice_coefficients(piece, bins):
     """``czd.lattice_coefficients`` as it was before its phase tables were
-    cached, chunked and indexed by masks: both tables built for every call,
-    their indices reduced with ``%``."""
+    cached, chunked and indexed by masks, and before the four-step split:
+    both tables built for every call, their indices reduced with ``%``, and
+    a matrix product."""
     qs = np.asarray(bins)
     n = piece.n
     half = piece.log2_n // 2
@@ -135,13 +155,14 @@ def reference_lattice_coefficients(piece, bins):
 
 
 def table_bytes(n, n_bins):
-    """Bytes of the two phase tables of ``n_bins`` bins on ``n`` samples."""
+    """Bytes of the phase table of ``n_bins`` bins on ``n`` samples; a set is
+    built whole, and kept, when twice this fits in ``PHASE_TABLE_BYTES``."""
     m = 1 << ((n.bit_length() - 1) // 2)
-    return (m + n // m) * n_bins * 16
+    return m * n_bins * 16
 
 
 def cached_bytes():
-    return sum(outer.nbytes + inner.nbytes for outer, inner in czd._TABLES.values())
+    return sum(table.nbytes for table in czd._TABLES.values())
 
 
 def grid_signal(func, n=256, period=2.0, offset=0.0):
@@ -732,6 +753,32 @@ class TestLatticeCoefficients:
                     ref = windowed_coefficient(piece, bins[i] / period)
                     assert abs(abs(got[i]) - abs(ref)) <= tol
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_matches_the_long_double_sum(self, real):
+        # within 1e-15 of the peak coefficient, or of the rms of all n
+        # coefficients (dx ||x||_2, by Parseval) where that is larger: a set
+        # of the one bin 0 can cancel far below the samples' scale, and its
+        # rounding does not (|X(0)| was 9.3e-5 against an rms of 0.06 at 2^8)
+        rng = np.random.default_rng(17 + real)
+        for log2_n in range(17):
+            n = 1 << log2_n
+            period = 2.0 ** (log2_n - 8)
+            vals = rng.standard_normal(n)
+            if not real:
+                vals = vals + 1j * rng.standard_normal(n)
+            piece = Signal(vals, period=period, offset=-period / 2)
+            rms_coefficient = piece.dx * np.sqrt(np.sum(np.abs(vals) ** 2))
+            for sigma in range(4):
+                bins = czd.lacunary_bins(n, sigma)
+                if bins.size > 40:
+                    # the extremes and 38 others: the direct sum costs n per bin
+                    pick = rng.choice(bins[1:-1], size=38, replace=False)
+                    bins = np.sort(np.concatenate([bins[[0, -1]], pick]))
+                got = czd.lattice_coefficients(piece, bins)
+                want = exact_lattice_coefficients(piece, bins)
+                scale = max(float(np.max(np.abs(want))), rms_coefficient)
+                assert float(np.max(np.abs(got - want))) <= 1e-15 * scale, (n, sigma)
+
     def test_phase_is_the_window_start_phase(self):
         rng = np.random.default_rng(99)
         piece = Signal(rng.standard_normal(64), period=0.5, offset=0.375)
@@ -750,11 +797,15 @@ class TestLatticeCoefficients:
                 czd.lattice_coefficients(piece, bins)
 
 
+def assert_close_coefficients(got, want):
+    # the four-step split against the matrix product: 1e-14 of the peak
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestPhaseTables:
-    """The cached, chunked, mask-indexed phase tables against the ``%``
-    construction that rebuilt them on every call: bitwise, except where a
-    chunk is one bin wide (a matrix-vector product), which is held to 1e-14
-    of the peak coefficient."""
+    """The cached, chunked four-step split against the ``%``-indexed matrix
+    product that rebuilt its tables on every call, within 1e-14 of the peak
+    coefficient."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -768,26 +819,36 @@ class TestPhaseTables:
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return Signal(vals, period=2.0 ** (n.bit_length() - 8), offset=-0.375)
 
+    @staticmethod
+    def same_size_sets(n):
+        # three keys whose tables take the same bytes: sigma 3's bins, and
+        # the same bins reversed and rotated
+        bins = czd.lacunary_bins(n, 3)
+        return bins, bins[::-1].copy(), np.roll(bins, 1)
+
     @pytest.mark.parametrize("log2_n", range(17))
     def test_cold_cached_and_evicted_calls(self, log2_n, monkeypatch):
         n = 1 << log2_n
         piece = self.piece(n, 300 + log2_n)
-        sets = [czd.lacunary_bins(n, sigma) for sigma in range(4)]
-        want = [reference_lattice_coefficients(piece, bins).tobytes() for bins in sets]
+        sets = [czd.lacunary_bins(n, sigma) for sigma in range(3)]
+        sets += self.same_size_sets(n)[:2]
+        want = [reference_lattice_coefficients(piece, bins) for bins in sets]
         keys = [(n, bins.tobytes()) for bins in sets]
-        # room for the largest set alone: sigma 3's evicts the sets before it
-        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", table_bytes(n, sets[-1].size))
+        # room for sigma 3's two sets alone, each built whole: they evict the
+        # sets before them, and each set evicts the next one it meets
+        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", 2 * table_bytes(n, sets[-1].size))
         for bins, ref, key in zip(sets, want, keys):
-            assert czd.lattice_coefficients(piece, bins).tobytes() == ref
+            got = czd.lattice_coefficients(piece, bins)
+            assert_close_coefficients(got, ref)
             assert key in czd._TABLES
-            assert czd.lattice_coefficients(piece, bins).tobytes() == ref
+            assert czd.lattice_coefficients(piece, bins).tobytes() == got.tobytes()
             assert cached_bytes() <= czd.PHASE_TABLE_BYTES
         evicted = 0
         for bins, ref, key in zip(sets, want, keys):
             evicted += key not in czd._TABLES
-            assert czd.lattice_coefficients(piece, bins).tobytes() == ref
+            assert_close_coefficients(czd.lattice_coefficients(piece, bins), ref)
             assert cached_bytes() <= czd.PHASE_TABLE_BYTES
-        # below 4 samples every order has the one bin 0
+        # below 4 samples every set is the one bin 0
         assert evicted == (0 if n < 4 else len(set(keys)))
 
     def test_cached_tables_are_read_only(self):
@@ -795,18 +856,16 @@ class TestPhaseTables:
         for sigma in range(4):
             czd.lattice_coefficients(piece, czd.lacunary_bins(piece.n, sigma))
         assert len(czd._TABLES) == 4
-        for tables in czd._TABLES.values():
-            for table in tables:
-                assert table.flags.writeable is False
-                with pytest.raises(ValueError, match="read-only"):
-                    table[0, 0] = 0.0
+        for table in czd._TABLES.values():
+            assert table.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
 
     def test_least_recently_used_set_is_evicted(self, monkeypatch):
         piece = self.piece(1 << 10, 8)
-        a, b, c = (czd.lacunary_bins(piece.n, sigma) for sigma in (1, 2, 3))
+        a, b, c = self.same_size_sets(piece.n)
         keys = {name: (piece.n, bins.tobytes()) for name, bins in zip("abc", (a, b, c))}
-        budget = table_bytes(piece.n, a.size + c.size)
-        assert table_bytes(piece.n, a.size + b.size + c.size) > budget
+        budget = 2 * table_bytes(piece.n, a.size)
         monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", budget)
         for bins in (a, b, a, c):
             czd.lattice_coefficients(piece, bins)
@@ -814,25 +873,29 @@ class TestPhaseTables:
         assert cached_bytes() <= budget
 
     def test_keys_are_int64_bins(self):
-        # the same bins of another integer type share one table set
+        # the same bins of another integer type share one table
         piece = self.piece(64, 9)
         bins = czd.lacunary_bins(64, 2)
-        want = czd.lattice_coefficients(piece, bins).tobytes()
+        want = czd.lattice_coefficients(piece, bins)
+        assert_close_coefficients(want, reference_lattice_coefficients(piece, bins))
         for dtype in (np.int8, np.int32, np.uint64):
             if dtype is np.uint64:
                 bins = bins[bins >= 0]
-                want = reference_lattice_coefficients(piece, bins).tobytes()
-            assert czd.lattice_coefficients(piece, bins.astype(dtype)).tobytes() == want
+                want = czd.lattice_coefficients(piece, bins)
+                assert_close_coefficients(want, reference_lattice_coefficients(piece, bins))
+            got = czd.lattice_coefficients(piece, bins.astype(dtype))
+            assert got.tobytes() == want.tobytes()
         assert len(czd._TABLES) == 2
 
     def test_over_budget_set_is_chunked_and_not_kept(self):
-        # sigma 3 at 2^16: 3,023 bins, 23.6 MiB of tables, over 16 MiB
+        # sigma 3 at 2^16: 3,023 bins, a 11.8 MiB table that with its
+        # gathered rows takes 23.6 MiB, over 16 MiB
         n = 1 << 16
         piece = self.piece(n, 10)
         bins = czd.lacunary_bins(n, 3)
-        assert table_bytes(n, bins.size) > czd.PHASE_TABLE_BYTES
+        assert 2 * table_bytes(n, bins.size) > czd.PHASE_TABLE_BYTES
         got = czd.lattice_coefficients(piece, bins)
-        assert got.tobytes() == reference_lattice_coefficients(piece, bins).tobytes()
+        assert_close_coefficients(got, reference_lattice_coefficients(piece, bins))
         assert len(czd._TABLES) == 0
 
     @pytest.mark.parametrize("log2_n, sigma", [(10, 3), (12, 4), (14, 3)])
@@ -844,13 +907,14 @@ class TestPhaseTables:
         monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", 1)
         got = czd.lattice_coefficients(piece, bins)
         assert len(czd._TABLES) == 0
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert_close_coefficients(got, want)
 
     def test_memory_is_bounded_by_the_budget(self):
-        # sigma 4 at 2^16: 12,703 bins, whose one-shot tables take 99 MiB and
-        # whose construction peaked at 199 MiB; chunked, a call holds at most
-        # one chunk's tables, its m x chunk product and their indices, plus
-        # three vectors of n_bins coefficients
+        # sigma 4 at 2^16: 12,703 bins, whose one-shot tables took 99 MiB and
+        # whose construction peaked at 199 MiB before chunking; chunked, a
+        # call holds the FFT of the samples, at most one chunk's table, its
+        # gathered rows and their indices, plus three vectors of n_bins
+        # coefficients
         n = 1 << 16
         piece = self.piece(n, 12)
         bins = czd.lacunary_bins(n, 4)
@@ -1136,9 +1200,10 @@ for i in range(5):
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
-    # the certificate's matrix product is the one BLAS call (a dgemm on a
-    # real member, a zgemm on a complex one); OpenBLAS may split it over
-    # threads whatever ``threads`` says, and the bytes must not move
+    # a guard: the package makes no BLAS call since the certificate became a
+    # four-step split (``tests/test_unused_imports.py`` checks the source),
+    # so a BLAS library's threads must not move the bytes of a real or a
+    # complex member
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     runs = []

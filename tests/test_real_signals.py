@@ -11,7 +11,8 @@ after the exact cast back to float64.
 Real data, held either way, is decomposed by real transforms, and every
 part it hands out is float64: each atom is split by one ``rfft``/``irfft``
 pair, and its certificate, ``czd.lattice_coefficients`` on a float64
-piece, sums each distinct ``|q|`` once as one real matrix product.  That
+piece, sums each distinct ``|q|`` once from an ``rfft`` over the blocks of
+its four-step split.  That
 certificate is checked against ``test_czd.windowed_coefficient`` and
 against ``test_czd.reference_lattice_coefficients`` on the complex cast
 (see the reference ledger of ``test_czd``), within 1e-14 of the peak
@@ -204,11 +205,12 @@ def test_lattice_coefficients_of_real_pieces(monkeypatch):
     # the distinct |q| of a real piece key the cache: half the bins of a set
     keys = [np.frombuffer(key[1], dtype=np.int64) for key in czd._TABLES]
     assert keys and all(np.all(qs >= 0) for qs in keys)
-    # a budget below one set's tables: chunked, not kept
+    # a budget of 8 bins' tables and gathered rows, below one set's: chunked,
+    # not kept
     piece = sp.Signal(rng.standard_normal(1 << 12), 1.0, -0.5)
     bins = czd.lacunary_bins(piece.n, 3)
     want = test_czd.reference_lattice_coefficients(as_complex(piece), bins)
-    monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", test_czd.table_bytes(piece.n, 8))
+    monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", 2 * test_czd.table_bytes(piece.n, 8))
     czd._TABLES.clear()
     got = czd.lattice_coefficients(piece, bins)
     assert len(czd._TABLES) == 0

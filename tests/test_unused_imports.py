@@ -1,20 +1,23 @@
 """Every module-level import in a ``lacuna`` module is used or re-exported,
 every exported name exists, no module imports a private (``_``-prefixed)
-name of another, no module imports a thread or process pool, every public
-function, class, method and module constant is reached by the program, and
-every reference a test module keeps is called and named in its ledger.
+name of another, no module imports a thread or process pool, no module
+makes a BLAS call, every public function, class, method and module constant
+is reached by the program, and every reference a test module keeps is
+called and named in its ledger.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
 annotations included) or be listed in its ``__all__``.  Since listing a
 name counts as using it, every name in an ``__all__``, the package's
 included, must also be bound at the top of its module.  No module starts a
-thread or a process.  The one BLAS call, the matrix product in
-``czd.lattice_coefficients`` (a ``dgemm`` on a real piece, a ``zgemm`` on a
-complex one), may run on the BLAS library's own threads;
+thread or a process, and none makes a matrix product or another call that
+numpy hands to a BLAS library, which may run on threads of its own: the
+czd certificate, ``czd.lattice_coefficients``, is a four-step split of
+batched FFTs and an elementwise sum, ``O(n log n + m n_bins)`` per chunk
+of bins with ``m`` about ``sqrt(n)``.
 ``tests/test_czd.py::test_reports_do_not_depend_on_the_blas_thread_count``
-checks that report bytes do not depend on them, and the ``threads`` setting
-is accepted and ignored.
+stays as a guard that report bytes do not depend on a BLAS library's
+threads, and the ``threads`` setting is accepted and ignored.
 
 A public definition is reached when its name is read (an ``ast.Name`` or
 ``ast.Attribute`` load) outside its own body, in the package, ``scripts/``,
@@ -23,8 +26,8 @@ count, so a name that only the unit tests or ``__all__`` mention is flagged
 unless it is a listed test reference.
 
 A test reference is a top-level function of a test module named
-``reference_*``, ``*_luxemburg``, ``sorted_*``, ``brute_*`` or
-``*_reference``.  It is called when its name is read outside its own body
+``reference_*``, ``exact_*``, ``*_luxemburg``, ``sorted_*``, ``brute_*``
+or ``*_reference``.  It is called when its name is read outside its own body
 in any test module, and its module's docstring, the reference ledger, must
 name it as ````name````.  The acceptance gates are left out: their module is
 fixed, and each gate's oracle is written inline.
@@ -50,7 +53,10 @@ READERS = (SOURCES + sorted((ROOT / "scripts").glob("*.py"))
 # public definitions kept only as references that the unit tests compare with
 TEST_REFERENCES = {"spectral.spectrum"}
 TESTS = sorted((ROOT / "tests").glob("test_*.py"))
-REFERENCE_NAME = re.compile(r"reference_\w+|\w+_luxemburg|sorted_\w+|brute_\w+|\w+_reference")
+REFERENCE_NAME = re.compile(
+    r"reference_\w+|exact_\w+|\w+_luxemburg|sorted_\w+|brute_\w+|\w+_reference")
+# numpy calls that hand their work to a BLAS library, by the name called
+BLAS_CALLS = ("dot", "vdot", "matmul", "einsum", "tensordot")
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -131,6 +137,44 @@ def test_no_concurrency_imports(path):
             found.append(node.module)
     banned = [name for name in found if name.split(".")[0] in CONCURRENCY]
     assert not banned, f"{path.name}: imports {banned}"
+
+
+def blas_calls(tree: ast.Module) -> list:
+    """``line: form`` of each matrix product (``@``), BLAS-backed numpy call
+    and ``linalg`` use under ``tree``, sorted."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            names = loaded_names(node.func)
+            called = names[0] if names else None
+            if called in BLAS_CALLS or "linalg" in names:
+                found.append(f"{node.lineno}: {called}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("linalg" in name.split(".") for name in modules):
+                found.append(f"{node.lineno}: linalg")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_blas_calls(path):
+    found = blas_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: BLAS calls {found}"
+
+
+def test_the_blas_guard_finds_each_form():
+    module = """
+from numpy.linalg import norm
+a = x @ y
+a @= y
+b = np.dot(x, y) + x.dot(y) + np.matmul(x, y)
+c = np.einsum("ij,jk", x, y) + np.linalg.solve(x, y)
+d = np.sum(x * y) + dot_count
+"""
+    assert blas_calls(ast.parse(module)) == ["2: linalg", "3: @", "4: @", "5: dot", "5: dot",
+                                             "5: matmul", "6: einsum", "6: solve"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
