@@ -23,19 +23,14 @@ Discretization notes that drive the implementation:
   their number.  Removing those coefficients is an exact orthogonal
   projection (bin masking); the position of ``J`` only contributes a
   unitary phase, which cancels and is never computed.  The certificate
-  re-checks the vanishing apart from the removal's length-``n_J`` FFT: the
-  phase of sample ``k`` at bin ``q`` is ``exp(-2 pi i (q k mod n_J) / n_J)``
-  of exact integer index (``mod n_J`` is a bit mask), and ``k = a + m b``
-  with ``m ~ sqrt(n_J)`` makes the sum four-step (:func:`lattice_coefficients`):
-  batched FFTs of length ``n_J/m`` and an elementwise sum against a table,
-  ``O(n_J log n_J + m n_bins)`` per chunk of bins.  No BLAS call is made.
-  The table depends only on ``n_J`` and the bins, and is the one thing kept
-  between calls: a least-recently-used cache of read-only tables, keyed by
-  ``(n_J, bins)`` and holding at most ``PHASE_TABLE_BYTES``.
+  re-reads the removed bins on the cancellative part from a transform of
+  its own (:func:`lattice_coefficients`, one ``fft`` or ``rfft`` of ``n_J``
+  samples, ``O(n_J log n_J)``), so a bin the removal left behind shows up
+  at that coefficient's size.  No BLAS call is made.
 - Real data (``spectral.is_real_data``) is the one switch: every part of a
   real input is float64, its atoms split by one ``rfft``/``irfft`` pair and
-  certified on the bins ``q >= 0`` alone (``X(-q) = conj X(q)``) from an
-  ``rfft``.  A complex input keeps the complex transforms.
+  certified from an ``rfft`` (``X(-q) = conj X(q)``).  A complex input keeps
+  the complex transforms.
 - A decomposition takes ``|f|`` once and the Young weights ``B(|f|/alpha)``
   once: the stopping walk sums the weights by blocks and their grid sum is
   the Orlicz mass; the margin guard, the atoms' averages and the global
@@ -47,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -56,7 +50,7 @@ import numpy as np
 
 from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import Signal, is_real_data, rms, write_signal
+from .spectral import Signal, coefficients, is_real_data, rms, write_signal
 
 __all__ = [
     "StoppingInterval",
@@ -72,12 +66,6 @@ __all__ = [
 ]
 
 SUPPORT_THRESHOLD = 1e-12  # support_margin: the support is above this times the peak
-# lattice_coefficients: bytes of phase tables cached in all, and of one
-# chunk's table and gathered rows at once
-PHASE_TABLE_BYTES = 16 << 20
-
-# (n, int64 bins bytes) -> read-only phase table, least recent first
-_TABLES: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -171,7 +159,8 @@ def young_mass(sig: Signal, s: float, alpha: float) -> float:
 
 
 def _check_parameters(sigma, alpha: float) -> int:
-    if int(sigma) != sigma or sigma < 0:
+    # nan fails every comparison; inf has no int
+    if not (0 <= sigma < math.inf and int(sigma) == sigma):
         raise ValueError("sigma must be a nonnegative integer")
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
@@ -244,88 +233,18 @@ def _local_bins(piece: Signal, bins) -> np.ndarray:
     return qs.astype(np.int64, copy=False)
 
 
-def _phase_table(n: int, qs: np.ndarray) -> np.ndarray:
-    """The ``(n_bins x m)`` table of the phase ``exp(-2 pi i (q a mod n) / n)``
-    of each bin ``q`` at each offset ``a < m``."""
-    half = (n.bit_length() - 1) // 2
-    m = 1 << half
-    step = -2j * np.pi / n
-    # exp(-2 pi i idx / n) for 0 <= idx < n is coarse[idx >> half] times
-    # fine[idx mod m], and mod a power of two is a mask, also for negative q
-    coarse = np.exp(step * np.arange(0, n, m))
-    fine = np.exp(step * np.arange(m))
-    idx = (qs & (n - 1))[:, None] * np.arange(m)
-    idx &= n - 1
-    table = coarse[idx >> half]
-    idx &= m - 1
-    table *= fine[idx]
-    return table
-
-
-def _cached_table(n: int, qs: np.ndarray) -> np.ndarray:
-    key = (n, qs.tobytes())
-    table = _TABLES.get(key)
-    if table is not None:
-        _TABLES.move_to_end(key)
-        return table
-    table = _phase_table(n, qs)
-    table.flags.writeable = False
-    _TABLES[key] = table
-    while sum(kept.nbytes for kept in _TABLES.values()) > PHASE_TABLE_BYTES:
-        _TABLES.popitem(last=False)
-    return table
-
-
-def _four_step(spec: np.ndarray, qs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # the row q mod rows of the transform (rows = len(spec), a power of two)
-    terms = spec[qs & (len(spec) - 1)]
-    terms *= table
-    return np.sum(terms, axis=1)
-
-
 def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
     """The quadrature of the piece's Fourier integral over its own window at
     the frequency ``q/|J|`` of every bin ``q`` (an integer, ``|q| < n/2``), up
     to the unit factor ``exp(-2 pi i x_lo q/|J|)`` of the window's start.
 
-    The phase of sample ``k`` is the root of unity of exact integer index
-    ``q k mod n``.  Splitting ``k = a + m b`` with ``m = 2^floor(log2(n)/2)``
-    gives the four-step sum ``X[q] = sum_a w^(q a mod n) Y[q mod n/m, a]``,
-    ``w = exp(-2 pi i/n)`` and ``Y`` the length-``n/m`` FFT over ``b`` of
-    every column ``a`` (``samples.reshape(n/m, m)``, axis 0): batched
-    FFTs, a gather and an ``n_bins x m`` elementwise sum, ``O(n log n + m
-    n_bins)`` per chunk of bins, with no matrix product.  A float64 piece
-    takes an ``rfft`` (a row ``r > n/2m`` is ``conj Y[n/m - r]``) and is
-    summed at the distinct ``|q|`` only.
-
-    The phase table, ``m n_bins`` complex numbers, depends only on ``n`` and
-    the bins.  When it and the gathered rows fit in ``PHASE_TABLE_BYTES`` it
-    is kept, read-only, in a least-recently-used cache keyed by ``(n, bins)``
-    that holds at most ``PHASE_TABLE_BYTES`` in all.  A larger set is summed
-    in chunks of bins that each fit, and its tables are not kept.
+    The phase of sample ``k`` is the root of unity of integer index ``q k mod
+    n``, so the sums are the piece's DFT at ``q mod n``: one ``fft``, or one
+    ``rfft`` of a float64 piece with ``X(-q) = conj X(q)``
+    (:func:`~lacuna.spectral.coefficients`), ``O(n log n)`` for any bins.
     """
-    signed = _local_bins(piece, bins)
-    real = piece.samples.dtype == np.float64
-    # X(-q) of real samples is conj X(q): each distinct |q| is summed once
-    qs, at = np.unique(np.abs(signed), return_inverse=True) if real else (signed, None)
-    n = piece.n
-    m = 1 << (piece.log2_n // 2)
-    blocks = piece.samples.reshape(n // m, m)
-    if real:
-        # the rows r > rows/2 of a real input's transform are conj Y[rows - r]
-        spec = np.fft.rfft(blocks, axis=0)
-        spec = np.concatenate([spec, spec[1 : n // m // 2][::-1].conj()])
-    else:
-        spec = np.fft.fft(blocks, axis=0)
-    # a chunk's table and its gathered rows take 2 * 16 m bytes per bin; a
-    # larger set's tables are built a chunk at a time and dropped
-    chunk = max(1, PHASE_TABLE_BYTES // (32 * m))
-    tables = _cached_table if qs.size <= chunk else _phase_table
-    sums = np.concatenate([_four_step(spec, part, tables(n, part))
-                           for part in np.split(qs, range(chunk, qs.size, chunk))])
-    if real:
-        sums = np.where(signed < 0, sums[at].conj(), sums[at])
-    return piece.dx * sums
+    qs = _local_bins(piece, bins)
+    return piece.dx * coefficients(piece.samples, qs & (piece.n - 1))
 
 
 def remove_lacunary(piece: Signal, bins) -> tuple:
@@ -373,8 +292,8 @@ def _atom_diagnostics(interval: StoppingInterval, piece_mags: np.ndarray, canc: 
     piece_rms = rms(piece_mags)
     residual = 0.0
     if piece_rms > 0:
-        # re-evaluate the removed coefficients on the cancellative part by
-        # the integer-phase four-step sum, independent of the removal FFT
+        # re-read the removed coefficients on the cancellative part from a
+        # transform of its own
         coeffs = lattice_coefficients(canc, bins)
         scale = interval.length * piece_rms
         # an overflowed normaliser must not pass for a vanishing residual

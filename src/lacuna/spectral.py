@@ -137,7 +137,7 @@ def is_real_data(samples: np.ndarray) -> bool:
     return samples.dtype.kind != "c" or not samples.imag.any()
 
 
-def _coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real data
     (:func:`is_real_data`) takes one ``rfft`` (see :func:`_from_half`), within
     about ``1e-14`` of the peak coefficient."""
@@ -307,7 +307,7 @@ class BandBank:
     ``(n, period)`` arrives and kept in ``grids`` with the alias events raised
     meanwhile (replayed into the caller's flags on every use).  Operations
     work on the bare ``fft`` of the samples (``square`` and ``square_at`` on
-    one ``rfft`` of a real signal, see :func:`_coefficients`, or ``square_at``
+    one ``rfft`` of a real signal, see :func:`coefficients`, or ``square_at``
     on a known half spectrum): the offset phases that :func:`spectrum`
     multiplies in and :func:`synthesize` takes out cancel in every band
     piece, so the pieces come out at the signal's own samples.
@@ -406,7 +406,7 @@ class BandBank:
         shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
         n = sig.n
         stack = np.zeros(sum(size * k for size, k in plan.runs), dtype=np.complex128)
-        stack[plan.slots] = _coefficients(sig.samples * 2.0**-shift, plan.pos) * plan.vals
+        stack[plan.slots] = coefficients(sig.samples * 2.0**-shift, plan.pos) * plan.vals
         lags, at = [np.empty(0)], 0
         for size, k in plan.runs:
             spec = np.fft.fft(stack[at:at + k * size].reshape(k, size), axis=1)
@@ -438,7 +438,7 @@ class BandBank:
         ``half``, when given, is the known half spectrum of a real ``sig``:
         its ``rfft``, or a prefix of it that holds the plan's positions.  The
         plan's coefficients are read from it, a mirrored position conjugated
-        as in :func:`_coefficients`, and the samples are not transformed.
+        as in :func:`coefficients`, and the samples are not transformed.
         Without it the result is bitwise what the samples give.
         """
         plan = self._grid(sig, None)
@@ -450,7 +450,7 @@ class BandBank:
         np.outer(xi, t, out=terms.imag)
         terms.imag *= 2 * np.pi
         np.exp(terms, out=terms)
-        coeffs = (_coefficients(sig.samples, plan.pos) if half is None
+        coeffs = (coefficients(sig.samples, plan.pos) if half is None
                   else _from_half(half, plan.pos, sig.n))
         terms *= (coeffs * plan.vals)[:, None]
         return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))
@@ -584,7 +584,8 @@ def write_signal(path, sig: Signal) -> None:
 
 
 def read_signal(path) -> Signal:
-    """Inverse of :func:`write_signal`; zero imaginary parts give a real signal.
+    """Inverse of :func:`write_signal`: every sample's bits as written, and
+    imaginary parts all ``+-0.0`` give a real signal.
 
     Rejects with ``ValueError`` a header with ``J > MAX_LOG2_N`` or a period
     that is not finite and positive, a payload that is not exactly
@@ -607,6 +608,6 @@ def read_signal(path) -> Signal:
     if len(payload) != size:
         found = "more" if len(payload) > size else str(len(payload))
         raise ValueError(f"J = {j} needs {size} payload bytes, found {found}")
-    real, imag = np.frombuffer(payload, dtype="<f8").reshape(-1, 2).T
-    # where every imaginary part is +-0.0, ``real + 1j * imag`` is ``real + imag``
-    return Signal._adopt(real + 1j * imag if imag.any() else real + imag, period, -period / 2)
+    vals = np.frombuffer(payload, dtype="<c16")
+    samples = vals.astype(np.complex128) if vals.imag.any() else vals.real.astype(np.float64)
+    return Signal._adopt(samples, period, -period / 2)

@@ -3,10 +3,10 @@
 Oracles: stopping intervals recomputed by enumerating every aligned dyadic
 block and filtering to maximal ones; vanishing coefficients re-checked by
 direct quadrature at each frequency (the implementation works through local
-FFT bins, so the quadrature is an independent path); the four-step
-integer-phase quadrature checked against the per-frequency one and a
-long-double direct sum, and its cached, chunked phase table against the
-``%``-indexed matrix product; the closed-form lacunary bins against the
+FFT bins, so the quadrature is an independent path); the certificate's
+coefficients, one FFT of the piece, checked against the per-frequency
+quadrature, a long-double direct sum and the ``%``-indexed matrix product
+it once was; the closed-form lacunary bins against the
 union of the signed sums of each order, built from those of the order
 below, times the window length.
 
@@ -20,15 +20,15 @@ Reference ledger:
   at 2^6 to 1e-13, and the vanishing of removed coefficients at 2^7 to
   1e-12 of the rms.
 - ``exact_lattice_coefficients``: a ``clongdouble`` direct sum whose phase
-  index is exactly ``q k mod n``, independent of the split, the tables and
-  the FFT; ``lattice_coefficients`` of real and complex pieces at 2^0 to
+  index is exactly ``q k mod n``, independent of the FFT;
+  ``lattice_coefficients`` of real and complex pieces at 2^0 to
   2^16 (sigma 0-3, at most 40 bins each) to 1e-15 of the peak coefficient,
   or of the rms of all n coefficients where that is larger.
-- ``reference_lattice_coefficients``: ``lattice_coefficients`` before its
-  phase tables were cached, chunked and indexed by masks and before the
-  four-step split, a matrix product with ``%``-indexed tables; cold,
-  cached, evicted, int-typed, over-budget and one-bin-chunk calls at 2^0 to
-  2^16, to 1e-14 of the peak coefficient.  The pin of the quadrature.
+- ``reference_lattice_coefficients``: ``lattice_coefficients`` as a matrix
+  product with ``%``-indexed phase tables, as it was before it read one
+  FFT; complex pieces at 2^0 to 2^16 (sigma 0-3) to 1e-14 of the peak
+  coefficient, with int8, int32 and uint64 bins giving the int64 call's
+  bytes.  The pin of the quadrature.
 - ``reference_cz_decompose``, with its stage parts ``reference_stopping``,
   ``reference_remove``, ``reference_diagnostics`` and
   ``reference_constants``: the decomposition before ``|f|`` and the Young
@@ -123,7 +123,7 @@ def windowed_coefficient(piece, freq):
 def exact_lattice_coefficients(piece, bins):
     """``czd.lattice_coefficients`` as a ``clongdouble`` direct sum over the
     samples, each phase the long-double root of unity of exact index
-    ``q k mod n``: independent of any split, table or FFT."""
+    ``q k mod n``: independent of the FFT."""
     n = piece.n
     k = np.arange(n)
     turns = np.arctan(np.longdouble(1)) * 8 * np.arange(n, dtype=np.longdouble) / n
@@ -134,10 +134,8 @@ def exact_lattice_coefficients(piece, bins):
 
 
 def reference_lattice_coefficients(piece, bins):
-    """``czd.lattice_coefficients`` as it was before its phase tables were
-    cached, chunked and indexed by masks, and before the four-step split:
-    both tables built for every call, their indices reduced with ``%``, and
-    a matrix product."""
+    """``czd.lattice_coefficients`` as a matrix product: a coarse and a fine
+    phase table built for every call, their indices reduced with ``%``."""
     qs = np.asarray(bins)
     n = piece.n
     half = piece.log2_n // 2
@@ -152,17 +150,6 @@ def reference_lattice_coefficients(piece, bins):
     inner = coarse[idx >> half] * fine[idx & (m - 1)]
     sums = np.sum((piece.samples.reshape(rows, m).T @ outer) * inner, axis=0)
     return piece.dx * sums
-
-
-def table_bytes(n, n_bins):
-    """Bytes of the phase table of ``n_bins`` bins on ``n`` samples; a set is
-    built whole, and kept, when twice this fits in ``PHASE_TABLE_BYTES``."""
-    m = 1 << ((n.bit_length() - 1) // 2)
-    return m * n_bins * 16
-
-
-def cached_bytes():
-    return sum(table.nbytes for table in czd._TABLES.values())
 
 
 def grid_signal(func, n=256, period=2.0, offset=0.0):
@@ -709,7 +696,7 @@ class TestLacunaryFrequencies:
         assert got.tolist() == list(range(-2047, 2048))
 
     def test_bad_sigma_rejected(self):
-        for sigma in (-1, 1.5):
+        for sigma in (-1, 1.5, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="sigma"):
                 czd.lacunary_bins(16, sigma)
 
@@ -729,7 +716,8 @@ class TestWindowedCoefficient:
 
 
 class TestLatticeCoefficients:
-    """The batched integer-phase quadrature against the per-frequency one."""
+    """The certificate's coefficients against the per-frequency quadrature,
+    the long-double direct sum and the matrix product."""
 
     @pytest.mark.parametrize("log2_n", range(16))
     def test_matches_windowed_coefficient(self, log2_n):
@@ -788,6 +776,54 @@ class TestLatticeCoefficients:
         want = [windowed_coefficient(piece, q / piece.period) for q in bins]
         assert np.max(np.abs(shift * got - want)) < 1e-13
 
+    @pytest.mark.parametrize("log2_n", range(17))
+    def test_matches_the_matrix_product(self, log2_n):
+        # within 1e-14 of the peak coefficient; bins of another integer
+        # type that hold them give the int64 call's bytes
+        n = 1 << log2_n
+        rng = np.random.default_rng(300 + log2_n)
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        piece = Signal(vals, period=2.0 ** (log2_n - 8), offset=-0.375)
+        for sigma in range(4):
+            bins = czd.lacunary_bins(n, sigma)
+            got = czd.lattice_coefficients(piece, bins)
+            want = reference_lattice_coefficients(piece, bins)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sigma
+            for dtype in (np.int8, np.int32, np.uint64):
+                held = bins[bins >= 0] if dtype is np.uint64 else bins
+                if held[-1] <= np.iinfo(dtype).max:
+                    same = czd.lattice_coefficients(piece, held).tobytes()
+                    assert czd.lattice_coefficients(piece, held.astype(dtype)).tobytes() == same
+
+    @pytest.mark.parametrize("sigma", [4, 8])
+    def test_memory_is_linear_in_n(self, sigma):
+        # one transform of the samples and a few vectors of the bins, which
+        # number fewer than n: 2^16 at sigma 4 holds 12,703 bins and at
+        # sigma 8 all 65,535
+        n = 1 << 16
+        rng = np.random.default_rng(12)
+        bins = czd.lacunary_bins(n, sigma)
+        vals = rng.standard_normal(n)
+        for piece in (Signal(vals, 1.0, -0.5), Signal(vals + 1j * vals[::-1], 1.0, -0.5)):
+            tracemalloc.start()
+            try:
+                czd.lattice_coefficients(piece, bins)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 16 * n, piece.samples.dtype
+
+    def test_widest_certificate_is_one_transform(self):
+        # the README's widest czd atom: 2^21 samples at sigma 8, 1,817,343
+        # bins, in one transform of the piece
+        n = 1 << 21
+        piece = Signal(np.random.default_rng(21).standard_normal(n), 1.0, -0.5)
+        bins = czd.lacunary_bins(n, 8)
+        start = time.perf_counter()
+        got = czd.lattice_coefficients(piece, bins)
+        assert time.perf_counter() - start < 1.0
+        assert got.shape == (1_817_343,)
+
     def test_off_lattice_frequency_rejected(self):
         # 16 samples: the bins are the integers q with |q| < 8
         piece = Signal(np.ones(16), period=2.0, offset=-1.0)
@@ -795,136 +831,6 @@ class TestLatticeCoefficients:
                      np.array([0, 8], dtype=np.uint8), [True], 3, [[1]]):
             with pytest.raises(ValueError, match="integers q with"):
                 czd.lattice_coefficients(piece, bins)
-
-
-def assert_close_coefficients(got, want):
-    # the four-step split against the matrix product: 1e-14 of the peak
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-class TestPhaseTables:
-    """The cached, chunked four-step split against the ``%``-indexed matrix
-    product that rebuilt its tables on every call, within 1e-14 of the peak
-    coefficient."""
-
-    @pytest.fixture(autouse=True)
-    def empty_cache(self):
-        czd._TABLES.clear()
-        yield
-        czd._TABLES.clear()
-
-    @staticmethod
-    def piece(n, seed):
-        rng = np.random.default_rng(seed)
-        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return Signal(vals, period=2.0 ** (n.bit_length() - 8), offset=-0.375)
-
-    @staticmethod
-    def same_size_sets(n):
-        # three keys whose tables take the same bytes: sigma 3's bins, and
-        # the same bins reversed and rotated
-        bins = czd.lacunary_bins(n, 3)
-        return bins, bins[::-1].copy(), np.roll(bins, 1)
-
-    @pytest.mark.parametrize("log2_n", range(17))
-    def test_cold_cached_and_evicted_calls(self, log2_n, monkeypatch):
-        n = 1 << log2_n
-        piece = self.piece(n, 300 + log2_n)
-        sets = [czd.lacunary_bins(n, sigma) for sigma in range(3)]
-        sets += self.same_size_sets(n)[:2]
-        want = [reference_lattice_coefficients(piece, bins) for bins in sets]
-        keys = [(n, bins.tobytes()) for bins in sets]
-        # room for sigma 3's two sets alone, each built whole: they evict the
-        # sets before them, and each set evicts the next one it meets
-        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", 2 * table_bytes(n, sets[-1].size))
-        for bins, ref, key in zip(sets, want, keys):
-            got = czd.lattice_coefficients(piece, bins)
-            assert_close_coefficients(got, ref)
-            assert key in czd._TABLES
-            assert czd.lattice_coefficients(piece, bins).tobytes() == got.tobytes()
-            assert cached_bytes() <= czd.PHASE_TABLE_BYTES
-        evicted = 0
-        for bins, ref, key in zip(sets, want, keys):
-            evicted += key not in czd._TABLES
-            assert_close_coefficients(czd.lattice_coefficients(piece, bins), ref)
-            assert cached_bytes() <= czd.PHASE_TABLE_BYTES
-        # below 4 samples every set is the one bin 0
-        assert evicted == (0 if n < 4 else len(set(keys)))
-
-    def test_cached_tables_are_read_only(self):
-        piece = self.piece(1 << 10, 7)
-        for sigma in range(4):
-            czd.lattice_coefficients(piece, czd.lacunary_bins(piece.n, sigma))
-        assert len(czd._TABLES) == 4
-        for table in czd._TABLES.values():
-            assert table.flags.writeable is False
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0.0
-
-    def test_least_recently_used_set_is_evicted(self, monkeypatch):
-        piece = self.piece(1 << 10, 8)
-        a, b, c = self.same_size_sets(piece.n)
-        keys = {name: (piece.n, bins.tobytes()) for name, bins in zip("abc", (a, b, c))}
-        budget = 2 * table_bytes(piece.n, a.size)
-        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", budget)
-        for bins in (a, b, a, c):
-            czd.lattice_coefficients(piece, bins)
-        assert list(czd._TABLES) == [keys["a"], keys["c"]]
-        assert cached_bytes() <= budget
-
-    def test_keys_are_int64_bins(self):
-        # the same bins of another integer type share one table
-        piece = self.piece(64, 9)
-        bins = czd.lacunary_bins(64, 2)
-        want = czd.lattice_coefficients(piece, bins)
-        assert_close_coefficients(want, reference_lattice_coefficients(piece, bins))
-        for dtype in (np.int8, np.int32, np.uint64):
-            if dtype is np.uint64:
-                bins = bins[bins >= 0]
-                want = czd.lattice_coefficients(piece, bins)
-                assert_close_coefficients(want, reference_lattice_coefficients(piece, bins))
-            got = czd.lattice_coefficients(piece, bins.astype(dtype))
-            assert got.tobytes() == want.tobytes()
-        assert len(czd._TABLES) == 2
-
-    def test_over_budget_set_is_chunked_and_not_kept(self):
-        # sigma 3 at 2^16: 3,023 bins, a 11.8 MiB table that with its
-        # gathered rows takes 23.6 MiB, over 16 MiB
-        n = 1 << 16
-        piece = self.piece(n, 10)
-        bins = czd.lacunary_bins(n, 3)
-        assert 2 * table_bytes(n, bins.size) > czd.PHASE_TABLE_BYTES
-        got = czd.lattice_coefficients(piece, bins)
-        assert_close_coefficients(got, reference_lattice_coefficients(piece, bins))
-        assert len(czd._TABLES) == 0
-
-    @pytest.mark.parametrize("log2_n, sigma", [(10, 3), (12, 4), (14, 3)])
-    def test_one_bin_chunks_within_rounding(self, log2_n, sigma, monkeypatch):
-        n = 1 << log2_n
-        piece = self.piece(n, 11 + log2_n)
-        bins = czd.lacunary_bins(n, sigma)
-        want = reference_lattice_coefficients(piece, bins)
-        monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", 1)
-        got = czd.lattice_coefficients(piece, bins)
-        assert len(czd._TABLES) == 0
-        assert_close_coefficients(got, want)
-
-    def test_memory_is_bounded_by_the_budget(self):
-        # sigma 4 at 2^16: 12,703 bins, whose one-shot tables took 99 MiB and
-        # whose construction peaked at 199 MiB before chunking; chunked, a
-        # call holds the FFT of the samples, at most one chunk's table, its
-        # gathered rows and their indices, plus three vectors of n_bins
-        # coefficients
-        n = 1 << 16
-        piece = self.piece(n, 12)
-        bins = czd.lacunary_bins(n, 4)
-        tracemalloc.start()
-        try:
-            czd.lattice_coefficients(piece, bins)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * czd.PHASE_TABLE_BYTES + 3 * 16 * bins.size
 
 
 class TestRemoveLacunary:
@@ -1054,6 +960,23 @@ class TestDecomposition:
             assert c["sandwich_ok"]
             assert c["good_sup_constant"] <= 1.0 + 1e-9
             assert c["good_l1_ratio"] <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_certificate_catches_a_removal_that_leaves_a_bin(self, real, monkeypatch):
+        # the removal keeps the top bin pair +-q: the certificate reads it
+        # back on the cancellative part at that coefficient's size
+        sig = random_signal(1024, seed=30)
+        if not real:
+            sig = Signal(sig.samples + 1j * random_signal(1024, seed=40).samples, 8.0, -4.0)
+        remove = czd.remove_lacunary
+        monkeypatch.setattr(czd, "remove_lacunary", lambda piece, bins: remove(piece, bins[1:-1]))
+        alpha = 1.5 * luxemburg_avg(np.abs(sig.samples), 1.0)
+        dec = czd.cz_decompose(sig, 2, alpha)
+        wide = [atom for atom in dec.atoms if atom.cancellative.n >= 4]
+        assert wide and all(atom.cancellative.samples.dtype == sig.samples.dtype for atom in wide)
+        for atom in wide:
+            assert atom.diagnostics["residual_coefficient"] > 1e-3
+        assert dec.constants["max_residual_coefficient"] > 1e-3
 
     def test_spiky_member_residuals_at_rounding_level(self, monkeypatch):
         # a gate 06 style member: wide plateaus plus narrow tall spikes at 2^16
@@ -1200,10 +1123,9 @@ for i in range(5):
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
-    # a guard: the package makes no BLAS call since the certificate became a
-    # four-step split (``tests/test_unused_imports.py`` checks the source),
-    # so a BLAS library's threads must not move the bytes of a real or a
-    # complex member
+    # a guard: the package makes no BLAS call (``tests/test_unused_imports.py``
+    # checks the source), so a BLAS library's threads must not move the bytes
+    # of a real or a complex member
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     runs = []

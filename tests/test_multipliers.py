@@ -396,7 +396,7 @@ def one_matrix_square_at(bank, sig, xs):
     t = np.asarray(xs, dtype=float) - sig.offset
     xi = sp.freq_indices(sig.n)[plan.pos] / sig.period
     terms = np.exp(2j * np.pi * np.outer(xi, t))
-    terms *= (sp._coefficients(sig.samples, plan.pos) * plan.vals)[:, None]
+    terms *= (sp.coefficients(sig.samples, plan.pos) * plan.vals)[:, None]
     return np.sqrt(np.sum(np.abs(sp._band_sums(plan, terms) / sig.n) ** 2, axis=0))
 
 

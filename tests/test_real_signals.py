@@ -11,10 +11,9 @@ after the exact cast back to float64.
 Real data, held either way, is decomposed by real transforms, and every
 part it hands out is float64: each atom is split by one ``rfft``/``irfft``
 pair, and its certificate, ``czd.lattice_coefficients`` on a float64
-piece, sums each distinct ``|q|`` once from an ``rfft`` over the blocks of
-its four-step split.  That
-certificate is checked against ``test_czd.windowed_coefficient`` and
-against ``test_czd.reference_lattice_coefficients`` on the complex cast
+piece, reads every bin from one ``rfft``.  That certificate is checked
+against ``test_czd.windowed_coefficient`` and against
+``test_czd.reference_lattice_coefficients`` on the complex cast
 (see the reference ledger of ``test_czd``), within 1e-14 of the peak
 coefficient.
 """
@@ -173,15 +172,14 @@ def test_real_input_makes_no_complex_fft(monkeypatch):
         czd.cz_decompose(modulated, 1, alphas[1])
 
 
-def test_lattice_coefficients_of_real_pieces(monkeypatch):
-    """The half-bin certificate of a float64 piece against the complex cast's
+def test_lattice_coefficients_of_real_pieces():
+    """The certificate of a float64 piece against the complex cast's
     quadrature within 1e-14 of the peak coefficient, and against the direct
     sum within ``max(1e-14, pi n eps)`` of it: the direct sum's phases reach
     ``n/4`` turns and carry a rounding error of about ``pi n eps`` radians
-    (it was 4.6e-12 of the peak at 2^16).  Cold, cached and chunked calls, a
-    bin-0-only set, and 2^0 to 2^16 samples."""
+    (it was 4.6e-12 of the peak at 2^16).  A bin-0-only set, and 2^0 to
+    2^16 samples."""
     rng = np.random.default_rng(93)
-    czd._TABLES.clear()
     for log2_n in range(17):
         n = 1 << log2_n
         period = 2.0 ** (log2_n - 8)
@@ -190,29 +188,12 @@ def test_lattice_coefficients_of_real_pieces(monkeypatch):
         sets = [np.array([0])] + [czd.lacunary_bins(n, sigma) for sigma in (1, 2, 3)]
         for bins in sets:
             want = test_czd.reference_lattice_coefficients(held, bins)
-            tol = 1e-14 * np.max(np.abs(want))
-            # cold, then cached
-            for _ in range(2):
-                got = czd.lattice_coefficients(piece, bins)
-                assert got.dtype == np.complex128 and got.shape == bins.shape
-                assert np.max(np.abs(got - want)) <= tol, (n, bins.size)
+            got = czd.lattice_coefficients(piece, bins)
+            assert got.dtype == np.complex128 and got.shape == bins.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n, bins.size)
             # the direct sum differs from both by the window start's phase
             shift = np.exp(-2j * np.pi * piece.offset * bins / period)
             pick = np.unique(rng.choice(bins.size, size=min(bins.size, 6)))
             direct = [test_czd.windowed_coefficient(piece, bins[i] / period) for i in pick]
             err = np.max(np.abs(shift[pick] * got[pick] - direct))
             assert err <= max(1e-14, np.pi * n * 2.0**-52) * np.max(np.abs(want)), n
-    # the distinct |q| of a real piece key the cache: half the bins of a set
-    keys = [np.frombuffer(key[1], dtype=np.int64) for key in czd._TABLES]
-    assert keys and all(np.all(qs >= 0) for qs in keys)
-    # a budget of 8 bins' tables and gathered rows, below one set's: chunked,
-    # not kept
-    piece = sp.Signal(rng.standard_normal(1 << 12), 1.0, -0.5)
-    bins = czd.lacunary_bins(piece.n, 3)
-    want = test_czd.reference_lattice_coefficients(as_complex(piece), bins)
-    monkeypatch.setattr(czd, "PHASE_TABLE_BYTES", 2 * test_czd.table_bytes(piece.n, 8))
-    czd._TABLES.clear()
-    got = czd.lattice_coefficients(piece, bins)
-    assert len(czd._TABLES) == 0
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    czd._TABLES.clear()

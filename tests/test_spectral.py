@@ -607,7 +607,7 @@ def reference_band_square(bank, sig):
     peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
     shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
     n = sig.n
-    coeffs = sp._coefficients(samples * 2.0**-shift, np.arange(n))
+    coeffs = sp.coefficients(samples * 2.0**-shift, np.arange(n))
     total = np.zeros(n // 2 + 1, dtype=np.complex128)
     for idx, vals in rows:
         if not idx.size:
@@ -663,7 +663,7 @@ def reference_band_energies(bank, sig):
 def reference_band_square_at(bank, sig, xs):
     """The per-band ``BandBank.square_at`` loop that the one phase matrix
     replaced: one matrix-vector product per band, squares added in band order."""
-    coeffs = sp._coefficients(sig.samples, np.arange(sig.n))
+    coeffs = sp.coefficients(sig.samples, np.arange(sig.n))
     js = sp.freq_indices(sig.n)
     t = np.asarray(xs, dtype=float) - sig.offset
     acc = np.zeros(t.shape)
@@ -705,12 +705,12 @@ def test_coefficients_are_the_fft_at_the_positions(log2_n):
         negative_zero.imag = -0.0
         for samples in (values.astype(complex), negative_zero):
             want = np.fft.fft(samples)[pos]
-            got = sp._coefficients(samples, pos)
+            got = sp.coefficients(samples, pos)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         tiny = values + 0j
         tiny[rng.integers(n)] += 1e-300j
         for samples in (tiny, values + 1j * rng.standard_normal(n)):
-            assert np.array_equal(sp._coefficients(samples, pos), np.fft.fft(samples)[pos])
+            assert np.array_equal(sp.coefficients(samples, pos), np.fft.fft(samples)[pos])
 
 
 class TestBandBank:
@@ -1255,6 +1255,20 @@ class TestWeakNormAndIO:
         assert back.offset == sig.offset
         assert np.array_equal(back.samples, sig.samples)
         assert path.stat().st_size == 16 + 16 * sig.n
+
+    def test_dump_keeps_every_sample_bit(self, tmp_path):
+        # -0.0 samples come back with their sign from a real file and a
+        # complex one; imaginary halves of -0.0 alone still read as real
+        real = np.array([-0.0, 1.0, -0.0, 2.0])
+        held = real.astype(complex)
+        held.imag = [0.0, -0.0, 3.0, -0.0]
+        zeros = real.astype(complex)
+        zeros.imag = -0.0
+        path = tmp_path / "sig.lac"
+        for samples, want in ((real, real), (held, held), (zeros, real)):
+            sp.write_signal(path, sp.Signal(samples, 2.0, -1.0))
+            back = sp.read_signal(path).samples
+            assert back.dtype == want.dtype and back.tobytes() == want.tobytes()
 
     def test_dump_rejects_uncentered(self, tmp_path):
         sig = sp.Signal(np.zeros(8), period=2.0, offset=0.0)

@@ -12,9 +12,8 @@ name counts as using it, every name in an ``__all__``, the package's
 included, must also be bound at the top of its module.  No module starts a
 thread or a process, and none makes a matrix product or another call that
 numpy hands to a BLAS library, which may run on threads of its own: the
-czd certificate, ``czd.lattice_coefficients``, is a four-step split of
-batched FFTs and an elementwise sum, ``O(n log n + m n_bins)`` per chunk
-of bins with ``m`` about ``sqrt(n)``.
+czd certificate, ``czd.lattice_coefficients``, reads its coefficients from
+one FFT of the piece.
 ``tests/test_czd.py::test_reports_do_not_depend_on_the_blas_thread_count``
 stays as a guard that report bytes do not depend on a BLAS library's
 threads, and the ``threads`` setting is accepted and ignored.
