@@ -778,8 +778,7 @@ class TestLatticeCoefficients:
 
     @pytest.mark.parametrize("log2_n", range(17))
     def test_matches_the_matrix_product(self, log2_n):
-        # within 1e-14 of the peak coefficient; bins of another integer
-        # type that hold them give the int64 call's bytes
+        # within 1e-14 of the peak coefficient
         n = 1 << log2_n
         rng = np.random.default_rng(300 + log2_n)
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -789,11 +788,22 @@ class TestLatticeCoefficients:
             got = czd.lattice_coefficients(piece, bins)
             want = reference_lattice_coefficients(piece, bins)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sigma
-            for dtype in (np.int8, np.int32, np.uint64):
-                held = bins[bins >= 0] if dtype is np.uint64 else bins
-                if held[-1] <= np.iinfo(dtype).max:
-                    same = czd.lattice_coefficients(piece, held).tobytes()
-                    assert czd.lattice_coefficients(piece, held.astype(dtype)).tobytes() == same
+
+    def test_integer_bins_give_the_int64_bytes(self):
+        # bins of another integer type that hold them give the int64 call's bytes
+        for log2_n in range(17):
+            n = 1 << log2_n
+            rng = np.random.default_rng(300 + log2_n)
+            vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            piece = Signal(vals, period=2.0 ** (log2_n - 8), offset=-0.375)
+            for sigma in range(4):
+                bins = czd.lacunary_bins(n, sigma)
+                for dtype in (np.int8, np.int32, np.uint64):
+                    held = bins[bins >= 0] if dtype is np.uint64 else bins
+                    if held[-1] <= np.iinfo(dtype).max:
+                        same = czd.lattice_coefficients(piece, held).tobytes()
+                        got = czd.lattice_coefficients(piece, held.astype(dtype))
+                        assert got.tobytes() == same, (n, sigma, dtype)
 
     @pytest.mark.parametrize("sigma", [4, 8])
     def test_memory_is_linear_in_n(self, sigma):
