@@ -17,20 +17,18 @@ Discretization notes that drive the implementation:
 - Every lacunary frequency of scale at least ``1/|J|`` that lies strictly
   below the sampling Nyquist is an integer multiple ``q/|J|``, hence the
   exact bin ``q`` of the length-``n_J`` DFT of the samples on ``J``.  The
-  decomposition works on those integer bins throughout: the ``q`` with
-  ``|q| < n_J/2`` of the orders ``0..sigma`` are read off in closed form
-  (:func:`lacunary_bins`), each once per atom, at a cost proportional to
-  their number.  Removing those coefficients is an exact orthogonal
-  projection (bin masking); the position of ``J`` only contributes a
+  ``q`` with ``|q| < n_J/2`` of the orders ``0..sigma`` are read off in closed
+  form (:func:`lacunary_bins`), each once per atom.  Removing them is an
+  exact orthogonal projection through the spectral pair: the piece's values
+  at the bins by ``spectral.coefficients``, and back by
+  ``spectral.from_coefficients``; the position of ``J`` only contributes a
   unitary phase, which cancels and is never computed.  The certificate
-  re-reads the removed bins on the cancellative part from a transform of
-  its own (:func:`lattice_coefficients`, one ``fft`` or ``rfft`` of ``n_J``
-  samples, ``O(n_J log n_J)``), so a bin the removal left behind shows up
-  at that coefficient's size.  No BLAS call is made.
-- Real data (``spectral.is_real_data``) is the one switch: every part of a
-  real input is float64, its atoms split by one ``rfft``/``irfft`` pair and
-  certified from an ``rfft`` (``X(-q) = conj X(q)``).  A complex input keeps
-  the complex transforms.
+  re-reads the bins on the cancellative part (:func:`lattice_coefficients`,
+  one more transform), so a bin the removal left behind shows up at that
+  coefficient's size.  No BLAS call is made.
+- Every part of real data is float64, so the pair takes an ``rfft`` and, on
+  the symmetric bins, an ``irfft``; a complex input keeps the complex
+  transforms, also on a piece whose imaginary parts are all zero.
 - A decomposition takes ``|f|`` once and the Young weights ``B(|f|/alpha)``
   once: the stopping walk sums the weights by blocks and their grid sum is
   the Orlicz mass; the margin guard, the atoms' averages and the global
@@ -50,7 +48,7 @@ import numpy as np
 
 from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import Signal, coefficients, is_real_data, rms, write_signal
+from .spectral import Signal, coefficients, from_coefficients, rms, write_signal
 
 __all__ = [
     "StoppingInterval",
@@ -224,13 +222,14 @@ def lacunary_bins(n: int, sigma) -> np.ndarray:
     return lattice_points(_check_parameters(sigma, 1.0), (n - 1) // 2)
 
 
-def _local_bins(piece: Signal, bins) -> np.ndarray:
-    # each bin an integer below the piece's Nyquist, never rounded or wrapped
+def _positions(piece: Signal, bins) -> np.ndarray:
+    # the FFT-layout positions of the bins, each an integer below the piece's
+    # Nyquist, never rounded or wrapped
     qs = np.asarray(bins)
     half = (piece.n - 1) // 2
     if qs.ndim != 1 or qs.dtype.kind not in "iu" or np.any((qs < -half) | (qs > half)):
         raise ValueError("bins must be a 1-d array of integers q with |q| < n/2")
-    return qs.astype(np.int64, copy=False)
+    return qs.astype(np.int64, copy=False) & (piece.n - 1)
 
 
 def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
@@ -239,12 +238,10 @@ def lattice_coefficients(piece: Signal, bins) -> np.ndarray:
     to the unit factor ``exp(-2 pi i x_lo q/|J|)`` of the window's start.
 
     The phase of sample ``k`` is the root of unity of integer index ``q k mod
-    n``, so the sums are the piece's DFT at ``q mod n``: one ``fft``, or one
-    ``rfft`` of a float64 piece with ``X(-q) = conj X(q)``
-    (:func:`~lacuna.spectral.coefficients`), ``O(n log n)`` for any bins.
+    n``, so the sums are the piece's DFT at ``q mod n``, read by
+    :func:`~lacuna.spectral.coefficients` in ``O(n log n)`` for any bins.
     """
-    qs = _local_bins(piece, bins)
-    return piece.dx * coefficients(piece.samples, qs & (piece.n - 1))
+    return piece.dx * coefficients(piece.samples, _positions(piece, bins))
 
 
 def remove_lacunary(piece: Signal, bins) -> tuple:
@@ -254,18 +251,12 @@ def remove_lacunary(piece: Signal, bins) -> tuple:
     DFT ``bins`` (integers ``q`` with ``|q| < n/2``, else ``ValueError``),
     which :func:`lacunary_bins` gives for the lacunary frequencies of the
     orders up to sigma at scale ``1/|J|``; the cancellative remainder has
-    those coefficients equal to zero, both on the input's window and in its
-    dtype: a float64 piece loses each bin with its mirror ``-q`` (as in the
-    symmetric :func:`lacunary_bins`) by one ``rfft``/``irfft`` pair.
+    those coefficients equal to zero.  Both lie on the input's window, and a
+    float64 piece with symmetric bins (as :func:`lacunary_bins`) gives float64
+    parts (see :func:`~lacuna.spectral.from_coefficients`).
     """
-    bins = _local_bins(piece, bins)
-    real = piece.samples.dtype == np.float64
-    # a real piece's half spectrum holds each bin q as its |q|
-    local = np.fft.rfft(piece.samples) if real else np.fft.fft(piece.samples)
-    bins = np.abs(bins) if real else bins & (piece.n - 1)
-    lac_spec = np.zeros_like(local)
-    lac_spec[bins] = local[bins]
-    lac_vals = np.fft.irfft(lac_spec, piece.n) if real else np.fft.ifft(lac_spec)
+    pos = _positions(piece, bins)
+    lac_vals = from_coefficients(coefficients(piece.samples, pos), pos, piece.samples)
     parts = (piece.samples - lac_vals, lac_vals)
     return tuple(Signal._adopt(vals, piece.period, piece.offset) for vals in parts)
 
@@ -328,8 +319,9 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     # its length, the period over a power of two, is dyadic
     if math.frexp(sig.period)[0] != 0.5:
         raise ValueError(f"period must be a power of two, got {sig.period!r}")
-    # the one switch: every part of real data is float64, its pieces included
-    samples = sig.samples.real if is_real_data(sig.samples) else sig.samples
+    # imaginary parts all +-0.0 make real data, which is float64 in every part
+    is_complex = np.iscomplexobj(sig.samples) and sig.samples.imag.any()
+    samples = sig.samples if is_complex else sig.samples.real
     mags = np.abs(samples)
     if min_margin is not None and support_margin(sig, mags) < min_margin:
         raise ValueError("support margin below the requested minimum")

@@ -54,7 +54,9 @@ from .spectral import (
     BandBank,
     Signal,
     band_log2,
+    coefficients,
     eta_bank,
+    from_coefficients,
     plateau_bump,
     weak_l1_norm,
 )
@@ -593,7 +595,7 @@ def _finish_report(experiment: str, anchor: str, cfg: ExperimentConfig,
     failures = []
     for row in rows:
         if row["aborted"]:
-            reason = "aborted"
+            reason = f"aborted ({row['note']})"
         elif not math.isfinite(row["ratio"]):
             reason = f"non-finite ratio {row['ratio']}"
         elif row.get("drift", 0.0) > 2.0:
@@ -685,7 +687,7 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
 
     def rows_at(sig: Signal, label: str) -> list:
         # |fhat(j)| = |fft_{jT}| * T/n: the offset phase cancels in the modulus
-        coeffs = np.abs(np.fft.fft(sig.samples)[(lams << cfg.log2_period) % sig.n]) * sig.dx
+        coeffs = np.abs(coefficients(sig.samples, (lams << cfg.log2_period) % sig.n)) * sig.dx
         mask = (sig.x >= 0.0) & (sig.x < 1.0)
         return [_bound_row(label, float(np.sqrt(np.sum(coeffs ** 2))),
                            luxemburg_avg(np.abs(sig.samples[mask]), cfg.tau / 2))]
@@ -828,9 +830,12 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
         row["llogl_over_n"] = row["llogl"] / n_param
         if cfg.khintchine > 0:
             draws = rng.choice([-1.0, 1.0], size=(cfg.khintchine, len(fam.pairs)))
+            # bank.combine(g, signs) from g_N's coefficients, read once per order
+            pos = np.flatnonzero(fam.bank.symbol(g))
+            coeffs = coefficients(g.samples, pos)
             weaks = []
             for signs in draws:
-                out = fam.bank.combine(g, signs)
+                out = from_coefficients(coeffs * fam.bank.symbol(g, signs)[pos], pos, g.samples)
                 weaks.append(weak_l1_norm(np.abs(out[fam.block]), g.dx))
             row["weak_rand_max"] = max(weaks)
             row["weak_rand_median"] = statistics.median(weaks)

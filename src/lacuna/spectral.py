@@ -20,8 +20,9 @@ Anything that would touch frequencies outside the representable band sets a
 flag on the optional :class:`AliasFlags` accumulator instead of raising, so
 experiments can assert clean runs.
 
-A real signal, held in either dtype, takes a square function's coefficients
-from one ``rfft``, within about ``1e-14`` of the peak coefficient of its ``fft``.
+Band operators read coefficients through :func:`coefficients` and write
+samples through :func:`from_coefficients`, the one pair that picks a real
+transform (for float64 samples) or a complex one.
 """
 
 from __future__ import annotations
@@ -132,18 +133,28 @@ def _signed_indices(pos: np.ndarray, n: int) -> np.ndarray:
     return pos - n * (pos >= (n + 1) // 2)
 
 
-def is_real_data(samples: np.ndarray) -> bool:
-    """Real dtype, or complex with no nonzero imaginary part: real transforms apply."""
-    return samples.dtype.kind != "c" or not samples.imag.any()
-
-
 def coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``np.fft.fft(samples)[pos]``, bitwise for complex samples; real data
-    (:func:`is_real_data`) takes one ``rfft`` (see :func:`_from_half`), within
-    about ``1e-14`` of the peak coefficient."""
-    if not is_real_data(samples):
+    """``np.fft.fft(samples)[pos]`` at FFT-layout positions: one ``fft`` of
+    complex samples, bitwise, and one ``rfft`` of real-dtype ones (see
+    :func:`_from_half`), within about ``1e-14`` of the peak coefficient."""
+    if samples.dtype.kind == "c":
         return np.fft.fft(samples)[pos]
-    return _from_half(np.fft.rfft(samples.real), pos, samples.size)
+    return _from_half(np.fft.rfft(samples), pos, samples.size)
+
+
+def from_coefficients(values: np.ndarray, pos: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`coefficients`: the samples on ``like``'s grid
+    whose ``fft`` is ``values`` at the FFT-layout positions ``pos`` (repeats
+    carry one value) and zero elsewhere; float64 from one ``irfft`` when
+    ``like`` is real and the values Hermitian (the value at ``-pos mod n`` is
+    the conjugate, as :func:`coefficients` reads real samples on a symmetric
+    set), and complex from one ``ifft`` otherwise."""
+    n = like.size
+    spec = np.zeros(n, dtype=np.complex128)
+    spec[pos] = values
+    if like.dtype.kind != "c" and np.array_equal(spec[-pos % n], np.conjugate(values)):
+        return np.fft.irfft(spec[:n // 2 + 1], n)
+    return np.fft.ifft(spec)
 
 
 def _from_half(half: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
@@ -254,7 +265,7 @@ def _window(lo: DyadicScalar, hi: DyadicScalar) -> tuple:
 def band_indices(sig: Signal, lo: DyadicScalar, hi: DyadicScalar) -> np.ndarray:
     """FFT-layout positions of lattice frequencies in [lo, hi), clipped to the
     representable range [-n/2, n/2 - 1]."""
-    return BandBank(*_window(lo, hi), np.ones(1)).rows(sig)[0][0]
+    return BandBank(*_window(lo, hi), np.ones(1))._grid(sig, None).pos
 
 
 # -- band banks ------------------------------------------------------------
@@ -306,11 +317,10 @@ class BandBank:
     (:func:`_band_plan`), resolved in one pass when the first signal on a
     ``(n, period)`` arrives and kept in ``grids`` with the alias events raised
     meanwhile (replayed into the caller's flags on every use).  Operations
-    work on the bare ``fft`` of the samples (``square`` and ``square_at`` on
-    one ``rfft`` of a real signal, see :func:`coefficients`, or ``square_at``
-    on a known half spectrum): the offset phases that :func:`spectrum`
-    multiplies in and :func:`synthesize` takes out cancel in every band
-    piece, so the pieces come out at the signal's own samples.
+    work on the bare DFT of the samples, read by :func:`coefficients` (or, in
+    ``square_at``, from a known half spectrum): the offset phases that
+    :func:`spectrum` multiplies in and :func:`synthesize` takes out cancel in
+    every band piece, so the pieces come out at the signal's own samples.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, exponent: int, weight,
@@ -338,22 +348,14 @@ class BandBank:
                 flags.mark(event)
         return plan
 
-    def rows(self, sig: Signal, flags: Optional[AliasFlags] = None) -> list:
-        """The plan at ``sig``'s ``(n, period)`` split into ``(positions,
-        weights)`` rows, one per window (empty for a band without lattice
-        points); the grid's alias events are marked on ``flags``."""
-        plan = self._grid(sig, flags)
-        return [(plan.pos[at:at + k], plan.vals[at:at + k])
-                for at, k in zip(plan.starts, plan.counts)]
-
     def symbol(
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
         """The FFT-layout symbol ``sum_i w_i m_i`` on ``sig``'s grid (every
         ``w_i = 1`` by default), by one scatter that adds in band order."""
         plan = self._grid(sig, flags)
-        if weights is None:
-            weights = np.ones(plan.counts.size)
+        # complex weights keep np.add.at on its fast path, with the same sums
+        weights = np.asarray(np.ones(plan.counts.size) if weights is None else weights, complex)
         if len(weights) != plan.counts.size:
             raise ValueError("need one weight per band")
         sym = np.zeros(sig.n, dtype=np.complex128)
@@ -363,22 +365,24 @@ class BandBank:
     def combine(
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
-        """Samples of ``sum_i w_i T_i f``: one transform pair in all."""
-        return np.fft.ifft(np.fft.fft(sig.samples) * self.symbol(sig, weights, flags))
+        """Samples of ``sum_i w_i T_i f``: the coefficients at the plan's
+        positions, weighted by the symbol and transformed back (one pair)."""
+        sym = self.symbol(sig, weights, flags)
+        pos = self._grid(sig, None).pos
+        return from_coefficients(coefficients(sig.samples, pos) * sym[pos], pos, sig.samples)
 
     def magnitudes(
         self, sig: Signal, columns=slice(None), flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
         """``|T_i f|`` at the selected samples, one row per band (zero for a
         band without lattice points): one inverse transform per band."""
-        rows = self.rows(sig, flags)
-        coeffs = np.fft.fft(sig.samples)
-        out = np.zeros((len(rows), sig.samples[columns].size))
-        for out_row, (idx, vals) in zip(out, rows):
-            if idx.size:
-                masked = np.zeros_like(coeffs)
-                masked[idx] = coeffs[idx] * vals
-                out_row[:] = np.abs(np.fft.ifft(masked)[columns])
+        plan = self._grid(sig, flags)
+        values = coefficients(sig.samples, plan.pos) * plan.vals
+        bands = zip(np.split(plan.pos, plan.starts[1:]), np.split(values, plan.starts[1:]))
+        out = np.zeros((plan.counts.size, sig.samples[columns].size))
+        for out_row, (pos, vals) in zip(out, bands):
+            if pos.size:
+                out_row[:] = np.abs(from_coefficients(vals, pos, sig.samples)[columns])
         return out
 
     def square(self, sig: Signal, flags: Optional[AliasFlags] = None) -> np.ndarray:
@@ -426,7 +430,7 @@ class BandBank:
         """``||T_i f||_2^2`` per band by Parseval, with no inverse transform:
         one gather of the weighted coefficients and one segmented sum."""
         plan = self._grid(sig, None)
-        power = np.abs(np.fft.fft(sig.samples)[plan.pos] * plan.vals) ** 2
+        power = np.abs(coefficients(sig.samples, plan.pos) * plan.vals) ** 2
         return sig.period / sig.n**2 * _band_sums(plan, power)
 
     def square_at(self, sig: Signal, xs, half: Optional[np.ndarray] = None) -> np.ndarray:
@@ -435,11 +439,9 @@ class BandBank:
         matrix over the plan's positions, one segmented sum per band, and the
         squares added in band order.
 
-        ``half``, when given, is the known half spectrum of a real ``sig``:
-        its ``rfft``, or a prefix of it that holds the plan's positions.  The
-        plan's coefficients are read from it, a mirrored position conjugated
-        as in :func:`coefficients`, and the samples are not transformed.
-        Without it the result is bitwise what the samples give.
+        ``half``, when given, is the known half spectrum of a real ``sig`` (its
+        ``rfft``, or a prefix holding the plan's positions), read as
+        :func:`coefficients` reads it; the result is bitwise the samples' own.
         """
         plan = self._grid(sig, None)
         # relative to the window start the band pieces carry no offset phase

@@ -458,6 +458,18 @@ class TestEquivalenceWithReference:
             alpha = 1.3 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
             assert assert_matches_old_path(sig, sigma, alpha).atoms
 
+    @pytest.mark.parametrize("sigma", [0, 1, 2, 3])
+    def test_complex_signal_with_real_stretches(self, sigma):
+        # the imaginary part lives left of x = -1: the atoms to the right are
+        # complex128 pieces whose imaginary parts are all zero, and they keep
+        # the complex transforms
+        real = random_signal(1024, seed=66)
+        imag = np.where(real.x < -1.0, random_signal(1024, seed=67).samples, 0.0)
+        sig = Signal(real.samples + 1j * imag, 8.0, -4.0)
+        alpha = 1.2 * luxemburg_avg(np.abs(sig.samples), sigma / 2)
+        dec = assert_matches_old_path(sig, sigma, alpha)
+        assert any(atom.interval.x_lo >= -1.0 for atom in dec.atoms)
+
     def test_overflowing_constants(self):
         vals = np.zeros(256)
         vals[8:24] = 1.2e154
@@ -848,6 +860,20 @@ class TestRemoveLacunary:
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return Signal(vals, period=period, offset=offset)
+
+    def test_real_piece_stays_real_only_on_symmetric_bins(self):
+        # symmetric bins: float64 parts; one-sided bins: exactly those bins
+        # leave, their mirrors stay, and the parts are complex
+        piece = Signal(self.rand_piece().samples.real, 1.0, 0.25)
+        full = np.fft.fft(piece.samples)
+        for bins, dtype in ((czd.lacunary_bins(piece.n, 2), np.float64),
+                            (np.array([1, 2, 5]), np.complex128)):
+            canc, lac = czd.remove_lacunary(piece, bins)
+            assert canc.samples.dtype == lac.samples.dtype == dtype
+            coeffs = np.fft.fft(canc.samples)
+            assert np.max(np.abs(coeffs[bins % piece.n])) < 1e-12 * np.max(np.abs(full))
+        kept = -bins % piece.n
+        assert np.max(np.abs(coeffs[kept] - full[kept])) < 1e-12 * np.max(np.abs(full))
 
     def test_sigma_zero_removes_exactly_the_mean(self):
         piece = self.rand_piece()

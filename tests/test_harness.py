@@ -666,6 +666,25 @@ class TestZygmundBonami:
         rhs = luxemburg_avg(np.abs(sig.samples[mask]), 1.0)
         assert rhs == pytest.approx(luxemburg_avg(np.ones(mask.sum()), 1.0), rel=1e-12)
 
+    def test_coefficients_match_the_complex_path(self, monkeypatch):
+        # a real member's coefficients come from one rfft: against the complex
+        # fft of the same samples each coefficient-built field lies within
+        # 1e-14, the Luxemburg side is bitwise, and complex members are bitwise
+        cfg = hn.make_config({"log2_n": 11, "tau": 2, "ensemble": 4, "seed": 3})
+        got = hn.verify_zygmund_bonami(cfg)
+        monkeypatch.setattr(hn, "coefficients",
+                            lambda samples, pos: np.fft.fft(samples.astype(complex))[pos])
+        want = hn.verify_zygmund_bonami(cfg)
+        moved = 0
+        for a, b in zip(got.samples, want.samples, strict=True):
+            assert a.keys() == b.keys() and a["rhs"] == b["rhs"]
+            for key in ("lhs", "ratio", "fine_ratio"):
+                assert a[key] == pytest.approx(b[key], rel=1e-14, abs=0.0)
+                moved += a[key] != b[key]
+            if a["label"].startswith("lacpoly"):
+                assert a == b
+        assert moved
+
     def test_out_of_band_frequency_rejected(self):
         # 32 samples on a window of 16: the unit-lattice frequency 1 is the
         # Nyquist bin 16, and no nonzero one lies below it
@@ -796,12 +815,14 @@ class TestRefinementRule:
             if row["branch"] in ("cancellative", "combined"):
                 assert row["aborted"] and row["note"] == "coefficient removal residual"
                 assert "drift" not in row
-                assert f"{row['label']} {row['branch']} gamma 2: aborted" in rep.notes
+                assert (f"{row['label']} {row['branch']} gamma 2: aborted"
+                        " (coefficient removal residual)") in rep.notes
             else:
                 assert not row["aborted"] and "drift" in row
         assert rep.refinement["pairs"] == sum(not row["aborted"] for row in rep.samples)
-        # one note per failing row, and no summary note repeating their labels
-        assert rep.notes == [f"{row['label']} {row['branch']} gamma 2: aborted"
+        # one note per failing row, naming its cause, and no summary note
+        # repeating their labels
+        assert rep.notes == [f"{row['label']} {row['branch']} gamma 2: aborted ({row['note']})"
                              for row in rep.samples if row["aborted"]]
 
     def test_failing_rows_are_named_in_the_notes(self):
@@ -831,7 +852,7 @@ class TestRefinementRule:
         for row in rep.samples:
             assert row["aborted"] and "drift" not in row and math.isfinite(row["ratio"])
             assert "fine band past the Nyquist" in row["note"]
-            assert f"{row['label']}: aborted" in rep.notes
+            assert f"{row['label']}: aborted ({row['note']})" in rep.notes
 
 
 class TestSharpness:
@@ -856,6 +877,23 @@ class TestSharpness:
         assert [row["n"] for row in rep["rows"]] == [2]
         assert not rep["ok"]
         assert any("skipped" in note for note in rep["notes"])
+
+    @pytest.mark.parametrize("period", [16.0, 8.0])
+    def test_khintchine_rows_match_the_per_draw_combine_loop(self, period):
+        # the draws read g_N's coefficients once per order; the loop they
+        # replaced called bank.combine(g, signs) for each draw
+        cfg = hn.make_config({"log2_n": 13, "period": period, "n_min": 2, "n_max": 6,
+                              "khintchine": 5})
+        rows = hn.sharpness_growth(cfg)["rows"]
+        rng = np.random.default_rng(cfg.seed)
+        for row in rows:
+            fam = build_sharpness_family(row["n"], cfg.log2_n, cfg.period)
+            weaks = []
+            for signs in rng.choice([-1.0, 1.0], size=(cfg.khintchine, len(fam.pairs))):
+                out = fam.bank.combine(fam.g_n, signs)
+                weaks.append(hn.weak_l1_norm(np.abs(out[fam.block]), fam.g_n.dx))
+            assert repr(row["weak_rand_max"]) == repr(max(weaks))
+            assert repr(row["weak_rand_median"]) == repr(float(np.median(weaks)))
 
     def test_khintchine_zero_skips_draws(self):
         cfg = hn.make_config({"log2_n": 12, "n_min": 2, "n_max": 3, "khintchine": 0})

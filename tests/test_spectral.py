@@ -21,14 +21,15 @@ Reference ledger:
   arrays and alias events as text.
 - ``_reference_spectra``: each band's true-phase spectrum from the float
   frequencies, independent of the plan; ``TestBandBank.FAMILY`` sharp and
-  eta at two offsets, to 1e-12 of the peak.
+  eta at two offsets, on a complex and a real signal, to 1e-12 of the peak.
 - ``reference_band_square``, ``reference_band_symbol``,
   ``reference_band_magnitudes``, ``reference_band_energies`` and
   ``reference_band_square_at``: the per-band loops the grid plan replaced;
   every bank operation of verify at tau 3, the sharpness families and the
-  growth study at 2^14, gen-zygmund-bonami and the edge bands; square,
-  symbol and magnitudes bitwise, energies and square_at to 1e-14 of the
-  peak.
+  growth study at 2^14, gen-zygmund-bonami and the edge bands; square and
+  symbol bitwise, magnitudes bitwise on complex signals and to 1e-14 of the
+  peak on real ones (one ``rfft`` against the loop's ``fft``), energies and
+  square_at to 1e-14 of the peak.
 - ``reference_weak_l1_norm``: ``weak_l1_norm`` as it was, with every
   input cast to complex before its magnitudes; real, complex, integer,
   signed-zero and subnormal inputs, bitwise.
@@ -136,6 +137,15 @@ def bank_windows(bank):
     e = bank.exponent
     return tuple((D(lo, e), D(hi, e), w) for lo, hi, w in
                  zip(bank.lo.tolist(), bank.hi.tolist(), bank.weight.tolist()))
+
+
+def bank_rows(bank, sig, flags=None):
+    """The bank's plan on ``sig``'s grid split into ``(positions, weights)``
+    rows, one per window (empty for a band without lattice points); the
+    grid's alias events are marked on ``flags``."""
+    plan = bank._grid(sig, flags)
+    return [(plan.pos[at:at + k], plan.vals[at:at + k])
+            for at, k in zip(plan.starts, plan.counts)]
 
 
 def reference_resolve(windows, label, sig):
@@ -352,17 +362,17 @@ class TestSharpProjection:
         sig = sp.Signal(np.zeros(64), period=8.0)
         flags = sp.AliasFlags()
         # positive block ending exactly at the band edge: fits (half-open)
-        idx = bank_of([(D(2, 0), D(4, 0), 1.0)]).rows(sig, flags)[0][0]
+        idx = bank_rows(bank_of([(D(2, 0), D(4, 0), 1.0)]), sig, flags)[0][0]
         assert sorted(sp.freq_indices(64)[idx]) == list(range(16, 32))
         # negative block starting at -edge: the -n/2 bin is representable
-        idx = bank_of([(D(-4, 0), D(-2, 0), 1.0)]).rows(sig, flags)[0][0]
+        idx = bank_rows(bank_of([(D(-4, 0), D(-2, 0), 1.0)]), sig, flags)[0][0]
         assert sorted(sp.freq_indices(64)[idx]) == list(range(-32, -16))
         assert not flags.aliased
 
     def test_band_beyond_nyquist_flags(self):
         sig = sp.Signal(np.zeros(64), period=8.0)
         flags = sp.AliasFlags()
-        bank_of([(D(4, 0), D(8, 0), 1.0)]).rows(sig, flags)
+        bank_rows(bank_of([(D(4, 0), D(8, 0), 1.0)]), sig, flags)
         assert flags.aliased
 
     def test_projection_idempotent_and_band_limited(self):
@@ -602,7 +612,7 @@ def reference_band_square(bank, sig):
     small transforms per band, each band's lags added on its own, in band
     order, reading the coefficients as ``square`` does.  The plan must give
     its bits."""
-    rows = bank.rows(sig)
+    rows = bank_rows(bank, sig)
     samples = sig.samples
     peak = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)))
     shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
@@ -628,7 +638,7 @@ def reference_band_square(bank, sig):
 
 def reference_band_symbol(bank, sig, weights=None):
     """The per-band ``BandBank.symbol`` loop that the one scatter replaced."""
-    rows = bank.rows(sig)
+    rows = bank_rows(bank, sig)
     if weights is None:
         weights = np.ones(len(rows))
     sym = np.zeros(sig.n, dtype=np.complex128)
@@ -640,7 +650,7 @@ def reference_band_symbol(bank, sig, weights=None):
 def reference_band_magnitudes(bank, sig, columns=slice(None)):
     """The per-band ``BandBank.magnitudes`` loop over the rows: one masked
     spectrum and one inverse transform per band.  The plan must give its bits."""
-    rows = bank.rows(sig)
+    rows = bank_rows(bank, sig)
     coeffs = np.fft.fft(sig.samples)
     out = np.zeros((len(rows), sig.samples[columns].size))
     for out_row, (idx, vals) in zip(out, rows):
@@ -656,7 +666,7 @@ def reference_band_energies(bank, sig):
     coeffs = np.fft.fft(sig.samples)
     scale = sig.period / sig.n**2
     return np.array(
-        [scale * np.sum(np.abs(coeffs[idx] * vals) ** 2) for idx, vals in bank.rows(sig)]
+        [scale * np.sum(np.abs(coeffs[idx] * vals) ** 2) for idx, vals in bank_rows(bank, sig)]
     )
 
 
@@ -667,7 +677,7 @@ def reference_band_square_at(bank, sig, xs):
     js = sp.freq_indices(sig.n)
     t = np.asarray(xs, dtype=float) - sig.offset
     acc = np.zeros(t.shape)
-    for idx, vals in bank.rows(sig):
+    for idx, vals in bank_rows(bank, sig):
         phases = np.exp(2j * np.pi * np.outer(t, js[idx] / sig.period))
         acc += np.abs(phases @ (coeffs[idx] * vals) / sig.n) ** 2
     return np.sqrt(acc)
@@ -678,7 +688,7 @@ def square_reference(bank, sig):
     and added in band order."""
     coeffs = np.fft.fft(sig.samples)
     acc = np.zeros(sig.n)
-    for idx, vals in bank.rows(sig):
+    for idx, vals in bank_rows(bank, sig):
         masked = np.zeros_like(coeffs)
         masked[idx] = coeffs[idx] * vals
         piece = np.fft.ifft(masked)
@@ -688,8 +698,8 @@ def square_reference(bank, sig):
 
 @pytest.mark.parametrize("log2_n", [0, 1, 2, 3, 7, 12, 16])
 def test_coefficients_are_the_fft_at_the_positions(log2_n):
-    # bitwise for complex samples; within 1e-14 of the peak coefficient for
-    # real ones, read from one rfft on both half-axes (-0.0 imaginary parts too)
+    # bitwise for complex samples, zero imaginary parts included; within 1e-14
+    # of the peak coefficient for real ones, read from one rfft on both half-axes
     from lacuna.multipliers import build_sharpness_family
 
     n = 1 << log2_n
@@ -699,18 +709,43 @@ def test_coefficients_are_the_fft_at_the_positions(log2_n):
             np.full(n, -2.5), np.zeros(n)]
     if log2_n >= 12:
         fam = build_sharpness_family(log2_n - 9, log2_n)
-        real += [fam.f_n.samples.real, fam.g_n.samples.real]
+        real += [fam.f_n.samples, fam.g_n.samples]
     for values in real:
+        want = np.fft.fft(values)[pos]
+        got = sp.coefficients(values, pos)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         negative_zero = values.astype(complex)
         negative_zero.imag = -0.0
-        for samples in (values.astype(complex), negative_zero):
-            want = np.fft.fft(samples)[pos]
+        for samples in (values + 0j, negative_zero, values + 1j * rng.standard_normal(n)):
             got = sp.coefficients(samples, pos)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        tiny = values + 0j
-        tiny[rng.integers(n)] += 1e-300j
-        for samples in (tiny, values + 1j * rng.standard_normal(n)):
-            assert np.array_equal(sp.coefficients(samples, pos), np.fft.fft(samples)[pos])
+            assert got.tobytes() == np.fft.fft(samples)[pos].tobytes()
+
+
+@pytest.mark.parametrize("log2_n", [0, 1, 2, 3, 7, 12])
+def test_from_coefficients_inverts_the_reader(log2_n):
+    # the ifft of the values scattered into zeros, bitwise; a real grid with
+    # Hermitian values (a symmetric set read from real samples) takes one
+    # irfft of the half and comes back float64, bitwise that irfft
+    n = 1 << log2_n
+    rng = np.random.default_rng(120 + log2_n)
+    values = rng.standard_normal(n)
+    half = np.unique(rng.integers(0, n // 2 + 1, 8))
+    symmetric = np.unique(np.concatenate([half, -half % n]))
+    one_sided = np.unique(rng.integers(1, max(n // 2, 2), 8)) % n
+    for samples in (values, values + 0j, values + 1j * rng.standard_normal(n)):
+        for pos in (symmetric, one_sided, np.arange(n), np.arange(0)):
+            coeffs = sp.coefficients(samples, pos)
+            spec = np.zeros(n, dtype=complex)
+            spec[pos] = coeffs
+            got = sp.from_coefficients(coeffs, pos, samples)
+            mirrored = np.array_equal(np.sort(-pos % n), np.sort(pos))
+            if samples.dtype == np.float64 and (mirrored or not np.any(coeffs)):
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.fft.irfft(spec[:n // 2 + 1], n).tobytes()
+            else:
+                assert got.tobytes() == np.fft.ifft(spec).tobytes()
+        full = sp.from_coefficients(sp.coefficients(samples, np.arange(n)), np.arange(n), samples)
+        assert np.max(np.abs(full - samples)) <= 1e-14 * np.max(np.abs(samples))
 
 
 class TestBandBank:
@@ -728,10 +763,18 @@ class TestBandBank:
             self._check_against_reference(bank, kind, offset, n)
         assert set(bank.grids) == {(1 << 10, self.PERIOD), (1 << 11, self.PERIOD)}
 
-    def _check_against_reference(self, bank, kind, offset, n):
+    @pytest.mark.parametrize("kind", ["sharp", "eta"])
+    @pytest.mark.parametrize("offset", [0.0, -4.0])
+    def test_real_signal_matches_band_by_band_reference(self, kind, offset):
+        # the real parts of the same samples, read from one rfft
+        bank = family_bank(kind)
+        for n in (1 << 10, 1 << 11):
+            self._check_against_reference(bank, kind, offset, n, real=True)
+
+    def _check_against_reference(self, bank, kind, offset, n, real=False):
         rng = np.random.default_rng(51)
-        sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                        self.PERIOD, offset)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sig = sp.Signal(samples.real if real else samples, self.PERIOD, offset)
         spectra = _reference_spectra(sig, kind, self.FAMILY)
         pieces = np.array([sp.synthesize(row, sig.period, sig.offset).samples
                            for row in spectra])
@@ -780,8 +823,8 @@ class TestBandBank:
         sig = sp.Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                         self.PERIOD, offset)
         bank = bank_of(self.edge_windows())
-        assert bank.rows(sig)[5][0].size == 0
-        assert bank.rows(sig)[6][0].size < 80
+        assert bank_rows(bank, sig)[5][0].size == 0
+        assert bank_rows(bank, sig)[6][0].size < 80
         want = square_reference(bank, sig)
         assert np.max(np.abs(bank.square(sig) - want)) <= 1e-12 * np.max(want)
 
@@ -838,12 +881,12 @@ class TestBandBank:
         assert any(on_lattice) and not all(on_lattice)
         sig = sp.Signal(np.zeros(1 << 10), self.PERIOD)
         sharp = family_bank("sharp")
-        for (idx, vals), L in zip(sharp.rows(sig), self.FAMILY):
+        for (idx, vals), L in zip(bank_rows(sharp, sig), self.FAMILY):
             assert np.array_equal(idx, sp.band_indices(sig, L.left, L.right))
             assert np.all(vals == 1.0)
-        assert any(idx.size == 0 for idx, _ in sharp.rows(sig))
+        assert any(idx.size == 0 for idx, _ in bank_rows(sharp, sig))
         eta = family_bank("eta")
-        assert all(np.all(vals != 0.0) for _, vals in eta.rows(sig))
+        assert all(np.all(vals != 0.0) for _, vals in bank_rows(eta, sig))
 
     def test_rows_are_resolved_once_per_grid(self, monkeypatch):
         resolved = []
@@ -890,17 +933,18 @@ class TestBandBank:
 
 class TestBandPlan:
     """Every ``BandBank`` operation on a grid's plan against the per-band loop
-    it replaced, on the banks the experiments build: ``square``, ``symbol``
-    and ``magnitudes`` give its bits, ``energies`` and ``square_at`` (one
-    segmented sum where the loop summed band by band) lie within ``1e-14`` of
-    its peak."""
+    it replaced, on the banks the experiments build: ``square`` and
+    ``symbol`` give its bits, ``magnitudes`` too on a complex signal and
+    within ``1e-14`` of its peak on a real one (read from one ``rfft``, where
+    the loop takes the complex ``fft``), ``energies`` and ``square_at`` (one
+    segmented sum where the loop summed band by band) within ``1e-14``."""
 
-    REFERENCES = {
-        "square": (reference_band_square, 0.0),
-        "symbol": (reference_band_symbol, 0.0),
-        "magnitudes": (reference_band_magnitudes, 0.0),
-        "energies": (reference_band_energies, 1e-14),
-        "square_at": (reference_band_square_at, 1e-14),
+    REFERENCES = {  # name: (reference, tolerance on complex signals, on real ones)
+        "square": (reference_band_square, 0.0, 0.0),
+        "symbol": (reference_band_symbol, 0.0, 0.0),
+        "magnitudes": (reference_band_magnitudes, 0.0, 1e-14),
+        "energies": (reference_band_energies, 1e-14, 1e-14),
+        "square_at": (reference_band_square_at, 1e-14, 1e-14),
     }
 
     @classmethod
@@ -909,14 +953,15 @@ class TestBandPlan:
         # and a known half spectrum (the reference transforms the samples),
         # its result, its reference and the tolerance
         calls = []
-        for name, (reference, tol) in cls.REFERENCES.items():
+        for name, (reference, *tols) in cls.REFERENCES.items():
             real = getattr(sp.BandBank, name)
 
-            def operation(*args, real=real, reference=reference, tol=tol, **kwargs):
+            def operation(*args, real=real, reference=reference, tols=tols, **kwargs):
                 out = real(*args, **kwargs)
                 bound = inspect.signature(real).bind(*args, **kwargs)
                 bound.arguments.pop("flags", None)
                 bound.arguments.pop("half", None)
+                tol = tols[bound.arguments["sig"].samples.dtype != np.complex128]
                 calls.append((*bound.arguments.values(), out, reference, tol))
                 return out
 

@@ -1,9 +1,9 @@
 """Every module-level import in a ``lacuna`` module is used or re-exported,
 every exported name exists, no module imports a private (``_``-prefixed)
 name of another, no module imports a thread or process pool, no module
-makes a BLAS call, every public function, class, method and module constant
-is reached by the program, and every reference a test module keeps is
-called and named in its ledger.
+makes a BLAS call, no module but ``spectral`` uses numpy's FFT, every public
+function, class, method and module constant is reached by the program, and
+every reference a test module keeps is called and named in its ledger.
 
 Each module except the package ``__init__`` is parsed with ``ast``; a name
 bound by a top-level import must be read somewhere in the module (string
@@ -17,6 +17,13 @@ one FFT of the piece.
 ``tests/test_czd.py::test_reports_do_not_depend_on_the_blas_thread_count``
 stays as a guard that report bytes do not depend on a BLAS library's
 threads, and the ``threads`` setting is accepted and ignored.
+
+``spectral`` owns the transform layout and the choice between a real and a
+complex transform: every band operator and the czd split and certificate
+read coefficients through ``spectral.coefficients`` and go back through
+``spectral.from_coefficients``.  The one use of numpy's FFT elsewhere is
+the sharpness family's bump f_N, one ``irfft`` of a half spectrum that it
+builds in closed form (``multipliers.build_sharpness_family``).
 
 A public definition is reached when its name is read (an ``ast.Name`` or
 ``ast.Attribute`` load) outside its own body, in the package, ``scripts/``,
@@ -56,6 +63,8 @@ REFERENCE_NAME = re.compile(
     r"reference_\w+|exact_\w+|\w+_luxemburg|sorted_\w+|brute_\w+|\w+_reference")
 # numpy calls that hand their work to a BLAS library, by the name called
 BLAS_CALLS = ("dot", "vdot", "matmul", "einsum", "tensordot")
+# the uses of numpy's FFT outside spectral.py, by module: f_N's synthesis
+FFT_EXCEPTIONS = {"multipliers.py": ["irfft"]}
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -174,6 +183,55 @@ d = np.sum(x * y) + dot_count
 """
     assert blas_calls(ast.parse(module)) == ["2: linalg", "3: @", "4: @", "5: dot", "5: dot",
                                              "5: matmul", "6: einsum", "6: solve"]
+
+
+def fft_uses(tree: ast.Module) -> list:
+    """``line: form`` of each use of numpy's FFT module under ``tree``: the
+    function read from an ``fft`` attribute (``np.fft.rfft``, ``numpy.fft.fft``
+    or through an alias of numpy), a bare ``fft`` attribute, and an import of
+    ``numpy.fft`` or of a name from it, sorted."""
+    modules = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "fft":
+                found.append(f"{node.lineno}: {node.attr}")
+            elif node.attr == "fft" and id(node) not in modules:
+                found.append(f"{node.lineno}: fft")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [a.name for a in node.names]
+            if node.module.split(".")[:2] == ["numpy", "fft"]:
+                found += [f"{node.lineno}: import {name}" for name in names]
+            elif node.module == "numpy" and "fft" in names:
+                found.append(f"{node.lineno}: import fft")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name.split(".")[:2] == ["numpy", "fft"]]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "spectral.py"],
+                         ids=lambda p: p.stem)
+def test_no_fft_outside_spectral(path):
+    uses = fft_uses(ast.parse(path.read_text(encoding="utf-8")))
+    forms = [use.split(": ", 1)[1] for use in uses]
+    assert forms == FFT_EXCEPTIONS.get(path.name, []), f"{path.name}: numpy FFT uses {forms}"
+
+
+def test_the_fft_guard_finds_each_form():
+    module = """
+import numpy.fft as nf
+from numpy import fft
+from numpy.fft import rfft, irfft
+import numpy as xp
+a = np.fft.ifft(x) + numpy.fft.fft(x)
+b = xp.fft.irfft(x) + nf.rfft(x)
+c = np.fft
+d = np.fftfreq(x) + fft_count + sp.coefficients(x, pos)
+"""
+    assert fft_uses(ast.parse(module)) == [
+        "2: import numpy.fft", "3: import fft", "4: import irfft", "4: import rfft",
+        "6: fft", "6: ifft", "7: irfft", "8: fft"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
