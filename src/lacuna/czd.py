@@ -48,7 +48,7 @@ import numpy as np
 
 from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import Signal, coefficients, from_coefficients, rms, write_signal
+from .spectral import Signal, coefficients, from_coefficients, real_data, rms, write_signal
 
 __all__ = [
     "StoppingInterval",
@@ -319,9 +319,7 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     # its length, the period over a power of two, is dyadic
     if math.frexp(sig.period)[0] != 0.5:
         raise ValueError(f"period must be a power of two, got {sig.period!r}")
-    # imaginary parts all +-0.0 make real data, which is float64 in every part
-    is_complex = np.iscomplexobj(sig.samples) and sig.samples.imag.any()
-    samples = sig.samples if is_complex else sig.samples.real
+    samples = real_data(sig.samples)
     mags = np.abs(samples)
     if min_margin is not None and support_margin(sig, mags) < min_margin:
         raise ValueError("support margin below the requested minimum")

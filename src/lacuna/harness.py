@@ -38,28 +38,12 @@ import numpy as np
 
 from .czd import cz_decompose, lacunary_bins, lattice_coefficients, remove_lacunary
 from .lacunary import Level, interval_arrays, lattice_points
-from .martingale import (
-    DyadicFunction,
-    azuma_tail_bound,
-    cww_check,
-    decompose_quotient_norm,
-    random_sign_martingale,
-    tail_measure,
-)
+from .martingale import (DyadicFunction, azuma_tail_bound, cww_check, decompose_quotient_norm,
+                         random_sign_martingale, tail_measure)
 from .multipliers import build_sharpness_family, max_feasible_parameter, prototype_multiplier
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import (
-    MAX_LOG2_N,
-    AliasFlags,
-    BandBank,
-    Signal,
-    band_log2,
-    coefficients,
-    eta_bank,
-    from_coefficients,
-    plateau_bump,
-    weak_l1_norm,
-)
+from .spectral import (MAX_LOG2_N, AliasFlags, BandBank, Signal, band_log2, coefficients,
+                       eta_bank, from_coefficients, plateau_bump, weak_l1_norm)
 
 __all__ = [
     "ExperimentConfig",
@@ -831,7 +815,7 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
         if cfg.khintchine > 0:
             draws = rng.choice([-1.0, 1.0], size=(cfg.khintchine, len(fam.pairs)))
             # bank.combine(g, signs) from g_N's coefficients, read once per order
-            pos = np.flatnonzero(fam.bank.symbol(g))
+            pos = fam.bank.positions(g)
             coeffs = coefficients(g.samples, pos)
             weaks = []
             for signs in draws:

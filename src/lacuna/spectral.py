@@ -22,7 +22,8 @@ experiments can assert clean runs.
 
 Band operators read coefficients through :func:`coefficients` and write
 samples through :func:`from_coefficients`, the one pair that picks a real
-transform (for float64 samples) or a complex one.
+transform (for float64 samples; the square functions take :func:`real_data`
+first) or a complex one.
 """
 
 from __future__ import annotations
@@ -142,18 +143,31 @@ def coefficients(samples: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return _from_half(np.fft.rfft(samples), pos, samples.size)
 
 
+def real_data(samples: np.ndarray) -> np.ndarray:
+    """``samples`` as float64 when no imaginary part is nonzero, else as they are."""
+    return samples if samples.dtype.kind == "c" and samples.imag.any() else samples.real
+
+
 def from_coefficients(values: np.ndarray, pos: np.ndarray, like: np.ndarray) -> np.ndarray:
     """The inverse of :func:`coefficients`: the samples on ``like``'s grid
     whose ``fft`` is ``values`` at the FFT-layout positions ``pos`` (repeats
-    carry one value) and zero elsewhere; float64 from one ``irfft`` when
-    ``like`` is real and the values Hermitian (the value at ``-pos mod n`` is
-    the conjugate, as :func:`coefficients` reads real samples on a symmetric
-    set), and complex from one ``ifft`` otherwise."""
-    n = like.size
+    carry one value) and zero elsewhere; float64 from one ``irfft`` of the
+    half spectrum when ``like`` is real and the values Hermitian (as real
+    samples read on a symmetric set), and complex from one ``ifft`` otherwise."""
+    n, low = like.size, pos <= like.size // 2
+    if like.dtype.kind != "c":
+        lo, mirror = pos[low], n - pos[~low]
+        half = np.zeros(n // 2 + 1, dtype=np.complex128)
+        half[lo] = values[low]
+        # the ends pair with themselves and must be real; each value past n/2
+        # conjugates its mirror's, and each nonzero one below has a mirror
+        paired = np.zeros(half.size, dtype=bool)
+        paired[mirror] = paired[0] = paired[-1] = True
+        if (half[mirror] == np.conjugate(values[~low])).all() and not (
+                half[lo[~paired[lo]]].any() or half[0].imag or half[-1].imag):
+            return np.fft.irfft(half, n)
     spec = np.zeros(n, dtype=np.complex128)
     spec[pos] = values
-    if like.dtype.kind != "c" and np.array_equal(spec[-pos % n], np.conjugate(values)):
-        return np.fft.irfft(spec[:n // 2 + 1], n)
     return np.fft.ifft(spec)
 
 
@@ -265,7 +279,7 @@ def _window(lo: DyadicScalar, hi: DyadicScalar) -> tuple:
 def band_indices(sig: Signal, lo: DyadicScalar, hi: DyadicScalar) -> np.ndarray:
     """FFT-layout positions of lattice frequencies in [lo, hi), clipped to the
     representable range [-n/2, n/2 - 1]."""
-    return BandBank(*_window(lo, hi), np.ones(1))._grid(sig, None).pos
+    return BandBank(*_window(lo, hi), np.ones(1)).positions(sig)
 
 
 # -- band banks ------------------------------------------------------------
@@ -348,6 +362,10 @@ class BandBank:
                 flags.mark(event)
         return plan
 
+    def positions(self, sig: Signal) -> np.ndarray:
+        """The plan's FFT-layout positions on ``sig``'s grid, band by band."""
+        return self._grid(sig, None).pos
+
     def symbol(
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
@@ -368,7 +386,7 @@ class BandBank:
         """Samples of ``sum_i w_i T_i f``: the coefficients at the plan's
         positions, weighted by the symbol and transformed back (one pair)."""
         sym = self.symbol(sig, weights, flags)
-        pos = self._grid(sig, None).pos
+        pos = self.positions(sig)
         return from_coefficients(coefficients(sig.samples, pos) * sym[pos], pos, sig.samples)
 
     def magnitudes(
@@ -410,7 +428,7 @@ class BandBank:
         shift = int(np.clip(np.frexp(peak)[1], -1021, 1021))
         n = sig.n
         stack = np.zeros(sum(size * k for size, k in plan.runs), dtype=np.complex128)
-        stack[plan.slots] = coefficients(sig.samples * 2.0**-shift, plan.pos) * plan.vals
+        stack[plan.slots] = coefficients(real_data(sig.samples) * 2.0**-shift, plan.pos) * plan.vals
         lags, at = [np.empty(0)], 0
         for size, k in plan.runs:
             spec = np.fft.fft(stack[at:at + k * size].reshape(k, size), axis=1)
@@ -452,7 +470,7 @@ class BandBank:
         np.outer(xi, t, out=terms.imag)
         terms.imag *= 2 * np.pi
         np.exp(terms, out=terms)
-        coeffs = (coefficients(sig.samples, plan.pos) if half is None
+        coeffs = (coefficients(real_data(sig.samples), plan.pos) if half is None
                   else _from_half(half, plan.pos, sig.n))
         terms *= (coeffs * plan.vals)[:, None]
         return np.sqrt(np.sum(np.abs(_band_sums(plan, terms) / sig.n) ** 2, axis=0))

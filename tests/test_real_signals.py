@@ -2,15 +2,16 @@
 
 A real input is stored as float64; the old path held every signal as
 complex128.  Each real input below is also adopted as complex128 (the cast
-is exact).  The band bank reads the float64 holding's coefficients from one
-``rfft`` and the complex128 holding's from the complex ``fft``, the path
-every signal took before (``spectral.coefficients``), so its operations and
-the square functions agree within 1e-14 of the peak (1e-13 for the square
-functions, ``BandBank.square``'s own accuracy), and the symbol, which takes
-no transform, bit for bit.  The weak-type ratio, the stopping-time
-decomposition (report and parts) and the signal file give the same bytes on
-both.  The decomposition's good part follows the input's dtype, so it is
-compared after the exact cast back to float64.
+is exact).  ``combine``, ``magnitudes`` and ``energies`` read the float64
+holding's coefficients from one ``rfft`` and the complex128 holding's from
+the complex ``fft`` (``spectral.coefficients`` switches on the dtype), so
+they agree within 1e-14 of the peak.  Everything else gives the same bytes
+on both: the symbol, which takes no transform; ``square``, ``square_at``
+and the square functions, which read real data in either holding from one
+``rfft`` (``spectral.real_data``); the weak-type ratio, the stopping-time
+decomposition (report and parts) and the signal file.  The decomposition's
+good part follows the input's dtype, so it is compared after the exact cast
+back to float64.
 
 Real data, held either way, is decomposed by real transforms, and every
 part it hands out is float64: each atom is split by one ``rfft``/``irfft``
@@ -62,11 +63,11 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def close(got, want, tol=1e-14) -> bool:
-    """Within ``tol`` of the peak of ``want``, in the same shape."""
+def close(got, want) -> bool:
+    """Within 1e-14 of the peak of ``want``, in the same shape."""
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and bool(
-        np.max(np.abs(got - want), initial=0.0) <= tol * np.max(np.abs(want), initial=0.0))
+        np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0))
 
 
 INPUTS = real_inputs()
@@ -110,10 +111,10 @@ def test_band_bank_operations_match_the_complex_path(label, sig):
         }
         for op, call in ops.items():
             got, want = call(sig), call(held)
-            if op == "symbol":
-                assert same_bits(got, want), name
-            else:
+            if op.startswith(("combine", "magnitudes", "energies")):
                 assert close(got, want), (name, op)
+            else:
+                assert same_bits(got, want), (name, op)
 
 
 @pytest.mark.parametrize("label, sig", INPUTS, ids=IDS)
@@ -123,8 +124,7 @@ def test_square_functions_and_weak_ratio_match_the_complex_path(label, sig):
         for order in (1, 2):
             want = sp.lp_square_function(held, order, D.pow2(-3), mode)
             got = sp.lp_square_function(sig, order, D.pow2(-3), mode)
-            # BandBank.square's own accuracy: g_N's squares sit 7e-14 apart
-            assert close(got.samples, want.samples, 1e-13), (mode, order)
+            assert same_bits(got.samples, want.samples), (mode, order)
             for exponent in (0.5, 1.0):
                 ratios = [weak_type_ratio(got.samples, s.samples, s.dx, exponent, 12)
                           for s in (sig, held)]

@@ -748,6 +748,34 @@ def test_from_coefficients_inverts_the_reader(log2_n):
         assert np.max(np.abs(full - samples)) <= 1e-14 * np.max(np.abs(samples))
 
 
+@pytest.mark.parametrize("log2_n", [0, 1, 2, 3, 7])
+def test_from_coefficients_is_real_exactly_for_hermitian_values(log2_n):
+    # on a float64 grid: one irfft of the half, bitwise, when the scattered
+    # spectrum is its own mirrored conjugate, else the ifft; mirrors dropped
+    # on either half-axis, values off their mirror's conjugate or zeroed,
+    # imaginary ends and repeated positions
+    n = 1 << log2_n
+    rng = np.random.default_rng(140 + log2_n)
+    like, taken = np.zeros(n), set()
+    for _ in range(300):
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n) * (rng.random() < 0.2)
+        q = rng.integers(0, n // 2 + 1, rng.integers(0, 6))
+        mirrors = -q % n
+        extra = rng.integers(0, n, rng.integers(0, 3) // 2)
+        pos = np.concatenate([q, mirrors[rng.random(q.size) < 0.9], extra])
+        values = np.fft.fft(samples)[pos]
+        if pos.size and rng.random() < 0.4:
+            values[pos == rng.choice(pos)] *= rng.choice([0.0, 1.0 + 1e-3j])
+        spec = np.zeros(n, dtype=complex)
+        spec[pos] = values
+        hermitian = np.array_equal(spec, np.conjugate(spec[-np.arange(n) % n]))
+        got = sp.from_coefficients(values, pos, like)
+        want = np.fft.irfft(spec[:n // 2 + 1], n) if hermitian else np.fft.ifft(spec)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        taken.add(hermitian)
+    assert taken == {True, False}
+
+
 class TestBandBank:
     # scales down to 1/32 on the 1/8 lattice: some band edges fall on lattice
     # points, some between them, and some bands hold no lattice point at all
