@@ -464,7 +464,8 @@ def _ratio_levels(out_mags, n_levels: int):
     else:
         # the smallest attained magnitude at or above each grid point, once each
         grid = np.geomspace(lo, hi, n_levels)
-        alphas = np.unique(kept[np.minimum(np.searchsorted(kept, grid), kept.size - 1)])
+        hits = kept[np.minimum(np.searchsorted(kept, grid), kept.size - 1)]
+        alphas = hits[np.diff(hits, prepend=0.0) > 0.0]
     return alphas, mags.size - np.searchsorted(mags, alphas * (1.0 - 1e-12), "left")
 
 
@@ -626,11 +627,8 @@ def _distribution_bound(experiment: str, operators: tuple, claim: str, cfg: Expe
     anchor = f"|x : |Tf(x)| > a| <= C * integral (|f|/a) log^{p:g}(e + |f|/a) dx {claim}"
 
     def rows_at(sig: Signal, label: str) -> list:
-        flags = AliasFlags()
-        mags = op.apply(sig, flags)
-        if flags.aliased:
-            return [{"label": label, "aborted": True, "note": "; ".join(flags.events[:3])}]
-        meas = weak_type_ratio(mags, sig.samples, sig.dx, p, cfg.n_levels)
+        # no experiment bank aliases (tests/test_harness.py::test_no_experiment_bank_aliases)
+        meas = weak_type_ratio(op.apply(sig), sig.samples, sig.dx, p, cfg.n_levels)
         return [{"label": label, "aborted": False,
                  "ratio": meas["max_ratio"], "alpha": meas["alpha"]}]
 
@@ -686,7 +684,7 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
 def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
                  tail_gammas: Sequence[float], banks: tuple) -> list:
     """One sample's branch measurements on the window J = [-1/2, 1/2) through
-    the ``(wide, small, every)`` banks of :func:`verify_gen_zygmund_bonami`."""
+    the banks of :func:`_gen_zb_banks`."""
     wide, small, every = banks
     x = sig.x
     # half-open windows, aligned with the sample grid
@@ -694,11 +692,7 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     gmask = (x >= -cfg.gamma / 2) & (x < cfg.gamma / 2)
 
     # blocks at unit scale and above: smooth pieces, localized averages
-    flags = AliasFlags()
-    pieces = wide.magnitudes(sig, flags=flags)
-    if flags.aliased:
-        return [{"label": label, "branch": "local", "gamma": cfg.gamma, "aborted": True,
-                 "note": "; ".join(flags.events[:3])}]
+    pieces = wide.magnitudes(sig)
     local_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2) for row in pieces[:, gmask]])
     rows = [_bound_row(label, float(np.sqrt(np.sum(local_avgs ** 2))),
                        luxemburg_avg(np.abs(sig.samples[jmask]), (cfg.sigma + cfg.tau) / 2),
@@ -739,6 +733,18 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     return rows
 
 
+def _gen_zb_banks(cfg: ExperimentConfig) -> tuple:
+    """The ``(wide, small, every)`` banks of :func:`verify_gen_zygmund_bonami`."""
+    _, smooth_cap, m, _ = _caps(cfg)
+    wide = interval_arrays(cfg.tau, 0, smooth_cap)[-1]
+    every = interval_arrays(cfg.tau, m, smooth_cap)[-1]
+    small = every.right - every.left < 1 << -m
+    return (eta_bank(wide.left, wide.right, 0, "project_smooth"),
+            BandBank(every.left[small], every.right[small], m,
+                     np.ones(np.count_nonzero(small)), "cancellative"),
+            BandBank(every.left, every.right, m, np.ones(every.left.size), "combined"))
+
+
 def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     """Window-localized block estimates for signals supported in J = [-1/2, 1/2):
 
@@ -755,14 +761,7 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     anchor = ("block-average aggregate, off-window tails, and sub-unit energies "
               "on the unit window, against Luxemburg averages of the input")
     # smooth blocks at unit scale and above, sharp sub-unit blocks, all sharp blocks
-    _, smooth_cap, m, _ = _caps(cfg)
-    wide = interval_arrays(cfg.tau, 0, smooth_cap)[-1]
-    every = interval_arrays(cfg.tau, m, smooth_cap)[-1]
-    small = every.right - every.left < 1 << -m
-    banks = (eta_bank(wide.left, wide.right, 0, "project_smooth"),
-             BandBank(every.left[small], every.right[small], m,
-                      np.ones(np.count_nonzero(small)), "cancellative"),
-             BandBank(every.left, every.right, m, np.ones(every.left.size), "combined"))
+    banks = _gen_zb_banks(cfg)
     rows = _refined_rows(cfg, specs, lambda sig, label: _gen_zb_rows(
         cfg, sig, label, tail_gammas, banks))
     report = _finish_report("gen-zygmund-bonami", anchor, cfg, "window-blocks",
@@ -780,6 +779,13 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
 
 
 # -- the sharpness family ------------------------------------------------------
+
+
+def _log_log_slope(rows: list, key: str) -> float:
+    """The least-squares slope of ``log row[key]`` against ``log row["n"]``."""
+    x = np.log([float(row["n"]) for row in rows])
+    x -= np.sum(x) / x.size
+    return float(np.sum(x * np.log([row[key] for row in rows])) / np.sum(x * x))
 
 
 def sharpness_growth(cfg: ExperimentConfig) -> dict:
@@ -845,12 +851,9 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
         "notes": notes,
     }
     if len(rows) >= 2:
-        ns = np.array([row["n"] for row in rows], dtype=float)
-        det = np.array([row["weak_det"] for row in rows])
-        report["slope_det"] = float(np.polyfit(np.log(ns), np.log(det), 1)[0])
+        report["slope_det"] = _log_log_slope(rows, "weak_det")
         if cfg.khintchine > 0:
-            rnd = np.array([row["weak_rand_max"] for row in rows])
-            report["slope_rand"] = float(np.polyfit(np.log(ns), np.log(rnd), 1)[0])
+            report["slope_rand"] = _log_log_slope(rows, "weak_rand_max")
         report["growth_correct"] = rows[-1]["ratio_correct"] / rows[0]["ratio_correct"]
         report["growth_weak"] = rows[-1]["ratio_weak"] / rows[0]["ratio_weak"]
         cmins = [row["cmin"] for row in rows]

@@ -16,16 +16,16 @@ Pieces:
 * a solver for the square-function decomposition problem: find ``f_k = D_k f
   + psi_k`` with ``D_k psi_k = 0`` minimizing the Orlicz norm of
   ``(sum_k |f_k|^2)^{1/2}``.  The objective is convex but nonsmooth, so the
-  solver minimizes a smoothed surrogate by projected gradient descent with
-  implicit differentiation of the Luxemburg norm, and reports the true
-  (unsmoothed) objective plus an exactness certificate.  Its state is
-  ``f_k`` itself; the candidate, the unprojected gradient and the squares
-  are written into buffers allocated once per solve.  The projection onto
-  the feasible subspace takes one pass: a single ``np.add.reduceat`` sums
-  every half-block of every row, and one ``np.repeat`` spreads the shifts
-  back.  The line search rejects a first trial that ``luxemburg_exceeds``
-  rules out (one Young-mass evaluation) without a Luxemburg solve.  Nonzero
-  input must have ``max|f|`` in ``[2^-400, 2^400]``.
+  solver minimizes a smoothed surrogate by projected gradient descent, in
+  three parts: an oracle built once per ``(f, sigma)``
+  (:class:`QuotientOracle`: the aggregate, its Luxemburg value and the
+  unprojected gradient by implicit differentiation, in buffers allocated
+  once), the exactness :func:`certificate` of a perturbation, and the
+  iteration, whose line search rejects a first trial that
+  ``luxemburg_exceeds`` rules out (one Young-mass evaluation) unsolved.  The
+  projection onto the feasible subspace is one ``np.add.reduceat`` over
+  every half-block of every row and one ``np.repeat`` of the shifts.
+  Nonzero input must have ``max|f|`` in ``[2^-400, 2^400]``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .orlicz import YoungFunction, exp_norm, luxemburg_avg, luxemburg_exceeds
+from .orlicz import YoungFunction, exp_norm, luxemburg_avg, luxemburg_exceeds, luxemburg_solve
 
 
 def _require_pow2(n: int) -> int:
@@ -222,27 +222,62 @@ def project_to_constraint(psi: np.ndarray) -> np.ndarray:
     return np.subtract(psi, out, out=out)
 
 
-def _aggregate(rows: np.ndarray, eps: float, out: np.ndarray,
-               squares: np.ndarray) -> np.ndarray:
-    """``sqrt(sum_k rows_k^2 + eps^2)`` written into ``out``; ``squares``
-    (the shape of ``rows``) is scratch."""
-    np.square(rows, out=squares)
-    squares.sum(axis=0, out=out)
-    out += eps**2
-    return np.sqrt(out, out=out)
+class QuotientOracle:
+    """The smoothed objective for one ``(f, sigma)``: ``D_k f``, ``eps``, and
+    at a state ``f_k`` the aggregate ``G = (sum_k f_k^2 + eps^2)^{1/2} >=
+    eps``, its Luxemburg value, and the value's gradient before projection
+    ``f_k B'(u) / (G sum_y B'(u_y) u_y)``, ``u = G/lambda`` (by implicit
+    differentiation), with B' read from the solve's evaluation of ``u``."""
+
+    def __init__(self, f: DyadicFunction, sigma: float) -> None:
+        self.f, self.sigma, self.young = f, sigma, YoungFunction(sigma / 2)
+        self.diffs = np.stack([_dk(f.samples, k) for k in range(f.max_level + 1)])
+        self.eps = EPS_SCALE * math.sqrt(float(np.mean(f.samples**2)))
+        self.raw, self.squares = np.empty_like(self.diffs), np.empty_like(self.diffs)
+
+    def aggregate(self, fk: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``G`` at ``fk``, written into ``out``."""
+        np.square(fk, out=self.squares).sum(axis=0, out=out)
+        out += self.eps**2
+        return np.sqrt(out, out=out)
+
+    def value(self, agg: np.ndarray, start: Optional[float] = None) -> tuple:
+        """``(lambda, evaluation)`` of ``G`` by :func:`~lacuna.orlicz.luxemburg_solve`."""
+        return luxemburg_solve(agg, self.sigma / 2, start=start)
+
+    def gradient(self, fk: np.ndarray, agg: np.ndarray, lam: float, terms) -> np.ndarray:
+        """The unprojected gradient at ``fk`` from ``G`` and its ``value``, into
+        a buffer; B' is 1 at sigma 0, else evaluated if ``terms`` is None."""
+        if self.sigma == 0:
+            weights = 1.0 / float((agg / lam).sum())
+        else:
+            terms = terms or self.young.mean_terms(agg / lam, agg.size)[1]
+            bp = self.young.slope(terms)
+            weights = bp / float((bp * terms[0]).sum())
+        return np.multiply(fk, weights / agg, out=self.raw)
+
+
+def certificate(oracle: QuotientOracle, psi: np.ndarray, iterations: int,
+                converged: bool) -> dict:
+    """The residual, objective, baseline and ``rhs_norm`` of the perturbation ``psi``."""
+    s, diffs = oracle.sigma, oracle.diffs
+    return {
+        "constraint_residual": max(float(np.max(np.abs(_dk(row, k)))) for k, row in enumerate(psi)),
+        "objective": luxemburg_avg(np.sqrt(np.sum((diffs + psi)**2, axis=0)), s / 2),
+        "baseline": luxemburg_avg(np.sqrt(np.sum(diffs**2, axis=0)), s / 2),
+        "sigma": s,
+        "iterations": iterations,
+        "converged": converged,
+        "rhs_norm": luxemburg_avg(np.abs(oracle.f.samples), (s + 1) / 2),
+    }
 
 
 def decompose_quotient_norm(f: DyadicFunction, sigma: float) -> DecompositionResult:
     """Minimize || (sum_k |D_k f + psi_k|^2)^{1/2} ||_{L log^{sigma/2} L}
     over perturbations with D_k psi_k = 0, by projected gradient descent on
-    the smoothed objective.
-
-    The Luxemburg norm is differentiated implicitly: with u = G/lambda at the
-    solution of  mean B(G/lambda) = 1,  one has
-    d lambda / d G_x = B'(u_x) / sum_y B'(u_y) u_y.  The Armijo search halves
-    the step from twice the last accepted one until ``luxemburg_avg(G) <= bar``;
-    at sigma > 0 a first trial that ``luxemburg_exceeds(G, sigma/2, bar)``
-    rules out is rejected unsolved, so the iterates are those of solving it.
+    :class:`QuotientOracle`: the Armijo search halves the step from twice
+    the last accepted one until the value of ``G`` is at most ``bar``, and
+    a first trial that ``luxemburg_exceeds`` rules out is rejected unsolved.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -252,52 +287,30 @@ def decompose_quotient_norm(f: DyadicFunction, sigma: float) -> DecompositionRes
             f"max|f| = {peak:.3g} lies outside [2^-{PEAK_LOG2}, 2^{PEAK_LOG2}], where the "
             "solver's squares neither underflow nor overflow; rescale the input"
         )
-    j = f.max_level
-    n = f.n
-    diffs = np.stack([_dk(f.samples, k) for k in range(j + 1)])
-    young = YoungFunction(sigma / 2)
-
-    l2 = math.sqrt(float(np.mean(f.samples**2)))
-    eps = EPS_SCALE * l2
-
-    # the state is f_k = D_k f + psi_k; the candidate, the raw gradient, the
-    # squares and both aggregates live in buffers allocated once per solve
-    fk = diffs.copy()
-    cand = np.empty_like(fk)
-    raw = np.empty_like(fk)
-    squares = np.empty_like(fk)
-    agg = _aggregate(fk, eps, np.empty(n), squares)
-    cand_agg = np.empty(n)
-
-    def gradient(g: np.ndarray, lam: float) -> np.ndarray:
-        """Projected gradient at the state, given its aggregate and norm."""
-        u = g / lam
-        bp = young.deriv(u)
-        denom = float((bp * u).sum())
-        weights = bp / denom  # d lambda / d G_x
-        np.multiply(fk, weights / g, out=raw)
-        return project_to_constraint(raw)
-
-    current = luxemburg_avg(agg, sigma / 2)
+    oracle = QuotientOracle(f, sigma)
+    # the state f_k = D_k f + psi_k, a candidate and their aggregates, in buffers
+    fk, cand = oracle.diffs.copy(), np.empty_like(oracle.diffs)
+    agg, cand_agg = oracle.aggregate(fk, np.empty(f.n)), np.empty(f.n)
+    current, terms = oracle.value(agg)
     trace = [current]
     step = INIT_STEP
     # zero input is its own optimum, and its gradient would divide by zero
-    converged = l2 == 0.0
+    converged = oracle.eps == 0.0
     iterations = 0
 
     for iterations in range(1, 0 if converged else MAX_ITER + 1):
-        grad = gradient(agg, current)
-        gnorm2 = float(np.square(grad, out=squares).sum())
+        grad = project_to_constraint(oracle.gradient(fk, agg, current, terms))
+        gnorm2 = float(np.square(grad, out=cand).sum())  # cand is free until the search
         if gnorm2 == 0.0:
             converged = True
             break
         screen = sigma > 0  # first trial only; at sigma 0 the solve is a mean
         while step > 1e-18:
             np.subtract(fk, np.multiply(grad, step, out=cand), out=cand)
-            _aggregate(cand, eps, cand_agg, squares)
+            oracle.aggregate(cand, cand_agg)
             bar = current - ARMIJO * step * gnorm2
             if not (screen and luxemburg_exceeds(cand_agg, sigma / 2, bar)):
-                value = luxemburg_avg(cand_agg, sigma / 2, start=current)
+                value, cand_terms = oracle.value(cand_agg, current)
                 if value <= bar:
                     break
             screen = False
@@ -307,7 +320,7 @@ def decompose_quotient_norm(f: DyadicFunction, sigma: float) -> DecompositionRes
             break
         fk, cand = cand, fk
         agg, cand_agg = cand_agg, agg
-        current = value
+        current, terms = value, cand_terms
         trace.append(current)
         step *= GROW
         if len(trace) > PATIENCE:
@@ -316,29 +329,7 @@ def decompose_quotient_norm(f: DyadicFunction, sigma: float) -> DecompositionRes
                 converged = True
                 break
 
-    psi = project_to_constraint(fk - diffs)  # exact feasibility of the output
-    f_k = diffs + psi
-    true_objective = luxemburg_avg(np.sqrt(np.sum(f_k**2, axis=0)), sigma / 2)
-    baseline = luxemburg_avg(np.sqrt(np.sum(diffs**2, axis=0)), sigma / 2)
-    residual = max(
-        float(np.max(np.abs(_dk(psi[k], k)))) for k in range(j + 1)
-    )
-    certificate = {
-        "constraint_residual": residual,
-        "objective": true_objective,
-        "baseline": baseline,
-        "sigma": sigma,
-        "iterations": iterations,
-        "converged": converged,
-        "rhs_norm": luxemburg_avg(np.abs(f.samples), (sigma + 1) / 2),
-    }
-    return DecompositionResult(
-        f_k=f_k,
-        psi=psi,
-        objective=true_objective,
-        baseline=baseline,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        certificate=certificate,
-    )
+    psi = project_to_constraint(fk - oracle.diffs)  # exact feasibility of the output
+    cert = certificate(oracle, psi, iterations, converged)
+    return DecompositionResult(oracle.diffs + psi, psi, cert["objective"], cert["baseline"],
+                               iterations, converged, trace, cert)

@@ -12,13 +12,15 @@ Conventions (sigma >= 0 throughout):
   iteration on ``s = log lam``, with tolerance 1e-10 on the constraint value.
   The bracket starts at ``[mean |f|, mean max(2, log(e + max/mean)^sigma)]``,
   whose upper end the growth of ``B`` alone puts above the root (the bracket
-  bound, see :func:`luxemburg_avg`), and shrinks with every evaluation; a
+  bound, see :func:`luxemburg_solve`), and shrinks with every evaluation; a
   Newton step that leaves it is replaced by the bracket midpoint.  The first
   evaluation is at a warm start inside the bracket, else at its midpoint
   (after doubling the upper end where the mean is subnormal).
   ``sigma = 0`` returns the mean exactly.  Zero samples are skipped
   (``B(0) = 0``), and each evaluation takes one log per remaining sample,
   shared by ``B`` and the Newton slope (:meth:`YoungFunction.mean_terms`).
+  ``luxemburg_solve`` also hands back the evaluation its value was accepted
+  on, from which :meth:`YoungFunction.slope` reads ``B'`` with no more logs.
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
   (mean |f|^p)^{1/p}`` over integer p, the exp(L^{1/sigma}) norm up to
   absolute constants.  ``sigma = 0`` is rejected; that endpoint is the
@@ -42,7 +44,7 @@ EXP_NORM_MAX_P = 512
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """``B_sigma(t) = t (log(e+t))^sigma`` with its derivative."""
+    """``B_sigma(t) = t (log(e+t))^sigma``; its slope is read from an evaluation."""
 
     sigma: float
 
@@ -56,30 +58,22 @@ class YoungFunction:
             return t.copy()
         return t * np.log(_E + t) ** self.sigma
 
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.sigma == 0:
-            return np.ones_like(t)
-        et = _E + t
-        logs = np.log(et)
-        return logs**self.sigma + self.sigma * t * logs ** (self.sigma - 1) / et
-
     def mean_terms(self, t: np.ndarray, size: int) -> tuple:
-        """``sum B(t) / size`` and the arrays :meth:`mean_slope` reuses.
-
-        ``log(e + t)`` is taken once; the operations are those of
-        ``__call__`` and :meth:`deriv`, so both sums are bitwise theirs.
-        """
+        """``sum B(t) / size``, bitwise ``__call__``'s, and the arrays
+        :meth:`slope` reads, with ``log(e + t)`` taken once."""
         et = _E + t
         logs = np.log(et)
         power = logs**self.sigma
         return float((t * power).sum()) / size, (t, et, logs, power)
 
+    def slope(self, terms: tuple) -> np.ndarray:
+        """``B'(t)`` from the arrays :meth:`mean_terms` returned for ``t``."""
+        t, et, logs, power = terms
+        return power + self.sigma * t * logs ** (self.sigma - 1) / et
+
     def mean_slope(self, terms: tuple, size: int) -> float:
         """``sum B'(t) t / size`` from the arrays :meth:`mean_terms` returned."""
-        t, et, logs, power = terms
-        slope = power + self.sigma * t * logs ** (self.sigma - 1) / et
-        return float((slope * t).sum()) / size
+        return float((self.slope(terms) * terms[0]).sum()) / size
 
     def submult_constant(self) -> float:
         """c with B(st) <= c B(s) B(t): log(e+st) <= 2 log(e+s) log(e+t)."""
@@ -87,7 +81,15 @@ class YoungFunction:
 
 
 def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> float:
-    """Luxemburg average ``inf { lam : mean B_sigma(|f|/lam) <= 1 }``.
+    """Luxemburg average ``inf { lam : mean B_sigma(|f|/lam) <= 1 }`` (:func:`luxemburg_solve`)."""
+    return _solve(values, sigma, start)[0]
+
+
+def luxemburg_solve(values, sigma: float, *, start: Optional[float] = None) -> tuple:
+    """``(lam, terms)``: the Luxemburg average and the Young evaluation it
+    was accepted on (:meth:`YoungFunction.mean_terms` of the nonzero
+    ``|f|/lam``), or ``None`` where the solve ended without one at ``lam``:
+    sigma 0, a zero mean, a collapsed bracket or the step cap.
 
     ``h(s) = mean B(|f| e^{-s}) - 1`` is convex and decreasing in
     ``s = log lam``, so Newton's step ``lam <- lam exp(h / mean B'(u) u)``
@@ -114,6 +116,11 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     sample count, which is exact because ``B(0) = 0`` and ``B'(0) 0 = 0``.
     With no zero sample the sums are those over all of ``values``.
     """
+    return _solve(values, sigma, start)
+
+
+def _solve(values, sigma: float, start: Optional[float]) -> tuple:
+    # both entries' body: a tracer of public functions times each solve once
     B = YoungFunction(sigma)
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     if v.size == 0:
@@ -121,10 +128,8 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     mean = float(v.sum()) / v.size  # the reduction and division of v.mean()
     if not math.isfinite(mean):
         raise ValueError("values and their mean must be finite")
-    if mean == 0.0:
-        return 0.0
-    if sigma == 0:
-        return mean
+    if mean == 0.0 or sigma == 0:
+        return mean, None
 
     lo = mean  # B(t) >= t so the constraint is >= 1 here
     try:
@@ -142,7 +147,7 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
     val, terms = B.mean_terms(v / lam, size)
     for _ in range(200):
         if abs(val - 1.0) <= CONSTRAINT_TOL:
-            return lam
+            return lam, terms
         if val > 1.0:
             lo = lam
         else:
@@ -153,7 +158,7 @@ def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> flo
         nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
         val, terms = B.mean_terms(v / lam, size)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), None
 
 
 def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
@@ -169,7 +174,7 @@ def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
     be its lower end).  Such a bracket's upper end lies far above ``bound``:
     it is an iterate with computed constraint below 1, or the first upper
     end, which for a normal mean the solve never evaluates but the bracket
-    bound of :func:`luxemburg_avg` puts at ``mean B <= 0.9964``, and for a
+    bound of :func:`luxemburg_solve` puts at ``mean B <= 0.9964``, and for a
     subnormal one was doubled until its computed constraint was at most 1.
     """
     v = np.abs(np.asarray(values, dtype=float)).ravel()

@@ -17,8 +17,8 @@ supported in [-5/8, 5/8], built from the standard exp(-1/u) smoothstep; a
 projection to interval ``L`` multiplies by ``eta((xi - c_L)/|L|)``.
 
 Anything that would touch frequencies outside the representable band sets a
-flag on the optional :class:`AliasFlags` accumulator instead of raising, so
-experiments can assert clean runs.
+flag on the optional :class:`AliasFlags` accumulator instead of raising, for
+the caller to report (no experiment's bank reaches one).
 
 Band operators read coefficients through :func:`coefficients` and write
 samples through :func:`from_coefficients`, the one pair that picks a real
@@ -105,7 +105,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class AliasFlags:
-    """Accumulates band-edge events; experiments assert it stays clear."""
+    """Accumulates band-edge events; ``lacuna project`` and ``sqfn`` report them."""
 
     def __init__(self) -> None:
         self.events: list[str] = []

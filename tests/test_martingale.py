@@ -10,12 +10,17 @@ Reference ledger:
 - ``reference_project``: the projection as a block mean per row, the one
   past version kept; ``project_to_constraint`` at 2^0 and 2^12, scales 1e-3
   and 1e3, to 1e-15 of the peak (a ``_dk`` loop checks 2^0 to 2^12 alike).
-- ``reference_solve``: the solver loop before its state buffers, kept until
-  the solver's stop rule changes; the 16 gate 08 inputs and the rough input
-  capped at 1000 iterations (solved once per module, ``screened_solves``),
-  objectives to 1e-5, iterations within 5, residuals to 1e-10.  The same
-  solves are compared bitwise, with their Luxemburg solve counts, against a
-  run whose screen never answers.
+- ``reference_solve``: the solver loop before its state buffers, with B'
+  written out in its two-sum form, kept until the solver's stop rule
+  changes; the 16 gate 08 inputs and the rough input capped at 1000
+  iterations (solved once per module, ``screened_solves``), objectives to
+  1e-5, iterations within 5, residuals to 1e-10.  The same solves are
+  compared bitwise, with their Luxemburg solve counts, against a run whose
+  screen never answers.
+- ``inline_gradient``: the gradient before ``QuotientOracle`` read B' from
+  the accepted solve's evaluation (``B'(agg / value)`` taken afresh); the
+  oracle's gradient at every accepted iterate of the first gate 08 input,
+  sigma 0 and 1, bitwise.
 """
 
 import json
@@ -27,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import martingale as mg
-from lacuna.orlicz import YoungFunction, luxemburg_avg
+from lacuna.orlicz import YoungFunction, luxemburg_avg, luxemburg_solve
 import test_acceptance
 
 
@@ -311,6 +316,19 @@ def reference_project(psi):
     return out
 
 
+def two_sum_slope(u, s):
+    """``B_s'(u) = log(e + u)^s + s u log(e + u)^(s - 1) / (e + u)``, 1 at s = 0."""
+    logs = np.log(math.e + u)
+    return np.ones_like(u) if s == 0 else logs**s + s * u * logs ** (s - 1) / (math.e + u)
+
+
+def inline_gradient(oracle, fk, agg, lam):
+    """The oracle's gradient as it was before it read B' from the solve."""
+    u = agg / lam
+    bp = two_sum_slope(u, oracle.young.sigma)
+    return fk * (bp / float((bp * u).sum()) / agg)
+
+
 def reference_solve(f, sigma):
     """The solver loop before its state buffers: psi is the state, every
     candidate and gradient a fresh array, the projection a block mean per
@@ -318,7 +336,6 @@ def reference_solve(f, sigma):
     Returns (objective, iterations, constraint residual)."""
     j = f.max_level
     diffs = np.stack([mg._dk(f.samples, k) for k in range(j + 1)])
-    young = YoungFunction(sigma / 2)
     eps = mg.EPS_SCALE * math.sqrt(float(np.mean(f.samples**2)))
 
     def smoothed(psi, start=None):
@@ -327,7 +344,7 @@ def reference_solve(f, sigma):
 
     def gradient(psi, g, lam):
         u = g / lam
-        bp = young.deriv(u)
+        bp = two_sum_slope(u, sigma / 2)
         weights = bp / float(np.sum(bp * u))
         return reference_project((diffs + psi) * (weights / g))
 
@@ -365,19 +382,20 @@ def reference_solve(f, sigma):
 
 
 def counted_solve(f, sigma):
-    """``decompose_quotient_norm(f, sigma)`` and its number of Luxemburg solves."""
+    """``decompose_quotient_norm(f, sigma)`` and its number of Luxemburg solves
+    in the iteration (the certificate's are not counted)."""
     calls = []
 
     def counting(values, s, **kwargs):
         calls.append(1)
-        return luxemburg_avg(values, s, **kwargs)
+        return luxemburg_solve(values, s, **kwargs)
 
-    real = mg.luxemburg_avg
-    mg.luxemburg_avg = counting
+    real = mg.luxemburg_solve
+    mg.luxemburg_solve = counting
     try:
         out = mg.decompose_quotient_norm(f, sigma)
     finally:
-        mg.luxemburg_avg = real
+        mg.luxemburg_solve = real
     return out, len(calls)
 
 
@@ -444,9 +462,9 @@ class TestDecompositionSolver:
 
         def recording(values, s, **kwargs):
             seen.append(np.array(values, dtype=float))
-            return luxemburg_avg(values, s, **kwargs)
+            return luxemburg_solve(values, s, **kwargs)
 
-        monkeypatch.setattr(mg, "luxemburg_avg", recording)
+        monkeypatch.setattr(mg, "luxemburg_solve", recording)
         out = mg.decompose_quotient_norm(mg.DyadicFunction(gate08_values()), sigma)
         assert out.iterations > 10
         assert len(seen) > out.iterations
@@ -519,37 +537,60 @@ class TestDecompositionSolver:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(54)
         f = random_function(3, seed=55)
-        sigma = 1.0
-        j = f.max_level
-        diffs = np.stack([mg._dk(f.samples, k) for k in range(j + 1)])
-        eps = 1e-6 * math.sqrt(float(np.mean(f.samples**2)))
+        oracle = mg.QuotientOracle(f, 1.0)
 
         def aggregate(psi):
-            return np.sqrt(np.sum((diffs + psi) ** 2, axis=0) + eps**2)
+            return oracle.aggregate(oracle.diffs + psi, np.empty(f.n))
 
         def smoothed(psi):
-            return luxemburg_avg(aggregate(psi), sigma / 2)
+            return oracle.value(aggregate(psi))[0]
 
-        young = YoungFunction(sigma / 2)
-
-        def analytic_grad(psi):
-            g = aggregate(psi)
-            lam = luxemburg_avg(g, sigma / 2)
-            u = g / lam
-            bp = young.deriv(u)
-            weights = bp / float(np.sum(bp * u))
-            return mg.project_to_constraint((diffs + psi) * (weights / g))
-
-        psi = mg.project_to_constraint(rng.standard_normal(diffs.shape) * 0.3)
-        grad = analytic_grad(psi)
+        psi = mg.project_to_constraint(rng.standard_normal(oracle.diffs.shape) * 0.3)
+        agg = aggregate(psi)
+        grad = mg.project_to_constraint(
+            oracle.gradient(oracle.diffs + psi, agg, *oracle.value(agg)))
         for _ in range(4):
-            direction = mg.project_to_constraint(rng.standard_normal(diffs.shape))
+            direction = mg.project_to_constraint(rng.standard_normal(oracle.diffs.shape))
             h = 1e-5
             fd = (smoothed(psi + h * direction) - smoothed(psi - h * direction)) / (
                 2 * h
             )
             dot = float(np.sum(grad * direction))
             assert fd == pytest.approx(dot, rel=2e-3, abs=1e-8)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_gradient_is_the_inline_formula_at_every_accepted_iterate(self, sigma,
+                                                                      monkeypatch):
+        # B' comes from the accepted solve's evaluation: no Young evaluation
+        # runs outside the solves and the screen
+        active, outside, checked = [], [], []
+
+        def inside(fn):
+            def wrapped(*args, **kwargs):
+                active.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+            return wrapped
+
+        for name in ("luxemburg_solve", "luxemburg_exceeds", "luxemburg_avg"):
+            monkeypatch.setattr(mg, name, inside(getattr(mg, name)))
+        real_terms = YoungFunction.mean_terms
+        monkeypatch.setattr(YoungFunction, "mean_terms", lambda self, t, size: (
+            outside.append(not active) or real_terms(self, t, size)))
+        real_gradient = mg.QuotientOracle.gradient
+
+        def checking(oracle, fk, agg, lam, terms):
+            got = real_gradient(oracle, fk, agg, lam, terms)
+            assert np.array_equal(got, inline_gradient(oracle, fk, agg, lam))
+            checked.append(1)
+            return got
+
+        monkeypatch.setattr(mg.QuotientOracle, "gradient", checking)
+        out = mg.decompose_quotient_norm(mg.DyadicFunction(gate08_values()), sigma)
+        assert len(checked) == out.iterations > 10
+        assert not any(outside) and (sigma == 0 or len(outside) > out.iterations)
 
     def test_objective_convex_along_segments(self):
         rng = np.random.default_rng(56)
@@ -619,9 +660,8 @@ class TestScreenedLineSearch:
 def test_young_derivative_is_its_two_sum_form_bitwise(sigma):
     rng = np.random.default_rng(23)
     t = np.concatenate([rng.pareto(1.1, 4096), [0.0, 1e-300, 1e300]])
+    young = YoungFunction(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = YoungFunction(sigma).deriv(t)
-        logs = np.log(math.e + t)
-        want = (np.ones_like(t) if sigma == 0 else
-                logs**sigma + sigma * t * logs ** (sigma - 1) / (math.e + t))
+        got = young.slope(young.mean_terms(t, t.size)[1])
+        want = two_sum_slope(t, sigma)
     assert np.array_equal(got, want, equal_nan=True)

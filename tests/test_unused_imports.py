@@ -62,7 +62,7 @@ TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 REFERENCE_NAME = re.compile(
     r"reference_\w+|exact_\w+|\w+_luxemburg|sorted_\w+|brute_\w+|\w+_reference")
 # numpy calls that hand their work to a BLAS library, by the name called
-BLAS_CALLS = ("dot", "vdot", "matmul", "einsum", "tensordot")
+BLAS_CALLS = ("dot", "vdot", "matmul", "einsum", "tensordot", "polyfit")
 # the uses of numpy's FFT outside spectral.py, by module: f_N's synthesis
 FFT_EXCEPTIONS = {"multipliers.py": ["irfft"]}
 
@@ -180,9 +180,10 @@ a @= y
 b = np.dot(x, y) + x.dot(y) + np.matmul(x, y)
 c = np.einsum("ij,jk", x, y) + np.linalg.solve(x, y)
 d = np.sum(x * y) + dot_count
+e = np.polyfit(x, y, 1)
 """
     assert blas_calls(ast.parse(module)) == ["2: linalg", "3: @", "4: @", "5: dot", "5: dot",
-                                             "5: matmul", "6: einsum", "6: solve"]
+                                             "5: matmul", "6: einsum", "6: solve", "8: polyfit"]
 
 
 def fft_uses(tree: ast.Module) -> list:
