@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ from .harness import (
     decompose_experiment,
     make_config,
     parse_config,
+    report_payload,
     report_to_json,
     save_report_csv,
     sharpness_growth,
@@ -65,8 +66,7 @@ __all__ = ["main"]
 MAX_TAU = 20
 
 
-def _emit(payload, out: Optional[str]) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out) -> None:
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -112,10 +112,10 @@ def _resolve_config(args: argparse.Namespace):
 
 
 def _finish_experiment(report, args: argparse.Namespace) -> int:
-    _emit(report_to_json(report), args.out)
+    payload = report_payload(report)
+    _emit(report_to_json(payload), args.out)
     if args.csv:
-        save_report_csv(report, args.csv)
-    payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
+        save_report_csv(payload, args.csv)
     return 0 if payload.get("ok") else 1
 
 
@@ -172,7 +172,7 @@ def _cmd_lacunary(args: argparse.Namespace) -> int:
         _require_floats(pts.points)
         payload["count"] = len(pts.points)
         payload["points"] = [float(p) for p in pts.points]
-    _emit(payload, args.out)
+    _emit(report_to_json(payload), args.out)
     return 0
 
 
@@ -199,7 +199,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
         "alias_events": flags.events,
         "output": args.output,
     }
-    _emit(summary, args.out)
+    _emit(report_to_json(summary), args.out)
     return _require_finite("project: summary", summary) or int(flags.aliased)
 
 
@@ -223,7 +223,7 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
         "alias_events": flags.events,
         "output": args.output,
     }
-    _emit(summary, args.out)
+    _emit(report_to_json(summary), args.out)
     return _require_finite("sqfn: summary", summary) or int(flags.aliased)
 
 
@@ -242,7 +242,7 @@ def _cmd_orlicz(args: argparse.Namespace) -> int:
     if args.alpha is not None:
         payload["young_mass"] = young_mass(sig, args.sigma, args.alpha)
         payload["alpha"] = args.alpha
-    _emit(payload, args.out)
+    _emit(report_to_json(payload), args.out)
     return _require_finite("orlicz: result", payload)
 
 
@@ -254,9 +254,13 @@ def _cmd_czd(args: argparse.Namespace) -> int:
     except ValueError as err:
         sys.stderr.write(f"czd: {err}\n")
         return 1
+    text = report_to_json(dec)
     if args.output:
-        dec.save(args.output)
-    _emit(dec.to_json_dict(), args.out)
+        prefix = Path(args.output)
+        _emit(text, prefix.with_suffix(".json"))
+        write_signal(f"{prefix}_good.bin", dec.good)
+        write_signal(f"{prefix}_lacunary.bin", dec.lacunary_part)
+    _emit(text, args.out)
     return _require_finite("czd: certificate", dec.constants)
 
 

@@ -38,17 +38,15 @@ Discretization notes that drive the implementation:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .lacunary import lattice_points
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import Signal, coefficients, from_coefficients, real_data, rms, write_signal
+from .spectral import Signal, coefficients, from_coefficients, real_data, rms
 
 __all__ = [
     "StoppingInterval",
@@ -102,10 +100,14 @@ class CzDecomposition:
     good: Signal
     atoms: tuple
     lacunary_part: Signal
-    stopping: tuple
     alpha: float
     sigma: int
     constants: dict
+
+    @property
+    def stopping(self) -> tuple:
+        """The stopping intervals, one per atom."""
+        return tuple(atom.interval for atom in self.atoms)
 
     def cancellative_part(self) -> Signal:
         out = np.zeros(self.good.n, dtype=self.lacunary_part.samples.dtype)
@@ -124,24 +126,6 @@ class CzDecomposition:
             "atoms": [atom.diagnostics for atom in self.atoms],
             "constants": self.constants,
         }
-
-    def save(self, prefix) -> dict:
-        """Write ``<prefix>.json`` plus binary dumps of the two global parts.
-
-        The binary signal format is centered, so this requires the ambient
-        window to be centered as well.
-        """
-        prefix = Path(prefix)
-        paths = {
-            "json": prefix.with_suffix(".json"),
-            "good": prefix.parent / (prefix.name + "_good.bin"),
-            "lacunary": prefix.parent / (prefix.name + "_lacunary.bin"),
-        }
-        with open(paths["json"], "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-        write_signal(paths["good"], self.good)
-        write_signal(paths["lacunary"], self.lacunary_part)
-        return {k: str(v) for k, v in paths.items()}
 
 
 def _young_weights(mags: np.ndarray, s: float, alpha: float) -> np.ndarray:
@@ -345,7 +329,7 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     good = Signal._adopt(good_vals, sig.period, sig.offset)
     lac_part = Signal._adopt(lac_vals, sig.period, sig.offset)
 
-    dec = CzDecomposition(good, tuple(atoms), lac_part, stopping, float(alpha), sigma, {})
+    dec = CzDecomposition(good, tuple(atoms), lac_part, float(alpha), sigma, {})
     dec.constants.update(_global_constants(sig, dec, mags, good_mags, mass))
     return dec
 
@@ -358,8 +342,11 @@ def _global_constants(sig: Signal, dec: CzDecomposition, mags: np.ndarray,
     l1_f = float(sig.dx * np.sum(mags))
     l1_good = float(sig.dx * np.sum(good_mags))
     lac_sq = float(sig.dx * np.sum(np.abs(lac_part.samples) ** 2))
-    atom_weighted = float(sum(a.interval.length * a.diagnostics["atom_average"] ** 2
-                              for a in atoms))
+    try:
+        atom_weighted = float(sum(a.interval.length * a.diagnostics["atom_average"] ** 2
+                                  for a in atoms))
+    except OverflowError:  # a float's ** 2 raises past the float range
+        atom_weighted = math.inf
     sandwich_ok = all(
         alpha * (1 - 1e-9) < a.diagnostics["level_average"] <= 2 * alpha * (1 + 1e-9)
         for a in atoms

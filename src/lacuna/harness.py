@@ -66,6 +66,7 @@ __all__ = [
     "sharpness_growth",
     "cww_experiment",
     "decompose_experiment",
+    "report_payload",
     "report_to_json",
     "save_report_json",
     "save_report_csv",
@@ -953,9 +954,14 @@ def decompose_experiment(cfg: ExperimentConfig,
 # -- report output --------------------------------------------------------
 
 
+def report_payload(report) -> dict:
+    """The dict of a report: its ``to_json_dict()``, or the report itself."""
+    return report.to_json_dict() if hasattr(report, "to_json_dict") else report
+
+
 def report_to_json(report) -> str:
-    payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
-    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # inf, nan: null
+    """Sorted keys, two-space indent, and ``null`` for a float that is not finite."""
+    strict = json.loads(json.dumps(report_payload(report)), parse_constant=lambda _: None)
     return json.dumps(strict, indent=2, sort_keys=True) + "\n"
 
 
@@ -965,8 +971,9 @@ def save_report_json(report, path) -> None:
 
 
 def save_report_csv(report, path) -> None:
-    """Flatten the per-sample rows; scalar report fields go to a header row."""
-    payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
+    """Write the report's ``samples`` or ``rows`` as CSV, one column per
+    scalar row field; the other report fields are left out."""
+    payload = report_payload(report)
     rows = payload.get("samples") or payload.get("rows") or []
     keys: list[str] = []
     for row in rows:

@@ -14,8 +14,8 @@ Conventions (sigma >= 0 throughout):
   whose upper end the growth of ``B`` alone puts above the root (the bracket
   bound, see :func:`luxemburg_solve`), and shrinks with every evaluation; a
   Newton step that leaves it is replaced by the bracket midpoint.  The first
-  evaluation is at a warm start inside the bracket, else at its midpoint
-  (after doubling the upper end where the mean is subnormal).
+  evaluation is at a warm start of ``luxemburg_solve`` inside the bracket,
+  else at its midpoint (after doubling the upper end where the mean is subnormal).
   ``sigma = 0`` returns the mean exactly.  Zero samples are skipped
   (``B(0) = 0``), and each evaluation takes one log per remaining sample,
   shared by ``B`` and the Newton slope (:meth:`YoungFunction.mean_terms`).
@@ -80,9 +80,9 @@ class YoungFunction:
         return 2.0**self.sigma
 
 
-def luxemburg_avg(values, sigma: float, *, start: Optional[float] = None) -> float:
+def luxemburg_avg(values, sigma: float) -> float:
     """Luxemburg average ``inf { lam : mean B_sigma(|f|/lam) <= 1 }`` (:func:`luxemburg_solve`)."""
-    return _solve(values, sigma, start)[0]
+    return _solve(values, sigma, None)[0]
 
 
 def luxemburg_solve(values, sigma: float, *, start: Optional[float] = None) -> tuple:
@@ -162,7 +162,7 @@ def _solve(values, sigma: float, start: Optional[float]) -> tuple:
 
 
 def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
-    """True only if ``luxemburg_avg(values, sigma, start=...)`` exceeds
+    """True only if ``luxemburg_solve(values, sigma, start=...)[0]`` exceeds
     ``bound`` for every ``start``, from one evaluation of B (finite values).
 
     ``mean B(|f|/lam)`` decreases in ``lam`` with log-slope at most ``1 +

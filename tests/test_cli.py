@@ -405,19 +405,22 @@ class TestOrlicz:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == "orlicz: result not finite: young_mass\n"
-        assert json.loads(captured.out)["young_mass"] == float("inf")
+        # strict JSON on exit 1 too: the infinite mass prints as null
+        assert json.loads(captured.out, parse_constant=pytest.fail)["young_mass"] is None
 
 
 class TestCzd:
     def test_decomposition_json_and_files(self, stored_signal, tmp_path, capsys):
         prefix = tmp_path / "dec"
-        code, got = run_json(capsys, ["czd", "--input", str(stored_signal),
-                                      "--sigma", "1", "--alpha", "0.5",
-                                      "--output", str(prefix)])
+        code = main(["czd", "--input", str(stored_signal), "--sigma", "1", "--alpha", "0.5",
+                     "--output", str(prefix)])
+        out = capsys.readouterr().out
+        got = json.loads(out)
         assert code == 0
         assert got["constants"]["reconstruction_error"] < 1e-10
         assert got["constants"]["sandwich_ok"] is True
-        assert (tmp_path / "dec.json").exists()
+        # the saved report is the printed one, byte for byte
+        assert (tmp_path / "dec.json").read_text(encoding="ascii") == out
         assert (tmp_path / "dec_good.bin").exists()
 
     def test_min_margin_guard(self, tmp_path, capsys):
@@ -518,7 +521,8 @@ class TestCzd:
         captured = capsys.readouterr()
         assert code == 1
         assert "not finite: lacunary_l2_sq" in captured.err
-        assert json.loads(captured.out)["constants"]["lacunary_l2_sq"] == float("inf")
+        got = json.loads(captured.out, parse_constant=pytest.fail)
+        assert got["constants"]["lacunary_l2_sq"] is None
 
     def test_alpha_whose_square_overflows_fails_cleanly(self, tmp_path, capsys):
         vals = np.zeros(64)
@@ -531,6 +535,22 @@ class TestCzd:
         assert code == 1
         assert "czd: certificate not finite: lacunary_l2_sq, lacunary_vs_mass" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("sigma", ["0", "2"])
+    def test_atom_average_whose_square_overflows_fails_cleanly(self, tmp_path, capsys, sigma):
+        # finite samples whose atom averages pass 1.3e154, where a float's
+        # ** 2 raises OverflowError; their weighted sum of squares is inf
+        x = np.linspace(-4.0, 4.0, 1024)
+        path = tmp_path / "bump.bin"
+        write_signal(path, Signal(1e160 * np.exp(-50 * x ** 2), 16.0, -8.0))
+        with np.errstate(over="ignore"):
+            code = main(["czd", "--input", str(path), "--sigma", sigma, "--alpha", "2.5e159"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("czd: certificate not finite: atom_weighted_sq, "
+                                "lacunary_l2_sq, lacunary_vs_atoms, lacunary_vs_mass\n")
+        got = json.loads(captured.out, parse_constant=pytest.fail)["constants"]
+        assert got["atom_weighted_sq"] is None and got["n_atoms"] == 2
 
     @pytest.mark.parametrize("cut", ["half", "trailing", "header", "big_j", "inf_period"])
     def test_malformed_input_is_a_usage_error(self, stored_signal, tmp_path, capsys, cut):

@@ -3,12 +3,14 @@
 ``verify``, ``cww`` and ``sharpness``.
 
 Every generated command line must end in exit status 0, 1 or 2 without an
-uncaught exception within a few seconds, and a run that exits 0 must print
-strict JSON: no ``Infinity`` or ``NaN`` token; a ``lacunary`` run's points
-must be as many as its count and strictly increasing.  Flag values mix integers, floats (nan, inf,
+uncaught exception within a few seconds.  What a run prints on exit 0 or 1
+must be strict JSON, with no ``Infinity`` or ``NaN`` token, and on exit 0
+every float in it finite; a ``lacunary`` run's points must be as many as its
+count and strictly increasing.  Flag values mix integers, floats (nan, inf,
 1e+-400, negative), empty strings and junk; inputs are small stored signals,
-some with huge or tiny finite samples or periods, and paths that do not
-exist or are not files.  ``decompose`` draws each flag from values that
+some with huge or tiny finite samples or periods (a 1e160 bump whose czd atom
+averages square past the float range), and paths that do not exist or are
+not files.  ``decompose`` draws each flag from values that
 parse and the same mixed values, and ``--config`` files (valid, out of range,
 junk, not UTF-8, missing, a directory); a run that exits 0 must report a
 feasible perturbation no worse than none (``ok``).  ``verify`` draws its
@@ -54,10 +56,12 @@ def _signals(root):
     spiky = np.zeros(64)
     spiky[8:24] = 1.2e154
     alternating = np.where(np.arange(64) % 2, -1.0, 1.0) * 1e308
+    wide = np.linspace(-4.0, 4.0, 1024)
     files = {
         "plain": Signal(bump * np.cos(6 * x), 16.0, -8.0),
         "huge": Signal(spiky, 8.0, -4.0),
         "max": Signal(alternating, 16.0, -8.0),
+        "bump": Signal(1e160 * np.exp(-50 * wide ** 2), 16.0, -8.0),
         "tiny": Signal(bump * 1e-300, 16.0, -8.0),
         "subnormal": Signal(np.full(16, 5e-324), 1.0, -0.5),
         "zero": Signal(np.zeros(32), 4.0, -2.0),
@@ -150,6 +154,8 @@ def test_flags_end_in_a_status_and_strict_json(workdir, capsys, monkeypatch, dat
     captured = capsys.readouterr()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in captured.err
+    if code == 1 and captured.out:  # a non-finite value or an aliased band
+        json.loads(captured.out, parse_constant=_reject)
     if code == 0:
         payload = json.loads(captured.out, parse_constant=_reject)
         assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))

@@ -55,8 +55,9 @@ import numpy as np
 import pytest
 
 from lacuna import czd
+from lacuna.cli import main
 from lacuna.orlicz import YoungFunction, luxemburg_avg
-from lacuna.spectral import Signal, plateau_bump, read_signal, rms
+from lacuna.spectral import Signal, plateau_bump, read_signal, rms, write_signal
 import test_acceptance
 
 
@@ -324,7 +325,7 @@ def reference_cz_decompose(sig, sigma, alpha, min_margin=None):
         good_vals[atom.interval.lo : atom.interval.hi] = 0.0
         lac_vals[atom.interval.lo : atom.interval.hi] = atom.lacunary.samples
     dec = czd.CzDecomposition(copied(sig, good_vals, sig.samples.dtype), tuple(atoms),
-                              copied(sig, lac_vals), stopping, float(alpha), sigma, {})
+                              copied(sig, lac_vals), float(alpha), sigma, {})
     dec.constants.update(reference_constants(sig, dec))
     return dec
 
@@ -1107,19 +1108,23 @@ class TestDecomposition:
             assert d["lacunary_constant"] >= 0
             assert d["hi"] - d["lo"] == atom.cancellative.n
 
-    def test_save_round_trip(self, tmp_path):
+    def test_save_round_trip(self, tmp_path, capsys):
+        # ``lacuna czd --output`` saves the report and the two global parts
         sig = random_signal(256, seed=44, period=8.0)
+        write_signal(tmp_path / "in.bin", sig)
         alpha = 1.5 * luxemburg_avg(np.abs(sig.samples), 0.0)
         dec = czd.cz_decompose(sig, 0, alpha)
-        paths = dec.save(tmp_path / "case")
-        with open(paths["json"]) as fh:
+        assert main(["czd", "--input", str(tmp_path / "in.bin"), "--sigma", "0",
+                     "--alpha", repr(alpha), "--output", str(tmp_path / "case")]) == 0
+        assert (tmp_path / "case.json").read_text() == capsys.readouterr().out
+        with open(tmp_path / "case.json") as fh:
             meta = json.load(fh)
         assert meta["sigma"] == 0
         assert meta["n"] == 256
-        assert len(meta["stopping"]) == len(dec.stopping)
-        good = read_signal(paths["good"])
+        assert len(meta["stopping"]) == len(dec.stopping) == len(dec.atoms) > 0
+        good = read_signal(tmp_path / "case_good.bin")
         assert np.array_equal(good.samples, dec.good.samples)
-        lac = read_signal(paths["lacunary"])
+        lac = read_signal(tmp_path / "case_lacunary.bin")
         assert np.array_equal(lac.samples, dec.lacunary_part.samples)
 
     def test_json_serializable(self):

@@ -340,7 +340,7 @@ def reference_solve(f, sigma):
 
     def smoothed(psi, start=None):
         g = np.sqrt(np.sum((diffs + psi) ** 2, axis=0) + eps**2)
-        return g, luxemburg_avg(g, sigma / 2, start=start)
+        return g, luxemburg_solve(g, sigma / 2, start=start)[0]
 
     def gradient(psi, g, lam):
         u = g / lam

@@ -127,7 +127,8 @@ def bracket_probe_luxemburg(values, sigma: float, start=None) -> float:
 def count_young_calls(monkeypatch, fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the number of ``B`` evaluations it made:
     calls of ``YoungFunction.mean_terms``, through which ``luxemburg_avg``,
-    ``luxemburg_exceeds`` and ``bracket_probe_luxemburg`` make every one."""
+    ``luxemburg_solve``, ``luxemburg_exceeds`` and ``bracket_probe_luxemburg``
+    make every one."""
     calls = []
     real_terms = YoungFunction.mean_terms
     monkeypatch.setattr(YoungFunction, "mean_terms",
@@ -362,10 +363,10 @@ def test_warm_start_inside_the_bracket_is_used(sigma, monkeypatch):
     v = np.random.default_rng(3).pareto(1.5, 4096)
     lam = luxemburg_avg(v, sigma)
     # started at its own root: one evaluation, and no doubling probe
-    got, calls = count_young_calls(monkeypatch, luxemburg_avg, v, sigma, start=lam)
+    (got, _), calls = count_young_calls(monkeypatch, luxemburg_solve, v, sigma, start=lam)
     assert got == lam
     assert calls == 1
-    near = luxemburg_avg(v, sigma, start=lam * (1 + 1e-3))
+    near = luxemburg_solve(v, sigma, start=lam * (1 + 1e-3))[0]
     assert abs(near - lam) <= 1e-9 * lam
 
 
@@ -374,7 +375,7 @@ def test_start_above_the_root_skips_the_doubling_probe(sigma, monkeypatch):
     # mean B(v / start) < 1 there, so start is the upper end of the bracket
     v = np.random.default_rng(5).pareto(1.5, 4096)
     start = luxemburg_avg(v, sigma) * (1 + 1e-3)
-    got, calls = count_young_calls(monkeypatch, luxemburg_avg, v, sigma, start=start)
+    (got, _), calls = count_young_calls(monkeypatch, luxemburg_solve, v, sigma, start=start)
     assert got == bracket_probe_luxemburg(v, sigma, start=start)
     assert calls == 3
 
@@ -405,12 +406,13 @@ def test_solver_warm_starts_match_the_probing_solve_bitwise(sigma, monkeypatch):
 
 
 def assert_pin_at_four_starts(v, sigma):
-    """``luxemburg_avg`` is bitwise the pin cold and started at, below,
-    above and well above its root; returns the cold root."""
+    """The solve is bitwise the pin cold (``luxemburg_avg``) and started
+    (``luxemburg_solve``) at, below, above and well above its root; returns
+    the cold root."""
     cold = luxemburg_avg(v, sigma)
     assert cold == bracket_probe_luxemburg(v, sigma), (v.size, sigma)
     for start in (cold, cold * (1 - 1e-3), cold * (1 + 1e-3), cold * 1.5):
-        assert luxemburg_avg(v, sigma, start=start) == \
+        assert luxemburg_solve(v, sigma, start=start)[0] == \
             bracket_probe_luxemburg(v, sigma, start=start), (v.size, sigma, start)
     return cold
 
@@ -468,7 +470,7 @@ def test_start_outside_the_bracket_takes_the_fallback():
     cold = luxemburg_avg(v, 1.0)
     assert lo < cold < hi
     for start in (-1.0, 0.0, 1e-300, lo, hi, 2.0 * hi, 1e300, math.inf, math.nan):
-        assert luxemburg_avg(v, 1.0, start=start) == cold, start
+        assert luxemburg_solve(v, 1.0, start=start)[0] == cold, start
 
 
 # -- the solve from the bracket bound against the probing solve it replaced ---
@@ -550,7 +552,8 @@ def test_solve_is_the_probing_solve_bitwise_with_one_evaluation_fewer(monkeypatc
         lo, hi = first_bracket(v, sigma)
         assert lo >= np.finfo(float).tiny
         for start in (None,) + starts_around(v, sigma, luxemburg_avg(v, sigma)):
-            got, calls = count_young_calls(monkeypatch, luxemburg_avg, v, sigma, start=start)
+            (got, _), calls = count_young_calls(monkeypatch, luxemburg_solve,
+                                                v, sigma, start=start)
             want, probe_calls = count_young_calls(monkeypatch, bracket_probe_luxemburg,
                                                   v, sigma, start=start)
             assert got == want, (v.size, sigma, start)
@@ -574,7 +577,7 @@ def test_solve_is_the_probing_solve_on_subnormal_multiples(sigma, monkeypatch):
         short += mean_young(v, sigma, first_bracket(v, sigma)[1]) > 1.0
         # below the root: the start the probing solve evaluated before its probe
         start = root * 0.7
-        assert luxemburg_avg(v, sigma, start=start) == \
+        assert luxemburg_solve(v, sigma, start=start)[0] == \
             bracket_probe_luxemburg(v, sigma, start=start), (v, sigma, start)
     # where the probing solve doubled its upper end, e.g. [0, 2, 2] 2^-1074 at sigma 2
     assert short >= (2 if sigma in (1.0, 2.0) else 0)
@@ -636,7 +639,7 @@ def test_screen_never_rejects_a_value_the_solve_would_accept(samples, scale_log2
         else lam * (1.0 + start_rel)
     exceeds = luxemburg_exceeds(v, sigma, bound)
     if exceeds:
-        assert luxemburg_avg(v, sigma, start=start) > bound
+        assert luxemburg_solve(v, sigma, start=start)[0] > bound
     if lam > 0.0 and rel <= -1e-7:
         # B(t)/t increases, so the mass at the bound is at least 1 + 1e-7
         assert exceeds
@@ -664,7 +667,7 @@ def test_screen_at_bounds_where_the_ratio_overflows(sigma, bound):
         assert luxemburg_exceeds(v, sigma, bound)
     assert luxemburg_avg(v, sigma) > bound
     for start in (None, 1e-300, luxemburg_avg(v, sigma)):
-        assert luxemburg_avg(v, sigma, start=start) > bound
+        assert luxemburg_solve(v, sigma, start=start)[0] > bound
 
 
 def test_screen_is_one_young_evaluation_with_the_stated_margin(monkeypatch):

@@ -25,6 +25,10 @@ read coefficients through ``spectral.coefficients`` and go back through
 the sharpness family's bump f_N, one ``irfft`` of a half spectrum that it
 builds in closed form (``multipliers.build_sharpness_family``).
 
+``harness.report_to_json`` writes every JSON report the program prints or
+saves, strict and in one format: no other module calls ``json.dump`` or
+``json.dumps`` or imports a name from ``json``.
+
 A public definition is reached when its name is read (an ``ast.Name`` or
 ``ast.Attribute`` load) outside its own body, in the package, ``scripts/``,
 ``perfbench/`` or the acceptance gates.  Import lines and strings do not
@@ -233,6 +237,40 @@ d = np.fftfreq(x) + fft_count + sp.coefficients(x, pos)
     assert fft_uses(ast.parse(module)) == [
         "2: import numpy.fft", "3: import fft", "4: import irfft", "4: import rfft",
         "6: fft", "6: ifft", "7: irfft", "8: fft"]
+
+
+def json_writes(tree: ast.Module) -> list:
+    """``line: form`` of each ``json.dump`` or ``json.dumps`` read and each
+    name imported from ``json`` under ``tree``, sorted."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(f"{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"{node.lineno}: import {a.name}" for a in node.names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "harness.py"],
+                         ids=lambda p: p.stem)
+def test_no_json_outside_the_report_writer(path):
+    found = json_writes(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: JSON written outside harness.report_to_json: {found}"
+
+
+def test_the_json_guard_finds_each_form():
+    module = """
+from json import dumps
+from json import dump as d, loads
+a = json.dumps(x, indent=2) + json.loads(t)
+json.dump(x, fh)
+b = json.dumps
+c = dumps_count + obj.dump(x)
+"""
+    assert json_writes(ast.parse(module)) == [
+        "2: import dumps", "3: import dump", "3: import loads", "4: dumps", "5: dump",
+        "6: dumps"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
