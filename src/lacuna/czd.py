@@ -341,7 +341,8 @@ def _global_constants(sig: Signal, dec: CzDecomposition, mags: np.ndarray,
     sup_good = float(np.max(good_mags))
     l1_f = float(sig.dx * np.sum(mags))
     l1_good = float(sig.dx * np.sum(good_mags))
-    lac_sq = float(sig.dx * np.sum(np.abs(lac_part.samples) ** 2))
+    with np.errstate(over="ignore"):  # past the float range it is inf, named on exit
+        lac_sq = float(sig.dx * np.sum(np.abs(lac_part.samples) ** 2))
     try:
         atom_weighted = float(sum(a.interval.length * a.diagnostics["atom_average"] ** 2
                                   for a in atoms))

@@ -8,19 +8,13 @@ callers.
 Conventions (sigma >= 0 throughout):
 
 - Young function ``B_sigma(t) = t (log(e+t))^sigma``; ``sigma = 0`` is L^1.
-- ``luxemburg_avg`` solves ``mean B(|f|/lam) = 1`` by a safeguarded Newton
-  iteration on ``s = log lam``, with tolerance 1e-10 on the constraint value.
-  The bracket starts at ``[mean |f|, mean max(2, log(e + max/mean)^sigma)]``,
-  whose upper end the growth of ``B`` alone puts above the root (the bracket
-  bound, see :func:`luxemburg_solve`), and shrinks with every evaluation; a
-  Newton step that leaves it is replaced by the bracket midpoint.  The first
-  evaluation is at a warm start of ``luxemburg_solve`` inside the bracket,
-  else at its midpoint (after doubling the upper end where the mean is subnormal).
-  ``sigma = 0`` returns the mean exactly.  Zero samples are skipped
-  (``B(0) = 0``), and each evaluation takes one log per remaining sample,
-  shared by ``B`` and the Newton slope (:meth:`YoungFunction.mean_terms`).
-  ``luxemburg_solve`` also hands back the evaluation its value was accepted
-  on, from which :meth:`YoungFunction.slope` reads ``B'`` with no more logs.
+- ``luxemburg_avg`` solves ``mean B(|f|/lam) = 1`` by Newton's step on
+  ``log mean B`` in ``s = log lam``, kept inside a bracket that every
+  evaluation shrinks (:func:`luxemburg_solve`), and accepts a ``lam`` whose
+  computed constraint is within ``CONSTRAINT_TOL`` (1e-10) of 1; ``sigma =
+  0`` returns the mean exactly.  An evaluation takes one log and one pow per
+  nonzero sample (:meth:`YoungFunction.mean_terms`), and the step's slope and
+  ``B'`` (:meth:`YoungFunction.slope`) are read from its arrays.
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
   (mean |f|^p)^{1/p}`` over integer p, the exp(L^{1/sigma}) norm up to
   absolute constants.  ``sigma = 0`` is rejected; that endpoint is the
@@ -71,10 +65,6 @@ class YoungFunction:
         t, et, logs, power = terms
         return power + self.sigma * t * logs ** (self.sigma - 1) / et
 
-    def mean_slope(self, terms: tuple, size: int) -> float:
-        """``sum B'(t) t / size`` from the arrays :meth:`mean_terms` returned."""
-        return float((self.slope(terms) * terms[0]).sum()) / size
-
     def submult_constant(self) -> float:
         """c with B(st) <= c B(s) B(t): log(e+st) <= 2 log(e+s) log(e+t)."""
         return 2.0**self.sigma
@@ -91,25 +81,30 @@ def luxemburg_solve(values, sigma: float, *, start: Optional[float] = None) -> t
     ``|f|/lam``), or ``None`` where the solve ended without one at ``lam``:
     sigma 0, a zero mean, a collapsed bracket or the step cap.
 
-    ``h(s) = mean B(|f| e^{-s}) - 1`` is convex and decreasing in
-    ``s = log lam``, so Newton's step ``lam <- lam exp(h / mean B'(u) u)``
-    (``u = |f|/lam``) converges from below once it has made one step.  The
-    bracket starts as ``lo = mean |f|`` (where ``h >= 0``) and ``hi = mean
-    max(2, log(e + x)^sigma)`` with ``x = max |f| / mean |f|``; every
-    evaluation shrinks it, and a step that leaves it goes to the bracket
-    midpoint instead.  The first evaluation is at ``start`` when that lies
-    strictly inside the first bracket (a warm start), else at the midpoint.
-    Returns once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, or the midpoint once
-    the bracket is within ``1e-15 hi`` or one float step, in at most 200 steps.
+    ``M(s) = mean B(|f| e^{-s})`` decreases in ``s = log lam``, and Newton's
+    step on ``log M`` is ``lam <- lam exp(M log M / mean B'(u) u)`` (``u =
+    |f|/lam``), with ``B'(u) u = B(u) (1 + sigma u / ((e+u) log(e+u)))`` read
+    from the evaluation.  ``log M`` is linear in ``s`` at sigma 0 and nearly
+    so above it, where ``M - 1`` is far from linear.  The bracket keeps the
+    step safe: it starts as ``lo = mean |f|`` (where ``M >= 1``) and ``hi =
+    mean max(2, log(e + x)^sigma)`` with ``x = max |f| / mean |f|``; every
+    evaluation shrinks it, and a step that leaves it, or one from an
+    evaluation that is 0 or not finite, goes to the bracket midpoint
+    instead.  The first evaluation is at ``start`` when that lies strictly
+    inside the first bracket (a warm start), else at the midpoint.  Returns
+    once ``|mean B(u) - 1| <= CONSTRAINT_TOL``, or the midpoint once the
+    bracket is within ``1e-15 hi`` or one float step, in at most 200 steps.
+    ``B(t)/t`` increases, so ``d log M / ds <= -1`` and any two values that
+    meet this test lie within about ``2 CONSTRAINT_TOL`` of each other, relative.
 
-    The bracket bound puts ``h(log hi) < 0`` unevaluated: ``mean B(|f|/hi)
+    The bracket bound puts ``M(log hi) < 1`` unevaluated: ``mean B(|f|/hi)
     <= (mean/hi) log(e + max/hi)^sigma <= log(e + x/2)^sigma / max(2, log(e +
     x)^sigma)``, which peaks over sigma where ``log(e + x)^sigma = 2``; as
     ``x`` is at most the sample count, it is at most 0.9883 up to 2^22 samples
     and 0.9964 up to 2^53.  Rounding moves it far less than that while the
     mean is a normal float.  A subnormal mean can round down by up to a third
     and the bound fail (``[12, 28, 1]`` times 2^-1074 among 27 zeros, sigma
-    1), so there ``hi`` first doubles until ``h(log hi) <= 0``.
+    1), so there ``hi`` first doubles until ``M(log hi) <= 1``.
 
     The mean, the maximum and the bracket come from every sample; the
     evaluations sum over the nonzero samples only and divide by the full
@@ -154,8 +149,12 @@ def _solve(values, sigma: float, start: Optional[float]) -> tuple:
             hi = lam
         if hi - lo <= max(1e-15 * hi, 2.0**-1074):  # one float step where 1e-15 hi underflows
             break
-        step = (val - 1.0) / B.mean_slope(terms, size)
-        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
+        nxt = hi  # the midpoint where the constraint is 0 or not finite
+        if 0.0 < val < math.inf:  # Newton on log M, slope mean B'(t) t with no second pow
+            t, et, logs, power = terms
+            slope = float((t * power * (1.0 + sigma * t / (et * logs))).sum()) / size
+            step = math.log(val) * val / slope
+            nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
         val, terms = B.mean_terms(v / lam, size)
     return 0.5 * (lo + hi), None

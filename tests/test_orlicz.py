@@ -8,15 +8,21 @@ Reference ledger for ``luxemburg_avg``:
   replaced, sharing only ``YoungFunction.__call__``; ``newton_inputs`` of
   five kinds at six sigmas and sizes 1 to 2^16, to 1e-9, with the computed
   constraint within ``CONSTRAINT_TOL``.
-- ``bracket_probe_luxemburg``: the Newton solve before it trusted the
-  bracket bound (it doubles the first upper end until the constraint is at
-  most 1, and its collapse test underflows where the mean is subnormal), the
-  one bitwise pin: ``normal_range_corpus`` cold and at ``starts_around``,
-  ``subnormal_corpus`` cold and at ``0.7 root``, ``newton_inputs`` with and
-  without zeros at four starts, a start above the root, and every warm
-  start of one decomposition solve, all bitwise; Young evaluation counts are
-  absolute counts of the solve, or one fewer than the pin's where the
-  bracket bound replaces its probe.
+- ``bracket_probe_luxemburg``: the Newton step on ``mean B - 1``, steered by
+  its own pow-form ``mean B'(t) t``, before the solve trusted the bracket
+  bound (it doubles the first upper end until the constraint is at most 1,
+  and its collapse test underflows where the mean is subnormal).  The solve
+  steps on ``log mean B`` instead, so its root moves within the contract:
+  on ``normal_range_corpus`` cold and at ``starts_around``, ``newton_inputs``
+  with and without zeros at four starts, a start above the root, and every
+  warm start of one decomposition solve, the computed constraint is within
+  ``CONSTRAINT_TOL`` and the root within ``ROOT_RTOL`` of the pin's.
+  ``subnormal_corpus`` roots, cold and at ``0.7 root``, stay bitwise.
+- ``m_minus_one_solve``: that step from the solve's own bracket (the pin
+  less its probe), which the log-space step replaced.  Each case of
+  ``normal_range_corpus`` and ``newton_inputs`` makes no more Young
+  evaluations than it, and a small czd ensemble at least 15% fewer; other
+  counts are absolute counts of the solve.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import martingale as mg
-from lacuna.czd import young_mass
+from lacuna import orlicz
+from lacuna.czd import cz_decompose, young_mass
 from lacuna.orlicz import (
     CONSTRAINT_TOL,
     SCREEN_MARGIN,
@@ -80,11 +87,40 @@ def bisection_luxemburg(values, sigma: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def pow_mean_slope(sigma: float, terms: tuple, size: int) -> float:
+    """``mean B'(t) t`` as the solve steered before its log-space step, with
+    a second pow: ``B'(t) = log(e+t)^sigma + sigma t log(e+t)^(sigma-1) / (e+t)``."""
+    t, et, logs, power = terms
+    return float(((power + sigma * t * logs ** (sigma - 1) / et) * t).sum()) / size
+
+
+def m_minus_one_newton(B, v, size, lo, hi, lam, evaluation, floor=0.0) -> tuple:
+    """The Newton loop on ``mean B(v/lam) - 1`` from the iterate ``lam`` and its
+    evaluation: ``(lam, terms)`` once the constraint is met, else the midpoint
+    of the bracket once it is within ``max(1e-15 hi, floor)``, and ``None``."""
+    val, terms = evaluation
+    for _ in range(200):
+        if abs(val - 1.0) <= CONSTRAINT_TOL:
+            return lam, terms
+        if val > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= max(1e-15 * hi, floor):
+            break
+        step = (val - 1.0) / pow_mean_slope(B.sigma, terms, size)
+        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        val, terms = B.mean_terms(v / lam, size)
+    return 0.5 * (lo + hi), None
+
+
 def bracket_probe_luxemburg(values, sigma: float, start=None) -> float:
     """``luxemburg_avg`` before it trusted the bracket bound: ``hi`` doubles
-    until ``mean B(|f|/hi) <= 1`` before the Newton loop, except after a warm
-    start inside the first bracket whose constraint is at most ``1 +
-    CONSTRAINT_TOL``, which is evaluated first and is then the upper end."""
+    until ``mean B(|f|/hi) <= 1`` before the Newton loop on ``mean B - 1``,
+    except after a warm start inside the first bracket whose constraint is
+    at most ``1 + CONSTRAINT_TOL``, which is evaluated first and is then the
+    upper end."""
     B = YoungFunction(sigma)
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     mean = float(v.sum()) / v.size
@@ -99,36 +135,57 @@ def bracket_probe_luxemburg(values, sigma: float, start=None) -> float:
     inside = start is not None and lo < start < hi
     if inside:
         lam = start
-        val, terms = B.mean_terms(v / lam, size)
-    if not inside or val - 1.0 > CONSTRAINT_TOL:
+        evaluation = B.mean_terms(v / lam, size)
+    if not inside or evaluation[0] - 1.0 > CONSTRAINT_TOL:
         grow = 0
         while B.mean_terms(v / hi, size)[0] > 1.0 and grow < 200:
             hi *= 2.0
             grow += 1
         if not inside:
             lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-            val, terms = B.mean_terms(v / lam, size)
-    for _ in range(200):
-        if abs(val - 1.0) <= CONSTRAINT_TOL:
-            return lam
-        if val > 1.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-15 * hi:
-            break
-        step = (val - 1.0) / B.mean_slope(terms, size)
-        nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
-        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        val, terms = B.mean_terms(v / lam, size)
-    return 0.5 * (lo + hi)
+            evaluation = B.mean_terms(v / lam, size)
+    return m_minus_one_newton(B, v, size, lo, hi, lam, evaluation)[0]
+
+
+def m_minus_one_solve(values, sigma: float, start=None) -> tuple:
+    """``luxemburg_solve`` before its log-space step: the same bracket,
+    doubling where the mean is subnormal, warm start and collapse test, with
+    the Newton loop on ``mean B - 1`` (``orlicz._solve``'s signature)."""
+    B = YoungFunction(sigma)
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    mean = float(v.sum()) / v.size
+    if mean == 0.0 or sigma == 0:
+        return mean, None
+    lo = mean
+    hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
+    size = v.size
+    v = v if v.all() else v[v != 0]
+    while mean < np.finfo(float).tiny and B.mean_terms(v / hi, size)[0] > 1.0:
+        hi *= 2.0
+    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    return m_minus_one_newton(B, v, size, lo, hi, lam, B.mean_terms(v / lam, size),
+                              2.0**-1074)
+
+
+ROOT_RTOL = 2 * CONSTRAINT_TOL  # two roots that both meet the contract, see assert_meets_the_pin
+
+
+def assert_meets_the_pin(v, sigma, start, got):
+    """The solve's root ``got`` from ``start`` has its computed constraint
+    within ``CONSTRAINT_TOL`` and lies within ``ROOT_RTOL`` of the pin's.
+    ``mean B(|f|/lam)`` falls at least as fast as ``1/lam`` (``B(t)/t``
+    increases), so two roots whose constraints both lie within
+    ``CONSTRAINT_TOL`` of 1 differ by at most about ``2 CONSTRAINT_TOL``
+    relative."""
+    want = bracket_probe_luxemburg(v, sigma, start=start)
+    assert abs(mean_young(v, sigma, got) - 1.0) <= CONSTRAINT_TOL, (v.size, sigma, start)
+    assert abs(got - want) <= ROOT_RTOL * want, (v.size, sigma, start, got, want)
 
 
 def count_young_calls(monkeypatch, fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the number of ``B`` evaluations it made:
     calls of ``YoungFunction.mean_terms``, through which ``luxemburg_avg``,
-    ``luxemburg_solve``, ``luxemburg_exceeds`` and ``bracket_probe_luxemburg``
-    make every one."""
+    ``luxemburg_solve``, ``luxemburg_exceeds`` and the references make every one."""
     calls = []
     real_terms = YoungFunction.mean_terms
     monkeypatch.setattr(YoungFunction, "mean_terms",
@@ -376,12 +433,12 @@ def test_start_above_the_root_skips_the_doubling_probe(sigma, monkeypatch):
     v = np.random.default_rng(5).pareto(1.5, 4096)
     start = luxemburg_avg(v, sigma) * (1 + 1e-3)
     (got, _), calls = count_young_calls(monkeypatch, luxemburg_solve, v, sigma, start=start)
-    assert got == bracket_probe_luxemburg(v, sigma, start=start)
+    assert_meets_the_pin(v, sigma, start, got)
     assert calls == 3
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
-def test_solver_warm_starts_match_the_probing_solve_bitwise(sigma, monkeypatch):
+def test_solver_warm_starts_match_the_probing_solve(sigma, monkeypatch):
     # every warm-started solve of one decomposition, replayed through the pin
     calls = []
 
@@ -399,40 +456,45 @@ def test_solver_warm_starts_match_the_probing_solve_bitwise(sigma, monkeypatch):
     mg.decompose_quotient_norm(mg.DyadicFunction(vals), sigma)
     assert len(calls) > 400
     for values, s, start, got in calls:
-        assert got == bracket_probe_luxemburg(values, s, start=start)
+        assert_meets_the_pin(values, s, start, got)
 
 
 # -- the solve over the support, on inputs with and without zeros -------------
 
 
-def assert_pin_at_four_starts(v, sigma):
-    """The solve is bitwise the pin cold (``luxemburg_avg``) and started
-    (``luxemburg_solve``) at, below, above and well above its root; returns
-    the cold root."""
+def assert_pin_at_four_starts(monkeypatch, v, sigma):
+    """``luxemburg_solve`` meets the pin (:func:`assert_meets_the_pin`) cold
+    and started at, below, above and well above its root, each in no more
+    Young evaluations than :func:`m_minus_one_solve`; returns the cold root
+    (``luxemburg_avg``)."""
     cold = luxemburg_avg(v, sigma)
-    assert cold == bracket_probe_luxemburg(v, sigma), (v.size, sigma)
-    for start in (cold, cold * (1 - 1e-3), cold * (1 + 1e-3), cold * 1.5):
-        assert luxemburg_solve(v, sigma, start=start)[0] == \
-            bracket_probe_luxemburg(v, sigma, start=start), (v.size, sigma, start)
+    for start in (None, cold, cold * (1 - 1e-3), cold * (1 + 1e-3), cold * 1.5):
+        (got, _), calls = count_young_calls(monkeypatch, luxemburg_solve, v, sigma, start=start)
+        reference_calls = count_young_calls(monkeypatch, m_minus_one_solve, v, sigma, start)[1]
+        assert calls <= reference_calls, (v.size, sigma, start)
+        assert_meets_the_pin(v, sigma, start, got)
     return cold
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("kind", ["normal", "pareto", "constant", "tiny"])
-def test_support_solve_without_zeros_is_the_full_array_solve(sigma, kind):
-    # nothing is filtered, so the sums run over every sample, as the pin's do
+def test_support_solve_without_zeros_is_the_full_array_solve(sigma, kind, monkeypatch):
+    # nothing is filtered, so the sums run over every sample, as the pin's do;
+    # over all 20 cases the 600 solves make 1,796 evaluations, the step on
+    # mean B - 1 2,147
     rng = np.random.default_rng(int(sigma * 100) + 7)
     for n in (1, 2, 3, 64, 1024, 1 << 14):
         v = newton_inputs(kind, n, rng)
         assert np.all(v != 0)
-        assert_pin_at_four_starts(v, sigma)
+        assert_pin_at_four_starts(monkeypatch, v, sigma)
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("zeros", ["half", "99%", "all-but-one"])
-def test_support_solve_with_zeros_matches_the_full_array_solve(sigma, zeros):
+def test_support_solve_with_zeros_matches_the_full_array_solve(sigma, zeros, monkeypatch):
     # the sums skip the zeros, as the pin's do; the root also meets the
-    # constraint summed over every sample, zeros included
+    # constraint summed over every sample, zeros included; over all 15 cases
+    # the 900 solves make 2,683 evaluations, the step on mean B - 1 3,282
     B = YoungFunction(sigma)
     rng = np.random.default_rng(int(sigma * 100) + 11)
     for n in (2, 64, 1024, 1 << 14):
@@ -445,7 +507,7 @@ def test_support_solve_with_zeros_matches_the_full_array_solve(sigma, zeros):
                 keep = rng.choice(n, size=max(1, int(share * n)), replace=False)
             sparse = np.zeros(n)
             sparse[keep] = v[keep]
-            cold = assert_pin_at_four_starts(sparse, sigma)
+            cold = assert_pin_at_four_starts(monkeypatch, sparse, sigma)
             assert abs(float(np.mean(B(np.abs(sparse) / cold))) - 1.0) <= CONSTRAINT_TOL, (n, kind)
 
 
@@ -460,7 +522,8 @@ def test_fused_evaluation_is_bitwise_young_and_its_derivative():
             logs = np.log(E + t)
             slope = np.ones_like(t) if sigma == 0 else \
                 logs**sigma + sigma * t * logs ** (sigma - 1) / (E + t)
-            assert B.mean_slope(terms, t.size) == float(np.mean(slope * t))
+            # the pointwise B' the decomposition solver's gradient reads
+            assert np.array_equal(B.slope(terms), slope)
 
 
 def test_start_outside_the_bracket_takes_the_fallback():
@@ -544,29 +607,28 @@ def starts_around(v, sigma, root):
     return (root, root * 0.7, root * (1 + 1e-3), 0.5 * lo, 2.0 * hi)
 
 
-def test_solve_is_the_probing_solve_bitwise_with_one_evaluation_fewer(monkeypatch):
-    # one Young evaluation fewer, except after a warm start inside the bracket
-    # at or above the root, where the probing solve skipped its probe too
-    seen = 0
+def test_solve_meets_the_probing_solve_in_no_more_evaluations(monkeypatch):
+    # every case in no more Young evaluations than the step on mean B - 1
+    # from the same bracket: 8,372 against 12,764 over the 2,592 solves (the
+    # probing pin makes 14,492)
+    seen = calls = reference_calls = 0
     for v, sigma in normal_range_corpus():
         lo, hi = first_bracket(v, sigma)
         assert lo >= np.finfo(float).tiny
         for start in (None,) + starts_around(v, sigma, luxemburg_avg(v, sigma)):
-            (got, _), calls = count_young_calls(monkeypatch, luxemburg_solve,
-                                                v, sigma, start=start)
-            want, probe_calls = count_young_calls(monkeypatch, bracket_probe_luxemburg,
-                                                  v, sigma, start=start)
-            assert got == want, (v.size, sigma, start)
-            skipped = start is not None and lo < start < hi and \
-                mean_young(v, sigma, start) - 1.0 <= CONSTRAINT_TOL
-            assert calls == probe_calls - (not skipped), (v.size, sigma, start)
-            seen += 1
-    assert seen > 2000
+            (got, _), n = count_young_calls(monkeypatch, luxemburg_solve,
+                                            v, sigma, start=start)
+            reference = count_young_calls(monkeypatch, m_minus_one_solve, v, sigma, start)[1]
+            assert_meets_the_pin(v, sigma, start, got)
+            assert n <= reference, (v.size, sigma, start)
+            calls, reference_calls, seen = calls + n, reference_calls + reference, seen + 1
+    assert (seen, calls, reference_calls) == (2592, 8372, 12764)
 
 
 @pytest.mark.parametrize("sigma", [0.25, 1.0, 2.0, 8.0])
 def test_solve_is_the_probing_solve_on_subnormal_multiples(sigma, monkeypatch):
-    # the pin's collapse test underflows here; the solve stops one float step wide
+    # the pin's collapse test underflows here; the solve stops one float step
+    # wide, and its roots are still the pin's bitwise
     short = calls = 0
     for v in subnormal_corpus():
         root, n = count_young_calls(monkeypatch, luxemburg_avg, v, sigma)
@@ -581,9 +643,10 @@ def test_solve_is_the_probing_solve_on_subnormal_multiples(sigma, monkeypatch):
             bracket_probe_luxemburg(v, sigma, start=start), (v, sigma, start)
     # where the probing solve doubled its upper end, e.g. [0, 2, 2] 2^-1074 at sigma 2
     assert short >= (2 if sigma in (1.0, 2.0) else 0)
-    # the cold solves' evaluations; a collapse test that underflows here
-    # takes 11,136 to 12,728 per sigma
-    assert calls == {0.25: 170, 1.0: 167, 2.0: 198, 8.0: 491}[sigma]
+    # the cold solves' evaluations (the step on mean B - 1 took 170, 167, 198
+    # and 491); a collapse test that underflows here takes 11,136 to 12,728
+    # per sigma
+    assert calls == {0.25: 181, 1.0: 159, 2.0: 208, 8.0: 414}[sigma]
 
 
 def test_subnormal_solve_stops_one_float_step_wide(monkeypatch):
@@ -679,3 +742,52 @@ def test_screen_is_one_young_evaluation_with_the_stated_margin(monkeypatch):
     # at the root itself the mass is 1 up to the solve's tolerance: no claim
     assert not luxemburg_exceeds(v, 1.0, lam)
     assert luxemburg_exceeds(v, 1.0, lam * (1 - 1e-6))
+
+
+# -- the log-space step against the step on mean B - 1, in a czd ensemble -----
+
+# report fields of cz_decompose read from Luxemburg averages, with the
+# relative move two roots within the contract allow: one root, or a square
+LUXEMBURG_FIELDS = {"level_average": ROOT_RTOL, "atom_average": ROOT_RTOL,
+                    "atom_constant": ROOT_RTOL, "lacunary_constant": ROOT_RTOL,
+                    "max_atom_constant": ROOT_RTOL, "atom_weighted_sq": 2 * ROOT_RTOL,
+                    "lacunary_vs_atoms": 2 * ROOT_RTOL}
+
+
+def assert_reports_agree(got, want, key=None):
+    """Every leaf of two reports is equal, but the ``LUXEMBURG_FIELDS``,
+    which agree to their relative tolerance."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert_reports_agree(got[k], want[k], k)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            assert_reports_agree(g, w, key)
+    elif key in LUXEMBURG_FIELDS:
+        assert abs(got - want) <= LUXEMBURG_FIELDS[key] * abs(want), (key, got, want)
+    else:
+        assert got == want, (key, got, want)
+
+
+def test_czd_ensemble_makes_fewer_young_evaluations(monkeypatch):
+    # gate 06's spiky members at 2^12, sigma 1 and 2, each at alpha 1.5 times
+    # its Luxemburg average; both runs take the same alphas.  264 evaluations
+    # against 339
+    rng = np.random.default_rng(3107)
+    members = []
+    for i in range(12):
+        sig = test_acceptance._terms_signal(test_acceptance._spiky_terms(rng), 12)
+        sigma = 1 + i % 2
+        members.append((sig, sigma, 1.5 * luxemburg_avg(np.abs(sig.samples), sigma / 2)))
+
+    def reports():
+        return [cz_decompose(sig, sigma, alpha).to_json_dict()
+                for sig, sigma, alpha in members]
+
+    got, calls = count_young_calls(monkeypatch, reports)
+    monkeypatch.setattr(orlicz, "_solve", m_minus_one_solve)
+    want, reference_calls = count_young_calls(monkeypatch, reports)
+    assert calls <= 0.85 * reference_calls, (calls, reference_calls)
+    assert_reports_agree(got, want)
