@@ -13,13 +13,15 @@ Discretization notes that drive the implementation:
   ``mean_J B(|f|/alpha) > 1`` because ``lam -> mean B(|f|/lam)`` is strictly
   decreasing.  The tree walk therefore needs one pass of Young-function
   values and per-level block sums; no bisection enters the selection, so
-  maximality is exact in floating point.
+  maximality is exact in floating point.  The walk descends only from
+  blocks whose sum exceeds 1, as no smaller sum holds a qualifying block.
 - Every lacunary frequency of scale at least ``1/|J|`` that lies strictly
   below the sampling Nyquist is an integer multiple ``q/|J|``, hence the
   exact bin ``q`` of the length-``n_J`` DFT of the samples on ``J``.  The
   ``q`` with ``|q| < n_J/2`` of the orders ``0..sigma`` are read off in closed
-  form (:func:`lacunary_bins`), each once per atom.  Removing them is an
-  exact orthogonal projection through the spectral pair: the piece's values
+  form (:func:`lacunary_bins`), enumerated once per length and order by
+  ``lacunary.nyquist_lattice``.  Removing them is an exact orthogonal
+  projection through the spectral pair: the piece's values
   at the bins by ``spectral.coefficients``, and back by
   ``spectral.from_coefficients``; the position of ``J`` only contributes a
   unitary phase, which cancels and is never computed.  The certificate
@@ -30,10 +32,11 @@ Discretization notes that drive the implementation:
   the symmetric bins, an ``irfft``; a complex input keeps the complex
   transforms, also on a piece whose imaginary parts are all zero.
 - A decomposition takes ``|f|`` once and the Young weights ``B(|f|/alpha)``
-  once: the stopping walk sums the weights by blocks and their grid sum is
-  the Orlicz mass; the margin guard, the atoms' averages and the global
-  constants read ``|f|``, its slices and a copy with the stopping blocks
-  zeroed.  Arrays the decomposition makes become signals without a copy.
+  once, on the nonzero samples only (``B(0) = 0``): the stopping walk sums
+  the weights by blocks and their grid sum is the Orlicz mass; the margin
+  guard, the atoms' averages and the global constants read ``|f|``, its
+  slices and a copy with the stopping blocks zeroed.  Arrays the
+  decomposition makes become signals without a copy.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lacunary import lattice_points
+from .lacunary import nyquist_lattice
 from .orlicz import YoungFunction, luxemburg_avg
 from .spectral import Signal, coefficients, from_coefficients, real_data, rms
 
@@ -131,7 +134,14 @@ class CzDecomposition:
 def _young_weights(mags: np.ndarray, s: float, alpha: float) -> np.ndarray:
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
-    return YoungFunction(s)(mags / alpha)
+    B = YoungFunction(s)
+    nonzero = mags != 0
+    if nonzero.all():
+        return B(mags / alpha)
+    # B(+0) is +0.0, so only the nonzero magnitudes are evaluated
+    w = np.zeros(mags.shape)
+    w[nonzero] = B(mags[nonzero] / alpha)
+    return w
 
 
 def young_mass(sig: Signal, s: float, alpha: float) -> float:
@@ -159,15 +169,42 @@ def _block_sums(w: np.ndarray) -> list:
     return sums
 
 
+def _maximal_blocks(sums: list, n: int) -> tuple:
+    """``(lo, hi)`` of the maximal dyadic blocks whose sum in ``sums`` (root
+    first, :func:`_block_sums` of nonnegative weights, the root's sum at most
+    ``n``) exceeds their length, and the number of blocks examined.
+
+    Only the children of live blocks are examined: blocks that neither
+    qualify nor lie in one that does, with a sum above 1.  Below a block
+    whose sum is at most 1 none qualifies, because every block is at least
+    one sample long and, for ``a, b >= 0``, the rounded ``a + b`` is at
+    least ``max(a, b)``.
+    """
+    found, examined = [], 0
+    live = np.zeros(1 if sums[0][0] > 1.0 else 0, dtype=np.int64)
+    for k in range(1, len(sums)):
+        if not live.size:
+            break
+        block = n >> k
+        children = np.add.outer(2 * live, (0, 1)).ravel()
+        vals = sums[k][children]
+        qualifies = vals > block  # sum / block > 1, as block is a power of two
+        found += [(int(i) * block, (int(i) + 1) * block) for i in children[qualifies]]
+        live = children[~qualifies & (vals > 1.0)]
+        examined += children.size
+    return found, examined
+
+
 def stopping_intervals(sig: Signal, mags: np.ndarray, sigma, alpha: float) -> tuple:
     """Maximal dyadic sample blocks with ``<|f|>_{B_{sigma/2},J} > alpha``,
     and ``young_mass(sig, sigma / 2, alpha)``, the grid sum of the same
     Young weights; ``mags`` is ``np.abs(sig.samples)``.
 
     Walks the block tree top-down; a block enters the collection when its
-    average exceeds alpha and no ancestor's does.  The whole window itself
-    exceeding alpha means no maximal block exists inside it, which is
-    reported as an error (enlarge the window or raise alpha).
+    average exceeds alpha and no ancestor's does (:func:`_maximal_blocks`).
+    The whole window itself exceeding alpha means no maximal block exists
+    inside it, which is reported as an error (enlarge the window or raise
+    alpha).
     """
     sigma = _check_parameters(sigma, alpha)
     w = _young_weights(mags, sigma / 2, alpha)
@@ -179,18 +216,7 @@ def stopping_intervals(sig: Signal, mags: np.ndarray, sigma, alpha: float) -> tu
             "whole-window average exceeds alpha; enlarge the window or raise alpha"
         )
 
-    found = []
-    covered = np.zeros(1, dtype=bool)
-    for k in range(1, len(sums)):
-        block = n >> k
-        parent_covered = np.repeat(covered, 2)
-        qualifies = sums[k] / block > 1.0
-        fresh = qualifies & ~parent_covered
-        for idx in np.nonzero(fresh)[0]:
-            found.append((int(idx) * block, (int(idx) + 1) * block))
-        covered = parent_covered | fresh
-
-    found.sort()
+    found = sorted(_maximal_blocks(sums, n)[0])
     dx = sig.dx
     off = sig.offset
     intervals = tuple(
@@ -202,8 +228,10 @@ def stopping_intervals(sig: Signal, mags: np.ndarray, sigma, alpha: float) -> tu
 def lacunary_bins(n: int, sigma) -> np.ndarray:
     """The DFT bins ``q`` of the lacunary frequencies ``q/|J|`` of orders
     0..sigma on a window of ``n`` samples: the ascending integers with
-    ``|q| < n/2`` and at most ``sigma`` nonzero non-adjacent digits."""
-    return lattice_points(_check_parameters(sigma, 1.0), (n - 1) // 2)
+    ``|q| < n/2`` and at most ``sigma`` nonzero non-adjacent digits,
+    read-only and enumerated once per ``(n, sigma)``
+    (``lacunary.nyquist_lattice``)."""
+    return nyquist_lattice(_check_parameters(sigma, 1.0), n)
 
 
 def _positions(piece: Signal, bins) -> np.ndarray:
@@ -262,7 +290,7 @@ def support_margin(sig: Signal, mags: np.ndarray) -> float:
 def _atom_diagnostics(interval: StoppingInterval, piece_mags: np.ndarray, canc: Signal,
                       lac: Signal, bins: np.ndarray, s: float, alpha: float) -> dict:
     level_avg = luxemburg_avg(piece_mags, s)
-    atom_avg = luxemburg_avg(np.abs(canc.samples), s)
+    atom_avg = luxemburg_avg(canc.samples, s)  # of the moduli
     lac_l2 = rms(lac.samples)
     piece_rms = rms(piece_mags)
     residual = 0.0

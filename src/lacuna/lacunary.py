@@ -25,12 +25,14 @@ the one exposed here.
 On the ``min_scale`` lattice these sums are exactly the nonzero ``q`` whose
 non-adjacent form has at most ``tau`` nonzero digits, so one enumeration of
 non-adjacent forms (:func:`lattice_points`) yields every point set, each
-point once.  The size of an interval system is a closed form in ``(tau, m,
-t)`` (:func:`lambda_tau_count`), so a system is refused before it is built.
+point once; :func:`nyquist_lattice` keeps those below a Nyquist.  The size
+of an interval system is a closed form in ``(tau, m, t)``
+(:func:`lambda_tau_count`), so a system is refused before it is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -278,6 +280,21 @@ def lattice_points(tau: int, bound: int) -> np.ndarray:
         last, partial = last[keep], partial[keep]
         found.append(partial[np.abs(partial) <= bound])
     return np.sort(np.concatenate(found))
+
+
+def nyquist_lattice(tau: int, n: int) -> np.ndarray:
+    """``lattice_points(tau, (n - 1) // 2)``, the points below the Nyquist of
+    ``n`` samples, read-only.  Each ``(tau, n)`` is enumerated once, and the
+    last 64 are kept."""
+    # a plain function in front of the cache, which tracers of public functions wrap
+    return _nyquist_lattice(tau, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _nyquist_lattice(tau: int, n: int) -> np.ndarray:
+    points = lattice_points(tau, (n - 1) // 2)
+    points.flags.writeable = False
+    return points
 
 
 def dilate_set(points: LacPointSet, factor: DyadicScalar) -> LacPointSet:

@@ -13,8 +13,10 @@ Conventions (sigma >= 0 throughout):
   evaluation shrinks (:func:`luxemburg_solve`), and accepts a ``lam`` whose
   computed constraint is within ``CONSTRAINT_TOL`` (1e-10) of 1; ``sigma =
   0`` returns the mean exactly.  An evaluation takes one log and one pow per
-  nonzero sample (:meth:`YoungFunction.mean_terms`), and the step's slope and
-  ``B'`` (:meth:`YoungFunction.slope`) are read from its arrays.
+  nonzero sample (:meth:`YoungFunction.mean_terms`), written into a work
+  area that each solve allocates once, and the step's slope and ``B'``
+  (:meth:`YoungFunction.slope`) are read from its arrays.  Complex samples
+  are read by their moduli.
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
   (mean |f|^p)^{1/p}`` over integer p, the exp(L^{1/sigma}) norm up to
   absolute constants.  ``sigma = 0`` is rejected; that endpoint is the
@@ -50,24 +52,48 @@ class YoungFunction:
         t = np.asarray(t, dtype=float)
         if self.sigma == 0:
             return t.copy()
-        return t * np.log(_E + t) ** self.sigma
+        return t * _log_power(np.log(_E + t), self.sigma)
 
-    def mean_terms(self, t: np.ndarray, size: int) -> tuple:
+    def mean_terms(self, t: np.ndarray, size: int, out: Optional[np.ndarray] = None) -> tuple:
         """``sum B(t) / size``, bitwise ``__call__``'s, and the arrays
-        :meth:`slope` reads, with ``log(e + t)`` taken once."""
-        et = _E + t
-        logs = np.log(et)
-        power = logs**self.sigma
-        return float((t * power).sum()) / size, (t, et, logs, power)
+        :meth:`slope` reads, with ``log(e + t)`` taken once.  ``out``, a
+        ``(5, t.size)`` work area, receives ``e + t``, the log, the power and
+        ``t`` times the power in its rows 1 to 4; without it each is a new
+        array."""
+        rows = (None,) * 5 if out is None else out
+        et = np.add(_E, t, out=rows[1])
+        logs = np.log(et, out=rows[2])
+        power = _log_power(logs, self.sigma, out=rows[3])
+        return float(np.multiply(t, power, out=rows[4]).sum()) / size, (t, et, logs, power)
 
     def slope(self, terms: tuple) -> np.ndarray:
         """``B'(t)`` from the arrays :meth:`mean_terms` returned for ``t``."""
         t, et, logs, power = terms
-        return power + self.sigma * t * logs ** (self.sigma - 1) / et
+        return power + self.sigma * t * _log_power(logs, self.sigma - 1) / et
 
     def submult_constant(self) -> float:
         """c with B(st) <= c B(s) B(t): log(e+st) <= 2 log(e+s) log(e+t)."""
         return 2.0**self.sigma
+
+
+def _log_power(logs: np.ndarray, p: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``logs ** p`` into ``out`` (a new array without it): the square root at
+    ``p = 1/2``, the square at 2 and numpy's power elsewhere, so every
+    evaluation takes the same path whatever numpy's ``**`` picks."""
+    if p == 0.5:
+        return np.sqrt(logs, out=out)
+    if p == 2:
+        return np.square(logs, out=out)
+    return np.power(logs, p, out=out)
+
+
+def _magnitudes(values) -> np.ndarray:
+    """``|f|`` as a flat float64 array: the modulus of complex samples, which
+    a cast to float would cut to their real parts."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        return np.abs(a).astype(float, copy=False).ravel()
+    return np.abs(np.asarray(a, dtype=float)).ravel()
 
 
 def luxemburg_avg(values, sigma: float) -> float:
@@ -117,7 +143,7 @@ def luxemburg_solve(values, sigma: float, *, start: Optional[float] = None) -> t
 def _solve(values, sigma: float, start: Optional[float]) -> tuple:
     # both entries' body: a tracer of public functions times each solve once
     B = YoungFunction(sigma)
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    v = _magnitudes(values)
     if v.size == 0:
         raise ValueError("empty sample set")
     mean = float(v.sum()) / v.size  # the reduction and division of v.mean()
@@ -136,10 +162,17 @@ def _solve(values, sigma: float, start: Optional[float]) -> tuple:
 
     size = v.size
     v = v if v.all() else v[v != 0]
-    while mean < _NORMAL_MIN and B.mean_terms(v / hi, size)[0] > 1.0:
+    # this solve's own rows t, e + t, log, power and t power: the accepted
+    # evaluation's terms stay valid after it returns
+    work = np.empty((5, v.size))
+
+    def evaluate(lam: float) -> tuple:
+        return B.mean_terms(np.divide(v, lam, out=work[0]), size, out=work)
+
+    while mean < _NORMAL_MIN and evaluate(hi)[0] > 1.0:
         hi *= 2.0  # a subnormal mean can round too far down for the bracket bound
     lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-    val, terms = B.mean_terms(v / lam, size)
+    val, terms = evaluate(lam)
     for _ in range(200):
         if abs(val - 1.0) <= CONSTRAINT_TOL:
             return lam, terms
@@ -151,12 +184,16 @@ def _solve(values, sigma: float, start: Optional[float]) -> tuple:
             break
         nxt = hi  # the midpoint where the constraint is 0 or not finite
         if 0.0 < val < math.inf:  # Newton on log M, slope mean B'(t) t with no second pow
-            t, et, logs, power = terms
-            slope = float((t * power * (1.0 + sigma * t / (et * logs))).sum()) / size
+            # t power (1 + sigma t / ((e+t) log(e+t))), in rows the next evaluation rewrites
+            t, et, logs, _ = terms
+            np.multiply(et, logs, out=et)
+            np.divide(np.multiply(sigma, t, out=logs), et, out=logs)
+            np.add(1.0, logs, out=logs)
+            slope = float(np.multiply(work[4], logs, out=logs).sum()) / size
             step = math.log(val) * val / slope
             nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
         lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        val, terms = B.mean_terms(v / lam, size)
+        val, terms = evaluate(lam)
     return 0.5 * (lo + hi), None
 
 
@@ -176,7 +213,7 @@ def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
     bound of :func:`luxemburg_solve` puts at ``mean B <= 0.9964``, and for a
     subnormal one was doubled until its computed constraint was at most 1.
     """
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    v = _magnitudes(values)
     if bound <= 0.0 or v.size == 0:
         return bound < 0.0 or bool(v.any())
     return YoungFunction(sigma).mean_terms(v / bound, v.size)[0] - 1.0 > SCREEN_MARGIN
@@ -184,7 +221,7 @@ def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
 
 def llogl_avg_equiv(values, sigma: float) -> float:
     """Explicit equivalent ``mean |f| (log(e + |f|/mean|f|))^sigma``."""
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    v = _magnitudes(values)
     mean = float(v.mean())
     if mean == 0.0:
         return 0.0
@@ -207,7 +244,7 @@ def exp_norm(values, sigma: float) -> float:
     """
     if sigma == 0:
         raise ValueError("sigma = 0 is the L^inf endpoint; use max(|f|)")
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    v = _magnitudes(values)
     if v.size == 0:
         raise ValueError("empty sample set")
     nz = v[v > 0]

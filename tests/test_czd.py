@@ -29,6 +29,14 @@ Reference ledger:
   FFT; complex pieces at 2^0 to 2^16 (sigma 0-3) to 1e-14 of the peak
   coefficient, with int8, int32 and uint64 bins giving the int64 call's
   bytes.  The pin of the quadrature.
+- ``reference_full_walk``: ``stopping_intervals`` as it was before the
+  walk examined only the children of live blocks, with the Young weights
+  taken on every sample: every block of the tree, level by level.
+  Derandomized Hypothesis signals of 1 to 2^10 samples at sigma 0, 1, 2 and
+  8 (zero runs, all-zero windows, block sums equal to their length,
+  subnormal weights, weights that overflow), bitwise in the intervals and
+  the mass, and the same error; ``young_mass`` against its weights on every
+  sample at the Young exponents 0.25, 0.5, 1 and 4, bitwise.
 - ``reference_cz_decompose``, with its stage parts ``reference_stopping``,
   ``reference_remove``, ``reference_diagnostics`` and
   ``reference_constants``: the decomposition before ``|f|`` and the Young
@@ -53,8 +61,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lacuna import czd
+from lacuna import czd, lacunary
 from lacuna.cli import main
 from lacuna.orlicz import YoungFunction, luxemburg_avg
 from lacuna.spectral import Signal, plateau_bump, read_signal, rms, write_signal
@@ -217,6 +227,36 @@ def reference_stopping(sig, sigma, alpha):
     dx, off = sig.dx, sig.offset
     return tuple(czd.StoppingInterval(lo, hi, off + lo * dx, off + hi * dx)
                  for lo, hi in sorted(found))
+
+
+def reference_full_walk(sig, mags, sigma, alpha):
+    """``stopping_intervals`` over every block of the tree, with the Young
+    weights of every sample."""
+    sigma = czd._check_parameters(sigma, alpha)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
+    w = YoungFunction(sigma / 2)(mags / alpha)
+    n = sig.n
+    sums = czd._block_sums(w)
+    if sums[0][0] / n > 1.0:
+        raise ValueError(
+            "whole-window average exceeds alpha; enlarge the window or raise alpha"
+        )
+    found = []
+    covered = np.zeros(1, dtype=bool)
+    for k in range(1, len(sums)):
+        block = n >> k
+        parent_covered = np.repeat(covered, 2)
+        qualifies = sums[k] / block > 1.0
+        fresh = qualifies & ~parent_covered
+        for idx in np.nonzero(fresh)[0]:
+            found.append((int(idx) * block, (int(idx) + 1) * block))
+        covered = parent_covered | fresh
+    found.sort()
+    dx, off = sig.dx, sig.offset
+    intervals = tuple(czd.StoppingInterval(lo, hi, off + lo * dx, off + hi * dx)
+                      for lo, hi in found)
+    return intervals, float(dx * np.sum(w))
 
 
 def copied(like, vals, dtype=np.complex128):
@@ -647,6 +687,133 @@ class TestStoppingIntervals:
         assert czd.stopping_intervals(sig, np.abs(sig.samples), sigma, alpha)[1] == want
 
 
+# magnitudes whose Young weights at alpha 1 and sigma 0 sum exactly, so that
+# many blocks sum to exactly their length; subnormal ones; and ones that
+# overflow at the smallest alphas
+WALK_VALUES = np.array([0.0, 0.5, 1.0, 1.0, 2.0, 4.0, 5e-324, 1e-310, 0.3, 7.0, 1e300])
+
+
+@st.composite
+def walk_signals(draw):
+    """A signal of 2^k samples with zero runs (or none but zeros) and the
+    magnitudes of ``WALK_VALUES``, signed."""
+    n = 1 << draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.choice(WALK_VALUES, n) * rng.choice([-1.0, 1.0], n)
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.integers(0, n - 1))
+        vals[lo:lo + draw(st.integers(1, n))] = 0.0
+    return Signal(vals, 2.0 ** draw(st.integers(-3, 4)), 0.0)
+
+
+class TestPrunedWalk:
+    """The walk that examines only the children of live blocks, against the
+    full tree it replaced (``reference_full_walk``)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sig=walk_signals(), sigma=st.sampled_from([0, 1, 2, 8]),
+           alpha=st.sampled_from([5e-324, 1e-300, 0.25, 0.5, 1.0, 1.5, 3.0, 1e300]))
+    def test_walk_is_the_full_tree_walk(self, sig, sigma, alpha):
+        mags = np.abs(sig.samples)
+        try:
+            with np.errstate(over="ignore"):
+                want = reference_full_walk(sig, mags, sigma, alpha)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)), np.errstate(over="ignore"):
+                czd.stopping_intervals(sig, mags, sigma, alpha)
+            return
+        with np.errstate(over="ignore"):
+            got, mass = czd.stopping_intervals(sig, mags, sigma, alpha)
+        assert got == want[0]
+        assert mass.hex() == want[1].hex()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sig=walk_signals(), s=st.sampled_from([0.25, 0.5, 1.0, 4.0]),
+           alpha=st.sampled_from([5e-324, 0.5, 1.0, 3.0]))
+    def test_young_mass_is_the_mass_of_every_weight(self, sig, s, alpha):
+        with np.errstate(over="ignore"):
+            want = float(sig.dx * np.sum(YoungFunction(s)(np.abs(sig.samples) / alpha)))
+            assert czd.young_mass(sig, s, alpha).hex() == want.hex()
+
+    def test_a_block_summing_to_its_length_does_not_qualify(self):
+        # the left half sums to exactly 4 = its length, its first quarter to 3
+        sig = Signal(np.array([2.0, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]), 8.0)
+        got, mass = czd.stopping_intervals(sig, np.abs(sig.samples), 0, 1.0)
+        assert [(j.lo, j.hi) for j in got] == [(0, 2)]
+        assert (got, mass) == reference_full_walk(sig, np.abs(sig.samples), 0, 1.0)
+
+
+def gate06_small(count):
+    """``count`` gate 06 members at 2^12 (seed 3107), sigma cycling 0, 1, 2,
+    each with alpha 1.5 times its Luxemburg average."""
+    rng = np.random.default_rng(3107)
+    for i in range(count):
+        sig = test_acceptance._terms_signal(test_acceptance._spiky_terms(rng), 12)
+        yield sig, i % 3, 1.5 * luxemburg_avg(np.abs(sig.samples), (i % 3) / 2.0)
+
+
+def live_children(mags, sigma, alpha):
+    """The blocks a walk must examine: the children of every block that
+    neither qualifies nor lies in one that does and sums to more than 1,
+    counted over each whole level of the tree."""
+    sums = czd._block_sums(YoungFunction(sigma / 2)(mags / alpha))
+    count, covered = 0, np.zeros(1, dtype=bool)
+    for k in range(len(sums) - 1):
+        qualifies = sums[k] > mags.size >> k
+        count += 2 * int(np.count_nonzero(~covered & ~qualifies & (sums[k] > 1.0)))
+        covered = np.repeat(covered | qualifies, 2)
+    return count
+
+
+class TestWorkCounters:
+    """Counts of the work a decomposition does, which no box's speed moves."""
+
+    def test_the_walk_examines_only_the_children_of_live_blocks(self, monkeypatch):
+        examined = []
+        walk = czd._maximal_blocks
+
+        def counting(sums, n):
+            found, count = walk(sums, n)
+            examined.append(count)
+            return found, count
+
+        monkeypatch.setattr(czd, "_maximal_blocks", counting)
+        want = []
+        for sig, sigma, alpha in gate06_small(6):
+            czd.cz_decompose(sig, sigma, alpha)
+            want.append(live_children(np.abs(sig.samples), sigma, alpha))
+        assert examined == want
+        # against 6 (2^13 - 2) = 49,140 blocks of the full tree
+        assert sum(examined) == 890
+
+    def test_lattice_points_runs_once_per_length_and_order(self, monkeypatch):
+        calls = []
+        real = lacunary.lattice_points
+        monkeypatch.setattr(lacunary, "lattice_points",
+                            lambda *args: calls.append(args) or real(*args))
+        lacunary._nyquist_lattice.cache_clear()
+        keys, atoms = set(), 0
+        for sig, sigma, alpha in gate06_small(6):
+            dec = czd.cz_decompose(sig, sigma, alpha)
+            keys |= {(atom.cancellative.n, sigma) for atom in dec.atoms}
+            atoms += len(dec.atoms)
+        assert len(calls) == len(keys) < atoms
+        # shared between calls, so no caller can write them
+        assert not czd.lacunary_bins(64, 1).flags.writeable
+
+    def test_a_cold_solve_peaks_at_six_times_its_input(self):
+        # the magnitudes and one five-row work area; 10x when every
+        # evaluation and step allocated its arrays
+        v = np.random.default_rng(21).standard_normal(1 << 15)
+        tracemalloc.start()
+        try:
+            luxemburg_avg(v, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * v.nbytes, peak / v.nbytes
+
+
 class TestLacunaryFrequencies:
     """The local bins of the lacunary frequencies, against the frequencies of
     the float reference times the window length."""
@@ -703,6 +870,7 @@ class TestLacunaryFrequencies:
     def test_sigma_8_is_linear_in_the_bins(self):
         # 2^11 bins a side: orders 1..8 hold 24,379,392 signed sums, and
         # every q with |q| < 2^11 has at most 6 non-adjacent digits
+        lacunary._nyquist_lattice.cache_clear()
         start = time.perf_counter()
         got = czd.lacunary_bins(4096, 8)
         assert time.perf_counter() - start < 1.0

@@ -23,12 +23,20 @@ Reference ledger for ``luxemburg_avg``:
   ``normal_range_corpus`` and ``newton_inputs`` makes no more Young
   evaluations than it, and a small czd ensemble at least 15% fewer; other
   counts are absolute counts of the solve.
+- ``allocating_luxemburg``: the solve as it was before it evaluated in a
+  work area of its own, every evaluation and steering sum in new arrays.
+  Derandomized Hypothesis samples (zero runs, all zeros, subnormal and huge
+  magnitudes, signs) at the Young exponents 0.25, 0.5, 1 and 4, cold and
+  warm: the same value, the same evaluation's arrays and the same number of
+  evaluations, bitwise, or the same error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +175,60 @@ def m_minus_one_solve(values, sigma: float, start=None) -> tuple:
                               2.0**-1074)
 
 
+def allocating_luxemburg(values, sigma: float, start=None) -> tuple:
+    """``(lam, terms, evaluations)`` of ``luxemburg_solve`` as it was before
+    its work area: today's bracket, steps and stopping tests."""
+    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    if v.size == 0:
+        raise ValueError("empty sample set")
+    mean = float(v.sum()) / v.size
+    if not math.isfinite(mean):
+        raise ValueError("values and their mean must be finite")
+    if mean == 0.0 or sigma == 0:
+        return mean, None, 0
+    lo = mean
+    try:
+        hi = mean * max(2.0, math.log(E + float(v.max()) / mean) ** sigma)
+    except OverflowError:
+        hi = math.inf
+    if not math.isfinite(hi):
+        raise ValueError(f"the starting bracket overflows at sigma = {sigma}")
+    size = v.size
+    v = v if v.all() else v[v != 0]
+    evaluations = []
+
+    def evaluate(lam):
+        t = v / lam
+        et = E + t
+        logs = np.log(et)
+        power = logs**sigma
+        evaluations.append(lam)
+        return float((t * power).sum()) / size, (t, et, logs, power)
+
+    while mean < np.finfo(float).tiny and evaluate(hi)[0] > 1.0:
+        hi *= 2.0
+    lam = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    val, terms = evaluate(lam)
+    for _ in range(200):
+        if abs(val - 1.0) <= CONSTRAINT_TOL:
+            return lam, terms, len(evaluations)
+        if val > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= max(1e-15 * hi, 2.0**-1074):
+            break
+        nxt = hi
+        if 0.0 < val < math.inf:
+            t, et, logs, power = terms
+            slope = float((t * power * (1.0 + sigma * t / (et * logs))).sum()) / size
+            step = math.log(val) * val / slope
+            nxt = lam * math.exp(step) if step < math.log(hi / lam) else hi
+        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        val, terms = evaluate(lam)
+    return 0.5 * (lo + hi), None, len(evaluations)
+
+
 ROOT_RTOL = 2 * CONSTRAINT_TOL  # two roots that both meet the contract, see assert_meets_the_pin
 
 
@@ -188,8 +250,8 @@ def count_young_calls(monkeypatch, fn, *args, **kwargs):
     ``luxemburg_solve``, ``luxemburg_exceeds`` and the references make every one."""
     calls = []
     real_terms = YoungFunction.mean_terms
-    monkeypatch.setattr(YoungFunction, "mean_terms",
-                        lambda self, t, size: calls.append(1) or real_terms(self, t, size))
+    monkeypatch.setattr(YoungFunction, "mean_terms", lambda self, *args, **kwargs: (
+        calls.append(1) or real_terms(self, *args, **kwargs)))
     out = fn(*args, **kwargs)
     monkeypatch.setattr(YoungFunction, "mean_terms", real_terms)
     return out, len(calls)
@@ -791,3 +853,110 @@ def test_czd_ensemble_makes_fewer_young_evaluations(monkeypatch):
     want, reference_calls = count_young_calls(monkeypatch, reports)
     assert calls <= 0.85 * reference_calls, (calls, reference_calls)
     assert_reports_agree(got, want)
+
+
+# -- the solve in its own work area against the allocating solve --------------
+
+
+@st.composite
+def solve_samples(draw):
+    """Up to 600 signed samples at one of five scales, from 2^-1074 to 1e300,
+    with zero runs, or all zero."""
+    size = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([2.0**-1074, 1e-310, 1e-300, 1.0, 1e300]))
+    v = np.ldexp(rng.pareto(1.1, size), draw(st.integers(-4, 4))) * scale
+    v *= rng.choice([-1.0, 1.0], size)
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.integers(0, size - 1))
+        v[lo:lo + draw(st.integers(1, size))] = 0.0
+    return v
+
+
+def counted_solve(values, sigma, start):
+    """``luxemburg_solve`` with the number of Young evaluations it made."""
+    calls = []
+    real = YoungFunction.mean_terms
+    YoungFunction.mean_terms = lambda self, *args, **kwargs: (
+        calls.append(1) or real(self, *args, **kwargs))
+    try:
+        lam, terms = luxemburg_solve(values, sigma, start=start)
+    finally:
+        YoungFunction.mean_terms = real
+    return lam, terms, len(calls)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(v=solve_samples(), sigma=st.sampled_from([0.25, 0.5, 1.0, 2, 2.0, 4.0]),
+       start=st.one_of(st.none(), st.floats(0.5, 2.0)))
+def test_work_area_solve_is_the_allocating_solve(v, sigma, start):
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            want = allocating_luxemburg(v, sigma)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                luxemburg_solve(v, sigma)
+            return
+        warm = None if start is None or want[0] == 0.0 else start * want[0]
+        if warm is not None:
+            want = allocating_luxemburg(v, sigma, warm)
+        got = counted_solve(v, sigma, warm)
+    assert got[0].hex() == want[0].hex()
+    assert got[2] == want[2]
+    assert (got[1] is None) == (want[1] is None)
+    for a, b in zip(got[1] or (), want[1] or ()):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_each_solve_keeps_its_own_terms():
+    # a later solve of the same size writes no row of an earlier one's
+    rng = np.random.default_rng(23)
+    first, second = rng.pareto(1.5, 512), rng.pareto(1.5, 512)
+    lam, terms = luxemburg_solve(first, 1.0)
+    kept = [a.copy() for a in terms]
+    luxemburg_solve(second, 1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(terms, kept))
+    assert YoungFunction(1.0).mean_terms(first / lam, first.size)[1][3].tobytes() == \
+        terms[3].tobytes()
+
+
+# -- complex samples are read by their moduli ------------------------------
+
+COMPLEX = np.array([3 + 4j, 0, 1j, 2])
+
+
+def test_complex_luxemburg_avg_is_that_of_the_moduli():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = luxemburg_avg(COMPLEX, 1.0)
+    assert got == luxemburg_avg(np.abs(COMPLEX), 1.0) == pytest.approx(2.78264, abs=1e-5)
+
+
+def test_complex_luxemburg_solve_is_that_of_the_moduli():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, terms = luxemburg_solve(COMPLEX, 0.5, start=2.0)
+    want = luxemburg_solve(np.abs(COMPLEX), 0.5, start=2.0)
+    assert lam == want[0]
+    assert all(np.array_equal(a, b) for a, b in zip(terms, want[1]))
+
+
+def test_complex_luxemburg_exceeds_screens_the_moduli():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert luxemburg_exceeds(COMPLEX, 1.0, 2.0)  # the real parts would not
+        assert not luxemburg_exceeds(COMPLEX, 1.0, 3.0)
+
+
+def test_complex_llogl_avg_equiv_is_that_of_the_moduli():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = llogl_avg_equiv(COMPLEX, 1.0)
+    assert got == llogl_avg_equiv(np.abs(COMPLEX), 1.0)
+
+
+def test_complex_exp_norm_is_that_of_the_moduli():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exp_norm(COMPLEX.astype(np.complex64), 1.0)
+    assert got == exp_norm(np.abs(COMPLEX), 1.0)

@@ -1,5 +1,7 @@
 """Smoke runs of every batch script under ``scripts/``."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +43,48 @@ def test_run_sharpness_study_writes_its_reports(tmp_path):
     # 2^15 admits the parameters N = 2..8 of the dilated family
     names = run_script("run_sharpness_study.py", tmp_path, "--log2-n", "15", "--khintchine", "4")
     assert names == ["sharpness.csv", "sharpness.json"]
+
+
+def load_contract():
+    spec = importlib.util.spec_from_file_location("contract", ROOT / "scripts" / "contract.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
+    contract = load_contract()
+    out = tmp_path / "contract.json"
+    assert contract.main(["record", "--out", str(out), "--small"]) == 0
+    assert contract.main(["diff", "--record", str(out), "--small"]) == 0
+    rec = json.loads(out.read_text())
+    assert {path.split("/")[0] for path in rec} == {"czd", "decompose", "growth", "verify"}
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{len(rec)} leaves against {len(rec)}; 0 floats or arrays moved in 0 fields; "
+        "0 other differences")
+
+    # a moved float, a moved sample, a changed exit code and a missing leaf
+    old = dict(rec)
+    level = "czd/3107/member-1/report/atoms/0/level_average"
+    old[level] = rec[level] * (1 + 2**-40)
+    samples = contract.leaf_array(rec["czd/11/member-2/cancellative"]).copy()
+    samples[3] = -samples[3]
+    old["czd/11/member-2/cancellative"] = contract.array_leaf(samples)
+    old["decompose/2026/gate08-s0-0-n6/exit"] = 1
+    del old["verify/10/endpoint-lp/stdout/text"]
+    lines, same = contract.summary(rec, old)
+    assert not same
+    assert lines[1:] == [
+        "  czd/*/*/cancellative: 1 moved, largest relative move 2.000e+00",
+        "  czd/*/*/report/atoms/*/level_average: 1 moved, largest relative move 9.095e-13",
+        "  decompose/2026/gate08-s0-0-n6/exit: 1 -> 0",
+        "  verify/10/endpoint-lp/stdout/text: only in the new record"]
+
+
+def test_contract_runs_every_readme_command():
+    # each shell example of README.md, flags as written
+    commands = load_contract().readme_commands()
+    assert len(commands) == 12
+    assert {argv[0] for argv in commands} == {
+        "lacunary", "project", "sqfn", "orlicz", "czd", "cww", "decompose", "verify",
+        "sharpness"}
