@@ -15,6 +15,10 @@ workload generators (``perfbench/workloads.py``):
   seed 2026;
 - ``growth``: the growth workload's report at seed 7;
 - ``verify``: the verify workload's five reports at seed 10;
+- ``samples``: at seeds 10 and 2026, the samples of every builder of
+  ``harness.make_sample_specs`` at the verify workload's configuration, at
+  supports None, ``"unit"`` and ``"centered"`` on the grid and on its x4
+  refinement, and the report of ``lacuna decompose`` without ``--input``;
 - ``readme``: every ``lacuna`` command in README.md's shell examples, each
   in a fresh process in a directory holding the quick start's ``f.bin`` and
   the ``run.cfg`` example, with its stdout, stderr and exit code.
@@ -58,8 +62,9 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 MODULES = ("cli", "czd", "harness", "lacunary", "martingale", "multipliers", "orlicz",
            "spectral")
-SEEDS = {"czd": (3107, 11), "decompose": (2026,), "growth": (7,), "verify": (10,)}
-RUNS = ("czd", "decompose", "growth", "verify", "readme")
+SEEDS = {"czd": (3107, 11), "decompose": (2026,), "growth": (7,), "verify": (10,),
+         "samples": (10, 2026)}
+RUNS = ("czd", "decompose", "growth", "verify", "samples", "readme")
 SHOWN = 20  # differences printed in full before the rest are counted
 
 
@@ -74,10 +79,11 @@ def load_lacuna(src: Path) -> types.SimpleNamespace:
         **{name: importlib.import_module(f"lacuna.{name}") for name in MODULES})
 
 
-def workloads() -> dict:
+def perfbench() -> types.ModuleType:
+    """``perfbench/workloads.py``, the benchmark's workload generators."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
-    return importlib.import_module("workloads").WORKLOADS
+    return importlib.import_module("workloads")
 
 
 def array_leaf(values: np.ndarray) -> dict:
@@ -113,7 +119,7 @@ def text_leaves(prefix: str, text: str, out: dict) -> None:
 
 def items_of(lac, name: str, seed: int, small: bool, workdir: str) -> list:
     kind = {"decompose": "solver"}.get(name, name)
-    return workloads()[kind](small=small).setup(lac, seed, workdir)
+    return perfbench().WORKLOADS[kind](small=small).setup(lac, seed, workdir)
 
 
 def record_czd(lac, seed: int, small: bool, workdir: str, out: dict) -> None:
@@ -136,6 +142,22 @@ def record_reports(lac, name: str, seed: int, small: bool, workdir: str, out: di
             code, text = result
             out[f"{name}/{seed}/{item.label}/exit"] = code
             text_leaves(f"{name}/{seed}/{item.label}/stdout", text, out)
+
+
+def record_samples(lac, seed: int, small: bool, out: dict) -> None:
+    verify = perfbench().WORKLOADS["verify"](small=small)
+    cfg = lac.harness.make_config({"log2_n": verify.log2_n, "tau": verify.tau,
+                                   "ensemble": verify.ensemble, "seed": seed})
+    for support in (None, "unit", "centered"):
+        for spec in lac.harness.make_sample_specs(cfg, np.random.default_rng(seed), support):
+            # the coarse grid first, as the experiments build them
+            for log2_n in (cfg.log2_n, cfg.log2_n + 2):
+                out[f"samples/{seed}/{support or 'full'}/{spec.label}/{log2_n}"] = \
+                    array_leaf(spec.build(log2_n).samples)
+    argv = ["decompose", "--seed", str(seed)] + (["--log2-n", "6"] if small else [])
+    code, text = perfbench()._call_cli(lac, argv)
+    out[f"samples/{seed}/decompose/exit"] = code
+    text_leaves(f"samples/{seed}/decompose/stdout", text, out)
 
 
 def readme_commands() -> list:
@@ -184,6 +206,8 @@ def record(src: Path, small: bool = False, runs=RUNS) -> dict:
             for seed in SEEDS[name]:
                 if name == "czd":
                     record_czd(lac, seed, small, workdir, out)
+                elif name == "samples":
+                    record_samples(lac, seed, small, out)
                 else:
                     record_reports(lac, name, seed, small, workdir, out)
     return out

@@ -223,9 +223,20 @@ def _grid(log2_n: int, period: float) -> tuple[np.ndarray, float]:
 
 
 def _add_bumps(vals: np.ndarray, x: np.ndarray, bumps) -> np.ndarray:
-    """Add ``a * plateau_bump((x - c) / w)`` onto ``vals`` for each ``(c, w, a)``."""
+    """Add ``a * plateau_bump((x - c) / w)`` onto ``vals`` for each ``(c, w, a)``.
+
+    ``x`` ascends, and each bump is evaluated only on the samples from one
+    before the first ``x >= c - w`` to one after the last ``x <= c + w``.
+    Past those, ``x`` lies a grid step beyond the rounded ``c - w`` or
+    ``c + w``, so the rounded ``|x - c|`` is at least ``w``, the rounded
+    ``|x - c| / w`` at least 1, and the bump ``+0.0``.  ``a`` times it is a
+    zero, and adding a zero leaves ``vals`` as it was, since ``vals`` never
+    holds ``-0.0``: the sums are bitwise those of the whole grid.
+    """
     for c, w, a in bumps:
-        vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
+        lo = max(int(np.searchsorted(x, c - w)) - 1, 0)
+        hi = int(np.searchsorted(x, c + w, "right")) + 1
+        vals[lo:hi] += a * plateau_bump((x[lo:hi] - c) / w, 0.5, 1.0)
     return vals
 
 
@@ -281,7 +292,17 @@ def _lac_poly_pool(cfg: ExperimentConfig) -> np.ndarray:
 def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
                    support: Optional[str], positive: np.ndarray) -> SampleSpec:
     """``amp * sum e_lam exp(2 pi i lam x)`` summed on the support only: bitwise
-    the full-grid sum times the support mask, but ``+0.0`` (not ``-0.0``) off it."""
+    the full-grid sum times the support mask, but ``+0.0`` (not ``-0.0``) off it.
+
+    The terms are evaluated on the kept samples with ``x >= 0`` only.  The
+    period is a power of two, so every point of the centred grid is exact,
+    and each kept ``x < 0`` is the exact negative of a kept ``-x``.  There
+    the phase is the negated phase, and each term, their sum and the ``amp``
+    scaling are the conjugates of those at ``-x``, rounding included.  So a
+    kept ``x < 0`` takes the conjugate of its mirror's sum, plus ``0.0`` so
+    that a zero imaginary part is ``+0.0``, as the direct sum leaves it.
+    The unit window ``[0, 1)`` has no ``x < 0``.
+    """
     size = min(int(rng.integers(8, 65)), positive.size)
     lams = rng.choice(positive, size=size, replace=False)
     eps = rng.choice([-1.0, 1.0], size=size)
@@ -293,12 +314,15 @@ def _lac_poly_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator,
             mask = (x >= 0.0) & (x < 1.0)
         else:
             mask = np.abs(x) < (0.5 if support == "centered" else 1.0)
-        kept = x[mask]
-        on = np.zeros(kept.size, dtype=complex)
+        kept = np.flatnonzero(mask)
+        z = int(np.count_nonzero(x[kept] < 0.0))
+        half = x[kept[z:]]
+        on = np.zeros(half.size, dtype=complex)
         for lam, e in zip(lams, eps):
-            on += e * np.exp(2j * np.pi * lam * kept)
+            on += e * np.exp(2j * np.pi * lam * half)
         vals = np.zeros(x.size, dtype=complex)
-        vals[mask] = amp * on
+        vals[kept[z:]] = amp * on
+        vals[kept[:z]] = amp * (np.conj(on[z:0:-1]) + 0.0)
         return Signal(vals, cfg.period, offset)
 
     return SampleSpec(label, build)
@@ -495,9 +519,7 @@ def _sup_ratios(alphas, counts, in_vals, dx: float, exponents: tuple) -> list:
         if top is not None and all(dx * count / rhs * (a / top[0]) * (1 + 1e-9) <= r
                                    for rhs, (r, _) in zip(top[1], best)):
             continue
-        t = absin / a
-        logs = np.log(math.e + t)
-        masses = [dx * float(np.sum(t * logs**young.sigma)) for young in youngs]
+        masses = _orlicz_masses(absin / a, dx, youngs)
         for i, rhs in enumerate(masses):
             ratio = dx * count / rhs if rhs > 0.0 else 0.0
             # from the top down, >= hands a tie to the smaller level
@@ -505,6 +527,13 @@ def _sup_ratios(alphas, counts, in_vals, dx: float, exponents: tuple) -> list:
                 best[i] = (ratio, float(a))
         top = (a, masses) if min(masses) >= 2.0**-900 else None
     return [{"max_ratio": float(r), "alpha": a, "levels": int(alphas.size)} for r, a in best]
+
+
+def _orlicz_masses(t: np.ndarray, dx: float, youngs) -> list:
+    """``dx * sum B(t)`` for each Young function ``B``, bitwise ``YoungFunction``'s,
+    with ``log(e + t)`` taken once."""
+    logs = np.log(math.e + t)
+    return [dx * float(np.sum(young.at_logs(t, logs))) for young in youngs]
 
 
 # -- reports ------------------------------------------------------------------

@@ -52,7 +52,11 @@ class YoungFunction:
         t = np.asarray(t, dtype=float)
         if self.sigma == 0:
             return t.copy()
-        return t * _log_power(np.log(_E + t), self.sigma)
+        return self.at_logs(t, np.log(_E + t))
+
+    def at_logs(self, t: np.ndarray, logs: np.ndarray) -> np.ndarray:
+        """``B(t)`` from ``logs = log(e + t)``, bitwise :meth:`__call__`'s."""
+        return t * _log_power(logs, self.sigma)
 
     def mean_terms(self, t: np.ndarray, size: int, out: Optional[np.ndarray] = None) -> tuple:
         """``sum B(t) / size``, bitwise ``__call__``'s, and the arrays

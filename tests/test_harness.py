@@ -15,6 +15,12 @@ Reference ledger:
   pruned; growth rows at orders 2-7 on 2^14, all twelve ratios of each
   verify operator at tau 3 on 2^13, drawn magnitudes and edge cases,
   bitwise.
+- ``full_grid_sign_polynomial`` and ``full_grid_bumps``: the sign
+  polynomials with every term on the whole grid, then times the support
+  mask, and the bump sums with every bump on the whole grid; the ensembles
+  at periods 2, 16 and 64 on both grids, drawn bumps at the grid ends,
+  narrower than a grid step or negative, the spike builder and
+  ``decompose_experiment``'s grid, bitwise with the signs of zeros.
 - ``square_reference`` (from ``test_spectral``): the lp and smooth-sqfn
   squares of verify at tau 3 on 2^11 and its refinement, to 1e-12 of the
   peak; ``bisection_luxemburg`` (from ``test_orlicz``): every float of a
@@ -37,7 +43,7 @@ from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import interval_arrays, lac_tau, lambda_tau
 from lacuna.multipliers import build_sharpness_family
 from lacuna.orlicz import YoungFunction, luxemburg_avg
-from lacuna.spectral import AliasFlags, BandBank, Signal, spectrum
+from lacuna.spectral import AliasFlags, BandBank, Signal, plateau_bump, spectrum
 from test_orlicz import bisection_luxemburg
 from test_multipliers import step_violations
 from test_spectral import bank_windows, square_reference
@@ -314,24 +320,178 @@ def full_grid_sign_polynomial(cfg, seed, support, log2_n):
     return vals
 
 
+def window_of(x, support):
+    """The support mask of a windowed family on the grid ``x``."""
+    if support == "unit":
+        return (x >= 0.0) & (x < 1.0)
+    return np.abs(x) < (0.5 if support == "centered" else 1.0)
+
+
 class TestSignPolynomials:
     @pytest.mark.parametrize("support", [None, "unit", "centered"])
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_support_only_sum_is_the_full_grid_sum(self, tau, support):
-        cfg = tiny_config(tau=tau)
-        pool = hn._lac_poly_pool(cfg)
+        # at period 2 the full window reaches both ends of the grid, so the
+        # mirrored half starts at the second sample
+        for period, log2_n in ((2.0, 9), (16.0, 9), (64.0, 11)):
+            cfg = tiny_config(tau=tau, period=period, log2_n=log2_n)
+            pool = hn._lac_poly_pool(cfg)
+            for seed in (10, 2026):
+                spec = hn._lac_poly_spec("lacpoly", cfg, np.random.default_rng(seed), support,
+                                         pool)
+                for fine in (log2_n, log2_n + 2):
+                    got = spec.build(fine).samples
+                    want = full_grid_sign_polynomial(cfg, seed, support, fine)
+                    x, _ = hn._grid(fine, period)
+                    on = window_of(x, support)
+                    # the mirrored half: the window's x < 0, half of it less x = 0
+                    assert np.count_nonzero(x[on] < 0.0) == (
+                        0 if support == "unit" else np.count_nonzero(on) // 2)
+                    # bitwise with the signs of zeros: +0.0 off the support,
+                    # where the mask product could leave -0.0
+                    assert got.tobytes() == np.where(on, want, 0.0).tobytes()
+
+
+def full_grid_bumps(vals, x, bumps):
+    """``_add_bumps`` by its former path: every bump on the whole grid."""
+    for c, w, a in bumps:
+        vals += a * plateau_bump((x - c) / w, 0.5, 1.0)
+    return vals
+
+
+def assert_bumps_bitwise(vals, x, bumps):
+    got = hn._add_bumps(vals.copy(), x, bumps)
+    want = full_grid_bumps(vals.copy(), x, bumps)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+@st.composite
+def bump_draws(draw):
+    """A grid (centred at a power-of-two period, or ``decompose_experiment``'s
+    ``(k + 1/2)/n``) and bumps at its ends, narrower than a step, or signed."""
+    log2_n = draw(st.integers(3, 11))
+    n = 1 << log2_n
+    if draw(st.booleans()):
+        x, _ = hn._grid(log2_n, draw(st.sampled_from([2.0, 16.0, 64.0])))
+    else:
+        x = (np.arange(n) + 0.5) / n
+    step = float(x[1] - x[0])
+    bumps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["end", "narrow", "any"]))
+        if kind == "narrow":
+            w = step * draw(st.floats(1e-3, 1.0))
+        else:
+            w = step * 2.0 ** draw(st.floats(-1.0, log2_n))
+        if kind == "any":
+            c = draw(st.floats(float(x[0]) - w, float(x[-1]) + w))
+        else:  # within one width of either end, or centred on a sample
+            end = float(x[draw(st.sampled_from([0, -1, n // 3]))])
+            c = end + w * draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+        a = draw(st.floats(0.1, 8.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        bumps.append((c, w, a))
+    return x, bumps
+
+
+class TestBumpWindows:
+    @given(bump_draws())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_window_sum_is_the_full_grid_sum(self, draw):
+        x, bumps = draw
+        assert_bumps_bitwise(np.zeros(x.size), x, bumps)
+
+    def test_edges_exactly_one_width_away(self):
+        # a sample exactly at c +- w takes u = +-1 and a bump of +0.0
+        x = np.arange(16) / 8.0
+        for c, w in ((0.5, 0.25), (0.0, 0.125), (1.875, 0.125), (1.0, 1.0), (0.0625, 0.0625)):
+            assert_bumps_bitwise(np.zeros(16), x, [(c, w, -1.5)])
+
+    @pytest.mark.parametrize("support", [None, "unit", "centered"])
+    @pytest.mark.parametrize("period", [2.0, 16.0])
+    def test_ensemble_bumps_and_spikes_are_the_full_grid_sums(self, period, support,
+                                                              monkeypatch):
+        # the bump mixtures, and the spike builder behind czbad (a base
+        # mixture plus spikes), each from a fresh generator of one seed
+        def samples(seed):
+            bump = hn._bump_mixture_spec("bump", period, np.random.default_rng(seed), support)
+            spikes = hn._spike_mixture_builder(period, np.random.default_rng(seed))
+            return bump.build(9).samples, spikes(11).samples
+
         for seed in (10, 2026):
-            spec = hn._lac_poly_spec("lacpoly", cfg, np.random.default_rng(seed), support, pool)
+            got = samples(seed)
+            with monkeypatch.context() as m:
+                m.setattr(hn, "_add_bumps", full_grid_bumps)
+                want = samples(seed)
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("seed", [2026, 3, 10])
+    def test_decompose_input_is_the_full_grid_sum(self, seed, monkeypatch):
+        inputs = []
+
+        def capture(f, sigma):
+            inputs.append(np.array(f.samples))
+            raise StopIteration
+
+        monkeypatch.setattr(hn, "decompose_quotient_norm", capture)
+        cfg = hn.make_config({"seed": seed})
+        for add in (hn._add_bumps, full_grid_bumps):
+            monkeypatch.setattr(hn, "_add_bumps", add)
+            with pytest.raises(StopIteration):
+                hn.decompose_experiment(cfg)
+        assert inputs[0].size == 1024 and inputs[0].tobytes() == inputs[1].tobytes()
+
+
+class TestSampleWork:
+    """The work of a verify-sized ensemble's sample construction, counted
+    (ROADMAP item 22): the sign polynomials' complex exponentials and the
+    points each bump is evaluated on."""
+
+    CFG = dict(log2_n=13, tau=3, ensemble=6, seed=10)
+
+    def test_sign_polynomials_evaluate_half_their_window(self, monkeypatch):
+        cfg = hn.ExperimentConfig(**self.CFG)
+        real_exp, sizes = np.exp, []
+
+        def counting(z, *args, **kwargs):
+            if np.iscomplexobj(z):
+                sizes.append(np.size(z))
+            return real_exp(z, *args, **kwargs)
+
+        specs = [s for s in hn.make_sample_specs(cfg, np.random.default_rng(cfg.seed))
+                 if s.label.startswith("lacpoly")]
+        assert len(specs) == 2
+        for spec in specs:
             for log2_n in (cfg.log2_n, cfg.log2_n + 2):
-                got = spec.build(log2_n).samples
-                want = full_grid_sign_polynomial(cfg, seed, support, log2_n)
-                assert np.array_equal(got, want)
-                off = want == 0.0
-                assert off.sum() >= 7 * got.size // 8
-                # off the support: +0.0 in both parts, where the mask product
-                # could leave -0.0
-                assert not np.signbit(got.real[off]).any()
-                assert not np.signbit(got.imag[off]).any()
+                x, _ = hn._grid(log2_n, cfg.period)
+                window = np.count_nonzero(window_of(x, None))  # 2K + 1 samples
+                sizes.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(np, "exp", counting)
+                    spec.build(log2_n)
+                assert 8 <= len(sizes) <= 64 and window % 2 == 1
+                # (K + 1) per term, not 2K + 1
+                assert sizes == [(window + 1) // 2] * len(sizes)
+
+    def test_bumps_see_only_their_windows(self, monkeypatch):
+        cfg = hn.ExperimentConfig(**self.CFG)
+        real_bump, args = hn.plateau_bump, []
+
+        def recording(u, plateau, support):
+            args.append(np.array(u))
+            return real_bump(u, plateau, support)
+
+        monkeypatch.setattr(hn, "plateau_bump", recording)
+        for spec in hn.make_sample_specs(cfg, np.random.default_rng(cfg.seed)):
+            if not spec.label.startswith("lacpoly"):
+                for log2_n in (cfg.log2_n, cfg.log2_n + 2):
+                    spec.build(log2_n)
+        assert args
+        for u in args:
+            # the support |u| < 1 and at most one sample past each end
+            inside = np.count_nonzero(np.abs(u) < 1.0)
+            assert inside > 0 and u.size <= inside + 2
 
 
 # -- operators ----------------------------------------------------------------
@@ -520,6 +680,25 @@ class TestWeakTypeRatio:
         lhs = 1.0
         rhs = float(np.sum(YoungFunction(0.5)(out / 50.0)))
         assert got["max_ratio"] >= lhs / rhs - 1e-12
+
+    @pytest.mark.parametrize("exponents", [(1.0, 0.5)] + [(tau / 2, (tau - 1) / 2)
+                                                          for tau in (1, 2, 3, 4)])
+    def test_masses_are_young_functions_bitwise(self, exponents):
+        # growth's pair, and verify's tau/2 and (tau - 1)/2: each mass of
+        # _sup_ratios is dx * sum B(t) by YoungFunction, through the one
+        # power path of orlicz
+        rng = np.random.default_rng(43)
+        absin = np.concatenate([rng.lognormal(0.0, 3.0, 4093), [1e-300, 1.0, 1e300]])
+        dx = 2.0**-12
+        for a in (1e-3, 0.7, 1.0, 64.0, 1e250):
+            t = absin / a
+            with np.errstate(over="ignore"):  # the mass at 1e300 / 1e-3
+                want = [dx * float(np.sum(YoungFunction(p)(t))) for p in exponents]
+                got = hn._orlicz_masses(t, dx, [YoungFunction(p) for p in exponents])
+                ratios = hn._sup_ratios(np.array([a]), np.array([7]), absin, dx, exponents)
+            assert list(map(repr, got)) == list(map(repr, want))
+            for ratio, rhs in zip(ratios, want, strict=True):
+                assert repr(ratio["max_ratio"]) == repr(dx * 7 / rhs if rhs > 0.0 else 0.0)
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_matches_per_threshold_loop_on_growth_rows(self, order):

@@ -58,7 +58,17 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
     assert contract.main(["record", "--out", str(out), "--small"]) == 0
     assert contract.main(["diff", "--record", str(out), "--small"]) == 0
     rec = json.loads(out.read_text())
-    assert {path.split("/")[0] for path in rec} == {"czd", "decompose", "growth", "verify"}
+    assert {path.split("/")[0] for path in rec} == {
+        "czd", "decompose", "growth", "samples", "verify"}
+    # each builder of the small verify ensemble at each support on both
+    # grids, and decompose without --input
+    built = {tuple(path.split("/")[1:]) for path in rec
+             if path.startswith("samples/") and "/decompose/" not in path}
+    assert built == {(seed, support, label, log2_n) for seed in ("10", "2026")
+                     for support, third in (("full", "czbad-2"), ("unit", "bump-2"),
+                                            ("centered", "bump-2"))
+                     for label in ("bump-0", "lacpoly-1", third) for log2_n in ("9", "11")}
+    assert rec["samples/10/decompose/exit"] == rec["samples/2026/decompose/exit"] == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"{len(rec)} leaves against {len(rec)}; 0 floats or arrays moved in 0 fields; "
         "0 other differences")
@@ -70,6 +80,11 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
     samples = contract.leaf_array(rec["czd/11/member-2/cancellative"]).copy()
     samples[3] = -samples[3]
     old["czd/11/member-2/cancellative"] = contract.array_leaf(samples)
+    # a sample of the mirrored half of a sign polynomial, on the x4 grid
+    poly = contract.leaf_array(rec["samples/10/full/lacpoly-1/11"]).copy()
+    assert poly[1000] != 0.0
+    poly[1000] = -poly[1000]
+    old["samples/10/full/lacpoly-1/11"] = contract.array_leaf(poly)
     old["decompose/2026/gate08-s0-0-n6/exit"] = 1
     del old["verify/10/endpoint-lp/stdout/text"]
     lines, same = contract.summary(rec, old)
@@ -77,6 +92,7 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
     assert lines[1:] == [
         "  czd/*/*/cancellative: 1 moved, largest relative move 2.000e+00",
         "  czd/*/*/report/atoms/*/level_average: 1 moved, largest relative move 9.095e-13",
+        "  samples/*/full/lacpoly-1/*: 1 moved, largest relative move 2.000e+00",
         "  decompose/2026/gate08-s0-0-n6/exit: 1 -> 0",
         "  verify/10/endpoint-lp/stdout/text: only in the new record"]
 
