@@ -19,13 +19,18 @@ workload generators (``perfbench/workloads.py``):
   ``harness.make_sample_specs`` at the verify workload's configuration, at
   supports None, ``"unit"`` and ``"centered"`` on the grid and on its x4
   refinement, and the report of ``lacuna decompose`` without ``--input``;
+- ``zygmund-bonami``: the reports of ``lacuna verify zygmund-bonami`` at tau
+  1, 2 and 3 on 2^10 samples, at seeds 7 and 10;
+- ``sharpness``: the report of ``lacuna sharpness --log2-n 14 --n-max 6
+  --khintchine 4`` (the default seed 7);
 - ``readme``: every ``lacuna`` command in README.md's shell examples, each
   in a fresh process in a directory holding the quick start's ``f.bin`` and
   the ``run.cfg`` example, with its stdout, stderr and exit code.
 
 Every value of a report is a leaf, keyed by its path (``czd/3107/member-4/
 atoms/0/level_average``), and every sample array is a leaf of exact bytes.
-``--small`` takes the workloads' small forms and leaves out the README
+``--small`` takes the workloads' small forms, runs zygmund-bonami on 2^8
+samples and sharpness on 2^12 up to order 5, and leaves out the README
 examples.
 
 ``record`` runs the contract with the ``lacuna`` of ``--src`` (this
@@ -63,8 +68,9 @@ README = ROOT / "README.md"
 MODULES = ("cli", "czd", "harness", "lacunary", "martingale", "multipliers", "orlicz",
            "spectral")
 SEEDS = {"czd": (3107, 11), "decompose": (2026,), "growth": (7,), "verify": (10,),
-         "samples": (10, 2026)}
-RUNS = ("czd", "decompose", "growth", "verify", "samples", "readme")
+         "samples": (10, 2026), "zygmund-bonami": (7, 10), "sharpness": (7,)}
+RUNS = ("czd", "decompose", "growth", "verify", "samples", "zygmund-bonami", "sharpness",
+        "readme")
 SHOWN = 20  # differences printed in full before the rest are counted
 
 
@@ -133,15 +139,31 @@ def record_czd(lac, seed: int, small: bool, workdir: str, out: dict) -> None:
                                               else np.zeros(0))
 
 
+def cli_leaves(key: str, result: tuple, out: dict) -> None:
+    """A command line's exit code and printed report."""
+    code, text = result
+    out[f"{key}/exit"] = code
+    text_leaves(f"{key}/stdout", text, out)
+
+
 def record_reports(lac, name: str, seed: int, small: bool, workdir: str, out: dict) -> None:
     for item in items_of(lac, name, seed, small, workdir):
         result = item.run()
         if name == "growth":
             text_leaves(f"{name}/{seed}/{item.label}", lac.harness.report_to_json(result), out)
-        else:  # a command line's exit code and printed report
-            code, text = result
-            out[f"{name}/{seed}/{item.label}/exit"] = code
-            text_leaves(f"{name}/{seed}/{item.label}/stdout", text, out)
+        else:
+            cli_leaves(f"{name}/{seed}/{item.label}", result, out)
+
+
+def command_lines(name: str, seed: int, small: bool) -> dict:
+    """The command lines of a run that no workload makes, by label."""
+    if name == "zygmund-bonami":
+        return {f"tau-{tau}": ["verify", "zygmund-bonami", "--tau", str(tau),
+                               "--log2-n", "8" if small else "10", "--seed", str(seed)]
+                for tau in (1, 2, 3)}
+    return {"khintchine-4": ["sharpness", "--log2-n", "12" if small else "14",
+                             "--n-max", "5" if small else "6", "--khintchine", "4",
+                             "--seed", str(seed)]}
 
 
 def record_samples(lac, seed: int, small: bool, out: dict) -> None:
@@ -155,9 +177,7 @@ def record_samples(lac, seed: int, small: bool, out: dict) -> None:
                 out[f"samples/{seed}/{support or 'full'}/{spec.label}/{log2_n}"] = \
                     array_leaf(spec.build(log2_n).samples)
     argv = ["decompose", "--seed", str(seed)] + (["--log2-n", "6"] if small else [])
-    code, text = perfbench()._call_cli(lac, argv)
-    out[f"samples/{seed}/decompose/exit"] = code
-    text_leaves(f"samples/{seed}/decompose/stdout", text, out)
+    cli_leaves(f"samples/{seed}/decompose", perfbench()._call_cli(lac, argv), out)
 
 
 def readme_commands() -> list:
@@ -208,6 +228,10 @@ def record(src: Path, small: bool = False, runs=RUNS) -> dict:
                     record_czd(lac, seed, small, workdir, out)
                 elif name == "samples":
                     record_samples(lac, seed, small, out)
+                elif name in ("zygmund-bonami", "sharpness"):
+                    for label, argv in command_lines(name, seed, small).items():
+                        cli_leaves(f"{name}/{seed}/{label}", perfbench()._call_cli(lac, argv),
+                                   out)
                 else:
                     record_reports(lac, name, seed, small, workdir, out)
     return out

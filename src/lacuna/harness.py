@@ -42,8 +42,8 @@ from .martingale import (DyadicFunction, azuma_tail_bound, cww_check, decompose_
                          random_sign_martingale, tail_measure)
 from .multipliers import build_sharpness_family, max_feasible_parameter, prototype_multiplier
 from .orlicz import YoungFunction, luxemburg_avg
-from .spectral import (MAX_LOG2_N, AliasFlags, BandBank, Signal, band_log2, coefficients,
-                       eta_bank, from_coefficients, plateau_bump, weak_l1_norm)
+from .spectral import (MAX_LOG2_N, AliasFlags, BandBank, Signal, band_log2, eta_bank,
+                       plateau_bump, weak_l1_norm)
 
 __all__ = [
     "ExperimentConfig",
@@ -337,7 +337,7 @@ def _cz_bad_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator) ->
         if memo["alpha"] is None:
             # freeze the threshold at the first grid so refinement compares
             # the same decomposition of the same function
-            root = luxemburg_avg(np.abs(sig.samples), cfg.sigma / 2)
+            root = luxemburg_avg(sig.samples, cfg.sigma / 2)
             memo["alpha"] = -1.0
             for mult in (2.0, 1.5, 1.2, 1.1):
                 try:
@@ -698,11 +698,11 @@ def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
               "<= C * Luxemburg average of |f| with t log^{tau/2}(e+t) on [0,1]")
 
     def rows_at(sig: Signal, label: str) -> list:
-        # |fhat(j)| = |fft_{jT}| * T/n: the offset phase cancels in the modulus
-        coeffs = np.abs(coefficients(sig.samples, (lams << cfg.log2_period) % sig.n)) * sig.dx
+        # |fhat(j)| at the bins jT < n/2: the offset phase cancels in the modulus
+        coeffs = np.abs(lattice_coefficients(sig, lams << cfg.log2_period))
         mask = (sig.x >= 0.0) & (sig.x < 1.0)
         return [_bound_row(label, float(np.sqrt(np.sum(coeffs ** 2))),
-                           luxemburg_avg(np.abs(sig.samples[mask]), cfg.tau / 2))]
+                           luxemburg_avg(sig.samples[mask], cfg.tau / 2))]
 
     return _finish_report("zygmund-bonami", anchor, cfg, "coefficient-embedding",
                           cfg.tau / 2, _refined_rows(cfg, specs, rows_at))
@@ -725,11 +725,11 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     pieces = wide.magnitudes(sig)
     local_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2) for row in pieces[:, gmask]])
     rows = [_bound_row(label, float(np.sqrt(np.sum(local_avgs ** 2))),
-                       luxemburg_avg(np.abs(sig.samples[jmask]), (cfg.sigma + cfg.tau) / 2),
+                       luxemburg_avg(sig.samples[jmask], (cfg.sigma + cfg.tau) / 2),
                        branch="local", gamma=cfg.gamma)]
 
     # energy of the same pieces off the dilated window
-    rhs_tail = luxemburg_avg(np.abs(sig.samples[jmask]), (cfg.tau - 1) / 2) ** 2
+    rhs_tail = luxemburg_avg(sig.samples[jmask], (cfg.tau - 1) / 2) ** 2
     sq = pieces ** 2
     for gam in tail_gammas:
         tmask = (x < -gam / 2) | (x >= gam / 2)
@@ -751,14 +751,14 @@ def _gen_zb_rows(cfg: ExperimentConfig, sig: Signal, label: str,
     full[jmask] = canc.samples
     canc_ext = Signal(full, sig.period, sig.offset)
     rows.append(_bound_row(label, float(np.sum(small.energies(canc_ext))),
-                           luxemburg_avg(np.abs(canc.samples), (cfg.tau - 1) / 2) ** 2,
+                           luxemburg_avg(canc.samples, (cfg.tau - 1) / 2) ** 2,
                            branch="cancellative", gamma=cfg.gamma))
 
     # all scales at once on the cancelled signal: sharp pieces, localized
     comb_avgs = np.array([luxemburg_avg(row, cfg.sigma / 2)
                           for row in every.magnitudes(canc_ext, gmask)])
     rows.append(_bound_row(label, float(np.sqrt(np.sum(comb_avgs ** 2))),
-                           luxemburg_avg(np.abs(canc.samples), (cfg.sigma + cfg.tau) / 2),
+                           luxemburg_avg(canc.samples, (cfg.sigma + cfg.tau) / 2),
                            branch="combined", gamma=cfg.gamma))
     return rows
 
@@ -845,18 +845,14 @@ def sharpness_growth(cfg: ExperimentConfig) -> dict:
             "n": n_param,
             "components": len(fam.pairs),
             "weak_det": weak_det,
-            "llogl": luxemburg_avg(np.abs(kept), 1.0),
+            "llogl": luxemburg_avg(kept, 1.0),
         }
         row["llogl_over_n"] = row["llogl"] / n_param
         if cfg.khintchine > 0:
             draws = rng.choice([-1.0, 1.0], size=(cfg.khintchine, len(fam.pairs)))
-            # bank.combine(g, signs) from g_N's coefficients, read once per order
-            pos = fam.bank.positions(g)
-            coeffs = coefficients(g.samples, pos)
-            weaks = []
-            for signs in draws:
-                out = from_coefficients(coeffs * fam.bank.symbol(g, signs)[pos], pos, g.samples)
-                weaks.append(weak_l1_norm(np.abs(out[fam.block]), g.dx))
+            # g_N's coefficients are read once per order
+            weaks = [weak_l1_norm(np.abs(out[fam.block]), g.dx)
+                     for out in fam.bank.combinations(g, draws)]
             row["weak_rand_max"] = max(weaks)
             row["weak_rand_median"] = statistics.median(weaks)
         xs = np.geomspace(2.0 ** (-5 * n_param / 8), 0.25, 16)

@@ -268,7 +268,7 @@ def certificate(oracle: QuotientOracle, psi: np.ndarray, iterations: int,
         "sigma": s,
         "iterations": iterations,
         "converged": converged,
-        "rhs_norm": luxemburg_avg(np.abs(oracle.f.samples), (s + 1) / 2),
+        "rhs_norm": luxemburg_avg(oracle.f.samples, (s + 1) / 2),
     }
 
 

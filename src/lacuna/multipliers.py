@@ -18,6 +18,7 @@ Two kinds of operator live here:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,23 +75,12 @@ def unit_block(n: int, period: float) -> slice:
     """The samples of the centered window with ``|x| <= 1/2``, as one slice.
 
     The sample positions ``x_k = -period/2 + (period/n) k`` (the floats of
-    ``Signal.x``) do not decrease in ``k``, so the block is one run of indices.
-    Its ends are estimated from ``(period/2 -+ 1/2) / dx`` and settled on those
-    floats, so the slice picks exactly the samples ``np.abs(x) <= 0.5`` picks.
+    ``Signal.x``) do not decrease in ``k``, so the block is one run of indices,
+    found by bisection on those floats: exactly the samples ``np.abs(x) <= 0.5``
+    picks.
     """
-    dx, offset = period / n, -period / 2
-
-    def first(estimate: float, past) -> int:
-        # the first index whose position is ``past`` the edge (n when none is)
-        k = min(max(math.ceil(estimate), 0), n)
-        while k > 0 and past(offset + dx * (k - 1)):
-            k -= 1
-        while k < n and not past(offset + dx * k):
-            k += 1
-        return k
-
-    return slice(first((period / 2 - 0.5) / dx, lambda x: x >= -0.5),
-                 first((period / 2 + 0.5) / dx, lambda x: x > 0.5))
+    grid, x = range(n), lambda k: -period / 2 + period / n * k
+    return slice(bisect_left(grid, -0.5, key=x), bisect_right(grid, 0.5, key=x))
 
 
 @dataclass

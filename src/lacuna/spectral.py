@@ -383,11 +383,17 @@ class BandBank:
     def combine(
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None
     ) -> np.ndarray:
-        """Samples of ``sum_i w_i T_i f``: the coefficients at the plan's
-        positions, weighted by the symbol and transformed back (one pair)."""
-        sym = self.symbol(sig, weights, flags)
+        """Samples of ``sum_i w_i T_i f``: the one-row case of :meth:`combinations`."""
+        return next(self.combinations(sig, [weights], flags))
+
+    def combinations(self, sig: Signal, rows, flags: Optional[AliasFlags] = None):
+        """Samples of ``sum_i w_i T_i f`` for each row ``w`` of ``rows`` in turn:
+        the coefficients at the plan's positions, read once, weighted by each
+        row's symbol and transformed back (one inverse transform a row)."""
         pos = self.positions(sig)
-        return from_coefficients(coefficients(sig.samples, pos) * sym[pos], pos, sig.samples)
+        coeffs = coefficients(sig.samples, pos)
+        for row in rows:
+            yield from_coefficients(coeffs * self.symbol(sig, row, flags)[pos], pos, sig.samples)
 
     def magnitudes(
         self, sig: Signal, columns=slice(None), flags: Optional[AliasFlags] = None

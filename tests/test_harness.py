@@ -38,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import czd, spectral
 from lacuna import harness as hn
 from lacuna.dyadic import DyadicScalar
 from lacuna.lacunary import interval_arrays, lac_tau, lambda_tau
@@ -865,7 +866,7 @@ class TestZygmundBonami:
         # 1e-14, the Luxemburg side is bitwise, and complex members are bitwise
         cfg = hn.make_config({"log2_n": 11, "tau": 2, "ensemble": 4, "seed": 3})
         got = hn.verify_zygmund_bonami(cfg)
-        monkeypatch.setattr(hn, "coefficients",
+        monkeypatch.setattr(czd, "coefficients",
                             lambda samples, pos: np.fft.fft(samples.astype(complex))[pos])
         want = hn.verify_zygmund_bonami(cfg)
         moved = 0
@@ -1096,6 +1097,25 @@ class TestSharpness:
                 weaks.append(hn.weak_l1_norm(np.abs(out[fam.block]), fam.g_n.dx))
             assert repr(row["weak_rand_max"]) == repr(max(weaks))
             assert repr(row["weak_rand_median"]) == repr(float(np.median(weaks)))
+
+    def test_khintchine_draws_read_the_coefficients_once_per_order(self, monkeypatch):
+        # the draws' work, counted (ROADMAP item 22): five draws add one read
+        # of g_N's coefficients per order to the study without draws
+        real, calls = spectral.coefficients, []
+
+        def counting(samples, pos):
+            calls.append(samples.size)
+            return real(samples, pos)
+
+        monkeypatch.setattr(spectral, "coefficients", counting)
+        reads = {}
+        for draws in (0, 5):
+            calls.clear()
+            cfg = hn.make_config({"log2_n": 12, "n_min": 2, "n_max": 5, "khintchine": draws})
+            orders = len(hn.sharpness_growth(cfg)["rows"])
+            reads[draws] = len(calls)
+        assert orders == 4 and reads[0] > 0
+        assert reads[5] == reads[0] + orders
 
     def test_khintchine_zero_skips_draws(self):
         cfg = hn.make_config({"log2_n": 12, "n_min": 2, "n_max": 3, "khintchine": 0})

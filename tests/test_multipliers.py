@@ -302,9 +302,10 @@ class TestSharpnessFamily:
         assert np.all(fam.g_n.samples[~inside] == 0.0)
 
     def test_unit_block_is_the_mask(self):
-        # the samples np.abs(Signal.x) <= 0.5 picks, on dyadic and other periods
-        for period in (16.0, 10.0, 3.0, 2.0**-3):
-            for log2_n in range(4, 23):
+        # the samples np.abs(Signal.x) <= 0.5 picks, on dyadic and other
+        # periods, from one sample up and from blocks past the grid to none
+        for period in (16.0, 10.0, 3.0, 2.0**-3, 2.0**64, 2.0**-20):
+            for log2_n in range(23):
                 n = 1 << log2_n
                 x = -period / 2 + (period / n) * np.arange(n)  # Signal.x
                 block = mult.unit_block(n, period)

@@ -68,7 +68,7 @@ E = math.e
 def bisection_luxemburg(values, sigma: float) -> float:
     """The bracketed bisection ``luxemburg_avg`` used before its Newton
     solve: the same bracket and stopping test, midpoint steps only."""
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
+    v = np.abs(np.asarray(values)).astype(float).ravel()
     mean = float(v.mean())
     if mean == 0.0:
         return 0.0

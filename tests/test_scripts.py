@@ -59,7 +59,19 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
     assert contract.main(["diff", "--record", str(out), "--small"]) == 0
     rec = json.loads(out.read_text())
     assert {path.split("/")[0] for path in rec} == {
-        "czd", "decompose", "growth", "samples", "verify"}
+        "czd", "decompose", "growth", "samples", "verify", "zygmund-bonami", "sharpness"}
+    # the zygmund-bonami reports at tau 1-3 and seeds 7 and 10, and one
+    # sharpness report with its Khintchine draws, each from the command line
+    runs = {tuple(path.split("/")[:3]) for path in rec
+            if path.startswith(("zygmund-bonami/", "sharpness/"))}
+    assert runs == {("zygmund-bonami", seed, f"tau-{tau}") for seed in ("7", "10")
+                    for tau in (1, 2, 3)} | {("sharpness", "7", "khintchine-4")}
+    for run in runs:
+        assert rec["/".join(run) + "/stdout/json/config/log2_n"] in (8, 12)
+    assert all(rec[f"zygmund-bonami/{seed}/tau-{tau}/exit"] == 0
+               for seed in ("7", "10") for tau in (1, 2, 3))
+    assert rec["sharpness/7/khintchine-4/stdout/json/config/khintchine"] == 4
+    assert "sharpness/7/khintchine-4/stdout/json/slope_rand" in rec
     # each builder of the small verify ensemble at each support on both
     # grids, and decompose without --input
     built = {tuple(path.split("/")[1:]) for path in rec

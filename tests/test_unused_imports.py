@@ -21,7 +21,9 @@ threads, and the ``threads`` setting is accepted and ignored.
 ``spectral`` owns the transform layout and the choice between a real and a
 complex transform: every band operator and the czd split and certificate
 read coefficients through ``spectral.coefficients`` and go back through
-``spectral.from_coefficients``.  The one use of numpy's FFT elsewhere is
+``spectral.from_coefficients``.  Outside ``spectral`` only ``czd`` imports
+that pair; every other module reaches coefficients through a ``BandBank``
+or through ``czd.lattice_coefficients``.  The one use of numpy's FFT elsewhere is
 the sharpness family's bump f_N, one ``irfft`` of a half spectrum that it
 builds in closed form (``multipliers.build_sharpness_family``).
 
@@ -221,6 +223,13 @@ def test_no_fft_outside_spectral(path):
     uses = fft_uses(ast.parse(path.read_text(encoding="utf-8")))
     forms = [use.split(": ", 1)[1] for use in uses]
     assert forms == FFT_EXCEPTIONS.get(path.name, []), f"{path.name}: numpy FFT uses {forms}"
+
+
+def test_only_czd_imports_the_coefficient_pair_outside_spectral():
+    pair = {"coefficients", "from_coefficients"}
+    importers = [path.name for path in MODULES if path.name != "spectral.py"
+                 and pair & set(imported_names(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert importers == ["czd.py"]
 
 
 def test_the_fft_guard_finds_each_form():
