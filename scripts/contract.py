@@ -23,6 +23,8 @@ workload generators (``perfbench/workloads.py``):
   1, 2 and 3 on 2^10 samples, at seeds 7 and 10;
 - ``sharpness``: the report of ``lacuna sharpness --log2-n 14 --n-max 6
   --khintchine 4`` (the default seed 7);
+- ``cww``: the reports of ``lacuna cww --log2-n 10 --ensemble 6`` at sigma 0,
+  1 and 2, at seeds 7 and 10;
 - ``readme``: every ``lacuna`` command in README.md's shell examples, each
   in a fresh process in a directory holding the quick start's ``f.bin`` and
   the ``run.cfg`` example, with its stdout, stderr and exit code.
@@ -30,8 +32,8 @@ workload generators (``perfbench/workloads.py``):
 Every value of a report is a leaf, keyed by its path (``czd/3107/member-4/
 atoms/0/level_average``), and every sample array is a leaf of exact bytes.
 ``--small`` takes the workloads' small forms, runs zygmund-bonami on 2^8
-samples and sharpness on 2^12 up to order 5, and leaves out the README
-examples.
+samples, sharpness on 2^12 up to order 5 and cww on 2^8 samples, and leaves
+out the README examples.
 
 ``record`` runs the contract with the ``lacuna`` of ``--src`` (this
 checkout's ``src/`` by default) and writes the leaves to one JSON file.
@@ -68,9 +70,10 @@ README = ROOT / "README.md"
 MODULES = ("cli", "czd", "harness", "lacunary", "martingale", "multipliers", "orlicz",
            "spectral")
 SEEDS = {"czd": (3107, 11), "decompose": (2026,), "growth": (7,), "verify": (10,),
-         "samples": (10, 2026), "zygmund-bonami": (7, 10), "sharpness": (7,)}
+         "samples": (10, 2026), "zygmund-bonami": (7, 10), "sharpness": (7,),
+         "cww": (7, 10)}
 RUNS = ("czd", "decompose", "growth", "verify", "samples", "zygmund-bonami", "sharpness",
-        "readme")
+        "cww", "readme")
 SHOWN = 20  # differences printed in full before the rest are counted
 
 
@@ -161,6 +164,11 @@ def command_lines(name: str, seed: int, small: bool) -> dict:
         return {f"tau-{tau}": ["verify", "zygmund-bonami", "--tau", str(tau),
                                "--log2-n", "8" if small else "10", "--seed", str(seed)]
                 for tau in (1, 2, 3)}
+    if name == "cww":
+        return {f"sigma-{sigma}": ["cww", "--sigma", str(sigma), "--log2-n",
+                                   "8" if small else "10", "--ensemble", "6",
+                                   "--seed", str(seed)]
+                for sigma in (0, 1, 2)}
     return {"khintchine-4": ["sharpness", "--log2-n", "12" if small else "14",
                              "--n-max", "5" if small else "6", "--khintchine", "4",
                              "--seed", str(seed)]}
@@ -228,7 +236,7 @@ def record(src: Path, small: bool = False, runs=RUNS) -> dict:
                     record_czd(lac, seed, small, workdir, out)
                 elif name == "samples":
                     record_samples(lac, seed, small, out)
-                elif name in ("zygmund-bonami", "sharpness"):
+                elif name in ("zygmund-bonami", "sharpness", "cww"):
                     for label, argv in command_lines(name, seed, small).items():
                         cli_leaves(f"{name}/{seed}/{label}", perfbench()._call_cli(lac, argv),
                                    out)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-# Run the distribution-bound experiments for every operator kind and save
-# one JSON report per operator.
+"""Run the distribution-bound experiments for every operator kind and save
+one JSON report per operator."""
 
 import argparse
 import pathlib

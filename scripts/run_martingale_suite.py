@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-# Sign-martingale tails and the decomposition solver over a sigma grid.
+"""Sign-martingale tails and the decomposition solver over a sigma grid."""
 
 import argparse
 import pathlib

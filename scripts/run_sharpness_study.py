@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-# Growth study along the dilated second-order family.  The band must hold
-# the largest parameter (2^{N+2} <= 2^{log2_n}/(2*period)), so the default
-# grid here is 2^18, which admits N up to 11.
+"""Growth study along the dilated second-order family.  The band must hold
+the largest parameter (2^{N+2} <= 2^{log2_n}/(2*period)), so the default
+grid here is 2^18, which admits N up to 11."""
 
 import argparse
 import pathlib

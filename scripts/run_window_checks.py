@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-# Coefficient-embedding and localized block checks over a small parameter
-# grid.
+"""Coefficient-embedding and localized block checks over a small parameter
+grid."""
 
 import argparse
 import pathlib

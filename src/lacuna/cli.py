@@ -208,7 +208,7 @@ def _cmd_sqfn(args: argparse.Namespace) -> int:
     sig = read_signal(args.input)
     flags = AliasFlags()
     min_scale = DyadicScalar.pow2(args.min_scale_log2)
-    max_abs = _exact("--max-abs", args.max_abs) if args.max_abs else None
+    max_abs = _exact("--max-abs", args.max_abs) if args.max_abs is not None else None
     out = lp_square_function(sig, args.tau, min_scale, args.mode, max_abs, flags=flags)
     if args.output:
         write_signal(args.output, out)

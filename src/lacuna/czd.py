@@ -132,8 +132,6 @@ class CzDecomposition:
 
 
 def _young_weights(mags: np.ndarray, s: float, alpha: float) -> np.ndarray:
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be finite and positive")
     B = YoungFunction(s)
     nonzero = mags != 0
     if nonzero.all():
@@ -147,16 +145,26 @@ def _young_weights(mags: np.ndarray, s: float, alpha: float) -> np.ndarray:
 def young_mass(sig: Signal, s: float, alpha: float) -> float:
     """Grid quadrature of ``B_s(|f|/alpha)`` over the window, with the Young
     exponent ``s`` that :func:`~lacuna.orlicz.luxemburg_avg` takes."""
-    return float(sig.dx * np.sum(_young_weights(np.abs(sig.samples), s, alpha)))
+    return float(sig.dx * np.sum(_young_weights(np.abs(sig.samples), s, _check_alpha(alpha))))
 
 
-def _check_parameters(sigma, alpha: float) -> int:
+def _check_sigma(sigma) -> int:
     # nan fails every comparison; inf has no int
     if not (0 <= sigma < math.inf and int(sigma) == sigma):
         raise ValueError("sigma must be a nonnegative integer")
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
     return int(sigma)
+
+
+def _check_alpha(alpha: float) -> float:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
+    return alpha
+
+
+def _check_parameters(sigma, alpha: float) -> int:
+    sigma = _check_sigma(sigma)
+    _check_alpha(alpha)
+    return sigma
 
 
 def _block_sums(w: np.ndarray) -> list:
@@ -231,7 +239,7 @@ def lacunary_bins(n: int, sigma) -> np.ndarray:
     ``|q| < n/2`` and at most ``sigma`` nonzero non-adjacent digits,
     read-only and enumerated once per ``(n, sigma)``
     (``lacunary.nyquist_lattice``)."""
-    return nyquist_lattice(_check_parameters(sigma, 1.0), n)
+    return nyquist_lattice(_check_sigma(sigma), n)
 
 
 def _positions(piece: Signal, bins) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dyadic martingale machinery on ([0,1], dx).
 
-Functions live on a grid of ``2^J`` samples and are treated as piecewise
-constant on level-J dyadic cells, so conditional expectations are exact block
-means and the whole calculus (telescoping, tower property, orthogonality) is
-exact up to float rounding.
+Functions are real ``Signal`` objects of period 1 on a grid of ``2^J``
+samples (:func:`DyadicFunction` builds one from any samples), checked finite
+and frozen, and are treated as piecewise constant on level-J dyadic cells, so
+conditional expectations are exact block means and the whole calculus
+(telescoping, tower property, orthogonality) is exact up to float rounding.
 
 Pieces:
 
@@ -38,36 +39,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .orlicz import YoungFunction, exp_norm, luxemburg_avg, luxemburg_exceeds, luxemburg_solve
+from .spectral import Signal
 
 
-def _require_pow2(n: int) -> int:
-    if n <= 0 or n & (n - 1):
-        raise ValueError("sample count must be a positive power of two")
-    return n.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class DyadicFunction:
-    """Samples on a 2^J grid over [0, 1), constant on level-J cells."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=float).copy()
-        _require_pow2(arr.size)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-    @property
-    def max_level(self) -> int:
-        return self.n.bit_length() - 1
-
-    def with_samples(self, samples: np.ndarray) -> "DyadicFunction":
-        return DyadicFunction(samples)
+def DyadicFunction(samples) -> Signal:
+    """Samples on a 2^J grid over [0, 1), cast to float: a :class:`Signal` of period 1."""
+    return Signal(np.asarray(samples, dtype=float), 1.0)
 
 
 def _ek(values: np.ndarray, k: int) -> np.ndarray:
@@ -89,11 +66,10 @@ def _dk(values: np.ndarray, k: int) -> np.ndarray:
     return _ek(values, k) - _ek(values, k - 1)
 
 
-def martingale_square_function(f: DyadicFunction) -> DyadicFunction:
+def martingale_square_function(f: Signal) -> Signal:
     """(sum_{k>=1} |D_k f|^2)^{1/2} pointwise; level 0 is excluded."""
-    j = f.max_level
     acc = np.zeros(f.n)
-    for k in range(1, j + 1):
+    for k in range(1, f.log2_n + 1):
         acc += _dk(f.samples, k) ** 2
     return f.with_samples(np.sqrt(acc))
 
@@ -141,7 +117,7 @@ def tail_measure(values: np.ndarray, lam: float) -> float:
     return float(np.count_nonzero(np.abs(vals) > lam)) / vals.shape[-1]
 
 
-def cww_check(f: DyadicFunction, sigma: float) -> dict:
+def cww_check(f: Signal, sigma: float) -> dict:
     """Exponential-integrability comparison for one function.
 
     lhs: ||f - E_0 f|| in exp(L^{2/(sigma+1)}), computed as the p-sup norm
@@ -229,9 +205,9 @@ class QuotientOracle:
     ``f_k B'(u) / (G sum_y B'(u_y) u_y)``, ``u = G/lambda`` (by implicit
     differentiation), with B' read from the solve's evaluation of ``u``."""
 
-    def __init__(self, f: DyadicFunction, sigma: float) -> None:
+    def __init__(self, f: Signal, sigma: float) -> None:
         self.f, self.sigma, self.young = f, sigma, YoungFunction(sigma / 2)
-        self.diffs = np.stack([_dk(f.samples, k) for k in range(f.max_level + 1)])
+        self.diffs = np.stack([_dk(f.samples, k) for k in range(f.log2_n + 1)])
         self.eps = EPS_SCALE * math.sqrt(float(np.mean(f.samples**2)))
         self.raw, self.squares = np.empty_like(self.diffs), np.empty_like(self.diffs)
 
@@ -272,7 +248,7 @@ def certificate(oracle: QuotientOracle, psi: np.ndarray, iterations: int,
     }
 
 
-def decompose_quotient_norm(f: DyadicFunction, sigma: float) -> DecompositionResult:
+def decompose_quotient_norm(f: Signal, sigma: float) -> DecompositionResult:
     """Minimize || (sum_k |D_k f + psi_k|^2)^{1/2} ||_{L log^{sigma/2} L}
     over perturbations with D_k psi_k = 0, by projected gradient descent on
     :class:`QuotientOracle`: the Armijo search halves the step from twice

@@ -390,10 +390,10 @@ class BandBank:
         """Samples of ``sum_i w_i T_i f`` for each row ``w`` of ``rows`` in turn:
         the coefficients at the plan's positions, read once, weighted by each
         row's symbol and transformed back (one inverse transform a row)."""
-        pos = self.positions(sig)
+        pos = self._grid(sig, flags).pos  # the grid's alias events, marked once a call
         coeffs = coefficients(sig.samples, pos)
         for row in rows:
-            yield from_coefficients(coeffs * self.symbol(sig, row, flags)[pos], pos, sig.samples)
+            yield from_coefficients(coeffs * self.symbol(sig, row)[pos], pos, sig.samples)
 
     def magnitudes(
         self, sig: Signal, columns=slice(None), flags: Optional[AliasFlags] = None

@@ -325,6 +325,14 @@ class TestSqfn:
             assert np.isfinite(got["sup"]) and got["sup"] > 1e153
             assert np.all(np.isfinite(read_signal(tmp_path / "agg.bin").samples))
 
+    @pytest.mark.parametrize("max_abs", ["0", "-0.0", "-4"])
+    def test_max_abs_not_positive_is_a_usage_error(self, stored_signal, capsys, max_abs):
+        # a zero bound is a bound, not the default band
+        code = main(["sqfn", "--input", str(stored_signal), f"--max-abs={max_abs}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "lacuna: max_abs must be positive\n"
+
     @pytest.mark.parametrize("tau", ["0", "21", "100000"])
     def test_tau_outside_its_range_is_a_usage_error(self, stored_signal, capsys, tau):
         code = main(["sqfn", "--input", str(stored_signal), f"--tau={tau}"])

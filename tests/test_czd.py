@@ -626,10 +626,9 @@ class TestStoppingIntervals:
         sig = square_pulse(16)
         with pytest.raises(ValueError):
             czd.stopping_intervals(sig, np.abs(sig.samples), 0.5, 1.0)
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            czd.stopping_intervals(sig, np.abs(sig.samples), 0, 0.0)
-        with pytest.raises(ValueError, match="alpha must be finite and positive"):
-            czd.stopping_intervals(sig, np.abs(sig.samples), 0, math.inf)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite and positive"):
+                czd.stopping_intervals(sig, np.abs(sig.samples), 0, alpha)
 
     @pytest.mark.parametrize("sigma", [0, 1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -834,6 +833,11 @@ class TestLacunaryFrequencies:
         bins = czd.lacunary_bins(16, 1)
         assert np.array_equal(bins / 1.0, union_of_orders(1.0, 8.0, 1))
         assert np.array_equal(bins / 2.0, union_of_orders(2.0, 4.0, 1))
+
+    @pytest.mark.parametrize("sigma", [-1, 0.5, math.nan, math.inf])
+    def test_bad_order_is_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be a nonnegative integer"):
+            czd.lacunary_bins(16, sigma)
 
     def test_tight_nyquist_keeps_only_zero(self):
         for n in (1, 2):

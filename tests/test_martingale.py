@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from lacuna import martingale as mg
 from lacuna.orlicz import YoungFunction, luxemburg_avg, luxemburg_solve
+from lacuna.spectral import Signal
 import test_acceptance
 
 
@@ -109,6 +110,30 @@ class TestExpectation:
     def test_rejects_non_pow2(self):
         with pytest.raises(ValueError):
             mg.DyadicFunction(np.zeros(12))
+
+
+class TestDyadicFunction:
+    def test_is_a_float_signal_of_period_one(self):
+        vals = np.arange(8)
+        f = mg.DyadicFunction(vals)
+        assert isinstance(f, Signal)
+        assert f.samples.dtype == np.float64 and not f.samples.flags.writeable
+        assert (f.period, f.offset, f.log2_n) == (1.0, 0.0, 3)
+        assert np.array_equal(f.samples, vals)
+
+    def test_complex_samples_keep_their_real_part(self):
+        with pytest.warns(np.exceptions.ComplexWarning):
+            f = mg.DyadicFunction(np.array([1 + 2j, -3j, 0.5, 4]))
+        assert f.samples.tolist() == [1.0, 0.0, 0.5, 4.0]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_are_rejected(self, bad):
+        # cww_check read [inf, 0, 1, 2] as lhs = rhs = ratio = 0.0, and the
+        # solver named a nan peak as out of range
+        with pytest.raises(ValueError, match="samples must be finite"):
+            mg.cww_check(mg.DyadicFunction([bad, 0.0, 1.0, 2.0]), 1)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            mg.decompose_quotient_norm(mg.DyadicFunction([0.0, 1.0, bad, 2.0]), 1.0)
 
 
 class TestDifference:
@@ -334,7 +359,7 @@ def reference_solve(f, sigma):
     candidate and gradient a fresh array, the projection a block mean per
     row, on the solver's schedule constants as they stand at the call.
     Returns (objective, iterations, constraint residual)."""
-    j = f.max_level
+    j = f.log2_n
     diffs = np.stack([mg._dk(f.samples, k) for k in range(j + 1)])
     eps = mg.EPS_SCALE * math.sqrt(float(np.mean(f.samples**2)))
 
@@ -510,7 +535,7 @@ class TestDecompositionSolver:
         assert out.certificate["constraint_residual"] < 1e-10
         assert out.objective <= out.baseline + 1e-9
         # levels of f are preserved: D_k f_k = D_k f
-        for k in range(f.max_level + 1):
+        for k in range(f.log2_n + 1):
             lhs = mg._dk(out.f_k[k], k)
             rhs = mg._dk(f.samples, k)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -595,7 +620,7 @@ class TestDecompositionSolver:
     def test_objective_convex_along_segments(self):
         rng = np.random.default_rng(56)
         f = random_function(5, seed=57)
-        j = f.max_level
+        j = f.log2_n
         diffs = np.stack([mg._dk(f.samples, k) for k in range(j + 1)])
 
         def objective(psi):

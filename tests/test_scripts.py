@@ -1,11 +1,14 @@
 """Smoke runs of every batch script under ``scripts/``."""
 
+import ast
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,6 +48,20 @@ def test_run_sharpness_study_writes_its_reports(tmp_path):
     assert names == ["sharpness.csv", "sharpness.json"]
 
 
+@pytest.mark.parametrize("name", ["run_endpoint_suite.py", "run_martingale_suite.py",
+                                  "run_sharpness_study.py", "run_window_checks.py"])
+def test_help_prints_the_script_docstring(name):
+    path = ROOT / "scripts" / name
+    doc = ast.get_docstring(ast.parse(path.read_text(encoding="utf-8")))
+    assert doc, f"{name} has no docstring"
+    done = subprocess.run([sys.executable, str(path), "--help"], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    # argparse rewraps the description
+    assert " ".join(doc.split()) in " ".join(done.stdout.split())
+
+
 def load_contract():
     spec = importlib.util.spec_from_file_location("contract", ROOT / "scripts" / "contract.py")
     module = importlib.util.module_from_spec(spec)
@@ -59,17 +76,26 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
     assert contract.main(["diff", "--record", str(out), "--small"]) == 0
     rec = json.loads(out.read_text())
     assert {path.split("/")[0] for path in rec} == {
-        "czd", "decompose", "growth", "samples", "verify", "zygmund-bonami", "sharpness"}
-    # the zygmund-bonami reports at tau 1-3 and seeds 7 and 10, and one
-    # sharpness report with its Khintchine draws, each from the command line
+        "czd", "decompose", "growth", "samples", "verify", "zygmund-bonami", "sharpness",
+        "cww"}
+    # the zygmund-bonami reports at tau 1-3, the cww reports at sigma 0-2,
+    # both at seeds 7 and 10, and one sharpness report with its Khintchine
+    # draws, each from the command line
     runs = {tuple(path.split("/")[:3]) for path in rec
-            if path.startswith(("zygmund-bonami/", "sharpness/"))}
-    assert runs == {("zygmund-bonami", seed, f"tau-{tau}") for seed in ("7", "10")
-                    for tau in (1, 2, 3)} | {("sharpness", "7", "khintchine-4")}
+            if path.startswith(("zygmund-bonami/", "sharpness/", "cww/"))}
+    assert runs == {(name, seed, f"{param}-{value}") for seed in ("7", "10")
+                    for name, param, values in (("zygmund-bonami", "tau", (1, 2, 3)),
+                                                ("cww", "sigma", (0, 1, 2)))
+                    for value in values} | {("sharpness", "7", "khintchine-4")}
     for run in runs:
         assert rec["/".join(run) + "/stdout/json/config/log2_n"] in (8, 12)
-    assert all(rec[f"zygmund-bonami/{seed}/tau-{tau}/exit"] == 0
-               for seed in ("7", "10") for tau in (1, 2, 3))
+        if run[0] != "sharpness":  # whose small grid has too few orders to pass
+            assert rec["/".join(run) + "/exit"] == 0
+    for seed in ("7", "10"):
+        for sigma in (0, 1, 2):
+            key = f"cww/{seed}/sigma-{sigma}/stdout/json"
+            assert (rec[f"{key}/config/sigma"], rec[f"{key}/config/seed"]) == (sigma, int(seed))
+            assert rec[f"{key}/config/ensemble"] == 6 and rec[f"{key}/ok"] is True
     assert rec["sharpness/7/khintchine-4/stdout/json/config/khintchine"] == 4
     assert "sharpness/7/khintchine-4/stdout/json/slope_rand" in rec
     # each builder of the small verify ensemble at each support on both

@@ -799,6 +799,19 @@ class TestBandBank:
         for n in (1 << 10, 1 << 11):
             self._check_against_reference(bank, kind, offset, n, real=True)
 
+    def test_combinations_mark_each_alias_event_once(self):
+        # three rows on a bank whose one window leaves the lattice: one
+        # event, as for combine, and each row bitwise its combine
+        bank = sp.BandBank(np.array([0]), np.array([1000]), 0, np.ones(1))
+        sig = sp.Signal(np.cos(np.arange(64.0)), 1.0)
+        rows = [[1.0], [-2.0], [0.5j]]
+        flags, one = sp.AliasFlags(), sp.AliasFlags()
+        outs = list(bank.combinations(sig, rows, flags))
+        bank.combine(sig, rows[0], one)
+        assert flags.events == one.events == ["band: window [0,999] exceeds lattice +-32"]
+        for out, row in zip(outs, rows):
+            assert out.tobytes() == bank.combine(sig, row).tobytes()
+
     def _check_against_reference(self, bank, kind, offset, n, real=False):
         rng = np.random.default_rng(51)
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
