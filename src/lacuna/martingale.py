@@ -21,12 +21,14 @@ Pieces:
   three parts: an oracle built once per ``(f, sigma)``
   (:class:`QuotientOracle`: the aggregate, its Luxemburg value and the
   unprojected gradient by implicit differentiation, in buffers allocated
-  once), the exactness :func:`certificate` of a perturbation, and the
-  iteration, whose line search rejects a first trial that
-  ``luxemburg_exceeds`` rules out (one Young-mass evaluation) unsolved.  The
-  projection onto the feasible subspace is one ``np.add.reduceat`` over
-  every half-block of every row and one ``np.repeat`` of the shifts.
-  Nonzero input must have ``max|f|`` in ``[2^-400, 2^400]``.
+  once, the Young evaluations included), the exactness :func:`certificate`
+  of a perturbation, and the iteration, whose line search rejects a first
+  trial that ``luxemburg_exceeds`` rules out (one Young-mass evaluation)
+  unsolved.  The projection onto the feasible subspace sums the half-blocks
+  of at most 4 samples with strided adds, in ``np.add.reduceat``'s own
+  order, and the longer ones with one ``np.add.reduceat``; one ``np.repeat``
+  spreads the shifts.  Nonzero input must have ``max|f|`` in ``[2^-400,
+  2^400]``.
 """
 
 from __future__ import annotations
@@ -66,11 +68,20 @@ def _dk(values: np.ndarray, k: int) -> np.ndarray:
     return _ek(values, k) - _ek(values, k - 1)
 
 
+def _real_samples(f: Signal) -> np.ndarray:
+    """``f``'s samples, which the martingale calculus needs real."""
+    if f.samples.dtype.kind == "c":
+        raise ValueError("martingale functions are real; got complex samples "
+                         "(pass their real part or their modulus)")
+    return f.samples
+
+
 def martingale_square_function(f: Signal) -> Signal:
     """(sum_{k>=1} |D_k f|^2)^{1/2} pointwise; level 0 is excluded."""
+    samples = _real_samples(f)
     acc = np.zeros(f.n)
     for k in range(1, f.log2_n + 1):
-        acc += _dk(f.samples, k) ** 2
+        acc += _dk(samples, k) ** 2
     return f.with_samples(np.sqrt(acc))
 
 
@@ -126,7 +137,8 @@ def cww_check(f: Signal, sigma: float) -> dict:
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    centered = f.samples - _ek(f.samples, 0)
+    samples = _real_samples(f)
+    centered = samples - _ek(samples, 0)
     sq = martingale_square_function(f).samples
     lhs = exp_norm(centered, (sigma + 1) / 2)
     rhs = float(np.max(sq)) if sigma == 0 else exp_norm(sq, sigma / 2)
@@ -170,30 +182,56 @@ class DecompositionResult:
 
 @lru_cache(maxsize=8)
 def _half_blocks(rows: int, n: int) -> tuple:
-    """Start and length (int and float) of the blocks whose means
-    ``project_to_constraint`` subtracts, in heap order over a flattened
-    ``(rows, n)`` array: block ``s >= 1`` lies on row ``k = floor(log2 s)``,
-    the whole row at k = 0, else its half-block ``s - 2^k``."""
+    """The blocks whose means ``project_to_constraint`` subtracts from a
+    ``(rows, n)`` array, in heap order: block ``s >= 1`` lies on row ``k =
+    floor(log2 s)``, the whole row at k = 0, else its half-block ``s - 2^k``.
+    Returns the flat starts of the blocks longer than 4 samples, which
+    ``np.add.reduceat`` sums (rows ``k <= log2 n - 3``, the first in heap
+    order), and every block's length as an int and as a float."""
     block = np.arange(1, 1 << rows)
     level = np.frexp(block)[1] - 1
     length = n >> level
-    return level * n + (block - (1 << level)) * length, length, length.astype(float)
+    starts = level * n + (block - (1 << level)) * length
+    return starts[length > 4], length, length.astype(float)
 
 
 def project_to_constraint(psi: np.ndarray) -> np.ndarray:
     """Zero out the level-k difference of row k (the feasible subspace).
 
-    Row 0 loses its mean.  For k >= 1, each level-(k-1) cell of row k splits
-    into halves with means ``m_a, m_b``; ``D_k`` is ``+-(m_a - m_b)/2`` on
-    them.  One ``np.add.reduceat`` sums every half-block of every row, and
-    one ``np.repeat`` spreads the shifts back over the entries to subtract.
+    ``psi`` has ``2^J`` samples in each of its ``rows <= J + 1`` rows.  Row 0
+    loses its mean.  For k >= 1, each level-(k-1) cell of row k splits into
+    halves with means ``m_a, m_b``; ``D_k`` is ``+-(m_a - m_b)/2`` on them.
+    One ``np.add.reduceat`` sums the half-blocks longer than 4 samples, and
+    strided adds the shorter ones in reduceat's own order (``a0``, ``a0 +
+    a1``, ``a0 + ((a1 + a2) + a3)``: reduceat adds ``a0`` to numpy's sum of
+    the rest), so the result is bitwise that of one reduceat over every
+    block.  One ``np.repeat`` spreads the shifts back over the entries to
+    subtract.
     """
     psi = np.asarray(psi, dtype=float)
-    starts, length, flength = _half_blocks(*psi.shape)
-    shift = np.add.reduceat(psi.ravel(), starts) / flength
-    half_gap = 0.5 * (shift[1::2] - shift[2::2])
-    shift[1::2] = half_gap
-    np.negative(half_gap, out=shift[2::2])
+    rows, n = psi.shape if psi.ndim == 2 else (0, 0)
+    if n & (n - 1) or not 1 <= rows <= n.bit_length():
+        raise ValueError(f"cannot project an array of shape {psi.shape}: it needs 2^J "
+                         "samples per row and 1 to J + 1 rows")
+    starts, length, flength = _half_blocks(rows, n)
+    shift = np.empty(length.size)
+    top = starts.size.bit_length()  # the rows reduceat sums: 2^top - 1 blocks
+    np.add.reduceat(psi[:top].ravel(), starts, out=shift[:starts.size])
+    for k in range(top, rows):
+        row, sums = psi[k], shift[(1 << k) - 1:(2 << k) - 1]
+        if n >> k == 1:
+            sums[...] = row
+        elif n >> k == 2:
+            np.add(row[0::2], row[1::2], out=sums)
+        else:
+            np.add(row[1::4], row[2::4], out=sums)
+            sums += row[3::4]
+            np.add(row[0::4], sums, out=sums)
+    shift /= flength
+    gap, other = shift[1::2], shift[2::2]
+    np.subtract(gap, other, out=gap)
+    gap *= 0.5
+    np.negative(gap, out=other)
     out = np.repeat(shift, length).reshape(psi.shape)
     return np.subtract(psi, out, out=out)
 
@@ -203,13 +241,20 @@ class QuotientOracle:
     at a state ``f_k`` the aggregate ``G = (sum_k f_k^2 + eps^2)^{1/2} >=
     eps``, its Luxemburg value, and the value's gradient before projection
     ``f_k B'(u) / (G sum_y B'(u_y) u_y)``, ``u = G/lambda`` (by implicit
-    differentiation), with B' read from the solve's evaluation of ``u``."""
+    differentiation), with B' read from the solve's evaluation of ``u``.
+
+    ``G`` is positive, so the solves and the screen read it as its own
+    magnitudes and evaluate into one ``(5, n)`` area, ``work``; the gradient
+    consumes the accepted solve's evaluation there before the next trial
+    writes it."""
 
     def __init__(self, f: Signal, sigma: float) -> None:
+        samples = _real_samples(f)
         self.f, self.sigma, self.young = f, sigma, YoungFunction(sigma / 2)
-        self.diffs = np.stack([_dk(f.samples, k) for k in range(f.log2_n + 1)])
-        self.eps = EPS_SCALE * math.sqrt(float(np.mean(f.samples**2)))
+        self.diffs = np.stack([_dk(samples, k) for k in range(f.log2_n + 1)])
+        self.eps = EPS_SCALE * math.sqrt(float(np.mean(samples**2)))
         self.raw, self.squares = np.empty_like(self.diffs), np.empty_like(self.diffs)
+        self.work = np.empty((5, f.n))
 
     def aggregate(self, fk: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``G`` at ``fk``, written into ``out``."""
@@ -219,18 +264,27 @@ class QuotientOracle:
 
     def value(self, agg: np.ndarray, start: Optional[float] = None) -> tuple:
         """``(lambda, evaluation)`` of ``G`` by :func:`~lacuna.orlicz.luxemburg_solve`."""
-        return luxemburg_solve(agg, self.sigma / 2, start=start)
+        return luxemburg_solve(agg, self.sigma / 2, start=start, work=self.work)
+
+    def exceeds(self, agg: np.ndarray, bound: float) -> bool:
+        """Whether ``value(agg)`` exceeds ``bound`` at any start, by
+        :func:`~lacuna.orlicz.luxemburg_exceeds` (one Young evaluation)."""
+        return luxemburg_exceeds(agg, self.sigma / 2, bound, work=self.work)
 
     def gradient(self, fk: np.ndarray, agg: np.ndarray, lam: float, terms) -> np.ndarray:
         """The unprojected gradient at ``fk`` from ``G`` and its ``value``, into
-        a buffer; B' is 1 at sigma 0, else evaluated if ``terms`` is None."""
+        a buffer; B' is 1 at sigma 0, else evaluated if ``terms`` is None.
+        The weights are computed in the rows of ``work``."""
+        work = self.work
         if self.sigma == 0:
-            weights = 1.0 / float((agg / lam).sum())
-        else:
-            terms = terms or self.young.mean_terms(agg / lam, agg.size)[1]
-            bp = self.young.slope(terms)
-            weights = bp / float((bp * terms[0]).sum())
-        return np.multiply(fk, weights / agg, out=self.raw)
+            weights = 1.0 / float(np.divide(agg, lam, out=work[0]).sum())
+            return np.multiply(fk, np.divide(weights, agg, out=work[0]), out=self.raw)
+        terms = terms or self.young.mean_terms(np.divide(agg, lam, out=work[0]), agg.size,
+                                               out=work)[1]
+        # B' into the row of B(u), then sum_y B'(u_y) u_y in the row of e + u
+        bp = self.young.slope(terms, out=work[4])
+        bp /= float(np.multiply(bp, terms[0], out=work[1]).sum())
+        return np.multiply(fk, np.divide(bp, agg, out=bp), out=self.raw)
 
 
 def certificate(oracle: QuotientOracle, psi: np.ndarray, iterations: int,
@@ -285,7 +339,7 @@ def decompose_quotient_norm(f: Signal, sigma: float) -> DecompositionResult:
             np.subtract(fk, np.multiply(grad, step, out=cand), out=cand)
             oracle.aggregate(cand, cand_agg)
             bar = current - ARMIJO * step * gnorm2
-            if not (screen and luxemburg_exceeds(cand_agg, sigma / 2, bar)):
+            if not (screen and oracle.exceeds(cand_agg, bar)):
                 value, cand_terms = oracle.value(cand_agg, current)
                 if value <= bar:
                     break

@@ -14,7 +14,8 @@ Conventions (sigma >= 0 throughout):
   computed constraint is within ``CONSTRAINT_TOL`` (1e-10) of 1; ``sigma =
   0`` returns the mean exactly.  An evaluation takes one log and one pow per
   nonzero sample (:meth:`YoungFunction.mean_terms`), written into a work
-  area that each solve allocates once, and the step's slope and ``B'``
+  area that each solve allocates once (or into a caller's own, which then
+  hands in its magnitudes as they are), and the step's slope and ``B'``
   (:meth:`YoungFunction.slope`) are read from its arrays.  Complex samples
   are read by their moduli.
 - ``exp_norm(f, sigma)`` is the p-sup form ``sup_{p>=2} p^{-sigma}
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -70,10 +72,15 @@ class YoungFunction:
         power = _log_power(logs, self.sigma, out=rows[3])
         return float(np.multiply(t, power, out=rows[4]).sum()) / size, (t, et, logs, power)
 
-    def slope(self, terms: tuple) -> np.ndarray:
-        """``B'(t)`` from the arrays :meth:`mean_terms` returned for ``t``."""
+    def slope(self, terms: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``B'(t)`` from the arrays :meth:`mean_terms` returned for ``t``, as
+        ``power + sigma t logs^(sigma-1) / (e+t)`` in that order, written into
+        ``out`` (a new array without it); ``terms`` are left as they are."""
         t, et, logs, power = terms
-        return power + self.sigma * t * _log_power(logs, self.sigma - 1) / et
+        bp = np.multiply(self.sigma, t, out=out)
+        bp *= _log_power(logs, self.sigma - 1)
+        bp /= et
+        return np.add(power, bp, out=bp)
 
     def submult_constant(self) -> float:
         """c with B(st) <= c B(s) B(t): log(e+st) <= 2 log(e+s) log(e+t)."""
@@ -105,11 +112,17 @@ def luxemburg_avg(values, sigma: float) -> float:
     return _solve(values, sigma, None)[0]
 
 
-def luxemburg_solve(values, sigma: float, *, start: Optional[float] = None) -> tuple:
+def luxemburg_solve(values, sigma: float, *, start: Optional[float] = None,
+                    work: Optional[np.ndarray] = None) -> tuple:
     """``(lam, terms)``: the Luxemburg average and the Young evaluation it
     was accepted on (:meth:`YoungFunction.mean_terms` of the nonzero
     ``|f|/lam``), or ``None`` where the solve ended without one at ``lam``:
     sigma 0, a zero mean, a collapsed bracket or the step cap.
+
+    ``work`` is a caller's own ``(5, values.size)`` area for a caller that
+    solves many times: the evaluations are written there instead of into one
+    the solve allocates, and ``values``, a flat float64 array of magnitudes,
+    are read as they are (no modulus copy; zeros are evaluated, not dropped).
 
     ``M(s) = mean B(|f| e^{-s})`` decreases in ``s = log lam``, and Newton's
     step on ``log M`` is ``lam <- lam exp(M log M / mean B'(u) u)`` (``u =
@@ -141,13 +154,22 @@ def luxemburg_solve(values, sigma: float, *, start: Optional[float] = None) -> t
     sample count, which is exact because ``B(0) = 0`` and ``B'(0) 0 = 0``.
     With no zero sample the sums are those over all of ``values``.
     """
-    return _solve(values, sigma, start)
+    return _solve(values, sigma, start, work)
 
 
-def _solve(values, sigma: float, start: Optional[float]) -> tuple:
+@lru_cache(maxsize=8)
+def _young(sigma: float) -> YoungFunction:
+    # one Young function per sigma for the solver's many solves and screens
+    return YoungFunction(sigma)
+
+
+def _solve(values, sigma: float, start: Optional[float],
+           work: Optional[np.ndarray] = None) -> tuple:
     # both entries' body: a tracer of public functions times each solve once
-    B = YoungFunction(sigma)
-    v = _magnitudes(values)
+    if work is None:
+        B, v = YoungFunction(sigma), _magnitudes(values)
+    else:
+        B, v = _young(sigma), values
     if v.size == 0:
         raise ValueError("empty sample set")
     mean = float(v.sum()) / v.size  # the reduction and division of v.mean()
@@ -165,10 +187,11 @@ def _solve(values, sigma: float, start: Optional[float]) -> tuple:
         raise ValueError(f"the starting bracket overflows at sigma = {sigma}")
 
     size = v.size
-    v = v if v.all() else v[v != 0]
-    # this solve's own rows t, e + t, log, power and t power: the accepted
-    # evaluation's terms stay valid after it returns
-    work = np.empty((5, v.size))
+    if work is None:
+        v = v if v.all() else v[v != 0]
+        # this solve's own rows t, e + t, log, power and t power: the accepted
+        # evaluation's terms stay valid after it returns
+        work = np.empty((5, v.size))
 
     def evaluate(lam: float) -> tuple:
         return B.mean_terms(np.divide(v, lam, out=work[0]), size, out=work)
@@ -201,9 +224,12 @@ def _solve(values, sigma: float, start: Optional[float]) -> tuple:
     return 0.5 * (lo + hi), None
 
 
-def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
+def luxemburg_exceeds(values, sigma: float, bound: float, *,
+                      work: Optional[np.ndarray] = None) -> bool:
     """True only if ``luxemburg_solve(values, sigma, start=...)[0]`` exceeds
     ``bound`` for every ``start``, from one evaluation of B (finite values).
+    ``work`` is as for :func:`luxemburg_solve`: the evaluation is written
+    there, and ``values`` are read as the magnitudes they are.
 
     ``mean B(|f|/lam)`` decreases in ``lam`` with log-slope at most ``1 +
     sigma``, and one evaluation rounds far below ``SCREEN_MARGIN``.  So when
@@ -217,10 +243,11 @@ def luxemburg_exceeds(values, sigma: float, bound: float) -> bool:
     bound of :func:`luxemburg_solve` puts at ``mean B <= 0.9964``, and for a
     subnormal one was doubled until its computed constraint was at most 1.
     """
-    v = _magnitudes(values)
+    v = _magnitudes(values) if work is None else values
     if bound <= 0.0 or v.size == 0:
         return bound < 0.0 or bool(v.any())
-    return YoungFunction(sigma).mean_terms(v / bound, v.size)[0] - 1.0 > SCREEN_MARGIN
+    t = np.divide(v, bound, out=None if work is None else work[0])
+    return _young(sigma).mean_terms(t, v.size, out=work)[0] - 1.0 > SCREEN_MARGIN
 
 
 def llogl_avg_equiv(values, sigma: float) -> float:

@@ -10,6 +10,12 @@ Reference ledger:
 - ``reference_project``: the projection as a block mean per row, the one
   past version kept; ``project_to_constraint`` at 2^0 and 2^12, scales 1e-3
   and 1e3, to 1e-15 of the peak (a ``_dk`` loop checks 2^0 to 2^12 alike).
+- ``reference_reduceat_project``: the projection before it summed the
+  half-blocks of at most 4 samples with strided adds, one
+  ``np.add.reduceat`` over every half-block of every row;
+  ``project_to_constraint`` at 2^0 to 2^12 with 1, J - 1 and J + 1 rows, on
+  random exponents up to +-300 with +-0.0 entries and at peaks 2^+-400,
+  bitwise.
 - ``reference_solve``: the solver loop before its state buffers, with B'
   written out in its two-sum form, kept until the solver's stop rule
   changes; the 16 gate 08 inputs and the rough input capped at 1000
@@ -21,10 +27,16 @@ Reference ledger:
   the accepted solve's evaluation (``B'(agg / value)`` taken afresh); the
   oracle's gradient at every accepted iterate of the first gate 08 input,
   sigma 0 and 1, bitwise.
+
+The oracle's solves and screen, which read ``G`` as its own magnitudes and
+evaluate in the oracle's work area, are compared bitwise with the public
+``luxemburg_solve`` and ``luxemburg_exceeds`` on the gate 08 aggregates.
 """
 
 import json
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +44,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna import martingale as mg
-from lacuna.orlicz import YoungFunction, luxemburg_avg, luxemburg_solve
+from lacuna import orlicz
+from lacuna.orlicz import YoungFunction, luxemburg_avg, luxemburg_exceeds, luxemburg_solve
 from lacuna.spectral import Signal
 import test_acceptance
 
@@ -300,6 +313,29 @@ class TestConstraintProjection:
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(psi))
         assert np.max(np.abs(got - reference_project(psi))) <= 1e-15 * np.max(np.abs(psi))
 
+    @pytest.mark.parametrize("j", range(13))
+    def test_projection_is_the_all_rows_reduceat_bitwise(self, j):
+        # the short half-blocks are summed in reduceat's own order
+        rng = np.random.default_rng(300 + j)
+        for rows in sorted({1, max(j - 1, 1), j + 1}):
+            shape = (rows, 1 << j)
+            psi = rng.standard_normal(shape) * np.ldexp(1.0, rng.integers(-300, 301, shape))
+            psi[rng.random(shape) < 0.2] = 0.0
+            psi[rng.random(shape) < 0.2] = -0.0
+            normal = rng.standard_normal(shape)
+            for x in (psi, normal * (2.0**400 / np.max(np.abs(normal))),
+                      normal * (2.0**-400 / np.max(np.abs(normal)))):
+                got, want = mg.project_to_constraint(x), reference_reduceat_project(x)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (j, rows)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 6), (0, 4), (1, 0), (4,), (2, 2, 2)])
+    def test_shapes_it_cannot_project_are_rejected_before_any_arithmetic(self, shape):
+        # (5, 4) used to warn of a division by zero, then fail in a reshape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"cannot project an array of shape"):
+                mg.project_to_constraint(np.ones(shape))
+
 
 def gate08_inputs():
     """The 16 gate 08 solves as (sigma, samples), from the gate's own
@@ -339,6 +375,21 @@ def reference_project(psi):
         halves[:, 0] -= half_gap[:, None]
         halves[:, 1] += half_gap[:, None]
     return out
+
+
+def reference_reduceat_project(psi):
+    """The projection before its strided short half-blocks: one
+    ``np.add.reduceat`` over every half-block of every row, in heap order."""
+    rows, n = psi.shape
+    block = np.arange(1, 1 << rows)
+    level = np.frexp(block)[1] - 1
+    length = n >> level
+    starts = level * n + (block - (1 << level)) * length
+    shift = np.add.reduceat(psi.ravel(), starts) / length.astype(float)
+    half_gap = 0.5 * (shift[1::2] - shift[2::2])
+    shift[1::2] = half_gap
+    np.negative(half_gap, out=shift[2::2])
+    return psi - np.repeat(shift, length).reshape(psi.shape)
 
 
 def two_sum_slope(u, s):
@@ -654,7 +705,7 @@ class TestScreenedLineSearch:
         # with the screen answering False every trial is solved, as before it
         if CAPS[case]:
             monkeypatch.setattr(mg, "MAX_ITER", CAPS[case])
-        monkeypatch.setattr(mg, "luxemburg_exceeds", lambda values, s, bound: False)
+        monkeypatch.setattr(mg, "luxemburg_exceeds", lambda values, s, bound, **kwargs: False)
         totals = np.zeros(2)
         for sigma, vals, screened, got_calls in screened_solves[case]:
             solved, want_calls = counted_solve(mg.DyadicFunction(vals), sigma)
@@ -673,12 +724,80 @@ class TestScreenedLineSearch:
         seen = []
         real = mg.luxemburg_exceeds
         monkeypatch.setattr(mg, "luxemburg_exceeds",
-                            lambda *args: seen.append(1) or real(*args))
+                            lambda *args, **kwargs: seen.append(1) or real(*args, **kwargs))
         out = mg.decompose_quotient_norm(mg.DyadicFunction(gate08_values()), 1.0)
         assert len(seen) == out.iterations
         seen.clear()
         mg.decompose_quotient_norm(mg.DyadicFunction(gate08_values()), 0.0)
         assert seen == []
+
+
+class TestOracleWork:
+    def test_oracle_solves_and_screens_are_the_public_calls_bitwise(self):
+        # G read as its own magnitudes in the oracle's work area, against the
+        # calls that take moduli and allocate, on the gate 08 aggregates
+        verdicts = set()
+        for sigma, vals in gate08_inputs():
+            oracle = mg.QuotientOracle(mg.DyadicFunction(vals), sigma)
+            agg = oracle.aggregate(oracle.diffs, np.empty(vals.size))
+            for start in (None, 1.01 * luxemburg_avg(agg, sigma / 2)):
+                lam, terms = oracle.value(agg, start)
+                got = lam.hex(), [a.tobytes() for a in terms or ()]
+                want = luxemburg_solve(agg, sigma / 2, start=start)
+                assert got == (want[0].hex(), [a.tobytes() for a in want[1] or ()])
+                assert (terms is None) == (want[1] is None) == (sigma == 0)
+            for bound in (-1.0, 0.0, 0.5 * lam, lam * (1 - 1e-6), lam * (1 - 1e-9), lam,
+                          2.0 * lam):
+                verdict = oracle.exceeds(agg, bound)
+                assert verdict == luxemburg_exceeds(agg, sigma / 2, bound), (sigma, bound)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_rough_iteration_copies_nothing_and_sums_short_blocks_in_place(self,
+                                                                           monkeypatch):
+        # per iteration at 2^11 (12 rows): no orlicz._magnitudes copy and no
+        # YoungFunction built (about 2 of each at the parent), and 511
+        # reduceat segments a projection (4,095 at the parent)
+        monkeypatch.setattr(mg, "MAX_ITER", 200)
+        counts, segments = Counter(), []
+        real_magnitudes, real_post_init = orlicz._magnitudes, YoungFunction.__post_init__
+        real_blocks = mg._half_blocks
+        monkeypatch.setattr(orlicz, "_magnitudes", lambda values: (
+            counts.update(["magnitudes"]) or real_magnitudes(values)))
+        monkeypatch.setattr(YoungFunction, "__post_init__", lambda self: (
+            counts.update(["young"]) or real_post_init(self)))
+        monkeypatch.setattr(mg, "_half_blocks", lambda rows, n: (
+            segments.append(real_blocks(rows, n)[0].size) or real_blocks(rows, n)))
+        out = mg.decompose_quotient_norm(mg.DyadicFunction(rough_values(11)), 1.0)
+        assert out.iterations == 200 and not out.converged
+        # the certificate's three luxemburg_avg calls
+        assert counts["magnitudes"] == 3
+        # the oracle's and the certificate's, and at most one that the
+        # solves and screens keep for every call
+        assert 4 <= counts["young"] <= 5
+        # one projection per iteration and one of the output
+        assert segments == [511] * 201
+
+
+class TestComplexSamples:
+    CALLS = {
+        "decompose-sigma-0": lambda f: mg.decompose_quotient_norm(f, 0.0),
+        "decompose-sigma-1": lambda f: mg.decompose_quotient_norm(f, 1.0),
+        "cww-sigma-0": lambda f: mg.cww_check(f, 0.0),
+        "cww-sigma-1": lambda f: mg.cww_check(f, 1.0),
+        "square-function": mg.martingale_square_function,
+        "oracle": lambda f: mg.QuotientOracle(f, 1.0),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_complex_samples_are_named(self, call):
+        # the solver used to warn four times and call finite input not
+        # finite, and cww_check failed in a numpy cast
+        f = Signal(np.array([1 + 1j, 0, 1, 2]), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="got complex samples"):
+                call(f)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5, 1.0, 1.5, 4.0, 300.0])
@@ -687,6 +806,12 @@ def test_young_derivative_is_its_two_sum_form_bitwise(sigma):
     t = np.concatenate([rng.pareto(1.1, 4096), [0.0, 1e-300, 1e300]])
     young = YoungFunction(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = young.slope(young.mean_terms(t, t.size)[1])
+        terms = young.mean_terms(t, t.size)[1]
+        kept = [a.tobytes() for a in terms]
+        got = young.slope(terms)
+        into = np.empty_like(t)
+        assert young.slope(terms, out=into) is into
         want = two_sum_slope(t, sigma)
     assert np.array_equal(got, want, equal_nan=True)
+    assert into.tobytes() == got.tobytes()
+    assert [a.tobytes() for a in terms] == kept

@@ -908,6 +908,34 @@ def test_work_area_solve_is_the_allocating_solve(v, sigma, start):
         assert a.tobytes() == b.tobytes()
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(v=solve_samples(), sigma=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2, 4.0]),
+       start=st.one_of(st.none(), st.floats(0.5, 2.0)))
+def test_solve_and_screen_in_a_callers_area_are_the_calls_on_moduli(v, sigma, start):
+    # positive magnitudes are read as they are and evaluated in the
+    # caller's area, bitwise the calls that copy them into their own
+    v = np.abs(v[v != 0])
+    if v.size == 0:
+        return
+    work = np.full((5, v.size), np.nan)
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            lam = luxemburg_solve(v, sigma)[0]
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                luxemburg_solve(v, sigma, work=work)
+            return
+        warm = None if start is None else start * lam
+        want = luxemburg_solve(v, sigma, start=warm)
+        got = luxemburg_solve(v, sigma, start=warm, work=work)
+        assert got[0].hex() == want[0].hex()
+        assert [a.tobytes() for a in got[1] or ()] == [a.tobytes() for a in want[1] or ()]
+        assert all(a.base is work for a in got[1] or ())
+        for bound in (0.5 * lam, lam * (1 - 1e-7), lam, 2.0 * lam):
+            assert luxemburg_exceeds(v, sigma, bound, work=work) == \
+                luxemburg_exceeds(v, sigma, bound)
+
+
 def test_each_solve_keeps_its_own_terms():
     # a later solve of the same size writes no row of an earlier one's
     rng = np.random.default_rng(23)

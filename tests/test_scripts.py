@@ -107,6 +107,13 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
                                             ("centered", "bump-2"))
                      for label in ("bump-0", "lacpoly-1", third) for log2_n in ("9", "11")}
     assert rec["samples/10/decompose/exit"] == rec["samples/2026/decompose/exit"] == 0
+    # the solver workload's reports at both seeds (the small form leaves out
+    # the rough input, which the full form runs to the iteration cap)
+    decompose = {tuple(path.split("/")[1:3]) for path in rec if path.startswith("decompose/")}
+    assert {seed for seed, _ in decompose} == {"2026", "7"}
+    assert {label for seed, label in decompose if seed == "7"} == \
+        {label for seed, label in decompose if seed == "2026"}
+    assert contract.SEEDS["decompose"] == (2026, 7)
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"{len(rec)} leaves against {len(rec)}; 0 floats or arrays moved in 0 fields; "
         "0 other differences")
