@@ -20,8 +20,9 @@ workload generators (``perfbench/workloads.py``):
   ``harness.make_sample_specs`` at the verify workload's configuration, at
   supports None, ``"unit"`` and ``"centered"`` on the grid and on its x4
   refinement, and the report of ``lacuna decompose`` without ``--input``;
-- ``zygmund-bonami``: the reports of ``lacuna verify zygmund-bonami`` at tau
-  1, 2 and 3 on 2^10 samples, at seeds 7 and 10;
+- ``zygmund-bonami`` and ``gen-zygmund-bonami``: the reports of ``lacuna
+  verify zygmund-bonami`` and ``lacuna verify gen-zygmund-bonami`` at tau 1,
+  2 and 3 on 2^10 samples, at seeds 7 and 10;
 - ``sharpness``: the report of ``lacuna sharpness --log2-n 14 --n-max 6
   --khintchine 4`` (the default seed 7);
 - ``cww``: the reports of ``lacuna cww --log2-n 10 --ensemble 6`` at sigma 0,
@@ -32,9 +33,9 @@ workload generators (``perfbench/workloads.py``):
 
 Every value of a report is a leaf, keyed by its path (``czd/3107/member-4/
 atoms/0/level_average``), and every sample array is a leaf of exact bytes.
-``--small`` takes the workloads' small forms, runs zygmund-bonami on 2^8
-samples, sharpness on 2^12 up to order 5 and cww on 2^8 samples, and leaves
-out the README examples.
+``--small`` takes the workloads' small forms, runs both zygmund-bonami
+experiments on 2^8 samples, sharpness on 2^12 up to order 5 and cww on 2^8
+samples, and leaves out the README examples.
 
 ``record`` runs the contract with the ``lacuna`` of ``--src`` (this
 checkout's ``src/`` by default) and writes the leaves to one JSON file.
@@ -71,10 +72,10 @@ README = ROOT / "README.md"
 MODULES = ("cli", "czd", "harness", "lacunary", "martingale", "multipliers", "orlicz",
            "spectral")
 SEEDS = {"czd": (3107, 11), "decompose": (2026, 7), "growth": (7,), "verify": (10,),
-         "samples": (10, 2026), "zygmund-bonami": (7, 10), "sharpness": (7,),
-         "cww": (7, 10)}
-RUNS = ("czd", "decompose", "growth", "verify", "samples", "zygmund-bonami", "sharpness",
-        "cww", "readme")
+         "samples": (10, 2026), "zygmund-bonami": (7, 10), "gen-zygmund-bonami": (7, 10),
+         "sharpness": (7,), "cww": (7, 10)}
+RUNS = ("czd", "decompose", "growth", "verify", "samples", "zygmund-bonami",
+        "gen-zygmund-bonami", "sharpness", "cww", "readme")
 SHOWN = 20  # differences printed in full before the rest are counted
 
 
@@ -161,8 +162,8 @@ def record_reports(lac, name: str, seed: int, small: bool, workdir: str, out: di
 
 def command_lines(name: str, seed: int, small: bool) -> dict:
     """The command lines of a run that no workload makes, by label."""
-    if name == "zygmund-bonami":
-        return {f"tau-{tau}": ["verify", "zygmund-bonami", "--tau", str(tau),
+    if name in ("zygmund-bonami", "gen-zygmund-bonami"):
+        return {f"tau-{tau}": ["verify", name, "--tau", str(tau),
                                "--log2-n", "8" if small else "10", "--seed", str(seed)]
                 for tau in (1, 2, 3)}
     if name == "cww":
@@ -237,7 +238,7 @@ def record(src: Path, small: bool = False, runs=RUNS) -> dict:
                     record_czd(lac, seed, small, workdir, out)
                 elif name == "samples":
                     record_samples(lac, seed, small, out)
-                elif name in ("zygmund-bonami", "sharpness", "cww"):
+                elif name in ("zygmund-bonami", "gen-zygmund-bonami", "sharpness", "cww"):
                     for label, argv in command_lines(name, seed, small).items():
                         cli_leaves(f"{name}/{seed}/{label}", perfbench()._call_cli(lac, argv),
                                    out)

@@ -31,6 +31,9 @@ Discretization notes that drive the implementation:
 - Every part of real data is float64, so the pair takes an ``rfft`` and, on
   the symmetric bins, an ``irfft``; a complex input keeps the complex
   transforms, also on a piece whose imaginary parts are all zero.
+- The split (:func:`cz_split`) is the stopping intervals and the removal on
+  each; :func:`cz_decompose` runs it and then measures the atoms and the
+  global constants.  A caller that needs only the parts takes the split.
 - A decomposition takes ``|f|`` once and the Young weights ``B(|f|/alpha)``
   once, on the nonzero samples only (``B(0) = 0``): the stopping walk sums
   the weights by blocks and their grid sum is the Orlicz mass; the margin
@@ -54,12 +57,14 @@ from .spectral import Signal, coefficients, from_coefficients, real_data, rms
 __all__ = [
     "StoppingInterval",
     "CzAtom",
+    "CzSplit",
     "CzDecomposition",
     "young_mass",
     "stopping_intervals",
     "lacunary_bins",
     "lattice_coefficients",
     "remove_lacunary",
+    "cz_split",
     "cz_decompose",
     "support_margin",
 ]
@@ -96,6 +101,27 @@ class CzAtom:
 
 
 @dataclass(frozen=True)
+class CzSplit:
+    """The split of f at level alpha, before any measurement: f's samples as
+    the decomposition reads them (float64 for real data), their moduli, the
+    Orlicz mass, and per stopping interval ``(interval, bins, cancellative,
+    lacunary)``."""
+
+    sig: Signal
+    samples: np.ndarray
+    mags: np.ndarray
+    mass: float
+    pieces: tuple
+
+    def cancellative_part(self) -> Signal:
+        """The atoms' cancellative parts on f's window, zero off the atoms."""
+        out = np.zeros(self.sig.n, dtype=self.samples.dtype)
+        for interval, _bins, canc, _lac in self.pieces:
+            out[interval.lo : interval.hi] = canc.samples
+        return Signal._adopt(out, self.sig.period, self.sig.offset)
+
+
+@dataclass(frozen=True)
 class CzDecomposition:
     """The split f = good + sum of atoms + lacunary correction; every part
     float64 for real data, complex128 otherwise."""
@@ -111,12 +137,6 @@ class CzDecomposition:
     def stopping(self) -> tuple:
         """The stopping intervals, one per atom."""
         return tuple(atom.interval for atom in self.atoms)
-
-    def cancellative_part(self) -> Signal:
-        out = np.zeros(self.good.n, dtype=self.lacunary_part.samples.dtype)
-        for atom in self.atoms:
-            out[atom.interval.lo : atom.interval.hi] = atom.cancellative.samples
-        return Signal._adopt(out, self.good.period, self.good.offset)
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,13 +344,13 @@ def _atom_diagnostics(interval: StoppingInterval, piece_mags: np.ndarray, canc: 
     return out
 
 
-def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] = None,
-                 threads: int = 1) -> CzDecomposition:
-    """Run the full decomposition at level alpha and measure its constants.
+def cz_split(sig: Signal, sigma, alpha: float, min_margin: Optional[float] = None) -> CzSplit:
+    """The stopping intervals of f at level alpha and the (cancellative,
+    lacunary) parts of its piece on each (:func:`remove_lacunary`), without
+    the measurements of :func:`cz_decompose`, which raises the same errors.
 
     ``min_margin`` optionally enforces a window/support ratio so that the
-    periodic wrap-around stays away from the data.  ``threads`` is accepted
-    and ignored: the atoms are built serially.
+    periodic wrap-around stays away from the data.
     """
     sigma = _check_parameters(sigma, alpha)
     if min_margin is not None and not math.isfinite(min_margin):
@@ -343,20 +363,34 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     mags = np.abs(samples)
     if min_margin is not None and support_margin(sig, mags) < min_margin:
         raise ValueError("support margin below the requested minimum")
-    s = sigma / 2
 
     stopping, mass = stopping_intervals(sig, mags, sigma, alpha)
+    pieces = []
+    for interval in stopping:
+        # a read-only view of the checked samples of sig
+        piece = Signal._adopt(samples[interval.lo : interval.hi], interval.length,
+                              interval.x_lo)
+        bins = lacunary_bins(piece.n, sigma)
+        pieces.append((interval, bins) + remove_lacunary(piece, bins))
+    return CzSplit(sig, samples, mags, mass, tuple(pieces))
+
+
+def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] = None,
+                 threads: int = 1) -> CzDecomposition:
+    """Run the split at level alpha (:func:`cz_split`) and measure its constants.
+
+    ``threads`` is accepted and ignored: the atoms are built serially.
+    """
+    split = cz_split(sig, sigma, alpha, min_margin)
+    sigma, samples, mags = _check_sigma(sigma), split.samples, split.mags
+    s = sigma / 2
     atoms = []
     good_vals = np.array(samples)
     lac_vals = np.zeros(sig.n, dtype=samples.dtype)
     # |good|: bitwise the magnitudes of good_vals, whose atom blocks are 0
     good_mags = mags.copy()
-    for interval in stopping:
+    for interval, bins, canc, lac in split.pieces:
         lo, hi = interval.lo, interval.hi
-        # a read-only view of the checked samples of sig
-        piece = Signal._adopt(samples[lo:hi], interval.length, interval.x_lo)
-        bins = lacunary_bins(piece.n, sigma)
-        canc, lac = remove_lacunary(piece, bins)
         diag = _atom_diagnostics(interval, mags[lo:hi], canc, lac, bins, s, alpha)
         atoms.append(CzAtom(interval, canc, lac, diag))
         good_vals[lo:hi] = 0.0
@@ -366,7 +400,7 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     lac_part = Signal._adopt(lac_vals, sig.period, sig.offset)
 
     dec = CzDecomposition(good, tuple(atoms), lac_part, float(alpha), sigma, {})
-    dec.constants.update(_global_constants(sig, dec, mags, good_mags, mass))
+    dec.constants.update(_global_constants(sig, dec, mags, good_mags, split.mass))
     return dec
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .czd import cz_decompose, lacunary_bins, lattice_coefficients, remove_lacunary
+from .czd import cz_split, lacunary_bins, lattice_coefficients, remove_lacunary
 from .lacunary import Level, interval_arrays, lattice_points
 from .martingale import (DyadicFunction, azuma_tail_bound, cww_check, decompose_quotient_norm,
                          random_sign_martingale, tail_measure)
@@ -240,8 +240,8 @@ def _add_bumps(vals: np.ndarray, x: np.ndarray, bumps) -> np.ndarray:
     return vals
 
 
-def _bump_mixture_spec(label: str, period: float, rng: np.random.Generator,
-                       support: Optional[str]) -> SampleSpec:
+def _bump_terms(period: float, rng: np.random.Generator, support: Optional[str]) -> list:
+    """The ``(c, w, a)`` of one plateau mixture, drawn from ``rng``."""
     n_terms = int(rng.integers(1, 4))
     if support == "unit":
         centers = rng.uniform(0.3, 0.7, n_terms)
@@ -253,27 +253,30 @@ def _bump_mixture_spec(label: str, period: float, rng: np.random.Generator,
         centers = rng.uniform(-0.35 * period, 0.35 * period, n_terms)
         widths = 2.0 ** rng.uniform(-3.0, 0.0, n_terms)
     amps = rng.uniform(0.3, 2.0, n_terms) * rng.choice([-1.0, 1.0], n_terms)
+    return list(zip(centers, widths, amps))
 
-    def build(log2_n: int) -> Signal:
-        x, offset = _grid(log2_n, period)
-        return Signal(_add_bumps(np.zeros_like(x), x, zip(centers, widths, amps)), period, offset)
 
-    return SampleSpec(label, build)
+def _bump_signal(log2_n: int, period: float, bumps: list) -> Signal:
+    # the signal adopts the fresh float64 sums, which it checks and freezes
+    x, offset = _grid(log2_n, period)
+    return Signal._adopt(_add_bumps(np.zeros_like(x), x, bumps), period, offset)
+
+
+def _bump_mixture_spec(label: str, period: float, rng: np.random.Generator,
+                       support: Optional[str]) -> SampleSpec:
+    bumps = _bump_terms(period, rng, support)
+    return SampleSpec(label, lambda log2_n: _bump_signal(log2_n, period, bumps))
 
 
 def _spike_mixture_builder(period: float, rng: np.random.Generator) -> Callable:
-    base = _bump_mixture_spec("base", period, rng, None).build
+    """A plateau mixture plus spikes, summed onto one array, the spikes last."""
+    bumps = _bump_terms(period, rng, None)
     n_spikes = int(rng.integers(2, 4))
     centers = rng.uniform(-0.4 * period, 0.4 * period, n_spikes)
     widths = 2.0 ** rng.uniform(-4.0, -2.0, n_spikes)
     amps = rng.uniform(3.0, 8.0, n_spikes) * rng.choice([-1.0, 1.0], n_spikes)
-
-    def build(log2_n: int) -> Signal:
-        sig = base(log2_n)
-        return sig.with_samples(_add_bumps(np.array(sig.samples), sig.x,
-                                           zip(centers, widths, amps)))
-
-    return build
+    bumps += zip(centers, widths, amps)
+    return lambda log2_n: _bump_signal(log2_n, period, bumps)
 
 
 def _lac_poly_pool(cfg: ExperimentConfig) -> np.ndarray:
@@ -341,19 +344,19 @@ def _cz_bad_spec(label: str, cfg: ExperimentConfig, rng: np.random.Generator) ->
             memo["alpha"] = -1.0
             for mult in (2.0, 1.5, 1.2, 1.1):
                 try:
-                    dec = cz_decompose(sig, cfg.sigma, mult * root)
+                    split = cz_split(sig, cfg.sigma, mult * root)
                 except ValueError:
                     continue
-                if dec.atoms:
+                if split.pieces:
                     memo["alpha"] = mult * root
-                    return dec.cancellative_part()
+                    return split.cancellative_part()
         if memo["alpha"] < 0.0:
             return sig
         try:
-            dec = cz_decompose(sig, cfg.sigma, memo["alpha"])
+            split = cz_split(sig, cfg.sigma, memo["alpha"])
         except ValueError:
             return sig
-        return dec.cancellative_part() if dec.atoms else sig
+        return split.cancellative_part() if split.pieces else sig
 
     return SampleSpec(label, build)
 

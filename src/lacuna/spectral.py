@@ -168,7 +168,8 @@ def from_coefficients(values: np.ndarray, pos: np.ndarray, like: np.ndarray) -> 
             return np.fft.irfft(half, n)
     spec = np.zeros(n, dtype=np.complex128)
     spec[pos] = values
-    return np.fft.ifft(spec)
+    # in place: bitwise the out-of-place transform, with one n-length array
+    return np.fft.ifft(spec, out=spec)
 
 
 def _from_half(half: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:

@@ -372,7 +372,7 @@ def reference_cz_decompose(sig, sigma, alpha, min_margin=None):
 
 def signals_of(dec):
     """Every signal a decomposition hands out, in a fixed order."""
-    out = [dec.good, dec.lacunary_part, dec.cancellative_part()]
+    out = [dec.good, dec.lacunary_part]
     for atom in dec.atoms:
         out += [atom.cancellative, atom.lacunary]
     return out
@@ -543,11 +543,11 @@ class TestEquivalenceWithReference:
         else:
             sig, sigma, alpha = overflow_signal(), 0, 1e308
         messages = []
-        for run in (czd.cz_decompose, reference_cz_decompose):
+        for run in (czd.cz_decompose, czd.cz_split, reference_cz_decompose):
             with pytest.raises(ValueError) as err, np.errstate(over="ignore", invalid="ignore"):
                 run(sig, sigma, alpha, min_margin=margin)
             messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == messages[2]
 
 
 def overflow_signal():
@@ -556,6 +556,42 @@ def overflow_signal():
     vals = np.zeros(128)
     vals[:64] = 1.5e308 * (-1.0) ** np.arange(64)
     return Signal(vals, 2.0, -1.0)
+
+
+class TestSplit:
+    """``cz_split`` is the decomposition without its measurements: the same
+    intervals, bins and parts, bitwise, and a cancellative part that is the
+    atoms' cancellative pieces put back on the window."""
+
+    @pytest.mark.parametrize("modulated", [False, True])
+    def test_the_split_is_the_decomposition_unmeasured(self, modulated):
+        for sig, sigma, alpha in gate06_members(3):
+            if modulated:  # complex input keeps the complex transforms
+                sig = sig.with_samples(sig.samples * np.exp(2j * np.pi * 3 * sig.x))
+            dec = czd.cz_decompose(sig, sigma, alpha)
+            split = czd.cz_split(sig, sigma, alpha)
+            assert dec.atoms and split.mass == dec.constants["orlicz_mass"]
+            assembled = np.zeros(sig.n, dtype=dec.lacunary_part.samples.dtype)
+            for (interval, bins, canc, lac), atom in zip(split.pieces, dec.atoms, strict=True):
+                assert interval == atom.interval
+                assert bins.tobytes() == czd.lacunary_bins(canc.n, sigma).tobytes()
+                for a, b in ((canc, atom.cancellative), (lac, atom.lacunary)):
+                    assert (a.period, a.offset) == (b.period, b.offset)
+                    assert a.samples.dtype == b.samples.dtype
+                    assert a.samples.tobytes() == b.samples.tobytes()
+                assembled[interval.lo : interval.hi] = atom.cancellative.samples
+            got = split.cancellative_part()
+            assert (got.period, got.offset) == (sig.period, sig.offset)
+            assert got.samples.dtype == assembled.dtype
+            assert got.samples.tobytes() == assembled.tobytes()
+
+    def test_no_atoms_give_a_zero_cancellative_part(self):
+        sig = Signal(np.ones(64), 2.0, -1.0)
+        alpha = 2.0 * luxemburg_avg(sig.samples, 0.5)  # twice every block's average
+        split = czd.cz_split(sig, 1, alpha)
+        assert split.pieces == () and not czd.cz_decompose(sig, 1, alpha).atoms
+        zero = split.cancellative_part().samples
+        assert zero.dtype == np.float64 and zero.tobytes() == np.zeros(64).tobytes()
 
 
 class TestHandedOutArrays:
@@ -567,17 +603,21 @@ class TestHandedOutArrays:
         dec = czd.cz_decompose(sig, sigma, alpha)
         assert dec.atoms and sig.samples.flags.writeable is False
         piece = Signal(np.arange(16.0), 1.0)
-        for out in signals_of(dec) + list(czd.remove_lacunary(piece, czd.lacunary_bins(16, 1))):
+        parts = czd.remove_lacunary(piece, czd.lacunary_bins(16, 1))
+        split = czd.cz_split(sig, sigma, alpha).cancellative_part()
+        for out in signals_of(dec) + [split] + list(parts):
             assert out.samples.flags.writeable is False
             with pytest.raises(ValueError, match="read-only"):
                 out.samples[0] = 1.0
 
     def test_parts_own_their_samples(self):
-        # good, the lacunary part and the atoms' parts are fresh arrays, and
-        # no part shares memory with the input or with another part
+        # good, the lacunary part, the atoms' parts and the split's
+        # cancellative part are fresh arrays, and no part shares memory with
+        # the input or with another part
         sig, sigma, alpha = next(gate06_members(1))
         dec = czd.cz_decompose(sig, sigma, alpha)
-        arrays = [sig.samples] + [s.samples for s in signals_of(dec)]
+        split = czd.cz_split(sig, sigma, alpha).cancellative_part()
+        arrays = [sig.samples, split.samples] + [s.samples for s in signals_of(dec)]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)

@@ -21,6 +21,13 @@ Reference ledger:
   at periods 2, 16 and 64 on both grids, drawn bumps at the grid ends,
   narrower than a grid step or negative, the spike builder and
   ``decompose_experiment``'s grid, bitwise with the signs of zeros.
+- ``copying_builders_reference``: the bump mixture and the spike builder
+  as they copied their sums into signals; periods 2 and 16, every support,
+  seeds 10 and 2026 on 2^9 and 2^11, bitwise, and read-only.
+- ``decomposed_split_reference``: the czbad builder's split as it was, the
+  full decomposition with its cancellative part reassembled from its atoms;
+  the czbad members of the verify workload's ensemble at sigma 0-2, seeds 10
+  and 2026, on both grids, and a flat member without atoms, bitwise.
 - ``square_reference`` (from ``test_spectral``): the lp and smooth-sqfn
   squares of verify at tau 3 on 2^11 and its refinement, to 1e-12 of the
   peak; ``bisection_luxemburg`` (from ``test_orlicz``): every float of a
@@ -32,6 +39,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -444,6 +452,120 @@ class TestBumpWindows:
         assert inputs[0].size == 1024 and inputs[0].tobytes() == inputs[1].tobytes()
 
 
+def copying_builders_reference(period, seed, support):
+    """``_bump_mixture_spec``'s builder and ``_spike_mixture_builder`` as they
+    were before they adopted their arrays, each from a generator of ``seed``:
+    ``Signal`` copies the mixture's sums, and the spikes are added onto a copy
+    of the mixture's samples, which ``with_samples`` copies again."""
+    def mixture(rng, support):
+        n_terms = int(rng.integers(1, 4))
+        if support == "unit":
+            centers = rng.uniform(0.3, 0.7, n_terms)
+            widths = 2.0 ** rng.uniform(-5.0, -2.0, n_terms)
+        elif support == "centered":
+            centers = rng.uniform(-0.2, 0.2, n_terms)
+            widths = 2.0 ** rng.uniform(-5.0, -2.0, n_terms)
+        else:
+            centers = rng.uniform(-0.35 * period, 0.35 * period, n_terms)
+            widths = 2.0 ** rng.uniform(-3.0, 0.0, n_terms)
+        amps = rng.uniform(0.3, 2.0, n_terms) * rng.choice([-1.0, 1.0], n_terms)
+
+        def build(log2_n):
+            x, offset = hn._grid(log2_n, period)
+            return Signal(hn._add_bumps(np.zeros_like(x), x, zip(centers, widths, amps)),
+                          period, offset)
+        return build
+
+    rng = np.random.default_rng(seed)
+    base = mixture(rng, None)
+    n_spikes = int(rng.integers(2, 4))
+    centers = rng.uniform(-0.4 * period, 0.4 * period, n_spikes)
+    widths = 2.0 ** rng.uniform(-4.0, -2.0, n_spikes)
+    amps = rng.uniform(3.0, 8.0, n_spikes) * rng.choice([-1.0, 1.0], n_spikes)
+
+    def spikes(log2_n):
+        sig = base(log2_n)
+        return sig.with_samples(hn._add_bumps(np.array(sig.samples), sig.x,
+                                              zip(centers, widths, amps)))
+
+    return mixture(np.random.default_rng(seed), support), spikes
+
+
+class TestAdoptedSamples:
+    @pytest.mark.parametrize("support", [None, "unit", "centered"])
+    @pytest.mark.parametrize("period", [2.0, 16.0])
+    def test_bumps_and_spikes_are_the_copied_signals(self, period, support):
+        # the same dtype and bits as the copies, and as read-only
+        for seed in (10, 2026):
+            bump = hn._bump_mixture_spec("bump", period, np.random.default_rng(seed), support)
+            spikes = hn._spike_mixture_builder(period, np.random.default_rng(seed))
+            for got, want in zip((bump.build, spikes),
+                                 copying_builders_reference(period, seed, support)):
+                for log2_n in (9, 11):
+                    a, b = got(log2_n), want(log2_n)
+                    assert (a.period, a.offset) == (b.period, b.offset)
+                    assert a.samples.dtype == b.samples.dtype == np.float64
+                    assert a.samples.tobytes() == b.samples.tobytes()
+                    assert not a.samples.flags.writeable
+
+
+def decomposed_split_reference(sig, sigma, alpha):
+    """``czd.cz_split`` as the czbad builder took it before: the full
+    decomposition, its cancellative part put back together from its atoms."""
+    dec = czd.cz_decompose(sig, sigma, alpha)
+    out = np.zeros(sig.n, dtype=dec.lacunary_part.samples.dtype)
+    for atom in dec.atoms:
+        out[atom.interval.lo : atom.interval.hi] = atom.cancellative.samples
+    part = Signal._adopt(out, sig.period, sig.offset)
+    return types.SimpleNamespace(pieces=dec.atoms, cancellative_part=lambda: part)
+
+
+class TestCzBadSplit:
+    """The czbad builder takes czd's split without its measurements."""
+
+    # the verify workload's ensemble and grids
+    CFG = dict(log2_n=13, tau=3, ensemble=6)
+
+    @pytest.mark.parametrize("sigma", [0, 1, 2])
+    def test_builds_are_the_decomposition_reassembled(self, sigma, monkeypatch):
+        cfg = hn.ExperimentConfig(sigma=sigma, **self.CFG)
+
+        def builds(seed):
+            specs = hn.make_sample_specs(cfg, np.random.default_rng(seed))
+            return [spec.build(log2_n) for spec in specs if spec.label.startswith("czbad")
+                    for log2_n in (cfg.log2_n, cfg.log2_n + 2)]  # coarse first
+
+        for seed in (10, 2026):
+            got = builds(seed)
+            with monkeypatch.context() as m:
+                m.setattr(hn, "cz_split", decomposed_split_reference)
+                want = builds(seed)
+            assert len(got) == 4
+            for a, b in zip(got, want, strict=True):
+                assert (a.period, a.offset) == (b.period, b.offset)
+                assert a.samples.dtype == b.samples.dtype == np.float64
+                assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_a_member_without_atoms_is_its_base_signal(self, monkeypatch):
+        # no ensemble draw was found whose every alpha gives no atoms, so
+        # the base is flat: every block averages below each alpha tried
+        bases = []
+
+        def flat(period, rng):
+            def build(log2_n):
+                bases.append(Signal(np.ones(1 << log2_n), period, -period / 2))
+                return bases[-1]
+            return build
+
+        monkeypatch.setattr(hn, "_spike_mixture_builder", flat)
+        cfg = hn.ExperimentConfig(sigma=1, **self.CFG)
+        for split in (decomposed_split_reference, hn.cz_split):
+            monkeypatch.setattr(hn, "cz_split", split)
+            spec = hn._cz_bad_spec("czbad", cfg, np.random.default_rng(10))
+            for log2_n in (cfg.log2_n, cfg.log2_n + 2):
+                assert spec.build(log2_n) is bases[-1]
+
+
 class TestSampleWork:
     """The work of a verify-sized ensemble's sample construction, counted
     (ROADMAP item 22): the sign polynomials' complex exponentials and the
@@ -474,6 +596,19 @@ class TestSampleWork:
                 assert 8 <= len(sizes) <= 64 and window % 2 == 1
                 # (K + 1) per term, not 2K + 1
                 assert sizes == [(window + 1) // 2] * len(sizes)
+
+    def test_czbad_builds_measure_nothing(self, monkeypatch):
+        # a small verify endpoint run: its czbad member splits into atoms,
+        # and neither an atom nor a decomposition is measured
+        calls = {"remove_lacunary": 0, "_atom_diagnostics": 0, "_global_constants": 0}
+        for name in calls:
+            def counting(*args, real=getattr(czd, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(czd, name, counting)
+        hn.verify_endpoint(hn.ExperimentConfig(tau=2, log2_n=9, ensemble=3, refine=True))
+        assert calls["remove_lacunary"] > 0
+        assert calls["_atom_diagnostics"] == calls["_global_constants"] == 0
 
     def test_bumps_see_only_their_windows(self, monkeypatch):
         cfg = hn.ExperimentConfig(**self.CFG)

@@ -76,21 +76,29 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
     assert contract.main(["diff", "--record", str(out), "--small"]) == 0
     rec = json.loads(out.read_text())
     assert {path.split("/")[0] for path in rec} == {
-        "czd", "decompose", "growth", "samples", "verify", "zygmund-bonami", "sharpness",
-        "cww"}
-    # the zygmund-bonami reports at tau 1-3, the cww reports at sigma 0-2,
-    # both at seeds 7 and 10, and one sharpness report with its Khintchine
-    # draws, each from the command line
+        "czd", "decompose", "growth", "samples", "verify", "zygmund-bonami",
+        "gen-zygmund-bonami", "sharpness", "cww"}
+    # the reports of both zygmund-bonami experiments at tau 1-3, the cww
+    # reports at sigma 0-2, all at seeds 7 and 10, and one sharpness report
+    # with its Khintchine draws, each from the command line
     runs = {tuple(path.split("/")[:3]) for path in rec
-            if path.startswith(("zygmund-bonami/", "sharpness/", "cww/"))}
+            if path.startswith(("zygmund-bonami/", "gen-zygmund-bonami/", "sharpness/",
+                                "cww/"))}
     assert runs == {(name, seed, f"{param}-{value}") for seed in ("7", "10")
                     for name, param, values in (("zygmund-bonami", "tau", (1, 2, 3)),
+                                                ("gen-zygmund-bonami", "tau", (1, 2, 3)),
                                                 ("cww", "sigma", (0, 1, 2)))
                     for value in values} | {("sharpness", "7", "khintchine-4")}
     for run in runs:
-        assert rec["/".join(run) + "/stdout/json/config/log2_n"] in (8, 12)
-        if run[0] != "sharpness":  # whose small grid has too few orders to pass
-            assert rec["/".join(run) + "/exit"] == 0
+        key = "/".join(run)
+        assert rec[key + "/stdout/json/config/log2_n"] in (8, 12)
+        if run[0] == "gen-zygmund-bonami":
+            # the report names its failing rows and exits 1; at tau 1 it passes
+            assert rec[f"{key}/stdout/json/config/tau"] == int(run[2][-1])
+            assert rec[key + "/exit"] == (0 if rec[key + "/stdout/json/ok"] else 1)
+            assert rec[key + "/exit"] == (0 if run[2] == "tau-1" else 1)
+        elif run[0] != "sharpness":  # whose small grid has too few orders to pass
+            assert rec[key + "/exit"] == 0
     for seed in ("7", "10"):
         for sigma in (0, 1, 2):
             key = f"cww/{seed}/sigma-{sigma}/stdout/json"

@@ -42,6 +42,7 @@ Reference ledger:
 import inspect
 import math
 import struct
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -50,7 +51,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lacuna.dyadic import DyadicScalar as D
-from lacuna.lacunary import LacInterval, interval_arrays, lambda_tau
+from lacuna.lacunary import LacInterval, interval_arrays, lambda_tau, lattice_points
 from lacuna import spectral as sp
 from test_lacunary import D as fraction_scalar
 
@@ -746,6 +747,40 @@ def test_from_coefficients_inverts_the_reader(log2_n):
                 assert got.tobytes() == np.fft.ifft(spec).tobytes()
         full = sp.from_coefficients(sp.coefficients(samples, np.arange(n)), np.arange(n), samples)
         assert np.max(np.abs(full - samples)) <= 1e-14 * np.max(np.abs(samples))
+
+
+@pytest.mark.parametrize("log2_n", range(3, 16))
+def test_complex_inverse_in_place_is_the_out_of_place_transform(log2_n):
+    # complex pieces at czd's sizes, read at their lacunary bins of orders
+    # 0-2 and at every position: the in-place ifft, bitwise
+    n = 1 << log2_n
+    rng = np.random.default_rng(160 + log2_n)
+    like = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sets = [lattice_points(sigma, (n - 1) // 2) % n for sigma in (0, 1, 2)]
+    for pos in sets + [np.arange(n)]:
+        values = sp.coefficients(like, pos)
+        spec = np.zeros(n, dtype=complex)
+        spec[pos] = values
+        got = sp.from_coefficients(values, pos, like)
+        assert got.dtype == np.complex128 and got.tobytes() == np.fft.ifft(spec).tobytes()
+
+
+def test_complex_inverse_allocates_one_spectrum():
+    # the spectrum is transformed in place: one n-length complex128 array,
+    # where an out-of-place ifft holds two
+    n = 1 << 15
+    rng = np.random.default_rng(159)
+    like = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pos = lattice_points(2, (n - 1) // 2) % n
+    values = sp.coefficients(like, pos)
+    sp.from_coefficients(values, pos, like)  # the transform's plan, made once
+    tracemalloc.start()
+    try:
+        sp.from_coefficients(values, pos, like)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * n, peak / (16 * n)
 
 
 @pytest.mark.parametrize("log2_n", [0, 1, 2, 3, 7])
