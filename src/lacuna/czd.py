@@ -102,12 +102,13 @@ class CzAtom:
 
 @dataclass(frozen=True)
 class CzSplit:
-    """The split of f at level alpha, before any measurement: f's samples as
-    the decomposition reads them (float64 for real data), their moduli, the
-    Orlicz mass, and per stopping interval ``(interval, bins, cancellative,
-    lacunary)``."""
+    """The split of f at level alpha, before any measurement: the checked
+    order sigma, f's samples as the decomposition reads them (float64 for real
+    data), their moduli, the Orlicz mass, and per stopping interval
+    ``(interval, bins, cancellative, lacunary)``."""
 
     sig: Signal
+    sigma: int
     samples: np.ndarray
     mags: np.ndarray
     mass: float
@@ -372,7 +373,7 @@ def cz_split(sig: Signal, sigma, alpha: float, min_margin: Optional[float] = Non
                               interval.x_lo)
         bins = lacunary_bins(piece.n, sigma)
         pieces.append((interval, bins) + remove_lacunary(piece, bins))
-    return CzSplit(sig, samples, mags, mass, tuple(pieces))
+    return CzSplit(sig, sigma, samples, mags, mass, tuple(pieces))
 
 
 def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] = None,
@@ -382,7 +383,7 @@ def cz_decompose(sig: Signal, sigma, alpha: float, min_margin: Optional[float] =
     ``threads`` is accepted and ignored: the atoms are built serially.
     """
     split = cz_split(sig, sigma, alpha, min_margin)
-    sigma, samples, mags = _check_sigma(sigma), split.samples, split.mags
+    sigma, samples, mags = split.sigma, split.samples, split.mags
     s = sigma / 2
     atoms = []
     good_vals = np.array(samples)

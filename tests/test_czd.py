@@ -571,6 +571,7 @@ class TestSplit:
             dec = czd.cz_decompose(sig, sigma, alpha)
             split = czd.cz_split(sig, sigma, alpha)
             assert dec.atoms and split.mass == dec.constants["orlicz_mass"]
+            assert split.sigma == dec.sigma == sigma
             assembled = np.zeros(sig.n, dtype=dec.lacunary_part.samples.dtype)
             for (interval, bins, canc, lac), atom in zip(split.pieces, dec.atoms, strict=True):
                 assert interval == atom.interval
@@ -588,7 +589,8 @@ class TestSplit:
     def test_no_atoms_give_a_zero_cancellative_part(self):
         sig = Signal(np.ones(64), 2.0, -1.0)
         alpha = 2.0 * luxemburg_avg(sig.samples, 0.5)  # twice every block's average
-        split = czd.cz_split(sig, 1, alpha)
+        split = czd.cz_split(sig, 1.0, alpha)  # an integral float order is read as an int
+        assert type(split.sigma) is int and split.sigma == 1
         assert split.pieces == () and not czd.cz_decompose(sig, 1, alpha).atoms
         zero = split.cancellative_part().samples
         assert zero.dtype == np.float64 and zero.tobytes() == np.zeros(64).tobytes()
