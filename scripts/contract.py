@@ -15,7 +15,10 @@ workload generators (``perfbench/workloads.py``):
   seeds 2026 and 7, so two rough inputs run to the 5000-iteration cap, where
   a change in rounding shows;
 - ``growth``: the growth workload's report at seed 7;
-- ``verify``: the verify workload's five reports at seed 10;
+- ``verify``: the verify workload's five reports at seed 10, and the five
+  again in reverse command order in the same process, so that a state one
+  experiment leaves to the next (the ensemble they share) shows as a moved
+  leaf;
 - ``samples``: at seeds 10 and 2026, the samples of every builder of
   ``harness.make_sample_specs`` at the verify workload's configuration, at
   supports None, ``"unit"`` and ``"centered"`` on the grid and on its x4
@@ -152,12 +155,16 @@ def cli_leaves(key: str, result: tuple, out: dict) -> None:
 
 
 def record_reports(lac, name: str, seed: int, small: bool, workdir: str, out: dict) -> None:
-    for item in items_of(lac, name, seed, small, workdir):
+    items = items_of(lac, name, seed, small, workdir)
+    for item in items:
         result = item.run()
         if name == "growth":
             text_leaves(f"{name}/{seed}/{item.label}", lac.harness.report_to_json(result), out)
         else:
             cli_leaves(f"{name}/{seed}/{item.label}", result, out)
+    if name == "verify":
+        for item in reversed(items):
+            cli_leaves(f"{name}/{seed}/reverse/{item.label}", item.run(), out)
 
 
 def command_lines(name: str, seed: int, small: bool) -> dict:

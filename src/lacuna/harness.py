@@ -16,13 +16,14 @@ inequalities on ensembles of synthetic signals:
 
 Every experiment draws all random parameters up front from one seeded
 generator and aggregates in a fixed order, so reports are byte-stable for a
-given configuration.  A "ratio" always means measured-lhs / claimed-rhs; the
-experiments check finiteness and stability under grid refinement, never a
-particular constant.  The four verify experiments share one refinement rule
-(``_refined_rows``): a row pairs with the row of the same branch and gamma on
-the x4 finer grid and aborts when that mate aborted.  A report is ok when no
-row aborted, every ratio is finite and no drift exceeds 2; its notes name
-each failing row.
+given configuration, also when the verify experiments on one configuration
+share its ensemble within ``MAX_SHARED_BYTES`` (see ``_ensemble``).  A "ratio"
+always means measured-lhs / claimed-rhs; the experiments check finiteness and
+stability under grid refinement, never a particular constant.  The four verify
+experiments share one refinement rule (``_refined_rows``): a row pairs with
+the row of the same branch and gamma on the x4 finer grid and aborts when that
+mate aborted.  A report is ok when no row aborted, every ratio is finite and
+no drift exceeds 2; its notes name each failing row.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ MAX_SCALE_LOG2 = 64
 # threshold levels of a weak-type ratio, and ensemble members of an experiment
 MAX_N_LEVELS = 10_000
 MAX_ENSEMBLE = 10_000
+# an ensemble's builds are shared between experiments when ensemble x
+# (2^log2_n + 2^(log2_n + 2)) complex128 samples fit in this many bytes
+MAX_SHARED_BYTES = 32 << 20
 # samples ``cww`` draws at once (ensemble x 2^log2_n, 128 MB of float64)
 MAX_CWW_SAMPLES = 1 << 24
 
@@ -384,6 +388,43 @@ def make_sample_specs(cfg: ExperimentConfig, rng: np.random.Generator,
     return specs
 
 
+_SHARED: dict = {}  # the last (cfg, support) that _ensemble shared, and its specs
+
+
+def _ensemble(cfg: ExperimentConfig, support: Optional[str] = None) -> list[SampleSpec]:
+    """``make_sample_specs`` at ``cfg.seed``, shared by the experiments that
+    run on the same ``(cfg, support)`` while it fits ``MAX_SHARED_BYTES``.
+
+    In a shared ensemble each plateau mixture and sign polynomial builds its
+    read-only signal once per grid, and each czbad member keeps the threshold
+    it froze on its first build but splits its spike mixture through
+    ``cz_split`` on every build.  An ensemble over the budget stores nothing:
+    each call builds it afresh.  Only the last shared ensemble is kept.
+    """
+    key = (cfg, support)
+    if key not in _SHARED:
+        _SHARED.clear()
+        specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support)
+        if cfg.ensemble * (5 << cfg.log2_n) * 16 > MAX_SHARED_BYTES:
+            return specs
+        _SHARED[key] = [spec if spec.label.startswith("czbad-") else _built_once(spec)
+                        for spec in specs]
+    return _SHARED[key]
+
+
+def _built_once(spec: SampleSpec) -> SampleSpec:
+    """``spec`` with the signal of each grid built on first use and kept; the
+    experiments ask for two grids, ``log2_n`` and its x4 refinement."""
+    kept: dict = {}
+
+    def build(log2_n: int) -> Signal:
+        if log2_n not in kept:
+            kept[log2_n] = spec.build(log2_n)
+        return kept[log2_n]
+
+    return SampleSpec(spec.label, build)
+
+
 # -- operators ----------------------------------------------------------------
 
 
@@ -654,7 +695,7 @@ def _distribution_bound(experiment: str, operators: tuple, claim: str, cfg: Expe
         raise ValueError(f"{experiment} operator must be one of {operators}")
     if exponent is not None and not 0.0 <= exponent <= MAX_SIGMA:  # nan fails too
         raise ValueError(f"exponent must lie in [0, {MAX_SIGMA}]")
-    specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed))
+    specs = _ensemble(cfg)
     op = build_operator(operator, cfg, np.random.default_rng(cfg.seed + 1))
     p = op.exponent if exponent is None else float(exponent)
     anchor = f"|x : |Tf(x)| > a| <= C * integral (|f|/a) log^{p:g}(e + |f|/a) dx {claim}"
@@ -690,7 +731,7 @@ def verify_hormander(cfg: ExperimentConfig, operator: str = "hormander",
 def verify_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
     """l2 mass of the order-tau coefficient set against the L log^{tau/2} L
     average, for signals supported on the unit window."""
-    specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support="unit")
+    specs = _ensemble(cfg, "unit")
     nu_log2 = band_log2(cfg.log2_n, cfg.period)
     if nu_log2 < 1:
         raise ValueError(f"log2_n {cfg.log2_n} at period {cfg.period:g}: no nonzero "
@@ -789,7 +830,7 @@ def verify_gen_zygmund_bonami(cfg: ExperimentConfig) -> RatioReport:
                   the low-order lacunary coefficients on the window;
     * combined -- all scales on the cancelled signal, localized averages.
     """
-    specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support="centered")
+    specs = _ensemble(cfg, "centered")
     tail_gammas = [g for g in (2.0, 4.0, 8.0) if g <= cfg.period / 2]
     anchor = ("block-average aggregate, off-window tails, and sub-unit energies "
               "on the unit window, against Luxemburg averages of the input")

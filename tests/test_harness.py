@@ -28,6 +28,12 @@ Reference ledger:
   full decomposition with its cancellative part reassembled from its atoms;
   the czbad members of the verify workload's ensemble at sigma 0-2, seeds 10
   and 2026, on both grids, and a flat member without atoms, bitwise.
+- a cleared ensemble: each verify report on an ensemble built for it
+  alone, against the same report on an ensemble that earlier experiments on
+  its configuration built and froze czbad thresholds on; the verify
+  workload's five reports at seeds 10 and 2026 in forward and reverse
+  order, zygmund-bonami and gen-zygmund-bonami at one configuration each,
+  byte-equal.
 - ``square_reference`` (from ``test_spectral``): the lp and smooth-sqfn
   squares of verify at tau 3 on 2^11 and its refinement, to 1e-12 of the
   peak; ``bisection_luxemburg`` (from ``test_orlicz``): every float of a
@@ -606,6 +612,7 @@ class TestSampleWork:
                 calls[name] += 1
                 return real(*args)
             monkeypatch.setattr(czd, name, counting)
+        hn._SHARED.clear()  # so that this run builds its own ensemble
         hn.verify_endpoint(hn.ExperimentConfig(tau=2, log2_n=9, ensemble=3, refine=True))
         assert calls["remove_lacunary"] > 0
         assert calls["_atom_diagnostics"] == calls["_global_constants"] == 0
@@ -628,6 +635,118 @@ class TestSampleWork:
             # the support |u| < 1 and at most one sample past each end
             inside = np.count_nonzero(np.abs(u) < 1.0)
             assert inside > 0 and u.size <= inside + 2
+
+
+VERIFY_RUNS = (("endpoint", "prototype"), ("endpoint", "step"), ("endpoint", "lp"),
+               ("hormander", "hormander"), ("hormander", "smooth-sqfn"))
+
+
+def verify_report(cfg, experiment, operator):
+    run = hn.verify_endpoint if experiment == "endpoint" else hn.verify_hormander
+    return hn.report_to_json(run(cfg, operator))
+
+
+class TestSharedEnsemble:
+    """Experiments on one configuration share its ensemble (``_ensemble``):
+    the work of one verify pass as the benchmark runs it (ROADMAP item 22),
+    the budget, and every report against its run on a cleared ensemble."""
+
+    CFG = dict(log2_n=13, tau=3, ensemble=6, refine=True)
+    # ensemble x (2^13 + 2^15) complex samples
+    HELD = 6 * (5 << 13) * 16
+
+    def counted_pass(self, monkeypatch, seed=10):
+        """The builder calls and complex exponentials of the five verify
+        commands of one pass, and the sign polynomials' exponentials of one
+        ensemble built on both grids."""
+        cfg = hn.ExperimentConfig(seed=seed, **self.CFG)
+        names = ("_bump_signal", "_lac_poly_pool", "luxemburg_avg", "cz_split")
+        counts = dict.fromkeys(names + ("exp",), 0)
+        for name in names:
+            def counting(*args, real=getattr(hn, name), name=name):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(hn, name, counting)
+        real_exp = np.exp
+
+        def counting_exp(z, *args, **kwargs):
+            counts["exp"] += np.iscomplexobj(z)
+            return real_exp(z, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        for spec in hn.make_sample_specs(cfg, np.random.default_rng(seed)):
+            if spec.label.startswith("lacpoly"):
+                spec.build(cfg.log2_n)
+                spec.build(cfg.log2_n + 2)
+        one_ensemble, counts["exp"] = counts["exp"], 0
+        counts["_lac_poly_pool"] = 0
+        for run in VERIFY_RUNS:
+            verify_report(cfg, *run)
+        return cfg, counts, one_ensemble
+
+    def test_a_verify_pass_builds_one_ensemble(self, monkeypatch):
+        # seed 10 draws two of each family: the plateau mixtures, the sign
+        # polynomials and the czbad thresholds are made once, while each
+        # czbad member sums its spikes and splits them on both grids in each
+        # of the five experiments
+        hn._SHARED.clear()
+        cfg, counts, one_ensemble = self.counted_pass(monkeypatch)
+        assert one_ensemble == 102
+        assert counts == {"_bump_signal": 4 + 5 * 4, "_lac_poly_pool": 1, "luxemburg_avg": 2,
+                          "cz_split": 5 * 4, "exp": one_ensemble}
+        assert list(hn._SHARED) == [(cfg, None)]
+
+    @pytest.mark.parametrize("budget, shared", [(HELD, True), (HELD - 1, False)])
+    def test_an_ensemble_over_the_budget_is_built_for_each_experiment(
+            self, budget, shared, monkeypatch):
+        # a smaller ensemble shared before, which the pass's replaces or drops
+        hn._SHARED.clear()
+        hn.verify_endpoint(tiny_config(), "identity")
+        monkeypatch.setattr(hn, "MAX_SHARED_BYTES", budget)
+        cfg, counts, one_ensemble = self.counted_pass(monkeypatch)
+        if shared:
+            assert counts["_bump_signal"] == 4 + 5 * 4 and counts["exp"] == one_ensemble
+            assert list(hn._SHARED) == [(cfg, None)]
+        else:
+            assert counts == {"_bump_signal": 5 * 8, "_lac_poly_pool": 5, "luxemburg_avg": 10,
+                              "cz_split": 5 * 4, "exp": 5 * one_ensemble}
+            assert not hn._SHARED
+
+    @pytest.mark.parametrize("seed", [10, 2026])
+    def test_shared_reports_are_each_runs_own(self, seed):
+        # the czbad thresholds of the shared runs are frozen on the coarse
+        # grid of the first experiment, prototype or smooth-sqfn
+        cfg = hn.ExperimentConfig(seed=seed, **self.CFG)
+        fresh = {}
+        for run in VERIFY_RUNS:
+            hn._SHARED.clear()
+            fresh[run] = verify_report(cfg, *run)
+        hn._SHARED.clear()
+        for run in VERIFY_RUNS + VERIFY_RUNS[::-1]:
+            assert verify_report(cfg, *run) == fresh[run], run
+        assert list(hn._SHARED) == [(cfg, None)]
+
+    @pytest.mark.parametrize("verify, support", [
+        (hn.verify_zygmund_bonami, "unit"), (hn.verify_gen_zygmund_bonami, "centered")])
+    def test_windowed_reports_are_each_runs_own(self, verify, support):
+        cfg = hn.make_config({"log2_n": 10, "tau": 2, "ensemble": 4, "seed": 10})
+        hn._SHARED.clear()
+        fresh = hn.report_to_json(verify(cfg))
+        assert list(hn._SHARED) == [(cfg, support)]
+        # the next run on it reads the kept signals
+        assert hn.report_to_json(verify(cfg)) == fresh
+
+    def test_only_the_last_ensemble_is_kept(self):
+        hn._SHARED.clear()
+        first, second = tiny_config(), tiny_config(seed=8)
+        hn.verify_endpoint(first, "identity")
+        hn.verify_zygmund_bonami(first)
+        assert list(hn._SHARED) == [(first, "unit")]
+        hn.verify_endpoint(second, "identity")
+        assert list(hn._SHARED) == [(second, None)]
+        # its kept signals are read-only
+        sig = hn._SHARED[(second, None)][0].build(second.log2_n)
+        assert not sig.samples.flags.writeable
 
 
 # -- operators ----------------------------------------------------------------
