@@ -15,8 +15,10 @@ workload generators (``perfbench/workloads.py``):
   seeds 2026 and 7, so two rough inputs run to the 5000-iteration cap, where
   a change in rounding shows;
 - ``growth``: the growth workload's report at seed 7;
-- ``verify``: the verify workload's five reports at seed 10, and the five
-  again in reverse command order in the same process, so that a state one
+- ``verify``: the verify workload's five reports at seed 10 and the report
+  of ``lacuna verify endpoint --operator identity`` (the one endpoint
+  operator the workload leaves out) at its configuration, and the six again
+  in reverse command order in the same process, so that a state one
   experiment leaves to the next (the ensemble they share) shows as a moved
   leaf;
 - ``samples``: at seeds 10 and 2026, the samples of every builder of
@@ -133,7 +135,11 @@ def text_leaves(prefix: str, text: str, out: dict) -> None:
 
 def items_of(lac, name: str, seed: int, small: bool, workdir: str) -> list:
     kind = {"decompose": "solver"}.get(name, name)
-    return perfbench().WORKLOADS[kind](small=small).setup(lac, seed, workdir)
+    workload = perfbench().WORKLOADS[kind]
+    if kind == "verify":  # with the one endpoint operator it leaves out, at its configuration
+        workload = type("Verify", (workload,),
+                        {"RUNS": workload.RUNS + (("endpoint", "identity"),)})
+    return workload(small=small).setup(lac, seed, workdir)
 
 
 def record_czd(lac, seed: int, small: bool, workdir: str, out: dict) -> None:

@@ -19,7 +19,7 @@ from .harness import (
 )
 from .lacunary import LacInterval, LacPointSet, lac_tau, lambda_tau
 from .martingale import DyadicFunction, cww_check, decompose_quotient_norm
-from .multipliers import SharpnessFamily, build_sharpness_family, prototype_multiplier
+from .multipliers import SharpnessFamily, build_sharpness_family
 from .orlicz import YoungFunction, exp_norm, luxemburg_avg
 from .spectral import (
     AliasFlags,
@@ -59,7 +59,6 @@ __all__ = [
     "make_config",
     "project_sharp",
     "project_smooth",
-    "prototype_multiplier",
     "read_signal",
     "remove_lacunary",
     "sharpness_growth",

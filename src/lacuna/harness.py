@@ -29,6 +29,7 @@ no drift exceeds 2; its notes name each failing row.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import statistics
@@ -38,10 +39,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .czd import cz_split, lacunary_bins, lattice_coefficients, remove_lacunary
-from .lacunary import Level, interval_arrays, lattice_points
+from .lacunary import interval_arrays, lattice_points
 from .martingale import (DyadicFunction, azuma_tail_bound, cww_check, decompose_quotient_norm,
                          random_sign_martingale, tail_measure)
-from .multipliers import build_sharpness_family, max_feasible_parameter, prototype_multiplier
+from .multipliers import build_sharpness_family, max_feasible_parameter, step_multiplier
 from .orlicz import YoungFunction, luxemburg_avg
 from .spectral import (MAX_LOG2_N, AliasFlags, BandBank, Signal, band_log2, eta_bank,
                        plateau_bump, weak_l1_norm)
@@ -407,22 +408,10 @@ def _ensemble(cfg: ExperimentConfig, support: Optional[str] = None) -> list[Samp
         specs = make_sample_specs(cfg, np.random.default_rng(cfg.seed), support)
         if cfg.ensemble * (5 << cfg.log2_n) * 16 > MAX_SHARED_BYTES:
             return specs
-        _SHARED[key] = [spec if spec.label.startswith("czbad-") else _built_once(spec)
-                        for spec in specs]
+        # the experiments ask each member for two grids, log2_n and its x4 refinement
+        _SHARED[key] = [spec if spec.label.startswith("czbad-")
+                        else SampleSpec(spec.label, functools.cache(spec.build)) for spec in specs]
     return _SHARED[key]
-
-
-def _built_once(spec: SampleSpec) -> SampleSpec:
-    """``spec`` with the signal of each grid built on first use and kept; the
-    experiments ask for two grids, ``log2_n`` and its x4 refinement."""
-    kept: dict = {}
-
-    def build(log2_n: int) -> Signal:
-        if log2_n not in kept:
-            kept[log2_n] = spec.build(log2_n)
-        return kept[log2_n]
-
-    return SampleSpec(spec.label, build)
 
 
 # -- operators ----------------------------------------------------------------
@@ -447,39 +436,20 @@ def _caps(cfg: ExperimentConfig) -> tuple[int, int, int, int]:
     return band - 1, band - 2, cfg.min_scale_log2, max(cfg.min_scale_log2, -3)
 
 
-def _halved_step(family: Level, exponent: int, rng: np.random.Generator) -> BandBank:
-    """The step multiplier of two half windows per block of ``family`` (in
-    units of ``2^exponent``) with coefficients +-1/2: block mass
-    2 * (1/2)^2 = 1/2, so the class parameter is N = 2."""
-    mid = family.left + family.right  # in half units
-    lo = np.stack((2 * family.left, mid), axis=1).ravel()
-    hi = np.stack((mid, 2 * family.right), axis=1).ravel()
-    signs = rng.choice([-1.0, 1.0], size=(family.left.size, 2)).ravel()
-    return BandBank(lo, hi, exponent - 1, (0.5 * signs).astype(complex), "step_multiplier")
-
-
-def _combined(label: str, exponent: float, bank: BandBank, weights=None) -> OperatorSpec:
-    """The operator with output magnitudes ``|sum_i w_i T_i f|``."""
-    return OperatorSpec(label, exponent,
-                        lambda sig, flags=None: np.abs(bank.combine(sig, weights, flags)))
-
-
 def build_operator(kind: str, cfg: ExperimentConfig,
                    rng: Optional[np.random.Generator] = None) -> OperatorSpec:
     rng = rng or np.random.default_rng(cfg.seed + 1)
     sharp_cap, smooth_cap, min_log2, smooth_floor = _caps(cfg)
 
     if kind == "identity":
-        return OperatorSpec("identity", 0.0, lambda sig, flags=None: np.abs(sig.samples))
+        return OperatorSpec("identity", 0.0, lambda sig, flags=None: sig.samples)
 
-    if kind == "prototype":
-        bank = prototype_multiplier(cfg.tau, min_log2, sharp_cap, rng=rng)
-        return _combined(f"prototype-tau{cfg.tau}", cfg.tau / 2, bank)
-
-    if kind == "step":
+    if kind in ("prototype", "step"):  # the step class at N = 1 and N = 2
+        n_param, label = (1, "prototype") if kind == "prototype" else (2, "step-N2")
         family = interval_arrays(cfg.tau, min_log2, sharp_cap)[-1]
-        bank = _halved_step(family, min_log2, rng)
-        return _combined(f"step-N2-tau{cfg.tau}", cfg.tau / 2, bank)
+        bank = step_multiplier(family, min_log2, n_param, rng)
+        return OperatorSpec(f"{label}-tau{cfg.tau}", cfg.tau / 2,
+                            lambda sig, flags=None: bank.combine(sig, None, flags))
 
     if kind == "lp":
         family = interval_arrays(cfg.tau, min_log2, sharp_cap)[-1]
@@ -495,7 +465,8 @@ def build_operator(kind: str, cfg: ExperimentConfig,
         family = interval_arrays(cfg.tau, smooth_floor, smooth_cap)[-1]
         eps = rng.choice([-1.0, 1.0], size=family.left.size)
         bank = eta_bank(family.left, family.right, smooth_floor, "hormander")
-        return _combined(f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2, bank, eps)
+        return OperatorSpec(f"bump-symbol-tau{cfg.tau}", (cfg.tau - 1) / 2,
+                            lambda sig, flags=None: bank.combine(sig, eps, flags))
 
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -505,7 +476,8 @@ def build_operator(kind: str, cfg: ExperimentConfig,
 
 def weak_type_ratio(out_mags, in_vals, dx: float, exponent: float,
                     n_levels: int = 24) -> dict:
-    """sup over thresholds of  |{|Tf| > a}| / integral B_p(|f|/a).
+    """sup over thresholds of  |{|Tf| > a}| / integral B_p(|f|/a), from the
+    output samples ``Tf`` or their moduli (``out_mags``; only ``|Tf|`` is read).
 
     The distribution function is piecewise constant between attained output
     magnitudes and the Orlicz mass is continuous and decreasing in ``a``, so

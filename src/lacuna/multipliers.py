@@ -5,11 +5,11 @@ Two kinds of operator live here:
 * step multipliers -- coefficient-weighted half-open frequency windows, each
   inside a block of the lacunary family, held as the windows of a
   :class:`~lacuna.spectral.BandBank` whose ``combine`` applies the symbol
-  with one inverse transform.  :func:`prototype_multiplier` is the
-  random-sign block symbol (one window per block, class parameter N = 1);
-  the class invariants (containment, per-block coefficient mass at most
-  1/N, pointwise overlap at most N) hold by construction and are checked
-  exactly in the tests.
+  with one inverse transform.  :func:`step_multiplier` cuts every block into
+  N equal windows with random signs +-1/N (class parameter N; N = 1 is the
+  random-sign block symbol); the class invariants (containment, per-block
+  coefficient mass at most 1/N, pointwise overlap at most N) hold by
+  construction and are checked exactly in the tests.
 * the sharpness family -- the parametrized array of second-order components
   whose vector-valued action on a dilated bump grows linearly in the
   parameter; see :func:`build_sharpness_family`.
@@ -23,22 +23,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lacunary import interval_arrays
+from .lacunary import Level
 from .spectral import BandBank, Signal, band_log2, plateau_bump
 
 
 # -- step multipliers ----------------------------------------------------------
 
 
-def prototype_multiplier(tau: int, min_log2: int, top_log2: int,
-                         rng: np.random.Generator) -> BandBank:
-    """Random-sign block symbol: one window per block of the system of
-    ``interval_arrays(tau, min_log2, top_log2)``, coefficient +-1 drawn from
-    ``rng`` (a step multiplier with N = 1)."""
-    family = interval_arrays(tau, min_log2, top_log2)[-1]
-    signs = rng.choice([-1, 1], size=family.left.size)
-    return BandBank(family.left, family.right, min_log2, signs.astype(complex),
-                    "step_multiplier")
+def step_multiplier(family: Level, exponent: int, n_param: int,
+                    rng: np.random.Generator) -> BandBank:
+    """The random-sign step multiplier of class parameter ``n_param`` = N, a
+    power of two up to 16 (int64 block ends, below 2^58, stay int64): each
+    block ``[left, right) 2^exponent`` of ``family`` cut into N equal windows
+    at ``2^(exponent - log2 N)``, with coefficients +-1/N drawn from ``rng``
+    block by block."""
+    shift = n_param.bit_length() - 1
+    if not 1 <= n_param <= 16 or n_param != 1 << shift:
+        raise ValueError("the class parameter N must be a power of two in [1, 16]")
+    # the N + 1 cut points of each block, in units of 2^(exponent - log2 N)
+    cuts = (n_param * family.left[:, None]
+            + (family.right - family.left)[:, None] * np.arange(n_param + 1))
+    signs = rng.choice([-1.0, 1.0], size=(family.left.size, n_param))
+    return BandBank(cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), exponent - shift,
+                    (signs / n_param).ravel().astype(complex), "step_multiplier")
 
 
 # -- the sharpness family ------------------------------------------------------

@@ -280,7 +280,7 @@ def _window(lo: DyadicScalar, hi: DyadicScalar) -> tuple:
 def band_indices(sig: Signal, lo: DyadicScalar, hi: DyadicScalar) -> np.ndarray:
     """FFT-layout positions of lattice frequencies in [lo, hi), clipped to the
     representable range [-n/2, n/2 - 1]."""
-    return BandBank(*_window(lo, hi), np.ones(1)).positions(sig)
+    return BandBank(*_window(lo, hi), np.ones(1))._grid(sig, None).pos
 
 
 # -- band banks ------------------------------------------------------------
@@ -362,10 +362,6 @@ class BandBank:
             for event in events:
                 flags.mark(event)
         return plan
-
-    def positions(self, sig: Signal) -> np.ndarray:
-        """The plan's FFT-layout positions on ``sig``'s grid, band by band."""
-        return self._grid(sig, None).pos
 
     def symbol(
         self, sig: Signal, weights=None, flags: Optional[AliasFlags] = None

@@ -12,7 +12,11 @@ Reference ledger:
   its phases in place; f_N and g_N at orders 4 and 7 on 16 points, bitwise
   (``test_spectral.reference_band_square_at``, a per-band loop, is 1e-14).
 - ``step_violations``: the step class (containment, l2 budget, overlap) in
-  exact rationals, on hand-made windows and both built step multipliers.
+  exact rationals, on hand-made windows and ``step_multiplier`` at N = 1, 2.
+- ``reference_prototype_multiplier`` and ``reference_halved_step``: the two
+  builders ``step_multiplier`` replaced (the random-sign block symbol and
+  the two +-1/2 halves per block); at N = 1 and N = 2 it is their bank,
+  bitwise, at tau 1-3 and seeds 0, 10 and 2026.
 """
 
 import bisect
@@ -24,7 +28,6 @@ import pytest
 
 from lacuna.dyadic import DyadicScalar as D
 from lacuna.lacunary import interval_arrays, lambda_tau
-from lacuna import harness
 from lacuna import multipliers as mult
 from lacuna import spectral as sp
 from test_spectral import bank_of, bank_windows, fraction_band, square_reference
@@ -103,6 +106,36 @@ def two_block_step(coeffs=(0.5, 0.5)):
             (D(2, 0), D(3, 0), coeffs[1])]
 
 
+def reference_prototype_multiplier(tau, min_log2, top_log2, rng):
+    """The random-sign block symbol as it was built before ``step_multiplier``:
+    one window per block of ``interval_arrays(tau, min_log2, top_log2)``,
+    coefficient +-1 drawn from ``rng`` as integers."""
+    family = interval_arrays(tau, min_log2, top_log2)[-1]
+    signs = rng.choice([-1, 1], size=family.left.size)
+    return sp.BandBank(family.left, family.right, min_log2, signs.astype(complex),
+                       "step_multiplier")
+
+
+def reference_halved_step(family, exponent, rng):
+    """The N = 2 step multiplier as it was built before ``step_multiplier``:
+    two half windows per block in units of ``2^(exponent - 1)``, coefficients
+    +-1/2."""
+    mid = family.left + family.right  # in half units
+    lo = np.stack((2 * family.left, mid), axis=1).ravel()
+    hi = np.stack((mid, 2 * family.right), axis=1).ravel()
+    signs = rng.choice([-1.0, 1.0], size=(family.left.size, 2)).ravel()
+    return sp.BandBank(lo, hi, exponent - 1, (0.5 * signs).astype(complex), "step_multiplier")
+
+
+def assert_same_bank(got, want):
+    """The two banks' window ends, exponent, weights and label, bitwise (ends
+    held as Python integers compare as integers)."""
+    for a, b in ((got.lo, want.lo), (got.hi, want.hi), (got.weight, want.weight)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+    assert (got.exponent, got.label) == (want.exponent, want.label)
+
+
 class TestStepMultiplier:
     def test_valid_construction(self):
         assert step_violations(two_block_step(), ORDER1, 1) == []
@@ -147,37 +180,61 @@ class TestStepMultiplier:
 
     def test_prototype_is_valid_step_form(self):
         family = lambda_tau(2, D.pow2(-3), D(8, 0))
-        bank = mult.prototype_multiplier(2, -3, 3, np.random.default_rng(0))
+        bank = mult.step_multiplier(interval_arrays(2, -3, 3)[-1], -3, 1,
+                                    np.random.default_rng(0))
         assert step_violations(bank_windows(bank), family, 1) == []
         assert all(abs(c) == 1.0 for _, _, c in bank_windows(bank))
         assert bank.label == "step_multiplier"
+
+    @pytest.mark.parametrize("n_param", [0, 3, 6, 32, -2])
+    def test_class_parameter_is_a_power_of_two_up_to_16(self, n_param):
+        with pytest.raises(ValueError, match="power of two"):
+            mult.step_multiplier(interval_arrays(2, -3, 3)[-1], -3, n_param,
+                                 np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("tau", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 10, 2026])
 def test_prototype_windows_are_the_signed_blocks(tau, seed):
-    family = lambda_tau(tau, D.pow2(-6), D(64, 0))
-    bank = mult.prototype_multiplier(tau, -6, 6, rng=np.random.default_rng(seed))
-    signs = np.random.default_rng(seed).choice([-1, 1], size=len(family))
-    windows = bank_windows(bank)
-    assert windows == tuple((L.left, L.right, complex(s)) for L, s in zip(family, signs))
-    assert step_violations(windows, family, 1) == []
+    family = interval_arrays(tau, -6, 6)[-1]
+    bank = mult.step_multiplier(family, -6, 1, np.random.default_rng(seed))
+    assert_same_bank(bank, reference_prototype_multiplier(tau, -6, 6, np.random.default_rng(seed)))
+    assert step_violations(bank_windows(bank), lambda_tau(tau, D.pow2(-6), D(64, 0)), 1) == []
 
 
 @pytest.mark.parametrize("tau", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 10, 2026])
 def test_halved_step_windows_are_the_signed_halves(tau, seed):
-    family = lambda_tau(tau, D.pow2(-6), D(64, 0))
-    bank = harness._halved_step(interval_arrays(tau, -6, 6)[-1], -6, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    want = []
-    for L in family:
-        s = rng.choice([-1.0, 1.0], size=2)
-        want += [(L.left, center(L), complex(0.5 * s[0])), (center(L), L.right, complex(0.5 * s[1]))]
+    family = interval_arrays(tau, -6, 6)[-1]
+    bank = mult.step_multiplier(family, -6, 2, np.random.default_rng(seed))
+    assert_same_bank(bank, reference_halved_step(family, -6, np.random.default_rng(seed)))
+    blocks = lambda_tau(tau, D.pow2(-6), D(64, 0))
+    assert step_violations(bank_windows(bank), blocks, 2) == []
+    assert len(step_violations(bank_windows(bank), blocks, 3)) == len(blocks)  # mass 1/2 > 1/3
+
+
+@pytest.mark.parametrize("n_param", [1, 2, 4, 8, 16])
+def test_step_multiplier_cuts_each_block_into_n_equal_signed_windows(n_param):
+    blocks = lambda_tau(2, D.pow2(-6), D(64, 0))
+    bank = mult.step_multiplier(interval_arrays(2, -6, 6)[-1], -6, n_param,
+                                np.random.default_rng(n_param))
     windows = bank_windows(bank)
-    assert windows == tuple(want) and bank.label == "step_multiplier"
-    assert step_violations(windows, family, 2) == []
-    assert len(step_violations(windows, family, 3)) == len(family)  # mass 1/2 > 1/3
+    assert len(windows) == n_param * len(blocks)
+    for i, L in enumerate(blocks):
+        piece = L.length.as_fraction() / n_param
+        for k, (lo, hi, c) in enumerate(windows[i * n_param:(i + 1) * n_param]):
+            assert lo.as_fraction() == L.left.as_fraction() + k * piece
+            assert hi.as_fraction() == L.left.as_fraction() + (k + 1) * piece
+            assert abs(c) == 1.0 / n_param
+    assert step_violations(windows, blocks, n_param) == []
+
+
+def test_step_multiplier_keeps_python_integer_blocks():
+    # a window of 60 bits holds its ends as Python integers
+    family = interval_arrays(1, -60, 0)[-1]
+    assert family.left.dtype == object
+    bank = mult.step_multiplier(family, -60, 2, np.random.default_rng(1))
+    assert_same_bank(bank, reference_halved_step(family, -60, np.random.default_rng(1)))
 
 
 # -- application --------------------------------------------------------------

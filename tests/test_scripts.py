@@ -114,11 +114,13 @@ def test_contract_records_and_diffs_the_small_runs(tmp_path, capsys):
                                             ("centered", "bump-2"))
                      for label in ("bump-0", "lacpoly-1", third) for log2_n in ("9", "11")}
     assert rec["samples/10/decompose/exit"] == rec["samples/2026/decompose/exit"] == 0
-    # the five verify reports, then the five again in reverse order in the
-    # same process, each the same bytes
+    # the five verify reports and the identity operator's, then the six again
+    # in reverse order in the same process, each the same bytes
     verify = {tuple(path.split("/")[2:4]) for path in rec if path.startswith("verify/")}
     labels = {label for label, _ in verify if label != "reverse"}
-    assert len(labels) == 5 and {("reverse", label) for label in labels} <= verify
+    assert len(labels) == 6 and "endpoint-identity" in labels
+    assert {("reverse", label) for label in labels} <= verify
+    assert rec["verify/10/endpoint-identity/stdout/json/operator"] == "identity"
     for label in labels:
         assert rec[f"verify/10/reverse/{label}/stdout/text"] == \
             rec[f"verify/10/{label}/stdout/text"]

@@ -29,9 +29,9 @@ from lacuna import czd
 from lacuna.cli import main
 from lacuna.dyadic import DyadicScalar as D
 from lacuna import spectral as sp
-from lacuna.harness import _halved_step, weak_type_ratio
+from lacuna.harness import weak_type_ratio
 from lacuna.lacunary import interval_arrays
-from lacuna.multipliers import build_sharpness_family, prototype_multiplier
+from lacuna.multipliers import build_sharpness_family, step_multiplier
 from lacuna.orlicz import luxemburg_avg, luxemburg_solve
 from lacuna.spectral import weak_l1_norm
 import test_acceptance
@@ -53,12 +53,8 @@ def sharpness_case():
 
 def step_case(kind):
     # the verify operators' step multipliers at tau 3, on 2^10 samples of period 8
-    args = (3, -6, 4)
-    rng = np.random.default_rng(73)
-    if kind == "prototype":
-        bank = prototype_multiplier(*args, rng=rng)
-    else:
-        bank = _halved_step(interval_arrays(*args)[-1], -6, rng)
+    n_param = 1 if kind == "prototype" else 2
+    bank = step_multiplier(interval_arrays(3, -6, 4)[-1], -6, n_param, np.random.default_rng(73))
     return bank, random_signal(1 << 10, -4.0)
 
 
